@@ -18,8 +18,8 @@ pub const POLICY_NAMES: &[&str] = &["mrts", "risc", "rispp", "morpheus", "offlin
 /// multi-tenant runner). Only the `mrts` policy consumes them; the
 /// baselines have no equivalent knobs and silently ignore the struct.
 ///
-/// The `Default` value reproduces the untuned [`make_policy`] behaviour
-/// exactly, so front ends can thread a `PolicyTuning` unconditionally.
+/// The `Default` value is the untuned paper configuration, so front ends
+/// can thread a `PolicyTuning` unconditionally.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PolicyTuning {
     /// Overrides the MPU's learning rate (`None` keeps the paper's 0.5).
@@ -54,29 +54,14 @@ impl PolicyTuning {
 ///
 /// `catalog`, `capacity` and `totals` parameterize the offline policies
 /// (which bind their selection at "compile time" from profiled totals);
-/// the online policies ignore them. In a multi-tenant run each tenant gets
-/// its own instance built from *its* catalogue and fabric slice.
+/// the online policies ignore them. `tuning` configures the `mrts` policy
+/// only. In a multi-tenant run each tenant gets its own instance built
+/// from *its* catalogue and fabric slice.
 ///
 /// # Errors
 ///
 /// Returns a message listing the accepted names if `name` is unknown.
 pub fn make_policy(
-    name: &str,
-    catalog: &IseCatalog,
-    capacity: Resources,
-    totals: &ProfiledTotals,
-) -> Result<Box<dyn RuntimePolicy>, String> {
-    make_policy_tuned(name, catalog, capacity, totals, PolicyTuning::default())
-}
-
-/// [`make_policy`] with explicit mRTS tuning knobs (MPU learning rate,
-/// speculative prefetch). `PolicyTuning::default()` builds the same
-/// instances as [`make_policy`].
-///
-/// # Errors
-///
-/// Returns a message listing the accepted names if `name` is unknown.
-pub fn make_policy_tuned(
     name: &str,
     catalog: &IseCatalog,
     capacity: Resources,
@@ -118,10 +103,11 @@ mod tests {
         let trace = synthetic_trace(&toy, &[Pattern::Constant(100)], 2);
         let totals = ProfiledTotals::from_trace(&trace);
         let capacity = Resources::new(2, 2);
+        let tuning = PolicyTuning::default();
         for name in POLICY_NAMES {
-            let p = make_policy(name, &catalog, capacity, &totals);
+            let p = make_policy(name, &catalog, capacity, &totals, tuning);
             assert!(p.is_ok(), "policy '{name}' failed to build");
         }
-        assert!(make_policy("bogus", &catalog, capacity, &totals).is_err());
+        assert!(make_policy("bogus", &catalog, capacity, &totals, tuning).is_err());
     }
 }

@@ -35,7 +35,7 @@ pub mod optimal;
 pub mod rispp;
 
 pub use common::ProfiledTotals;
-pub use factory::{make_policy, make_policy_tuned, PolicyTuning, POLICY_NAMES};
+pub use factory::{make_policy, PolicyTuning, POLICY_NAMES};
 pub use offline::{LooselyCoupledPolicy, OfflineOptimalPolicy};
 pub use optimal::{dp_optimal_selection, exhaustive_optimal_profit, OnlineOptimalPolicy};
 pub use rispp::RisppPolicy;

@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use mrts_arch::{ArchParams, Cycles, FabricKind, FaultModel, Machine, Resources};
-use mrts_baselines::{make_policy_tuned, PolicyTuning, ProfiledTotals};
+use mrts_baselines::{make_policy, PolicyTuning, ProfiledTotals};
 use mrts_fleet::{
     poisson_arrivals, records_from_jsonl, records_to_jsonl, run_fleet, AppRegistry, FleetConfig,
     FleetOutcome, Placement, PoissonConfig, SessionRecord,
@@ -14,7 +14,7 @@ use mrts_multitask::{
 };
 use mrts_sim::{
     events_to_jsonl, ExecClass, MultitaskStats, PrefetchStats, RecoveryConfig, RiscOnlyPolicy,
-    RunStats, RuntimePolicy, Simulator, VecSink,
+    RunStats, Simulator, VecSink,
 };
 use mrts_workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
@@ -39,16 +39,6 @@ fn build(args: &Args) -> Result<BuildOutput, Box<dyn std::error::Error>> {
         .video(VideoModel::paper_default(seed))
         .build();
     Ok((app, catalog, trace))
-}
-
-fn policy(
-    name: &str,
-    catalog: &IseCatalog,
-    capacity: Resources,
-    totals: &ProfiledTotals,
-    tuning: PolicyTuning,
-) -> Result<Box<dyn RuntimePolicy>, String> {
-    make_policy_tuned(name, catalog, capacity, totals, tuning)
 }
 
 /// Parses the shared mRTS tuning flags (`--mpu-alpha`, `--prefetch`,
@@ -157,7 +147,7 @@ fn simulate_once(
 ) -> Result<(RunStats, Option<String>, PrefetchStats), Box<dyn std::error::Error>> {
     let machine = Machine::with_fault_model(ArchParams::default(), combo, fault)?;
     let capacity = machine.capacity();
-    let mut p = policy(policy_name, catalog, capacity, totals, tuning)?;
+    let mut p = make_policy(policy_name, catalog, capacity, totals, tuning)?;
     let mut sim = Simulator::new(catalog, machine).with_recovery(recovery);
     let sink = if record {
         let sink = VecSink::new();
@@ -366,7 +356,7 @@ pub fn sweep(args: &Args) -> CliResult {
             let combo = Resources::new(cg, prc);
             let machine = Machine::new(ArchParams::default(), combo)?;
             let capacity = machine.capacity();
-            let mut p = policy(name, &catalog, capacity, &totals, PolicyTuning::default())?;
+            let mut p = make_policy(name, &catalog, capacity, &totals, PolicyTuning::default())?;
             let stats = Simulator::run(&catalog, machine, &trace, p.as_mut());
             let s = risc_ref.total_execution_time().get() as f64
                 / stats.total_execution_time().get().max(1) as f64;

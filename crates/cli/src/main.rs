@@ -111,7 +111,7 @@ EXAMPLES:
     mrts-cli fleet --sessions 2000 --arrivals-out arr.jsonl --events-out ev.jsonl --threads 4
     mrts-cli pif --kernel deblock --max-exec 10000
     mrts-cli ingest --check manifests/h264.json
-    mrts-cli ingest --dump cv --out manifests/cv.json
+    mrts-cli ingest --dump manifests/cv.json --out manifests/cv.json
     mrts-cli simulate --app manifests/cryptomix.json --policy mrts
 ";
 

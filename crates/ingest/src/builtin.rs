@@ -1,408 +1,32 @@
 //! Builtin manifests and app-name resolution.
 //!
-//! The four legacy apps (`h264`, `fft`, `cipher`, `toy`) are *reflected*
-//! from their hand-built constructors in `mrts-workload` via
-//! [`Manifest::from_application`]: the constructor stays the single source
-//! of structural truth, the reflection hands the same structure to the
-//! ingestion pipeline, and the rate rules below restate each model's
-//! execution-frequency formula in the manifest language — operation-order
-//! faithful, so evaluation is bit-exact (pinned by `tests/ingest_goldens.rs`).
-//!
-//! The two new app families live here natively — there is no hand-built
-//! twin; the manifest *is* the definition:
-//!
-//! * `cv` — a stereo/optical-flow pipeline (census transform, cost
-//!   aggregation, winner-take-all, gradients, flow update, warp). Stereo
-//!   work tracks texture, flow work tracks motion, and a scene change
-//!   re-initialises tracking (census spike, flow collapse).
-//! * `cryptomix` — a bursty crypto+compression server mix (match finding,
-//!   entropy coding, checksums, an AES-like round, key expansion). Scene
-//!   changes stand in for request bursts, so frame-to-frame load is far
-//!   spikier than the video apps'.
-
-use mrts_ise::datapath::{DataPathGraph, OpKind};
-use mrts_ise::{BlockId, KernelId, KernelSpec};
-use mrts_workload::apps::{cipher_application, fft_application};
-use mrts_workload::h264::h264_application;
-use mrts_workload::synthetic::ToyApp;
-use mrts_workload::{Application, FunctionalBlock, WorkloadModel};
+//! Each builtin app is the checked-in `manifests/<name>.json`, embedded at
+//! compile time and parsed on demand by the same front-end as any manifest
+//! file: the JSON *is* the definition. For `h264`, `fft`, `cipher` and
+//! `toy` the hand-built constructors in `mrts-workload` remain as oracles;
+//! `tests/ingest_goldens.rs` pins that lowering the manifest reproduces
+//! them byte for byte. `cv` (a stereo/optical-flow pipeline) and
+//! `cryptomix` (a bursty crypto+compression server mix) have no
+//! constructor twin.
 
 use crate::manifest::Manifest;
 use crate::model::ManifestModel;
-use crate::rate::{Feature, RateExpr, RateRule, Round};
 use crate::IngestError;
 
 /// The builtin app names, in registry order.
 pub const BUILTIN_APPS: [&str; 6] = ["h264", "fft", "cipher", "toy", "cv", "cryptomix"];
 
-fn c(v: f64) -> RateExpr {
-    RateExpr::Const(v)
-}
-
-fn feat(f: Feature) -> RateExpr {
-    RateExpr::Feature(f)
-}
-
-fn add(a: RateExpr, b: RateExpr) -> RateExpr {
-    RateExpr::Add(Box::new(a), Box::new(b))
-}
-
-fn mul(a: RateExpr, b: RateExpr) -> RateExpr {
-    RateExpr::Mul(Box::new(a), Box::new(b))
-}
-
-fn scene(t: RateExpr, e: RateExpr) -> RateExpr {
-    RateExpr::IfScene(Box::new(t), Box::new(e))
-}
-
-fn round1(expr: RateExpr) -> RateRule {
-    RateRule {
-        round: Round::NearestMin1,
-        expr,
-    }
-}
-
-fn trunc(expr: RateExpr) -> RateRule {
-    RateRule {
-        round: Round::Trunc,
-        expr,
-    }
-}
-
-/// `mb` — macroblock count.
-fn mb() -> RateExpr {
-    feat(Feature::MbCount)
-}
-
-fn h264_manifest() -> Manifest {
-    // Operation-order-faithful restatement of H264Encoder::kernel_executions.
-    let coded = || add(c(0.25), mul(c(0.75), feat(Feature::Residual)));
-    let nonzero = || add(c(0.3), mul(c(0.6), feat(Feature::Residual)));
-    let dct = || mul(mul(mb(), c(16.0)), coded());
-    let rates = vec![
-        // sad16: intra frames only run the skip check.
-        round1(scene(
-            mul(mb(), c(8.0)),
-            mul(mb(), add(c(8.0), mul(c(48.0), feat(Feature::Motion)))),
-        )),
-        round1(mul(mb(), add(c(2.0), mul(c(6.0), feat(Feature::Texture))))),
-        round1(mul(
-            mul(mb(), add(c(3.0), mul(c(9.0), feat(Feature::Texture)))),
-            scene(c(1.5), c(1.0)),
-        )),
-        round1(dct()),
-        round1(dct()),
-        round1(dct()),
-        round1(dct()),
-        round1(mul(mb(), c(4.0))),
-        round1(mul(dct(), nonzero())),
-        round1(mul(dct(), nonzero())),
-        round1(RateExpr::DeblockEdges {
-            edges_per_mb: 20.0,
-            scene_fraction: 0.9,
-            base: 0.02,
-            slope: 0.9,
-            exponent: 1.8,
-        }),
-    ];
-    let gaps = [150, 300, 500, 250, 250, 200, 200, 400, 220, 600, 350];
-    Manifest::from_application(&h264_application(), &rates, &gaps)
-}
-
-fn fft_manifest() -> Manifest {
-    let rate = || add(c(0.3), mul(c(0.7), feat(Feature::Residual)));
-    let rates = vec![trunc(mul(c(256.0), rate())), trunc(mul(c(1024.0), rate()))];
-    Manifest::from_application(&fft_application(), &rates, &[120, 120])
-}
-
-fn cipher_manifest() -> Manifest {
-    let payload = || add(c(0.4), mul(c(0.6), feat(Feature::Edge)));
-    let rates = vec![
-        trunc(mul(c(64.0), payload())),
-        trunc(mul(c(2048.0), payload())),
-    ];
-    Manifest::from_application(&cipher_application(), &rates, &[250, 250])
-}
-
-fn toy_manifest() -> Manifest {
-    let rates = vec![trunc(add(
-        c(200.0),
-        mul(c(1800.0), feat(Feature::Residual)),
-    ))];
-    Manifest::from_application(ToyApp::new().application(), &rates, &[300])
-}
-
-fn cv_application() -> Application {
-    let mut g = DataPathGraph::builder("census");
-    let ctr = g.input();
-    let n0 = g.input();
-    let n1 = g.input();
-    let n2 = g.input();
-    let c0 = g.op(OpKind::Cmp, &[ctr, n0]);
-    let c1 = g.op(OpKind::Cmp, &[ctr, n1]);
-    let c2 = g.op(OpKind::Cmp, &[ctr, n2]);
-    let p0 = g.op(OpKind::Pack, &[c0, c1]);
-    let p1 = g.op(OpKind::Pack, &[p0, c2]);
-    let _ = g.op(OpKind::BitShuffle, &[p1, ctr]);
-    let census = g.finish().expect("static graph is valid");
-
-    let mut g = DataPathGraph::builder("hamming");
-    let a = g.input();
-    let b = g.input();
-    let best = g.input();
-    let x = g.op(OpKind::Xor, &[a, b]);
-    let h = g.op(OpKind::PopCount, &[x]);
-    let _ = g.op(OpKind::Min, &[h, best]);
-    let hamming = g.finish().expect("static graph is valid");
-
-    let mut g = DataPathGraph::builder("cost");
-    let acc = g.input();
-    let p = g.input();
-    let q = g.input();
-    let p2 = g.input();
-    let q2 = g.input();
-    let d0 = g.op(OpKind::Sub, &[p, q]);
-    let a0 = g.op(OpKind::Abs, &[d0]);
-    let d1 = g.op(OpKind::Sub, &[p2, q2]);
-    let a1 = g.op(OpKind::Abs, &[d1]);
-    let s = g.op(OpKind::Add, &[a0, a1]);
-    let _ = g.op(OpKind::Add, &[acc, s]);
-    let cost = g.finish().expect("static graph is valid");
-
-    let mut g = DataPathGraph::builder("wta");
-    let c0 = g.input();
-    let c1 = g.input();
-    let c2 = g.input();
-    let d = g.input();
-    let m0 = g.op(OpKind::Min, &[c0, c1]);
-    let m1 = g.op(OpKind::Min, &[m0, c2]);
-    let s = g.op(OpKind::Cmp, &[m1, c0]);
-    let _ = g.op(OpKind::Select, &[s, d, m1]);
-    let wta = g.finish().expect("static graph is valid");
-
-    let mut g = DataPathGraph::builder("grad");
-    let ix = g.input();
-    let iy = g.input();
-    let it = g.input();
-    let gx = g.op(OpKind::Mul, &[ix, ix]);
-    let gy = g.op(OpKind::Mul, &[iy, iy]);
-    let gxy = g.op(OpKind::Mul, &[ix, iy]);
-    let acc = g.op(OpKind::Mac, &[gx, gy, gxy]);
-    let _ = g.op(OpKind::Shr, &[acc, it]);
-    let grad = g.finish().expect("static graph is valid");
-
-    let mut g = DataPathGraph::builder("flow_update");
-    let u = g.input();
-    let du = g.input();
-    let lim = g.input();
-    let s = g.op(OpKind::Add, &[u, du]);
-    let cl = g.op(OpKind::Clip, &[s, lim, du]);
-    let _ = g.op(OpKind::Min, &[cl, lim]);
-    let flow = g.finish().expect("static graph is valid");
-
-    let mut g = DataPathGraph::builder("warp");
-    let p0 = g.input();
-    let p1 = g.input();
-    let w = g.input();
-    let d = g.op(OpKind::Sub, &[p1, p0]);
-    let m = g.op(OpKind::Mul, &[d, w]);
-    let s = g.op(OpKind::Add, &[p0, m]);
-    let _ = g.op(OpKind::Shr, &[s, w]);
-    let warp = g.finish().expect("static graph is valid");
-
-    let specs = vec![
-        KernelSpec::new("census")
-            .data_path(census, 6)
-            .data_path(hamming, 6)
-            .overhead_cycles(40),
-        KernelSpec::new("cost")
-            .data_path(cost, 32)
-            .overhead_cycles(35),
-        KernelSpec::new("wta")
-            .data_path(wta, 16)
-            .overhead_cycles(30),
-        KernelSpec::new("grad")
-            .data_path(grad, 24)
-            .overhead_cycles(40),
-        KernelSpec::new("flow")
-            .data_path(flow, 24)
-            .overhead_cycles(45),
-        KernelSpec::new("warp")
-            .data_path(warp, 16)
-            .overhead_cycles(50),
-    ];
-    let blocks = vec![
-        FunctionalBlock {
-            id: BlockId(0),
-            name: "stereo".into(),
-            kernels: vec![KernelId(0), KernelId(1), KernelId(2)],
-        },
-        FunctionalBlock {
-            id: BlockId(1),
-            name: "flow".into(),
-            kernels: vec![KernelId(3), KernelId(4)],
-        },
-        FunctionalBlock {
-            id: BlockId(2),
-            name: "warp".into(),
-            kernels: vec![KernelId(5)],
-        },
-    ];
-    Application::new("cv_pipeline", specs, blocks)
-}
-
-fn cv_manifest() -> Manifest {
-    // Stereo tracks texture, flow tracks motion; a scene change restarts
-    // tracking: the census transform spikes, flow work collapses.
-    let rates = vec![
-        round1(scene(
-            mul(mb(), c(40.0)),
-            mul(mb(), add(c(16.0), mul(c(8.0), feat(Feature::Texture)))),
-        )),
-        round1(mul(
-            mb(),
-            add(c(12.0), mul(c(36.0), feat(Feature::Texture))),
-        )),
-        round1(mul(mb(), c(16.0))),
-        round1(scene(
-            mul(mb(), c(6.0)),
-            mul(mb(), add(c(6.0), mul(c(18.0), feat(Feature::Motion)))),
-        )),
-        round1(scene(
-            mul(mb(), c(6.0)),
-            mul(mb(), add(c(4.0), mul(c(28.0), feat(Feature::Motion)))),
-        )),
-        round1(mul(mb(), add(c(3.0), mul(c(9.0), feat(Feature::Motion))))),
-    ];
-    let gaps = [180, 140, 260, 200, 240, 320];
-    Manifest::from_application(&cv_application(), &rates, &gaps)
-}
-
-fn cryptomix_application() -> Application {
-    let mut g = DataPathGraph::builder("hash_match");
-    let h = g.input();
-    let w = g.input();
-    let prev = g.input();
-    let m = g.op(OpKind::Mul, &[h, w]);
-    let s = g.op(OpKind::Shr, &[m, prev]);
-    let x = g.op(OpKind::Xor, &[s, h]);
-    let cm = g.op(OpKind::Cmp, &[x, prev]);
-    let _ = g.op(OpKind::Min, &[cm, prev]);
-    let hash_match = g.finish().expect("static graph is valid");
-
-    let mut g = DataPathGraph::builder("entropy");
-    let sym = g.input();
-    let ctx = g.input();
-    let l = g.op(OpKind::LutLookup, &[sym]);
-    let b = g.op(OpKind::BitExtract, &[l]);
-    let i = g.op(OpKind::BitInsert, &[ctx, b, sym]);
-    let p = g.op(OpKind::Parity, &[i]);
-    let _ = g.op(OpKind::Pack, &[p, b]);
-    let entropy = g.finish().expect("static graph is valid");
-
-    let mut g = DataPathGraph::builder("checksum");
-    let a = g.input();
-    let b = g.input();
-    let x = g.op(OpKind::Xor, &[a, b]);
-    let _ = g.op(OpKind::Add, &[a, x]);
-    let checksum = g.finish().expect("static graph is valid");
-
-    let mut g = DataPathGraph::builder("sub_shift");
-    let st = g.input();
-    let k = g.input();
-    let x = g.op(OpKind::Xor, &[st, k]);
-    let s = g.op(OpKind::LutLookup, &[x]);
-    let sh = g.op(OpKind::BitShuffle, &[s, k]);
-    let e = g.op(OpKind::BitExtract, &[sh]);
-    let _ = g.op(OpKind::Pack, &[e, sh]);
-    let sub_shift = g.finish().expect("static graph is valid");
-
-    let mut g = DataPathGraph::builder("mix_columns");
-    let c0 = g.input();
-    let c1 = g.input();
-    let m = g.op(OpKind::Mul, &[c0, c1]);
-    let a = g.op(OpKind::Add, &[m, c0]);
-    let x = g.op(OpKind::Xor, &[a, c1]);
-    let _ = g.op(OpKind::Shl, &[x, c1]);
-    let mix_columns = g.finish().expect("static graph is valid");
-
-    let mut g = DataPathGraph::builder("key_expand");
-    let k = g.input();
-    let rc = g.input();
-    let x = g.op(OpKind::Xor, &[k, rc]);
-    let m = g.op(OpKind::Mul, &[x, k]);
-    let s = g.op(OpKind::Shr, &[m, rc]);
-    let _ = g.op(OpKind::Add, &[s, k]);
-    let key_expand = g.finish().expect("static graph is valid");
-
-    let specs = vec![
-        KernelSpec::new("hash_match")
-            .data_path(hash_match, 24)
-            .overhead_cycles(35),
-        KernelSpec::new("entropy")
-            .data_path(entropy, 20)
-            .overhead_cycles(40),
-        KernelSpec::new("checksum")
-            .data_path(checksum, 6)
-            .overhead_cycles(25),
-        KernelSpec::new("aes_round")
-            .data_path(sub_shift, 16)
-            .data_path(mix_columns, 16)
-            .overhead_cycles(60),
-        KernelSpec::new("key_expand")
-            .data_path(key_expand, 8)
-            .overhead_cycles(30),
-    ];
-    let blocks = vec![
-        FunctionalBlock {
-            id: BlockId(0),
-            name: "compress".into(),
-            kernels: vec![KernelId(0), KernelId(1), KernelId(2)],
-        },
-        FunctionalBlock {
-            id: BlockId(1),
-            name: "encrypt".into(),
-            kernels: vec![KernelId(3), KernelId(4)],
-        },
-    ];
-    Application::new("crypto_mix", specs, blocks)
-}
-
-fn cryptomix_manifest() -> Manifest {
-    // Scene changes stand in for request bursts: match finding, entropy
-    // coding and encryption all spike together, key schedules re-run.
-    let rates = vec![
-        round1(scene(
-            mul(mb(), c(45.0)),
-            mul(mb(), add(c(6.0), mul(c(30.0), feat(Feature::Residual)))),
-        )),
-        round1(scene(
-            mul(mb(), c(32.0)),
-            mul(mb(), add(c(4.0), mul(c(22.0), feat(Feature::Residual)))),
-        )),
-        round1(mul(mb(), add(c(2.0), mul(c(6.0), feat(Feature::Residual))))),
-        round1(mul(mb(), add(c(8.0), mul(c(48.0), feat(Feature::Edge))))),
-        round1(scene(
-            mul(mb(), c(2.0)),
-            add(c(2.0), mul(c(2.0), feat(Feature::Residual))),
-        )),
-    ];
-    let gaps = [160, 130, 90, 260, 500];
-    Manifest::from_application(&cryptomix_application(), &rates, &gaps)
-}
-
-/// The builtin manifest for `name`, if `name` is one of [`BUILTIN_APPS`].
-#[must_use]
-pub fn manifest_for(name: &str) -> Option<Manifest> {
-    match name {
-        "h264" => Some(h264_manifest()),
-        "fft" => Some(fft_manifest()),
-        "cipher" => Some(cipher_manifest()),
-        "toy" => Some(toy_manifest()),
-        "cv" => Some(cv_manifest()),
-        "cryptomix" => Some(cryptomix_manifest()),
-        _ => None,
-    }
+/// The embedded manifest text for builtin `name`.
+fn embedded(name: &str) -> Option<&'static str> {
+    Some(match name {
+        "h264" => include_str!("../../../manifests/h264.json"),
+        "fft" => include_str!("../../../manifests/fft.json"),
+        "cipher" => include_str!("../../../manifests/cipher.json"),
+        "toy" => include_str!("../../../manifests/toy.json"),
+        "cv" => include_str!("../../../manifests/cv.json"),
+        "cryptomix" => include_str!("../../../manifests/cryptomix.json"),
+        _ => return None,
+    })
 }
 
 /// Resolves `spec` — a builtin app name or a manifest file path — to a
@@ -412,10 +36,10 @@ pub fn manifest_for(name: &str) -> Option<Manifest> {
 /// # Errors
 ///
 /// [`IngestError::Io`] for unknown names/unreadable files, parse errors
-/// otherwise.
+/// otherwise (builtins included).
 pub fn load(spec: &str) -> Result<Manifest, IngestError> {
-    if let Some(m) = manifest_for(spec) {
-        return Ok(m);
+    if let Some(text) = embedded(spec) {
+        return Manifest::from_json(text);
     }
     if spec.contains('/') || spec.ends_with(".json") {
         let text = std::fs::read_to_string(spec)
@@ -440,26 +64,13 @@ pub fn model(spec: &str) -> Result<ManifestModel, IngestError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower;
-
-    #[test]
-    fn every_builtin_resolves_and_reflects_structurally() {
-        for name in BUILTIN_APPS {
-            let m = manifest_for(name).expect("builtin exists");
-            let lowered = lower(&m).expect("builtin lowers");
-            // Reflecting the lowered app back to IR is the identity — the
-            // constructors and the pipeline share one structure.
-            let rates: Vec<_> = m.kernels.iter().map(|k| k.rate.clone()).collect();
-            let gaps: Vec<_> = m.kernels.iter().map(|k| k.gap).collect();
-            let reflected = Manifest::from_application(&lowered.app, &rates, &gaps);
-            assert_eq!(reflected, m, "{name}: lower ∘ reflect is identity");
-        }
-    }
+    use mrts_workload::WorkloadModel;
 
     #[test]
     fn resolution_understands_names_and_rejects_junk() {
-        assert!(model("cv").is_ok());
-        assert!(model("cryptomix").is_ok());
+        for name in BUILTIN_APPS {
+            assert!(model(name).is_ok(), "{name} resolves and lowers");
+        }
         let err = model("bogus").unwrap_err();
         assert!(err.to_string().contains("unknown app 'bogus'"));
         assert!(model("no/such/file.json").is_err());

@@ -20,11 +20,13 @@
 //!   Application + IseCatalog + WorkloadModel (trace-ready)
 //! ```
 //!
-//! The hand-built constructors in `mrts-workload` stay as the *oracle*: the
-//! checked-in manifests under `manifests/` lower to byte-identical
-//! catalogues, traces and `RunStats` (pinned by the `ingest_goldens` test),
-//! and the CLI/fleet/bench layers all obtain their applications through
-//! [`fn@model`] so the ingested path is the production path.
+//! The checked-in manifests under `manifests/` are the only definition of
+//! the builtin apps: [`builtin`] embeds them and parses them on demand. The
+//! hand-built constructors in `mrts-workload` stay as the *oracle*: the
+//! manifests lower to byte-identical catalogues, traces and `RunStats`
+//! (pinned by the `ingest_goldens` test), and the CLI/fleet/bench layers
+//! all obtain their applications through [`fn@model`] so the ingested path
+//! is the production path.
 //!
 //! ## Entry points
 //!
@@ -48,7 +50,7 @@ pub mod model;
 pub mod passes;
 pub mod rate;
 
-pub use builtin::{manifest_for, model, BUILTIN_APPS};
+pub use builtin::{model, BUILTIN_APPS};
 pub use lower::{lower, Lowered};
 pub use manifest::{BlockManifest, DataPathManifest, KernelManifest, Manifest, NodeManifest};
 pub use model::ManifestModel;

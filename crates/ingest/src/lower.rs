@@ -117,11 +117,9 @@ mod tests {
     use crate::builtin;
 
     #[test]
-    fn lowering_reproduces_the_reflected_application() {
-        // from_application ∘ lower is identity on the IR, and the lowered
-        // Application matches the constructor it was reflected from.
+    fn every_builtin_lowers_with_monotone_tradeoffs() {
         for name in builtin::BUILTIN_APPS {
-            let m = builtin::manifest_for(name).expect("builtin exists");
+            let m = builtin::load(name).expect("builtin loads");
             let lowered = lower(&m).expect("builtin lowers");
             assert_eq!(lowered.manifest, m, "{name}: DCE must be identity");
             let catalog = lowered
@@ -143,7 +141,7 @@ mod tests {
 
     #[test]
     fn lowering_rejects_invalid_manifests() {
-        let mut m = builtin::manifest_for("toy").expect("toy exists");
+        let mut m = builtin::load("toy").expect("toy loads");
         m.blocks.clear();
         assert!(lower(&m).is_err());
     }

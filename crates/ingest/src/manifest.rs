@@ -23,8 +23,7 @@
 //! }
 //! ```
 
-use mrts_ise::datapath::{Node, OpKind};
-use mrts_workload::Application;
+use mrts_ise::datapath::OpKind;
 use serde::Value;
 
 use crate::rate::RateRule;
@@ -343,70 +342,6 @@ impl Manifest {
         let mut s = serde_json::to_string_pretty(&self.to_value()).expect("value encodes");
         s.push('\n');
         s
-    }
-
-    /// Reflects an [`Application`] (plus per-kernel rate rules and gaps)
-    /// back into manifest IR — the bridge that lets the hand-built
-    /// constructors in `mrts-workload` act as builders for the same IR the
-    /// JSON front-end produces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates`/`gaps` lengths disagree with the kernel count — a
-    /// programming error in a builtin manifest definition.
-    #[must_use]
-    pub fn from_application(app: &Application, rates: &[RateRule], gaps: &[u64]) -> Self {
-        assert_eq!(app.kernel_specs().len(), rates.len(), "one rate per kernel");
-        assert_eq!(app.kernel_specs().len(), gaps.len(), "one gap per kernel");
-        let kernels = app
-            .kernel_specs()
-            .iter()
-            .zip(rates.iter().zip(gaps))
-            .map(|(spec, (rate, gap))| KernelManifest {
-                name: spec.name().to_owned(),
-                overhead: spec.overhead(),
-                gap: *gap,
-                rate: rate.clone(),
-                data_paths: spec
-                    .data_paths()
-                    .iter()
-                    .map(|dp| DataPathManifest {
-                        name: dp.graph.name().to_owned(),
-                        calls: dp.calls_per_exec,
-                        nodes: dp
-                            .graph
-                            .nodes()
-                            .iter()
-                            .map(|n| match n {
-                                Node::Input => NodeManifest::Input,
-                                Node::Op { kind, operands } => NodeManifest::Op {
-                                    kind: *kind,
-                                    operands: operands.iter().map(|r| r.index()).collect(),
-                                },
-                            })
-                            .collect(),
-                        outputs: None,
-                    })
-                    .collect(),
-            })
-            .collect();
-        let blocks = app
-            .blocks()
-            .iter()
-            .map(|b| BlockManifest {
-                name: b.name.clone(),
-                kernels: b
-                    .kernels
-                    .iter()
-                    .map(|k| app.kernel_specs()[usize::from(k.index())].name().to_owned())
-                    .collect(),
-            })
-            .collect();
-        Manifest {
-            name: app.name().to_owned(),
-            kernels,
-            blocks,
-        }
     }
 }
 

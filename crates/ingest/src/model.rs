@@ -70,7 +70,7 @@ mod tests {
 
     #[test]
     fn manifest_model_matches_the_constructor_frame_for_frame() {
-        let model = ManifestModel::new(&builtin::manifest_for("h264").expect("h264"))
+        let model = ManifestModel::new(&builtin::load("h264").expect("h264 loads"))
             .expect("h264 manifest lowers");
         let oracle = H264Encoder::new();
         let video = VideoModel::paper_default(1);

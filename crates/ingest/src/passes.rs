@@ -10,8 +10,8 @@
 //! * [`dce`] — removes op nodes not backward-reachable from the declared
 //!   outputs. Inputs are never removed (they are interface, not work).
 //!   With no declared outputs every sink op counts as live, which makes
-//!   the pass the *identity* — so manifests reflected from the hand-built
-//!   constructors lower byte-identically. With declared outputs, removing
+//!   the pass the *identity* — so the builtin manifests, which declare no
+//!   outputs, lower byte-identically to their hand-built constructors. With declared outputs, removing
 //!   the dead ops is exactly what keeps a polluted manifest's `RunStats`
 //!   equal to its clean twin's.
 //! * [`cluster`] — groups each kernel's data paths into a candidate ISE
@@ -370,7 +370,7 @@ mod tests {
     #[test]
     fn builtin_manifests_validate_and_dce_is_identity() {
         for name in builtin::BUILTIN_APPS {
-            let m = builtin::manifest_for(name).expect("builtin exists");
+            let m = builtin::load(name).expect("builtin loads");
             validate(&m).expect("builtin manifest validates");
             let mut dced = m.clone();
             let stats = dce(&mut dced);
@@ -381,7 +381,7 @@ mod tests {
 
     #[test]
     fn dce_removes_only_dead_ops() {
-        let mut m = builtin::manifest_for("toy").expect("toy exists");
+        let mut m = builtin::load("toy").expect("toy loads");
         // Declare the real sink as the only output, then append a dead op.
         let dp = &mut m.kernels[0].data_paths[0];
         let sink = dp.nodes.len() - 1;
@@ -391,7 +391,7 @@ mod tests {
             operands: vec![0],
         });
         validate(&m).expect("still valid");
-        let mut clean = builtin::manifest_for("toy").expect("toy exists");
+        let mut clean = builtin::load("toy").expect("toy loads");
         clean.kernels[0].data_paths[0].outputs = Some(vec![sink]);
         let before = m.clone();
         let stats = dce(&mut m);
@@ -405,20 +405,20 @@ mod tests {
 
     #[test]
     fn clusters_see_the_expected_grain_mix() {
-        let infos = cluster(&builtin::manifest_for("h264").expect("h264 exists"));
+        let infos = cluster(&builtin::load("h264").expect("h264 loads"));
         assert_eq!(infos.len(), 11);
         let deblock = infos
             .iter()
             .find(|c| c.kernel == "deblock")
             .expect("deblock");
         assert_eq!(deblock.affinity(), "MG", "loop filter mixes both grains");
-        let cipher = cluster(&builtin::manifest_for("cipher").expect("cipher exists"));
+        let cipher = cluster(&builtin::load("cipher").expect("cipher loads"));
         assert!(cipher.iter().all(|c| c.bit_fraction > 0.5));
     }
 
     #[test]
     fn validation_rejects_bad_shapes() {
-        let mut m = builtin::manifest_for("fft").expect("fft exists");
+        let mut m = builtin::load("fft").expect("fft loads");
         m.blocks[0].kernels.push("nope".into());
         let err = validate(&m).unwrap_err();
         assert_eq!(
@@ -426,13 +426,13 @@ mod tests {
             "blocks[0].kernels[2]: unknown kernel 'nope'"
         );
 
-        let mut m = builtin::manifest_for("fft").expect("fft exists");
+        let mut m = builtin::load("fft").expect("fft loads");
         if let NodeManifest::Op { operands, .. } = &mut m.kernels[0].data_paths[0].nodes[2] {
             operands.pop();
         }
         assert!(validate(&m).is_err(), "arity mismatch rejected");
 
-        let mut m = builtin::manifest_for("fft").expect("fft exists");
+        let mut m = builtin::load("fft").expect("fft loads");
         m.kernels[0].data_paths[0].outputs = Some(vec![99]);
         assert!(validate(&m).is_err(), "out-of-range output rejected");
     }

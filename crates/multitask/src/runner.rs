@@ -4,9 +4,10 @@
 //! Each tenant owns a [`Simulator`] over its slice of the fabric (a
 //! [`Machine`] resized to the arbiter's grant) and a private run-time
 //! system instance built by the shared policy factory
-//! ([`mrts_baselines::make_policy`]) — mRTS state (MPU history, fault
-//! blacklist) never leaks between tenants. The scheduler picks which
-//! tenant's next block activation runs; everything else is bookkeeping:
+//! ([`mrts_baselines::make_policy`], with the run's [`PolicyTuning`]) —
+//! mRTS state (MPU history, fault blacklist) never leaks between tenants.
+//! The scheduler picks which tenant's next block activation runs;
+//! everything else is bookkeeping:
 //!
 //! * a context switch is charged only when the core *changes* tenants
 //!   (the first dispatch is free, so one tenant ⇒ zero switches),
@@ -22,7 +23,7 @@ use crate::arbiter::{ArbiterPolicy, FabricArbiter};
 use crate::scheduler::SchedulerKind;
 use crate::slo::{ladder_cap, Criticality, Slo, SloSnapshot, LADDER_BOTTOM};
 use mrts_arch::{ArchError, ArchParams, Cycles, FaultModel, Machine, Resources, SwitchCosts};
-use mrts_baselines::{make_policy_tuned, PolicyTuning, ProfiledTotals};
+use mrts_baselines::{make_policy, PolicyTuning, ProfiledTotals};
 use mrts_ise::{IseCatalog, KernelId};
 use mrts_sim::timeline::{EventSink, SimEvent, Timeline, VecSink};
 use mrts_sim::{MultitaskStats, RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator, TenantStats};
@@ -890,7 +891,7 @@ fn build_tenant<'a>(
     };
     let _ = machine.resize_capacity(slice);
     let totals = ProfiledTotals::from_trace(spec.trace);
-    let mut policy = make_policy_tuned(&cfg.policy, spec.catalog, slice, &totals, cfg.tuning)
+    let mut policy = make_policy(&cfg.policy, spec.catalog, slice, &totals, cfg.tuning)
         .map_err(MultitaskError::Policy)?;
     policy.set_resource_slice(Some(slice));
     let run = RunStats {

@@ -137,6 +137,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 // ------------------------------------------------------------------- parsing
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -144,6 +145,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
         Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
         }
@@ -241,12 +243,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("eof"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash as one
+                    // slice: both are ASCII, so the run ends on a char
+                    // boundary of the (already valid UTF-8) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -381,9 +385,11 @@ mod tests {
 
     #[test]
     fn strings_escape() {
-        let s = "a\"b\\c\nd";
-        let json = to_string(&s).unwrap();
-        assert_eq!(from_str::<String>(&json).unwrap(), s);
+        let long = "h\u{e9}llo \u{2211} \u{1f980} \"q\" \\ \t\u{1}".repeat(500);
+        for s in ["a\"b\\c\nd", long.as_str()] {
+            let json = to_string(&s).unwrap();
+            assert_eq!(from_str::<String>(&json).unwrap(), s);
+        }
     }
 
     #[test]

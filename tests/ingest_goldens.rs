@@ -1,12 +1,12 @@
 //! Golden equivalence for the ingestion pipeline: the checked-in
-//! manifests under `manifests/` are the canonical serialization of the
-//! builtin IR, and lowering them reproduces the hand-built constructors
-//! byte for byte — same catalogue, same trace, same simulated statistics.
+//! manifests under `manifests/` (the only definition of the builtin apps)
+//! are in canonical form, and lowering them reproduces the hand-built
+//! constructors byte for byte — same catalogue, same trace, same simulated
+//! statistics — and each builtin's pinned busy-cycle fingerprint.
 //!
-//! These tests are the refactor's safety net: `mrts-cli`, the fleet
-//! registry and the bench harness all resolve apps through
-//! `mrts-ingest` now, so any drift between the pipeline and the
-//! constructors would silently change every figure. Byte-level
+//! `mrts-cli`, the fleet registry and the bench harness all resolve apps
+//! through `mrts-ingest`, so any drift in a manifest or the pipeline
+//! would silently change every figure. Byte-level
 //! comparison (via `serde_json`) is deliberate — `PartialEq` would
 //! tolerate a re-ordered catalogue, the paper's numbers would not.
 
@@ -16,6 +16,7 @@ use mrts::ingest::{builtin, Manifest};
 use mrts::sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
 use mrts::workload::apps::{CipherApp, FftApp};
 use mrts::workload::h264::H264Encoder;
+use mrts::workload::synthetic::ToyApp;
 use mrts::workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
 /// The checked-in manifest file for `name` (tests run from the workspace
@@ -27,23 +28,18 @@ fn manifest_bytes(name: &str) -> String {
 
 #[test]
 fn checked_in_manifests_are_the_canonical_builtin_serialization() {
+    // Every checked-in manifest is in canonical form: parsing and
+    // re-serializing it reproduces its bytes exactly (so `--dump` output is
+    // stable and diffs are meaningful).
     for name in builtin::BUILTIN_APPS {
         let text = manifest_bytes(name);
         let parsed = Manifest::from_json(&text)
             .unwrap_or_else(|e| panic!("manifests/{name}.json does not parse: {e}"));
-        let built = builtin::load(name).expect("builtin manifest");
         assert_eq!(
-            parsed, built,
-            "manifests/{name}.json drifted from the builtin IR — \
-             regenerate with `mrts-cli ingest --dump {name} --out manifests/{name}.json`"
-        );
-        // The file is in canonical form: re-serializing the IR reproduces
-        // its bytes exactly (so `--dump` output is stable and diffs are
-        // meaningful).
-        assert_eq!(
-            built.to_json(),
+            parsed.to_json(),
             text,
-            "manifests/{name}.json is not in canonical serialization"
+            "manifests/{name}.json is not in canonical serialization — \
+             rewrite it with `mrts-cli ingest --dump manifests/{name}.json --out manifests/{name}.json`"
         );
     }
 }
@@ -80,10 +76,11 @@ fn run(catalog: &mrts::ise::IseCatalog, trace: &Trace, policy: &mut dyn RuntimeP
 
 #[test]
 fn ingested_apps_reproduce_the_constructors_byte_for_byte() {
-    let constructors: [(&str, Box<dyn WorkloadModel>); 3] = [
+    let constructors: [(&str, Box<dyn WorkloadModel>); 4] = [
         ("h264", Box::new(H264Encoder::new())),
         ("fft", Box::new(FftApp::new())),
         ("cipher", Box::new(CipherApp::new())),
+        ("toy", Box::new(ToyApp::new())),
     ];
     for (name, model) in constructors {
         let (c_cat, c_trace) = constructor_artifacts(model.as_ref(), 1);
@@ -116,18 +113,28 @@ fn ingested_apps_reproduce_the_constructors_byte_for_byte() {
 }
 
 #[test]
-fn h264_busy_fingerprint_is_pinned() {
-    // The whole-pipeline fingerprint: the ingested H.264 manifest, the
-    // paper video model (seed 1), a 2 CG + 2 PRC machine and the full
-    // mRTS policy. Any change to the manifest, the lowering passes, the
-    // catalogue derivation or the trace builder moves this number.
-    let (catalog, trace) = ingested_artifacts("h264", 1);
-    assert_eq!(trace.len(), 48, "paper trace is 48 block activations");
-    let stats = run(&catalog, &trace, &mut Mrts::new());
-    assert_eq!(
-        stats.total_busy(),
-        Cycles::new(126_893_426),
-        "H.264 busy-cycle fingerprint moved — the ingestion pipeline no \
-         longer reproduces the reference encoder run"
-    );
+fn every_builtin_busy_fingerprint_is_pinned() {
+    // The whole-pipeline fingerprints: each ingested builtin, the paper
+    // video model (seed 1), a 2 CG + 2 PRC machine and the full mRTS
+    // policy. Any change to a manifest, the lowering passes, the catalogue
+    // derivation or the trace builder moves one of these numbers.
+    let pinned: [(&str, usize, u64); 6] = [
+        ("h264", 48, 126_893_426),
+        ("fft", 16, 2_826_588),
+        ("cipher", 16, 2_583_688),
+        ("toy", 16, 3_778_260),
+        ("cv", 48, 70_352_748),
+        ("cryptomix", 32, 54_771_836),
+    ];
+    for (name, blocks, busy) in pinned {
+        let (catalog, trace) = ingested_artifacts(name, 1);
+        assert_eq!(trace.len(), blocks, "{name}: block activations");
+        let stats = run(&catalog, &trace, &mut Mrts::new());
+        assert_eq!(
+            stats.total_busy(),
+            Cycles::new(busy),
+            "{name}: busy-cycle fingerprint moved — the ingestion pipeline \
+             no longer reproduces the reference run"
+        );
+    }
 }

@@ -10,7 +10,7 @@
 //! model — for every policy the factory knows.
 
 use mrts::arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts::baselines::POLICY_NAMES;
+use mrts::baselines::{PolicyTuning, POLICY_NAMES};
 use mrts::ise::IseCatalog;
 use mrts::multitask::{run_multitask, ArbiterPolicy, MultitaskConfig, SchedulerKind, TenantSpec};
 use mrts::sim::{RunStats, Simulator};
@@ -36,7 +36,8 @@ fn solo(catalog: &IseCatalog, combo: Resources, trace: &Trace, policy: &str) -> 
     let capacity = machine.capacity();
     let totals = mrts::baselines::ProfiledTotals::from_trace(trace);
     let mut p =
-        mrts::baselines::make_policy(policy, catalog, capacity, &totals).expect("known policy");
+        mrts::baselines::make_policy(policy, catalog, capacity, &totals, PolicyTuning::default())
+            .expect("known policy");
     Simulator::run(catalog, machine, trace, p.as_mut())
 }
 
@@ -153,7 +154,8 @@ fn one_tenant_equals_solo_under_fault_injection() {
     let capacity = machine.capacity();
     let totals = mrts::baselines::ProfiledTotals::from_trace(&trace);
     let mut p =
-        mrts::baselines::make_policy("mrts", &catalog, capacity, &totals).expect("known policy");
+        mrts::baselines::make_policy("mrts", &catalog, capacity, &totals, PolicyTuning::default())
+            .expect("known policy");
     let reference = Simulator::run(&catalog, machine, &trace, p.as_mut());
 
     let specs = [TenantSpec::new(name, &catalog, &trace).with_fault_model(fault)];

@@ -18,7 +18,7 @@
 //!    `LoadReady` at the time its `LoadIssued` promised).
 
 use mrts::arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts::baselines::{make_policy, ProfiledTotals, POLICY_NAMES};
+use mrts::baselines::{make_policy, PolicyTuning, ProfiledTotals, POLICY_NAMES};
 use mrts::ise::IseCatalog;
 use mrts::multitask::{run_multitask, run_multitask_with_events, MultitaskConfig, TenantSpec};
 use mrts::sim::{MultitaskStats, RunStats, SimEvent, Simulator, VecSink};
@@ -78,7 +78,8 @@ fn solo(
     .expect("valid machine");
     let capacity = machine.capacity();
     let totals = ProfiledTotals::from_trace(trace);
-    let mut p = make_policy(policy, catalog, capacity, &totals).expect("known policy");
+    let mut p = make_policy(policy, catalog, capacity, &totals, PolicyTuning::default())
+        .expect("known policy");
     Simulator::run(catalog, machine, trace, p.as_mut())
 }
 
@@ -165,7 +166,8 @@ fn solo_with_events(
     .expect("valid machine");
     let capacity = machine.capacity();
     let totals = ProfiledTotals::from_trace(trace);
-    let mut p = make_policy(policy, catalog, capacity, &totals).expect("known policy");
+    let mut p = make_policy(policy, catalog, capacity, &totals, PolicyTuning::default())
+        .expect("known policy");
     let mut sim = Simulator::new(catalog, machine);
     let sink = VecSink::new();
     sim.attach_events(0, Box::new(sink.clone()));
