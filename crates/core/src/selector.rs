@@ -26,24 +26,42 @@
 //! of the same candidate can only see equal-or-later unit-ready times and
 //! therefore an equal-or-lower profit. That is exactly the submodularity
 //! precondition of the CELF lazy-greedy optimisation: keep the candidates
-//! in a max-heap keyed by their last-known (stale) profit, and on each
-//! round re-evaluate only until the popped candidate's *fresh* profit still
-//! beats the next stale key — which is an upper bound on every other fresh
+//! ordered by their last-known (stale) profit, and on each round
+//! re-evaluate only until the best candidate's *fresh* profit still beats
+//! the next stale key — which is an upper bound on every other fresh
 //! profit, so the winner is the exact arg-max the full re-scan would have
 //! found. Ties are broken by the lower [`IseId`], matching the reference
-//! loop. The reference full-rescan loop is kept behind
+//! loop.
+//!
+//! # Ranked runs
+//!
+//! Step 4 removes a served kernel's candidates all at once, so the order
+//! is kept per kernel, in the spirit of Resano et al.'s hybrid heuristic
+//! (rank once, adjust at run time): each forecast trigger gets one *run*,
+//! its candidates' seed entries sorted best-first once per selection —
+//! visited in the order the kernel's previous run ranked them, so the sort
+//! mostly confirms an existing order. The best remaining entry is the
+//! larger of the ≤ K run heads and the top of a small heap holding the
+//! entries that were re-evaluated but lost to the next key. A run's unconsumed entries are a sorted suffix, so its head
+//! is its maximum and this merge yields exactly the order a single global
+//! max-heap of all entries would pop — the same evaluations in the same
+//! order. Serving a kernel retires its run in O(1) instead of popping its
+//! entries one by one.
+//!
+//! The reference full-rescan loop is kept behind
 //! [`SelectorConfig::full_rescan`] as the test oracle, and the paper's
 //! Section 5.4 overhead cost model keeps charging the *full-rescan*
 //! evaluation count ([`Selection::modeled_evaluations`]) so the simulated
 //! hardware cost of the run-time system is unchanged by this software
-//! optimisation.
+//! optimisation. The lazy path replays it as a per-round count of the
+//! fitting candidate demands in unserved runs — exactly the candidate list
+//! the reference loop's step 2 leaves to evaluate.
 
 use crate::profit::ExpectedProfitEval;
 use mrts_arch::{Cycles, LoadRequest, ReconfigurationController, Resources};
 use mrts_ise::{Ise, IseCatalog, IseId, KernelId, TriggerBlock, TriggerInstruction, UnitId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::fmt;
 
 /// Cost model of the selector itself (drives the Section 5.4 overhead
 /// accounting). Defaults are calibrated so a typical functional block
@@ -56,13 +74,6 @@ pub struct SelectorConfig {
     pub base_cycles_per_kernel: u64,
     /// Cycles per profit-function evaluation.
     pub cycles_per_candidate: u64,
-    /// Restrict the candidate list to each kernel's Pareto front in the
-    /// (resources, execution latency, load time) space
-    /// ([`IseCatalog::pareto_ises_of`]). Dominated variants can never win,
-    /// so this trades a one-time compile-time analysis for fewer run-time
-    /// profit evaluations. Off by default to match the paper's Fig. 6
-    /// candidate list exactly.
-    pub prune_dominated: bool,
     /// Run the literal Fig. 6 full re-scan instead of the exact lazy-greedy
     /// hot path. The two produce identical [`Selection`]s (the equivalence
     /// proptests assert it); the full re-scan is kept as the oracle and for
@@ -75,7 +86,6 @@ impl Default for SelectorConfig {
         SelectorConfig {
             base_cycles_per_kernel: 300,
             cycles_per_candidate: 75,
-            prune_dominated: false,
             full_rescan: false,
         }
     }
@@ -153,10 +163,10 @@ pub trait ProfitFn {
     /// ever return for this candidate — valid for the initial shadow state
     /// and (by the monotonicity contract) for every later round too.
     ///
-    /// When an evaluator provides one, the lazy-greedy loop seeds its heap
+    /// When an evaluator provides one, the lazy-greedy loop seeds its runs
     /// with bounds instead of evaluating every candidate up front (CELF
     /// with optimistic initialization): candidates whose bound never
-    /// reaches the top of the heap are never evaluated at all, and
+    /// becomes the best remaining key are never evaluated at all, and
     /// a bound `<= 0` proves the candidate can never be selected. The
     /// default `None` keeps the eager round-0 sweep, which is always safe.
     ///
@@ -212,21 +222,14 @@ pub fn select_ises(
     )
 }
 
-/// One candidate ISE paired with the index of its forecast trigger,
-/// resolved once at list-build time (the former per-evaluation
-/// `trigger_for` linear scan). Stored by id, not reference, so the
-/// candidate list can live in the lifetime-free [`SelectorScratch`];
-/// resolving an id through [`IseCatalog::ise`] is a dense-array index.
+/// One candidate ISE of the full-rescan oracle, paired with the index of
+/// its forecast trigger. Stored by id, not reference, so the candidate
+/// list can live in the lifetime-free [`SelectorScratch`]; resolving an id
+/// through [`IseCatalog::ise`] is a dense-array index.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     ise: IseId,
     trigger: u32,
-    /// The candidate's kernel (= its trigger's kernel), denormalised so the
-    /// admissibility probes the greedy loop fires hundreds of times per
-    /// block — step 4's served-kernel check, the cost-model retain sweeps,
-    /// the heap-drain pops — stay inside this hot little array instead of
-    /// dereferencing the full catalogue `Ise` record each time.
-    kernel: KernelId,
 }
 
 /// Mutable greedy state shared by the lazy and full-rescan paths.
@@ -324,26 +327,75 @@ impl GreedyState<'_> {
     }
 }
 
-/// Round stamp marking a heap entry seeded from [`ProfitFn::upper_bound`]:
+/// Round stamp marking an entry seeded from [`ProfitFn::upper_bound`]:
 /// never equal to a real commit round, so such entries are always treated
 /// as stale (their key is an upper bound, not an evaluated profit).
 const BOUND_ROUND: u32 = u32::MAX;
 
-/// Heap entry of the lazy-greedy priority queue. Ordered by (profit
-/// descending, [`IseId`] ascending) — the exact arg-max order of the
-/// reference loop's tie-break. Owns its ids so the heap's backing storage
-/// can persist in [`SelectorScratch`] across blocks.
+/// Entry of the lazy-greedy merge. Ordered by (profit descending,
+/// [`IseId`] ascending) — the exact arg-max order of the reference loop's
+/// tie-break. Owns its ids so the runs and the heap can persist in
+/// [`SelectorScratch`] across blocks.
+#[derive(Debug, Clone, Copy)]
 struct LazyEntry {
     profit: f64,
     ise: IseId,
-    /// Index into the candidate list (for the per-round demand cache).
+    /// Index of the candidate's demand in the per-selection demand list.
     idx: u32,
+    /// The candidate's run, which is also its trigger's index.
+    run: u32,
     /// Commit round the profit was evaluated in; an entry is *fresh* iff
     /// its round equals the current one. [`BOUND_ROUND`] marks entries
-    /// seeded from an upper bound, which are never fresh. `u32` keeps the
-    /// entry at 24 bytes — the heap drain sifts hundreds of these per
-    /// block.
+    /// seeded from an upper bound, which are never fresh.
     round: u32,
+}
+
+/// One forecast trigger's ranked run: the seed entries of its kernel's
+/// admissible candidates, sorted best-first once per selection.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    kernel: KernelId,
+    /// The trigger's candidates in the demand list: `first..end_candidate`.
+    first: u32,
+    end_candidate: u32,
+    /// The unconsumed entries in the ranked list: `head..end`. Consuming
+    /// an entry advances `head`; serving the kernel sets it to `end`.
+    head: u32,
+    end: u32,
+}
+
+/// The best remaining entry — the larger of the best run head and the
+/// re-evaluation heap's top — and the run it heads (`None` for the heap).
+fn peek_best<'a>(
+    runs: &[Run],
+    ranked: &'a [LazyEntry],
+    heap: &'a BinaryHeap<LazyEntry>,
+) -> Option<(Option<usize>, &'a LazyEntry)> {
+    let mut best = heap.peek().map(|e| (None, e));
+    for (r, run) in runs.iter().enumerate() {
+        if run.head < run.end {
+            let e = &ranked[run.head as usize];
+            if best.is_none_or(|(_, b)| e.cmp(b) == Ordering::Greater) {
+                best = Some((Some(r), e));
+            }
+        }
+    }
+    best
+}
+
+/// Removes and returns the best remaining entry (see [`peek_best`]).
+fn pop_best(
+    runs: &mut [Run],
+    ranked: &[LazyEntry],
+    heap: &mut BinaryHeap<LazyEntry>,
+) -> Option<LazyEntry> {
+    match peek_best(runs, ranked, heap)? {
+        (Some(r), &e) => {
+            runs[r].head += 1;
+            Some(e)
+        }
+        (None, _) => heap.pop(),
+    }
 }
 
 impl PartialEq for LazyEntry {
@@ -370,17 +422,25 @@ impl Ord for LazyEntry {
 
 /// Reusable allocation arena for the selector's per-block working set.
 ///
-/// Every `Vec`, heap and shadow-controller queue the greedy loop needs is
-/// kept here between blocks, so a caller that holds one scratch across a
-/// run (mRTS does) makes steady-state selection allocation-free except for
-/// the buffers that escape into the returned [`Selection`] — and even
-/// those can be donated back via [`SelectorScratch::reclaim`] once the
-/// consuming engine recycles the applied plan.
-#[derive(Debug)]
+/// Every `Vec`, run, heap and shadow-controller queue the greedy loop
+/// needs is kept here between blocks, so a caller that holds one scratch
+/// across a run (mRTS does) makes steady-state selection allocation-free
+/// except for the buffers that escape into the returned [`Selection`] —
+/// and even those can be donated back via [`SelectorScratch::reclaim`]
+/// once the consuming engine recycles the applied plan.
+#[derive(Debug, Default)]
 pub struct SelectorScratch {
     candidates: Vec<Candidate>,
     pending_ids: Vec<u64>,
-    demand_cache: Vec<Option<Resources>>,
+    /// Every candidate's demand, trigger by trigger (see [`Run`]).
+    demands: Vec<Resources>,
+    runs: Vec<Run>,
+    /// The runs' entries, each run a contiguous best-first slice.
+    ranked: Vec<LazyEntry>,
+    /// Per kernel index, the positions in [`IseCatalog::ises_of`] in the
+    /// order the kernel's last run ranked them (unranked ones last).
+    orders: Vec<Vec<u32>>,
+    unranked: Vec<u32>,
     /// Per-unit needs-load memo for the seed sweep, indexed by dense
     /// [`UnitId`]: 0 = unprobed, 1 = needs a load, 2 = already covered
     /// (resident or streaming). Units are probed through the residency
@@ -391,10 +451,7 @@ pub struct SelectorScratch {
     /// every per-candidate demand), so the pending-set growth from commits
     /// can never be observed through a stale entry.
     unit_state: Vec<u8>,
-    /// Whether candidate `i` currently has an entry in the lazy heap —
-    /// the bookkeeping behind the `live` early-exit (see the pop loop).
-    has_entry: Vec<bool>,
-    alive: Vec<usize>,
+    /// Re-evaluated entries that lost to the next key.
     heap: BinaryHeap<LazyEntry>,
     shadow: ReconfigurationController,
     selected_kernels: Vec<KernelId>,
@@ -404,28 +461,9 @@ pub struct SelectorScratch {
     load_order_spare: Vec<UnitId>,
 }
 
-impl Default for SelectorScratch {
-    fn default() -> Self {
-        SelectorScratch {
-            candidates: Vec::new(),
-            pending_ids: Vec::new(),
-            demand_cache: Vec::new(),
-            unit_state: Vec::new(),
-            has_entry: Vec::new(),
-            alive: Vec::new(),
-            heap: BinaryHeap::new(),
-            shadow: ReconfigurationController::new(),
-            selected_kernels: Vec::new(),
-            choices_spare: Vec::new(),
-            load_order_spare: Vec::new(),
-        }
-    }
-}
-
 impl Clone for SelectorScratch {
     /// Scratch contents are per-block transients with no observable
-    /// effect on selection output, so a clone simply starts empty
-    /// (cheaper, and `LazyEntry` heaps are not clonable anyway).
+    /// effect on selection output, so a clone simply starts empty.
     fn clone(&self) -> Self {
         Self::default()
     }
@@ -448,17 +486,6 @@ impl SelectorScratch {
         if load_order.capacity() > self.load_order_spare.capacity() {
             self.load_order_spare = load_order;
         }
-    }
-}
-
-impl fmt::Debug for LazyEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LazyEntry")
-            .field("profit", &self.profit)
-            .field("ise", &self.ise)
-            .field("idx", &self.idx)
-            .field("round", &self.round)
-            .finish()
     }
 }
 
@@ -510,32 +537,7 @@ pub fn select_ises_with_scratch(
     profit: &mut dyn ProfitFn,
     scratch: &mut SelectorScratch,
 ) -> Selection {
-    // Step 1: candidate list of all ISEs of all forecast kernels
-    // (optionally restricted to the Pareto-efficient variants), each paired
-    // with its trigger once instead of a per-evaluation forecast scan.
     let triggers: &[TriggerInstruction] = &forecast.triggers;
-    let mut candidates = std::mem::take(&mut scratch.candidates);
-    candidates.clear();
-    for (ti, trigger) in triggers.iter().enumerate() {
-        if config.prune_dominated {
-            for id in catalog.pareto_ises_of(trigger.kernel) {
-                candidates.push(Candidate {
-                    ise: id,
-                    trigger: ti as u32,
-                    kernel: trigger.kernel,
-                });
-            }
-        } else {
-            for id in catalog.ises_of(trigger.kernel) {
-                candidates.push(Candidate {
-                    ise: *id,
-                    trigger: ti as u32,
-                    kernel: trigger.kernel,
-                });
-            }
-        }
-    }
-
     let mut pending_ids = std::mem::take(&mut scratch.pending_ids);
     pending_ids.clear();
     pending_ids.extend(controller.inflight_tickets().map(|t| t.id));
@@ -563,6 +565,17 @@ pub fn select_ises_with_scratch(
     if config.full_rescan {
         // The literal Fig. 6 loop: re-evaluate every surviving candidate on
         // every round. Kept as the oracle for the lazy-greedy hot path.
+        // Step 1: candidate list of all ISEs of all forecast kernels.
+        let mut candidates = std::mem::take(&mut scratch.candidates);
+        candidates.clear();
+        for (ti, trigger) in triggers.iter().enumerate() {
+            for &ise in catalog.ises_of(trigger.kernel) {
+                candidates.push(Candidate {
+                    ise,
+                    trigger: ti as u32,
+                });
+            }
+        }
         loop {
             // Step 2: prune non-fitting candidates (resident/streaming units
             // are free, so only genuinely new units count against the
@@ -609,237 +622,189 @@ pub fn select_ises_with_scratch(
             profit.invalidate();
         }
         modeled = evaluated;
+        scratch.candidates = candidates;
     } else {
-        // Lazy-greedy (CELF): identical output, far fewer evaluations.
-        // The heap is seeded with each candidate's static profit upper
-        // bound when the evaluator provides one (a bound that never tops
-        // the heap is never evaluated at all); otherwise with its eagerly
-        // evaluated round-0 profit, mirroring the reference loop's first
-        // sweep. `alive` is the cost-model replica of the reference
-        // candidate list so `modeled` matches the full re-scan count round
-        // for round; the per-candidate demand cache makes each replica
-        // round a stamped-cache sweep instead of a port-queue scan.
-        // Per-candidate demand, computed once and valid for the *whole*
-        // selection: residency is frozen while the machine is untouched,
-        // and the pending set only grows with committed units — which
-        // belong to the committed kernel and are never shared with another
-        // kernel's candidates (the same no-shared-load-units invariant the
-        // lazy-greedy monotonicity argument rests on). Candidates of the
-        // committed kernel itself are removed by the `selected_kernels`
-        // check before the cache is consulted, so a stale entry is never
-        // read. Each admissibility probe is then a tiny kernel scan plus
-        // one `fits_in` compare.
-        let mut demand_cache = std::mem::take(&mut scratch.demand_cache);
-        demand_cache.clear();
-        demand_cache.resize(candidates.len(), None);
+        // Lazy-greedy (CELF) over ranked runs: identical output, far fewer
+        // evaluations. Seed pass: one sweep fills every candidate's demand
+        // and seeds its trigger's run with the candidate's static profit
+        // upper bound when the evaluator provides one (a bound that never
+        // tops the merge is never evaluated at all), otherwise with its
+        // eagerly evaluated round-0 profit, mirroring the reference loop's
+        // first sweep. A demand is valid for the *whole* selection:
+        // residency is frozen while the machine is untouched, and the
+        // pending set only grows with committed units — which belong to
+        // the committed kernel and are never shared with another kernel's
+        // candidates (the same no-shared-load-units invariant the
+        // lazy-greedy monotonicity argument rests on).
+        let mut demands = std::mem::take(&mut scratch.demands);
+        demands.clear();
+        let mut runs = std::mem::take(&mut scratch.runs);
+        runs.clear();
+        let mut ranked = std::mem::take(&mut scratch.ranked);
+        ranked.clear();
         let mut unit_state = std::mem::take(&mut scratch.unit_state);
         unit_state.clear();
         unit_state.resize(catalog.units().len(), 0u8);
-        let admissible_cached = |state: &GreedyState,
-                                 cache: &mut Vec<Option<Resources>>,
-                                 units: &mut [u8],
-                                 idx: usize|
-         -> bool {
-            let c = &candidates[idx];
-            if state.selected_kernels.contains(&c.kernel) {
-                return false;
-            }
-            cache[idx]
-                .get_or_insert_with(|| {
-                    // Same answer as `GreedyState::new_demand`, with each
-                    // distinct unit probed at most once per selection.
-                    let ise = catalog.ise(c.ise).expect("catalogue ids are dense");
-                    let mut cg = 0u16;
-                    let mut prc = 0u16;
-                    for s in ise.stages() {
-                        let slot = &mut units[s.unit.index() as usize];
-                        let needs = match *slot {
-                            1 => true,
-                            2 => false,
-                            _ => {
-                                let needs =
-                                    !resident(s.unit) && !state.is_pending(s.unit.as_loaded_id());
-                                *slot = if needs { 1 } else { 2 };
-                                needs
-                            }
-                        };
-                        if needs {
-                            match s.fabric {
-                                mrts_arch::FabricKind::FineGrained => prc += 1,
-                                mrts_arch::FabricKind::CoarseGrained => cg += 1,
-                            }
-                        }
-                    }
-                    Resources::cg_only(cg) + Resources::prc_only(prc)
-                })
-                .fits_in(state.remaining)
-        };
-        // Seed sweep: one pass builds the cost-model candidate list
-        // (`alive`), fills every per-candidate demand, and seeds the heap —
-        // a single catalogue dereference per candidate covers both the
-        // demand computation and the profit bound.
-        let mut alive = std::mem::take(&mut scratch.alive);
-        alive.clear();
+        let mut orders = std::mem::take(&mut scratch.orders);
+        let mut unranked = std::mem::take(&mut scratch.unranked);
         let mut heap = std::mem::take(&mut scratch.heap);
         heap.clear();
-        let mut has_entry = std::mem::take(&mut scratch.has_entry);
-        has_entry.clear();
-        has_entry.resize(candidates.len(), false);
         let mut round = 0u32;
-        for (i, c) in candidates.iter().enumerate() {
-            if state.selected_kernels.contains(&c.kernel) {
-                continue;
+        for (ti, trigger) in triggers.iter().enumerate() {
+            let ids = catalog.ises_of(trigger.kernel);
+            let first = demands.len() as u32;
+            let head = ranked.len() as u32;
+            demands.resize(demands.len() + ids.len(), Resources::NONE);
+            // Visit the kernel's candidates in the order its last run
+            // ranked them, so the sort below mostly confirms that order.
+            // `order` is always a permutation of `ids`' positions, so a
+            // stale one (another catalogue) costs a full sort, not a bit of
+            // output.
+            let k = usize::from(trigger.kernel.index());
+            if orders.len() <= k {
+                orders.resize_with(k + 1, Vec::new);
             }
-            let ise = catalog.ise(c.ise).expect("catalogue ids are dense");
-            let demand = *demand_cache[i].get_or_insert_with(|| {
+            let order = &mut orders[k];
+            if order.len() != ids.len() {
+                order.clear();
+                order.extend(0..ids.len() as u32);
+            }
+            unranked.clear();
+            for &pos in order.iter() {
+                let id = ids[pos as usize];
+                let ise = catalog.ise(id).expect("catalogue ids are dense");
                 // Same answer as `GreedyState::new_demand`, with each
                 // distinct unit probed at most once per selection.
                 let mut cg = 0u16;
                 let mut prc = 0u16;
                 for s in ise.stages() {
                     let slot = &mut unit_state[s.unit.index() as usize];
-                    let needs = match *slot {
-                        1 => true,
-                        2 => false,
-                        _ => {
-                            let needs =
-                                !resident(s.unit) && !state.is_pending(s.unit.as_loaded_id());
-                            *slot = if needs { 1 } else { 2 };
-                            needs
-                        }
-                    };
-                    if needs {
+                    if *slot == 0 {
+                        let needs = !resident(s.unit) && !state.is_pending(s.unit.as_loaded_id());
+                        *slot = if needs { 1 } else { 2 };
+                    }
+                    if *slot == 1 {
                         match s.fabric {
                             mrts_arch::FabricKind::FineGrained => prc += 1,
                             mrts_arch::FabricKind::CoarseGrained => cg += 1,
                         }
                     }
                 }
-                Resources::cg_only(cg) + Resources::prc_only(prc)
-            });
-            if !demand.fits_in(state.remaining) {
-                continue;
-            }
-            alive.push(i);
-            let trigger = &triggers[c.trigger as usize];
-            match profit.upper_bound(ise, trigger) {
-                Some(bound) => {
-                    debug_assert!(!bound.is_nan(), "bound of {} is NaN", c.ise);
-                    if bound > 0.0 {
-                        heap.push(LazyEntry {
-                            profit: bound,
-                            ise: c.ise,
-                            idx: i as u32,
-                            round: BOUND_ROUND,
-                        });
-                        has_entry[i] = true;
-                    }
+                let demand = Resources::cg_only(cg) + Resources::prc_only(prc);
+                let idx = first + pos;
+                demands[idx as usize] = demand;
+                if !demand.fits_in(state.remaining) {
+                    unranked.push(pos);
+                    continue;
                 }
-                None => {
-                    let p = profit.eval(ise, trigger, &state.shadow);
-                    evaluated += 1;
-                    debug_assert!(!p.is_nan(), "profit of {} is NaN", c.ise);
-                    if p > 0.0 {
-                        heap.push(LazyEntry {
-                            profit: p,
-                            ise: c.ise,
-                            idx: i as u32,
-                            round,
-                        });
-                        has_entry[i] = true;
-                    }
-                }
-            }
-        }
-        if !alive.is_empty() {
-            modeled += alive.len() as u64;
-            // Entries in the heap whose candidate is still admissible.
-            // Admissibility is frozen between commits, so the count stays
-            // exact: a pop of an admissible entry decrements it, a re-push
-            // increments it, and each commit recomputes it from `alive`.
-            // When it reaches zero no pop can ever produce a winner or an
-            // evaluation, so the remaining (dead) entries need not be
-            // popped at all — the next block's `heap.clear()` discards
-            // them wholesale. This skips the former end-of-selection heap
-            // drain, which sifted a few hundred entries per block just to
-            // throw them away.
-            let mut live = heap.len();
-            loop {
-                // Exact arg-max: pop until the top is fresh (or provably
-                // dominant after re-evaluation).
-                let winner = loop {
-                    if live == 0 {
-                        break None;
-                    }
-                    let Some(top) = heap.pop() else { break None };
-                    has_entry[top.idx as usize] = false;
-                    // Kernels never regain admissibility and the budget
-                    // only shrinks: inadmissible entries are gone for good.
-                    if !admissible_cached(
-                        &state,
-                        &mut demand_cache,
-                        &mut unit_state,
-                        top.idx as usize,
-                    ) {
-                        continue;
-                    }
-                    live -= 1;
-                    if top.round == round {
-                        break Some(top);
-                    }
-                    let ise = catalog.ise(top.ise).expect("catalogue ids are dense");
-                    let p = profit.eval(
-                        ise,
-                        &triggers[candidates[top.idx as usize].trigger as usize],
-                        &state.shadow,
-                    );
-                    evaluated += 1;
-                    debug_assert!(
-                        p <= top.profit + 1e-6 + top.profit.abs() * 1e-9,
-                        "profit monotonicity violated for {}: {} (stale) -> {} (fresh)",
-                        top.ise,
-                        top.profit,
-                        p
-                    );
-                    if p <= 0.0 {
-                        continue; // profits never recover: drop permanently
-                    }
-                    let fresh = LazyEntry {
-                        profit: p,
-                        ise: top.ise,
-                        idx: top.idx,
-                        round,
-                    };
-                    // A fresh key that still beats the next (stale ⇒ upper
-                    // bound) key beats every fresh profit in the heap.
-                    match heap.peek() {
-                        Some(next) if fresh.cmp(next) == Ordering::Less => {
-                            has_entry[fresh.idx as usize] = true;
-                            live += 1;
-                            heap.push(fresh);
-                        }
-                        _ => break Some(fresh),
+                let (key, stamp) = match profit.upper_bound(ise, trigger) {
+                    Some(bound) => (bound, BOUND_ROUND),
+                    None => {
+                        evaluated += 1;
+                        (profit.eval(ise, trigger, &state.shadow), round)
                     }
                 };
-                let Some(winner) = winner else { break };
-                let winner_ise = catalog.ise(winner.ise).expect("catalogue ids are dense");
-                state.commit(winner_ise, winner.profit, resident);
-                profit.invalidate();
-                round += 1;
-                // Cost-model replica of the reference loop's next round:
-                // same retain, same per-survivor evaluation charge.
-                alive.retain(|&i| admissible_cached(&state, &mut demand_cache, &mut unit_state, i));
-                if alive.is_empty() {
-                    break;
+                debug_assert!(!key.is_nan(), "seed key of {id} is NaN");
+                if key > 0.0 {
+                    ranked.push(LazyEntry {
+                        profit: key,
+                        ise: id,
+                        idx,
+                        run: ti as u32,
+                        round: stamp,
+                    });
+                } else {
+                    unranked.push(pos);
                 }
-                modeled += alive.len() as u64;
-                live = alive.iter().filter(|&&i| has_entry[i]).count();
             }
+            let run = &mut ranked[head as usize..];
+            run.sort_unstable_by(|a, b| b.cmp(a));
+            order.clear();
+            order.extend(run.iter().map(|e| e.idx - first));
+            order.extend_from_slice(&unranked);
+            runs.push(Run {
+                kernel: trigger.kernel,
+                first,
+                end_candidate: demands.len() as u32,
+                head,
+                end: ranked.len() as u32,
+            });
         }
-        scratch.demand_cache = demand_cache;
+        // The reference loop evaluates every admissible candidate of every
+        // unserved kernel per round: that count is `modeled`'s charge.
+        let count_admissible = |state: &GreedyState, runs: &[Run]| -> u64 {
+            runs.iter()
+                .filter(|r| !state.selected_kernels.contains(&r.kernel))
+                .map(|r| {
+                    demands[r.first as usize..r.end_candidate as usize]
+                        .iter()
+                        .filter(|d| d.fits_in(state.remaining))
+                        .count() as u64
+                })
+                .sum()
+        };
+        let mut admissible = count_admissible(&state, &runs);
+        while admissible > 0 {
+            modeled += admissible;
+            // Exact arg-max: take the best remaining entry until it is
+            // fresh (or provably dominant after re-evaluation).
+            let winner = loop {
+                let Some(top) = pop_best(&mut runs, &ranked, &mut heap) else {
+                    break None;
+                };
+                // Kernels never regain admissibility and the budget only
+                // shrinks: inadmissible entries are gone for good.
+                if state
+                    .selected_kernels
+                    .contains(&runs[top.run as usize].kernel)
+                    || !demands[top.idx as usize].fits_in(state.remaining)
+                {
+                    continue;
+                }
+                if top.round == round {
+                    break Some(top);
+                }
+                let ise = catalog.ise(top.ise).expect("catalogue ids are dense");
+                let p = profit.eval(ise, &triggers[top.run as usize], &state.shadow);
+                evaluated += 1;
+                debug_assert!(
+                    p <= top.profit + 1e-6 + top.profit.abs() * 1e-9,
+                    "profit monotonicity violated for {}: {} (stale) -> {} (fresh)",
+                    top.ise,
+                    top.profit,
+                    p
+                );
+                if p <= 0.0 {
+                    continue; // profits never recover: drop permanently
+                }
+                let fresh = LazyEntry {
+                    profit: p,
+                    round,
+                    ..top
+                };
+                // A fresh key that still beats the next (stale ⇒ upper
+                // bound) key beats every fresh profit left.
+                match peek_best(&runs, &ranked, &heap) {
+                    Some((_, next)) if fresh.cmp(next) == Ordering::Less => heap.push(fresh),
+                    _ => break Some(fresh),
+                }
+            };
+            let Some(winner) = winner else { break };
+            let winner_ise = catalog.ise(winner.ise).expect("catalogue ids are dense");
+            state.commit(winner_ise, winner.profit, resident);
+            profit.invalidate();
+            round += 1;
+            // Step 4: the served kernel's remaining candidates leave at once.
+            let served = &mut runs[winner.run as usize];
+            served.head = served.end;
+            admissible = count_admissible(&state, &runs);
+        }
+        scratch.demands = demands;
+        scratch.runs = runs;
+        scratch.ranked = ranked;
         scratch.unit_state = unit_state;
-        scratch.has_entry = has_entry;
-        scratch.alive = alive;
+        scratch.orders = orders;
+        scratch.unranked = unranked;
         scratch.heap = heap;
     }
 
@@ -862,7 +827,6 @@ pub fn select_ises_with_scratch(
     );
 
     // Hand every working buffer back to the arena for the next block.
-    scratch.candidates = candidates;
     scratch.pending_ids = state.pending_ids;
     scratch.shadow = state.shadow;
     scratch.selected_kernels = state.selected_kernels;
@@ -1054,38 +1018,6 @@ mod tests {
         let s2 = run(&c, &f2, Resources::new(4, 4));
         assert!(s2.modeled_evaluations > s1.modeled_evaluations);
         assert!(s2.overhead_cycles > s1.overhead_cycles);
-    }
-
-    #[test]
-    fn dominance_pruning_cuts_evaluations_without_losing_quality() {
-        let c = catalog();
-        let f = forecast(&c, 3_000, 20_000);
-        let budget = Resources::new(3, 3);
-        let full = run(&c, &f, budget);
-        let pruned = select_ises(
-            &c,
-            &f,
-            budget,
-            &none_resident,
-            &ReconfigurationController::new(),
-            Cycles::ZERO,
-            &SelectorConfig {
-                prune_dominated: true,
-                ..SelectorConfig::default()
-            },
-        );
-        assert!(
-            pruned.candidates_evaluated < full.candidates_evaluated,
-            "pruning must reduce work: {} vs {}",
-            pruned.candidates_evaluated,
-            full.candidates_evaluated
-        );
-        assert!(
-            pruned.total_profit >= full.total_profit * 0.98,
-            "pruned {} vs full {}",
-            pruned.total_profit,
-            full.total_profit
-        );
     }
 
     #[test]

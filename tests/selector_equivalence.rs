@@ -15,32 +15,40 @@
 use mrts::arch::{
     ArchParams, Cycles, FabricKind, LoadRequest, ReconfigurationController, Resources,
 };
-use mrts::core::selector::{select_ises, Selection, SelectorConfig};
+use mrts::core::profit::expected_profit;
+use mrts::core::selector::{select_ises, select_ises_with, Selection, SelectorConfig};
 use mrts::ise::datapath::{DataPathGraph, OpKind};
 use mrts::ise::{CatalogBuilder, IseCatalog, KernelSpec, TriggerBlock, TriggerInstruction, UnitId};
 use proptest::prelude::*;
 
-/// A random but always-valid data-path graph (chain seeded from up to
-/// three inputs) — the same shape family `selector_properties.rs` uses.
+/// A chain data-path graph seeded from up to three inputs, its operators
+/// picked by `indices` into [`OpKind::ALL`].
+fn chain_graph(name: String, indices: &[usize]) -> DataPathGraph {
+    let mut b = DataPathGraph::builder(name);
+    let x = b.input();
+    let y = b.input();
+    let z = b.input();
+    let mut last = x;
+    for &i in indices {
+        let kind = OpKind::ALL[i];
+        let operands: Vec<_> = match kind.arity() {
+            1 => vec![last],
+            2 => vec![last, y],
+            _ => vec![last, y, z],
+        };
+        last = b.op(kind, &operands);
+    }
+    b.finish().expect("chains are structurally valid")
+}
+
+fn arb_ops() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(0usize..OpKind::ALL.len(), 1..8)
+}
+
+/// A random but always-valid data-path graph — the same shape family
+/// `selector_properties.rs` uses.
 fn arb_graph(name: String) -> impl Strategy<Value = DataPathGraph> {
-    let ops = prop::collection::vec(0usize..OpKind::ALL.len(), 1..8);
-    ops.prop_map(move |indices| {
-        let mut b = DataPathGraph::builder(name.clone());
-        let x = b.input();
-        let y = b.input();
-        let z = b.input();
-        let mut last = x;
-        for i in indices {
-            let kind = OpKind::ALL[i];
-            let operands: Vec<_> = match kind.arity() {
-                1 => vec![last],
-                2 => vec![last, y],
-                _ => vec![last, y, z],
-            };
-            last = b.op(kind, &operands);
-        }
-        b.finish().expect("chains are structurally valid")
-    })
+    arb_ops().prop_map(move |indices| chain_graph(name.clone(), &indices))
 }
 
 fn arb_catalog() -> impl Strategy<Value = IseCatalog> {
@@ -69,15 +77,99 @@ fn arb_catalog() -> impl Strategy<Value = IseCatalog> {
     )
 }
 
+/// Kernels whose two data paths are the same graph under two names, so
+/// mirrored fabric assignments give sibling ISEs equal `risc − full`
+/// savings — and hence equal seed keys, which only the `IseId` tie-break
+/// orders. Kept only when at least one such tie exists.
+fn arb_tied_catalog() -> impl Strategy<Value = IseCatalog> {
+    let kernel = (arb_ops(), 8u32..64, 10u64..200);
+    prop::collection::vec(kernel, 1..4).prop_filter_map(
+        "catalogue must build and contain a seed-key tie",
+        |kernels| {
+            let mut b = CatalogBuilder::new(ArchParams::default());
+            for (i, (ops, calls, overhead)) in kernels.into_iter().enumerate() {
+                b = b.kernel(
+                    KernelSpec::new(format!("k{i}"))
+                        .data_path(chain_graph(format!("k{i}a"), &ops), calls)
+                        .data_path(chain_graph(format!("k{i}b"), &ops), calls)
+                        .overhead_cycles(overhead),
+                );
+            }
+            b.build().ok().filter(has_sibling_saving_tie)
+        },
+    )
+}
+
+fn has_sibling_saving_tie(catalog: &IseCatalog) -> bool {
+    catalog.kernels().iter().any(|k| {
+        let mut savings: Vec<u64> = catalog
+            .ises_of(k.id())
+            .iter()
+            .map(|&id| {
+                let ise = catalog.ise(id).expect("dense ids");
+                (ise.risc_latency() - ise.full_latency()).get()
+            })
+            .filter(|&saving| saving > 0)
+            .collect();
+        savings.sort_unstable();
+        savings.windows(2).any(|w| w[0] == w[1])
+    })
+}
+
 fn forecast_for(catalog: &IseCatalog, e: u64, tf: u64, tb: u64) -> TriggerBlock {
+    forecast_per_kernel(catalog, &[e], tf, tb)
+}
+
+/// One trigger per kernel, kernel `i` forecast with `es[i % es.len()]`
+/// executions.
+fn forecast_per_kernel(catalog: &IseCatalog, es: &[u64], tf: u64, tb: u64) -> TriggerBlock {
     TriggerBlock::new(
         mrts::ise::BlockId(0),
         catalog
             .kernels()
             .iter()
-            .map(|k| TriggerInstruction::new(k.id(), e, Cycles::new(tf), Cycles::new(tb)))
+            .enumerate()
+            .map(|(i, k)| {
+                TriggerInstruction::new(k.id(), es[i % es.len()], Cycles::new(tf), Cycles::new(tb))
+            })
             .collect(),
     )
+}
+
+/// Runs the default lazy path and the full-rescan oracle on one input
+/// with the default evaluator, asserts them identical, and returns both.
+fn lazy_and_oracle(
+    catalog: &IseCatalog,
+    forecast: &TriggerBlock,
+    budget: Resources,
+    resident: &dyn Fn(UnitId) -> bool,
+    rc: &ReconfigurationController,
+    now: Cycles,
+) -> (Selection, Selection) {
+    let lazy = select_ises(
+        catalog,
+        forecast,
+        budget,
+        resident,
+        rc,
+        now,
+        &SelectorConfig::default(),
+    );
+    let oracle = select_ises(
+        catalog,
+        forecast,
+        budget,
+        resident,
+        rc,
+        now,
+        &SelectorConfig {
+            full_rescan: true,
+            ..SelectorConfig::default()
+        },
+    );
+    assert_selections_identical(&lazy, &oracle);
+    assert!(lazy.candidates_evaluated <= oracle.candidates_evaluated);
+    (lazy, oracle)
 }
 
 /// Bit-exact equality of everything the simulator consumes, plus the
@@ -106,32 +198,68 @@ fn assert_selections_identical(lazy: &Selection, oracle: &Selection) {
     assert_eq!(lazy.overhead_cycles, oracle.overhead_cycles);
 }
 
+/// [`lazy_and_oracle`] through `select_ises_with` and a closure evaluator,
+/// which has no `upper_bound`: the eager seed path the RISPP-like
+/// baseline's hook takes, every run seeded with evaluated round-0 profits.
+fn eager_lazy_and_oracle(
+    catalog: &IseCatalog,
+    forecast: &TriggerBlock,
+    budget: Resources,
+    resident: &dyn Fn(UnitId) -> bool,
+    rc: &ReconfigurationController,
+    now: Cycles,
+) {
+    let mut eval =
+        |ise: &mrts::ise::Ise, trigger: &TriggerInstruction, shadow: &ReconfigurationController| {
+            expected_profit(ise, trigger, now, shadow, resident).profit
+        };
+    let lazy = select_ises_with(
+        catalog,
+        forecast,
+        budget,
+        resident,
+        rc,
+        now,
+        &SelectorConfig::default(),
+        &mut eval,
+    );
+    let oracle = select_ises_with(
+        catalog,
+        forecast,
+        budget,
+        resident,
+        rc,
+        now,
+        &SelectorConfig {
+            full_rescan: true,
+            ..SelectorConfig::default()
+        },
+        &mut eval,
+    );
+    assert_selections_identical(&lazy, &oracle);
+    assert!(lazy.candidates_evaluated <= oracle.candidates_evaluated);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Cold start: empty controller, nothing resident.
+    /// Cold start: empty controller, nothing resident. Each kernel gets
+    /// its own execution forecast, so the runs' seed keys interleave
+    /// instead of scaling one shared `e`.
     #[test]
     fn lazy_equals_oracle_cold(
         catalog in arb_catalog(),
         cg in 0u16..8,
         prc in 0u16..5,
-        e in 1u64..30_000,
+        es in prop::collection::vec(0u64..30_000, 1..5),
         tb in 1u64..1_000,
     ) {
-        let budget = Resources::new(cg, prc);
-        let forecast = forecast_for(&catalog, e, 500, tb);
+        let forecast = forecast_per_kernel(&catalog, &es, 500, tb);
         let rc = ReconfigurationController::new();
         let none = |_: UnitId| false;
-        let lazy = select_ises(
-            &catalog, &forecast, budget, &none, &rc, Cycles::ZERO,
-            &SelectorConfig::default(),
+        let _ = lazy_and_oracle(
+            &catalog, &forecast, Resources::new(cg, prc), &none, &rc, Cycles::ZERO,
         );
-        let oracle = select_ises(
-            &catalog, &forecast, budget, &none, &rc, Cycles::ZERO,
-            &SelectorConfig { full_rescan: true, ..SelectorConfig::default() },
-        );
-        assert_selections_identical(&lazy, &oracle);
-        prop_assert!(lazy.candidates_evaluated <= oracle.candidates_evaluated);
     }
 
     /// Warm start: in-flight loads queue behind the ports, some units are
@@ -166,22 +294,55 @@ proptest! {
         }
         // A deterministic pseudo-random resident subset.
         let resident = move |u: UnitId| u.as_loaded_id().is_multiple_of(resident_mod);
+        let _ = lazy_and_oracle(&catalog, &forecast, budget, &resident, &rc, now);
+    }
 
-        let lazy = select_ises(
-            &catalog, &forecast, budget, &resident, &rc, now,
-            &SelectorConfig::default(),
-        );
-        let oracle = select_ises(
-            &catalog, &forecast, budget, &resident, &rc, now,
-            &SelectorConfig { full_rescan: true, ..SelectorConfig::default() },
-        );
-        assert_selections_identical(&lazy, &oracle);
-        prop_assert!(lazy.candidates_evaluated <= oracle.candidates_evaluated);
+    /// The eager seed path (see [`eager_lazy_and_oracle`]), warm.
+    #[test]
+    fn lazy_equals_oracle_eager_closure(
+        catalog in arb_catalog(),
+        cg in 0u16..8,
+        prc in 0u16..5,
+        e in 1u64..30_000,
+        tb in 1u64..1_000,
+        now_raw in 0u64..50_000,
+        resident_mod in 2u64..6,
+    ) {
+        let budget = Resources::new(cg, prc);
+        let forecast = forecast_for(&catalog, e, 500, tb);
+        let now = Cycles::new(now_raw);
+        let rc = ReconfigurationController::new();
+        let resident = move |u: UnitId| u.as_loaded_id().is_multiple_of(resident_mod);
+        eager_lazy_and_oracle(&catalog, &forecast, budget, &resident, &rc, now);
+    }
+
+    /// Sibling ISEs with equal `risc − full` savings have equal bound seed
+    /// keys, and — when fully resident (`resident_mod == 1`) — equal
+    /// evaluated profits too: the `IseId` tie-break alone orders them
+    /// within a run, for both seed paths.
+    #[test]
+    fn lazy_equals_oracle_on_seed_key_ties(
+        catalog in arb_tied_catalog(),
+        cg in 0u16..8,
+        prc in 0u16..5,
+        es in prop::collection::vec(1u64..30_000, 1..4),
+        tb in 1u64..1_000,
+        resident_mod in 0u64..5,
+    ) {
+        let forecast = forecast_per_kernel(&catalog, &es, 500, tb);
+        let rc = ReconfigurationController::new();
+        let resident =
+            move |u: UnitId| resident_mod > 0 && u.as_loaded_id().is_multiple_of(resident_mod);
+        let budget = Resources::new(cg, prc);
+        let _ = lazy_and_oracle(&catalog, &forecast, budget, &resident, &rc, Cycles::ZERO);
+        eager_lazy_and_oracle(&catalog, &forecast, budget, &resident, &rc, Cycles::ZERO);
     }
 }
 
 /// The H.264 testbed at the largest Fig. 8 machine runs several commit
-/// rounds; the lazy path must save evaluations there, not just tie.
+/// rounds; the lazy path must save evaluations there, not just tie. The
+/// exact count pins the lazy path's evaluation order: any change to which
+/// candidates it re-evaluates, or when, moves it.
 #[test]
 fn lazy_saves_evaluations_on_the_paper_catalog() {
     let catalog = mrts::workload::h264::h264_application()
@@ -190,29 +351,15 @@ fn lazy_saves_evaluations_on_the_paper_catalog() {
     let forecast = forecast_for(&catalog, 4_000, 1_000, 300);
     let rc = ReconfigurationController::new();
     let none = |_: UnitId| false;
-    let budget = Resources::new(4, 3);
-    let lazy = select_ises(
+    let (lazy, oracle) = lazy_and_oracle(
         &catalog,
         &forecast,
-        budget,
+        Resources::new(4, 3),
         &none,
         &rc,
         Cycles::ZERO,
-        &SelectorConfig::default(),
     );
-    let oracle = select_ises(
-        &catalog,
-        &forecast,
-        budget,
-        &none,
-        &rc,
-        Cycles::ZERO,
-        &SelectorConfig {
-            full_rescan: true,
-            ..SelectorConfig::default()
-        },
-    );
-    assert_selections_identical(&lazy, &oracle);
+    assert_eq!(lazy.candidates_evaluated, 14, "lazy evaluation order moved");
     assert!(
         lazy.candidates_evaluated < oracle.candidates_evaluated,
         "lazy path evaluated {} candidates, oracle {}",
