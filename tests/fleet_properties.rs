@@ -135,24 +135,37 @@ proptest! {
     /// enough lanes for everyone, admission off — the incremental
     /// admit/step/finish service loop must reproduce [`run_multitask`]'s
     /// statistics byte-for-byte (same admission order, same even split,
-    /// same scheduler state), for both core schedulers.
+    /// same scheduler state), for every core scheduler and for both the
+    /// dynamic and the static arbiter.
     #[test]
     fn single_fabric_t0_fleet_matches_batch_runner(
         n in 1usize..5,
         weights in prop::collection::vec(1u64..8, 5),
         variants in 1u64..4,
         seed in 0u64..500,
-        sched_ix in 0usize..2,
+        sched_ix in 0usize..5,
+        static_arbiter in any::<bool>(),
         cg in 2u16..10,
         prc in 2u16..6,
     ) {
         let params = ArchParams::default();
         let registry = registry(&params, 4, seed);
-        let scheduler = [SchedulerKind::WeightedFair, SchedulerKind::StrictPriority][sched_ix];
+        let scheduler = [
+            SchedulerKind::WeightedFair,
+            SchedulerKind::StrictPriority,
+            SchedulerKind::RoundRobin(SchedulerKind::DEFAULT_QUANTUM),
+            SchedulerKind::EarliestDeadline,
+            SchedulerKind::LeastLaxity,
+        ][sched_ix];
+        let arbiter = if static_arbiter {
+            ArbiterPolicy::Static
+        } else {
+            ArbiterPolicy::Dynamic
+        };
         let budget = Resources::new(cg, prc);
         let mtcfg = MultitaskConfig {
             scheduler,
-            arbiter: ArbiterPolicy::Dynamic,
+            arbiter,
             admission: AdmissionPolicy::Off,
             repartition_min_demand: mrts::arch::Cycles::new(50_000),
             ..MultitaskConfig::default()
