@@ -3,7 +3,7 @@
 //! [`run_fleet`] drives a time-sorted arrival list through admission,
 //! placement and execution on `fabrics` independent [`MultitaskRunner`]
 //! shards. Each shard owns one fabric pool, `ways` admission lanes with
-//! fixed base shares, a bounded FIFO wait queue and a streaming
+//! fixed base shares, a bounded FIFO wait queue and an
 //! [`AdmissionController`]; sessions that finish free their lane (and,
 //! under the dynamic arbiter, their fabric slice) for queued or future
 //! sessions.
@@ -36,8 +36,8 @@ use crate::registry::AppRegistry;
 pub struct FleetConfig {
     /// Per-shard runner configuration. `multitask.admission` is the
     /// *fleet-level* admission policy — the shard runners themselves run
-    /// with admission off (the fleet's streaming controller replaces the
-    /// batch feasibility test); `multitask.arbiter` picks dynamic
+    /// with admission off (each shard's own controller prices sessions as
+    /// they arrive); `multitask.arbiter` picks dynamic
     /// re-apportionment vs. static partitioning per shard.
     pub multitask: MultitaskConfig,
     /// Independent fabric shards.
@@ -178,7 +178,7 @@ struct LocalSession {
     constrained: bool,
 }
 
-/// One fabric shard: a batch runner plus the fleet's service-side state.
+/// One fabric shard: a multitask runner plus the fleet's service-side state.
 struct Shard<'a> {
     runner: MultitaskRunner<'a>,
     controller: AdmissionController,
@@ -297,8 +297,8 @@ pub fn run_fleet(
     }
     let subs = parse_arrivals(registry, records)?;
 
-    // Shard runners start empty, with the batch feasibility test disabled:
-    // the fleet's own streaming controller is the admission authority.
+    // Shard runners start empty, with their admission control off: the
+    // fleet's per-shard controllers are the admission authority.
     let mut shard_cfg = cfg.multitask.clone();
     shard_cfg.admission = AdmissionPolicy::Off;
     let fleet_admission = cfg.multitask.admission;
@@ -319,7 +319,7 @@ pub fn run_fleet(
         let bases = runner.pool().split_even(cfg.ways);
         shards.push(Shard {
             runner,
-            controller: AdmissionController::new(fleet_admission, Vec::new(), Vec::new()),
+            controller: AdmissionController::new(fleet_admission),
             lanes: vec![None; cfg.ways],
             bases,
             queue: VecDeque::new(),
@@ -456,7 +456,7 @@ fn submit<'a>(
     if shard.queue.is_empty() {
         if let Some(lane) = shard.free_lane() {
             let util = shard.price(registry, &sub, lane);
-            let (cidx, outcome) = shard.controller.offer(util, sub.criticality());
+            let (cidx, outcome) = shard.controller.offer(util);
             match outcome {
                 AdmissionOutcome::Admitted => {
                     admit_now(
@@ -685,7 +685,7 @@ fn drain_queue<'a>(
                 // against the lane it is about to occupy.
                 let sub = shard.queue.front().expect("checked non-empty").sub.clone();
                 let util = shard.price(registry, &sub, lane);
-                let (cidx, outcome) = shard.controller.offer(util, sub.criticality());
+                let (cidx, outcome) = shard.controller.offer(util);
                 {
                     let head = shard.queue.front_mut().expect("checked non-empty");
                     head.util = util;

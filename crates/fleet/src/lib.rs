@@ -1,12 +1,12 @@
 //! # mrts-fleet — open-loop tenant churn and multi-fabric sharding
 //!
-//! The fleet layer turns the batch multi-tenant runner
-//! ([`mrts_multitask`]) into a long-lived service: sessions arrive over
-//! time (seeded Poisson or a replayed JSONL trace), a placement policy
-//! picks one of several independent fabric shards, the shard's streaming
-//! admission controller admits, queues or rejects, and departures free
-//! fabric for re-apportionment or for the queue head. The whole pipeline
-//! is integer-deterministic and replayable — see `DESIGN.md` §13.
+//! The fleet layer turns the multi-tenant runner ([`mrts_multitask`])
+//! into a long-lived service: sessions arrive over time (seeded Poisson
+//! or a replayed JSONL trace), a placement policy picks one of several
+//! independent fabric shards, the shard's admission controller admits,
+//! queues or rejects, and departures free fabric for re-apportionment or
+//! for the queue head. The whole pipeline is integer-deterministic and
+//! replayable — see `DESIGN.md` §13.
 //!
 //! ```
 //! use mrts_arch::ArchParams;

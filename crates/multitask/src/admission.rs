@@ -13,8 +13,6 @@
 //! Tenants without deadlines cost 0 ppm and are always admitted; they run
 //! in the slack and are the ladder's first-choice victims.
 
-use crate::slo::Criticality;
-use std::cmp::Reverse;
 use std::fmt;
 use std::str::FromStr;
 
@@ -92,85 +90,35 @@ pub const FULL_UTILIZATION_PPM: u64 = 1_000_000;
 
 /// Tracks per-session utilization and verdicts over a run.
 ///
-/// Two usage modes share the same bound arithmetic:
-///
-/// * **Batch** (the classic multitask runner): [`AdmissionController::new`]
-///   prices the whole mix up front; [`AdmissionController::retry`] re-tests
-///   the queue against a caller-supplied done mask.
-/// * **Streaming** (the fleet's open-loop churn): sessions are priced one
-///   by one as they arrive ([`AdmissionController::offer`]), free their
-///   utilization when they depart ([`AdmissionController::complete`]), and
-///   queued sessions are re-tested individually
-///   ([`AdmissionController::retry_one`]). The streaming side keeps its own
-///   incremental live-load accumulator; don't interleave it with the batch
-///   `retry` on the same controller.
+/// Sessions are priced one by one as they arrive
+/// ([`AdmissionController::offer`]), free their utilization when they
+/// finish ([`AdmissionController::complete`]), and queued sessions are
+/// re-tested individually ([`AdmissionController::retry_one`]) or let in
+/// regardless of the bound ([`AdmissionController::admit_anyway`]). The
+/// order of those calls is the caller's: the multitask runner offers an
+/// up-front batch highest criticality first, the fleet in arrival order.
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
     policy: AdmissionPolicy,
     utilization_ppm: Vec<u64>,
-    criticality: Vec<Criticality>,
     outcome: Vec<AdmissionOutcome>,
-    /// Streaming bookkeeping: which sessions have departed …
+    /// Which sessions have finished …
     done: Vec<bool>,
-    /// … and the utilization sum of admitted, not-yet-departed sessions.
+    /// … and the utilization sum of admitted, not-yet-finished sessions.
     live_load: u128,
 }
 
 impl AdmissionController {
-    /// Runs the initial feasibility pass. Sessions are considered in
-    /// criticality order (`Hard` first, ties by index), each admitted
-    /// while the running utilization sum stays within the bound.
-    /// Zero-utilization sessions (no SLO) are always admitted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two input vectors disagree in length.
+    /// A controller with no sessions yet.
     #[must_use]
-    pub fn new(
-        policy: AdmissionPolicy,
-        utilization_ppm: Vec<u64>,
-        criticality: Vec<Criticality>,
-    ) -> Self {
-        assert_eq!(utilization_ppm.len(), criticality.len());
-        let n = utilization_ppm.len();
-        let mut outcome = vec![AdmissionOutcome::Admitted; n];
-        if policy != AdmissionPolicy::Off {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by_key(|&i| (Reverse(criticality[i]), i));
-            let mut load: u128 = 0;
-            for i in order {
-                let u = u128::from(utilization_ppm[i]);
-                if u == 0 || load + u <= u128::from(FULL_UTILIZATION_PPM) {
-                    load += u;
-                } else {
-                    outcome[i] = match policy {
-                        AdmissionPolicy::Reject => AdmissionOutcome::Rejected,
-                        _ => AdmissionOutcome::Queued,
-                    };
-                }
-            }
-        }
-        let live_load = outcome
-            .iter()
-            .zip(&utilization_ppm)
-            .filter(|(o, _)| **o == AdmissionOutcome::Admitted)
-            .map(|(_, &u)| u128::from(u))
-            .sum();
-        let done = vec![false; utilization_ppm.len()];
+    pub fn new(policy: AdmissionPolicy) -> Self {
         AdmissionController {
             policy,
-            utilization_ppm,
-            criticality,
-            outcome,
-            done,
-            live_load,
+            utilization_ppm: Vec::new(),
+            outcome: Vec::new(),
+            done: Vec::new(),
+            live_load: 0,
         }
-    }
-
-    /// The admission policy in force.
-    #[must_use]
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
     }
 
     /// Current verdict for session `i`.
@@ -179,55 +127,19 @@ impl AdmissionController {
         self.outcome[i]
     }
 
-    /// Estimated utilization of session `i`, in ppm.
-    #[must_use]
-    pub fn utilization_ppm(&self, i: usize) -> u64 {
-        self.utilization_ppm[i]
+    /// Whether `u` more ppm fit next to the live load. Zero-utilization
+    /// sessions (no SLO) always fit.
+    fn fits(&self, u: u128) -> bool {
+        u == 0 || self.live_load + u <= u128::from(FULL_UTILIZATION_PPM)
     }
 
-    /// Re-tests queued sessions after some admitted sessions finished
-    /// (`done[i]` true). Queued sessions whose utilization now fits are
-    /// flipped to `Admitted`, highest criticality first; the indices of
-    /// the newly admitted sessions are returned in admission order.
-    pub fn retry(&mut self, done: &[bool]) -> Vec<usize> {
-        if self.policy != AdmissionPolicy::Queue {
-            return Vec::new();
-        }
-        let load: u128 = (0..self.outcome.len())
-            .filter(|&i| self.outcome[i] == AdmissionOutcome::Admitted && !done[i])
-            .map(|i| u128::from(self.utilization_ppm[i]))
-            .sum();
-        let mut load = load;
-        let mut queued: Vec<usize> = (0..self.outcome.len())
-            .filter(|&i| self.outcome[i] == AdmissionOutcome::Queued)
-            .collect();
-        queued.sort_by_key(|&i| (Reverse(self.criticality[i]), i));
-        let mut admitted = Vec::new();
-        for i in queued {
-            let u = u128::from(self.utilization_ppm[i]);
-            if load + u <= u128::from(FULL_UTILIZATION_PPM) {
-                load += u;
-                self.outcome[i] = AdmissionOutcome::Admitted;
-                admitted.push(i);
-            }
-        }
-        admitted
-    }
-
-    /// Streaming entry point: prices one newly arrived session against the
-    /// current live load and returns its controller index plus verdict.
-    /// Zero-utilization sessions are always admitted; under
-    /// [`AdmissionPolicy::Off`] everything is.
-    pub fn offer(
-        &mut self,
-        utilization_ppm: u64,
-        criticality: Criticality,
-    ) -> (usize, AdmissionOutcome) {
+    /// Prices one newly arrived session against the current live load and
+    /// returns its controller index plus verdict. Zero-utilization
+    /// sessions are always admitted; under [`AdmissionPolicy::Off`]
+    /// everything is.
+    pub fn offer(&mut self, utilization_ppm: u64) -> (usize, AdmissionOutcome) {
         let u = u128::from(utilization_ppm);
-        let verdict = if self.policy == AdmissionPolicy::Off
-            || u == 0
-            || self.live_load + u <= u128::from(FULL_UTILIZATION_PPM)
-        {
+        let verdict = if self.policy == AdmissionPolicy::Off || self.fits(u) {
             self.live_load += u;
             AdmissionOutcome::Admitted
         } else {
@@ -237,14 +149,13 @@ impl AdmissionController {
             }
         };
         self.utilization_ppm.push(utilization_ppm);
-        self.criticality.push(criticality);
         self.outcome.push(verdict);
         self.done.push(false);
         (self.outcome.len() - 1, verdict)
     }
 
-    /// Streaming departure: session `i`'s utilization leaves the live
-    /// load. Idempotent.
+    /// Session `i` finished: its utilization leaves the live load.
+    /// Idempotent.
     ///
     /// # Panics
     ///
@@ -261,9 +172,9 @@ impl AdmissionController {
         }
     }
 
-    /// Streaming re-test of one queued session (the fleet calls this for
-    /// the queue head whenever capacity frees up). Flips it to `Admitted`
-    /// and returns `true` if its utilization now fits.
+    /// Re-tests one queued session (callers retry whenever capacity frees
+    /// up). Flips it to `Admitted` and returns `true` if its utilization
+    /// now fits.
     ///
     /// # Panics
     ///
@@ -273,7 +184,7 @@ impl AdmissionController {
             return false;
         }
         let u = u128::from(self.utilization_ppm[i]);
-        if u == 0 || self.live_load + u <= u128::from(FULL_UTILIZATION_PPM) {
+        if self.fits(u) {
             self.live_load += u;
             self.outcome[i] = AdmissionOutcome::Admitted;
             return true;
@@ -281,9 +192,10 @@ impl AdmissionController {
         false
     }
 
-    /// Unconditionally admits queued session `i` (the fleet's livelock
-    /// escape: a session whose utilization never fits must not block the
-    /// queue forever once fabric sits idle).
+    /// Unconditionally admits queued session `i` (the livelock escape: a
+    /// session whose utilization never fits must not block the queue
+    /// forever once the core sits idle — running overloaded beats not
+    /// running at all, and the ladder absorbs the overload).
     ///
     /// # Panics
     ///
@@ -295,22 +207,10 @@ impl AdmissionController {
         }
     }
 
-    /// The admitted-and-live utilization sum, in ppm (streaming mode).
+    /// The admitted-and-live utilization sum, in ppm.
     #[must_use]
     pub fn live_load_ppm(&self) -> u64 {
         u64::try_from(self.live_load).unwrap_or(u64::MAX)
-    }
-
-    /// Force-admits the highest-criticality queued session, regardless of
-    /// the bound. Used when nothing admitted is runnable: an idle core
-    /// with queued work would be a livelock, and running overloaded beats
-    /// not running at all (the ladder absorbs the overload).
-    pub fn force_admit(&mut self) -> Option<usize> {
-        let pick = (0..self.outcome.len())
-            .filter(|&i| self.outcome[i] == AdmissionOutcome::Queued)
-            .min_by_key(|&i| (Reverse(self.criticality[i]), i))?;
-        self.outcome[pick] = AdmissionOutcome::Admitted;
-        Some(pick)
     }
 }
 
@@ -320,97 +220,33 @@ mod tests {
 
     #[test]
     fn off_admits_everything() {
-        let c = AdmissionController::new(
-            AdmissionPolicy::Off,
-            vec![900_000, 900_000, 900_000],
-            vec![Criticality::BestEffort; 3],
-        );
+        let mut c = AdmissionController::new(AdmissionPolicy::Off);
         for i in 0..3 {
-            assert_eq!(c.outcome(i), AdmissionOutcome::Admitted);
+            assert_eq!(c.offer(900_000), (i, AdmissionOutcome::Admitted));
         }
-    }
-
-    #[test]
-    fn reject_prefers_hard_over_soft_over_best_effort() {
-        // Three sessions of 600k ppm each: only one fits; the hard one
-        // wins regardless of index order.
-        let c = AdmissionController::new(
-            AdmissionPolicy::Reject,
-            vec![600_000, 600_000, 600_000],
-            vec![Criticality::Soft, Criticality::Hard, Criticality::Soft],
-        );
-        assert_eq!(c.outcome(1), AdmissionOutcome::Admitted);
-        assert_eq!(c.outcome(0), AdmissionOutcome::Rejected);
-        assert_eq!(c.outcome(2), AdmissionOutcome::Rejected);
+        assert_eq!(c.live_load_ppm(), 2_700_000);
     }
 
     #[test]
     fn zero_utilization_sessions_always_admitted() {
-        let c = AdmissionController::new(
-            AdmissionPolicy::Reject,
-            vec![1_000_000, 0, 500_000],
-            vec![
-                Criticality::Hard,
-                Criticality::BestEffort,
-                Criticality::Soft,
-            ],
-        );
-        assert_eq!(c.outcome(0), AdmissionOutcome::Admitted);
-        assert_eq!(c.outcome(1), AdmissionOutcome::Admitted);
-        assert_eq!(c.outcome(2), AdmissionOutcome::Rejected);
+        let mut c = AdmissionController::new(AdmissionPolicy::Reject);
+        assert_eq!(c.offer(1_000_000), (0, AdmissionOutcome::Admitted));
+        assert_eq!(c.offer(0), (1, AdmissionOutcome::Admitted));
+        assert_eq!(c.offer(500_000), (2, AdmissionOutcome::Rejected));
     }
 
     #[test]
-    fn queue_admits_on_retry_when_load_frees_up() {
-        let mut c = AdmissionController::new(
-            AdmissionPolicy::Queue,
-            vec![700_000, 700_000],
-            vec![Criticality::Hard, Criticality::Soft],
-        );
-        assert_eq!(c.outcome(0), AdmissionOutcome::Admitted);
-        assert_eq!(c.outcome(1), AdmissionOutcome::Queued);
-        // Nothing finished yet: still queued.
-        assert!(c.retry(&[false, false]).is_empty());
-        // Tenant 0 finishes: its 700k ppm free up.
-        assert_eq!(c.retry(&[true, false]), vec![1]);
-        assert_eq!(c.outcome(1), AdmissionOutcome::Admitted);
-    }
-
-    #[test]
-    fn force_admit_picks_highest_criticality_queued() {
-        let mut c = AdmissionController::new(
-            AdmissionPolicy::Queue,
-            vec![600_000, 600_000, 600_000],
-            vec![Criticality::Hard, Criticality::Soft, Criticality::Soft],
-        );
-        assert_eq!(c.outcome(0), AdmissionOutcome::Admitted);
-        assert_eq!(c.force_admit(), Some(1));
-        assert_eq!(c.outcome(1), AdmissionOutcome::Admitted);
-        assert_eq!(c.force_admit(), Some(2));
-        assert_eq!(c.force_admit(), None);
-    }
-
-    #[test]
-    fn streaming_offer_complete_retry_cycle() {
-        let mut c = AdmissionController::new(AdmissionPolicy::Queue, Vec::new(), Vec::new());
+    fn offer_complete_retry_cycle() {
+        let mut c = AdmissionController::new(AdmissionPolicy::Queue);
         assert_eq!(c.live_load_ppm(), 0);
         // First session fits, second queues, zero-utilization always runs.
-        assert_eq!(
-            c.offer(700_000, Criticality::Hard),
-            (0, AdmissionOutcome::Admitted)
-        );
-        assert_eq!(
-            c.offer(700_000, Criticality::Soft),
-            (1, AdmissionOutcome::Queued)
-        );
-        assert_eq!(
-            c.offer(0, Criticality::BestEffort),
-            (2, AdmissionOutcome::Admitted)
-        );
+        assert_eq!(c.offer(700_000), (0, AdmissionOutcome::Admitted));
+        assert_eq!(c.offer(700_000), (1, AdmissionOutcome::Queued));
+        assert_eq!(c.offer(0), (2, AdmissionOutcome::Admitted));
         assert_eq!(c.live_load_ppm(), 700_000);
         // Still over the bound: the queued session stays queued.
         assert!(!c.retry_one(1));
-        // Session 0 departs; its utilization frees and the retry succeeds.
+        // Session 0 finishes; its utilization frees and the retry succeeds.
         c.complete(0);
         c.complete(0); // idempotent
         assert_eq!(c.live_load_ppm(), 0);
@@ -422,22 +258,16 @@ mod tests {
     }
 
     #[test]
-    fn streaming_reject_and_admit_anyway() {
-        let mut c = AdmissionController::new(AdmissionPolicy::Reject, Vec::new(), Vec::new());
-        assert_eq!(
-            c.offer(900_000, Criticality::Hard),
-            (0, AdmissionOutcome::Admitted)
-        );
-        assert_eq!(
-            c.offer(200_000, Criticality::Soft),
-            (1, AdmissionOutcome::Rejected)
-        );
+    fn reject_and_admit_anyway() {
+        let mut c = AdmissionController::new(AdmissionPolicy::Reject);
+        assert_eq!(c.offer(900_000), (0, AdmissionOutcome::Admitted));
+        assert_eq!(c.offer(200_000), (1, AdmissionOutcome::Rejected));
         // A rejected session never joins the live load, even on complete.
         c.complete(1);
         assert_eq!(c.live_load_ppm(), 900_000);
         // Queue policy: a session that can never fit is force-admittable.
-        let mut q = AdmissionController::new(AdmissionPolicy::Queue, Vec::new(), Vec::new());
-        let (k, v) = q.offer(2_000_000, Criticality::Soft);
+        let mut q = AdmissionController::new(AdmissionPolicy::Queue);
+        let (k, v) = q.offer(2_000_000);
         assert_eq!(v, AdmissionOutcome::Queued, "over the bound on its own");
         assert!(!q.retry_one(k), "no amount of freeing makes it fit");
         q.admit_anyway(k);
@@ -449,13 +279,15 @@ mod tests {
     fn utilization_sum_never_overflows() {
         // A session infeasible *on its own* (u > 100%) is refused, and the
         // u128 accumulator keeps the sum exact even at u64::MAX inputs.
-        let c = AdmissionController::new(
-            AdmissionPolicy::Reject,
-            vec![u64::MAX, u64::MAX, 200_000],
-            vec![Criticality::Hard, Criticality::Hard, Criticality::Soft],
-        );
-        assert_eq!(c.outcome(0), AdmissionOutcome::Rejected);
-        assert_eq!(c.outcome(1), AdmissionOutcome::Rejected);
-        assert_eq!(c.outcome(2), AdmissionOutcome::Admitted);
+        let mut c = AdmissionController::new(AdmissionPolicy::Reject);
+        assert_eq!(c.offer(u64::MAX), (0, AdmissionOutcome::Rejected));
+        assert_eq!(c.offer(u64::MAX), (1, AdmissionOutcome::Rejected));
+        assert_eq!(c.offer(200_000), (2, AdmissionOutcome::Admitted));
+        let mut q = AdmissionController::new(AdmissionPolicy::Queue);
+        for i in 0..3 {
+            q.offer(u64::MAX);
+            q.admit_anyway(i);
+        }
+        assert_eq!(q.live_load_ppm(), u64::MAX, "the reading saturates");
     }
 }

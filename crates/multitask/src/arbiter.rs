@@ -68,9 +68,9 @@ impl fmt::Display for ArbiterPolicy {
     }
 }
 
-/// Owns the partition: one resource grant per tenant, summing exactly to
-/// the fabric pool handed to [`FabricArbiter::new`] (largest-remainder
-/// apportionment loses nothing). Grants are *quantities*; the per-tenant
+/// Owns the partition: one resource grant per tenant plus a free store,
+/// together always summing exactly to the fabric pool handed to
+/// [`FabricArbiter::empty`]. Grants are *quantities*; the per-tenant
 /// machines realise them as disjoint container sets because each tenant's
 /// [`Machine`](mrts_arch::Machine) is resized to its grant.
 #[derive(Debug, Clone)]
@@ -79,33 +79,15 @@ pub struct FabricArbiter {
     pool: Resources,
     slices: Vec<Resources>,
     /// Unassigned fabric: what [`FabricArbiter::park`] returned to the
-    /// arbiter and [`FabricArbiter::admit`] carves new grants from. Always
-    /// `NONE` on the classic batch path, where the pool is split exactly
-    /// among the tenants at construction; the fleet's churn path keeps
-    /// `pool == Σ slices + free` as sessions come and go.
+    /// arbiter and [`FabricArbiter::admit`] carves new grants from
+    /// (`pool == Σ slices + free` as sessions come and go).
     free: Resources,
 }
 
 impl FabricArbiter {
-    /// Partitions `pool` among `weights.len()` tenants.
-    #[must_use]
-    pub fn new(policy: ArbiterPolicy, pool: Resources, weights: &[u64]) -> Self {
-        let slices = match policy {
-            ArbiterPolicy::Static | ArbiterPolicy::Dynamic => pool.split_even(weights.len()),
-            ArbiterPolicy::Proportional => pool.split_weighted(weights),
-        };
-        FabricArbiter {
-            policy,
-            pool,
-            slices,
-            free: Resources::NONE,
-        }
-    }
-
     /// An arbiter over `pool` with no tenants yet: the whole pool sits in
     /// the free store and grants are created incrementally with
-    /// [`FabricArbiter::admit`]. This is the fleet's churn-mode entry
-    /// point; [`FabricArbiter::new`] remains the batch path.
+    /// [`FabricArbiter::admit`].
     #[must_use]
     pub fn empty(policy: ArbiterPolicy, pool: Resources) -> Self {
         FabricArbiter {
@@ -134,7 +116,7 @@ impl FabricArbiter {
     /// Parks tenant `i`'s grant back into the free store, leaving it only
     /// `keep` (its permanently failed containers). Returns what was freed.
     /// Unlike [`FabricArbiter::release`] this works under every policy and
-    /// never re-partitions — it is the churn path's departure primitive.
+    /// never re-partitions — it is the fleet's departure primitive.
     ///
     /// # Panics
     ///
@@ -159,12 +141,6 @@ impl FabricArbiter {
         self.slices[from] = self.slices[from].saturating_sub(moved);
         self.free += moved;
         moved
-    }
-
-    /// The discipline in force.
-    #[must_use]
-    pub fn policy(&self) -> ArbiterPolicy {
-        self.policy
     }
 
     /// The total pool being partitioned.
@@ -244,6 +220,20 @@ impl FabricArbiter {
 mod tests {
     use super::*;
 
+    /// One tenant per weight on the runner's up-front partition: an even
+    /// split of `pool`, weighted under [`ArbiterPolicy::Proportional`].
+    fn partitioned(policy: ArbiterPolicy, pool: Resources, weights: &[u64]) -> FabricArbiter {
+        let slices = match policy {
+            ArbiterPolicy::Proportional => pool.split_weighted(weights),
+            ArbiterPolicy::Static | ArbiterPolicy::Dynamic => pool.split_even(weights.len()),
+        };
+        let mut a = FabricArbiter::empty(policy, pool);
+        for slice in slices {
+            a.admit(slice);
+        }
+        a
+    }
+
     #[test]
     fn partitions_cover_the_pool_exactly() {
         let pool = Resources::new(6, 4);
@@ -252,7 +242,7 @@ mod tests {
             ArbiterPolicy::Proportional,
             ArbiterPolicy::Dynamic,
         ] {
-            let a = FabricArbiter::new(policy, pool, &[1, 2, 3]);
+            let a = partitioned(policy, pool, &[1, 2, 3]);
             let total: Resources = a.slices().iter().copied().sum();
             assert_eq!(total, pool, "{policy} loses or invents resources");
             for s in a.slices() {
@@ -263,7 +253,7 @@ mod tests {
 
     #[test]
     fn proportional_follows_weights() {
-        let a = FabricArbiter::new(ArbiterPolicy::Proportional, Resources::new(6, 3), &[1, 2]);
+        let a = partitioned(ArbiterPolicy::Proportional, Resources::new(6, 3), &[1, 2]);
         assert_eq!(a.grant(0), Resources::new(2, 1));
         assert_eq!(a.grant(1), Resources::new(4, 2));
     }
@@ -271,7 +261,7 @@ mod tests {
     #[test]
     fn dynamic_release_redistributes_by_demand_and_only_grows() {
         let pool = Resources::new(6, 6);
-        let mut a = FabricArbiter::new(ArbiterPolicy::Dynamic, pool, &[1, 1, 1]);
+        let mut a = partitioned(ArbiterPolicy::Dynamic, pool, &[1, 1, 1]);
         let before: Vec<Resources> = a.slices().to_vec();
         assert_eq!(before, vec![Resources::new(2, 2); 3]);
         let changed = a.release(1, Resources::NONE, &[(0, 100), (2, 300)]);
@@ -289,7 +279,7 @@ mod tests {
 
     #[test]
     fn dynamic_release_pins_failed_resources() {
-        let mut a = FabricArbiter::new(ArbiterPolicy::Dynamic, Resources::new(4, 4), &[1, 1]);
+        let mut a = partitioned(ArbiterPolicy::Dynamic, Resources::new(4, 4), &[1, 1]);
         let changed = a.release(0, Resources::new(1, 0), &[(1, 10)]);
         assert!(changed);
         assert_eq!(a.grant(0), Resources::new(1, 0), "dead slots stay put");
@@ -299,7 +289,7 @@ mod tests {
     #[test]
     fn static_and_proportional_never_repartition() {
         for policy in [ArbiterPolicy::Static, ArbiterPolicy::Proportional] {
-            let mut a = FabricArbiter::new(policy, Resources::new(4, 4), &[1, 1]);
+            let mut a = partitioned(policy, Resources::new(4, 4), &[1, 1]);
             let before = a.slices().to_vec();
             assert!(!a.release(0, Resources::NONE, &[(1, 10)]));
             assert_eq!(a.slices(), before.as_slice());
@@ -308,7 +298,7 @@ mod tests {
 
     #[test]
     fn release_with_no_actives_parks_the_freed_slice() {
-        let mut a = FabricArbiter::new(ArbiterPolicy::Dynamic, Resources::new(4, 4), &[1]);
+        let mut a = partitioned(ArbiterPolicy::Dynamic, Resources::new(4, 4), &[1]);
         assert!(!a.release(0, Resources::NONE, &[]));
         assert_eq!(a.grant(0), Resources::NONE);
         assert_eq!(a.free(), Resources::new(4, 4), "freed slice is parked");
@@ -348,7 +338,7 @@ mod tests {
     #[test]
     fn transfer_moves_clamped_amount_and_conserves_the_pool() {
         let pool = Resources::new(4, 4);
-        let mut a = FabricArbiter::new(ArbiterPolicy::Static, pool, &[1, 1]);
+        let mut a = partitioned(ArbiterPolicy::Static, pool, &[1, 1]);
         assert_eq!(a.grant(0), Resources::new(2, 2));
         // Ask for more than tenant 0 holds: the move clamps.
         let moved = a.transfer(0, 1, Resources::new(3, 1));

@@ -17,6 +17,13 @@
 //! * when a tenant finishes, the dynamic arbiter redistributes its freed
 //!   slice by remaining RISC demand and each beneficiary's machine is
 //!   grown in place (a re-partition cost is charged once, globally).
+//!
+//! Every session goes through one life cycle, whether it is part of an
+//! up-front batch ([`run_multitask`]) or arrives mid-run from the fleet:
+//! [`MultitaskRunner::admit_session`] builds it on a slice carved from the
+//! arbiter's free store, [`MultitaskRunner::step`] runs it block by block,
+//! and [`MultitaskRunner::finish_session`] or
+//! [`MultitaskRunner::depart_session`] settles its departure.
 
 use crate::admission::{AdmissionController, AdmissionOutcome, AdmissionPolicy};
 use crate::arbiter::{ArbiterPolicy, FabricArbiter};
@@ -24,10 +31,11 @@ use crate::scheduler::SchedulerKind;
 use crate::slo::{ladder_cap, Criticality, Slo, SloSnapshot, LADDER_BOTTOM};
 use mrts_arch::{ArchError, ArchParams, Cycles, FaultModel, Machine, Resources, SwitchCosts};
 use mrts_baselines::{make_policy, PolicyTuning, ProfiledTotals};
-use mrts_ise::{IseCatalog, KernelId};
+use mrts_ise::{BlockId, IseCatalog, KernelId};
 use mrts_sim::timeline::{EventSink, SimEvent, Timeline, VecSink};
 use mrts_sim::{MultitaskStats, RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator, TenantStats};
 use mrts_workload::Trace;
+use std::cmp::Reverse;
 use std::fmt;
 
 /// One application competing for the machine.
@@ -208,13 +216,11 @@ struct Tenant<'a> {
     /// The tenant's SLO, if any.
     slo: Option<Slo>,
     /// Global-clock time the session was admitted (deadlines are relative
-    /// to it; zero for sessions admitted up front).
+    /// to it).
     arrival: Cycles,
-    /// Whether the session may run (admission verdict, possibly flipped
-    /// later under the queueing policy).
-    admitted: bool,
-    /// Whether the session was rejected outright (never runs).
-    rejected: bool,
+    /// The admission verdict: only an admitted session runs; a queued one
+    /// may be admitted later, a rejected one never runs.
+    verdict: AdmissionOutcome,
     /// Current degradation-ladder level (0 = full entitlement … 3 = RISC).
     level: u8,
     /// Core cycles of service this tenant has consumed so far (the
@@ -224,16 +230,15 @@ struct Tenant<'a> {
     stats: TenantStats,
 }
 
+/// Absolute due time `arrival + period·blocks`, saturating: a deadline
+/// past `u64::MAX` cycles is no deadline at all, so it is never missed.
+fn due(arrival: Cycles, period: Cycles, blocks: u64) -> Cycles {
+    arrival.saturating_add(Cycles::new(period.get().saturating_mul(blocks)))
+}
+
 impl Tenant<'_> {
     fn runnable(&self) -> bool {
-        self.admitted && !self.rejected && self.cursor < self.trace.len()
-    }
-
-    /// An admitted session that has run its whole trace (queued and
-    /// rejected sessions are never *done* — their utilization was never
-    /// counted).
-    fn done(&self) -> bool {
-        self.admitted && self.cursor >= self.trace.len()
+        self.verdict == AdmissionOutcome::Admitted && self.cursor < self.trace.len()
     }
 
     fn remaining_demand(&self) -> u64 {
@@ -248,37 +253,30 @@ impl Tenant<'_> {
         self.exhausted_blocks * 2 > self.cursor as u64
     }
 
-    /// Absolute deadline of the *next* block (per-block period), capped by
-    /// the session deadline. `None` without an SLO or before admission.
-    fn next_deadline(&self) -> Option<Cycles> {
-        if !self.admitted {
+    /// Absolute deadline by which the first `blocks` blocks are due: the
+    /// `blocks`-th periodic due time or the session deadline, whichever is
+    /// sooner. `None` without an SLO or unless admitted.
+    fn due_by(&self, blocks: u64) -> Option<Cycles> {
+        if self.verdict != AdmissionOutcome::Admitted {
             return None;
         }
         let slo = self.slo?;
-        let block = slo
-            .block_period
-            .map(|p| self.arrival + p * (self.cursor as u64 + 1));
-        let session = slo.session_deadline.map(|d| self.arrival + d);
+        let block = slo.block_period.map(|p| due(self.arrival, p, blocks));
+        let session = slo.session_deadline.map(|d| due(self.arrival, d, 1));
         match (block, session) {
             (Some(b), Some(s)) => Some(b.min(s)),
             (b, s) => b.or(s),
         }
     }
 
-    /// Absolute deadline of the whole remaining session: the last block's
-    /// periodic due time or the session deadline, whichever is sooner.
+    /// Absolute deadline of the *next* block.
+    fn next_deadline(&self) -> Option<Cycles> {
+        self.due_by(self.cursor as u64 + 1)
+    }
+
+    /// Absolute deadline of the whole remaining session.
     fn final_deadline(&self) -> Option<Cycles> {
-        if !self.admitted {
-            return None;
-        }
-        let slo = self.slo?;
-        let blocks = self.trace.len() as u64;
-        let last = slo.block_period.map(|p| self.arrival + p * blocks);
-        let session = slo.session_deadline.map(|d| self.arrival + d);
-        match (last, session) {
-            (Some(b), Some(s)) => Some(b.min(s)),
-            (b, s) => b.or(s),
-        }
+        self.due_by(self.trace.len() as u64)
     }
 
     /// Projected cycles of service left, scaling the remaining RISC demand
@@ -358,6 +356,37 @@ impl Tenant<'_> {
             }
         }
     }
+
+    /// Scores one deadline of `block` against the tenant's current time:
+    /// counts it and, on a miss, records the tardiness and puts a
+    /// [`SimEvent::DeadlineMiss`] on the spine.
+    fn score_deadline(
+        &mut self,
+        deadline: Cycles,
+        block: BlockId,
+        tag: u32,
+        shared: Option<&VecSink>,
+    ) {
+        let finish = self.sim.now();
+        self.stats.slo_deadlines += 1;
+        if finish > deadline {
+            let tardiness = finish - deadline;
+            self.stats.deadline_misses += 1;
+            self.stats.tardiness.push(tardiness.get());
+            if let Some(s) = shared {
+                s.clone().emit(
+                    tag,
+                    SimEvent::DeadlineMiss {
+                        at: finish,
+                        tenant: tag,
+                        block,
+                        deadline,
+                        tardiness,
+                    },
+                );
+            }
+        }
+    }
 }
 
 impl fmt::Debug for Tenant<'_> {
@@ -376,7 +405,8 @@ impl fmt::Debug for Tenant<'_> {
 /// either releases, which only grow grants, or deeper loans, which pop
 /// first). `prior_level` is the victim's ladder level before this loan,
 /// restored verbatim on unwind (a demotion may jump several levels when
-/// the intermediate caps would free nothing — see [`demotion_plan`]).
+/// the intermediate caps would free nothing — see
+/// [`MultitaskRunner::demotion_plan`]).
 #[derive(Debug, Clone, Copy)]
 struct Loan {
     victim: usize,
@@ -431,15 +461,6 @@ pub fn estimate_utilization_ppm(spec: &TenantSpec<'_>, slice: Resources) -> u64 
         util = util.max(total * 1_000_000 / u128::from(d.get().max(1)));
     }
     u64::try_from(util).unwrap_or(u64::MAX)
-}
-
-/// Re-realises an arbiter grant on a tenant's machine and selector slice;
-/// returns how many artefacts the resize evicted (only shrinks evict).
-fn resync(tenant: &mut Tenant<'_>, grant: Resources) -> u64 {
-    let target = grant.saturating_sub(tenant.sim.machine().failed_resources());
-    let evicted = tenant.sim.machine_mut().resize_capacity(target);
-    tenant.policy.set_resource_slice(Some(grant));
-    evicted.len() as u64
 }
 
 /// Remaining RISC work per activation suffix (saturating).
@@ -531,181 +552,6 @@ fn prepare_tenants(
     out.into_iter()
         .map(|r| r.expect("every tenant stripe was processed"))
         .collect()
-}
-
-/// What demoting tenant `v` would free: the shallowest ladder level below
-/// its current one whose cap of `v`'s *entitlement* (grant plus fabric
-/// loaned out minus fabric loaned in — so nested demotions halve the
-/// original share, not the already-shrunken one) releases a non-empty
-/// part of the current grant. Permanently failed slots never move. A
-/// tiny slice can have levels that free nothing (a lone PRC survives the
-/// halving cap unchanged); the demotion jumps past them rather than
-/// wedging the ladder. `None` if no level down to [`LADDER_BOTTOM`]
-/// frees anything.
-fn demotion_plan(
-    tenants: &[Tenant<'_>],
-    arbiter: &FabricArbiter,
-    loans: &[Loan],
-    v: usize,
-) -> Option<(u8, Resources)> {
-    let mut entitlement = arbiter.grant(v);
-    let mut loaned_in = Resources::NONE;
-    for loan in loans {
-        if loan.victim == v {
-            entitlement += loan.amount;
-        }
-        if loan.beneficiary == v {
-            loaned_in += loan.amount;
-        }
-    }
-    let entitlement = entitlement.saturating_sub(loaned_in);
-    let pinned = tenants[v].sim.machine().failed_resources();
-    for level in tenants[v].level + 1..=LADDER_BOTTOM {
-        let cap = ladder_cap(level, entitlement).max(pinned);
-        let freed = arbiter.grant(v).saturating_sub(cap);
-        if !freed.is_empty() {
-            return Some((level, freed));
-        }
-    }
-    None
-}
-
-/// One laxity-monitor decision, taken after every completed block when the
-/// ladder is armed and some tenant has an SLO: at most one promotion (pop
-/// the top loan once its beneficiary has ≥ 25 % of its remaining time as
-/// slack — hysteresis against thrash) and at most one demotion (move the
-/// slack-richest safe victim down to the shallowest level that frees
-/// fabric and loan what was freed to the tardiest slice-constrained
-/// tenant). Degrade-don't-drop: work is never dropped or starved, it
-/// only runs with less acceleration.
-#[allow(clippy::too_many_arguments)]
-fn ladder_step(
-    tenants: &mut [Tenant<'_>],
-    arbiter: &mut FabricArbiter,
-    loans: &mut Vec<Loan>,
-    clock: &mut Timeline,
-    out: &mut MultitaskStats,
-    cfg: &MultitaskConfig,
-    shared: Option<&VecSink>,
-    tags: &[u32],
-) {
-    let now = clock.now();
-
-    // (a) Climb back: the *top* loan (LIFO) is returnable once its
-    // beneficiary's laxity is comfortably positive again.
-    if let Some(&loan) = loans.last() {
-        let b = &tenants[loan.beneficiary];
-        let promote = if b.runnable() {
-            match (b.laxity(now), b.final_deadline()) {
-                (Some(l), Some(d)) => l > 0 && 4 * l > i128::from(d.get()) - i128::from(now.get()),
-                _ => true, // no deadline left to protect
-            }
-        } else {
-            true
-        };
-        if promote {
-            loans.pop();
-            out.repartitions += 1;
-            out.repartition_cycles += cfg.costs.repartition;
-            clock.advance_by(cfg.costs.repartition);
-            arbiter.transfer(loan.beneficiary, loan.victim, loan.amount);
-            let from_level = tenants[loan.victim].level;
-            let to_level = loan.prior_level;
-            tenants[loan.victim].level = to_level;
-            tenants[loan.victim].stats.promote_steps += 1;
-            let b_grant = arbiter.grant(loan.beneficiary);
-            let evicted = resync(&mut tenants[loan.beneficiary], b_grant);
-            tenants[loan.beneficiary].stats.repartition_evictions += evicted;
-            let v_grant = arbiter.grant(loan.victim);
-            resync(&mut tenants[loan.victim], v_grant);
-            if let Some(s) = shared {
-                let at = clock.now();
-                s.clone().emit(
-                    tags[loan.victim],
-                    SimEvent::DegradeStep {
-                        at,
-                        tenant: tags[loan.victim],
-                        from_level,
-                        to_level,
-                        cg: v_grant.cg(),
-                        prc: v_grant.prc(),
-                    },
-                );
-            }
-        }
-    }
-
-    // (b) Shed speedup: the tardiest slice-constrained tenant borrows
-    // fabric from the slack-richest victim that stays safe at RISC speed.
-    let now = clock.now();
-    let beneficiary = (0..tenants.len())
-        .filter(|&i| {
-            let x = &tenants[i];
-            x.runnable()
-                && (x.slice_constrained() || x.fabric_limited(arbiter.grant(i), arbiter.pool()))
-                && x.remaining_demand() >= cfg.repartition_min_demand.get()
-                && x.laxity(now).is_some_and(|l| l < 0)
-        })
-        .min_by_key(|&i| (tenants[i].laxity(now).unwrap_or(i128::MAX), i));
-    let Some(b) = beneficiary else { return };
-    let victim = (0..tenants.len())
-        .filter(|&i| {
-            i != b
-                && tenants[i].runnable()
-                && tenants[i].level < LADDER_BOTTOM
-                && tenants[i].safe_to_demote(now)
-        })
-        .filter_map(|i| {
-            let (to_level, freed) = demotion_plan(tenants, arbiter, loans, i)?;
-            let slack = tenants[i].laxity(now).unwrap_or(i128::MAX);
-            Some((i, to_level, freed, slack))
-        })
-        .max_by_key(|&(i, _, _, slack)| (slack, std::cmp::Reverse(i)));
-    let Some((v, to_level, freed, _)) = victim else {
-        return;
-    };
-
-    let moved = arbiter.transfer(v, b, freed);
-    let from_level = tenants[v].level;
-    loans.push(Loan {
-        victim: v,
-        beneficiary: b,
-        amount: moved,
-        prior_level: from_level,
-    });
-    tenants[v].level = to_level;
-    tenants[v].stats.degrade_steps += 1;
-    out.repartitions += 1;
-    out.repartition_cycles += cfg.costs.repartition;
-    clock.advance_by(cfg.costs.repartition);
-    let v_grant = arbiter.grant(v);
-    let evicted = resync(&mut tenants[v], v_grant);
-    tenants[v].stats.repartition_evictions += evicted;
-    let b_grant = arbiter.grant(b);
-    resync(&mut tenants[b], b_grant);
-    if let Some(s) = shared {
-        let at = clock.now();
-        s.clone().emit(
-            tags[v],
-            SimEvent::DegradeStep {
-                at,
-                tenant: tags[v],
-                from_level,
-                to_level,
-                cg: v_grant.cg(),
-                prc: v_grant.prc(),
-            },
-        );
-        s.clone().emit(
-            tags[b],
-            SimEvent::RepartitionGranted {
-                at,
-                tenant: tags[b],
-                cg: b_grant.cg(),
-                prc: b_grant.prc(),
-            },
-        );
-    }
 }
 
 /// Runs `specs` concurrently on one machine of physical `budget` (CG-EDPE
@@ -800,7 +646,7 @@ fn run_inner(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
     /// No admitted session has a block left to run. The caller decides
-    /// what happens next: the batch wrapper force-admits the queue head or
+    /// what happens next: [`run_multitask`] force-admits the queue head or
     /// ends the run; the fleet driver delivers the next arrival instead.
     Idle,
     /// One block activation was dispatched.
@@ -831,15 +677,21 @@ pub enum StepOutcome {
 /// interleaving of the run; [`into_stats`](MultitaskRunner::into_stats)
 /// drains it. Event tags are the caller's (`tags[i]`, fixed at admission),
 /// so a fleet can stamp globally unique session ids on a shard-local run;
-/// the batch path tags tenant `i` as `i`, unchanged.
+/// [`run_multitask`] tags tenant `i` as `i`.
 pub struct MultitaskRunner<'a> {
     params: ArchParams,
     cfg: MultitaskConfig,
     arbiter: FabricArbiter,
     scheduler: Box<dyn crate::scheduler::Scheduler>,
     controller: AdmissionController,
+    /// The tenant behind each admission-controller entry. The up-front
+    /// batch is offered in `(criticality desc, index)` order, and queued
+    /// sessions are retried and force-admitted in that same order. Empty
+    /// when admission is off; sessions admitted after construction bypass
+    /// the controller.
+    offered: Vec<usize>,
     tenants: Vec<Tenant<'a>>,
-    /// External event tag of each tenant (identity on the batch path).
+    /// External event tag of each tenant.
     tags: Vec<u32>,
     loans: Vec<Loan>,
     /// The global clock: the same Timeline core the per-tenant engines
@@ -867,77 +719,15 @@ impl fmt::Debug for MultitaskRunner<'_> {
     }
 }
 
-/// Builds one tenant's live state: a machine resized to its slice, a
-/// private policy instance, and a checked simulator recording under `tag`.
-#[allow(clippy::too_many_arguments)]
-fn build_tenant<'a>(
-    params: &ArchParams,
-    cfg: &MultitaskConfig,
-    shared: Option<&VecSink>,
-    spec: &TenantSpec<'a>,
-    prep: TenantPrep,
-    slice: Resources,
-    index: usize,
-    weight: u64,
-    tag: u32,
-) -> Result<Tenant<'a>, MultitaskError> {
-    let TenantPrep {
-        risc_baseline,
-        demand_suffix,
-    } = prep;
-    let mut machine = match &spec.fault_model {
-        Some(fm) => Machine::with_fault_model(params.clone(), Resources::NONE, fm.clone())?,
-        None => Machine::new(params.clone(), Resources::NONE)?,
-    };
-    let _ = machine.resize_capacity(slice);
-    let totals = ProfiledTotals::from_trace(spec.trace);
-    let mut policy = make_policy(&cfg.policy, spec.catalog, slice, &totals, cfg.tuning)
-        .map_err(MultitaskError::Policy)?;
-    policy.set_resource_slice(Some(slice));
-    let run = RunStats {
-        policy: policy.name(),
-        ..RunStats::default()
-    };
-    let mut sim = Simulator::new(spec.catalog, machine);
-    sim.check_trace(spec.trace)
-        .map_err(|kernel| MultitaskError::Trace {
-            tenant: spec.name.clone(),
-            kernel,
-        })?;
-    if let Some(s) = shared {
-        sim.attach_events(tag, Box::new(s.clone()));
-    }
-    Ok(Tenant {
-        sim,
-        policy,
-        catalog: spec.catalog,
-        trace: spec.trace,
-        cursor: 0,
-        demand_suffix,
-        exhausted_blocks: 0,
-        slo: spec.slo,
-        arrival: Cycles::ZERO,
-        admitted: true,
-        rejected: false,
-        level: 0,
-        service_done: Cycles::ZERO,
-        stats: TenantStats {
-            tenant: index,
-            app: spec.name.clone(),
-            weight,
-            run,
-            risc_baseline,
-            ..TenantStats::default()
-        },
-    })
-}
-
 impl<'a> MultitaskRunner<'a> {
-    /// Builds the runner over an up-front batch of tenants (possibly
-    /// empty — the fleet's churn path starts with zero sessions and the
-    /// whole pool in the arbiter's free store). `record_events` arms the
-    /// shared event buffer; `false` skips every emission at the cost of
-    /// one branch.
+    /// Builds the runner and admits an up-front batch of tenants at time
+    /// zero (possibly none — the fleet's churn path starts with the whole
+    /// pool in the arbiter's free store). Each tenant gets an even share
+    /// of the pool (weighted under [`ArbiterPolicy::Proportional`]); the
+    /// admission controller then prices the batch in criticality order,
+    /// and the slices of rejected tenants go back to the others.
+    /// `record_events` arms the shared event buffer; `false` skips every
+    /// emission at the cost of one branch.
     ///
     /// # Errors
     ///
@@ -949,17 +739,16 @@ impl<'a> MultitaskRunner<'a> {
         cfg: &MultitaskConfig,
         record_events: bool,
     ) -> Result<Self, MultitaskError> {
-        let shared: Option<VecSink> = record_events.then(VecSink::new);
         // The pool is partitioned in slot units (what `Machine::capacity`
         // reports and every policy-facing `Resources` value uses).
         let pool = Machine::new(params.clone(), budget)?.capacity();
-        let weights: Vec<u64> = specs.iter().map(|s| s.weight.max(1)).collect();
-        let arbiter = if specs.is_empty() {
-            FabricArbiter::empty(cfg.arbiter, pool)
-        } else {
-            FabricArbiter::new(cfg.arbiter, pool, &weights)
+        let slices = match cfg.arbiter {
+            ArbiterPolicy::Proportional => {
+                let weights: Vec<u64> = specs.iter().map(|s| s.weight.max(1)).collect();
+                pool.split_weighted(&weights)
+            }
+            ArbiterPolicy::Static | ArbiterPolicy::Dynamic => pool.split_even(specs.len()),
         };
-        let scheduler = cfg.scheduler.build(&weights);
 
         // Per-tenant setup: the one phase of a multi-tenant run where
         // tenants are fully independent of each other (no shared clock, no
@@ -972,11 +761,12 @@ impl<'a> MultitaskRunner<'a> {
         let mut runner = MultitaskRunner {
             params,
             cfg: cfg.clone(),
-            arbiter,
-            scheduler,
-            controller: AdmissionController::new(AdmissionPolicy::Off, Vec::new(), Vec::new()),
+            arbiter: FabricArbiter::empty(cfg.arbiter, pool),
+            scheduler: cfg.scheduler.build(),
+            controller: AdmissionController::new(cfg.admission),
+            offered: Vec::new(),
             tenants: Vec::with_capacity(specs.len()),
-            tags: (0..specs.len() as u32).collect(),
+            tags: Vec::with_capacity(specs.len()),
             loans: Vec::new(),
             clock: Timeline::new(),
             out: MultitaskStats {
@@ -984,97 +774,45 @@ impl<'a> MultitaskRunner<'a> {
                 ..MultitaskStats::default()
             },
             last: None,
-            shared,
+            shared: record_events.then(VecSink::new),
             any_slo: false,
             runnable: Vec::with_capacity(specs.len()),
             deadlines: Vec::with_capacity(specs.len()),
             laxities: Vec::with_capacity(specs.len()),
         };
-        for ((i, spec), prep) in specs.iter().enumerate().zip(preps) {
-            let slice = runner.arbiter.grant(i);
-            let tenant = build_tenant(
-                &runner.params,
-                &runner.cfg,
-                runner.shared.as_ref(),
-                spec,
-                prep?,
-                slice,
-                i,
-                weights[i],
-                i as u32,
-            )?;
-            runner.tenants.push(tenant);
+        for (i, ((spec, prep), slice)) in specs.iter().zip(preps).zip(slices).enumerate() {
+            runner.admit_session(spec, prep?, slice, i as u32)?;
+        }
+        if cfg.admission == AdmissionPolicy::Off {
+            return Ok(runner);
         }
 
-        // Admission: the feasibility pass over the SLO mix, priced against
+        // Admission: the feasibility test over the SLO mix, priced against
         // each tenant's initial slice.
-        runner.controller = AdmissionController::new(
-            cfg.admission,
-            specs
-                .iter()
-                .enumerate()
-                .map(|(i, s)| estimate_utilization_ppm(s, runner.arbiter.grant(i)))
-                .collect(),
-            specs
-                .iter()
-                .map(|s| s.slo.map_or(Criticality::BestEffort, |x| x.criticality))
-                .collect(),
-        );
-        if cfg.admission != AdmissionPolicy::Off {
-            for (i, tenant) in runner.tenants.iter_mut().enumerate() {
-                let outcome = runner.controller.outcome(i);
-                tenant.stats.admission = outcome.label().to_string();
-                match outcome {
-                    AdmissionOutcome::Admitted => {}
-                    AdmissionOutcome::Queued => tenant.admitted = false,
-                    AdmissionOutcome::Rejected => tenant.rejected = true,
-                }
-            }
+        runner.offered = (0..specs.len()).collect();
+        runner.offered.sort_by_key(|&i| {
+            let criticality = specs[i]
+                .slo
+                .map_or(Criticality::BestEffort, |s| s.criticality);
+            (Reverse(criticality), i)
+        });
+        for &i in &runner.offered {
+            let util = estimate_utilization_ppm(&specs[i], runner.arbiter.grant(i));
+            let (_, outcome) = runner.controller.offer(util);
+            let tenant = &mut runner.tenants[i];
+            tenant.stats.admission = outcome.label().to_string();
+            tenant.verdict = outcome;
         }
         // A rejected session never runs: its slice goes back to the pool
-        // at time zero, uncharged (the run has not started yet).
-        // Beneficiaries are the admitted sessions with enough remaining
-        // work; there is no exhaustion history yet, so that gate is waived
-        // here.
-        for r in 0..runner.tenants.len() {
-            if !runner.tenants[r].rejected {
-                continue;
-            }
-            let keep = runner.tenants[r].sim.machine().failed_resources();
-            let _ = runner.tenants[r].sim.machine_mut().resize_capacity(keep);
-            runner.tenants[r]
-                .policy
-                .set_resource_slice(Some(Resources::NONE));
-            let demands: Vec<(usize, u64)> = runner
-                .tenants
-                .iter()
-                .filter(|x| {
-                    x.runnable() && x.remaining_demand() >= cfg.repartition_min_demand.get()
-                })
-                .map(|x| (x.stats.tenant, x.remaining_demand().max(1)))
-                .collect();
-            if runner.arbiter.release(r, keep, &demands) {
-                for &(i, _) in &demands {
-                    let grant = runner.arbiter.grant(i);
-                    resync(&mut runner.tenants[i], grant);
-                    if let Some(s) = &runner.shared {
-                        s.clone().emit(
-                            runner.tags[i],
-                            SimEvent::RepartitionGranted {
-                                at: Cycles::ZERO,
-                                tenant: runner.tags[i],
-                                cg: grant.cg(),
-                                prc: grant.prc(),
-                            },
-                        );
-                    }
+        // at time zero, uncharged (the run has not started yet). There is
+        // no exhaustion history yet, so that gate is waived here.
+        for r in 0..specs.len() {
+            if runner.tenants[r].verdict == AdmissionOutcome::Rejected {
+                for i in runner.release(r, |_| true) {
+                    runner.regrant(i, true);
                 }
             }
         }
-        runner.any_slo = runner
-            .tenants
-            .iter()
-            .any(|t| t.slo.is_some_and(|s| !s.is_unconstrained()));
         Ok(runner)
     }
 
@@ -1120,17 +858,14 @@ impl<'a> MultitaskRunner<'a> {
         debug_assert!(self.runnable[t], "scheduler picked a finished tenant");
 
         // Context switch: charged only when the core changes hands.
-        if self.last.is_some() && self.last != Some(t) {
-            if let (Some(s), Some(prev)) = (&self.shared, self.last) {
-                let at = self.clock.now();
-                s.clone().emit(
-                    self.tags[prev],
-                    SimEvent::TenantPreempt {
-                        at,
-                        tenant: self.tags[prev],
-                    },
-                );
-            }
+        if let Some(prev) = self.last.filter(|&prev| prev != t) {
+            self.emit_event(
+                self.tags[prev],
+                SimEvent::TenantPreempt {
+                    at: self.clock.now(),
+                    tenant: self.tags[prev],
+                },
+            );
             self.clock.advance_by(self.cfg.costs.context_switch);
             self.out.context_switches += 1;
             self.out.switch_cycles += self.cfg.costs.context_switch;
@@ -1140,6 +875,7 @@ impl<'a> MultitaskRunner<'a> {
         self.last = Some(t);
 
         let tag = self.tags[t];
+        let shared = self.shared.as_ref();
         let tenant = &mut self.tenants[t];
         // Time the tenant spent descheduled; its DMA-driven loads kept
         // streaming meanwhile.
@@ -1150,13 +886,14 @@ impl<'a> MultitaskRunner<'a> {
         // Dispatch is recorded *after* the catch-up settle so the tenant's
         // deferred load completions (timestamps at or before the dispatch)
         // flush first — per-tenant monotonicity.
-        if let Some(s) = &self.shared {
+        if let Some(s) = shared {
             let at = self.clock.now();
             s.clone()
                 .emit(tag, SimEvent::TenantDispatch { at, tenant: tag });
         }
         let t0 = tenant.sim.now();
         let activation = &tenant.trace.activations()[tenant.cursor];
+        let block = activation.block;
         tenant
             .sim
             .step_activation(activation, tenant.policy.as_mut(), &mut tenant.stats.run);
@@ -1172,129 +909,58 @@ impl<'a> MultitaskRunner<'a> {
         // Per-block SLO check: block `cursor-1` was due at
         // `arrival + period·cursor`.
         if let Some(p) = tenant.slo.and_then(|s| s.block_period) {
-            let deadline = tenant.arrival + p * tenant.cursor as u64;
-            let finish = tenant.sim.now();
-            tenant.stats.slo_deadlines += 1;
-            if finish > deadline {
-                let tardiness = finish - deadline;
-                tenant.stats.deadline_misses += 1;
-                tenant.stats.tardiness.push(tardiness.get());
-                if let Some(s) = &self.shared {
-                    s.clone().emit(
-                        tag,
-                        SimEvent::DeadlineMiss {
-                            at: finish,
-                            tenant: tag,
-                            block: activation.block,
-                            deadline,
-                            tardiness,
-                        },
-                    );
-                }
-            }
+            let deadline = due(tenant.arrival, p, tenant.cursor as u64);
+            tenant.score_deadline(deadline, block, tag, shared);
         }
 
-        let finished = if tenant.runnable() {
-            false
-        } else {
+        let finished = !tenant.runnable();
+        if finished {
             tenant.stats.turnaround = self.clock.now();
             // Session-level SLO check at the finish line.
             if let Some(d) = tenant.slo.and_then(|s| s.session_deadline) {
-                let deadline = tenant.arrival + d;
-                let finish = tenant.sim.now();
-                tenant.stats.slo_deadlines += 1;
-                if finish > deadline {
-                    let tardiness = finish - deadline;
-                    tenant.stats.deadline_misses += 1;
-                    tenant.stats.tardiness.push(tardiness.get());
-                    if let Some(s) = &self.shared {
-                        s.clone().emit(
-                            tag,
-                            SimEvent::DeadlineMiss {
-                                at: finish,
-                                tenant: tag,
-                                block: activation.block,
-                                deadline,
-                                tardiness,
-                            },
-                        );
-                    }
-                }
+                let deadline = due(tenant.arrival, d, 1);
+                tenant.score_deadline(deadline, block, tag, shared);
             }
             // Reconfigurations can outlive the trace: drain the tenant's
             // still-deferred completions into the log.
             tenant.sim.finish_events();
-            true
-        };
+        }
         StepOutcome::Ran {
             tenant: t,
             finished,
         }
     }
 
-    /// Settles a finished session the batch way: unwind the loan stack,
-    /// release its slice through the arbiter (redistributing to
-    /// slice-constrained incumbents by remaining demand — the freed part
-    /// no incumbent claims lands in the free store), and re-test the
-    /// admission queue.
+    /// Settles a finished session: unwind the loan stack, release its
+    /// slice through the arbiter (redistributing to slice-constrained
+    /// incumbents by remaining demand — the freed part no incumbent claims
+    /// lands in the free store), and re-test the admission queue.
     pub fn finish_session(&mut self, t: usize) {
         self.unwind_loans();
-        // Release the finished tenant's working containers; its
-        // permanently failed slots stay pinned in place. Evicting the
-        // residual artefacts of a *finished* tenant destroys no useful
-        // work, so this reclamation does not count towards
-        // `repartition_evictions` (which measures work lost by running
-        // tenants to arbiter shrinks).
-        let keep = self.tenants[t].sim.machine().failed_resources();
-        let _ = self.tenants[t].sim.machine_mut().resize_capacity(keep);
-        self.tenants[t]
-            .policy
-            .set_resource_slice(Some(Resources::NONE));
-
         // Beneficiaries: still-active tenants with enough work left to
         // amortise the reconfigurations a bigger slice invites, and whose
         // selector persistently exhausts the slice it already has (see
         // [`Tenant::slice_constrained`]).
-        let demands: Vec<(usize, u64)> = self
-            .tenants
-            .iter()
-            .filter(|x| {
-                x.runnable()
-                    && x.remaining_demand() >= self.cfg.repartition_min_demand.get()
-                    && x.slice_constrained()
-            })
-            .map(|x| (x.stats.tenant, x.remaining_demand().max(1)))
-            .collect();
-        if self.arbiter.release(t, keep, &demands) {
+        let grown = self.release(t, Tenant::slice_constrained);
+        if !grown.is_empty() {
             self.charge_repartition();
-            for &(i, _) in &demands {
-                let grant = self.arbiter.grant(i);
-                let target = grant.saturating_sub(self.tenants[i].sim.machine().failed_resources());
-                let evicted = self.tenants[i].sim.machine_mut().resize_capacity(target);
-                self.tenants[i].stats.repartition_evictions += evicted.len() as u64;
-                self.tenants[i].policy.set_resource_slice(Some(grant));
-                if let Some(s) = &self.shared {
-                    let at = self.clock.now();
-                    s.clone().emit(
-                        self.tags[i],
-                        SimEvent::RepartitionGranted {
-                            at,
-                            tenant: self.tags[i],
-                            cg: grant.cg(),
-                            prc: grant.prc(),
-                        },
-                    );
-                }
+            for i in grown {
+                self.regrant(i, true);
             }
         }
 
         // A finished session's utilization frees up: re-test the admission
-        // queue. Late admissions arrive *now* — their deadlines are
-        // relative to this instant, not time zero.
-        let done: Vec<bool> = self.tenants.iter().map(Tenant::done).collect();
-        for i in self.controller.retry(&done) {
-            self.tenants[i].admitted = true;
-            self.tenants[i].arrival = self.clock.now();
+        // queue in criticality order. Late admissions arrive *now* — their
+        // deadlines are relative to this instant, not time zero. (Every
+        // other done session was completed when it finished, except one
+        // with an empty trace, which never finishes but prices at 0 ppm.)
+        if let Some(k) = self.offered.iter().position(|&i| i == t) {
+            self.controller.complete(k);
+        }
+        for k in 0..self.offered.len() {
+            if self.controller.retry_one(k) {
+                self.admit_queued(k);
+            }
         }
     }
 
@@ -1304,12 +970,96 @@ impl<'a> MultitaskRunner<'a> {
     /// Returns the freed amount.
     pub fn depart_session(&mut self, t: usize) -> Resources {
         self.unwind_loans();
-        let keep = self.tenants[t].sim.machine().failed_resources();
-        let _ = self.tenants[t].sim.machine_mut().resize_capacity(keep);
-        self.tenants[t]
-            .policy
-            .set_resource_slice(Some(Resources::NONE));
+        let keep = self.vacate(t);
         self.arbiter.park(t, keep)
+    }
+
+    /// Releases session `t`'s slice: its working containers go, its
+    /// permanently failed slots stay pinned in place. Evicting the
+    /// residual artefacts of a departed session destroys no useful work,
+    /// so this reclamation does not count towards `repartition_evictions`
+    /// (which measures work lost by running tenants to arbiter shrinks).
+    /// Returns the pinned part.
+    fn vacate(&mut self, t: usize) -> Resources {
+        let tenant = &mut self.tenants[t];
+        let keep = tenant.sim.machine().failed_resources();
+        let _ = tenant.sim.machine_mut().resize_capacity(keep);
+        tenant.policy.set_resource_slice(Some(Resources::NONE));
+        keep
+    }
+
+    /// Vacates session `t` and hands its slice to the arbiter for
+    /// redistribution among the runnable sessions with enough remaining
+    /// work that pass `gate`. Returns those sessions if the partition
+    /// changed (the caller regrants them), else nothing.
+    fn release(&mut self, t: usize, gate: fn(&Tenant<'a>) -> bool) -> Vec<usize> {
+        let keep = self.vacate(t);
+        let min_demand = self.cfg.repartition_min_demand.get();
+        let demands: Vec<(usize, u64)> = self
+            .tenants
+            .iter()
+            .enumerate()
+            .filter(|(_, x)| x.runnable() && x.remaining_demand() >= min_demand && gate(x))
+            .map(|(i, x)| (i, x.remaining_demand().max(1)))
+            .collect();
+        if self.arbiter.release(t, keep, &demands) {
+            demands.into_iter().map(|(i, _)| i).collect()
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Re-realises session `i`'s arbiter grant on its machine and selector
+    /// slice, charging whatever the resize evicted to its stats (only a
+    /// shrink evicts), and puts a [`SimEvent::RepartitionGranted`] on the
+    /// spine if `announce`. Returns the grant.
+    fn regrant(&mut self, i: usize, announce: bool) -> Resources {
+        let grant = self.arbiter.grant(i);
+        let tenant = &mut self.tenants[i];
+        let target = grant.saturating_sub(tenant.sim.machine().failed_resources());
+        let evicted = tenant.sim.machine_mut().resize_capacity(target);
+        tenant.stats.repartition_evictions += evicted.len() as u64;
+        tenant.policy.set_resource_slice(Some(grant));
+        if announce {
+            self.emit_event(
+                self.tags[i],
+                SimEvent::RepartitionGranted {
+                    at: self.clock.now(),
+                    tenant: self.tags[i],
+                    cg: grant.cg(),
+                    prc: grant.prc(),
+                },
+            );
+        }
+        grant
+    }
+
+    /// Moves session `v` to ladder `level`, regrants it and puts the
+    /// [`SimEvent::DegradeStep`] on the spine.
+    fn relevel(&mut self, v: usize, level: u8) {
+        let from_level = std::mem::replace(&mut self.tenants[v].level, level);
+        let grant = self.regrant(v, false);
+        self.emit_event(
+            self.tags[v],
+            SimEvent::DegradeStep {
+                at: self.clock.now(),
+                tenant: self.tags[v],
+                from_level,
+                to_level: level,
+                cg: grant.cg(),
+                prc: grant.prc(),
+            },
+        );
+    }
+
+    /// Pays one ladder loan back: the fabric returns to the victim, which
+    /// climbs back to its prior level.
+    fn return_loan(&mut self, loan: Loan) {
+        self.arbiter
+            .transfer(loan.beneficiary, loan.victim, loan.amount);
+        self.tenants[loan.victim].stats.promote_steps += 1;
+        self.regrant(loan.beneficiary, false);
+        self.relevel(loan.victim, loan.prior_level);
     }
 
     /// Unwinds the whole loan stack (strictly LIFO) *before* any release
@@ -1324,70 +1074,150 @@ impl<'a> MultitaskRunner<'a> {
         }
         self.charge_repartition();
         while let Some(loan) = self.loans.pop() {
-            self.arbiter
-                .transfer(loan.beneficiary, loan.victim, loan.amount);
-            let from_level = self.tenants[loan.victim].level;
-            self.tenants[loan.victim].level = loan.prior_level;
-            self.tenants[loan.victim].stats.promote_steps += 1;
-            let b_grant = self.arbiter.grant(loan.beneficiary);
-            let evicted = resync(&mut self.tenants[loan.beneficiary], b_grant);
-            self.tenants[loan.beneficiary].stats.repartition_evictions += evicted;
-            let v_grant = self.arbiter.grant(loan.victim);
-            resync(&mut self.tenants[loan.victim], v_grant);
-            if let Some(s) = &self.shared {
-                let at = self.clock.now();
-                s.clone().emit(
-                    self.tags[loan.victim],
-                    SimEvent::DegradeStep {
-                        at,
-                        tenant: self.tags[loan.victim],
-                        from_level,
-                        to_level: loan.prior_level,
-                        cg: v_grant.cg(),
-                        prc: v_grant.prc(),
-                    },
-                );
-            }
+            self.return_loan(loan);
         }
     }
 
-    /// One laxity-monitor decision (`ladder_step`) when the ladder is
-    /// armed and some tenant has a constrained SLO; a no-op otherwise.
+    /// What demoting tenant `v` would free: the shallowest ladder level
+    /// below its current one whose cap of `v`'s *entitlement* (grant plus
+    /// fabric loaned out minus fabric loaned in — so nested demotions
+    /// halve the original share, not the already-shrunken one) releases a
+    /// non-empty part of the current grant. Permanently failed slots never
+    /// move. A tiny slice can have levels that free nothing (a lone PRC
+    /// survives the halving cap unchanged); the demotion jumps past them
+    /// rather than wedging the ladder. `None` if no level down to
+    /// [`LADDER_BOTTOM`] frees anything.
+    fn demotion_plan(&self, v: usize) -> Option<(u8, Resources)> {
+        let grant = self.arbiter.grant(v);
+        let mut entitlement = grant;
+        let mut loaned_in = Resources::NONE;
+        for loan in &self.loans {
+            if loan.victim == v {
+                entitlement += loan.amount;
+            }
+            if loan.beneficiary == v {
+                loaned_in += loan.amount;
+            }
+        }
+        let entitlement = entitlement.saturating_sub(loaned_in);
+        let pinned = self.tenants[v].sim.machine().failed_resources();
+        (self.tenants[v].level + 1..=LADDER_BOTTOM).find_map(|level| {
+            let freed = grant.saturating_sub(ladder_cap(level, entitlement).max(pinned));
+            (!freed.is_empty()).then_some((level, freed))
+        })
+    }
+
+    /// One laxity-monitor decision, taken after every completed block: at
+    /// most one promotion (pop the top loan once its beneficiary has ≥ 25 %
+    /// of its remaining time as slack — hysteresis against thrash) and at
+    /// most one demotion (move the slack-richest safe victim down to the
+    /// shallowest level that frees fabric and loan what was freed to the
+    /// tardiest slice-constrained tenant). Degrade-don't-drop: work is
+    /// never dropped or starved, it only runs with less acceleration.
+    fn ladder_step(&mut self) {
+        // (a) Climb back: the *top* loan (LIFO) is returnable once its
+        // beneficiary's laxity is comfortably positive again.
+        if let Some(&loan) = self.loans.last() {
+            let now = self.clock.now();
+            let b = &self.tenants[loan.beneficiary];
+            let promote = !b.runnable()
+                || match (b.laxity(now), b.final_deadline()) {
+                    (Some(l), Some(d)) => {
+                        l > 0 && 4 * l > i128::from(d.get()) - i128::from(now.get())
+                    }
+                    _ => true, // no deadline left to protect
+                };
+            if promote {
+                self.loans.pop();
+                self.charge_repartition();
+                self.return_loan(loan);
+            }
+        }
+
+        // (b) Shed speedup: the tardiest slice-constrained tenant borrows
+        // fabric from the slack-richest victim that stays safe at RISC speed.
+        let now = self.clock.now();
+        let tenants = &self.tenants;
+        let beneficiary = (0..tenants.len())
+            .filter(|&i| {
+                let x = &tenants[i];
+                x.runnable()
+                    && (x.slice_constrained()
+                        || x.fabric_limited(self.arbiter.grant(i), self.arbiter.pool()))
+                    && x.remaining_demand() >= self.cfg.repartition_min_demand.get()
+                    && x.laxity(now).is_some_and(|l| l < 0)
+            })
+            .min_by_key(|&i| (tenants[i].laxity(now).unwrap_or(i128::MAX), i));
+        let Some(b) = beneficiary else { return };
+        let victim = (0..tenants.len())
+            .filter(|&i| {
+                i != b
+                    && tenants[i].runnable()
+                    && tenants[i].level < LADDER_BOTTOM
+                    && tenants[i].safe_to_demote(now)
+            })
+            .filter_map(|i| {
+                let (to_level, freed) = self.demotion_plan(i)?;
+                let slack = tenants[i].laxity(now).unwrap_or(i128::MAX);
+                Some((i, to_level, freed, slack))
+            })
+            .max_by_key(|&(i, _, _, slack)| (slack, Reverse(i)));
+        let Some((v, to_level, freed, _)) = victim else {
+            return;
+        };
+
+        let amount = self.arbiter.transfer(v, b, freed);
+        self.loans.push(Loan {
+            victim: v,
+            beneficiary: b,
+            amount,
+            prior_level: self.tenants[v].level,
+        });
+        self.tenants[v].stats.degrade_steps += 1;
+        self.charge_repartition();
+        self.relevel(v, to_level);
+        self.regrant(b, true);
+    }
+
+    /// One laxity-monitor decision when the ladder is armed and some
+    /// tenant has a constrained SLO; a no-op otherwise.
     pub fn ladder_maybe(&mut self) {
         if self.cfg.degrade && self.any_slo {
-            ladder_step(
-                &mut self.tenants,
-                &mut self.arbiter,
-                &mut self.loans,
-                &mut self.clock,
-                &mut self.out,
-                &self.cfg,
-                self.shared.as_ref(),
-                &self.tags,
-            );
+            self.ladder_step();
         }
     }
 
-    /// Forces queued sessions in until one is runnable (the batch
-    /// wrapper's livelock escape). Returns whether any became runnable.
+    /// Lets the queued session behind controller entry `k` in: it arrives
+    /// *now*, so its deadlines count from this instant.
+    fn admit_queued(&mut self, k: usize) {
+        let tenant = &mut self.tenants[self.offered[k]];
+        tenant.verdict = AdmissionOutcome::Admitted;
+        tenant.arrival = self.clock.now();
+    }
+
+    /// Forces queued sessions in, highest criticality first, until one is
+    /// runnable ([`run_multitask`]'s livelock escape). Returns whether any
+    /// became runnable.
     pub fn force_admit_next(&mut self) -> bool {
-        let mut progressed = false;
-        while let Some(q) = self.controller.force_admit() {
-            self.tenants[q].admitted = true;
-            self.tenants[q].arrival = self.clock.now();
-            if self.tenants[q].runnable() {
-                progressed = true;
-                break;
+        while let Some(k) = (0..self.offered.len())
+            .find(|&k| self.controller.outcome(k) == AdmissionOutcome::Queued)
+        {
+            self.controller.admit_anyway(k);
+            self.admit_queued(k);
+            if self.tenants[self.offered[k]].runnable() {
+                return true;
             }
         }
-        progressed
+        false
     }
 
-    /// Admits one session mid-run at the current clock: carves
-    /// `slice` (clamped to the free store) out of the arbiter, builds the
-    /// tenant, registers it with the scheduler at the incumbents' virtual
-    /// clock (no catch-up monopoly), and tags its events with the caller's
-    /// `tag`. Deadlines are relative to *now*. Returns the local index.
+    /// Admits one session at the current clock: carves `slice` (clamped
+    /// to the free store) out of the arbiter, builds the tenant — a
+    /// machine resized to its grant, a private policy instance and a
+    /// checked simulator — registers it with the scheduler at the
+    /// incumbents' virtual clock (no catch-up monopoly), and tags its
+    /// events with the caller's `tag`. Deadlines are relative to *now*.
+    /// Returns the local index.
     ///
     /// # Errors
     ///
@@ -1401,32 +1231,72 @@ impl<'a> MultitaskRunner<'a> {
         tag: u32,
     ) -> Result<usize, MultitaskError> {
         let index = self.tenants.len();
-        self.runnable.clear();
-        self.runnable
-            .extend(self.tenants.iter().map(Tenant::runnable));
         let weight = spec.weight.max(1);
         let grant = slice.min(self.arbiter.free());
-        let mut tenant = build_tenant(
-            &self.params,
-            &self.cfg,
-            self.shared.as_ref(),
-            spec,
-            prep,
+        let mut machine = match &spec.fault_model {
+            Some(fm) => {
+                Machine::with_fault_model(self.params.clone(), Resources::NONE, fm.clone())?
+            }
+            None => Machine::new(self.params.clone(), Resources::NONE)?,
+        };
+        let _ = machine.resize_capacity(grant);
+        let totals = ProfiledTotals::from_trace(spec.trace);
+        let mut policy = make_policy(
+            &self.cfg.policy,
+            spec.catalog,
             grant,
-            index,
-            weight,
-            tag,
-        )?;
-        tenant.arrival = self.clock.now();
+            &totals,
+            self.cfg.tuning,
+        )
+        .map_err(MultitaskError::Policy)?;
+        policy.set_resource_slice(Some(grant));
+        let run = RunStats {
+            policy: policy.name(),
+            ..RunStats::default()
+        };
+        let mut sim = Simulator::new(spec.catalog, machine);
+        sim.check_trace(spec.trace)
+            .map_err(|kernel| MultitaskError::Trace {
+                tenant: spec.name.clone(),
+                kernel,
+            })?;
+        if let Some(s) = &self.shared {
+            sim.attach_events(tag, Box::new(s.clone()));
+        }
         // The session's private engine starts at the global clock, not at
         // zero — otherwise its first dispatch would count the whole
         // pre-arrival era as waiting time.
-        tenant.sim.advance_to(self.clock.now());
+        sim.advance_to(self.clock.now());
+
         let carved = self.arbiter.admit(slice);
         debug_assert_eq!(carved, index, "arbiter and tenant list diverged");
+        self.runnable.clear();
+        self.runnable
+            .extend(self.tenants.iter().map(Tenant::runnable));
         self.scheduler.register(weight, &self.runnable);
         self.any_slo |= spec.slo.is_some_and(|s| !s.is_unconstrained());
-        self.tenants.push(tenant);
+        self.tenants.push(Tenant {
+            sim,
+            policy,
+            catalog: spec.catalog,
+            trace: spec.trace,
+            cursor: 0,
+            demand_suffix: prep.demand_suffix,
+            exhausted_blocks: 0,
+            slo: spec.slo,
+            arrival: self.clock.now(),
+            verdict: AdmissionOutcome::Admitted,
+            level: 0,
+            service_done: Cycles::ZERO,
+            stats: TenantStats {
+                tenant: index,
+                app: spec.name.clone(),
+                weight,
+                run,
+                risc_baseline: prep.risc_baseline,
+                ..TenantStats::default()
+            },
+        });
         self.tags.push(tag);
         Ok(index)
     }
@@ -1438,23 +1308,8 @@ impl<'a> MultitaskRunner<'a> {
     /// cannot cover a newcomer's base share.
     pub fn reclaim_session(&mut self, t: usize, amount: Resources) -> Resources {
         let moved = self.arbiter.reclaim(t, amount);
-        if moved.is_empty() {
-            return moved;
-        }
-        let grant = self.arbiter.grant(t);
-        let evicted = resync(&mut self.tenants[t], grant);
-        self.tenants[t].stats.repartition_evictions += evicted;
-        if let Some(s) = &self.shared {
-            let at = self.clock.now();
-            s.clone().emit(
-                self.tags[t],
-                SimEvent::RepartitionGranted {
-                    at,
-                    tenant: self.tags[t],
-                    cg: grant.cg(),
-                    prc: grant.prc(),
-                },
-            );
+        if !moved.is_empty() {
+            self.regrant(t, true);
         }
         moved
     }
@@ -1504,35 +1359,10 @@ impl<'a> MultitaskRunner<'a> {
         self.arbiter.grant(t)
     }
 
-    /// Number of sessions ever admitted (local indices are dense).
-    #[must_use]
-    pub fn session_count(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// Whether session `t` still has blocks to run.
-    #[must_use]
-    pub fn is_runnable(&self, t: usize) -> bool {
-        self.tenants[t].runnable()
-    }
-
     /// Whether any session still has blocks to run.
     #[must_use]
     pub fn has_runnable(&self) -> bool {
         self.tenants.iter().any(Tenant::runnable)
-    }
-
-    /// Session `t`'s remaining RISC demand (the arbiter's weight).
-    #[must_use]
-    pub fn remaining_demand(&self, t: usize) -> u64 {
-        self.tenants[t].remaining_demand()
-    }
-
-    /// The aggregate statistics so far (makespan is set on
-    /// [`into_stats`](MultitaskRunner::into_stats)).
-    #[must_use]
-    pub fn stats(&self) -> &MultitaskStats {
-        &self.out
     }
 
     /// Finishes the run: stamps the makespan, folds per-tenant stats into
@@ -1772,6 +1602,163 @@ mod tests {
         assert_eq!(stats.tenants[0].slo_deadlines, 0, "no deadlines scored");
         assert_eq!(stats.tenants[1].admission, "admitted");
         assert_eq!(stats.tenants[1].run.total_executions(), 6 * 300);
+        // Only the admitted session's RISC time is in the aggregate: the
+        // makespan contains none of the rejected one's work.
+        let ran = stats.tenants[1].risc_baseline.get() as f64;
+        assert_eq!(stats.aggregate_speedup(), ran / stats.makespan.get() as f64);
+    }
+
+    /// Runs toy tenants on a (2 CG, 2 PRC) machine under EDF and
+    /// `admission`. Tenant `i` is `(criticality, ppm, blocks)`: it runs
+    /// `blocks` blocks and, unless `ppm` is 0, has a periodic SLO of that
+    /// criticality priced at `ppm` of the core on its initial slice.
+    fn admission_run(
+        admission: AdmissionPolicy,
+        mix: &[(Criticality, u64, usize)],
+    ) -> MultitaskStats {
+        let toy = ToyApp::new();
+        let catalog = toy
+            .application()
+            .build_catalog(ArchParams::default(), None)
+            .unwrap();
+        let traces: Vec<Trace> = mix
+            .iter()
+            .map(|&(_, _, blocks)| synthetic_trace(&toy, &[Pattern::Constant(300)], blocks))
+            .collect();
+        let budget = Resources::new(2, 2);
+        let pool = Machine::new(ArchParams::default(), budget)
+            .unwrap()
+            .capacity();
+        let specs: Vec<TenantSpec<'_>> = mix
+            .iter()
+            .zip(&traces)
+            .zip(pool.split_even(mix.len()))
+            .enumerate()
+            .map(|(i, ((&(criticality, ppm, _), trace), slice))| {
+                let spec = TenantSpec::new(format!("t{i}"), &catalog, trace);
+                if ppm == 0 {
+                    return spec;
+                }
+                let slo = |period| Slo {
+                    session_deadline: None,
+                    block_period: Some(Cycles::new(period)),
+                    criticality,
+                };
+                // At a 1 Mcycle period the price in ppm is the per-block
+                // cost in cycles.
+                let probe = TenantSpec::new("probe", &catalog, trace).with_slo(slo(1_000_000));
+                let per_block = estimate_utilization_ppm(&probe, slice);
+                spec.with_slo(slo(per_block * 1_000_000 / ppm))
+            })
+            .collect();
+        let cfg = MultitaskConfig {
+            scheduler: SchedulerKind::EarliestDeadline,
+            admission,
+            ..MultitaskConfig::default()
+        };
+        run_multitask(ArchParams::default(), budget, &specs, &cfg).unwrap()
+    }
+
+    fn verdicts(stats: &MultitaskStats) -> Vec<&str> {
+        stats.tenants.iter().map(|t| t.admission.as_str()).collect()
+    }
+
+    #[test]
+    fn reject_prefers_hard_over_soft_over_best_effort() {
+        // Four sessions of 450k ppm each: only two fit. The hard one wins
+        // first, then the lower-indexed soft one, regardless of index order.
+        use Criticality::{BestEffort, Hard, Soft};
+        let stats = admission_run(
+            AdmissionPolicy::Reject,
+            &[
+                (BestEffort, 450_000, 6),
+                (Soft, 450_000, 6),
+                (Hard, 450_000, 6),
+                (Soft, 450_000, 6),
+            ],
+        );
+        assert_eq!(
+            verdicts(&stats),
+            ["rejected", "admitted", "admitted", "rejected"]
+        );
+    }
+
+    #[test]
+    fn queue_admits_on_retry_when_load_frees_up() {
+        use Criticality::{BestEffort, Hard, Soft};
+        let stats = admission_run(
+            AdmissionPolicy::Queue,
+            &[(Hard, 700_000, 6), (Soft, 700_000, 6), (BestEffort, 0, 30)],
+        );
+        assert_eq!(verdicts(&stats), ["admitted", "queued", "admitted"]);
+        let turnaround: Vec<Cycles> = stats.tenants.iter().map(|t| t.turnaround).collect();
+        // Tenant 1 got in when tenant 0 finished, while the long
+        // SLO-free tenant 2 still kept the core busy.
+        assert!(turnaround[0] < turnaround[1], "{turnaround:?}");
+        assert!(turnaround[1] < turnaround[2], "{turnaround:?}");
+    }
+
+    #[test]
+    fn force_admit_picks_highest_criticality_queued() {
+        // Tenants 1 and 2 exceed the core on their own: they only ever
+        // enter through the idle-core force-admit, hard one first.
+        use Criticality::{Hard, Soft};
+        let stats = admission_run(
+            AdmissionPolicy::Queue,
+            &[
+                (Hard, 600_000, 6),
+                (Soft, 2_000_000, 6),
+                (Hard, 2_000_000, 6),
+            ],
+        );
+        assert_eq!(verdicts(&stats), ["admitted", "queued", "queued"]);
+        let turnaround: Vec<Cycles> = stats.tenants.iter().map(|t| t.turnaround).collect();
+        assert!(turnaround[0] < turnaround[2], "{turnaround:?}");
+        assert!(turnaround[2] < turnaround[1], "{turnaround:?}");
+        for t in &stats.tenants {
+            assert_eq!(t.run.total_executions(), 6 * 300, "queueing drops no work");
+        }
+    }
+
+    #[test]
+    fn deadlines_past_the_end_of_time_are_never_missed() {
+        // A 2^63-cycle period puts the second block's due time past
+        // u64::MAX; a u64::MAX session deadline does the same for any
+        // session admitted after time zero. Both mean "no deadline".
+        let (catalog, trace) = toy_setup();
+        let cfg = MultitaskConfig {
+            scheduler: SchedulerKind::EarliestDeadline,
+            ..MultitaskConfig::default()
+        };
+        let specs = [
+            TenantSpec::new("far", &catalog, &trace)
+                .with_slo("hard:9223372036854775808".parse().unwrap()),
+            TenantSpec::new("bg", &catalog, &trace),
+        ];
+        let params = ArchParams::default();
+        let mut runner =
+            MultitaskRunner::new(params.clone(), Resources::new(2, 2), &specs, &cfg, false)
+                .unwrap();
+        assert!(matches!(runner.step(), StepOutcome::Ran { .. }));
+        let late = TenantSpec::new("late", &catalog, &trace)
+            .with_slo("hard:0:18446744073709551615".parse().unwrap());
+        let prep = prep_session(&params, &late).unwrap();
+        runner
+            .admit_session(&late, prep, Resources::NONE, 2)
+            .unwrap();
+        while let StepOutcome::Ran { tenant, finished } = runner.step() {
+            if finished {
+                runner.finish_session(tenant);
+            }
+            runner.ladder_maybe();
+        }
+        let (stats, _) = runner.into_stats();
+        assert_eq!(stats.tenants[0].slo_deadlines, 6);
+        assert_eq!(stats.tenants[2].slo_deadlines, 1);
+        for t in &stats.tenants {
+            assert_eq!(t.deadline_misses, 0, "{} missed a deadline", t.app);
+            assert_eq!(t.run.total_executions(), 6 * 300);
+        }
     }
 
     #[test]

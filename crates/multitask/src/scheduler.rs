@@ -39,15 +39,13 @@ pub trait Scheduler: fmt::Debug {
     /// Accounts `consumed` core cycles to `tenant` after it ran a block.
     fn charge(&mut self, tenant: usize, consumed: Cycles);
 
-    /// Registers a late-arriving tenant, appended after the highest index
-    /// seen so far (the fleet's churn path; the batch path sizes every
-    /// scheduler at build time and never calls this). `weight` is the
-    /// newcomer's share/priority and `runnable` the mask of the *existing*
-    /// tenants at admission time, letting fairness disciplines start the
-    /// newcomer at the virtual clock of the currently backlogged tenants —
-    /// it neither monopolises the core catching up from zero nor pays for
-    /// history it did not have. Stateless disciplines ignore both (this
-    /// default).
+    /// Registers a new tenant, appended after the highest index seen so
+    /// far. `weight` is the newcomer's share/priority and `runnable` the
+    /// mask of the *existing* tenants at admission time, letting fairness
+    /// disciplines start the newcomer at the virtual clock of the
+    /// currently backlogged tenants — a tenant arriving mid-run neither
+    /// monopolises the core catching up from zero nor pays for history it
+    /// did not have. Stateless disciplines ignore both (this default).
     fn register(&mut self, _weight: u64, _runnable: &[bool]) {}
 }
 
@@ -297,13 +295,14 @@ impl SchedulerKind {
     /// paper's 400 MHz core).
     pub const DEFAULT_QUANTUM: Cycles = Cycles::new(200_000);
 
-    /// Builds the scheduler for `weights.len()` tenants.
+    /// Builds the scheduler with no tenants yet; each one joins through
+    /// [`Scheduler::register`].
     #[must_use]
-    pub fn build(&self, weights: &[u64]) -> Box<dyn Scheduler> {
+    pub fn build(&self) -> Box<dyn Scheduler> {
         match self {
             SchedulerKind::RoundRobin(q) => Box::new(RoundRobin::new(*q)),
-            SchedulerKind::StrictPriority => Box::new(StrictPriority::new(weights)),
-            SchedulerKind::WeightedFair => Box::new(WeightedFair::new(weights)),
+            SchedulerKind::StrictPriority => Box::new(StrictPriority::new(&[])),
+            SchedulerKind::WeightedFair => Box::new(WeightedFair::new(&[])),
             SchedulerKind::EarliestDeadline => Box::new(EarliestDeadline),
             SchedulerKind::LeastLaxity => Box::new(LeastLaxity),
         }
@@ -446,7 +445,7 @@ mod tests {
         ] {
             let kind: SchedulerKind = s.parse().unwrap();
             assert_eq!(kind.to_string(), name);
-            assert_eq!(kind.build(&[1, 1]).name(), name);
+            assert_eq!(kind.build().name(), name);
         }
         assert!("lottery".parse::<SchedulerKind>().is_err());
     }

@@ -378,15 +378,22 @@ pub struct MultitaskStats {
 }
 
 impl MultitaskStats {
-    /// Aggregate speedup: total RISC-only work of all tenants divided by
-    /// the global makespan — how much faster the shared machine finishes
-    /// the whole mix than a bare RISC core running the apps back-to-back.
+    /// Aggregate speedup: total RISC-only work of all tenants that ran
+    /// divided by the global makespan — how much faster the shared machine
+    /// finishes the mix than a bare RISC core running the apps
+    /// back-to-back. Tenants admission rejected never run, so their work
+    /// is not in the makespan and not in the sum either.
     #[must_use]
     pub fn aggregate_speedup(&self) -> f64 {
         if self.makespan == Cycles::ZERO {
             return 0.0;
         }
-        let total_risc: u64 = self.tenants.iter().map(|t| t.risc_baseline.get()).sum();
+        let total_risc: u64 = self
+            .tenants
+            .iter()
+            .filter(|t| t.admission != "rejected")
+            .map(|t| t.risc_baseline.get())
+            .sum();
         total_risc as f64 / self.makespan.get() as f64
     }
 

@@ -22,6 +22,20 @@ use mrts::workload::synthetic::{synthetic_trace, Pattern, ToyApp};
 use mrts::workload::WorkloadModel;
 use proptest::prelude::*;
 
+/// One tenant per weight on the runner's up-front partition: an even
+/// split of `pool`, weighted under [`ArbiterPolicy::Proportional`].
+fn partitioned(policy: ArbiterPolicy, pool: Resources, weights: &[u64]) -> FabricArbiter {
+    let slices = match policy {
+        ArbiterPolicy::Proportional => pool.split_weighted(weights),
+        ArbiterPolicy::Static | ArbiterPolicy::Dynamic => pool.split_even(weights.len()),
+    };
+    let mut arbiter = FabricArbiter::empty(policy, pool);
+    for slice in slices {
+        arbiter.admit(slice);
+    }
+    arbiter
+}
+
 /// Sum of a slice list, for conservation checks.
 fn total(slices: &[Resources]) -> Resources {
     slices.iter().fold(Resources::NONE, |acc, &s| acc + s)
@@ -43,7 +57,7 @@ proptest! {
     ) {
         let policy = [ArbiterPolicy::Static, ArbiterPolicy::Proportional, ArbiterPolicy::Dynamic][policy_ix];
         let pool = Resources::new(cg, prc);
-        let arbiter = FabricArbiter::new(policy, pool, &weights);
+        let arbiter = partitioned(policy, pool, &weights);
         prop_assert_eq!(arbiter.slices().len(), weights.len());
         prop_assert_eq!(total(arbiter.slices()), pool, "partition must cover the pool exactly");
         for &s in arbiter.slices() {
@@ -66,7 +80,7 @@ proptest! {
     ) {
         let pool = Resources::new(cg, prc);
         let weights = vec![1u64; n];
-        let mut arbiter = FabricArbiter::new(ArbiterPolicy::Dynamic, pool, &weights);
+        let mut arbiter = partitioned(ArbiterPolicy::Dynamic, pool, &weights);
         let before: Vec<Resources> = arbiter.slices().to_vec();
 
         // A deterministic pseudo-random finish order.
