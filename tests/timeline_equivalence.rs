@@ -13,7 +13,10 @@
 //!    behaviour change the refactor promised not to make. The admission
 //!    and ladder goldens (`multi_admission_*`, `multi_ladder_spine`, last
 //!    section) pin the multitask runner the same way: they were recorded
-//!    before its up-front and mid-run session paths became one.
+//!    before its up-front and mid-run session paths became one. The spine
+//!    digests (`multi_ladder_spine`, `solo_fault_prefetch_spine`,
+//!    `fleet_spine`) together cover every `SimEvent` variant and pin the
+//!    JSONL bytes of each.
 //! 2. **Property tests** (second half of this file, added with the
 //!    refactor) — attaching an event sink must not perturb the simulation,
 //!    and the emitted event log must satisfy the spine invariants
@@ -22,6 +25,8 @@
 
 use mrts::arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
 use mrts::baselines::{make_policy, PolicyTuning, ProfiledTotals, POLICY_NAMES};
+use mrts::core::{Mrts, MrtsConfig, PrefetchConfig};
+use mrts::fleet::{poisson_arrivals, run_fleet, AppRegistry, FleetConfig, PoissonConfig};
 use mrts::ise::IseCatalog;
 use mrts::multitask::{
     run_multitask, run_multitask_with_events, AdmissionPolicy, MultitaskConfig, SchedulerKind, Slo,
@@ -29,8 +34,9 @@ use mrts::multitask::{
 };
 use mrts::sim::{events_to_jsonl, MultitaskStats, RunStats, SimEvent, Simulator, VecSink};
 use mrts::workload::apps::{CipherApp, FftApp};
+use mrts::workload::h264::H264Encoder;
 use mrts::workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
@@ -426,13 +432,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// One golden line for a whole spine: its event count and the FNV-1a
+/// digest of its `events_to_jsonl` encoding.
+fn spine_digest(events: &[(u32, SimEvent)]) -> String {
+    let spine = events_to_jsonl(events).expect("serialise spine");
+    format!(
+        "{{\"events\":{},\"fnv1a\":\"{:016x}\"}}\n",
+        events.len(),
+        fnv1a(spine.as_bytes())
+    )
+}
+
 /// A three-tenant SLO run on a (1 CG, 1 PRC) machine in which the ladder
-/// demotes and promotes several times and departures regrant fabric. The
-/// golden keeps every ladder and regrant event verbatim, in spine order
-/// (same-timestamp `DegradeStep`/`RepartitionGranted` pairs included),
-/// plus the length and FNV-1a digest of the whole spine.
-#[test]
-fn ladder_event_spine_matches_golden() {
+/// demotes and promotes several times and departures regrant fabric.
+fn ladder_run() -> (MultitaskStats, Vec<(u32, SimEvent)>) {
     let (fft, cat_fft, trace_fft) = testbed(&FftApp::new(), 1);
     let (cipher, cat_cipher, trace_cipher) = testbed(&CipherApp::new(), 2);
     let (_, cat_bg, trace_bg) = testbed(&FftApp::new(), 3);
@@ -457,10 +470,18 @@ fn ladder_event_spine_matches_golden() {
         &mut sink,
     )
     .expect("ladder run succeeds");
+    (stats, sink.take())
+}
+
+/// The golden of [`ladder_run`] keeps every ladder and regrant event
+/// verbatim, in spine order (same-timestamp `DegradeStep`/
+/// `RepartitionGranted` pairs included), plus the length and FNV-1a
+/// digest of the whole spine.
+#[test]
+fn ladder_event_spine_matches_golden() {
+    let (stats, events) = ladder_run();
     assert!(stats.degrade_steps() >= 2, "the ladder must demote");
     assert_eq!(stats.degrade_steps(), stats.promote_steps());
-    let events = sink.take();
-    let spine = events_to_jsonl(&events).expect("serialise spine");
     let mut golden = String::new();
     for (tenant, ev) in &events {
         if matches!(
@@ -470,10 +491,138 @@ fn ladder_event_spine_matches_golden() {
             golden.push_str(&events_to_jsonl(&[(*tenant, ev.clone())]).expect("serialise"));
         }
     }
-    golden.push_str(&format!(
-        "{{\"events\":{},\"fnv1a\":\"{:016x}\"}}\n",
-        events.len(),
-        fnv1a(spine.as_bytes())
-    ));
+    golden.push_str(&spine_digest(&events));
     check_golden("multi_ladder_spine", &golden);
+}
+
+/// H.264 alone on a (2 CG, 16 PRC) machine with speculative prefetch on and
+/// a fault model that fires load CRC failures often enough to exhaust the
+/// retry budget, plus transient execution upsets and lost containers.
+fn solo_fault_prefetch_spine() -> Vec<(u32, SimEvent)> {
+    let enc = H264Encoder::new();
+    let catalog = enc
+        .application()
+        .build_catalog(ArchParams::default(), None)
+        .expect("kernels are mappable");
+    let trace = TraceBuilder::new(&enc).build();
+    let fault = FaultModel::with_rates(0.2, 1e-4, 0.01, 7);
+    let machine = Machine::with_fault_model(ArchParams::default(), Resources::new(2, 16), fault)
+        .expect("valid machine");
+    let mut policy = Mrts::with_config(MrtsConfig {
+        prefetch: PrefetchConfig {
+            enabled: true,
+            confidence_min: 0.5,
+            ..PrefetchConfig::default()
+        },
+        ..MrtsConfig::default()
+    });
+    let mut sim = Simulator::new(&catalog, machine);
+    let sink = VecSink::new();
+    sim.attach_events(0, Box::new(sink.clone()));
+    sim.run_trace(&trace, &mut policy);
+    sim.finish_events();
+    sink.take()
+}
+
+/// A small open-loop fleet of `toy` sessions on two shards, recorded.
+fn fleet_spine() -> Vec<(u32, SimEvent)> {
+    let params = ArchParams::default();
+    let registry = AppRegistry::new(&params, &["toy"], 2, 5, 40).expect("toy registry builds");
+    let records = poisson_arrivals(&PoissonConfig {
+        sessions: 12,
+        mean_gap: 50_000,
+        variants: 2,
+        ..PoissonConfig::default()
+    });
+    let cfg = FleetConfig {
+        fabrics: 2,
+        record_events: true,
+        ..FleetConfig::default()
+    };
+    run_fleet(&params, &registry, &records, &cfg)
+        .expect("fleet run succeeds")
+        .events
+}
+
+#[test]
+fn solo_fault_prefetch_spine_matches_golden() {
+    check_golden(
+        "solo_fault_prefetch_spine",
+        &spine_digest(&solo_fault_prefetch_spine()),
+    );
+}
+
+#[test]
+fn fleet_spine_matches_golden() {
+    check_golden("fleet_spine", &spine_digest(&fleet_spine()));
+}
+
+/// The variant name of an event; the exhaustive `match` makes a new
+/// variant fail to compile here until it is counted in
+/// [`SIM_EVENT_VARIANTS`].
+fn variant_name(ev: &SimEvent) -> &'static str {
+    match ev {
+        SimEvent::BlockStart { .. } => "BlockStart",
+        SimEvent::LoadIssued { .. } => "LoadIssued",
+        SimEvent::LoadReady { .. } => "LoadReady",
+        SimEvent::LoadRejected { .. } => "LoadRejected",
+        SimEvent::EpochBegin { .. } => "EpochBegin",
+        SimEvent::ExecBatch { .. } => "ExecBatch",
+        SimEvent::FaultDetected { fabric: None, .. } => "FaultDetected(fabric: None)",
+        SimEvent::FaultDetected {
+            fabric: Some(_), ..
+        } => "FaultDetected(fabric: Some)",
+        SimEvent::FaultRecovered { .. } => "FaultRecovered",
+        SimEvent::TenantDispatch { .. } => "TenantDispatch",
+        SimEvent::TenantPreempt { .. } => "TenantPreempt",
+        SimEvent::RepartitionGranted { .. } => "RepartitionGranted",
+        SimEvent::DeadlineMiss { .. } => "DeadlineMiss",
+        SimEvent::DegradeStep { .. } => "DegradeStep",
+        SimEvent::PrefetchIssued { .. } => "PrefetchIssued",
+        SimEvent::PrefetchHit { .. } => "PrefetchHit",
+        SimEvent::PrefetchWasted { .. } => "PrefetchWasted",
+        SimEvent::SessionAdmitted { .. } => "SessionAdmitted",
+        SimEvent::SessionDeparted { .. } => "SessionDeparted",
+        SimEvent::BlockEnd { .. } => "BlockEnd",
+    }
+}
+
+/// Number of distinct [`variant_name`]s: the 19 `SimEvent` variants, with
+/// `FaultDetected` counted once per `fabric` shape.
+const SIM_EVENT_VARIANTS: usize = 20;
+
+/// The variant names present in a spine.
+fn variant_names(events: &[(u32, SimEvent)]) -> BTreeSet<&'static str> {
+    events.iter().map(|(_, ev)| variant_name(ev)).collect()
+}
+
+/// The three pinned spines — ladder, solo with faults and prefetch, fleet —
+/// together hold every `SimEvent` variant, so their digests pin the bytes
+/// of every variant's encoding.
+#[test]
+fn pinned_spines_cover_every_variant() {
+    let solo = variant_names(&solo_fault_prefetch_spine());
+    for name in [
+        "FaultDetected(fabric: None)",
+        "FaultDetected(fabric: Some)",
+        "FaultRecovered",
+        "LoadRejected",
+        "PrefetchIssued",
+        "PrefetchHit",
+        "PrefetchWasted",
+    ] {
+        assert!(solo.contains(name), "the solo spine has no {name}");
+    }
+    let fleet = variant_names(&fleet_spine());
+    for name in ["SessionAdmitted", "SessionDeparted"] {
+        assert!(fleet.contains(name), "the fleet spine has no {name}");
+    }
+    let mut seen = variant_names(&ladder_run().1);
+    seen.extend(solo);
+    seen.extend(fleet);
+    assert_eq!(
+        seen.len(),
+        SIM_EVENT_VARIANTS,
+        "the pinned spines miss a variant; seen: {seen:?}"
+    );
 }
