@@ -53,6 +53,4 @@ pub use stats::{
     jain_index, nearest_rank_percentile, BlockStats, ExecClass, FabricStats, FleetStats,
     KernelStats, MultitaskStats, RunStats, SessionStats, TenantStats,
 };
-pub use timeline::{
-    event_to_json, events_to_jsonl, EventSink, RejectReason, SimEvent, Timeline, VecSink,
-};
+pub use timeline::{events_to_jsonl, EventSink, RejectReason, SimEvent, Timeline, VecSink};
