@@ -16,7 +16,10 @@
 //!    before its up-front and mid-run session paths became one. The spine
 //!    digests (`multi_ladder_spine`, `solo_fault_prefetch_spine`,
 //!    `fleet_spine`) together cover every `SimEvent` variant and pin the
-//!    JSONL bytes of each.
+//!    JSONL bytes of each. The retirement goldens (`fleet_churn_*`, one
+//!    per core scheduler, and `multi_queue_pinned_spine`) were recorded
+//!    while the runner still kept every departed tenant; they pin that
+//!    retiring departed sessions changes no pick, grant or event.
 //! 2. **Property tests** (second half of this file, added with the
 //!    refactor) — attaching an event sink must not perturb the simulation,
 //!    and the emitted event log must satisfy the spine invariants
@@ -26,11 +29,13 @@
 use mrts::arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
 use mrts::baselines::{make_policy, PolicyTuning, ProfiledTotals, POLICY_NAMES};
 use mrts::core::{Mrts, MrtsConfig, PrefetchConfig};
-use mrts::fleet::{poisson_arrivals, run_fleet, AppRegistry, FleetConfig, PoissonConfig};
+use mrts::fleet::{
+    poisson_arrivals, run_fleet, AppRegistry, FleetConfig, FleetOutcome, PoissonConfig,
+};
 use mrts::ise::IseCatalog;
 use mrts::multitask::{
     run_multitask, run_multitask_with_events, AdmissionPolicy, MultitaskConfig, SchedulerKind, Slo,
-    TenantSpec,
+    TenantRequest, TenantSpec,
 };
 use mrts::sim::{events_to_jsonl, MultitaskStats, RunStats, SimEvent, Simulator, VecSink};
 use mrts::workload::apps::{CipherApp, FftApp};
@@ -625,4 +630,163 @@ fn pinned_spines_cover_every_variant() {
         SIM_EVENT_VARIANTS,
         "the pinned spines miss a variant; seen: {seen:?}"
     );
+}
+
+// ---------------------------------------------------------------------
+// Tenant-retirement goldens
+// ---------------------------------------------------------------------
+
+/// One golden line for a fleet run: the spine digest plus FNV-1a digests
+/// of the serde encodings of its `FleetStats` and per-shard
+/// `MultitaskStats`, and the counters that show which paths it took.
+fn fleet_digest(out: &FleetOutcome) -> String {
+    let fleet = serde_json::to_string(&out.stats).expect("serialise FleetStats");
+    let shards = serde_json::to_string(&out.shards).expect("serialise MultitaskStats");
+    let sum = |f: fn(&MultitaskStats) -> u64| out.shards.iter().map(f).sum::<u64>();
+    format!(
+        "{{\"accepted\":{},\"rejected\":{},\"queued\":{},\"degrade_steps\":{},\"deadline_misses\":{},\"repartitions\":{},\"fleet_fnv1a\":\"{:016x}\",\"shards_fnv1a\":\"{:016x}\"}}\n{}",
+        out.stats.accepted,
+        out.stats.rejected,
+        out.stats.sessions.iter().filter(|s| s.queued).count(),
+        sum(MultitaskStats::degrade_steps),
+        sum(MultitaskStats::deadline_misses),
+        sum(|s| s.repartitions),
+        fnv1a(fleet.as_bytes()),
+        fnv1a(shards.as_bytes()),
+        spine_digest(&out.events)
+    )
+}
+
+/// A 300-session open-loop churn of fft and cipher sessions on two tight
+/// (2 CG, 2 PRC) shards under `scheduler`, recorded: best-effort sessions
+/// mixed with hard session deadlines and soft block periods tight enough
+/// that the degradation ladder lends and repays fabric while sessions
+/// arrive, queue and depart.
+fn churn_run(scheduler: SchedulerKind) -> FleetOutcome {
+    let params = ArchParams::default();
+    let registry =
+        AppRegistry::new(&params, &["fft", "cipher"], 4, 3, 12).expect("fft+cipher registry");
+    let slo = |s: &str| Some(s.parse::<Slo>().expect("valid SLO"));
+    let records = poisson_arrivals(&PoissonConfig {
+        seed: 5,
+        sessions: 300,
+        mean_gap: 2_500_000,
+        mix: vec![
+            TenantRequest {
+                app: "fft".into(),
+                weight: 1,
+                slo: None,
+            },
+            TenantRequest {
+                app: "cipher".into(),
+                weight: 2,
+                slo: None,
+            },
+            TenantRequest {
+                app: "fft".into(),
+                weight: 1,
+                slo: slo("hard:0:6000000"),
+            },
+            TenantRequest {
+                app: "cipher".into(),
+                weight: 1,
+                slo: slo("soft:300000"),
+            },
+        ],
+        variants: 4,
+    });
+    let cfg = FleetConfig {
+        multitask: MultitaskConfig {
+            scheduler,
+            repartition_min_demand: Cycles::new(50_000),
+            ..MultitaskConfig::default()
+        },
+        fabrics: 2,
+        budget: Resources::new(2, 2),
+        record_events: true,
+        ..FleetConfig::default()
+    };
+    run_fleet(&params, &registry, &records, &cfg).expect("churn run succeeds")
+}
+
+#[test]
+fn fleet_churn_matches_goldens_under_every_scheduler() {
+    for (label, scheduler) in [
+        ("rr0", SchedulerKind::RoundRobin(Cycles::ZERO)),
+        (
+            "rr",
+            SchedulerKind::RoundRobin(SchedulerKind::DEFAULT_QUANTUM),
+        ),
+        ("prio", SchedulerKind::StrictPriority),
+        ("wfq", SchedulerKind::WeightedFair),
+        ("edf", SchedulerKind::EarliestDeadline),
+        ("llf", SchedulerKind::LeastLaxity),
+    ] {
+        let out = churn_run(scheduler);
+        let degrade: u64 = out.shards.iter().map(MultitaskStats::degrade_steps).sum();
+        assert!(degrade > 0, "{label}: the ladder never lent fabric");
+        assert!(
+            out.stats.sessions.iter().any(|s| s.queued),
+            "{label}: no session queued"
+        );
+        check_golden(&format!("fleet_churn_{label}"), &fleet_digest(&out));
+    }
+}
+
+/// The [`admission_mix`] tenants under `Queue` admission on a recorded
+/// run, each on a fabric slice whose loads kill containers now and then:
+/// tenants finish holding permanently failed slots, which stay pinned in
+/// the arbiter while the queued and remaining sessions run on.
+fn pinned_queue_run() -> (MultitaskStats, Vec<(u32, SimEvent)>) {
+    let (fft, cat_fft, trace_fft) = testbed(&FftApp::new(), 1);
+    let (cipher, cat_cipher, trace_cipher) = testbed(&CipherApp::new(), 2);
+    let periodic =
+        |crit: &str, period: u64| -> Slo { format!("{crit}:{period}").parse().expect("valid SLO") };
+    let faults = |seed| FaultModel::with_rates(0.1, 0.0, 0.3, seed);
+    let specs = [
+        TenantSpec::new(cipher.clone(), &cat_cipher, &trace_cipher)
+            .with_slo(periodic("soft", 250_000))
+            .with_fault_model(faults(11)),
+        TenantSpec::new(fft.clone(), &cat_fft, &trace_fft)
+            .with_slo(periodic("hard", 290_000))
+            .with_fault_model(faults(12)),
+        TenantSpec::new(fft, &cat_fft, &trace_fft).with_fault_model(faults(13)),
+        TenantSpec::new(cipher, &cat_cipher, &trace_cipher)
+            .with_slo(periodic("soft", 100_000))
+            .with_fault_model(faults(14)),
+    ];
+    let cfg = MultitaskConfig {
+        scheduler: SchedulerKind::EarliestDeadline,
+        admission: AdmissionPolicy::Queue,
+        repartition_min_demand: Cycles::ZERO,
+        ..MultitaskConfig::default()
+    };
+    let mut sink = VecSink::new();
+    let stats = run_multitask_with_events(
+        ArchParams::default(),
+        Resources::new(3, 2),
+        &specs,
+        &cfg,
+        &mut sink,
+    )
+    .expect("pinned-slot run succeeds");
+    (stats, sink.take())
+}
+
+#[test]
+fn queued_batch_with_pinned_failed_slots_matches_golden() {
+    let (stats, events) = pinned_queue_run();
+    let verdicts: Vec<&str> = stats.tenants.iter().map(|t| t.admission.as_str()).collect();
+    assert_eq!(verdicts, ["queued", "admitted", "admitted", "queued"]);
+    assert!(
+        stats
+            .tenants
+            .iter()
+            .any(|t| t.run.blacklisted_containers > 0 && t.turnaround < stats.makespan),
+        "no tenant finished early holding permanently failed slots"
+    );
+    let mut golden = serde_json::to_string(&stats).expect("serialise MultitaskStats");
+    golden.push('\n');
+    golden.push_str(&spine_digest(&events));
+    check_golden("multi_queue_pinned_spine", &golden);
 }
