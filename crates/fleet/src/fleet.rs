@@ -53,7 +53,8 @@ pub struct FleetConfig {
     pub placement: Placement,
     /// Per-shard fabric budget (in slots).
     pub budget: Resources,
-    /// Width of the fabric-utilization reporting windows.
+    /// Width of the fabric-utilization reporting windows. A run may span
+    /// at most [`MAX_WINDOWS`] of them.
     pub window: Cycles,
     /// Record the merged event spine (session lifecycle + per-tenant
     /// engine events).
@@ -77,6 +78,21 @@ impl Default for FleetConfig {
     }
 }
 
+/// The most fabric-utilization windows a fleet run may span: 4 Mi windows,
+/// a 32 MiB busy-time row per shard. At the default 1 Mcycle window that is
+/// over four trillion cycles, about three hours at the 400 MHz core.
+pub const MAX_WINDOWS: u64 = 1 << 22;
+
+/// The utilization window `at` falls in, or `None` past [`MAX_WINDOWS`].
+fn window_index(at: Cycles, window: u64) -> Option<usize> {
+    let w = at.get() / window;
+    if w < MAX_WINDOWS {
+        usize::try_from(w).ok()
+    } else {
+        None
+    }
+}
+
 /// Errors of [`run_fleet`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
@@ -95,6 +111,16 @@ pub enum FleetError {
         /// What was wrong with it.
         reason: String,
     },
+    /// The run would span more than [`MAX_WINDOWS`] utilization windows
+    /// of `window` cycles: record `index` is submitted, or its session
+    /// runs, past the last one. A wider [`FleetConfig::window`] covers a
+    /// longer run.
+    Window {
+        /// Index of the offending record.
+        index: usize,
+        /// The configured window width, in cycles.
+        window: u64,
+    },
     /// A shard runner failed.
     Multitask(MultitaskError),
 }
@@ -109,6 +135,11 @@ impl std::fmt::Display for FleetError {
             FleetError::BadRecord { index, reason } => {
                 write!(f, "arrival {index}: {reason}")
             }
+            FleetError::Window { index, window } => write!(
+                f,
+                "arrival {index}: arrives or runs past the last of {MAX_WINDOWS} \
+                 utilization windows of {window} cycles (widen `window`)"
+            ),
             FleetError::Multitask(e) => write!(f, "shard runner: {e}"),
         }
     }
@@ -167,12 +198,12 @@ struct Waiting {
     cidx: Option<usize>,
 }
 
-/// Book-keeping for one admitted session, indexed by the shard runner's
-/// dense local tenant index.
+/// Book-keeping for one admitted session, held by the lane it occupies.
 #[derive(Debug, Clone, Copy)]
 struct LocalSession {
+    /// The session's id in the shard runner.
+    tenant: usize,
     global: u32,
-    lane: usize,
     cidx: usize,
     util: u64,
     constrained: bool,
@@ -182,13 +213,11 @@ struct LocalSession {
 struct Shard<'a> {
     runner: MultitaskRunner<'a>,
     controller: AdmissionController,
-    /// Lane occupancy: `lanes[l]` is the local tenant index running in
-    /// lane `l`.
-    lanes: Vec<Option<usize>>,
+    /// Lane occupancy: `lanes[l]` is the session running in lane `l`.
+    lanes: Vec<Option<LocalSession>>,
     /// Fixed base share of each lane.
     bases: Vec<Resources>,
     queue: VecDeque<Waiting>,
-    local: Vec<LocalSession>,
     /// Live SLO-constrained utilization, for criticality-aware placement.
     slo_util_ppm: u64,
     busy_cycles: u64,
@@ -241,10 +270,12 @@ impl<'a> Shard<'a> {
     }
 }
 
-/// Parses and validates the arrival list against the registry.
+/// Parses and validates the arrival list against the registry and the
+/// `window` width.
 fn parse_arrivals(
     registry: &AppRegistry,
     records: &[SessionRecord],
+    window: u64,
 ) -> Result<Vec<Submission>, FleetError> {
     let mut subs = Vec::with_capacity(records.len());
     let mut prev = 0u64;
@@ -273,6 +304,14 @@ fn parse_arrivals(
             submitted: Cycles::new(r.at),
         });
     }
+    // Sorted, so the records past the last window form a suffix.
+    let late = records.partition_point(|r| window_index(Cycles::new(r.at), window).is_some());
+    if late < records.len() {
+        return Err(FleetError::Window {
+            index: late,
+            window,
+        });
+    }
     Ok(subs)
 }
 
@@ -295,14 +334,14 @@ pub fn run_fleet(
     if cfg.ways == 0 {
         return Err(FleetError::Config("ways must be >= 1".into()));
     }
-    let subs = parse_arrivals(registry, records)?;
+    let window = cfg.window.get().max(1);
+    let subs = parse_arrivals(registry, records, window)?;
 
     // Shard runners start empty, with their admission control off: the
     // fleet's per-shard controllers are the admission authority.
     let mut shard_cfg = cfg.multitask.clone();
     shard_cfg.admission = AdmissionPolicy::Off;
     let fleet_admission = cfg.multitask.admission;
-    let window = cfg.window.get().max(1);
 
     let mut shards: Vec<Shard<'_>> = Vec::with_capacity(cfg.fabrics);
     for _ in 0..cfg.fabrics {
@@ -323,7 +362,6 @@ pub fn run_fleet(
             lanes: vec![None; cfg.ways],
             bases,
             queue: VecDeque::new(),
-            local: Vec::new(),
             slo_util_ppm: 0,
             busy_cycles: 0,
             busy_windows: Vec::new(),
@@ -377,7 +415,9 @@ pub fn run_fleet(
             let shard = &mut shards[target];
             // A lagging (necessarily idle) shard catches up to the arrival.
             shard.runner.advance_clock_to(sub.submitted);
+            let global = sub.global;
             submit(registry, shard, target, sub, cfg, dynamic, &mut sessions)?;
+            check_window(shard, window, global)?;
             continue;
         }
 
@@ -411,7 +451,8 @@ pub fn run_fleet(
     // One global spine: stable by-time merge keeps each shard's (already
     // ordered) stream internally ordered on ties.
     events.sort_by_key(|(_, ev)| ev.at());
-    let windows = usize::try_from(makespan.get() / window + 1).unwrap_or(usize::MAX);
+    // Every clock advance was checked against the window bound.
+    let windows = window_index(makespan, window).map_or(MAX_WINDOWS as usize, |w| w + 1);
     for w in &mut busy_windows {
         w.resize(windows, 0);
     }
@@ -538,8 +579,11 @@ fn admit_now<'a>(
                 .lanes
                 .iter()
                 .enumerate()
-                .filter_map(|(l, t)| {
-                    t.map(|t| (t, shard.runner.grant(t).saturating_sub(shard.bases[l])))
+                .filter_map(|(l, s)| {
+                    s.map(|s| {
+                        let t = s.tenant;
+                        (t, shard.runner.grant(t).saturating_sub(shard.bases[l]))
+                    })
                 })
                 .filter(|(_, over)| !over.is_empty())
                 .collect();
@@ -564,20 +608,18 @@ fn admit_now<'a>(
         spec = spec.with_slo(slo);
     }
     let prep = registry.prep(sub.app, sub.variant).clone();
-    let t = shard.runner.admit_session(&spec, prep, base, sub.global)?;
-    shard.lanes[lane] = Some(t);
+    let tenant = shard.runner.admit_session(&spec, prep, base, sub.global)?;
     let constrained = sub.constrained();
     if constrained {
         shard.slo_util_ppm = shard.slo_util_ppm.saturating_add(util);
     }
-    shard.local.push(LocalSession {
+    shard.lanes[lane] = Some(LocalSession {
+        tenant,
         global: sub.global,
-        lane,
         cidx,
         util,
         constrained,
     });
-    debug_assert_eq!(shard.local.len(), t + 1, "local index must stay dense");
     let now = shard.runner.now();
     let g = sub.global as usize;
     sessions[g].fabric = Some(fabric);
@@ -607,24 +649,31 @@ fn step_shard<'a>(
 ) -> Result<(), FleetError> {
     let shard = &mut shards[s];
     let t0 = shard.runner.now();
-    let outcome = shard.runner.step();
-    let t1 = shard.runner.now();
+    let StepOutcome::Ran { tenant, finished } = shard.runner.step() else {
+        return Ok(());
+    };
+    let lane = shard
+        .lanes
+        .iter()
+        .position(|l| l.is_some_and(|m| m.tenant == tenant))
+        .expect("a running session holds a lane");
+    let global = shard.lanes[lane].expect("found above").global;
     // Busy time lands in the window the work started in — windows are a
     // reporting granularity, not a scheduling one.
-    let span = t1.get() - t0.get();
+    let span = shard.runner.now().get() - t0.get();
     if span > 0 {
-        let w = usize::try_from(t0.get() / window).unwrap_or(usize::MAX);
+        let w = window_index(t0, window).ok_or(FleetError::Window {
+            index: global as usize,
+            window,
+        })?;
         if shard.busy_windows.len() <= w {
             shard.busy_windows.resize(w + 1, 0);
         }
         shard.busy_windows[w] += span;
         shard.busy_cycles += span;
     }
-    let StepOutcome::Ran { tenant, finished } = outcome else {
-        return Ok(());
-    };
     if finished {
-        let meta = shard.local[tenant];
+        let meta = shard.lanes[lane].take().expect("found above");
         let now = shard.runner.now();
         let g = meta.global as usize;
         sessions[g].departed_at = now;
@@ -643,7 +692,6 @@ fn step_shard<'a>(
         if meta.constrained {
             shard.slo_util_ppm = shard.slo_util_ppm.saturating_sub(meta.util);
         }
-        shard.lanes[meta.lane] = None;
         if dynamic && shard.queue.is_empty() {
             // No successor waiting: the classic mRTS path — redistribute
             // the freed slice across the survivors by remaining demand.
@@ -656,7 +704,19 @@ fn step_shard<'a>(
         drain_queue(registry, shard, s, dynamic, sessions)?;
     }
     shard.runner.ladder_maybe();
-    Ok(())
+    check_window(shard, window, global)
+}
+
+/// Fails with [`FleetError::Window`], naming session `global`, once the
+/// shard's clock has run past the last utilization window.
+fn check_window(shard: &Shard<'_>, window: u64, global: u32) -> Result<(), FleetError> {
+    match window_index(shard.runner.now(), window) {
+        Some(_) => Ok(()),
+        None => Err(FleetError::Window {
+            index: global as usize,
+            window,
+        }),
+    }
 }
 
 /// Admits queue heads while lanes and admission capacity allow, in strict
@@ -815,6 +875,59 @@ mod tests {
             run_fleet(&params, &registry, &bad, &FleetConfig::default()),
             Err(FleetError::BadRecord { index: 0, .. })
         ));
+    }
+
+    #[test]
+    fn arrivals_past_the_last_window_are_errors_not_allocations() {
+        let params = ArchParams::default();
+        let registry = AppRegistry::new(&params, &["fft", "cipher"], 1, 1, 2).unwrap();
+        let run = |jsonl: &str, window: u64| {
+            let records = crate::records_from_jsonl(jsonl).unwrap();
+            let cfg = FleetConfig {
+                window: Cycles::new(window),
+                ..FleetConfig::default()
+            };
+            run_fleet(&params, &registry, &records, &cfg).map(|_| ())
+        };
+        // Once a `capacity overflow` panic in the busy-window resize.
+        let far = concat!(
+            r#"{"at":0,"app":"fft","weight":1,"slo":"-","variant":0}"#,
+            "\n",
+            r#"{"at":18000000000000000000,"app":"cipher","weight":1,"slo":"-","variant":0}"#,
+            "\n",
+        );
+        let err = run(far, 1).unwrap_err();
+        assert_eq!(
+            err,
+            FleetError::Window {
+                index: 1,
+                window: 1
+            }
+        );
+        assert!(err.to_string().contains("`window`"), "{err}");
+        // Once an attempt to allocate about 80 GB.
+        let late = far.replace("18000000000000000000", "10000000000000000");
+        assert_eq!(
+            run(&late, 1_000_000),
+            Err(FleetError::Window {
+                index: 1,
+                window: 1_000_000
+            })
+        );
+        // A session submitted in the last window that runs past it.
+        let last = format!(
+            r#"{{"at":{},"app":"fft","weight":1,"slo":"-","variant":0}}"#,
+            MAX_WINDOWS - 1
+        );
+        assert_eq!(
+            run(&last, 1),
+            Err(FleetError::Window {
+                index: 0,
+                window: 1
+            })
+        );
+        // A wide enough window serves the same arrivals.
+        assert_eq!(run(far, 1 << 62), Ok(()));
     }
 
     #[test]

@@ -68,20 +68,29 @@ impl fmt::Display for ArbiterPolicy {
     }
 }
 
-/// Owns the partition: one resource grant per tenant plus a free store,
-/// together always summing exactly to the fabric pool handed to
-/// [`FabricArbiter::empty`]. Grants are *quantities*; the per-tenant
-/// machines realise them as disjoint container sets because each tenant's
-/// [`Machine`](mrts_arch::Machine) is resized to its grant.
+/// Owns the partition: one resource grant per live tenant, a free store
+/// and the fabric retired tenants still hold, together always summing
+/// exactly to the fabric pool handed to [`FabricArbiter::empty`]. Grants
+/// are *quantities*; the per-tenant machines realise them as disjoint
+/// container sets because each tenant's [`Machine`](mrts_arch::Machine)
+/// is resized to its grant.
+///
+/// Tenants are addressed by their position in the runner's live list (see
+/// [`Scheduler`](crate::scheduler::Scheduler)): [`FabricArbiter::admit`]
+/// appends one and [`FabricArbiter::retire`] removes one.
 #[derive(Debug, Clone)]
 pub struct FabricArbiter {
     policy: ArbiterPolicy,
     pool: Resources,
     slices: Vec<Resources>,
     /// Unassigned fabric: what [`FabricArbiter::park`] returned to the
-    /// arbiter and [`FabricArbiter::admit`] carves new grants from
-    /// (`pool == Σ slices + free` as sessions come and go).
+    /// arbiter and [`FabricArbiter::admit`] carves new grants from.
     free: Resources,
+    /// What retired tenants kept: their permanently failed slots (under
+    /// the static disciplines, their whole idle slice). It never moves
+    /// again, so `pool == Σ slices + free + retired` as sessions come and
+    /// go.
+    retired: Resources,
 }
 
 impl FabricArbiter {
@@ -95,6 +104,7 @@ impl FabricArbiter {
             pool,
             slices: Vec::new(),
             free: pool,
+            retired: Resources::NONE,
         }
     }
 
@@ -104,8 +114,26 @@ impl FabricArbiter {
         self.free
     }
 
+    /// Fabric held by retired tenants (see [`FabricArbiter::retire`]).
+    #[must_use]
+    pub fn retired(&self) -> Resources {
+        self.retired
+    }
+
+    /// Retires the tenant at position `pos` once it has left for good
+    /// (after [`FabricArbiter::park`] or [`FabricArbiter::release`]): what
+    /// its grant still holds moves to [`FabricArbiter::retired`], and the
+    /// tenants above it move down one position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is not a tenant position.
+    pub fn retire(&mut self, pos: usize) {
+        self.retired += self.slices.remove(pos);
+    }
+
     /// Admits a new tenant with grant `slice` carved out of the free store
-    /// (clamped to what is actually free) and returns its tenant index.
+    /// (clamped to what is actually free) and returns its position.
     pub fn admit(&mut self, slice: Resources) -> usize {
         let granted = slice.min(self.free);
         self.free = self.free.saturating_sub(granted);
@@ -120,7 +148,7 @@ impl FabricArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `i` is not a tenant index.
+    /// Panics if `i` is not a tenant position.
     pub fn park(&mut self, i: usize, keep: Resources) -> Resources {
         let freed = self.slices[i].saturating_sub(keep);
         self.slices[i] = keep;
@@ -135,7 +163,7 @@ impl FabricArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `from` is not a tenant index.
+    /// Panics if `from` is not a tenant position.
     pub fn reclaim(&mut self, from: usize, amount: Resources) -> Resources {
         let moved = amount.min(self.slices[from]);
         self.slices[from] = self.slices[from].saturating_sub(moved);
@@ -153,13 +181,13 @@ impl FabricArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `i` is not a tenant index.
+    /// Panics if `i` is not a tenant position.
     #[must_use]
     pub fn grant(&self, i: usize) -> Resources {
         self.slices[i]
     }
 
-    /// All current grants, in tenant order.
+    /// The grants of the live tenants, in position order.
     #[must_use]
     pub fn slices(&self) -> &[Resources] {
         &self.slices
@@ -169,7 +197,7 @@ impl FabricArbiter {
     /// the part of its grant that cannot move (its permanently failed
     /// containers — hardware damage stays where it happened); the rest is
     /// freed. `demands` lists the still-active tenants as
-    /// `(tenant index, remaining RISC demand)` pairs.
+    /// `(tenant position, remaining RISC demand)` pairs.
     ///
     /// Under [`ArbiterPolicy::Dynamic`] the freed slice is redistributed
     /// to the active tenants by largest-remainder apportionment over their
@@ -205,7 +233,7 @@ impl FabricArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `from` or `to` is not a tenant index.
+    /// Panics if `from` or `to` is not a tenant position.
     pub fn transfer(&mut self, from: usize, to: usize, amount: Resources) -> Resources {
         let moved = amount.min(self.slices[from]);
         if from != to {
@@ -333,6 +361,21 @@ mod tests {
         assert_eq!(a.grant(0), Resources::new(1, 1));
         let held: Resources = a.slices().iter().copied().sum();
         assert_eq!(held + a.free(), pool, "park/reclaim conserve the pool");
+        // Retiring the departed tenant sets its pinned slots aside and
+        // shifts nobody below it.
+        a.retire(2);
+        assert_eq!(a.slices(), [Resources::new(1, 1), share]);
+        assert_eq!(a.retired(), Resources::new(1, 0));
+        let held: Resources = a.slices().iter().copied().sum();
+        assert_eq!(
+            held + a.free() + a.retired(),
+            pool,
+            "retire conserves the pool"
+        );
+        // A retired position is reused by the tenant above it.
+        a.retire(0);
+        assert_eq!(a.grant(0), share);
+        assert_eq!(a.retired(), Resources::new(2, 1));
     }
 
     #[test]

@@ -24,6 +24,16 @@
 //! arbiter's free store, [`MultitaskRunner::step`] runs it block by block,
 //! and [`MultitaskRunner::finish_session`] or
 //! [`MultitaskRunner::depart_session`] settles its departure.
+//!
+//! A session's *id* is its admission index: stable for the whole run, it
+//! names the session in [`StepOutcome::Ran`], in the per-session methods
+//! and in [`TenantStats::tenant`]. The runner iterates only its *live*
+//! list — admitted-and-unfinished or queued sessions, in ascending id
+//! order — and the scheduler and arbiter index their per-tenant state by
+//! position in that list. A departed session is retired from it: its
+//! simulator, policy and scratch are dropped and only its
+//! [`TenantStats`] survive, so a dispatch costs the same however many
+//! sessions came before.
 
 use crate::admission::{AdmissionController, AdmissionOutcome, AdmissionPolicy};
 use crate::arbiter::{ArbiterPolicy, FabricArbiter};
@@ -201,6 +211,8 @@ impl From<ArchError> for MultitaskError {
 
 /// Per-tenant live state inside the runner.
 struct Tenant<'a> {
+    /// External event tag (the caller's, fixed at admission).
+    tag: u32,
     sim: Simulator<'a>,
     policy: Box<dyn RuntimePolicy>,
     catalog: &'a IseCatalog,
@@ -237,6 +249,11 @@ fn due(arrival: Cycles, period: Cycles, blocks: u64) -> Cycles {
 }
 
 impl Tenant<'_> {
+    /// The session's id: its admission index.
+    fn id(&self) -> usize {
+        self.stats.tenant
+    }
+
     fn runnable(&self) -> bool {
         self.verdict == AdmissionOutcome::Admitted && self.cursor < self.trace.len()
     }
@@ -399,7 +416,9 @@ impl fmt::Debug for Tenant<'_> {
 }
 
 /// One outstanding ladder loan: `amount` of fabric moved from a demoted
-/// `victim` to a tardy `beneficiary`. Loans unwind strictly LIFO — by
+/// `victim` to a tardy `beneficiary` (both live positions: loans unwind
+/// before any session retires, so no position shifts under them). Loans
+/// unwind strictly LIFO — by
 /// induction the beneficiary's grant always still contains the loaned
 /// amount when its loan is on top of the stack (later grant changes are
 /// either releases, which only grow grants, or deeper loans, which pop
@@ -651,7 +670,7 @@ pub enum StepOutcome {
     Idle,
     /// One block activation was dispatched.
     Ran {
-        /// The session (local index) that ran.
+        /// The id of the session that ran (its admission index).
         tenant: usize,
         /// Whether that block was the session's last. The caller settles
         /// the departure with [`MultitaskRunner::finish_session`]
@@ -675,9 +694,12 @@ pub enum StepOutcome {
 /// clock. All per-tenant simulators and the runner itself record into
 /// tagged clones of one shared buffer, so the merged log keeps the exact
 /// interleaving of the run; [`into_stats`](MultitaskRunner::into_stats)
-/// drains it. Event tags are the caller's (`tags[i]`, fixed at admission),
-/// so a fleet can stamp globally unique session ids on a shard-local run;
+/// drains it. Event tags are the caller's (fixed at admission), so a fleet
+/// can stamp globally unique session ids on a shard-local run;
 /// [`run_multitask`] tags tenant `i` as `i`.
+///
+/// Sessions are named by id (see the module docs); a departed session is
+/// retired, so the per-session methods panic on its id.
 pub struct MultitaskRunner<'a> {
     params: ArchParams,
     cfg: MultitaskConfig,
@@ -690,21 +712,24 @@ pub struct MultitaskRunner<'a> {
     /// when admission is off; sessions admitted after construction bypass
     /// the controller.
     offered: Vec<usize>,
+    /// The live sessions, in ascending id order.
     tenants: Vec<Tenant<'a>>,
-    /// External event tag of each tenant.
-    tags: Vec<u32>,
+    /// The stats of retired sessions, in retirement order.
+    retired: Vec<TenantStats>,
     loans: Vec<Loan>,
     /// The global clock: the same Timeline core the per-tenant engines
     /// step on — monotone `advance_to`/`advance_by`, one notion of
     /// time-keeping across the single- and multi-tenant paths.
     clock: Timeline,
     out: MultitaskStats,
-    last: Option<usize>,
+    /// Id and tag of the session that last held the core (it may have
+    /// retired since; the next dispatch still preempts it).
+    last: Option<(usize, u32)>,
     shared: Option<VecSink>,
     any_slo: bool,
-    // Scheduler-input scratch, refilled in place every dispatch so the
-    // steady-state loop allocates nothing (the engine-side twin of the
-    // selector's arena — see DESIGN §11).
+    // Scheduler-input scratch over the live list, refilled in place every
+    // dispatch so the steady-state loop allocates nothing (the engine-side
+    // twin of the selector's arena — see DESIGN §11).
     runnable: Vec<bool>,
     deadlines: Vec<Option<Cycles>>,
     laxities: Vec<Option<i128>>,
@@ -713,7 +738,8 @@ pub struct MultitaskRunner<'a> {
 impl fmt::Debug for MultitaskRunner<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MultitaskRunner")
-            .field("tenants", &self.tenants.len())
+            .field("live", &self.tenants.len())
+            .field("retired", &self.retired.len())
             .field("now", &self.clock.now())
             .finish_non_exhaustive()
     }
@@ -766,7 +792,7 @@ impl<'a> MultitaskRunner<'a> {
             controller: AdmissionController::new(cfg.admission),
             offered: Vec::new(),
             tenants: Vec::with_capacity(specs.len()),
-            tags: Vec::with_capacity(specs.len()),
+            retired: Vec::new(),
             loans: Vec::new(),
             clock: Timeline::new(),
             out: MultitaskStats {
@@ -788,7 +814,8 @@ impl<'a> MultitaskRunner<'a> {
         }
 
         // Admission: the feasibility test over the SLO mix, priced against
-        // each tenant's initial slice.
+        // each tenant's initial slice (nobody has retired yet, so ids are
+        // positions here).
         runner.offered = (0..specs.len()).collect();
         runner.offered.sort_by_key(|&i| {
             let criticality = specs[i]
@@ -804,13 +831,16 @@ impl<'a> MultitaskRunner<'a> {
             tenant.verdict = outcome;
         }
         // A rejected session never runs: its slice goes back to the pool
-        // at time zero, uncharged (the run has not started yet). There is
-        // no exhaustion history yet, so that gate is waived here.
+        // at time zero, uncharged (the run has not started yet), and it
+        // retires. There is no exhaustion history yet, so that gate is
+        // waived here.
         for r in 0..specs.len() {
-            if runner.tenants[r].verdict == AdmissionOutcome::Rejected {
-                for i in runner.release(r, |_| true) {
+            let p = runner.position(r);
+            if runner.tenants[p].verdict == AdmissionOutcome::Rejected {
+                for i in runner.release(p, |_| true) {
                     runner.regrant(i, true);
                 }
+                runner.retire(p);
             }
         }
         Ok(runner)
@@ -858,12 +888,13 @@ impl<'a> MultitaskRunner<'a> {
         debug_assert!(self.runnable[t], "scheduler picked a finished tenant");
 
         // Context switch: charged only when the core changes hands.
-        if let Some(prev) = self.last.filter(|&prev| prev != t) {
+        let (id, tag) = (self.tenants[t].id(), self.tenants[t].tag);
+        if let Some((_, prev)) = self.last.filter(|&(prev, _)| prev != id) {
             self.emit_event(
-                self.tags[prev],
+                prev,
                 SimEvent::TenantPreempt {
                     at: self.clock.now(),
-                    tenant: self.tags[prev],
+                    tenant: prev,
                 },
             );
             self.clock.advance_by(self.cfg.costs.context_switch);
@@ -872,9 +903,8 @@ impl<'a> MultitaskRunner<'a> {
             self.tenants[t].stats.context_switches += 1;
             self.tenants[t].stats.switch_cycles += self.cfg.costs.context_switch;
         }
-        self.last = Some(t);
+        self.last = Some((id, tag));
 
-        let tag = self.tags[t];
         let shared = self.shared.as_ref();
         let tenant = &mut self.tenants[t];
         // Time the tenant spent descheduled; its DMA-driven loads kept
@@ -926,7 +956,7 @@ impl<'a> MultitaskRunner<'a> {
             tenant.sim.finish_events();
         }
         StepOutcome::Ran {
-            tenant: t,
+            tenant: id,
             finished,
         }
     }
@@ -934,20 +964,27 @@ impl<'a> MultitaskRunner<'a> {
     /// Settles a finished session: unwind the loan stack, release its
     /// slice through the arbiter (redistributing to slice-constrained
     /// incumbents by remaining demand — the freed part no incumbent claims
-    /// lands in the free store), and re-test the admission queue.
+    /// lands in the free store), retire it, and re-test the admission
+    /// queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if session `t` has already retired.
     pub fn finish_session(&mut self, t: usize) {
         self.unwind_loans();
         // Beneficiaries: still-active tenants with enough work left to
         // amortise the reconfigurations a bigger slice invites, and whose
         // selector persistently exhausts the slice it already has (see
         // [`Tenant::slice_constrained`]).
-        let grown = self.release(t, Tenant::slice_constrained);
+        let p = self.position(t);
+        let grown = self.release(p, Tenant::slice_constrained);
         if !grown.is_empty() {
             self.charge_repartition();
             for i in grown {
                 self.regrant(i, true);
             }
         }
+        self.retire(p);
 
         // A finished session's utilization frees up: re-test the admission
         // queue in criticality order. Late admissions arrive *now* — their
@@ -965,35 +1002,52 @@ impl<'a> MultitaskRunner<'a> {
     }
 
     /// Settles a departing session the fleet way: unwind the loan stack,
-    /// then park its whole slice in the arbiter's free store (no
-    /// redistribution — the fleet decides who gets the fabric next).
-    /// Returns the freed amount.
+    /// park its whole slice in the arbiter's free store (no
+    /// redistribution — the fleet decides who gets the fabric next), and
+    /// retire it. Returns the freed amount.
+    ///
+    /// # Panics
+    ///
+    /// Panics if session `t` has already retired.
     pub fn depart_session(&mut self, t: usize) -> Resources {
         self.unwind_loans();
-        let keep = self.vacate(t);
-        self.arbiter.park(t, keep)
+        let p = self.position(t);
+        let keep = self.tenants[p].sim.machine().failed_resources();
+        let freed = self.arbiter.park(p, keep);
+        self.retire(p);
+        freed
     }
 
-    /// Releases session `t`'s slice: its working containers go, its
-    /// permanently failed slots stay pinned in place. Evicting the
-    /// residual artefacts of a departed session destroys no useful work,
-    /// so this reclamation does not count towards `repartition_evictions`
-    /// (which measures work lost by running tenants to arbiter shrinks).
-    /// Returns the pinned part.
-    fn vacate(&mut self, t: usize) -> Resources {
-        let tenant = &mut self.tenants[t];
-        let keep = tenant.sim.machine().failed_resources();
-        let _ = tenant.sim.machine_mut().resize_capacity(keep);
-        tenant.policy.set_resource_slice(Some(Resources::NONE));
-        keep
+    /// The live position of session `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if session `t` has retired (or was never admitted).
+    fn position(&self, t: usize) -> usize {
+        self.tenants
+            .binary_search_by_key(&t, Tenant::id)
+            .unwrap_or_else(|_| panic!("session {t} is not live"))
     }
 
-    /// Vacates session `t` and hands its slice to the arbiter for
-    /// redistribution among the runnable sessions with enough remaining
-    /// work that pass `gate`. Returns those sessions if the partition
-    /// changed (the caller regrants them), else nothing.
-    fn release(&mut self, t: usize, gate: fn(&Tenant<'a>) -> bool) -> Vec<usize> {
-        let keep = self.vacate(t);
+    /// Retires the departed session at live position `p`: its simulator,
+    /// policy and scratch are dropped, its [`TenantStats`] kept, and the
+    /// scheduler and arbiter forget its position. Its permanently failed
+    /// slots stay pinned in the arbiter's retired store.
+    fn retire(&mut self, p: usize) {
+        debug_assert!(self.loans.is_empty(), "a retirement would shift a loan");
+        let tenant = self.tenants.remove(p);
+        self.scheduler.retire(p);
+        self.arbiter.retire(p);
+        self.retired.push(tenant.stats);
+    }
+
+    /// Hands the slice of the departing session at position `p` to the
+    /// arbiter for redistribution among the runnable sessions with enough
+    /// remaining work that pass `gate`; its permanently failed slots stay
+    /// pinned. Returns those sessions' positions if the partition changed
+    /// (the caller regrants them), else nothing.
+    fn release(&mut self, p: usize, gate: fn(&Tenant<'a>) -> bool) -> Vec<usize> {
+        let keep = self.tenants[p].sim.machine().failed_resources();
         let min_demand = self.cfg.repartition_min_demand.get();
         let demands: Vec<(usize, u64)> = self
             .tenants
@@ -1002,17 +1056,18 @@ impl<'a> MultitaskRunner<'a> {
             .filter(|(_, x)| x.runnable() && x.remaining_demand() >= min_demand && gate(x))
             .map(|(i, x)| (i, x.remaining_demand().max(1)))
             .collect();
-        if self.arbiter.release(t, keep, &demands) {
+        if self.arbiter.release(p, keep, &demands) {
             demands.into_iter().map(|(i, _)| i).collect()
         } else {
             Vec::new()
         }
     }
 
-    /// Re-realises session `i`'s arbiter grant on its machine and selector
-    /// slice, charging whatever the resize evicted to its stats (only a
-    /// shrink evicts), and puts a [`SimEvent::RepartitionGranted`] on the
-    /// spine if `announce`. Returns the grant.
+    /// Re-realises the arbiter grant of the session at position `i` on its
+    /// machine and selector slice, charging whatever the resize evicted to
+    /// its stats (only a shrink evicts), and puts a
+    /// [`SimEvent::RepartitionGranted`] on the spine if `announce`.
+    /// Returns the grant.
     fn regrant(&mut self, i: usize, announce: bool) -> Resources {
         let grant = self.arbiter.grant(i);
         let tenant = &mut self.tenants[i];
@@ -1021,11 +1076,12 @@ impl<'a> MultitaskRunner<'a> {
         tenant.stats.repartition_evictions += evicted.len() as u64;
         tenant.policy.set_resource_slice(Some(grant));
         if announce {
+            let tag = tenant.tag;
             self.emit_event(
-                self.tags[i],
+                tag,
                 SimEvent::RepartitionGranted {
                     at: self.clock.now(),
-                    tenant: self.tags[i],
+                    tenant: tag,
                     cg: grant.cg(),
                     prc: grant.prc(),
                 },
@@ -1034,16 +1090,17 @@ impl<'a> MultitaskRunner<'a> {
         grant
     }
 
-    /// Moves session `v` to ladder `level`, regrants it and puts the
-    /// [`SimEvent::DegradeStep`] on the spine.
+    /// Moves the session at position `v` to ladder `level`, regrants it
+    /// and puts the [`SimEvent::DegradeStep`] on the spine.
     fn relevel(&mut self, v: usize, level: u8) {
         let from_level = std::mem::replace(&mut self.tenants[v].level, level);
         let grant = self.regrant(v, false);
+        let tag = self.tenants[v].tag;
         self.emit_event(
-            self.tags[v],
+            tag,
             SimEvent::DegradeStep {
                 at: self.clock.now(),
-                tenant: self.tags[v],
+                tenant: tag,
                 from_level,
                 to_level: level,
                 cg: grant.cg(),
@@ -1078,11 +1135,11 @@ impl<'a> MultitaskRunner<'a> {
         }
     }
 
-    /// What demoting tenant `v` would free: the shallowest ladder level
-    /// below its current one whose cap of `v`'s *entitlement* (grant plus
-    /// fabric loaned out minus fabric loaned in — so nested demotions
-    /// halve the original share, not the already-shrunken one) releases a
-    /// non-empty part of the current grant. Permanently failed slots never
+    /// What demoting the tenant at position `v` would free: the shallowest
+    /// ladder level below its current one whose cap of `v`'s *entitlement*
+    /// (grant plus fabric loaned out minus fabric loaned in — so nested
+    /// demotions halve the original share, not the already-shrunken one)
+    /// releases a non-empty part of the current grant. Permanently failed slots never
     /// move. A tiny slice can have levels that free nothing (a lone PRC
     /// survives the halving cap unchanged); the demotion jumps past them
     /// rather than wedging the ladder. `None` if no level down to
@@ -1190,7 +1247,8 @@ impl<'a> MultitaskRunner<'a> {
     /// Lets the queued session behind controller entry `k` in: it arrives
     /// *now*, so its deadlines count from this instant.
     fn admit_queued(&mut self, k: usize) {
-        let tenant = &mut self.tenants[self.offered[k]];
+        let p = self.position(self.offered[k]);
+        let tenant = &mut self.tenants[p];
         tenant.verdict = AdmissionOutcome::Admitted;
         tenant.arrival = self.clock.now();
     }
@@ -1204,7 +1262,7 @@ impl<'a> MultitaskRunner<'a> {
         {
             self.controller.admit_anyway(k);
             self.admit_queued(k);
-            if self.tenants[self.offered[k]].runnable() {
+            if self.tenants[self.position(self.offered[k])].runnable() {
                 return true;
             }
         }
@@ -1217,7 +1275,7 @@ impl<'a> MultitaskRunner<'a> {
     /// checked simulator — registers it with the scheduler at the
     /// incumbents' virtual clock (no catch-up monopoly), and tags its
     /// events with the caller's `tag`. Deadlines are relative to *now*.
-    /// Returns the local index.
+    /// Returns the session's id.
     ///
     /// # Errors
     ///
@@ -1230,7 +1288,7 @@ impl<'a> MultitaskRunner<'a> {
         slice: Resources,
         tag: u32,
     ) -> Result<usize, MultitaskError> {
-        let index = self.tenants.len();
+        let id = self.retired.len() + self.tenants.len();
         let weight = spec.weight.max(1);
         let grant = slice.min(self.arbiter.free());
         let mut machine = match &spec.fault_model {
@@ -1269,13 +1327,14 @@ impl<'a> MultitaskRunner<'a> {
         sim.advance_to(self.clock.now());
 
         let carved = self.arbiter.admit(slice);
-        debug_assert_eq!(carved, index, "arbiter and tenant list diverged");
+        debug_assert_eq!(carved, self.tenants.len(), "arbiter and live list diverged");
         self.runnable.clear();
         self.runnable
             .extend(self.tenants.iter().map(Tenant::runnable));
         self.scheduler.register(weight, &self.runnable);
         self.any_slo |= spec.slo.is_some_and(|s| !s.is_unconstrained());
         self.tenants.push(Tenant {
+            tag,
             sim,
             policy,
             catalog: spec.catalog,
@@ -1289,7 +1348,7 @@ impl<'a> MultitaskRunner<'a> {
             level: 0,
             service_done: Cycles::ZERO,
             stats: TenantStats {
-                tenant: index,
+                tenant: id,
                 app: spec.name.clone(),
                 weight,
                 run,
@@ -1297,8 +1356,7 @@ impl<'a> MultitaskRunner<'a> {
                 ..TenantStats::default()
             },
         });
-        self.tags.push(tag);
-        Ok(index)
+        Ok(id)
     }
 
     /// Pulls `amount` back from session `t`'s grant into the free store
@@ -1306,10 +1364,15 @@ impl<'a> MultitaskRunner<'a> {
     /// and returns what actually moved. The fleet's arrival path uses this
     /// to claw back over-base fabric from incumbents when the free store
     /// cannot cover a newcomer's base share.
+    ///
+    /// # Panics
+    ///
+    /// Panics if session `t` has retired.
     pub fn reclaim_session(&mut self, t: usize, amount: Resources) -> Resources {
-        let moved = self.arbiter.reclaim(t, amount);
+        let p = self.position(t);
+        let moved = self.arbiter.reclaim(p, amount);
         if !moved.is_empty() {
-            self.regrant(t, true);
+            self.regrant(p, true);
         }
         moved
     }
@@ -1354,9 +1417,13 @@ impl<'a> MultitaskRunner<'a> {
     }
 
     /// Session `t`'s current fabric grant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if session `t` has retired.
     #[must_use]
     pub fn grant(&self, t: usize) -> Resources {
-        self.arbiter.grant(t)
+        self.arbiter.grant(self.position(t))
     }
 
     /// Whether any session still has blocks to run.
@@ -1365,13 +1432,17 @@ impl<'a> MultitaskRunner<'a> {
         self.tenants.iter().any(Tenant::runnable)
     }
 
-    /// Finishes the run: stamps the makespan, folds per-tenant stats into
-    /// the aggregate, and drains the recorded event spine (tagged with the
+    /// Finishes the run: stamps the makespan, folds the stats of every
+    /// session ever admitted, retired or live, into the aggregate in id
+    /// order, and drains the recorded event spine (tagged with the
     /// admission-time `tag`s, in exact emission order).
     #[must_use]
     pub fn into_stats(mut self) -> (MultitaskStats, Vec<(u32, SimEvent)>) {
         self.out.makespan = self.clock.now();
-        self.out.tenants = self.tenants.into_iter().map(|t| t.stats).collect();
+        let mut tenants = self.retired;
+        tenants.extend(self.tenants.into_iter().map(|t| t.stats));
+        tenants.sort_unstable_by_key(|t| t.tenant);
+        self.out.tenants = tenants;
         let events = self.shared.map(|s| s.take()).unwrap_or_default();
         (self.out, events)
     }
@@ -1883,6 +1954,72 @@ mod tests {
                 .any(|(_, e)| matches!(e, SimEvent::DegradeStep { .. })),
             "ladder steps must be on the spine"
         );
+    }
+
+    #[test]
+    fn live_state_stays_bounded_over_two_thousand_sessions() {
+        const SESSIONS: usize = 2_000;
+        const CONCURRENT: usize = 3;
+        let (catalog, _) = toy_setup();
+        let trace = synthetic_trace(&ToyApp::new(), &[Pattern::Constant(40)], 2);
+        let params = ArchParams::default();
+        let cfg = MultitaskConfig {
+            repartition_min_demand: Cycles::ZERO,
+            ..MultitaskConfig::default()
+        };
+        let mut runner =
+            MultitaskRunner::new(params.clone(), Resources::new(2, 2), &[], &cfg, false).unwrap();
+        let slice = runner.pool().split_even(CONCURRENT)[0];
+        let specs = [
+            TenantSpec::new("be", &catalog, &trace),
+            TenantSpec::new("rt", &catalog, &trace).with_slo("hard:1000".parse().unwrap()),
+        ];
+        let preps = specs.each_ref().map(|s| prep_session(&params, s).unwrap());
+        let mut admitted = 0;
+        let mut departed = 0;
+        while departed < SESSIONS {
+            while admitted < SESSIONS && runner.tenants.len() < CONCURRENT {
+                let k = admitted % 2;
+                let id = runner
+                    .admit_session(&specs[k], preps[k].clone(), slice, admitted as u32)
+                    .unwrap();
+                assert_eq!(id, admitted, "ids are admission indices");
+                admitted += 1;
+            }
+            let StepOutcome::Ran { tenant, finished } = runner.step() else {
+                panic!("admitted sessions must run");
+            };
+            if finished {
+                // Both departure paths retire.
+                if tenant % 2 == 0 {
+                    runner.finish_session(tenant);
+                } else {
+                    let _ = runner.depart_session(tenant);
+                }
+                departed += 1;
+                let live = runner.tenants.len();
+                assert!(live < CONCURRENT, "{live} sessions still live");
+                assert!(runner.scheduler.tracked() <= live);
+                assert_eq!(runner.arbiter.slices().len(), live);
+                for scratch in [
+                    runner.runnable.len(),
+                    runner.deadlines.len(),
+                    runner.laxities.len(),
+                ] {
+                    assert!(scratch <= CONCURRENT, "scratch of {scratch} entries");
+                }
+            }
+            runner.ladder_maybe();
+        }
+        let pool = runner.pool();
+        let held: Resources = runner.arbiter.slices().iter().copied().sum();
+        assert_eq!(held + runner.free_fabric() + runner.arbiter.retired(), pool);
+        let (stats, _) = runner.into_stats();
+        assert_eq!(stats.tenants.len(), SESSIONS);
+        for (i, t) in stats.tenants.iter().enumerate() {
+            assert_eq!(t.tenant, i, "stats come back in id order");
+            assert_eq!(t.run.total_executions(), 2 * 40);
+        }
     }
 
     #[test]

@@ -19,6 +19,14 @@ use std::str::FromStr;
 /// [`Scheduler::charge`] after it with the cycles the block actually
 /// consumed. Implementations must be deterministic: equal inputs must
 /// produce equal picks (ties break towards the lowest tenant index).
+///
+/// Tenant indices are positions in the runner's *live* list: the
+/// admitted-or-queued tenants in ascending admission order. A newcomer
+/// joins at the end ([`Scheduler::register`]) and a departed tenant leaves
+/// its position ([`Scheduler::retire`]), shifting the ones above it down
+/// by one. Position order is admission order, so the lowest-index
+/// tie-break picks exactly as if every departed tenant were still there,
+/// never runnable.
 pub trait Scheduler: fmt::Debug {
     /// Short diagnostic name (`rr`, `prio`, `wfq`, `edf`, `llf`).
     fn name(&self) -> &'static str;
@@ -47,6 +55,17 @@ pub trait Scheduler: fmt::Debug {
     /// monopolises the core catching up from zero nor pays for history it
     /// did not have. Stateless disciplines ignore both (this default).
     fn register(&mut self, _weight: u64, _runnable: &[bool]) {}
+
+    /// Forgets the tenant at position `pos`, which has left for good; the
+    /// tenants above it move down one position. Stateless disciplines hold
+    /// nothing per tenant (this default).
+    fn retire(&mut self, _pos: usize) {}
+
+    /// How many tenants the discipline holds state for.
+    #[cfg(test)]
+    fn tracked(&self) -> usize {
+        0
+    }
 }
 
 /// Round-robin with a time quantum: a tenant keeps the core for
@@ -56,7 +75,11 @@ pub trait Scheduler: fmt::Debug {
 #[derive(Debug, Clone)]
 pub struct RoundRobin {
     quantum: Cycles,
+    /// The tenant holding the core and its quantum, if it is still here.
     current: Option<usize>,
+    /// Where the rotation scan starts: one above the last pick, or the
+    /// position the next tenant moved down to when the last pick retired.
+    next: usize,
     used: Cycles,
 }
 
@@ -67,6 +90,7 @@ impl RoundRobin {
         RoundRobin {
             quantum,
             current: None,
+            next: 0,
             used: Cycles::ZERO,
         }
     }
@@ -87,12 +111,12 @@ impl Scheduler for RoundRobin {
                 return Some(cur);
             }
         }
-        let start = self.current.map_or(0, |c| c + 1);
         let n = runnable.len();
         for off in 0..n {
-            let idx = (start + off) % n;
+            let idx = (self.next + off) % n;
             if runnable[idx] {
                 self.current = Some(idx);
+                self.next = idx + 1;
                 self.used = Cycles::ZERO;
                 return Some(idx);
             }
@@ -103,6 +127,19 @@ impl Scheduler for RoundRobin {
     fn charge(&mut self, tenant: usize, consumed: Cycles) {
         if self.current == Some(tenant) {
             self.used += consumed;
+        }
+    }
+
+    fn retire(&mut self, pos: usize) {
+        // A retired holder loses its quantum, and the scan resumes at the
+        // first tenant above it: the one that now sits at `pos`.
+        self.current = match self.current {
+            Some(c) if c == pos => None,
+            Some(c) if c > pos => Some(c - 1),
+            c => c,
+        };
+        if pos < self.next {
+            self.next -= 1;
         }
     }
 }
@@ -146,6 +183,15 @@ impl Scheduler for StrictPriority {
 
     fn register(&mut self, weight: u64, _runnable: &[bool]) {
         self.weights.push(weight);
+    }
+
+    fn retire(&mut self, pos: usize) {
+        self.weights.remove(pos);
+    }
+
+    #[cfg(test)]
+    fn tracked(&self) -> usize {
+        self.weights.len()
     }
 }
 
@@ -205,6 +251,16 @@ impl Scheduler for WeightedFair {
             .unwrap_or(0);
         self.weights.push(weight);
         self.vtime.push(vstart);
+    }
+
+    fn retire(&mut self, pos: usize) {
+        self.weights.remove(pos);
+        self.vtime.remove(pos);
+    }
+
+    #[cfg(test)]
+    fn tracked(&self) -> usize {
+        self.vtime.len()
     }
 }
 
@@ -432,6 +488,73 @@ mod tests {
         let mut edf = EarliestDeadline;
         edf.register(1, &[true]);
         assert_eq!(edf.pick(&[true, true]), Some(0));
+    }
+
+    /// Retiring a tenant must pick exactly as keeping it forever
+    /// non-runnable would: a "ghost" scheduler that never retires anyone
+    /// (indexed by admission id) and a live one that retires departed
+    /// tenants (indexed by live position) see the same random
+    /// admit/pick/charge/depart sequence and must agree on every pick.
+    #[test]
+    fn retire_picks_exactly_like_a_never_runnable_ghost() {
+        let kinds = [
+            SchedulerKind::RoundRobin(Cycles::ZERO),
+            SchedulerKind::RoundRobin(Cycles::new(150)),
+            SchedulerKind::StrictPriority,
+            SchedulerKind::WeightedFair,
+        ];
+        for kind in kinds {
+            for seed in 0..20u64 {
+                let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+                let mut draw = |n: u64| {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng % n
+                };
+                let mut ghost = kind.build();
+                let mut live = kind.build();
+                // Per admission id: still here, and runnable right now.
+                let mut here: Vec<bool> = Vec::new();
+                let mut runnable: Vec<bool> = Vec::new();
+                for _ in 0..400 {
+                    let live_ids: Vec<usize> = (0..here.len()).filter(|&i| here[i]).collect();
+                    match draw(10) {
+                        0 | 1 if live_ids.len() < 6 => {
+                            let weight = 1 + draw(5);
+                            ghost.register(weight, &runnable);
+                            let mask: Vec<bool> = live_ids.iter().map(|&i| runnable[i]).collect();
+                            live.register(weight, &mask);
+                            here.push(true);
+                            runnable.push(draw(4) != 0);
+                        }
+                        2 if !live_ids.is_empty() => {
+                            let id = live_ids[draw(live_ids.len() as u64) as usize];
+                            let pos = live_ids.iter().position(|&i| i == id).unwrap();
+                            here[id] = false;
+                            runnable[id] = false;
+                            live.retire(pos);
+                        }
+                        3 if !live_ids.is_empty() => {
+                            let id = live_ids[draw(live_ids.len() as u64) as usize];
+                            runnable[id] = !runnable[id];
+                        }
+                        _ => {
+                            let mask: Vec<bool> = live_ids.iter().map(|&i| runnable[i]).collect();
+                            let want = ghost.pick(&runnable);
+                            let got = live.pick(&mask).map(|p| live_ids[p]);
+                            assert_eq!(got, want, "{kind} seed {seed}: picks diverged");
+                            if let Some(id) = want {
+                                let consumed = Cycles::new(10 + draw(100));
+                                ghost.charge(id, consumed);
+                                let pos = live_ids.iter().position(|&i| i == id).unwrap();
+                                live.charge(pos, consumed);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

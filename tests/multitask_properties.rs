@@ -1,6 +1,7 @@
 //! Property-based tests of the multi-tenant run-time: the fabric arbiter
 //! must always hand out a disjoint partition that fits inside the pool
-//! (conservation of fabric), the weighted-fair scheduler must never
+//! (conservation of fabric, retired tenants' pinned slots included), the
+//! weighted-fair scheduler must never
 //! starve a runnable tenant, and preempting a tenant must be invisible to
 //! its reconfiguration state (descheduled time passed in many small
 //! `advance_to` steps is identical to one big step — the DMA-driven
@@ -118,6 +119,67 @@ proptest! {
                     floor[i] = arbiter.grant(i);
                 }
             }
+        }
+    }
+
+    /// Retiring departed tenants conserves the fabric: over any sequence of
+    /// admits, parks, demand-driven releases and ladder transfers, where
+    /// every departing tenant keeps an arbitrary sub-slice pinned as failed
+    /// hardware and then retires, the live grants, the free store and the
+    /// retired store always sum exactly to the pool, and the retired store
+    /// holds exactly what the departed tenants kept.
+    #[test]
+    fn arbiter_retirement_conserves_the_pool(
+        cg in 0u16..24,
+        prc in 0u16..8,
+        policy_ix in 0usize..3,
+        ops in prop::collection::vec((0u8..4, 0usize..64, 0u16..8, 0u16..4), 1..60),
+    ) {
+        let policy = [ArbiterPolicy::Static, ArbiterPolicy::Proportional, ArbiterPolicy::Dynamic][policy_ix];
+        let pool = Resources::new(cg, prc);
+        let mut arbiter = FabricArbiter::empty(policy, pool);
+        let mut kept = Resources::NONE;
+        for (op, pick, a, k) in ops {
+            let live = arbiter.slices().len();
+            match op {
+                0 => {
+                    let pos = arbiter.admit(Resources::new(a, a / 2));
+                    prop_assert_eq!(pos, live, "a newcomer joins at the end");
+                }
+                1 | 2 if live > 0 => {
+                    let pos = pick % live;
+                    let g = arbiter.grant(pos);
+                    let keep = Resources::new(g.cg() / (k + 1), g.prc() / (k + 1));
+                    if op == 1 {
+                        arbiter.park(pos, keep);
+                    } else {
+                        let demands: Vec<(usize, u64)> = (0..live)
+                            .filter(|&i| i != pos)
+                            .map(|i| (i, 1 + (i as u64 * u64::from(a)) % 5))
+                            .collect();
+                        arbiter.release(pos, keep, &demands);
+                    }
+                    let held = arbiter.grant(pos);
+                    if op == 1 || policy == ArbiterPolicy::Dynamic {
+                        prop_assert_eq!(held, keep, "only the pinned part stays");
+                    }
+                    arbiter.retire(pos);
+                    kept += held;
+                    prop_assert_eq!(arbiter.slices().len(), live - 1);
+                }
+                3 if live > 1 => {
+                    let from = pick % live;
+                    let to = (pick / live) % live;
+                    arbiter.transfer(from, to, Resources::new(a, k));
+                }
+                _ => {}
+            }
+            prop_assert_eq!(arbiter.retired(), kept, "the retired store drifted");
+            prop_assert_eq!(
+                total(arbiter.slices()) + arbiter.free() + arbiter.retired(),
+                pool,
+                "live grants + free + retired must equal the pool"
+            );
         }
     }
 
