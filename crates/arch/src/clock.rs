@@ -195,14 +195,16 @@ impl Cycles {
 
 impl Add for Cycles {
     type Output = Cycles;
+    /// Saturating: a time past `u64::MAX` cycles stays there rather than
+    /// wrapping back to an early one.
     fn add(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0 + rhs.0)
+        self.saturating_add(rhs)
     }
 }
 
 impl AddAssign for Cycles {
     fn add_assign(&mut self, rhs: Cycles) {
-        self.0 += rhs.0;
+        *self = self.saturating_add(rhs);
     }
 }
 
@@ -222,8 +224,9 @@ impl SubAssign for Cycles {
 
 impl Mul<u64> for Cycles {
     type Output = Cycles;
+    /// Saturating, like [`Add`].
     fn mul(self, rhs: u64) -> Cycles {
-        Cycles(self.0 * rhs)
+        Cycles(self.0.saturating_mul(rhs))
     }
 }
 
@@ -349,6 +352,12 @@ mod tests {
     fn cycles_sum_saturates() {
         let total: Cycles = [Cycles::MAX, Cycles::new(10)].into_iter().sum();
         assert_eq!(total, Cycles::MAX);
+        // So do the operators.
+        let mut t = Cycles::MAX - Cycles::new(1);
+        assert_eq!(t + Cycles::new(10), Cycles::MAX);
+        t += Cycles::new(10);
+        assert_eq!(t, Cycles::MAX);
+        assert_eq!(Cycles::new(1 << 40) * (1 << 40), Cycles::MAX);
     }
 
     #[test]

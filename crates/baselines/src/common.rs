@@ -118,12 +118,12 @@ impl ProfiledTotals {
 mod tests {
     use super::*;
     use mrts_arch::ArchParams;
-    use mrts_workload::synthetic::{synthetic_trace, Pattern, ToyApp};
+    use mrts_workload::synthetic::{synthetic_trace, Pattern};
     use mrts_workload::WorkloadModel;
 
     #[test]
     fn profiled_totals_sum_trace() {
-        let toy = ToyApp::new();
+        let toy = mrts_ingest::model("toy").expect("builtin toy lowers");
         let trace = synthetic_trace(&toy, &[Pattern::Constant(100)], 5);
         let p = ProfiledTotals::from_trace(&trace);
         assert_eq!(p.executions_of(KernelId(0)), 500);
@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn eviction_list_frees_exactly_the_shortfall() {
-        let toy = ToyApp::new();
+        let toy = mrts_ingest::model("toy").expect("builtin toy lowers");
         let catalog = toy
             .application()
             .build_catalog(ArchParams::default(), None)

@@ -90,12 +90,12 @@ pub fn make_policy(
 mod tests {
     use super::*;
     use mrts_arch::ArchParams;
-    use mrts_workload::synthetic::{synthetic_trace, Pattern, ToyApp};
+    use mrts_workload::synthetic::{synthetic_trace, Pattern};
     use mrts_workload::WorkloadModel;
 
     #[test]
     fn factory_builds_every_listed_policy() {
-        let toy = ToyApp::new();
+        let toy = mrts_ingest::model("toy").expect("builtin toy lowers");
         let catalog = toy
             .application()
             .build_catalog(ArchParams::default(), None)

@@ -246,8 +246,7 @@ mod tests {
     use mrts_arch::ArchParams;
     use mrts_core::Mrts;
     use mrts_sim::{RiscOnlyPolicy, Simulator};
-    use mrts_workload::h264::H264Encoder;
-    use mrts_workload::synthetic::{synthetic_trace, Pattern, ToyApp};
+    use mrts_workload::synthetic::{synthetic_trace, Pattern};
     use mrts_workload::{Trace, TraceBuilder, WorkloadModel};
 
     fn machine(cg: u16, prc: u16) -> Machine {
@@ -255,7 +254,7 @@ mod tests {
     }
 
     fn toy_setup() -> (IseCatalog, Trace) {
-        let toy = ToyApp::new();
+        let toy = mrts_ingest::model("toy").expect("builtin toy lowers");
         let catalog = toy
             .application()
             .build_catalog(ArchParams::default(), None)
@@ -292,7 +291,7 @@ mod tests {
 
     #[test]
     fn loosely_coupled_beats_risc_but_not_mrts_on_mg_machine() {
-        let enc = H264Encoder::new();
+        let enc = mrts_ingest::model("h264").expect("builtin h264 lowers");
         let catalog = enc
             .application()
             .build_catalog(ArchParams::default(), None)
@@ -317,7 +316,7 @@ mod tests {
     fn offline_optimal_static_on_h264_trails_mrts() {
         // Fig. 8: mRTS is on average ~1.45x faster than offline-optimal
         // because the static scheme cannot adapt or bridge with monoCG.
-        let enc = H264Encoder::new();
+        let enc = mrts_ingest::model("h264").expect("builtin h264 lowers");
         let catalog = enc
             .application()
             .build_catalog(ArchParams::default(), None)

@@ -354,12 +354,11 @@ mod tests {
     use mrts_core::Mrts;
     use mrts_ise::TriggerInstruction;
     use mrts_sim::Simulator;
-    use mrts_workload::h264::H264Encoder;
-    use mrts_workload::synthetic::{synthetic_trace, Pattern, ToyApp};
+    use mrts_workload::synthetic::{synthetic_trace, Pattern};
     use mrts_workload::{TraceBuilder, WorkloadModel};
 
     fn toy_setup() -> (IseCatalog, TriggerBlock) {
-        let toy = ToyApp::new();
+        let toy = mrts_ingest::model("toy").expect("builtin toy lowers");
         let catalog = toy
             .application()
             .build_catalog(ArchParams::default(), None)
@@ -484,7 +483,7 @@ mod tests {
 
     #[test]
     fn online_optimal_at_least_matches_mrts_on_h264() {
-        let enc = H264Encoder::new();
+        let enc = mrts_ingest::model("h264").expect("builtin h264 lowers");
         let catalog = enc
             .application()
             .build_catalog(ArchParams::default(), None)
@@ -504,7 +503,7 @@ mod tests {
     fn combination_space_is_paper_scale() {
         // The paper quotes >78 million combinations for six kernels; our
         // transform_encode block has seven kernels with dozens of variants.
-        let enc = H264Encoder::new();
+        let enc = mrts_ingest::model("h264").expect("builtin h264 lowers");
         let catalog = enc
             .application()
             .build_catalog(ArchParams::default(), None)
@@ -520,7 +519,7 @@ mod tests {
 
     #[test]
     fn online_optimal_runs_on_toy_trace() {
-        let toy = ToyApp::new();
+        let toy = mrts_ingest::model("toy").expect("builtin toy lowers");
         let catalog = toy
             .application()
             .build_catalog(ArchParams::default(), None)

@@ -146,7 +146,7 @@ mod tests {
     use mrts_arch::ArchParams;
     use mrts_core::Mrts;
     use mrts_sim::{ExecClass, RiscOnlyPolicy, Simulator};
-    use mrts_workload::synthetic::{synthetic_trace, Pattern, ToyApp};
+    use mrts_workload::synthetic::{synthetic_trace, Pattern};
     use mrts_workload::WorkloadModel;
 
     fn machine(cg: u16, prc: u16) -> Machine {
@@ -154,7 +154,7 @@ mod tests {
     }
 
     fn setup() -> (mrts_ise::IseCatalog, mrts_workload::Trace) {
-        let toy = ToyApp::new();
+        let toy = mrts_ingest::model("toy").expect("builtin toy lowers");
         let catalog = toy
             .application()
             .build_catalog(ArchParams::default(), None)

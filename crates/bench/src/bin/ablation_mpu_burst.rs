@@ -11,11 +11,10 @@
 //! compares mRTS with and without the MPU across learning rates.
 
 use mrts_arch::{ArchParams, Machine, Resources};
-use mrts_bench::print_header;
+use mrts_bench::{print_header, Testbed, DEFAULT_SEED};
 use mrts_core::{Mrts, MrtsConfig};
 use mrts_ise::IseCatalog;
 use mrts_sim::Simulator;
-use mrts_workload::h264::H264Encoder;
 use mrts_workload::synthetic::{synthetic_trace, Pattern};
 use mrts_workload::{Trace, WorkloadModel};
 
@@ -25,12 +24,8 @@ fn main() {
         "error back-propagation vs static forecasts on non-stationary series",
         0,
     );
-    let encoder = H264Encoder::new();
-    let catalog = encoder
-        .application()
-        .build_catalog(ArchParams::default(), None)
-        .expect("encoder kernels are mappable");
-    let kernels = encoder.application().kernel_count();
+    let tb = Testbed::new("h264", DEFAULT_SEED);
+    let kernels = tb.model.application().kernel_count();
 
     // Base per-kernel activity levels (roughly the video-driven means).
     let base: [u64; 11] = [
@@ -74,11 +69,11 @@ fn main() {
     println!("{}", "-".repeat(82));
     for (name, make) in scenarios {
         let patterns: Vec<Pattern> = (0..kernels).map(&make).collect();
-        let trace = synthetic_trace(&encoder, &patterns, 16);
-        let no_mpu = run(&catalog, &trace, None);
+        let trace = synthetic_trace(&tb.model, &patterns, 16);
+        let no_mpu = run(&tb.catalog, &trace, None);
         let alphas: Vec<f64> = [0.25, 0.5, 1.0]
             .iter()
-            .map(|a| run(&catalog, &trace, Some(*a)))
+            .map(|a| run(&tb.catalog, &trace, Some(*a)))
             .collect();
         let best = alphas.iter().copied().fold(f64::INFINITY, f64::min);
         println!(

@@ -32,16 +32,13 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use mrts_arch::{ArchParams, Cycles, ReconfigurationController, Resources};
-use mrts_bench::{fig8_combos, par, print_header, DomainTestbed, Testbed, DEFAULT_SEED};
+use mrts_bench::{fig8_combos, par, print_header, Testbed, DEFAULT_SEED};
 use mrts_core::selector::{select_ises, SelectorConfig};
 use mrts_core::{Mrts, MrtsConfig, PrefetchConfig};
 use mrts_fleet::{run_fleet, AppRegistry, FleetConfig, PoissonConfig};
 use mrts_ise::{BlockId, IseCatalog, TriggerBlock, TriggerInstruction, UnitId};
 use mrts_multitask::{run_multitask, MultitaskConfig, TenantSpec};
 use mrts_sim::{ExecClass, KernelStats, Simulator, Timeline, VecSink};
-use mrts_workload::apps::{CipherApp, FftApp};
-use mrts_workload::h264::h264_application;
-use mrts_workload::{TraceBuilder, VideoModel, WorkloadModel};
 
 /// One measurement row of `BENCH_perf.json`.
 struct Entry {
@@ -69,15 +66,12 @@ fn none_resident(_: UnitId) -> bool {
 /// the largest Fig. 8 machine: 4 CG + 3 PRCs, where the selection runs
 /// several commit rounds and the lazy evaluation saving is visible) and
 /// returns `(mean_us, candidates_evaluated)` for one configuration.
-fn time_selection(config: &SelectorConfig, reps: usize) -> (f64, f64) {
-    let catalog = h264_application()
-        .build_catalog(ArchParams::default(), None)
-        .expect("encoder kernels are mappable");
-    let block = forecast(&catalog, 7);
+fn time_selection(catalog: &IseCatalog, config: &SelectorConfig, reps: usize) -> (f64, f64) {
+    let block = forecast(catalog, 7);
     let rc = ReconfigurationController::new();
     let budget = Resources::new(4, 3);
     let sel = select_ises(
-        &catalog,
+        catalog,
         &block,
         budget,
         &none_resident,
@@ -88,7 +82,7 @@ fn time_selection(config: &SelectorConfig, reps: usize) -> (f64, f64) {
     let start = Instant::now();
     for _ in 0..reps {
         let s = select_ises(
-            &catalog,
+            catalog,
             &block,
             budget,
             &none_resident,
@@ -135,7 +129,7 @@ fn main() {
         DEFAULT_SEED,
     );
 
-    let tb = Testbed::new(DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED);
     let config = par::ThreadConfig::from_env_and_args();
     let combos = {
         let all = fig8_combos();
@@ -204,8 +198,9 @@ fn main() {
 
     // --- 2. Per-selection cost: lazy-greedy vs full-rescan oracle -------
     let reps = if quick { 50 } else { 2_000 };
-    let (lazy_us, lazy_evals) = time_selection(&SelectorConfig::default(), reps);
+    let (lazy_us, lazy_evals) = time_selection(&tb.catalog, &SelectorConfig::default(), reps);
     let (full_us, full_evals) = time_selection(
+        &tb.catalog,
         &SelectorConfig {
             full_rescan: true,
             ..SelectorConfig::default()
@@ -395,29 +390,16 @@ fn main() {
     // exercising the arbiter, the WFQ scheduler and two live mRTS
     // instances. The makespan is deterministic and acts as the
     // machine-independent tripwire next to the wall-clock entry.
-    let mt_apps: Vec<(String, IseCatalog, mrts_workload::Trace)> = [
-        Box::new(FftApp::new()) as Box<dyn WorkloadModel>,
-        Box::new(CipherApp::new()),
-    ]
-    .iter()
-    .enumerate()
-    .map(|(i, m)| {
-        let catalog = m
-            .application()
-            .build_catalog(ArchParams::default(), None)
-            .expect("kernels are mappable");
-        let trace = TraceBuilder::new(m.as_ref())
-            .video(VideoModel::paper_default(DEFAULT_SEED + i as u64))
-            .build();
-        (m.application().name().to_owned(), catalog, trace)
-    })
-    .collect();
+    let mt_apps = [
+        Testbed::new("fft", DEFAULT_SEED),
+        Testbed::new("cipher", DEFAULT_SEED + 1),
+    ];
     let mt_specs: Vec<TenantSpec<'_>> = mt_apps
         .iter()
-        .map(|(n, c, t)| TenantSpec::new(n.clone(), c, t))
+        .map(|a| TenantSpec::new(a.name(), &a.catalog, &a.trace))
         .collect();
     let mt_cfg = MultitaskConfig::default();
-    let mt_blocks: usize = mt_apps.iter().map(|(_, _, t)| t.len()).sum();
+    let mt_blocks: usize = mt_apps.iter().map(|a| a.trace.len()).sum();
     let mt_reps = if quick { 2 } else { 10 };
     let time_mt = |cfg: &MultitaskConfig| {
         let mut best = f64::MAX;
@@ -626,7 +608,7 @@ fn main() {
         ("cv", "domain_cv_throughput"),
         ("cryptomix", "domain_cryptomix_throughput"),
     ] {
-        let dtb = DomainTestbed::new(spec, DEFAULT_SEED);
+        let dtb = Testbed::new(spec, DEFAULT_SEED);
         let mut per_run = f64::MAX;
         for _ in 0..sim_reps {
             let mut policy = Mrts::new();

@@ -18,7 +18,7 @@ fn main() {
         "execution time of RISPP-like / offline-optimal / Morpheus+4S-like / mRTS",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new(DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED);
 
     println!(
         "{:>5} {:>4} | {:>8} {:>8} {:>8} {:>8} {:>8} | {:>7} {:>7} {:>7}",

@@ -22,7 +22,7 @@
 //! Flags: `--quick` (CI smoke: 3×3 fabric subset), `--threads N`.
 
 use mrts_arch::Resources;
-use mrts_bench::{fig8_combos, geo_mean, mcycles, par, print_header, DomainTestbed, DEFAULT_SEED};
+use mrts_bench::{fig8_combos, geo_mean, mcycles, par, print_header, Testbed, DEFAULT_SEED};
 use mrts_sim::RunStats;
 
 /// The three domains, by ingestion spec (all builtin manifests).
@@ -46,9 +46,9 @@ fn main() {
         if quick { " [--quick]" } else { "" }
     );
 
-    let testbeds: Vec<DomainTestbed> = DOMAINS
+    let testbeds: Vec<Testbed> = DOMAINS
         .iter()
-        .map(|spec| DomainTestbed::new(spec, DEFAULT_SEED))
+        .map(|spec| Testbed::new(spec, DEFAULT_SEED))
         .collect();
 
     // One cell per (domain, combo); every cell is independent.
@@ -64,7 +64,7 @@ fn main() {
     for (d, tb) in testbeds.iter().enumerate() {
         println!(
             "\ndomain '{}' ({} kernels):",
-            tb.name,
+            tb.name(),
             tb.catalog.kernels().len()
         );
         println!(

@@ -35,15 +35,15 @@
 //!   and lands at exactly 1.0000×, never below).
 //!
 //! `--quick` trims the sweep for CI; `--threads N` fans the bandwidth
-//! points out across workers (each point rebuilds its own catalogue —
-//! FG load durations bake the port bandwidth in at catalogue build).
+//! points out across workers (the trace is shared; each point rebuilds its
+//! own catalogue — FG load durations bake the port bandwidth in at
+//! catalogue build).
 
 use mrts_arch::{ArchParams, Machine, Resources};
-use mrts_bench::{par, print_header, DEFAULT_SEED};
+use mrts_bench::{par, print_header, Testbed, DEFAULT_SEED};
 use mrts_core::{Mrts, MrtsConfig, PrefetchConfig};
 use mrts_sim::{PrefetchStats, RunStats, Simulator};
-use mrts_workload::h264::H264Encoder;
-use mrts_workload::{TraceBuilder, VideoModel, WorkloadModel};
+use mrts_workload::WorkloadModel;
 
 /// Swept FG configuration-port bandwidths, as fractions of the paper's
 /// 67 584 KB/s (numerator, denominator).
@@ -63,19 +63,17 @@ struct Point {
     runs: Vec<(f64, RunStats, PrefetchStats)>,
 }
 
-fn sweep_point(bandwidth_kb_s: u64, confidences: &[f64]) -> Point {
+fn sweep_point(tb: &Testbed, bandwidth_kb_s: u64, confidences: &[f64]) -> Point {
     let params = ArchParams::builder()
         .fg_config_bandwidth_kb_s(bandwidth_kb_s)
         .build()
         .expect("scaled bandwidth stays valid");
-    let encoder = H264Encoder::new();
-    let catalog = encoder
+    let catalog = tb
+        .model
         .application()
         .build_catalog(params.clone(), None)
         .expect("encoder kernels are mappable");
-    let trace = TraceBuilder::new(&encoder)
-        .video(VideoModel::paper_default(DEFAULT_SEED))
-        .build();
+    let trace = &tb.trace;
     let combo = Resources::new(2, 16);
     let machine = || Machine::new(params.clone(), combo).expect("valid params");
 
@@ -88,7 +86,7 @@ fn sweep_point(bandwidth_kb_s: u64, confidences: &[f64]) -> Point {
         .unwrap_or(0) as f64
         / 1e6;
 
-    let baseline = Simulator::run(&catalog, machine(), &trace, &mut Mrts::new());
+    let baseline = Simulator::run(&catalog, machine(), trace, &mut Mrts::new());
     let runs = confidences
         .iter()
         .map(|&c| {
@@ -101,7 +99,7 @@ fn sweep_point(bandwidth_kb_s: u64, confidences: &[f64]) -> Point {
                 ..MrtsConfig::default()
             };
             let mut sim = Simulator::new(&catalog, machine());
-            let stats = sim.run_trace(&trace, &mut Mrts::with_config(cfg));
+            let stats = sim.run_trace(trace, &mut Mrts::with_config(cfg));
             sim.finish_events(); // close end-of-trace speculations as wasted
             (c, stats, sim.prefetch_stats())
         })
@@ -144,10 +142,11 @@ fn main() {
     );
     println!("{}", "-".repeat(82));
 
+    let tb = Testbed::new("h264", DEFAULT_SEED);
     let points = par::sweep(
         par::ThreadConfig::from_env_and_args(),
         &bandwidths,
-        |_, &bw| sweep_point(bw, &confidences),
+        |_, &bw| sweep_point(&tb, bw, &confidences),
     );
 
     let mut violations = 0usize;

@@ -68,7 +68,7 @@ fn main() {
         "mRTS end-to-end cost vs trigger-instruction forecast error",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new(DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED);
     let combo = Resources::new(2, 2);
 
     let mrts_static = || {

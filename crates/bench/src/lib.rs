@@ -39,9 +39,9 @@ use mrts_baselines::{
     LooselyCoupledPolicy, OfflineOptimalPolicy, OnlineOptimalPolicy, ProfiledTotals, RisppPolicy,
 };
 use mrts_core::Mrts;
-use mrts_ise::IseCatalog;
+use mrts_ingest::ManifestModel;
+use mrts_ise::{IseCatalog, KernelId};
 use mrts_sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
-use mrts_workload::h264::H264Encoder;
 use mrts_workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
 /// The seed every figure uses (printed in each header for reproducibility).
@@ -73,44 +73,70 @@ pub fn fig9_combos() -> Vec<Resources> {
     v
 }
 
-/// Everything a figure run needs: the encoder model, its catalogue and the
-/// video-driven trace.
+/// Everything a figure run needs: one app's lowered workload model, its
+/// catalogue and the video-driven trace. The app is any spec the ingestion
+/// pipeline resolves — a builtin name such as `h264`, `fft`, `cv` or a
+/// manifest path — so every figure runs through one code path.
 #[derive(Debug)]
 pub struct Testbed {
-    /// The encoder workload model.
-    pub encoder: H264Encoder,
+    /// The workload model lowered from the app's manifest.
+    pub model: ManifestModel,
     /// The compile-time ISE catalogue.
     pub catalog: IseCatalog,
-    /// The trace of the whole encoding run.
+    /// The trace of the whole run.
     pub trace: Trace,
     /// The profiling summary for the offline baselines.
     pub totals: ProfiledTotals,
 }
 
 impl Testbed {
-    /// Builds the standard testbed (paper video, paper architecture).
+    /// Builds the testbed for `spec` (paper video model, paper
+    /// architecture).
     ///
     /// # Panics
     ///
-    /// Panics if the statically defined encoder kernels fail to map — a
-    /// programming error, covered by the workload crate's tests.
+    /// Panics if the spec does not resolve or its kernels fail to map —
+    /// the specs the harness passes are the checked-in builtins, covered
+    /// by the ingest tests.
     #[must_use]
-    pub fn new(seed: u64) -> Self {
-        let encoder = H264Encoder::new();
-        let catalog = encoder
+    pub fn new(spec: &str, seed: u64) -> Self {
+        let model =
+            mrts_ingest::model(spec).unwrap_or_else(|e| panic!("ingest '{spec}' failed: {e}"));
+        let catalog = model
             .application()
             .build_catalog(ArchParams::default(), None)
-            .expect("encoder kernels are mappable");
-        let trace = TraceBuilder::new(&encoder)
+            .expect("ingested kernels are mappable");
+        let trace = TraceBuilder::new(&model)
             .video(VideoModel::paper_default(seed))
             .build();
         let totals = ProfiledTotals::from_trace(&trace);
         Testbed {
-            encoder,
+            model,
             catalog,
             trace,
             totals,
         }
+    }
+
+    /// The application's display name (from the lowered manifest).
+    #[must_use]
+    pub fn name(&self) -> &str {
+        self.model.application().name()
+    }
+
+    /// The id of the kernel called `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the app has no such kernel.
+    #[must_use]
+    pub fn kernel(&self, name: &str) -> KernelId {
+        self.catalog
+            .kernels()
+            .iter()
+            .find(|k| k.name() == name)
+            .unwrap_or_else(|| panic!("{} has no kernel '{name}'", self.name()))
+            .id()
     }
 
     /// A fresh machine with the given fabric combination.
@@ -176,69 +202,6 @@ impl Testbed {
         let mrts = self.run(combo, &mut Mrts::new());
         let optimal = self.run(combo, &mut OnlineOptimalPolicy::new());
         (mrts, optimal)
-    }
-}
-
-/// A [`Testbed`] generalised over the application domain: built from any
-/// app spec the ingestion pipeline resolves (a builtin name such as
-/// `h264`/`cv`/`cryptomix` or a manifest path), so `fig_domains` can run
-/// the same contenders over every domain with one code path.
-#[derive(Debug)]
-pub struct DomainTestbed {
-    /// The application's display name (from the lowered manifest).
-    pub name: String,
-    /// The compile-time ISE catalogue.
-    pub catalog: IseCatalog,
-    /// The trace of the whole run.
-    pub trace: Trace,
-    /// The profiling summary for the offline baselines.
-    pub totals: ProfiledTotals,
-}
-
-impl DomainTestbed {
-    /// Builds the testbed for `spec` (paper video model, paper
-    /// architecture).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec does not resolve or its kernels fail to map —
-    /// the specs the harness passes are the checked-in builtins, covered
-    /// by the ingest crate's tests.
-    #[must_use]
-    pub fn new(spec: &str, seed: u64) -> Self {
-        let model =
-            mrts_ingest::model(spec).unwrap_or_else(|e| panic!("ingest '{spec}' failed: {e}"));
-        let name = model.application().name().to_owned();
-        let catalog = model
-            .application()
-            .build_catalog(ArchParams::default(), None)
-            .expect("ingested kernels are mappable");
-        let trace = TraceBuilder::new(&model)
-            .video(VideoModel::paper_default(seed))
-            .build();
-        let totals = ProfiledTotals::from_trace(&trace);
-        DomainTestbed {
-            name,
-            catalog,
-            trace,
-            totals,
-        }
-    }
-
-    /// A fresh machine with the given fabric combination.
-    ///
-    /// # Panics
-    ///
-    /// Panics only on invalid default parameters (impossible).
-    #[must_use]
-    pub fn machine(&self, combo: Resources) -> Machine {
-        Machine::new(ArchParams::default(), combo).expect("default params are valid")
-    }
-
-    /// Runs one policy on one fabric combination.
-    #[must_use]
-    pub fn run(&self, combo: Resources, policy: &mut dyn RuntimePolicy) -> RunStats {
-        Simulator::run(&self.catalog, self.machine(combo), &self.trace, policy)
     }
 
     /// Runs the domain-comparison contenders on one combination.
@@ -306,7 +269,8 @@ mod tests {
 
     #[test]
     fn testbed_builds_and_runs_smallest_combo() {
-        let tb = Testbed::new(DEFAULT_SEED);
+        let tb = Testbed::new("h264", DEFAULT_SEED);
+        assert_eq!(tb.kernel("deblock"), KernelId(10));
         let stats = tb.run(Resources::NONE, &mut RiscOnlyPolicy::new());
         assert!(stats.total_busy().get() > 0);
     }

@@ -167,6 +167,10 @@ fn errors_exit_nonzero_with_message() {
         (vec!["pif", "--kernel", "nope"], "unknown kernel"),
         (vec!["sweep", "--format", "xml"], "unknown format"),
         (vec!["catalog", "--typo", "1"], "unknown flag"),
+        (
+            vec!["fleet", "--window", "0", "--sessions", "5"],
+            "window must be >= 1",
+        ),
     ];
     for (args, needle) in cases {
         let out = run(&args);

@@ -29,11 +29,10 @@
 //! use mrts_arch::{ArchParams, Machine, Resources};
 //! use mrts_core::Mrts;
 //! use mrts_sim::{RiscOnlyPolicy, Simulator};
-//! use mrts_workload::h264::H264Encoder;
 //! use mrts_workload::{TraceBuilder, WorkloadModel};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let encoder = H264Encoder::new();
+//! let encoder = mrts_ingest::model("h264")?;
 //! let catalog = encoder.application().build_catalog(ArchParams::default(), None)?;
 //! let trace = TraceBuilder::new(&encoder).build();
 //!

@@ -152,11 +152,10 @@ pub fn mono_preload_units(
 /// use mrts_arch::{ArchParams, Machine, Resources};
 /// use mrts_core::Mrts;
 /// use mrts_sim::Simulator;
-/// use mrts_workload::h264::H264Encoder;
 /// use mrts_workload::{TraceBuilder, WorkloadModel};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let encoder = H264Encoder::new();
+/// let encoder = mrts_ingest::model("h264")?;
 /// let catalog = encoder.application().build_catalog(ArchParams::default(), None)?;
 /// let trace = TraceBuilder::new(&encoder).build();
 /// let machine = Machine::new(ArchParams::default(), Resources::new(2, 2))?;
@@ -742,22 +741,27 @@ mod tests {
     use super::*;
     use mrts_arch::{ArchParams, Machine};
     use mrts_sim::{ExecClass, RiscOnlyPolicy, Simulator};
-    use mrts_workload::h264::H264Encoder;
-    use mrts_workload::synthetic::{synthetic_trace, Pattern, ToyApp};
+    use mrts_workload::synthetic::{synthetic_trace, Pattern};
     use mrts_workload::{TraceBuilder, WorkloadModel};
 
     fn machine(cg: u16, prc: u16) -> Machine {
         Machine::new(ArchParams::default(), Resources::new(cg, prc)).unwrap()
     }
 
-    #[test]
-    fn mrts_beats_risc_on_toy_app() {
-        let toy = ToyApp::new();
+    /// The builtin one-kernel `toy` app's catalogue and a synthetic trace
+    /// of `rounds` activations whose counts follow `pattern`.
+    fn toy(pattern: Pattern, rounds: usize) -> (mrts_ise::IseCatalog, mrts_workload::Trace) {
+        let toy = mrts_ingest::model("toy").expect("builtin toy lowers");
         let catalog = toy
             .application()
             .build_catalog(ArchParams::default(), None)
             .unwrap();
-        let trace = synthetic_trace(&toy, &[Pattern::Constant(2_000)], 6);
+        (catalog, synthetic_trace(&toy, &[pattern], rounds))
+    }
+
+    #[test]
+    fn mrts_beats_risc_on_toy_app() {
+        let (catalog, trace) = toy(Pattern::Constant(2_000), 6);
         let mrts = Simulator::run(&catalog, machine(2, 2), &trace, &mut Mrts::new());
         let risc = Simulator::run(&catalog, machine(2, 2), &trace, &mut RiscOnlyPolicy::new());
         assert!(
@@ -776,12 +780,7 @@ mod tests {
 
     #[test]
     fn mrts_single_prc_machine_still_works() {
-        let toy = ToyApp::new();
-        let catalog = toy
-            .application()
-            .build_catalog(ArchParams::default(), None)
-            .unwrap();
-        let trace = synthetic_trace(&toy, &[Pattern::Constant(5_000)], 4);
+        let (catalog, trace) = toy(Pattern::Constant(5_000), 4);
         let mrts = Simulator::run(&catalog, machine(0, 1), &trace, &mut Mrts::new());
         let risc = Simulator::run(&catalog, machine(0, 1), &trace, &mut RiscOnlyPolicy::new());
         assert!(mrts.total_execution_time() < risc.total_execution_time());
@@ -790,12 +789,7 @@ mod tests {
 
     #[test]
     fn mono_cg_used_on_cg_only_machine() {
-        let toy = ToyApp::new();
-        let catalog = toy
-            .application()
-            .build_catalog(ArchParams::default(), None)
-            .unwrap();
-        let trace = synthetic_trace(&toy, &[Pattern::Constant(2_000)], 4);
+        let (catalog, trace) = toy(Pattern::Constant(2_000), 4);
         let stats = Simulator::run(&catalog, machine(1, 0), &trace, &mut Mrts::new());
         let h = stats.class_histogram();
         // With a single CG-EDPE either a CG-ISE or the monoCG path must
@@ -810,19 +804,13 @@ mod tests {
 
     #[test]
     fn mpu_learns_the_real_counts() {
-        let toy = ToyApp::new();
-        let catalog = toy
-            .application()
-            .build_catalog(ArchParams::default(), None)
-            .unwrap();
         // Forecast (mean) is ~5_500 but the series alternates 1_000/10_000.
-        let trace = synthetic_trace(
-            &toy,
-            &[Pattern::Burst {
+        let (catalog, trace) = toy(
+            Pattern::Burst {
                 low: 1_000,
                 high: 10_000,
                 period: 2,
-            }],
+            },
             8,
         );
         let mut mrts = Mrts::new();
@@ -833,7 +821,7 @@ mod tests {
 
     #[test]
     fn overhead_is_small_fraction_on_h264() {
-        let enc = H264Encoder::new();
+        let enc = mrts_ingest::model("h264").expect("builtin h264 lowers");
         let catalog = enc
             .application()
             .build_catalog(ArchParams::default(), None)
@@ -859,12 +847,7 @@ mod tests {
     fn eviction_reclaims_foreign_units() {
         // Two-kernel toy: after block for kernel A, planning a block for
         // kernel B on a tiny machine must evict A's units.
-        let toy = ToyApp::new();
-        let catalog = toy
-            .application()
-            .build_catalog(ArchParams::default(), None)
-            .unwrap();
-        let trace = synthetic_trace(&toy, &[Pattern::Constant(3_000)], 3);
+        let (catalog, trace) = toy(Pattern::Constant(3_000), 3);
         // Machine with a single PRC and single EDPE: every block must fit
         // in two slots, so plans keep evicting and reloading as needed.
         let stats = Simulator::run(&catalog, machine(1, 1), &trace, &mut Mrts::new());
@@ -873,12 +856,7 @@ mod tests {
 
     #[test]
     fn zero_slice_degrades_to_risc() {
-        let toy = ToyApp::new();
-        let catalog = toy
-            .application()
-            .build_catalog(ArchParams::default(), None)
-            .unwrap();
-        let trace = synthetic_trace(&toy, &[Pattern::Constant(1_000)], 3);
+        let (catalog, trace) = toy(Pattern::Constant(1_000), 3);
         let cfg = MrtsConfig {
             slice: Some(Resources::NONE),
             ecu: EcuConfig { use_mono_cg: false },
@@ -893,12 +871,7 @@ mod tests {
 
     #[test]
     fn zero_slice_fast_path_charges_no_overhead_and_skips_mono() {
-        let toy = ToyApp::new();
-        let catalog = toy
-            .application()
-            .build_catalog(ArchParams::default(), None)
-            .unwrap();
-        let trace = synthetic_trace(&toy, &[Pattern::Constant(1_000)], 3);
+        let (catalog, trace) = toy(Pattern::Constant(1_000), 3);
         let cfg = MrtsConfig {
             slice: Some(Resources::NONE),
             // monoCG stays enabled: the zero-slice floor must suppress it
@@ -917,12 +890,7 @@ mod tests {
 
     #[test]
     fn slice_cap_limits_but_does_not_break_selection() {
-        let toy = ToyApp::new();
-        let catalog = toy
-            .application()
-            .build_catalog(ArchParams::default(), None)
-            .unwrap();
-        let trace = synthetic_trace(&toy, &[Pattern::Constant(2_000)], 4);
+        let (catalog, trace) = toy(Pattern::Constant(2_000), 4);
         let mut capped = Mrts::new();
         capped.set_slice(Some(Resources::new(1, 1)));
         let capped_stats = Simulator::run(&catalog, machine(2, 2), &trace, &mut capped);
@@ -944,12 +912,7 @@ mod tests {
         };
         let mut mrts = Mrts::with_config(cfg);
         assert_eq!(mrts.name(), "mRTS");
-        let toy = ToyApp::new();
-        let catalog = toy
-            .application()
-            .build_catalog(ArchParams::default(), None)
-            .unwrap();
-        let trace = synthetic_trace(&toy, &[Pattern::Constant(1_000)], 3);
+        let (catalog, trace) = toy(Pattern::Constant(1_000), 3);
         let _ = Simulator::run(&catalog, machine(1, 1), &trace, &mut mrts);
         assert_eq!(mrts.mpu().tracked_kernels(), 0);
     }

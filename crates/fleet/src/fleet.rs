@@ -53,8 +53,8 @@ pub struct FleetConfig {
     pub placement: Placement,
     /// Per-shard fabric budget (in slots).
     pub budget: Resources,
-    /// Width of the fabric-utilization reporting windows. A run may span
-    /// at most [`MAX_WINDOWS`] of them.
+    /// Width of the fabric-utilization reporting windows, at least one
+    /// cycle. A run may span at most [`MAX_WINDOWS`] of them.
     pub window: Cycles,
     /// Record the merged event spine (session lifecycle + per-tenant
     /// engine events).
@@ -334,7 +334,10 @@ pub fn run_fleet(
     if cfg.ways == 0 {
         return Err(FleetError::Config("ways must be >= 1".into()));
     }
-    let window = cfg.window.get().max(1);
+    if cfg.window == Cycles::ZERO {
+        return Err(FleetError::Config("window must be >= 1".into()));
+    }
+    let window = cfg.window.get();
     let subs = parse_arrivals(registry, records, window)?;
 
     // Shard runners start empty, with their admission control off: the
@@ -862,6 +865,14 @@ mod tests {
             run_fleet(&params, &registry, &[], &cfg),
             Err(FleetError::Config(_))
         ));
+        // A zero-width utilization window is refused, not clamped to one
+        // cycle behind the configured width the report prints.
+        let cfg = FleetConfig {
+            window: Cycles::ZERO,
+            ..FleetConfig::default()
+        };
+        let err = run_fleet(&params, &registry, &toy_records(5, 50_000, 1), &cfg).unwrap_err();
+        assert_eq!(err, FleetError::Config("window must be >= 1".into()));
         let mut records = toy_records(3, 50_000, 1);
         records[2].at = 0;
         records[1].at = u64::MAX;

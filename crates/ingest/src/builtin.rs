@@ -2,12 +2,12 @@
 //!
 //! Each builtin app is the checked-in `manifests/<name>.json`, embedded at
 //! compile time and parsed on demand by the same front-end as any manifest
-//! file: the JSON *is* the definition. For `h264`, `fft`, `cipher` and
-//! `toy` the hand-built constructors in `mrts-workload` remain as oracles;
-//! `tests/ingest_goldens.rs` pins that lowering the manifest reproduces
-//! them byte for byte. `cv` (a stereo/optical-flow pipeline) and
-//! `cryptomix` (a bursty crypto+compression server mix) have no
-//! constructor twin.
+//! file: the JSON *is* the definition. `h264` is the encoder of the
+//! paper's evaluation, `fft` a data-dominant pipeline, `cipher` a
+//! control-dominant stream cipher, `toy` a one-kernel test app, `cv` a
+//! stereo/optical-flow pipeline and `cryptomix` a bursty
+//! crypto+compression server mix. `tests/ingest_goldens.rs` pins what each
+//! one lowers to.
 
 use crate::manifest::Manifest;
 use crate::model::ManifestModel;

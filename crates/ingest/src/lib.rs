@@ -1,8 +1,7 @@
 //! # mrts-ingest — the workload-ingestion compiler pipeline
 //!
-//! Every scenario the runtime is evaluated on used to be a hand-built Rust
-//! constructor (`workload::h264::h264_application` and friends). This crate
-//! turns workload construction into a small compiler:
+//! Every scenario the runtime is evaluated on is a JSON workload manifest.
+//! This crate turns workload construction into a small compiler:
 //!
 //! ```text
 //!   manifest (JSON)          replayed event spine (JSONL, optional)
@@ -22,11 +21,10 @@
 //!
 //! The checked-in manifests under `manifests/` are the only definition of
 //! the builtin apps: [`builtin`] embeds them and parses them on demand. The
-//! hand-built constructors in `mrts-workload` stay as the *oracle*: the
-//! manifests lower to byte-identical catalogues, traces and `RunStats`
-//! (pinned by the `ingest_goldens` test), and the CLI/fleet/bench layers
-//! all obtain their applications through [`fn@model`] so the ingested path
-//! is the production path.
+//! CLI, the fleet registry, the bench harness, the examples and the tests
+//! all obtain their applications through [`fn@model`]. The `ingest_goldens`
+//! test pins what each builtin lowers to: digests of its catalogue, traces
+//! and `RunStats`, and its busy-cycle fingerprint.
 //!
 //! ## Entry points
 //!

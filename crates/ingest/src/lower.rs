@@ -1,9 +1,7 @@
 //! The pipeline back-end: manifest IR → [`Application`] (+ catalogue).
 //!
-//! Lowering is the *shared* path: the hand-built constructors build
-//! `Application`s directly, the manifests build the same structures through
-//! this module, and the goldens in `tests/ingest_goldens.rs` prove the two
-//! meet byte-for-byte. Catalogue derivation itself stays in
+//! Lowering builds the same `Application` a hand-written model would;
+//! catalogue derivation itself stays in
 //! [`Application::build_catalog`] — that *is* the compile-time toolchain
 //! stand-in — so FG/CG/MG variant enumeration has exactly one home.
 

@@ -11,7 +11,7 @@
 //!   outputs. Inputs are never removed (they are interface, not work).
 //!   With no declared outputs every sink op counts as live, which makes
 //!   the pass the *identity* — so the builtin manifests, which declare no
-//!   outputs, lower byte-identically to their hand-built constructors. With declared outputs, removing
+//!   outputs, lower every op they list. With declared outputs, removing
 //!   the dead ops is exactly what keeps a polluted manifest's `RunStats`
 //!   equal to its clean twin's.
 //! * [`cluster`] — groups each kernel's data paths into a candidate ISE

@@ -4,12 +4,12 @@
 //! declared as small arithmetic expressions over the per-frame features of
 //! the synthetic video ([`FrameStats`]). The vocabulary is deliberately
 //! tiny — constants, features, `add`, `mul`, a scene-change selector and
-//! one domain-specific fold over macroblock edges — but it is expressive
-//! enough to state every hand-written model in `mrts-workload`
-//! *bit-exactly*: evaluation follows the expression tree, so an author who
-//! mirrors the constructor's operation order reproduces its `f64` results
-//! (and hence the trace, and hence every downstream `RunStats`) byte for
-//! byte. The goldens in `tests/ingest_goldens.rs` pin exactly that.
+//! one domain-specific fold over macroblock edges — but it states the
+//! encoder's boundary-strength, coded-block and motion-search rules
+//! *bit-exactly*: evaluation follows the expression tree, so a rule fixes
+//! its `f64` operation order (and hence the trace, and hence every
+//! downstream `RunStats`). The digests in `tests/ingest_goldens.rs` pin
+//! the builtins' results.
 //!
 //! Concrete syntax (stored as a JSON string in the manifest):
 //!
@@ -127,7 +127,7 @@ impl RateExpr {
                 slope,
                 exponent,
             } => {
-                let sum: u64 = frame
+                let sum = frame
                     .macroblocks
                     .iter()
                     .map(|mb| {
@@ -138,7 +138,7 @@ impl RateExpr {
                         };
                         (edges_per_mb * fraction).round() as u64
                     })
-                    .sum();
+                    .fold(0u64, u64::saturating_add);
                 sum as f64
             }
         }
@@ -187,7 +187,7 @@ impl RateExpr {
 /// How the evaluated `f64` becomes an execution count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Round {
-    /// `round()` then floor at 1 — the H.264 constructors' convention.
+    /// `round()` then floor at 1 — the H.264 encoder's convention.
     NearestMin1,
     /// Plain `as u64` truncation — the FFT/cipher/toy convention.
     Trunc,
@@ -202,15 +202,21 @@ pub struct RateRule {
     pub expr: RateExpr,
 }
 
+/// The most executions a rate rule yields for one kernel in one frame
+/// (2³²). A larger value saturates here, so run totals summed over frames,
+/// kernels and blocks stay far inside `u64`.
+const MAX_FRAME_EXECUTIONS: u64 = 1 << 32;
+
 impl RateRule {
-    /// The kernel's execution count for one frame.
+    /// The kernel's execution count for one frame, at most 2³².
     #[must_use]
     pub fn executions(&self, frame: &FrameStats) -> u64 {
         let v = self.expr.eval(frame);
-        match self.round {
+        let n = match self.round {
             Round::NearestMin1 => v.round().max(1.0) as u64,
             Round::Trunc => v as u64,
-        }
+        };
+        n.min(MAX_FRAME_EXECUTIONS)
     }
 
     /// Renders the rule in canonical concrete syntax.

@@ -47,10 +47,10 @@
 //! ```
 //! use mrts_arch::{ArchParams, Resources};
 //! use mrts_multitask::{run_multitask, MultitaskConfig, TenantSpec};
-//! use mrts_workload::synthetic::{synthetic_trace, Pattern, ToyApp};
+//! use mrts_workload::synthetic::{synthetic_trace, Pattern};
 //! use mrts_workload::WorkloadModel;
 //!
-//! let toy = ToyApp::new();
+//! let toy = mrts_ingest::model("toy").unwrap();
 //! let catalog = toy
 //!     .application()
 //!     .build_catalog(ArchParams::default(), None)

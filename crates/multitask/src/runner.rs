@@ -1451,11 +1451,15 @@ impl<'a> MultitaskRunner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrts_workload::synthetic::{synthetic_trace, Pattern, ToyApp};
+    use mrts_workload::synthetic::{synthetic_trace, Pattern};
     use mrts_workload::WorkloadModel;
 
+    fn toy() -> mrts_ingest::ManifestModel {
+        mrts_ingest::model("toy").expect("builtin toy lowers")
+    }
+
     fn toy_setup() -> (IseCatalog, Trace) {
-        let toy = ToyApp::new();
+        let toy = toy();
         let catalog = toy
             .application()
             .build_catalog(ArchParams::default(), None)
@@ -1541,7 +1545,7 @@ mod tests {
     #[test]
     fn dynamic_repartitions_when_a_tenant_finishes() {
         let (catalog, trace) = toy_setup();
-        let short = synthetic_trace(&ToyApp::new(), &[Pattern::Constant(50)], 2);
+        let short = synthetic_trace(&toy(), &[Pattern::Constant(50)], 2);
         let specs = [
             TenantSpec::new("long", &catalog, &trace),
             TenantSpec::new("short", &catalog, &short),
@@ -1564,7 +1568,7 @@ mod tests {
     #[test]
     fn dynamic_skips_repartition_when_no_tenant_is_constrained() {
         let (catalog, trace) = toy_setup();
-        let short = synthetic_trace(&ToyApp::new(), &[Pattern::Constant(50)], 2);
+        let short = synthetic_trace(&toy(), &[Pattern::Constant(50)], 2);
         let specs = [
             TenantSpec::new("long", &catalog, &trace),
             TenantSpec::new("short", &catalog, &short),
@@ -1687,7 +1691,7 @@ mod tests {
         admission: AdmissionPolicy,
         mix: &[(Criticality, u64, usize)],
     ) -> MultitaskStats {
-        let toy = ToyApp::new();
+        let toy = toy();
         let catalog = toy
             .application()
             .build_catalog(ArchParams::default(), None)
@@ -1961,7 +1965,7 @@ mod tests {
         const SESSIONS: usize = 2_000;
         const CONCURRENT: usize = 3;
         let (catalog, _) = toy_setup();
-        let trace = synthetic_trace(&ToyApp::new(), &[Pattern::Constant(40)], 2);
+        let trace = synthetic_trace(&toy(), &[Pattern::Constant(40)], 2);
         let params = ArchParams::default();
         let cfg = MultitaskConfig {
             repartition_min_demand: Cycles::ZERO,

@@ -274,10 +274,11 @@ impl<'a> Simulator<'a> {
     /// ```
     /// use mrts_arch::{ArchParams, Machine, Resources};
     /// use mrts_sim::{policy::RiscOnlyPolicy, Simulator};
-    /// use mrts_workload::{synthetic::ToyApp, synthetic::{synthetic_trace, Pattern}, WorkloadModel};
+    /// use mrts_workload::synthetic::{synthetic_trace, Pattern};
+    /// use mrts_workload::WorkloadModel;
     ///
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let toy = ToyApp::new();
+    /// let toy = mrts_ingest::model("toy")?;
     /// let catalog = toy.application().build_catalog(ArchParams::default(), None)?;
     /// let trace = synthetic_trace(&toy, &[Pattern::Constant(100)], 3);
     /// let machine = Machine::new(ArchParams::default(), Resources::new(1, 1))?;
@@ -914,11 +915,11 @@ mod tests {
     use crate::policy::{BlockPlan, ExecPlan, RiscOnlyPolicy};
     use mrts_arch::{ArchParams, Resources};
     use mrts_ise::{BlockId, Ise};
-    use mrts_workload::synthetic::{synthetic_trace, Pattern, ToyApp};
+    use mrts_workload::synthetic::{synthetic_trace, Pattern};
     use mrts_workload::WorkloadModel;
 
     fn setup() -> (IseCatalog, Trace) {
-        let toy = ToyApp::new();
+        let toy = mrts_ingest::model("toy").expect("builtin toy lowers");
         let catalog = toy
             .application()
             .build_catalog(ArchParams::default(), None)

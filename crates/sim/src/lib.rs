@@ -18,11 +18,10 @@
 //! ```
 //! use mrts_arch::{ArchParams, Machine, Resources};
 //! use mrts_sim::{policy::RiscOnlyPolicy, Simulator};
-//! use mrts_workload::h264::H264Encoder;
 //! use mrts_workload::{TraceBuilder, WorkloadModel};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let encoder = H264Encoder::new();
+//! let encoder = mrts_ingest::model("h264")?;
 //! let catalog = encoder.application().build_catalog(ArchParams::default(), None)?;
 //! let trace = TraceBuilder::new(&encoder).build();
 //! let machine = Machine::new(ArchParams::default(), Resources::new(2, 2))?;
@@ -40,7 +39,6 @@ pub mod calendar;
 pub mod edpe;
 pub mod engine;
 pub mod policy;
-pub mod record;
 pub mod stats;
 pub mod timeline;
 

@@ -9,37 +9,20 @@
 //!   sequences (scene structure, per-macroblock features),
 //! * [`app`] — the application/functional-block structure and the
 //!   [`app::WorkloadModel`] trait,
-//! * [`h264`] — the encoder-shaped application of the evaluation: three
-//!   functional blocks, eleven kernels, the Section 2 deblocking-filter
-//!   case study included,
-//! * [`apps`] — a data-dominant FFT pipeline and a control-dominant stream
-//!   cipher for generality checks,
 //! * [`trace`] — block-activation traces with compile-time forecasts vs.
 //!   input-dependent actual behaviour, and
 //! * [`synthetic`] — step/ramp/burst patterns for targeted tests.
 //!
-//! ## Example
-//!
-//! ```
-//! use mrts_workload::h264::H264Encoder;
-//! use mrts_workload::trace::TraceBuilder;
-//! use mrts_workload::video::VideoModel;
-//! use mrts_workload::app::WorkloadModel;
-//!
-//! let encoder = H264Encoder::new();
-//! let trace = TraceBuilder::new(&encoder)
-//!     .video(VideoModel::paper_default(42))
-//!     .build();
-//! assert_eq!(trace.len(), 48); // 16 frames x 3 functional blocks
-//! ```
+//! The applications themselves — the encoder of the evaluation, an FFT
+//! pipeline, a stream cipher and more — are workload manifests, lowered to
+//! [`WorkloadModel`]s by `mrts-ingest`. [`TraceBuilder`] shows a small
+//! model written by hand.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod app;
-pub mod apps;
-pub mod h264;
 pub mod synthetic;
 pub mod trace;
 pub mod video;

@@ -6,7 +6,6 @@
 
 use crate::app::{Application, WorkloadModel};
 use crate::trace::{BlockActivation, KernelActivity, Trace};
-use mrts_arch::Cycles;
 use mrts_ise::{TriggerBlock, TriggerInstruction};
 use serde::{Deserialize, Serialize};
 
@@ -132,87 +131,43 @@ pub fn synthetic_trace(
     Trace::new(format!("{}@synthetic", app.name()), out)
 }
 
-/// A single-kernel, single-block toy application useful in unit tests.
-#[derive(Debug)]
-pub struct ToyApp {
-    app: Application,
-    gap: Cycles,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::app::FunctionalBlock;
+    use crate::video::FrameStats;
+    use mrts_ise::datapath::{DataPathGraph, OpKind};
+    use mrts_ise::{BlockId, KernelId, KernelSpec};
 
-impl ToyApp {
-    /// Creates the toy application: one kernel with one word-level and one
-    /// bit-level data path, in one functional block.
-    #[must_use]
-    pub fn new() -> Self {
-        use mrts_ise::datapath::{DataPathGraph, OpKind};
-        use mrts_ise::{BlockId, KernelId, KernelSpec};
+    /// One kernel in one block; `synthetic_trace` never asks it for
+    /// per-frame counts.
+    struct OneKernel(Application);
 
-        let mut w = DataPathGraph::builder("word");
-        let a = w.input();
-        let b2 = w.input();
-        let s = w.op(OpKind::Add, &[a, b2]);
-        let m = w.op(OpKind::Mul, &[s, b2]);
-        let _ = w.op(OpKind::Max, &[m, a]);
-        let word = w.finish().expect("valid");
+    impl WorkloadModel for OneKernel {
+        fn application(&self) -> &Application {
+            &self.0
+        }
 
-        let mut g = DataPathGraph::builder("bits");
+        fn kernel_executions(&self, _frame: &FrameStats) -> Vec<u64> {
+            vec![1]
+        }
+    }
+
+    fn one_kernel() -> OneKernel {
+        let mut g = DataPathGraph::builder("abs");
         let x = g.input();
-        let sh = g.op(OpKind::BitShuffle, &[x, x]);
-        let e = g.op(OpKind::BitExtract, &[sh]);
-        let _ = g.op(OpKind::Cmp, &[e, x]);
-        let bits = g.finish().expect("valid");
-
-        let spec = KernelSpec::new("toy")
-            .data_path(bits, 16)
-            .data_path(word, 16)
-            .overhead_cycles(100);
-        let app = Application::new(
-            "toy",
+        let _ = g.op(OpKind::Abs, &[x]);
+        let spec = KernelSpec::new("k").data_path(g.finish().expect("valid"), 4);
+        OneKernel(Application::new(
+            "one",
             vec![spec],
-            vec![crate::app::FunctionalBlock {
+            vec![FunctionalBlock {
                 id: BlockId(0),
                 name: "main".into(),
                 kernels: vec![KernelId(0)],
             }],
-        );
-        ToyApp {
-            app,
-            gap: Cycles::new(300),
-        }
+        ))
     }
-
-    /// Overrides the inter-execution gap.
-    #[must_use]
-    pub fn with_gap(mut self, gap: Cycles) -> Self {
-        self.gap = gap;
-        self
-    }
-}
-
-impl Default for ToyApp {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WorkloadModel for ToyApp {
-    fn application(&self) -> &Application {
-        &self.app
-    }
-
-    fn kernel_executions(&self, frame: &crate::video::FrameStats) -> Vec<u64> {
-        vec![(200.0 + 1_800.0 * frame.mean_residual()) as u64]
-    }
-
-    fn kernel_gap(&self, _kernel: mrts_ise::KernelId) -> Cycles {
-        self.gap
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mrts_ise::KernelId;
 
     #[test]
     fn pattern_values() {
@@ -240,9 +195,8 @@ mod tests {
 
     #[test]
     fn synthetic_trace_has_pattern_counts() {
-        let toy = ToyApp::new();
         let t = synthetic_trace(
-            &toy,
+            &one_kernel(),
             &[Pattern::Step {
                 low: 10,
                 high: 1_000,
@@ -269,7 +223,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "one pattern per kernel")]
     fn pattern_count_mismatch_panics() {
-        let toy = ToyApp::new();
-        let _ = synthetic_trace(&toy, &[], 4);
+        let _ = synthetic_trace(&one_kernel(), &[], 4);
     }
 }

@@ -123,16 +123,41 @@ impl Trace {
 ///
 /// # Example
 ///
-/// ```
-/// use mrts_workload::h264::H264Encoder;
-/// use mrts_workload::trace::TraceBuilder;
-/// use mrts_workload::video::VideoModel;
+/// A one-kernel model whose executions follow each frame's residual
+/// energy:
 ///
-/// let trace = TraceBuilder::new(&H264Encoder::new())
+/// ```
+/// use mrts_ise::datapath::{DataPathGraph, OpKind};
+/// use mrts_ise::{BlockId, KernelId, KernelSpec};
+/// use mrts_workload::video::FrameStats;
+/// use mrts_workload::{Application, FunctionalBlock, TraceBuilder, VideoModel, WorkloadModel};
+///
+/// struct Filter(Application);
+///
+/// impl WorkloadModel for Filter {
+///     fn application(&self) -> &Application {
+///         &self.0
+///     }
+///     fn kernel_executions(&self, frame: &FrameStats) -> Vec<u64> {
+///         vec![(100.0 + 900.0 * frame.mean_residual()) as u64]
+///     }
+/// }
+///
+/// let mut g = DataPathGraph::builder("abs");
+/// let x = g.input();
+/// let _ = g.op(OpKind::Abs, &[x]);
+/// let kernel = KernelSpec::new("filter").data_path(g.finish().expect("valid"), 4);
+/// let block = FunctionalBlock {
+///     id: BlockId(0),
+///     name: "main".into(),
+///     kernels: vec![KernelId(0)],
+/// };
+/// let model = Filter(Application::new("filter", vec![kernel], vec![block]));
+/// let trace = TraceBuilder::new(&model)
 ///     .video(VideoModel::paper_default(1))
 ///     .build();
-/// // 16 frames x 3 functional blocks.
-/// assert_eq!(trace.len(), 48);
+/// // 16 frames x 1 functional block.
+/// assert_eq!(trace.len(), 16);
 /// ```
 #[derive(Debug)]
 pub struct TraceBuilder<'m, M: WorkloadModel + ?Sized> {
@@ -206,91 +231,5 @@ impl<'m, M: WorkloadModel + ?Sized> TraceBuilder<'m, M> {
             }
         }
         Trace::new(format!("{}@video", app.name()), activations)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::h264::{H264Encoder, H264Kernel};
-
-    fn trace() -> Trace {
-        TraceBuilder::new(&H264Encoder::new())
-            .video(VideoModel::paper_default(1))
-            .build()
-    }
-
-    #[test]
-    fn structure_is_frames_times_blocks() {
-        let t = trace();
-        assert_eq!(t.len(), 16 * 3);
-        assert_eq!(t.activations()[0].block, BlockId(0));
-        assert_eq!(t.activations()[1].block, BlockId(1));
-        assert_eq!(t.activations()[2].block, BlockId(2));
-        assert_eq!(t.activations()[3].frame, 1);
-    }
-
-    #[test]
-    fn forecast_is_static_actual_varies() {
-        let t = trace();
-        let deblock = H264Kernel::Deblock.id();
-        let loop_filter_acts: Vec<&BlockActivation> = t
-            .activations()
-            .iter()
-            .filter(|a| a.block == BlockId(2))
-            .collect();
-        let forecasts: Vec<u64> = loop_filter_acts
-            .iter()
-            .map(|a| a.forecast.trigger_for(deblock).unwrap().expected_executions)
-            .collect();
-        assert!(
-            forecasts.windows(2).all(|w| w[0] == w[1]),
-            "compile-time forecast must be identical across activations"
-        );
-        let actuals: Vec<u64> = loop_filter_acts
-            .iter()
-            .map(|a| a.activity_of(deblock).unwrap().executions)
-            .collect();
-        assert!(
-            actuals.windows(2).any(|w| w[0] != w[1]),
-            "actual counts must vary with input data"
-        );
-    }
-
-    #[test]
-    fn forecast_is_profiling_mean() {
-        let t = trace();
-        let deblock = H264Kernel::Deblock.id();
-        let forecast = t.activations()[2]
-            .forecast
-            .trigger_for(deblock)
-            .unwrap()
-            .expected_executions;
-        let mean = t.mean_executions(deblock);
-        assert!(
-            (forecast as f64 - mean).abs() <= mean * 0.05 + 1.0,
-            "forecast {forecast} should approximate the mean {mean}"
-        );
-    }
-
-    #[test]
-    fn totals_accumulate() {
-        let t = trace();
-        let deblock = H264Kernel::Deblock.id();
-        let manual: u64 = t
-            .activations()
-            .iter()
-            .filter_map(|a| a.activity_of(deblock))
-            .map(|a| a.executions)
-            .sum();
-        assert_eq!(t.total_executions(deblock), manual);
-        assert!(manual > 0);
-    }
-
-    #[test]
-    fn unknown_kernel_yields_zero() {
-        let t = trace();
-        assert_eq!(t.total_executions(KernelId(99)), 0);
-        assert_eq!(t.mean_executions(KernelId(99)), 0.0);
     }
 }

@@ -15,14 +15,13 @@
 use mrts::arch::{ArchParams, Cycles, Machine, Resources};
 use mrts::core::Mrts;
 use mrts::sim::{RiscOnlyPolicy, Simulator};
-use mrts::workload::h264::H264Encoder;
 use mrts::workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
 /// Artefact ids far outside any catalogue: the foreign task's loads.
 const FOREIGN_BASE: u64 = 1 << 60;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let encoder = H264Encoder::new();
+    let encoder = mrts::ingest::model("h264")?;
     let catalog = encoder
         .application()
         .build_catalog(ArchParams::default(), None)?;

@@ -9,18 +9,17 @@
 //! cargo run --release --example multi_tasking
 //! ```
 
+use std::collections::BTreeMap;
+
 use mrts::arch::{ArchParams, Machine, Resources};
 use mrts::core::Mrts;
-use mrts::sim::record::Recording;
-use mrts::sim::{RiscOnlyPolicy, Simulator};
-use mrts::workload::apps::{CipherApp, FftApp};
-use mrts::workload::h264::H264Encoder;
+use mrts::sim::{RiscOnlyPolicy, SimEvent, Simulator, VecSink};
 use mrts::workload::{MergedWorkload, TraceBuilder, VideoModel, WorkloadModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let encoder = H264Encoder::new();
-    let fft = FftApp::new();
-    let cipher = CipherApp::new();
+    let encoder = mrts::ingest::model("h264")?;
+    let fft = mrts::ingest::model("fft")?;
+    let cipher = mrts::ingest::model("cipher")?;
     let merged = MergedWorkload::new("soc_multitask", vec![&encoder, &fft, &cipher]);
     println!(
         "merged workload: {} kernels in {} interleaved functional blocks",
@@ -38,8 +37,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let combo = Resources::new(2, 2);
     let machine = || Machine::new(ArchParams::default(), combo);
     let risc = Simulator::run(&catalog, machine()?, &trace, &mut RiscOnlyPolicy::new());
-    let mut recording = Recording::new(Mrts::new());
-    let mrts = Simulator::run(&catalog, machine()?, &trace, &mut recording);
+    // Record the mRTS run's event spine.
+    let sink = VecSink::new();
+    let mut sim = Simulator::new(&catalog, machine()?);
+    sim.attach_events(0, Box::new(sink.clone()));
+    let mrts = sim.run_trace(&trace, &mut Mrts::new());
+    sim.finish_events();
+    let events = sink.take();
 
     println!();
     println!(
@@ -50,23 +54,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // How much fabric churn does task interleaving cause?
-    let records = recording.records();
-    let loads: usize = records.iter().map(|r| r.loaded.len()).sum();
-    let evictions: usize = records.iter().map(|r| r.evicted.len()).sum();
+    let count = |pred: fn(&SimEvent) -> bool| events.iter().filter(|(_, e)| pred(e)).count();
+    let triggers = count(|e| matches!(e, SimEvent::BlockStart { .. }));
+    let loads = count(|e| matches!(e, SimEvent::LoadIssued { .. }));
     println!(
-        "over {} trigger instructions mRTS streamed {loads} units and evicted {evictions} \
-         (tasks steal fabric from each other at every block boundary)",
-        records.len()
+        "over {triggers} trigger instructions mRTS streamed {loads} units \
+         (tasks steal fabric from each other at every block boundary)"
     );
 
-    // Which tasks' kernels kept changing their selected ISE?
-    println!();
-    println!("selection changes per kernel (adaptivity under fabric sharing):");
-    for kernel in catalog.kernels() {
-        let changes = recording.selection_changes(kernel.id());
-        if changes > 0 {
-            println!("  {:<22} {changes} changes", kernel.name());
+    // Which tasks' kernels kept changing how they execute?
+    let mut changes = BTreeMap::new();
+    let mut last = BTreeMap::new();
+    for (_, event) in &events {
+        if let SimEvent::ExecBatch { kernel, class, .. } = event {
+            if last
+                .insert(*kernel, *class)
+                .is_some_and(|prev| prev != *class)
+            {
+                *changes.entry(*kernel).or_insert(0usize) += 1;
+            }
         }
+    }
+    println!();
+    println!("execution-class changes per kernel (adaptivity under fabric sharing):");
+    for (kernel, n) in changes {
+        println!("  {:<22} {n} changes", catalog.kernel(kernel)?.name());
     }
     Ok(())
 }

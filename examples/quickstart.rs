@@ -8,13 +8,13 @@
 use mrts::arch::{ArchParams, Machine, Resources};
 use mrts::core::Mrts;
 use mrts::sim::{RiscOnlyPolicy, Simulator};
-use mrts::workload::h264::H264Encoder;
 use mrts::workload::{TraceBuilder, VideoModel, WorkloadModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. The application: an H.264-encoder-shaped workload with three
-    //    functional blocks and eleven kernels.
-    let encoder = H264Encoder::new();
+    // 1. The application: the builtin H.264-encoder manifest
+    //    (`manifests/h264.json`), three functional blocks and eleven
+    //    kernels.
+    let encoder = mrts::ingest::model("h264")?;
 
     // 2. The compile-time step: enumerate FG/CG/MG ISE variants for every
     //    kernel (the paper's "compile-time prepared ISEs").

@@ -7,13 +7,21 @@
 use mrts::arch::ArchParams;
 use mrts::ise::mapping::map_to_cg;
 use mrts::sim::edpe::{compile_graph, evaluate_graph, EdpeInterpreter, EdpeState};
-use mrts::workload::h264::h264_application;
+use mrts::workload::{Application, WorkloadModel};
+
+/// The encoder of the evaluation, lowered from its builtin manifest.
+fn encoder() -> Application {
+    mrts::ingest::model("h264")
+        .expect("builtin h264 lowers")
+        .application()
+        .clone()
+}
 
 #[test]
 fn every_encoder_graph_compiles_and_matches_the_reference() {
     let params = ArchParams::default();
     let interp = EdpeInterpreter::new(params.clone());
-    let app = h264_application();
+    let app = encoder();
     let mut validated = 0usize;
     for spec in app.kernel_specs() {
         for dp in spec.data_paths() {
@@ -65,7 +73,7 @@ fn every_encoder_graph_compiles_and_matches_the_reference() {
 #[test]
 fn instruction_counts_match_the_cost_model() {
     let params = ArchParams::default();
-    let app = h264_application();
+    let app = encoder();
     for spec in app.kernel_specs() {
         for dp in spec.data_paths() {
             let (program, _) = compile_graph(&dp.graph).expect("compiles");

@@ -1,50 +1,26 @@
 //! End-to-end integration tests: the full pipeline — application →
 //! catalogue → video → trace → simulator → policies — across crates.
 
-use mrts::arch::{ArchParams, Machine, Resources};
+use mrts::arch::{ArchParams, Resources};
 use mrts::baselines::{
-    LooselyCoupledPolicy, OfflineOptimalPolicy, OnlineOptimalPolicy, ProfiledTotals, RisppPolicy,
+    LooselyCoupledPolicy, OfflineOptimalPolicy, OnlineOptimalPolicy, RisppPolicy,
 };
 use mrts::core::Mrts;
+use mrts::ise::{BlockId, KernelId};
 use mrts::sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
-use mrts::workload::h264::H264Encoder;
-use mrts::workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
+use mrts::workload::{MergedWorkload, Trace, TraceBuilder, VideoModel, WorkloadModel};
+use mrts_bench::Testbed;
 
-struct Bed {
-    catalog: mrts::ise::IseCatalog,
-    trace: Trace,
-    totals: ProfiledTotals,
-}
-
-fn bed() -> Bed {
-    let encoder = H264Encoder::new();
-    let catalog = encoder
-        .application()
-        .build_catalog(ArchParams::default(), None)
-        .expect("encoder kernels are mappable");
-    let trace = TraceBuilder::new(&encoder)
-        .video(VideoModel::paper_default(1))
-        .build();
-    let totals = ProfiledTotals::from_trace(&trace);
-    Bed {
-        catalog,
-        trace,
-        totals,
-    }
-}
-
-fn run(bed: &Bed, combo: Resources, policy: &mut dyn RuntimePolicy) -> RunStats {
-    let machine = Machine::new(ArchParams::default(), combo).expect("valid machine");
-    Simulator::run(&bed.catalog, machine, &bed.trace, policy)
+/// The encoder of the evaluation over the paper video (seed 1).
+fn bed() -> Testbed {
+    Testbed::new("h264", 1)
 }
 
 #[test]
 fn every_policy_executes_the_whole_trace() {
     let bed = bed();
     let combo = Resources::new(2, 2);
-    let capacity = Machine::new(ArchParams::default(), combo)
-        .expect("valid machine")
-        .capacity();
+    let capacity = bed.machine(combo).capacity();
     let expected: u64 = bed
         .trace
         .activations()
@@ -69,7 +45,7 @@ fn every_policy_executes_the_whole_trace() {
         Box::new(Mrts::new()),
     ];
     for p in &mut policies {
-        let stats = run(&bed, combo, p.as_mut());
+        let stats = bed.run(combo, p.as_mut());
         assert_eq!(
             stats.total_executions(),
             expected,
@@ -89,19 +65,15 @@ fn policy_ordering_holds_on_multi_grained_machines() {
         Resources::new(2, 2),
         Resources::new(3, 2),
     ] {
-        let capacity = Machine::new(ArchParams::default(), combo)
-            .expect("valid machine")
-            .capacity();
-        let risc = run(&bed, combo, &mut RiscOnlyPolicy::new());
-        let mrts = run(&bed, combo, &mut Mrts::new());
-        let optimal = run(&bed, combo, &mut OnlineOptimalPolicy::new());
-        let offline = run(
-            &bed,
+        let capacity = bed.machine(combo).capacity();
+        let risc = bed.run(combo, &mut RiscOnlyPolicy::new());
+        let mrts = bed.run(combo, &mut Mrts::new());
+        let optimal = bed.run(combo, &mut OnlineOptimalPolicy::new());
+        let offline = bed.run(
             combo,
             &mut OfflineOptimalPolicy::new(&bed.catalog, capacity, &bed.totals),
         );
-        let morpheus = run(
-            &bed,
+        let morpheus = bed.run(
             combo,
             &mut LooselyCoupledPolicy::new(&bed.catalog, capacity, &bed.totals),
         );
@@ -130,11 +102,11 @@ fn policy_ordering_holds_on_multi_grained_machines() {
 fn runs_are_deterministic() {
     let bed = bed();
     let combo = Resources::new(2, 3);
-    let a = run(&bed, combo, &mut Mrts::new());
-    let b = run(&bed, combo, &mut Mrts::new());
+    let a = bed.run(combo, &mut Mrts::new());
+    let b = bed.run(combo, &mut Mrts::new());
     assert_eq!(a, b);
     // And the trace itself regenerates identically.
-    let encoder = H264Encoder::new();
+    let encoder = mrts::ingest::model("h264").expect("builtin h264 lowers");
     let again = TraceBuilder::new(&encoder)
         .video(VideoModel::paper_default(1))
         .build();
@@ -145,30 +117,18 @@ fn runs_are_deterministic() {
 fn zero_fabric_machine_degenerates_to_risc_for_all_policies() {
     let bed = bed();
     let combo = Resources::NONE;
-    let risc = run(&bed, combo, &mut RiscOnlyPolicy::new());
-    let mrts = run(&bed, combo, &mut Mrts::new());
+    let risc = bed.run(combo, &mut RiscOnlyPolicy::new());
+    let mrts = bed.run(combo, &mut Mrts::new());
     // Identical busy cycles; only the decision overhead differs.
     assert_eq!(risc.total_busy(), mrts.total_busy());
 }
 
 #[test]
 fn other_applications_also_profit() {
-    use mrts::workload::apps::{CipherApp, FftApp};
-    let models: Vec<(&str, Box<dyn WorkloadModel>)> = vec![
-        ("fft", Box::new(FftApp::new())),
-        ("cipher", Box::new(CipherApp::new())),
-    ];
-    for (name, app) in models {
-        let catalog = app
-            .application()
-            .build_catalog(ArchParams::default(), None)
-            .expect("kernels are mappable");
-        let trace = TraceBuilder::new(app.as_ref())
-            .video(VideoModel::paper_default(5))
-            .build();
-        let mk = || Machine::new(ArchParams::default(), Resources::new(1, 1)).expect("valid");
-        let risc = Simulator::run(&catalog, mk(), &trace, &mut RiscOnlyPolicy::new());
-        let mrts = Simulator::run(&catalog, mk(), &trace, &mut Mrts::new());
+    for name in ["fft", "cipher"] {
+        let tb = Testbed::new(name, 5);
+        let risc = tb.run(Resources::new(1, 1), &mut RiscOnlyPolicy::new());
+        let mrts = tb.run(Resources::new(1, 1), &mut Mrts::new());
         assert!(
             mrts.total_execution_time() < risc.total_execution_time(),
             "{name}: mRTS must accelerate"
@@ -179,8 +139,7 @@ fn other_applications_also_profit() {
 #[test]
 fn machine_state_persists_across_traces() {
     let bed = bed();
-    let machine = Machine::new(ArchParams::default(), Resources::new(2, 2)).expect("valid");
-    let mut sim = Simulator::new(&bed.catalog, machine);
+    let mut sim = Simulator::new(&bed.catalog, bed.machine(Resources::new(2, 2)));
     let mut mrts = Mrts::new();
     let acts = bed.trace.activations();
     let first = Trace::new("a", acts[..24].to_vec());
@@ -193,10 +152,56 @@ fn machine_state_persists_across_traces() {
     // Both halves executed.
     assert!(s1.total_executions() > 0 && s2.total_executions() > 0);
     // Split run equals the single run (same machine state evolution).
-    let whole = run(&bed, Resources::new(2, 2), &mut Mrts::new());
+    let whole = bed.run(Resources::new(2, 2), &mut Mrts::new());
     assert_eq!(
         whole.total_busy(),
         s1.total_busy() + s2.total_busy(),
         "split simulation must be seamless"
     );
+}
+
+#[test]
+fn merged_applications_interleave_blocks_and_rebase_kernels() {
+    let model = |name| mrts::ingest::model(name).expect("builtin lowers");
+    let (enc, fft, cipher) = (model("h264"), model("fft"), model("cipher"));
+    let merged = MergedWorkload::new("soc", vec![&enc, &fft, &cipher]);
+    let app = merged.application();
+    // 11 + 2 + 2 kernels; 3 + 1 + 1 blocks.
+    assert_eq!(app.kernel_count(), 15);
+    assert_eq!(app.blocks().len(), 5);
+    // Round-robin: enc.b0, fft.b0, cipher.b0, enc.b1, enc.b2.
+    let names: Vec<&str> = app.blocks().iter().map(|b| b.name.as_str()).collect();
+    assert_eq!(
+        names,
+        vec![
+            "h264_encoder::motion_intra",
+            "fft_pipeline::fft",
+            "stream_cipher::encrypt",
+            "h264_encoder::transform_encode",
+            "h264_encoder::loop_filter",
+        ]
+    );
+    // Block ids renumbered densely.
+    for (i, b) in app.blocks().iter().enumerate() {
+        assert_eq!(b.id, BlockId(i as u16));
+    }
+    // The fft block's kernels were rebased past the encoder's 11.
+    assert_eq!(app.blocks()[1].kernels, vec![KernelId(11), KernelId(12)]);
+    // Execution counts concatenate component outputs.
+    let frame = &VideoModel::paper_default(1).frames()[0];
+    let counts = merged.kernel_executions(frame);
+    assert_eq!(counts.len(), 15);
+    assert_eq!(&counts[..11], &enc.kernel_executions(frame)[..]);
+    assert_eq!(&counts[11..13], &fft.kernel_executions(frame)[..]);
+    // Gaps dispatch to the owning component.
+    assert_eq!(merged.kernel_gap(KernelId(11)), fft.kernel_gap(KernelId(0)));
+    assert_eq!(
+        merged.kernel_gap(KernelId(14)),
+        cipher.kernel_gap(KernelId(1))
+    );
+    // And the merged catalogue builds.
+    let catalog = app
+        .build_catalog(ArchParams::default(), None)
+        .expect("merged catalog builds");
+    assert_eq!(catalog.kernels().len(), 15);
 }

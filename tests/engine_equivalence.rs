@@ -11,7 +11,7 @@ use mrts::sim::{
     BlockPlan, ExecClass, ExecMode, KernelStats, RiscOnlyPolicy, RunStats, RuntimePolicy,
     SelectionContext, Simulator,
 };
-use mrts::workload::synthetic::{synthetic_trace, Pattern, ToyApp};
+use mrts::workload::synthetic::{synthetic_trace, Pattern};
 use mrts::workload::{Trace, WorkloadModel};
 
 /// One-execution-at-a-time reference implementation of the engine's
@@ -127,7 +127,7 @@ fn naive_run(
 }
 
 fn setup(pattern: Pattern, rounds: usize) -> (IseCatalog, Trace) {
-    let toy = ToyApp::new();
+    let toy = mrts::ingest::model("toy").expect("builtin toy lowers");
     let catalog = toy
         .application()
         .build_catalog(ArchParams::default(), None)

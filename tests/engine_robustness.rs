@@ -14,11 +14,11 @@ use mrts::sim::{
     BlockPlan, ExecClass, ExecContext, ExecMode, ExecPlan, RuntimePolicy, SelectionContext,
     Simulator, LOAD_RETRY_BUDGET,
 };
-use mrts::workload::synthetic::{synthetic_trace, Pattern, ToyApp};
+use mrts::workload::synthetic::{synthetic_trace, Pattern};
 use mrts::workload::{Scene, TraceBuilder, VideoModel, WorkloadModel};
 
 fn setup() -> (mrts::ise::IseCatalog, mrts::workload::Trace) {
-    let toy = ToyApp::new();
+    let toy = mrts::ingest::model("toy").expect("builtin toy lowers");
     let catalog = toy
         .application()
         .build_catalog(ArchParams::default(), None)
@@ -247,7 +247,7 @@ fn zero_fault_rate_reproduces_fault_free_stats() {
 #[test]
 fn soak_long_video_is_stable_and_monotonic() {
     // 64 frames of alternating scenes through the full encoder pipeline.
-    let encoder = mrts::workload::h264::H264Encoder::new();
+    let encoder = mrts::ingest::model("h264").expect("builtin h264 lowers");
     let catalog = encoder
         .application()
         .build_catalog(ArchParams::default(), None)

@@ -11,15 +11,20 @@
 //! 2. **DCE is unobservable** — dead ops change neither the derived
 //!    catalogue nor any simulated `RunStats`; removing them is pure
 //!    compression of the IR.
+//!
+//! A third property guards the builtin manifests, the only definition of
+//! the builtin apps: any mutation of one — a truncation, a flipped byte, a
+//! number set to an extreme — runs through the whole pipeline to a result
+//! or an [`IngestError`], never a panic.
 
 use mrts::arch::{ArchParams, Machine, Resources};
 use mrts::core::Mrts;
 use mrts::ingest::{
-    lower, BlockManifest, DataPathManifest, Feature, KernelManifest, Manifest, ManifestModel,
-    NodeManifest, RateExpr, RateRule, Round,
+    builtin, lower, BlockManifest, DataPathManifest, Feature, IngestError, KernelManifest,
+    Manifest, ManifestModel, NodeManifest, RateExpr, RateRule, Round,
 };
 use mrts::ise::datapath::OpKind;
-use mrts::sim::{RunStats, Simulator};
+use mrts::sim::{RiscOnlyPolicy, RunStats, Simulator};
 use mrts::workload::{TraceBuilder, VideoModel, WorkloadModel};
 use proptest::prelude::*;
 
@@ -182,6 +187,64 @@ fn inject_dead_ops(m: &Manifest, count: usize) -> Manifest {
     out
 }
 
+/// What the mutation probe writes over a number: zero, 2³², `u64::MAX`,
+/// one past it and far past it.
+const EXTREMES: [&str; 5] = [
+    "0",
+    "4294967296",
+    "18446744073709551615",
+    "18446744073709551616",
+    "340282366920938463463374607431768211456",
+];
+
+/// Mutates manifest text: `kind` 0 truncates it at byte `at`, 1 flips the
+/// bits `mask` of byte `at`, 2 overwrites its `at`-th run of digits (a
+/// number field, or a constant inside a rate rule) with `EXTREMES[value]`.
+/// Positions wrap around the text.
+fn mutate(text: &str, kind: u8, at: usize, mask: u8, value: usize) -> String {
+    let bytes = text.as_bytes();
+    match kind {
+        0 => String::from_utf8_lossy(&bytes[..at % bytes.len()]).into_owned(),
+        1 => {
+            let mut flipped = bytes.to_vec();
+            flipped[at % bytes.len()] ^= mask;
+            String::from_utf8_lossy(&flipped).into_owned()
+        }
+        _ => {
+            let mut numbers = Vec::new();
+            let mut start = None;
+            for (i, b) in bytes.iter().enumerate().chain([(bytes.len(), &b' ')]) {
+                match (b.is_ascii_digit(), start) {
+                    (true, None) => start = Some(i),
+                    (false, Some(s)) => {
+                        numbers.push((s, i));
+                        start = None;
+                    }
+                    _ => {}
+                }
+            }
+            let (s, e) = numbers[at % numbers.len()];
+            format!("{}{}{}", &text[..s], EXTREMES[value], &text[e..])
+        }
+    }
+}
+
+/// Parses, lowers, derives the catalogue, builds the paper-video trace and
+/// simulates it RISC-only on 2 CG + 2 PRC — stopping at the first error.
+fn pipeline(text: &str) -> Result<RunStats, IngestError> {
+    let manifest = Manifest::from_json(text)?;
+    let catalog = lower(&manifest)?.derive_catalog(ArchParams::default(), None)?;
+    let model = ManifestModel::new(&manifest)?;
+    let trace = TraceBuilder::new(&model).build();
+    let machine = Machine::new(ArchParams::default(), Resources::new(2, 2)).expect("valid machine");
+    Ok(Simulator::run(
+        &catalog,
+        machine,
+        &trace,
+        &mut RiscOnlyPolicy::new(),
+    ))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -226,5 +289,25 @@ proptest! {
         let (dirty_cat, dirty_stats) = simulate(&injected, seed);
         prop_assert_eq!(clean_cat, dirty_cat, "dead ops leaked into the catalogue");
         prop_assert_eq!(clean_stats, dirty_stats, "dead ops changed the simulation");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// No mutation of a builtin manifest panics anywhere in the pipeline:
+    /// each one simulates or stops at an `IngestError`.
+    #[test]
+    fn mutated_builtin_manifests_never_panic(
+        app in 0usize..builtin::BUILTIN_APPS.len(),
+        kind in 0u8..3,
+        at in any::<usize>(),
+        mask in 1u8..255,
+        value in 0usize..EXTREMES.len(),
+    ) {
+        let name = builtin::BUILTIN_APPS[app];
+        let text = builtin::load(name).expect("builtin parses").to_json();
+        prop_assert!(pipeline(&text).is_ok(), "{name}: unmutated manifest fails");
+        let _ = pipeline(&mutate(&text, kind, at, mask, value));
     }
 }

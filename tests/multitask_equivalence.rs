@@ -14,20 +14,13 @@ use mrts::baselines::{PolicyTuning, POLICY_NAMES};
 use mrts::ise::IseCatalog;
 use mrts::multitask::{run_multitask, ArbiterPolicy, MultitaskConfig, SchedulerKind, TenantSpec};
 use mrts::sim::{RunStats, Simulator};
-use mrts::workload::apps::{CipherApp, FftApp};
-use mrts::workload::synthetic::{synthetic_trace, Pattern, ToyApp};
-use mrts::workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
+use mrts::workload::synthetic::{synthetic_trace, Pattern};
+use mrts::workload::{Trace, WorkloadModel};
 
 /// Builds (name, catalogue, paper-video trace) for a workload model.
-fn testbed(model: &dyn WorkloadModel, seed: u64) -> (String, IseCatalog, Trace) {
-    let catalog = model
-        .application()
-        .build_catalog(ArchParams::default(), None)
-        .expect("kernels are mappable");
-    let trace = TraceBuilder::new(model)
-        .video(VideoModel::paper_default(seed))
-        .build();
-    (model.application().name().to_owned(), catalog, trace)
+fn testbed(spec: &str, seed: u64) -> (String, IseCatalog, Trace) {
+    let tb = mrts_bench::Testbed::new(spec, seed);
+    (tb.name().to_owned(), tb.catalog, tb.trace)
 }
 
 /// The solo reference: the ordinary single-application engine.
@@ -82,7 +75,7 @@ fn assert_identical(solo: &RunStats, stats: &mrts::sim::MultitaskStats) {
 
 #[test]
 fn one_tenant_equals_solo_for_every_policy() {
-    let (name, catalog, trace) = testbed(&FftApp::new(), 1);
+    let (name, catalog, trace) = testbed("fft", 1);
     let combo = Resources::new(2, 2);
     for &policy in POLICY_NAMES {
         let reference = solo(&catalog, combo, &trace, policy);
@@ -101,7 +94,7 @@ fn one_tenant_equals_solo_for_every_policy() {
 
 #[test]
 fn one_tenant_equals_solo_across_schedulers_and_arbiters() {
-    let (name, catalog, trace) = testbed(&CipherApp::new(), 3);
+    let (name, catalog, trace) = testbed("cipher", 3);
     let combo = Resources::new(3, 1);
     let reference = solo(&catalog, combo, &trace, "mrts");
     for scheduler in [
@@ -122,7 +115,7 @@ fn one_tenant_equals_solo_across_schedulers_and_arbiters() {
 
 #[test]
 fn one_tenant_equals_solo_on_synthetic_toy_trace() {
-    let toy = ToyApp::new();
+    let toy = mrts::ingest::model("toy").expect("builtin toy lowers");
     let catalog = toy
         .application()
         .build_catalog(ArchParams::default(), None)
@@ -145,7 +138,7 @@ fn one_tenant_equals_solo_on_synthetic_toy_trace() {
 
 #[test]
 fn one_tenant_equals_solo_under_fault_injection() {
-    let (name, catalog, trace) = testbed(&FftApp::new(), 7);
+    let (name, catalog, trace) = testbed("fft", 7);
     let combo = Resources::new(2, 2);
     let fault = FaultModel::new(0.05, 42);
 

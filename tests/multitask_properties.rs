@@ -19,7 +19,7 @@ use mrts::multitask::{
     SchedulerKind, Slo, TenantSpec, WeightedFair,
 };
 use mrts::sim::{RunStats, Simulator};
-use mrts::workload::synthetic::{synthetic_trace, Pattern, ToyApp};
+use mrts::workload::synthetic::{synthetic_trace, Pattern};
 use mrts::workload::WorkloadModel;
 use proptest::prelude::*;
 
@@ -262,7 +262,7 @@ proptest! {
         cg in 0u16..3,
         prc in 0u16..3,
     ) {
-        let toy = ToyApp::new();
+        let toy = mrts::ingest::model("toy").expect("builtin toy lowers");
         let catalog = toy
             .application()
             .build_catalog(ArchParams::default(), None)
@@ -314,7 +314,7 @@ proptest! {
         prc in 0u16..3,
         period_shift in 0u32..12,
     ) {
-        let toy = ToyApp::new();
+        let toy = mrts::ingest::model("toy").expect("builtin toy lowers");
         let catalog = toy
             .application()
             .build_catalog(ArchParams::default(), None)

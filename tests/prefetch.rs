@@ -27,9 +27,9 @@ use mrts::sim::{
     BlockPlan, ExecContext, ExecPlan, FaultEvent, PrefetchStats, RunStats, RuntimePolicy,
     SelectionContext, SimEvent, Simulator, VecSink,
 };
-use mrts::workload::h264::H264Encoder;
-use mrts::workload::synthetic::{synthetic_trace, Pattern, ToyApp};
-use mrts::workload::{Trace, TraceBuilder, WorkloadModel};
+use mrts::workload::synthetic::{synthetic_trace, Pattern};
+use mrts::workload::{Trace, WorkloadModel};
+use mrts_bench::Testbed;
 use proptest::prelude::*;
 
 fn machine(cg: u16, prc: u16) -> Machine {
@@ -162,12 +162,7 @@ impl RuntimePolicy for MispredictionStorm {
 
 #[test]
 fn misprediction_storm_is_byte_identical_to_trigger_time() {
-    let enc = H264Encoder::new();
-    let catalog = enc
-        .application()
-        .build_catalog(ArchParams::default(), None)
-        .unwrap();
-    let trace = TraceBuilder::new(&enc).build();
+    let Testbed { catalog, trace, .. } = Testbed::new("h264", 1);
 
     let (base_stats, base_events, base_pf) =
         run_with_events(&catalog, machine(2, 16), &trace, &mut Mrts::new());
@@ -207,12 +202,7 @@ fn misprediction_storm_is_byte_identical_to_trigger_time() {
 
 #[test]
 fn prefetch_on_is_deterministic_and_never_slower_on_h264() {
-    let enc = H264Encoder::new();
-    let catalog = enc
-        .application()
-        .build_catalog(ArchParams::default(), None)
-        .unwrap();
-    let trace = TraceBuilder::new(&enc).build();
+    let Testbed { catalog, trace, .. } = Testbed::new("h264", 1);
 
     let (trigger_stats, _, _) = run_with_events(&catalog, machine(2, 16), &trace, &mut Mrts::new());
 
@@ -285,7 +275,7 @@ proptest! {
         cg in 0u16..3,
         prc in 1u16..4,
     ) {
-        let toy = ToyApp::new();
+        let toy = mrts::ingest::model("toy").expect("builtin toy lowers");
         let catalog = toy
             .application()
             .build_catalog(ArchParams::default(), None)

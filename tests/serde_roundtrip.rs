@@ -6,20 +6,13 @@
 use mrts::arch::{ArchParams, Machine, Resources};
 use mrts::core::Mrts;
 use mrts::ise::IseCatalog;
-use mrts::sim::{RunStats, Simulator};
-use mrts::workload::h264::H264Encoder;
-use mrts::workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
-
-fn catalog() -> IseCatalog {
-    H264Encoder::new()
-        .application()
-        .build_catalog(ArchParams::default(), None)
-        .expect("encoder kernels are mappable")
-}
+use mrts::sim::RunStats;
+use mrts::workload::{Trace, VideoModel};
+use mrts_bench::Testbed;
 
 #[test]
 fn catalog_round_trips_through_json() {
-    let c = catalog();
+    let c = Testbed::new("h264", 1).catalog;
     let json = serde_json::to_string(&c).expect("serializes");
     let back: IseCatalog = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(c, back);
@@ -27,10 +20,7 @@ fn catalog_round_trips_through_json() {
 
 #[test]
 fn trace_round_trips_through_json() {
-    let encoder = H264Encoder::new();
-    let t = TraceBuilder::new(&encoder)
-        .video(VideoModel::paper_default(3))
-        .build();
+    let t = Testbed::new("h264", 3).trace;
     let json = serde_json::to_string(&t).expect("serializes");
     let back: Trace = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(t, back);
@@ -46,13 +36,7 @@ fn machine_round_trips_through_json() {
 
 #[test]
 fn run_stats_round_trip_through_json() {
-    let c = catalog();
-    let encoder = H264Encoder::new();
-    let t = TraceBuilder::new(&encoder)
-        .video(VideoModel::paper_default(1))
-        .build();
-    let machine = Machine::new(ArchParams::default(), Resources::new(1, 1)).expect("valid");
-    let stats = Simulator::run(&c, machine, &t, &mut Mrts::new());
+    let stats = Testbed::new("h264", 1).run(Resources::new(1, 1), &mut Mrts::new());
     let json = serde_json::to_string(&stats).expect("serializes");
     let back: RunStats = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(stats, back);

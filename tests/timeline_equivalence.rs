@@ -38,9 +38,7 @@ use mrts::multitask::{
     TenantRequest, TenantSpec,
 };
 use mrts::sim::{events_to_jsonl, MultitaskStats, RunStats, SimEvent, Simulator, VecSink};
-use mrts::workload::apps::{CipherApp, FftApp};
-use mrts::workload::h264::H264Encoder;
-use mrts::workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
+use mrts::workload::{Trace, TraceBuilder, WorkloadModel};
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 
@@ -69,15 +67,9 @@ fn check_golden(name: &str, json: &str) {
     );
 }
 
-fn testbed(model: &dyn WorkloadModel, seed: u64) -> (String, IseCatalog, Trace) {
-    let catalog = model
-        .application()
-        .build_catalog(ArchParams::default(), None)
-        .expect("kernels are mappable");
-    let trace = TraceBuilder::new(model)
-        .video(VideoModel::paper_default(seed))
-        .build();
-    (model.application().name().to_owned(), catalog, trace)
+fn testbed(spec: &str, seed: u64) -> (String, IseCatalog, Trace) {
+    let tb = mrts_bench::Testbed::new(spec, seed);
+    (tb.name().to_owned(), tb.catalog, tb.trace)
 }
 
 /// One solo run: machine (optionally faulty), factory policy, full trace.
@@ -102,8 +94,8 @@ fn solo(
 
 /// One two-tenant run (FFT + cipher) under the default config.
 fn duo(policy: &str, fault: bool) -> MultitaskStats {
-    let (name_a, cat_a, trace_a) = testbed(&FftApp::new(), 1);
-    let (name_b, cat_b, trace_b) = testbed(&CipherApp::new(), 2);
+    let (name_a, cat_a, trace_a) = testbed("fft", 1);
+    let (name_b, cat_b, trace_b) = testbed("cipher", 2);
     let mut spec_a = TenantSpec::new(name_a, &cat_a, &trace_a);
     let mut spec_b = TenantSpec::new(name_b, &cat_b, &trace_b).with_weight(2);
     if fault {
@@ -125,7 +117,7 @@ fn duo(policy: &str, fault: bool) -> MultitaskStats {
 
 #[test]
 fn solo_runstats_match_pre_refactor_goldens() {
-    let (_, catalog, trace) = testbed(&FftApp::new(), 1);
+    let (_, catalog, trace) = testbed("fft", 1);
     let combo = Resources::new(2, 2);
     for &policy in POLICY_NAMES {
         let stats = solo(&catalog, combo, &trace, policy, None);
@@ -136,7 +128,7 @@ fn solo_runstats_match_pre_refactor_goldens() {
 
 #[test]
 fn solo_faulted_runstats_match_pre_refactor_goldens() {
-    let (_, catalog, trace) = testbed(&FftApp::new(), 7);
+    let (_, catalog, trace) = testbed("fft", 7);
     let combo = Resources::new(2, 2);
     for &policy in POLICY_NAMES {
         let stats = solo(
@@ -268,7 +260,7 @@ fn assert_spine_invariants(events: &[(u32, SimEvent)]) {
 
 #[test]
 fn attaching_a_sink_never_perturbs_the_run() {
-    let (_, catalog, trace) = testbed(&FftApp::new(), 1);
+    let (_, catalog, trace) = testbed("fft", 1);
     let combo = Resources::new(2, 2);
     for &policy in POLICY_NAMES {
         let bare = solo(&catalog, combo, &trace, policy, None);
@@ -285,7 +277,7 @@ fn attaching_a_sink_never_perturbs_the_run() {
 
 #[test]
 fn solo_event_spine_invariants_hold_under_faults() {
-    let (_, catalog, trace) = testbed(&FftApp::new(), 7);
+    let (_, catalog, trace) = testbed("fft", 7);
     let combo = Resources::new(2, 2);
     for &policy in POLICY_NAMES {
         let fault = Some(FaultModel::new(0.05, 42));
@@ -310,8 +302,8 @@ fn solo_event_spine_invariants_hold_under_faults() {
 
 #[test]
 fn multitask_event_spine_is_per_tenant_monotone() {
-    let (name_a, cat_a, trace_a) = testbed(&FftApp::new(), 1);
-    let (name_b, cat_b, trace_b) = testbed(&CipherApp::new(), 2);
+    let (name_a, cat_a, trace_a) = testbed("fft", 1);
+    let (name_b, cat_b, trace_b) = testbed("cipher", 2);
     let specs = [
         TenantSpec::new(name_a, &cat_a, &trace_a),
         TenantSpec::new(name_b, &cat_b, &trace_b).with_weight(2),
@@ -380,8 +372,8 @@ fn multitask_faulted_stats_match_pre_refactor_goldens() {
 /// 3 only enters through the idle-core force-admit. Under `Reject`,
 /// tenants 0 and 3 never run and their slices are redistributed at t=0.
 fn admission_mix(admission: AdmissionPolicy) -> MultitaskStats {
-    let (fft, cat_fft, trace_fft) = testbed(&FftApp::new(), 1);
-    let (cipher, cat_cipher, trace_cipher) = testbed(&CipherApp::new(), 2);
+    let (fft, cat_fft, trace_fft) = testbed("fft", 1);
+    let (cipher, cat_cipher, trace_cipher) = testbed("cipher", 2);
     let periodic =
         |crit: &str, period: u64| -> Slo { format!("{crit}:{period}").parse().expect("valid SLO") };
     let specs = [
@@ -451,9 +443,9 @@ fn spine_digest(events: &[(u32, SimEvent)]) -> String {
 /// A three-tenant SLO run on a (1 CG, 1 PRC) machine in which the ladder
 /// demotes and promotes several times and departures regrant fabric.
 fn ladder_run() -> (MultitaskStats, Vec<(u32, SimEvent)>) {
-    let (fft, cat_fft, trace_fft) = testbed(&FftApp::new(), 1);
-    let (cipher, cat_cipher, trace_cipher) = testbed(&CipherApp::new(), 2);
-    let (_, cat_bg, trace_bg) = testbed(&FftApp::new(), 3);
+    let (fft, cat_fft, trace_fft) = testbed("fft", 1);
+    let (cipher, cat_cipher, trace_cipher) = testbed("cipher", 2);
+    let (_, cat_bg, trace_bg) = testbed("fft", 3);
     let specs = [
         TenantSpec::new(fft.clone(), &cat_fft, &trace_fft)
             .with_slo("hard:1200000".parse().expect("valid SLO")),
@@ -504,7 +496,7 @@ fn ladder_event_spine_matches_golden() {
 /// a fault model that fires load CRC failures often enough to exhaust the
 /// retry budget, plus transient execution upsets and lost containers.
 fn solo_fault_prefetch_spine() -> Vec<(u32, SimEvent)> {
-    let enc = H264Encoder::new();
+    let enc = mrts::ingest::model("h264").expect("builtin h264 lowers");
     let catalog = enc
         .application()
         .build_catalog(ArchParams::default(), None)
@@ -738,8 +730,8 @@ fn fleet_churn_matches_goldens_under_every_scheduler() {
 /// tenants finish holding permanently failed slots, which stay pinned in
 /// the arbiter while the queued and remaining sessions run on.
 fn pinned_queue_run() -> (MultitaskStats, Vec<(u32, SimEvent)>) {
-    let (fft, cat_fft, trace_fft) = testbed(&FftApp::new(), 1);
-    let (cipher, cat_cipher, trace_cipher) = testbed(&CipherApp::new(), 2);
+    let (fft, cat_fft, trace_fft) = testbed("fft", 1);
+    let (cipher, cat_cipher, trace_cipher) = testbed("cipher", 2);
     let periodic =
         |crit: &str, period: u64| -> Slo { format!("{crit}:{period}").parse().expect("valid SLO") };
     let faults = |seed| FaultModel::with_rates(0.1, 0.0, 0.3, seed);
