@@ -17,9 +17,10 @@
 //! * `--out PATH` — where to write the JSON (default `BENCH_perf.json`).
 //! * `--compare PATH` — perf-regression guard: read a baseline
 //!   `BENCH_perf.json` and exit non-zero if `engine_step_us`,
-//!   `simulator_throughput` or `fleet_sessions_per_sec` regressed by more
-//!   than 25 % (a deliberately tolerant threshold — CI boxes are noisy,
-//!   single-CPU).
+//!   `simulator_throughput`, `fleet_sessions_per_sec`, `ingest_lower_us`,
+//!   `domain_cv_throughput` or `domain_cryptomix_throughput` regressed by
+//!   more than 25 % (a deliberately tolerant threshold — CI boxes are
+//!   noisy, single-CPU).
 //!
 //! Wall-clock numbers depend on the machine; the `*_evals` entries are
 //! deterministic and act as machine-independent regression tripwires.
@@ -38,7 +39,7 @@ use mrts_core::{Mrts, MrtsConfig, PrefetchConfig};
 use mrts_fleet::{run_fleet, AppRegistry, FleetConfig, PoissonConfig};
 use mrts_ise::{BlockId, IseCatalog, TriggerBlock, TriggerInstruction, UnitId};
 use mrts_multitask::{run_multitask, MultitaskConfig, TenantSpec};
-use mrts_sim::{ExecClass, KernelStats, Simulator, Timeline, VecSink};
+use mrts_sim::{ExecClass, KernelStats, Simulator, VecSink};
 
 /// One measurement row of `BENCH_perf.json`.
 struct Entry {
@@ -315,42 +316,7 @@ fn main() {
         threads: 1,
     });
 
-    // --- 3c. Timeline boundary-queue insert cost ------------------------
-    // Deterministic pseudo-random inserts (LCG) into one block's boundary
-    // queue — the workload whose former binary-search-insert Vec paid
-    // O(queue) per insert; the calendar buckets pay amortised O(1).
-    let ins_n: u64 = if quick { 2_000 } else { 20_000 };
-    let ins_reps = if quick { 3 } else { 20 };
-    let mut timeline_insert_ns = f64::MAX;
-    let mut distinct = 0usize;
-    for _ in 0..ins_reps {
-        let mut tl = Timeline::new();
-        tl.begin_block();
-        let mut x = DEFAULT_SEED | 1;
-        let t = Instant::now();
-        for _ in 0..ins_n {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            // ~18-bit range — the calendar's direct-mapped window
-            // (64 × 4096-cycle buckets), i.e. the designed per-block
-            // spread; dense enough for occasional dedup hits.
-            tl.push_boundary(Cycles::new(x >> 46));
-        }
-        timeline_insert_ns = timeline_insert_ns.min(t.elapsed().as_secs_f64() * 1e9 / ins_n as f64);
-        distinct = tl.boundary_count();
-    }
-    println!(
-        "timeline: {ins_n} boundary inserts ({distinct} distinct) -> {timeline_insert_ns:>6.1} ns/insert"
-    );
-    entries.push(Entry {
-        name: "timeline_insert_ns",
-        value: timeline_insert_ns,
-        unit: "ns",
-        threads: 1,
-    });
-
-    // --- 3d. SoA epoch-batch fold cost ----------------------------------
+    // --- 3c. SoA epoch-batch fold cost ----------------------------------
     // Folding one kernel's buffered epoch batches (SoA rows of class /
     // count / per-exec latency) into `KernelStats` with bulk arithmetic —
     // the per-kernel tail of `simulate_kernel`.

@@ -20,9 +20,7 @@
 //! plus the run-time system's own decision overhead — the quantity whose
 //! differences Eq. 5 maximizes.
 
-use crate::policy::{
-    ExecContext, ExecMode, FaultEvent, RuntimePolicy, SelectionContext, SelectionIndex,
-};
+use crate::policy::{ExecContext, ExecMode, FaultEvent, RuntimePolicy, SelectionContext};
 use crate::stats::{BlockStats, ExecClass, RunStats};
 use crate::timeline::{EventSink, RejectReason, SimEvent, Timeline};
 use mrts_arch::{ArchError, Cycles, FabricKind, FaultKind, Machine};
@@ -145,9 +143,6 @@ pub struct Simulator<'a> {
     /// SoA scratch for the per-kernel epoch walk (capacity reused across
     /// kernels and blocks).
     batches: EpochBatches,
-    /// Scratch for the per-block kernel → selection index (capacity reused
-    /// across blocks).
-    sel_index: SelectionIndex,
     /// Speculative loads issued for predicted-next blocks and not yet
     /// vindicated or rolled back.
     spec: Vec<SpecLoad>,
@@ -166,7 +161,6 @@ impl<'a> Simulator<'a> {
             timeline: Timeline::new(),
             recovery: RecoveryConfig::default(),
             batches: EpochBatches::default(),
-            sel_index: SelectionIndex::default(),
             spec: Vec::new(),
             prefetch_stats: PrefetchStats::default(),
         }
@@ -401,20 +395,13 @@ impl<'a> Simulator<'a> {
         // exactly what the committed plan produced.
         self.issue_speculative(t0, &plan);
 
-        // Kernel → selection, resolved once per block (the former
-        // per-kernel linear scan over `plan.selections` is gone). The
-        // index is owned scratch, taken for the duration of the kernel
-        // loop and handed back afterwards.
-        let mut selections = std::mem::take(&mut self.sel_index);
-        selections.rebuild(&plan);
-
         let mut makespan = Cycles::ZERO;
         let mut busy = Cycles::ZERO;
         for activity in &activation.actual {
             let (kernel_busy, finish) = self.simulate_kernel(
                 t0 + plan.overhead,
                 activity,
-                selections.get(activity.kernel),
+                plan.selection_for(activity.kernel),
                 policy,
                 stats,
             );
@@ -422,7 +409,6 @@ impl<'a> Simulator<'a> {
             makespan = makespan.max(finish - t0);
         }
         makespan = makespan.max(plan.overhead);
-        self.sel_index = selections;
 
         stats.blocks.push(BlockStats {
             block: activation.block,
@@ -445,9 +431,8 @@ impl<'a> Simulator<'a> {
     }
 
     /// Simulates one kernel's execution timeline; returns (busy cycles,
-    /// finish time). Residency boundaries live in the [`Timeline`]; the
-    /// kernel walks them with a monotone cursor (amortised O(1) per epoch
-    /// instead of the former O(queue) scan).
+    /// finish time). Residency boundaries live in the [`Timeline`]; each
+    /// epoch runs up to the next one.
     fn simulate_kernel(
         &mut self,
         start_base: Cycles,
@@ -466,7 +451,6 @@ impl<'a> Simulator<'a> {
         let risc = kernel.risc_latency();
         let mut t = start_base + activity.first_delay;
         let mut remaining = activity.executions;
-        let mut cursor = 0usize;
         self.batches.clear();
 
         while remaining > 0 {
@@ -485,9 +469,6 @@ impl<'a> Simulator<'a> {
             };
             if eplan.install_mono {
                 if let Some(ready_at) = self.try_install_mono(t, activity.kernel) {
-                    // Completion times are strictly in the future, so this
-                    // insertion can only land at or beyond the cursor — the
-                    // monotone hint stays valid.
                     self.timeline.push_boundary(ready_at);
                 }
             }
@@ -497,7 +478,7 @@ impl<'a> Simulator<'a> {
 
             // Executions starting strictly before the next residency change
             // all see the same latency.
-            let next_boundary = self.timeline.next_boundary_after(t, &mut cursor);
+            let next_boundary = self.timeline.next_boundary_after(t);
             let n = match next_boundary {
                 Some(b) => {
                     let window = b - t;

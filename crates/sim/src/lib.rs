@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod calendar;
 pub mod edpe;
 pub mod engine;
 pub mod policy;
@@ -45,7 +44,7 @@ pub mod timeline;
 pub use engine::{PrefetchStats, RecoveryConfig, Simulator, LOAD_RETRY_BUDGET};
 pub use policy::{
     BlockPlan, ExecContext, ExecMode, ExecPlan, FaultEvent, RiscOnlyPolicy, RuntimePolicy,
-    SelectionContext, SelectionIndex,
+    SelectionContext,
 };
 pub use stats::{
     jain_index, nearest_rank_percentile, BlockStats, ExecClass, FabricStats, FleetStats,
