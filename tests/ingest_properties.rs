@@ -16,16 +16,25 @@
 //! the builtin apps: any mutation of one — a truncation, a flipped byte, a
 //! number set to an extreme — runs through the whole pipeline to a result
 //! or an [`IngestError`], never a panic. The same probe, run over a
-//! recorded multi-tenant event spine, guards the `--replay` reader.
+//! recorded multi-tenant event spine, guards the `--replay` reader, and
+//! run over a Poisson arrivals trace, guards the fleet's arrivals reader
+//! and driver.
 
 use mrts::arch::{ArchParams, FaultModel, Machine, Resources};
 use mrts::core::Mrts;
+use mrts::fleet::{
+    poisson_arrivals, records_from_jsonl, records_to_jsonl, run_fleet, AppRegistry, FleetConfig,
+    PoissonConfig,
+};
 use mrts::ingest::{
     builtin, events::profile_jsonl, lower, BlockManifest, DataPathManifest, Feature, IngestError,
     KernelManifest, Manifest, ManifestModel, NodeManifest, RateExpr, RateRule, Round,
 };
 use mrts::ise::datapath::OpKind;
-use mrts::multitask::{run_multitask_with_events, MultitaskConfig, SchedulerKind, TenantSpec};
+use mrts::multitask::{
+    run_multitask_with_events, AdmissionPolicy, MultitaskConfig, SchedulerKind, TenantRequest,
+    TenantSpec,
+};
 use mrts::sim::{events_to_jsonl, RiscOnlyPolicy, RunStats, Simulator, VecSink};
 use mrts::workload::{TraceBuilder, VideoModel, WorkloadModel};
 use proptest::prelude::*;
@@ -378,19 +387,102 @@ proptest! {
         let spine = slo_spine();
         let profile = profile_jsonl(spine).expect("recorded spine profiles");
         prop_assert!(profile.total_executions() > 0, "recorded spine has no executions");
-        let mutant = mutations
-            .iter()
-            .fold(spine.to_owned(), |text, &(kind, at, mask, value)| {
-                // A spine cut down to no digits has nothing left to mutate.
-                if text.bytes().any(|b| b.is_ascii_digit()) {
-                    mutate(&text, kind, at, mask, value)
-                } else {
-                    text
-                }
-            });
-        match profile_jsonl(&mutant) {
+        match profile_jsonl(&mutate_stacked(spine, &mutations)) {
             Ok(_) | Err(IngestError::Syntax(_)) => {}
             Err(e) => prop_assert!(false, "unexpected error kind: {e}"),
+        }
+    }
+}
+
+/// Stacks `mutations` onto `text`, skipping any once no digit is left to
+/// overwrite.
+fn mutate_stacked(text: &str, mutations: &[(u8, usize, u8, usize)]) -> String {
+    mutations
+        .iter()
+        .fold(text.to_owned(), |text, &(kind, at, mask, value)| {
+            if text.bytes().any(|b| b.is_ascii_digit()) {
+                mutate(&text, kind, at, mask, value)
+            } else {
+                text
+            }
+        })
+}
+
+/// A toy registry (two trace variants) and the JSONL of twelve Poisson
+/// toy sessions mixing weights 1–3 with hard, soft, session-deadline and
+/// best-effort SLOs, built once.
+fn arrivals_fixture() -> &'static (AppRegistry, String) {
+    static FIXTURE: OnceLock<(AppRegistry, String)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let registry = AppRegistry::new(&ArchParams::default(), &["toy"], 2, 5, 40)
+            .expect("toy registry builds");
+        let request = |weight, slo: Option<&str>| TenantRequest {
+            app: "toy".into(),
+            weight,
+            slo: slo.map(|s| s.parse().expect("valid SLO")),
+        };
+        let records = poisson_arrivals(&PoissonConfig {
+            seed: 11,
+            sessions: 12,
+            mean_gap: 150_000,
+            mix: vec![
+                request(1, None),
+                request(2, Some("hard:400000")),
+                request(3, Some("soft:300000:5000000")),
+                request(1, Some("be:0:2000000")),
+            ],
+            variants: 2,
+        });
+        let jsonl = records_to_jsonl(&records).expect("records encode");
+        (registry, jsonl)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// No mutation of an arrivals trace panics the fleet: each one is
+    /// rejected by the reader or runs to a `FleetOutcome` or a
+    /// `FleetError`, under every scheduler and admission policy. Three in
+    /// four mutations overwrite a number (`kind` 2 and up), since a cut or
+    /// a flipped byte mostly leaves JSON the reader rejects.
+    #[test]
+    fn mutated_arrivals_never_panic(
+        mutations in collection::vec(
+            (0u8..8, any::<usize>(), 1u8..255, 0usize..EXTREMES.len()),
+            1..5,
+        ),
+        scheduler in 0usize..5,
+        admission in 0usize..3,
+    ) {
+        let (registry, jsonl) = arrivals_fixture();
+        let cfg = FleetConfig {
+            multitask: MultitaskConfig {
+                scheduler: [
+                    SchedulerKind::RoundRobin(SchedulerKind::DEFAULT_QUANTUM),
+                    SchedulerKind::StrictPriority,
+                    SchedulerKind::WeightedFair,
+                    SchedulerKind::EarliestDeadline,
+                    SchedulerKind::LeastLaxity,
+                ][scheduler],
+                admission: [
+                    AdmissionPolicy::Off,
+                    AdmissionPolicy::Reject,
+                    AdmissionPolicy::Queue,
+                ][admission],
+                degrade: true,
+                ..MultitaskConfig::default()
+            },
+            ..FleetConfig::default()
+        };
+        let params = ArchParams::default();
+        let records = records_from_jsonl(jsonl).expect("generated trace parses");
+        prop_assert!(
+            run_fleet(&params, registry, &records, &cfg).is_ok(),
+            "unmutated trace fails"
+        );
+        if let Ok(records) = records_from_jsonl(&mutate_stacked(jsonl, &mutations)) {
+            let _ = run_fleet(&params, registry, &records, &cfg);
         }
     }
 }
