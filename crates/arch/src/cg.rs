@@ -1,5 +1,7 @@
-//! Coarse-grained fabric: an array of coarse-grained elementary data-path
-//! elements (CG-EDPEs).
+//! Coarse-grained fabric: the instruction timing of the coarse-grained
+//! elementary data-path elements (CG-EDPEs). Their context slots are a
+//! [`Fabric`](crate::fabric::Fabric) container pool in the
+//! [`Machine`](crate::Machine).
 //!
 //! Per Section 5.1 of the paper, each CG-EDPE has:
 //!
@@ -11,22 +13,8 @@
 //! * a (virtual) 32-bit load/store unit,
 //! * 2-cycle point-to-point links to the other CG-EDPEs.
 
-use crate::clock::Cycles;
-use crate::error::ArchError;
-use crate::fg::LoadedId;
 use crate::params::ArchParams;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// Identifier of one CG-EDPE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct EdpeId(pub u16);
-
-impl fmt::Display for EdpeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "EDPE{}", self.0)
-    }
-}
 
 /// Classification of CG instructions by latency (Section 5.1 timing table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -55,446 +43,9 @@ impl OpClass {
     }
 }
 
-/// The context memory of one CG-EDPE: a small store of wide instruction
-/// words that a context program executes from.
-///
-/// This model tracks occupancy (for reconfiguration-time computation) and
-/// the raw 80-bit words (for the functional interpreter in `mrts-sim`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ContextMemory {
-    capacity: u16,
-    words: Vec<u128>,
-}
-
-impl ContextMemory {
-    /// Creates an empty context memory with the given capacity.
-    #[must_use]
-    pub fn new(capacity: u16) -> Self {
-        ContextMemory {
-            capacity,
-            words: Vec::new(),
-        }
-    }
-
-    /// Maximum number of instruction words.
-    #[must_use]
-    pub fn capacity(&self) -> u16 {
-        self.capacity
-    }
-
-    /// Number of words currently stored.
-    #[must_use]
-    pub fn len(&self) -> u16 {
-        self.words.len() as u16
-    }
-
-    /// Whether no instructions are loaded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// Replaces the contents with `words` (a context load).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InvalidState`] if `words` exceeds the capacity —
-    /// the compile-time tool chain must split such programs.
-    pub fn load(&mut self, words: &[u128]) -> Result<(), ArchError> {
-        if words.len() > usize::from(self.capacity) {
-            return Err(ArchError::InvalidState(format!(
-                "context program of {} words exceeds capacity {}",
-                words.len(),
-                self.capacity
-            )));
-        }
-        self.words.clear();
-        self.words.extend_from_slice(words);
-        Ok(())
-    }
-
-    /// Clears the memory.
-    pub fn clear(&mut self) {
-        self.words.clear();
-    }
-
-    /// The stored instruction words.
-    #[must_use]
-    pub fn words(&self) -> &[u128] {
-        &self.words
-    }
-}
-
-/// The occupancy state of one CG-EDPE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EdpeState {
-    /// Free.
-    Empty,
-    /// A context program is streaming in; usable from `ready_at`.
-    Loading {
-        /// What is being loaded.
-        id: LoadedId,
-        /// Completion timestamp in core cycles.
-        ready_at: Cycles,
-    },
-    /// A CG data path (part of an ISE) is resident.
-    Loaded {
-        /// What is loaded.
-        id: LoadedId,
-    },
-    /// A monoCG-Extension (a whole kernel on this one EDPE) is resident.
-    MonoCg {
-        /// The kernel-scoped identifier of the extension.
-        id: LoadedId,
-    },
-    /// The context slot suffered a permanent hardware fault and can never
-    /// be loaded again. It counts toward neither free nor usable capacity.
-    Failed,
-}
-
-/// One coarse-grained elementary data-path element.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CgEdpe {
-    id: EdpeId,
-    state: EdpeState,
-    context: ContextMemory,
-}
-
-impl CgEdpe {
-    /// Creates an empty EDPE with the context capacity from `params`.
-    #[must_use]
-    pub fn new(id: EdpeId, params: &ArchParams) -> Self {
-        CgEdpe {
-            id,
-            state: EdpeState::Empty,
-            context: ContextMemory::new(params.cg_context_capacity),
-        }
-    }
-
-    /// The element's identifier.
-    #[must_use]
-    pub fn id(&self) -> EdpeId {
-        self.id
-    }
-
-    /// The current state.
-    #[must_use]
-    pub fn state(&self) -> EdpeState {
-        self.state
-    }
-
-    /// The context memory (read-only; loading goes through [`CgFabric`]).
-    #[must_use]
-    pub fn context(&self) -> &ContextMemory {
-        &self.context
-    }
-
-    /// Whether the element is free. `Failed` elements are **not** free.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        matches!(self.state, EdpeState::Empty)
-    }
-
-    /// Whether the element is permanently failed.
-    #[must_use]
-    pub fn is_failed(&self) -> bool {
-        matches!(self.state, EdpeState::Failed)
-    }
-
-    /// Returns the resident artefact (data path or monoCG) usable at `now`.
-    #[must_use]
-    pub fn resident(&self, now: Cycles) -> Option<LoadedId> {
-        match self.state {
-            EdpeState::Loaded { id } | EdpeState::MonoCg { id } => Some(id),
-            EdpeState::Loading { id, ready_at } if now >= ready_at => Some(id),
-            _ => None,
-        }
-    }
-
-    /// Whether a monoCG-Extension is resident (or loading).
-    #[must_use]
-    pub fn holds_mono_cg(&self) -> bool {
-        matches!(self.state, EdpeState::MonoCg { .. })
-    }
-}
-
-/// The coarse-grained fabric: an array of CG-EDPEs, each of which keeps
-/// several data-path contexts resident at once (*"Each CG-fabric can store
-/// multiple contexts and a context switch takes 2 cycles"*, Section 5.1).
-///
-/// The fabric is therefore managed as a pool of **context slots**: one
-/// [`CgEdpe`] element per slot, `cg_contexts_per_edpe` slots per physical
-/// EDPE. The 2-cycle context switch between the contexts sharing an EDPE is
-/// charged per kernel execution by the mapping estimators.
-///
-/// # Example
-///
-/// ```
-/// use mrts_arch::{ArchParams, CgFabric, Cycles};
-///
-/// let params = ArchParams::default(); // 3 contexts per EDPE
-/// let mut cg = CgFabric::new(2, &params);
-/// assert_eq!(cg.edpe_count(), 2);
-/// assert_eq!(cg.free_count(), 6);
-/// let ready = Cycles::new(60);
-/// cg.begin_load(11, ready).expect("a context slot is free");
-/// assert_eq!(cg.free_count(), 5);
-/// assert!(cg.is_resident(11, ready));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CgFabric {
-    edpes: Vec<CgEdpe>,
-    edpe_count: u16,
-    contexts_per_edpe: u16,
-}
-
-impl CgFabric {
-    /// Creates a fabric of `n` empty CG-EDPEs with
-    /// `params.cg_contexts_per_edpe` context slots each.
-    #[must_use]
-    pub fn new(n: u16, params: &ArchParams) -> Self {
-        let contexts = params.cg_contexts_per_edpe.max(1);
-        CgFabric {
-            edpes: (0..n * contexts)
-                .map(|i| CgEdpe::new(EdpeId(i), params))
-                .collect(),
-            edpe_count: n,
-            contexts_per_edpe: contexts,
-        }
-    }
-
-    /// Number of physical CG-EDPEs.
-    #[must_use]
-    pub fn edpe_count(&self) -> u16 {
-        self.edpe_count
-    }
-
-    /// Context slots per physical EDPE.
-    #[must_use]
-    pub fn contexts_per_edpe(&self) -> u16 {
-        self.contexts_per_edpe
-    }
-
-    /// The physical EDPE a context slot belongs to.
-    #[must_use]
-    pub fn edpe_of(&self, slot: EdpeId) -> u16 {
-        slot.0 / self.contexts_per_edpe.max(1)
-    }
-
-    /// Total number of context slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.edpes.len()
-    }
-
-    /// Whether the machine has no CG fabric (an FG-only / RISPP-like
-    /// configuration).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.edpes.is_empty()
-    }
-
-    /// Number of free EDPEs.
-    #[must_use]
-    pub fn free_count(&self) -> u16 {
-        self.edpes.iter().filter(|e| e.is_empty()).count() as u16
-    }
-
-    /// Number of context slots permanently failed.
-    #[must_use]
-    pub fn failed_count(&self) -> u16 {
-        self.edpes.iter().filter(|e| e.is_failed()).count() as u16
-    }
-
-    /// Marks the first empty context slot as permanently failed (the target
-    /// of a fatal load attempt). Returns the victim, or `None` if no slot
-    /// is empty.
-    pub fn fail_one_empty(&mut self) -> Option<EdpeId> {
-        let e = self.edpes.iter_mut().find(|e| e.is_empty())?;
-        e.state = EdpeState::Failed;
-        e.context.clear();
-        Some(e.id)
-    }
-
-    /// Iterates over the elements.
-    pub fn iter(&self) -> impl Iterator<Item = &CgEdpe> {
-        self.edpes.iter()
-    }
-
-    /// Starts loading CG data path `id` into the first free EDPE, usable at
-    /// `ready_at`. Returns the chosen EDPE, or `None` if all are busy.
-    pub fn begin_load(&mut self, id: LoadedId, ready_at: Cycles) -> Option<EdpeId> {
-        let e = self.edpes.iter_mut().find(|e| e.is_empty())?;
-        e.state = EdpeState::Loading { id, ready_at };
-        Some(e.id)
-    }
-
-    /// Installs a monoCG-Extension on the first free EDPE (the load time of
-    /// a context program is µs-scale; the caller accounts for it via the
-    /// reconfiguration controller and only calls this once usable).
-    pub fn install_mono_cg(&mut self, id: LoadedId) -> Option<EdpeId> {
-        let e = self.edpes.iter_mut().find(|e| e.is_empty())?;
-        e.state = EdpeState::MonoCg { id };
-        Some(e.id)
-    }
-
-    /// Converts `Loading` entries whose deadline passed into `Loaded`.
-    pub fn settle(&mut self, now: Cycles) {
-        for e in &mut self.edpes {
-            if let EdpeState::Loading { id, ready_at } = e.state {
-                if now >= ready_at {
-                    e.state = EdpeState::Loaded { id };
-                }
-            }
-        }
-    }
-
-    /// Frees the EDPE holding (or loading) `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InvalidState`] if no element holds `id`.
-    pub fn evict(&mut self, id: LoadedId) -> Result<EdpeId, ArchError> {
-        for e in &mut self.edpes {
-            let holds = match e.state {
-                EdpeState::Loaded { id: l }
-                | EdpeState::Loading { id: l, .. }
-                | EdpeState::MonoCg { id: l } => l == id,
-                EdpeState::Empty | EdpeState::Failed => false,
-            };
-            if holds {
-                e.state = EdpeState::Empty;
-                e.context.clear();
-                return Ok(e.id);
-            }
-        }
-        Err(ArchError::InvalidState(format!(
-            "no CG-EDPE holds artefact {id}"
-        )))
-    }
-
-    /// Clears the whole fabric. Permanently failed slots stay failed —
-    /// hardware damage survives block boundaries.
-    pub fn evict_all(&mut self) {
-        for e in &mut self.edpes {
-            if !e.is_failed() {
-                e.state = EdpeState::Empty;
-                e.context.clear();
-            }
-        }
-    }
-
-    /// IDs of all artefacts resident (usable) at `now`, ascending.
-    #[must_use]
-    pub fn resident_ids(&self, now: Cycles) -> Vec<LoadedId> {
-        let mut v: Vec<LoadedId> = self.edpes.iter().filter_map(|e| e.resident(now)).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Feeds every id resident at `now` to `f`, in EDPE slot order
-    /// (unsorted). The allocation-free sibling of
-    /// [`CgFabric::resident_ids`] for callers that stage into a reusable
-    /// buffer and sort there.
-    pub fn for_each_resident_id(&self, now: Cycles, mut f: impl FnMut(LoadedId)) {
-        for id in self.edpes.iter().filter_map(|e| e.resident(now)) {
-            f(id);
-        }
-    }
-
-    /// Whether artefact `id` is resident and usable at `now`.
-    #[must_use]
-    pub fn is_resident(&self, id: LoadedId, now: Cycles) -> bool {
-        self.edpes.iter().any(|e| e.resident(now) == Some(id))
-    }
-
-    /// Number of **working** (non-failed) context slots.
-    #[must_use]
-    pub fn working_count(&self) -> u16 {
-        self.edpes.iter().filter(|e| !e.is_failed()).count() as u16
-    }
-
-    /// Sets the number of working (non-failed) **context slots** to
-    /// `target_slots` — the fabric arbiter's lever for moving CG capacity
-    /// between tenant partitions. `params` supplies the context capacity for
-    /// freshly grown slots.
-    ///
-    /// Growing appends fresh empty slots with ids past the highest id
-    /// currently present. Shrinking removes empty slots first (highest id
-    /// first) and only then evicts occupied ones (highest id first).
-    /// Permanently failed slots are **never** removed: hardware damage stays
-    /// pinned to the partition that suffered it. The physical EDPE count is
-    /// recomputed as `ceil(target_slots / contexts_per_edpe)`.
-    ///
-    /// Returns the ids of the artefacts evicted by the shrink, ascending.
-    pub fn resize_slots(&mut self, target_slots: u16, params: &ArchParams) -> Vec<LoadedId> {
-        let mut evicted = Vec::new();
-        let mut next_id = self.edpes.iter().map(|e| e.id.0 + 1).max().unwrap_or(0);
-        while self.working_count() < target_slots {
-            self.edpes.push(CgEdpe::new(EdpeId(next_id), params));
-            next_id += 1;
-        }
-        while self.working_count() > target_slots {
-            let victim = self
-                .edpes
-                .iter()
-                .rposition(CgEdpe::is_empty)
-                .or_else(|| self.edpes.iter().rposition(|e| !e.is_failed()))
-                .expect("working_count > target >= 0 implies a non-failed slot");
-            let e = self.edpes.remove(victim);
-            if let EdpeState::Loaded { id }
-            | EdpeState::Loading { id, .. }
-            | EdpeState::MonoCg { id } = e.state
-            {
-                evicted.push(id);
-            }
-        }
-        let contexts = self.contexts_per_edpe.max(1);
-        self.edpe_count = target_slots.div_ceil(contexts);
-        evicted.sort_unstable();
-        evicted
-    }
-
-    /// Whether any monoCG-Extension is currently installed.
-    #[must_use]
-    pub fn mono_cg_ids(&self) -> Vec<LoadedId> {
-        self.edpes
-            .iter()
-            .filter_map(|e| match e.state {
-                EdpeState::MonoCg { id } => Some(id),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fabric(n: u16) -> CgFabric {
-        // One context per EDPE keeps the slot arithmetic of these unit
-        // tests simple; multi-context behaviour is covered separately.
-        let params = ArchParams::builder()
-            .cg_contexts_per_edpe(1)
-            .build()
-            .unwrap();
-        CgFabric::new(n, &params)
-    }
-
-    #[test]
-    fn multi_context_slots_scale_capacity() {
-        let params = ArchParams::default(); // 3 contexts per EDPE
-        let cg = CgFabric::new(2, &params);
-        assert_eq!(cg.edpe_count(), 2);
-        assert_eq!(cg.contexts_per_edpe(), 3);
-        assert_eq!(cg.len(), 6);
-        assert_eq!(cg.free_count(), 6);
-        assert_eq!(cg.edpe_of(EdpeId(0)), 0);
-        assert_eq!(cg.edpe_of(EdpeId(2)), 0);
-        assert_eq!(cg.edpe_of(EdpeId(3)), 1);
-        assert_eq!(cg.edpe_of(EdpeId(5)), 1);
-    }
 
     #[test]
     fn op_class_latencies_match_paper() {
@@ -503,104 +54,5 @@ mod tests {
         assert_eq!(OpClass::Multiply.latency(&p), 2);
         assert_eq!(OpClass::Divide.latency(&p), 10);
         assert_eq!(OpClass::LoadStore.latency(&p), 1);
-    }
-
-    #[test]
-    fn context_memory_capacity_enforced() {
-        let mut cm = ContextMemory::new(2);
-        assert!(cm.load(&[1, 2]).is_ok());
-        assert_eq!(cm.len(), 2);
-        assert!(cm.load(&[1, 2, 3]).is_err());
-        // A failed load must not clobber the resident program.
-        assert_eq!(cm.words(), &[1, 2]);
-    }
-
-    #[test]
-    fn load_and_settle() {
-        let mut cg = fabric(1);
-        cg.begin_load(5, Cycles::new(60)).unwrap();
-        assert!(!cg.is_resident(5, Cycles::new(59)));
-        assert!(cg.is_resident(5, Cycles::new(60)));
-        cg.settle(Cycles::new(60));
-        assert!(matches!(
-            cg.iter().next().unwrap().state(),
-            EdpeState::Loaded { id: 5 }
-        ));
-    }
-
-    #[test]
-    fn mono_cg_lifecycle() {
-        let mut cg = fabric(2);
-        let e = cg.install_mono_cg(100).expect("free EDPE");
-        assert_eq!(cg.mono_cg_ids(), vec![100]);
-        assert_eq!(cg.free_count(), 1);
-        assert_eq!(cg.evict(100).unwrap(), e);
-        assert!(cg.mono_cg_ids().is_empty());
-    }
-
-    #[test]
-    fn evict_unknown_errors() {
-        let mut cg = fabric(1);
-        assert!(cg.evict(9).is_err());
-    }
-
-    #[test]
-    fn failed_slot_is_neither_free_nor_loadable() {
-        let mut cg = fabric(2);
-        let victim = cg.fail_one_empty().expect("one empty");
-        assert_eq!(victim, EdpeId(0));
-        assert_eq!(cg.free_count(), 1);
-        assert_eq!(cg.failed_count(), 1);
-        assert!(cg.begin_load(1, Cycles::ZERO).is_some());
-        assert!(cg.begin_load(2, Cycles::ZERO).is_none());
-        cg.evict_all();
-        assert_eq!(cg.free_count(), 1);
-        assert_eq!(cg.failed_count(), 1);
-    }
-
-    #[test]
-    fn no_free_edpe_returns_none() {
-        let mut cg = fabric(1);
-        cg.begin_load(1, Cycles::ZERO).unwrap();
-        assert!(cg.begin_load(2, Cycles::ZERO).is_none());
-        assert!(cg.install_mono_cg(3).is_none());
-    }
-
-    #[test]
-    fn resize_slots_grow_and_shrink() {
-        let mut cg = fabric(2);
-        assert!(cg.resize_slots(4, &ArchParams::default()).is_empty());
-        assert_eq!(cg.working_count(), 4);
-        assert_eq!(cg.free_count(), 4);
-        cg.begin_load(5, Cycles::ZERO).unwrap();
-        cg.install_mono_cg(6).unwrap();
-        // Shrink to 1: two empties go first, then the monoCG in the
-        // higher-id slot is evicted.
-        assert_eq!(cg.resize_slots(1, &ArchParams::default()), vec![6]);
-        assert_eq!(cg.working_count(), 1);
-        assert!(cg.is_resident(5, Cycles::new(1)));
-    }
-
-    #[test]
-    fn resize_slots_recomputes_edpe_count() {
-        let params = ArchParams::default(); // 3 contexts per EDPE
-        let mut cg = CgFabric::new(2, &params);
-        cg.resize_slots(4, &params);
-        assert_eq!(cg.working_count(), 4);
-        assert_eq!(cg.edpe_count(), 2); // ceil(4 / 3)
-        cg.resize_slots(3, &params);
-        assert_eq!(cg.edpe_count(), 1);
-    }
-
-    #[test]
-    fn resize_slots_pins_failed_slots() {
-        let mut cg = fabric(3);
-        cg.fail_one_empty().unwrap();
-        assert!(cg.resize_slots(1, &ArchParams::default()).is_empty());
-        assert_eq!(cg.working_count(), 1);
-        assert_eq!(cg.failed_count(), 1);
-        cg.resize_slots(3, &ArchParams::default());
-        assert_eq!(cg.working_count(), 3);
-        assert_eq!(cg.failed_count(), 1);
     }
 }

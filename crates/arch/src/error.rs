@@ -18,10 +18,6 @@ pub enum ArchError {
     },
     /// A parameter combination is invalid (detail in the message).
     InvalidParams(String),
-    /// A PRC index was out of range for the configured fabric.
-    UnknownPrc(u16),
-    /// A CG-EDPE index was out of range for the configured fabric.
-    UnknownEdpe(u16),
     /// An operation addressed a fabric element in the wrong state
     /// (e.g. freeing an empty PRC).
     InvalidState(String),
@@ -43,8 +39,6 @@ impl fmt::Display for ArchError {
                 "insufficient reconfigurable fabric: requested {requested}, available {available}"
             ),
             ArchError::InvalidParams(msg) => write!(f, "invalid architecture parameters: {msg}"),
-            ArchError::UnknownPrc(id) => write!(f, "unknown PRC index {id}"),
-            ArchError::UnknownEdpe(id) => write!(f, "unknown CG-EDPE index {id}"),
             ArchError::InvalidState(msg) => write!(f, "invalid fabric state: {msg}"),
             ArchError::LoadFault(fault) => write!(f, "load fault: {fault}"),
         }

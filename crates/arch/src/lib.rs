@@ -7,11 +7,15 @@
 //!
 //! * a **fine-grained (FG) fabric** — an embedded FPGA partitioned into
 //!   *Partially Reconfigurable Containers* (PRCs) that load data-path
-//!   bitstreams through a serial configuration port
-//!   ([`fg::FgFabric`]), and
+//!   bitstreams through a serial configuration port, and
 //! * a **coarse-grained (CG) fabric** — an array of coarse-grained elements
 //!   (CG-EDPEs) with two ALUs, two register files and an 80-bit × 32-entry
-//!   context memory each ([`cg::CgFabric`]).
+//!   context memory each, holding several data-path contexts at once
+//!   (instruction timing in [`cg::OpClass`]).
+//!
+//! To the run-time system a PRC and a CG context slot are the same thing:
+//! a container holding one loaded artefact. Both fabrics are therefore one
+//! [`fabric::Fabric`] container pool each, owned by the [`Machine`].
 //!
 //! The numeric defaults in [`params::ArchParams`] are the
 //! constants published in Section 5.1 of the paper (400 MHz CG / 100 MHz FG
@@ -45,19 +49,19 @@
 pub mod cg;
 pub mod clock;
 pub mod error;
+pub mod fabric;
 pub mod fault;
-pub mod fg;
 pub mod machine;
 pub mod params;
 pub mod reconfig;
 pub mod resources;
 pub mod scratchpad;
 
-pub use cg::{CgEdpe, CgFabric, ContextMemory, EdpeId, EdpeState, OpClass};
+pub use cg::OpClass;
 pub use clock::{ClockDomain, Cycles, Frequency};
 pub use error::ArchError;
+pub use fabric::{Fabric, LoadedId};
 pub use fault::{FaultKind, FaultModel, LoadFault};
-pub use fg::{FgFabric, LoadedId, Prc, PrcId, PrcState};
 pub use machine::Machine;
 pub use params::ArchParams;
 pub use reconfig::{FabricKind, LoadRequest, LoadTicket, ReconfigurationController, SwitchCosts};

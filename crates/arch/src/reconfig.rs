@@ -17,7 +17,7 @@
 //! `recT(ISE_i)`, Eq. 3) can use the same model.
 
 use crate::clock::Cycles;
-use crate::fg::LoadedId;
+use crate::fabric::LoadedId;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;

@@ -182,3 +182,19 @@ fn errors_exit_nonzero_with_message() {
         );
     }
 }
+
+#[test]
+fn cg_slot_overflow_is_a_field_qualified_error() {
+    // 21 846 EDPEs × 3 contexts = 65 538 context slots, one past u16.
+    for args in [
+        vec!["simulate", "--app", "toy", "--cg", "21846"],
+        vec!["multitask", "--apps", "toy", "--cg", "21846"],
+        vec!["fleet", "--sessions", "5", "--cg", "21846"],
+    ] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.starts_with("error:"), "{args:?}: {err}");
+        assert!(err.contains("cg: 21846 EDPEs"), "{args:?}: {err}");
+    }
+}

@@ -64,7 +64,7 @@ id_type!(
 /// Identifier of one *load unit* — the atomic reconfigurable artefact (a PRC
 /// bitstream or an EDPE context program).
 ///
-/// A `UnitId` doubles as the opaque [`LoadedId`](mrts_arch::fg::LoadedId)
+/// A `UnitId` doubles as the opaque [`LoadedId`](mrts_arch::fabric::LoadedId)
 /// used by the architecture layer, so fabric occupancy can be mapped back to
 /// catalogue units without a lookup table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
