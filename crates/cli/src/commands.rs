@@ -165,6 +165,37 @@ fn simulate_once(
     Ok((stats, jsonl, sim.prefetch_stats()))
 }
 
+/// The largest count a flag that sizes a buffer (`--sessions`,
+/// `--variants`, `--fabrics`, `--ways`) may ask for. Past it the run fails
+/// with a field-qualified error instead of overflowing an allocation.
+const MAX_COUNT: usize = 1 << 20;
+
+/// The most replay threads `--threads` may start.
+const MAX_THREADS: usize = 256;
+
+/// Parses a count flag bounded by `max`.
+fn get_count(
+    args: &Args,
+    name: &str,
+    default: usize,
+    max: usize,
+) -> Result<usize, Box<dyn std::error::Error>> {
+    let n: usize = args.get_num(name, default)?;
+    if n > max {
+        return Err(format!("--{name} {n} exceeds the limit of {max}").into());
+    }
+    Ok(n)
+}
+
+/// Parses `--threads`: at least one, at most [`MAX_THREADS`].
+fn get_threads(args: &Args) -> Result<usize, Box<dyn std::error::Error>> {
+    let threads = get_count(args, "threads", 1, MAX_THREADS)?;
+    if threads == 0 {
+        return Err("--threads must be at least 1".into());
+    }
+    Ok(threads)
+}
+
 /// The `--threads` determinism proof: runs `replica(i)` for every
 /// `i < threads`, each on its own scoped OS thread, fails unless every
 /// replica is `same` as replica 0, and prints `determinism: {proof}`.
@@ -228,10 +259,7 @@ pub fn simulate(args: &Args) -> CliResult {
     let policy_name = args.get_or("policy", "mrts");
     let tuning = tuning_from_args(args)?;
     let events_out = args.get("events-out");
-    let threads: usize = args.get_num("threads", 1)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
+    let threads = get_threads(args)?;
     let record = events_out.is_some() || threads > 1;
 
     // Replays the identical configuration on `threads` OS threads and
@@ -418,10 +446,7 @@ pub fn multitask(args: &Args) -> CliResult {
         "off" => false,
         other => return Err(format!("unknown --degrade '{other}' (on|off)").into()),
     };
-    let threads: usize = args.get_num("threads", 1)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
+    let threads = get_threads(args)?;
     let events_out = args.get("events-out");
     let record = events_out.is_some() || threads > 1;
 
@@ -569,12 +594,9 @@ pub fn fleet(args: &Args) -> CliResult {
     ])?;
     let params = ArchParams::default();
     let seed: u64 = args.get_num("seed", 1)?;
-    let variants: u64 = args.get_num("variants", 4)?;
+    let variants = get_count(args, "variants", 4, MAX_COUNT)?;
     let max_blocks: usize = args.get_num("max-blocks", 40)?;
-    let threads: usize = args.get_num("threads", 1)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
+    let threads = get_threads(args)?;
     let events_out = args.get("events-out");
     let record = events_out.is_some() || threads > 1;
 
@@ -590,10 +612,10 @@ pub fn fleet(args: &Args) -> CliResult {
             )?;
             poisson_arrivals(&PoissonConfig {
                 seed,
-                sessions: args.get_num("sessions", 1000)?,
+                sessions: get_count(args, "sessions", 1000, MAX_COUNT)?,
                 mean_gap: args.get_num("mean-gap", 150_000)?,
                 mix,
-                variants,
+                variants: variants as u64,
             })
         }
     };
@@ -619,7 +641,7 @@ pub fn fleet(args: &Args) -> CliResult {
     if apps.is_empty() {
         return Err("the arrival list is empty".into());
     }
-    let registry = AppRegistry::new(&params, &apps, variants.max(1) as usize, seed, max_blocks)?;
+    let registry = AppRegistry::new(&params, &apps, variants.max(1), seed, max_blocks)?;
 
     let cfg = FleetConfig {
         multitask: MultitaskConfig {
@@ -633,8 +655,8 @@ pub fn fleet(args: &Args) -> CliResult {
             repartition_min_demand: Cycles::new(args.get_num("repart-min", 50_000)?),
             ..MultitaskConfig::default()
         },
-        fabrics: args.get_num("fabrics", 2)?,
-        ways: args.get_num("ways", 4)?,
+        fabrics: get_count(args, "fabrics", 2, MAX_COUNT)?,
+        ways: get_count(args, "ways", 4, MAX_COUNT)?,
         queue_cap: args.get_num("queue-cap", 16)?,
         placement: args
             .get_or("placement", "least-loaded")
@@ -792,7 +814,8 @@ pub fn pif(args: &Args) -> CliResult {
     println!();
     let steps = 20u64;
     for i in 1..=steps {
-        let e = max_exec * i / steps;
+        // In u128, so a `--max-exec` near `u64::MAX` cannot overflow.
+        let e = (u128::from(max_exec) * u128::from(i) / u128::from(steps)) as u64;
         print!("{e:>10}");
         for (ise, r) in picks.iter().zip(&recfg) {
             print!(" {:>9.3}", ise.performance_improvement_factor(e, *r));

@@ -198,3 +198,75 @@ fn cg_slot_overflow_is_a_field_qualified_error() {
         assert!(err.contains("cg: 21846 EDPEs"), "{args:?}: {err}");
     }
 }
+
+/// Every numeric flag of every subcommand at 0, 1, its type's maximum and
+/// one past it: each run exits 0, or exits 1 with an `error:` message.
+/// Nothing a user can type panics (exit 101) or hangs.
+#[test]
+fn numeric_flags_at_their_edges_exit_cleanly() {
+    const U16: [&str; 2] = ["65535", "65536"];
+    const U32: [&str; 2] = ["4294967295", "4294967296"];
+    const U64: [&str; 2] = ["18446744073709551615", "18446744073709551616"];
+    // `usize` is 64 bits on every supported target.
+    const USIZE: [&str; 2] = U64;
+    const F64: [&str; 2] = ["1.7976931348623157e308", "1e309"];
+    let simulate: &[&str] = &["simulate", "--app", "toy"];
+    let multitask: &[&str] = &["multitask", "--apps", "toy"];
+    let fleet: &[&str] = &["fleet", "--apps", "toy", "--sessions", "5"];
+    let table: &[(&[&str], &str, [&str; 2])] = &[
+        (&["catalog", "--app", "toy"], "seed", U64),
+        (&["trace", "--app", "toy"], "seed", U64),
+        (&["sweep", "--app", "toy"], "seed", U64),
+        (&["pif"], "seed", U64),
+        (&["pif"], "max-exec", U64),
+        (simulate, "seed", U64),
+        (simulate, "cg", U16),
+        (simulate, "prc", U16),
+        (simulate, "fault-rate", F64),
+        (simulate, "fault-seed", U64),
+        (simulate, "retry-budget", U32),
+        (simulate, "threads", USIZE),
+        (simulate, "mpu-alpha", F64),
+        (simulate, "prefetch-confidence", F64),
+        (multitask, "seed", U64),
+        (multitask, "cg", U16),
+        (multitask, "prc", U16),
+        (multitask, "weights", U64),
+        (multitask, "fault-rate", F64),
+        (multitask, "fault-seed", U64),
+        (multitask, "threads", USIZE),
+        (multitask, "mpu-alpha", F64),
+        (multitask, "prefetch-confidence", F64),
+        (fleet, "seed", U64),
+        (fleet, "sessions", USIZE),
+        (fleet, "mean-gap", U64),
+        (fleet, "variants", USIZE),
+        (fleet, "max-blocks", USIZE),
+        (fleet, "fabrics", USIZE),
+        (fleet, "ways", USIZE),
+        (fleet, "queue-cap", USIZE),
+        (fleet, "cg", U16),
+        (fleet, "prc", U16),
+        (fleet, "weights", U64),
+        (fleet, "window", U64),
+        (fleet, "repart-min", U64),
+        (fleet, "threads", USIZE),
+    ];
+    for (base, flag, [max, past]) in table {
+        for value in ["0", "1", max, past] {
+            let mut args = base.to_vec();
+            let name = format!("--{flag}");
+            args.extend([name.as_str(), value]);
+            let out = run(&args);
+            match out.status.code() {
+                Some(0) => {}
+                Some(1) => assert!(
+                    stderr(&out).starts_with("error:"),
+                    "{args:?}: {}",
+                    stderr(&out)
+                ),
+                code => panic!("{args:?} exited with {code:?}: {}", stderr(&out)),
+            }
+        }
+    }
+}
