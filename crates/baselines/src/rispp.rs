@@ -24,7 +24,7 @@ use crate::common::{evictable_units, eviction_list};
 use mrts_arch::{Cycles, Machine, Resources};
 use mrts_core::ecu::{self, EcuConfig};
 use mrts_core::mpu::Mpu;
-use mrts_core::selector::{select_ises_with, SelectorConfig};
+use mrts_core::selector::{select_ises_with_scratch, SelectorConfig, SelectorScratch};
 
 use mrts_ise::{Ise, IseId, KernelId, UnitId};
 use mrts_sim::{BlockPlan, ExecContext, ExecPlan, RuntimePolicy, SelectionContext};
@@ -36,6 +36,8 @@ pub struct RisppPolicy {
     mpu: Mpu,
     selector: SelectorConfig,
     ecu: EcuConfig,
+    /// The selector's working set, kept across blocks.
+    scratch: SelectorScratch,
 }
 
 impl RisppPolicy {
@@ -47,6 +49,7 @@ impl RisppPolicy {
             selector: SelectorConfig::default(),
             // RISPP has no monoCG-Extension (an mRTS novelty).
             ecu: EcuConfig { use_mono_cg: false },
+            scratch: SelectorScratch::new(),
         }
     }
 
@@ -89,7 +92,7 @@ impl RuntimePolicy for RisppPolicy {
             }
             Self::fg_tuned_profit(ise, trigger)
         };
-        let selection = select_ises_with(
+        let selection = select_ises_with_scratch(
             ctx.catalog,
             &forecast,
             budget,
@@ -98,7 +101,9 @@ impl RuntimePolicy for RisppPolicy {
             ctx.now,
             &self.selector,
             &mut profit,
+            &mut self.scratch,
         );
+        self.scratch.reclaim_selected(selection.selected);
 
         let need: Resources = selection
             .load_order
@@ -137,6 +142,10 @@ impl RuntimePolicy for RisppPolicy {
 
     fn observe_block_end(&mut self, _block: mrts_ise::BlockId, observed: &[KernelActivity]) {
         self.mpu.observe(observed);
+    }
+
+    fn recycle_plan(&mut self, plan: BlockPlan) {
+        self.scratch.reclaim(plan.selections, plan.load_order);
     }
 }
 
