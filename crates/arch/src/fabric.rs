@@ -112,7 +112,8 @@ impl Fabric {
     }
 
     /// Number of free containers (not loaded, not loading, not failed).
-    pub(crate) fn free_count(&self) -> u16 {
+    #[must_use]
+    pub fn free_count(&self) -> u16 {
         self.count(|s| s == Slot::Empty)
     }
 

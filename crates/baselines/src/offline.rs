@@ -17,7 +17,7 @@
 use crate::common::ProfiledTotals;
 use crate::optimal::dp_optimal_selection;
 use mrts_arch::{Cycles, Machine, ReconfigurationController, Resources};
-use mrts_ise::{Grain, IseCatalog, IseId, KernelId, TriggerBlock, TriggerInstruction, UnitId};
+use mrts_ise::{Grain, IseCatalog, IseId, KernelId, TriggerBlock, TriggerInstruction};
 use mrts_sim::{BlockPlan, ExecContext, ExecMode, ExecPlan, RuntimePolicy, SelectionContext};
 use std::collections::BTreeMap;
 
@@ -127,9 +127,7 @@ impl StaticSelection {
                 let Ok(ise) = ctx.catalog.ise(id) else {
                     return ExecPlan::risc();
                 };
-                let machine = ctx.machine;
-                let now = ctx.now;
-                if ise.is_fully_resident(|u: UnitId| machine.is_resident(u.as_loaded_id(), now)) {
+                if ise.is_fully_resident(|u| ctx.is_resident(u)) {
                     ExecPlan {
                         mode: ExecMode::Ise(id),
                         install_mono: false,

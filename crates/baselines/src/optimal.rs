@@ -282,8 +282,7 @@ impl RuntimePolicy for OnlineOptimalPolicy {
         let budget = ctx.machine.free_resources() + evictable_res;
 
         let machine: &Machine = ctx.machine;
-        let now = ctx.now;
-        let resident = move |u: UnitId| machine.is_resident(u.as_loaded_id(), now);
+        let resident = |u: UnitId| ctx.is_resident(u);
         let selection = dp_optimal_selection(
             ctx.catalog,
             &forecast,
@@ -334,11 +333,8 @@ impl RuntimePolicy for OnlineOptimalPolicy {
             return ExecPlan::risc();
         };
         let selected_ise = selected.and_then(|id| ctx.catalog.ise(id).ok());
-        let machine = ctx.machine;
-        let now = ctx.now;
-        let resident = move |u: UnitId| machine.is_resident(u.as_loaded_id(), now);
-        let cg_free = ctx.machine.free_resources().cg() > 0;
-        ecu::decide(k, selected_ise, &resident, cg_free, &self.ecu).plan
+        let cg_free = || ctx.machine.cg().free_count() > 0;
+        ecu::decide(k, selected_ise, |u| ctx.is_resident(u), cg_free, &self.ecu).plan
     }
 
     fn observe_block_end(&mut self, _block: mrts_ise::BlockId, observed: &[KernelActivity]) {

@@ -21,7 +21,7 @@
 //! only the *decision* model is distorted.
 
 use crate::common::{evictable_units, eviction_list};
-use mrts_arch::{Cycles, Machine, Resources};
+use mrts_arch::{Cycles, Resources};
 use mrts_core::ecu::{self, EcuConfig};
 use mrts_core::mpu::Mpu;
 use mrts_core::selector::{select_ises_with_scratch, SelectorConfig, SelectorScratch};
@@ -79,9 +79,7 @@ impl RuntimePolicy for RisppPolicy {
         let (evictable, evictable_res) = evictable_units(ctx.machine, ctx.catalog, &keep);
         let budget = ctx.machine.free_resources() + evictable_res;
 
-        let machine: &Machine = ctx.machine;
-        let now = ctx.now;
-        let resident = move |u: UnitId| machine.is_resident(u.as_loaded_id(), now);
+        let resident = |u: UnitId| ctx.is_resident(u);
         let mut profit = |ise: &Ise,
                           trigger: &mrts_ise::TriggerInstruction,
                           _shadow: &mrts_arch::ReconfigurationController| {
@@ -133,11 +131,8 @@ impl RuntimePolicy for RisppPolicy {
             return ExecPlan::risc();
         };
         let selected_ise = selected.and_then(|id| ctx.catalog.ise(id).ok());
-        let machine = ctx.machine;
-        let now = ctx.now;
-        let resident = move |u: UnitId| machine.is_resident(u.as_loaded_id(), now);
         // cg_free is irrelevant: monoCG disabled.
-        ecu::decide(k, selected_ise, &resident, false, &self.ecu).plan
+        ecu::decide(k, selected_ise, |u| ctx.is_resident(u), || false, &self.ecu).plan
     }
 
     fn observe_block_end(&mut self, _block: mrts_ise::BlockId, observed: &[KernelActivity]) {
@@ -152,7 +147,7 @@ impl RuntimePolicy for RisppPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrts_arch::ArchParams;
+    use mrts_arch::{ArchParams, Machine};
     use mrts_core::Mrts;
     use mrts_sim::{ExecClass, RiscOnlyPolicy, Simulator};
     use mrts_workload::synthetic::{synthetic_trace, Pattern};

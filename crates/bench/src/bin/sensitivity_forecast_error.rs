@@ -48,6 +48,7 @@ impl<P: RuntimePolicy> RuntimePolicy for DistortedForecasts<P> {
             catalog: ctx.catalog,
             machine: ctx.machine,
             forecast: &distorted,
+            resident: ctx.resident,
         };
         self.inner.plan_block(&ctx2)
     }

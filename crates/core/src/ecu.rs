@@ -65,23 +65,24 @@ impl Default for EcuConfig {
 /// * `kernel` — the kernel about to execute.
 /// * `selected` — the ISE the selector chose for it (if any).
 /// * `resident` — ground-truth unit availability at the current time.
-/// * `cg_free` — whether a CG-EDPE is currently free (step c).
+/// * `cg_free` — whether a CG-EDPE is currently free (step c); called
+///   only when the ladder reaches step c.
 #[must_use]
 pub fn decide(
     kernel: &Kernel,
     selected: Option<&Ise>,
-    resident: &dyn Fn(UnitId) -> bool,
-    cg_free: bool,
+    resident: impl Fn(UnitId) -> bool,
+    cg_free: impl FnOnce() -> bool,
     config: &EcuConfig,
 ) -> EcuDecision {
     let risc = kernel.risc_latency();
     let mono = kernel.mono_cg().filter(|_| config.use_mono_cg);
-    let mono_resident = mono.is_some_and(|m| resident(m.unit));
+    let resident_mono = mono.filter(|m| resident(m.unit));
 
     // Steps a/b: selected ISE, fully or partially reconfigured.
     if let Some(ise) = selected {
-        let latency = ise.latency_with(resident);
-        if ise.is_fully_resident(resident) {
+        let latency = ise.latency_with(&resident);
+        if ise.is_fully_resident(&resident) {
             return EcuDecision {
                 plan: ExecPlan {
                     mode: ExecMode::Ise(ise.id()),
@@ -94,18 +95,15 @@ pub fn decide(
         if latency < risc {
             // An intermediate ISE is available; take the monoCG-Extension
             // instead only if it is resident AND faster.
-            if mono_resident {
-                let m = mono.expect("mono_resident implies mono");
-                if m.latency < latency {
-                    return EcuDecision {
-                        plan: ExecPlan {
-                            mode: ExecMode::MonoCg,
-                            install_mono: false,
-                        },
-                        verdict: EcuVerdict::MonoCg,
-                        expected_latency: m.latency,
-                    };
-                }
+            if let Some(m) = resident_mono.filter(|m| m.latency < latency) {
+                return EcuDecision {
+                    plan: ExecPlan {
+                        mode: ExecMode::MonoCg,
+                        install_mono: false,
+                    },
+                    verdict: EcuVerdict::MonoCg,
+                    expected_latency: m.latency,
+                };
             }
             return EcuDecision {
                 plan: ExecPlan {
@@ -119,28 +117,26 @@ pub fn decide(
     }
 
     // Step c: monoCG-Extension.
-    if let Some(m) = mono {
-        if mono_resident {
-            return EcuDecision {
-                plan: ExecPlan {
-                    mode: ExecMode::MonoCg,
-                    install_mono: false,
-                },
-                verdict: EcuVerdict::MonoCg,
-                expected_latency: m.latency,
-            };
-        }
-        if cg_free {
-            // Bridge the gap: run RISC now, stream the extension meanwhile.
-            return EcuDecision {
-                plan: ExecPlan {
-                    mode: ExecMode::Risc,
-                    install_mono: true,
-                },
-                verdict: EcuVerdict::InstallMonoCg,
-                expected_latency: risc,
-            };
-        }
+    if let Some(m) = resident_mono {
+        return EcuDecision {
+            plan: ExecPlan {
+                mode: ExecMode::MonoCg,
+                install_mono: false,
+            },
+            verdict: EcuVerdict::MonoCg,
+            expected_latency: m.latency,
+        };
+    }
+    if mono.is_some() && cg_free() {
+        // Bridge the gap: run RISC now, stream the extension meanwhile.
+        return EcuDecision {
+            plan: ExecPlan {
+                mode: ExecMode::Risc,
+                install_mono: true,
+            },
+            verdict: EcuVerdict::InstallMonoCg,
+            expected_latency: risc,
+        };
     }
 
     // Step d: RISC-mode.
@@ -199,7 +195,7 @@ mod tests {
     fn fully_resident_selected_ise_wins() {
         let k = kernel(true);
         let i = ise();
-        let d = decide(&k, Some(&i), &|_| true, true, &cfg());
+        let d = decide(&k, Some(&i), |_| true, || true, &cfg());
         assert_eq!(d.verdict, EcuVerdict::SelectedIse);
         assert_eq!(d.expected_latency, Cycles::new(300));
         assert!(!d.plan.install_mono);
@@ -210,7 +206,7 @@ mod tests {
         let k = kernel(false);
         let i = ise();
         // Only the CG unit arrived: latency 600.
-        let d = decide(&k, Some(&i), &|u| u == UnitId(1), false, &cfg());
+        let d = decide(&k, Some(&i), |u| u == UnitId(1), || false, &cfg());
         assert_eq!(d.verdict, EcuVerdict::IntermediateIse);
         assert_eq!(d.expected_latency, Cycles::new(600));
     }
@@ -220,7 +216,7 @@ mod tests {
         let k = kernel(true); // mono latency 550 < intermediate 600
         let i = ise();
         let resident = |u: UnitId| u == UnitId(1) || u == UnitId(100);
-        let d = decide(&k, Some(&i), &resident, false, &cfg());
+        let d = decide(&k, Some(&i), resident, || false, &cfg());
         assert_eq!(d.verdict, EcuVerdict::MonoCg);
         assert_eq!(d.expected_latency, Cycles::new(550));
     }
@@ -237,7 +233,7 @@ mod tests {
         let k = Kernel::new(KernelId(0), "k", Cycles::new(1_000), vec![], Some(mono));
         let i = ise();
         let resident = |u: UnitId| u == UnitId(1) || u == UnitId(100);
-        let d = decide(&k, Some(&i), &resident, false, &cfg());
+        let d = decide(&k, Some(&i), resident, || false, &cfg());
         assert_eq!(d.verdict, EcuVerdict::IntermediateIse);
     }
 
@@ -245,7 +241,7 @@ mod tests {
     fn mono_requested_when_nothing_resident_and_cg_free() {
         let k = kernel(true);
         let i = ise();
-        let d = decide(&k, Some(&i), &|_| false, true, &cfg());
+        let d = decide(&k, Some(&i), |_| false, || true, &cfg());
         assert_eq!(d.verdict, EcuVerdict::InstallMonoCg);
         assert!(d.plan.install_mono);
         assert_eq!(d.plan.mode, ExecMode::Risc);
@@ -254,7 +250,7 @@ mod tests {
     #[test]
     fn risc_when_no_cg_free() {
         let k = kernel(true);
-        let d = decide(&k, None, &|_| false, false, &cfg());
+        let d = decide(&k, None, |_| false, || false, &cfg());
         assert_eq!(d.verdict, EcuVerdict::RiscMode);
         assert_eq!(d.expected_latency, Cycles::new(1_000));
     }
@@ -262,7 +258,20 @@ mod tests {
     #[test]
     fn mono_resident_without_selection() {
         let k = kernel(true);
-        let d = decide(&k, None, &|u| u == UnitId(100), false, &cfg());
+        let d = decide(&k, None, |u| u == UnitId(100), || false, &cfg());
+        assert_eq!(d.verdict, EcuVerdict::MonoCg);
+    }
+
+    #[test]
+    fn cg_free_is_read_only_at_step_c() {
+        let k = kernel(true);
+        let i = ise();
+        let unasked = || -> bool { panic!("steps a/b must not count free CG slots") };
+        let d = decide(&k, Some(&i), |_| true, unasked, &cfg());
+        assert_eq!(d.verdict, EcuVerdict::SelectedIse);
+        let d = decide(&k, Some(&i), |u| u == UnitId(1), unasked, &cfg());
+        assert_eq!(d.verdict, EcuVerdict::IntermediateIse);
+        let d = decide(&k, None, |u| u == UnitId(100), unasked, &cfg());
         assert_eq!(d.verdict, EcuVerdict::MonoCg);
     }
 
@@ -270,7 +279,7 @@ mod tests {
     fn ablation_flag_disables_mono() {
         let k = kernel(true);
         let no_mono = EcuConfig { use_mono_cg: false };
-        let d = decide(&k, None, &|u| u == UnitId(100), true, &no_mono);
+        let d = decide(&k, None, |u| u == UnitId(100), || true, &no_mono);
         assert_eq!(d.verdict, EcuVerdict::RiscMode);
     }
 }

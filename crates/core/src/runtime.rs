@@ -5,7 +5,7 @@
 use crate::ecu::{self, EcuConfig};
 use crate::mpu::{FlowPredictor, Mpu};
 use crate::selector::SelectorConfig;
-use mrts_arch::{Cycles, FabricKind, Machine, Resources};
+use mrts_arch::{Cycles, FabricKind, Resources};
 use mrts_ise::{BlockId, IseId, KernelId, TriggerBlock, UnitId};
 use mrts_sim::{BlockPlan, ExecContext, ExecPlan, FaultEvent, RuntimePolicy, SelectionContext};
 use mrts_workload::KernelActivity;
@@ -144,37 +144,6 @@ pub fn mono_preload_units(
     out
 }
 
-/// The units resident at one instant as a bitset over the catalogue's
-/// dense unit ids: for each of them the same answer as
-/// `machine.is_resident(id, now)`.
-#[derive(Debug, Clone, Default)]
-struct ResidentSet {
-    bits: Vec<u64>,
-}
-
-impl ResidentSet {
-    /// Captures what `machine` holds at `now` among a catalogue's `units`
-    /// units.
-    fn capture(&mut self, machine: &Machine, now: Cycles, units: usize) {
-        self.bits.clear();
-        self.bits.resize(units.div_ceil(64), 0);
-        let mut add = |id: u64| {
-            if let Some(word) = self.bits.get_mut((id / 64) as usize) {
-                *word |= 1 << (id % 64);
-            }
-        };
-        machine.fg().for_each_resident_id(now, &mut add);
-        machine.cg().for_each_resident_id(now, &mut add);
-    }
-
-    fn contains(&self, unit: UnitId) -> bool {
-        let id = unit.as_loaded_id();
-        self.bits
-            .get((id / 64) as usize)
-            .is_some_and(|word| word >> (id % 64) & 1 == 1)
-    }
-}
-
 /// The mRTS run-time system.
 ///
 /// # Example
@@ -210,8 +179,6 @@ pub struct Mrts {
     evict_buf: Vec<UnitId>,
     /// Scratch: sorted loaded-ids present on the fabric (step 2).
     resident_buf: Vec<u64>,
-    /// The units resident at the current block's `now` (step 3).
-    resident_now: ResidentSet,
     /// Scratch: the forecast's kernel ids (step 2's evictability filter).
     kernels_buf: Vec<KernelId>,
     /// Scratch: units present on the fabric at plan time, sorted by
@@ -267,7 +234,6 @@ impl Mrts {
             faults_observed: 0,
             evict_buf: Vec::new(),
             resident_buf: Vec::new(),
-            resident_now: ResidentSet::default(),
             kernels_buf: Vec::new(),
             present_buf: Vec::new(),
             evictable_buf: Vec::new(),
@@ -349,11 +315,7 @@ impl Mrts {
         let pcfg = self.config.prefetch;
         let spec_budget = Resources::new(0, residual_prc);
         let pred = std::mem::take(&mut self.pred_buf);
-        // Residency at `now` was frozen by plan step 3 into
-        // `resident_now`; the machine has not been touched since, so it is
-        // still exact.
-        let resident_now = std::mem::take(&mut self.resident_now);
-        let resident = |u: UnitId| resident_now.contains(u);
+        let resident = |u: UnitId| ctx.is_resident(u);
         self.profit_bufs.rebind_catalog(ctx.catalog);
         let mut profit = crate::profit::ExpectedProfitEval::with_buffers(
             now,
@@ -425,7 +387,6 @@ impl Mrts {
             }
         }
         self.profit_bufs = profit.recycle();
-        self.resident_now = resident_now;
         self.pred_buf = pred;
         // Most expected hidden reconfiguration first; ties go to the
         // lower block id so plans stay platform-deterministic.
@@ -563,14 +524,10 @@ impl RuntimePolicy for Mrts {
             None => budget,
         };
 
-        // 3. The greedy selection (Fig. 6). Residency at `now` is frozen
-        //    for the whole selection (the machine is not touched), so it is
-        //    captured once; each probe is then a bit test instead of a
-        //    fabric-slot scan.
+        // 3. The greedy selection (Fig. 6). Residency at `now` is the
+        //    engine's block-start capture; each probe is a bit test.
         let now = ctx.now;
-        let mut resident_now = std::mem::take(&mut self.resident_now);
-        resident_now.capture(ctx.machine, now, ctx.catalog.units().len());
-        let resident = |u: UnitId| resident_now.contains(u);
+        let resident = |u: UnitId| ctx.is_resident(u);
         let use_mono = self.config.ecu.use_mono_cg;
         // The memoizing evaluator captures the shadow port schedule once per
         // selection round and reuses its scratch buffers across candidates
@@ -594,7 +551,6 @@ impl RuntimePolicy for Mrts {
             &mut self.sel_scratch,
         );
         self.profit_bufs = profit.recycle();
-        self.resident_now = resident_now;
 
         // 4. Pre-load monoCG-Extensions with the leftover CG budget (the
         //    ECU's bridging, see `mono_preload_units`).
@@ -697,22 +653,29 @@ impl RuntimePolicy for Mrts {
         selected: Option<IseId>,
         ctx: &ExecContext<'_>,
     ) -> ExecPlan {
-        // No usable fabric budget (ladder floor or zero-fabric machine):
-        // even an opportunistic monoCG install would plan past the
-        // tenant's (empty) fabric share.
-        let cap = ctx.machine.capacity();
-        if self.config.slice.unwrap_or(cap).min(cap).is_empty() {
-            return ExecPlan::risc();
+        // No usable fabric budget (ladder floor): even an opportunistic
+        // monoCG install would plan past the tenant's (empty) fabric share.
+        // Without a slice the ECU needs no such guard: a machine with no
+        // working container holds nothing and has no CG-EDPE free, so the
+        // ladder ends in RISC mode anyway.
+        if let Some(slice) = self.config.slice {
+            if slice.min(ctx.machine.capacity()).is_empty() {
+                return ExecPlan::risc();
+            }
         }
         let Ok(k) = ctx.catalog.kernel(kernel) else {
             return ExecPlan::risc();
         };
         let selected_ise = selected.and_then(|id| ctx.catalog.ise(id).ok());
-        let machine = ctx.machine;
-        let now = ctx.now;
-        let resident = move |u: UnitId| machine.is_resident(u.as_loaded_id(), now);
-        let cg_free = ctx.machine.free_resources().cg() > 0;
-        ecu::decide(k, selected_ise, &resident, cg_free, &self.config.ecu).plan
+        let cg_free = || ctx.machine.cg().free_count() > 0;
+        ecu::decide(
+            k,
+            selected_ise,
+            |u| ctx.is_resident(u),
+            cg_free,
+            &self.config.ecu,
+        )
+        .plan
     }
 
     fn observe_block_end(&mut self, _block: mrts_ise::BlockId, observed: &[KernelActivity]) {

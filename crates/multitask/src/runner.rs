@@ -1392,6 +1392,21 @@ impl<'a> MultitaskRunner<'a> {
         }
     }
 
+    /// Replaces live session `t`'s run-time system with `wrap(policy)`:
+    /// the hook for wrappers that observe or check a policy's callbacks in
+    /// a multi-tenant run. The wrapper must forward every callback for the
+    /// run to stay the same.
+    pub fn wrap_policy(
+        &mut self,
+        t: usize,
+        wrap: impl FnOnce(Box<dyn RuntimePolicy>) -> Box<dyn RuntimePolicy>,
+    ) {
+        let p = self.position(t);
+        let slot = &mut self.tenants[p].policy;
+        let inner = std::mem::replace(slot, Box::new(RiscOnlyPolicy::new()));
+        *slot = wrap(inner);
+    }
+
     /// The global clock.
     #[must_use]
     pub fn now(&self) -> Cycles {

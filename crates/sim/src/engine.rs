@@ -20,7 +20,9 @@
 //! plus the run-time system's own decision overhead — the quantity whose
 //! differences Eq. 5 maximizes.
 
-use crate::policy::{ExecContext, ExecMode, FaultEvent, RuntimePolicy, SelectionContext};
+use crate::policy::{
+    ExecContext, ExecMode, FaultEvent, ResidentSet, RuntimePolicy, SelectionContext,
+};
 use crate::stats::{BlockStats, ExecClass, RunStats};
 use crate::timeline::{EventSink, RejectReason, SimEvent, Timeline};
 use mrts_arch::{ArchError, Cycles, FabricKind, FaultKind, Machine};
@@ -138,6 +140,9 @@ pub struct Simulator<'a> {
     /// SoA scratch for the per-kernel epoch walk (capacity reused across
     /// kernels and blocks).
     batches: EpochBatches,
+    /// Residency captured once per trigger and once per epoch: the one
+    /// answer the policy's probes and [`Simulator::resolve_execution`] read.
+    resident: ResidentSet,
     /// Speculative loads issued for predicted-next blocks and not yet
     /// vindicated or rolled back.
     spec: Vec<SpecLoad>,
@@ -156,6 +161,7 @@ impl<'a> Simulator<'a> {
             timeline: Timeline::new(),
             recovery: RecoveryConfig::default(),
             batches: EpochBatches::default(),
+            resident: ResidentSet::default(),
             spec: Vec::new(),
             prefetch_stats: PrefetchStats::default(),
         }
@@ -332,12 +338,15 @@ impl<'a> Simulator<'a> {
         // (DESIGN.md §12).
         self.judge_speculation_pre_plan(t0);
 
+        let units = self.catalog.units().len();
+        self.resident.capture(&self.machine, t0, units);
         let plan = {
             let ctx = SelectionContext {
                 now: t0,
                 catalog: self.catalog,
                 machine: &self.machine,
                 forecast: &activation.forecast,
+                resident: &self.resident,
             };
             policy.plan_block(&ctx)
         };
@@ -433,12 +442,14 @@ impl<'a> Simulator<'a> {
             .kernel(activity.kernel)
             .expect("trace kernel missing from catalogue (callers must check_trace first)");
         let risc = kernel.risc_latency();
+        let units = self.catalog.units().len();
         let mut t = start_base + activity.first_delay;
         let mut remaining = activity.executions;
         self.batches.clear();
 
         while remaining > 0 {
             self.machine.settle(t);
+            self.resident.capture(&self.machine, t, units);
             self.timeline.emit_with(t, || SimEvent::EpochBegin {
                 at: t,
                 kernel: activity.kernel,
@@ -448,6 +459,7 @@ impl<'a> Simulator<'a> {
                     now: t,
                     catalog: self.catalog,
                     machine: &self.machine,
+                    resident: &self.resident,
                 };
                 policy.plan_execution(activity.kernel, selected, &ctx)
             };
@@ -456,7 +468,7 @@ impl<'a> Simulator<'a> {
                     self.timeline.push_boundary(ready_at);
                 }
             }
-            let (class, latency) = self.resolve_execution(activity.kernel, eplan.mode, risc, t);
+            let (class, latency) = self.resolve_execution(activity.kernel, eplan.mode, risc);
             let period = latency + activity.gap;
             debug_assert!(period > Cycles::ZERO);
 
@@ -805,7 +817,9 @@ impl<'a> Simulator<'a> {
     }
 
     /// Installs the kernel's monoCG-Extension if it exists, is not already
-    /// present and a CG-EDPE is free. Returns the completion time.
+    /// present and a CG-EDPE is free, and marks it in the epoch's
+    /// [`ResidentSet`]: the extension is resident from its install on
+    /// (DESIGN.md §4.10). Returns the completion time.
     fn try_install_mono(&mut self, now: Cycles, kernel: KernelId) -> Option<Cycles> {
         let mono = *self.catalog.kernel(kernel).ok()?.mono_cg()?;
         if self.is_present(mono.unit) {
@@ -816,6 +830,7 @@ impl<'a> Simulator<'a> {
             .load_mono_cg(now, mono.unit.as_loaded_id(), mono.instrs)
             .ok()
             .map(|t| t.ready_at)?;
+        self.resident.insert(mono.unit);
         self.timeline.emit_with(now, || SimEvent::LoadIssued {
             at: now,
             unit: mono.unit,
@@ -829,13 +844,13 @@ impl<'a> Simulator<'a> {
         Some(ready_at)
     }
 
-    /// Resolves an [`ExecMode`] against ground-truth residency at time `t`.
+    /// Resolves an [`ExecMode`] against ground-truth residency: the
+    /// epoch's [`ResidentSet`].
     fn resolve_execution(
         &self,
         kernel: KernelId,
         mode: ExecMode,
         risc: Cycles,
-        t: Cycles,
     ) -> (ExecClass, Cycles) {
         match mode {
             ExecMode::Risc => (ExecClass::RiscMode, risc),
@@ -846,9 +861,7 @@ impl<'a> Simulator<'a> {
                     .ok()
                     .and_then(|k| k.mono_cg().copied());
                 match mono {
-                    Some(m) if self.machine.is_resident(m.unit.as_loaded_id(), t) => {
-                        (ExecClass::MonoCg, m.latency)
-                    }
+                    Some(m) if self.resident.contains(m.unit) => (ExecClass::MonoCg, m.latency),
                     _ => (ExecClass::RiscMode, risc),
                 }
             }
@@ -859,7 +872,7 @@ impl<'a> Simulator<'a> {
                 if ise.kernel() != kernel {
                     return (ExecClass::RiscMode, risc);
                 }
-                let resident = |u: UnitId| self.machine.is_resident(u.as_loaded_id(), t);
+                let resident = |u: UnitId| self.resident.contains(u);
                 let latency = ise.latency_with(resident);
                 if latency == risc {
                     (ExecClass::RiscMode, latency)
@@ -1069,6 +1082,43 @@ mod tests {
         let risc_stats =
             Simulator::run(&catalog, machine(1, 0), &trace, &mut RiscOnlyPolicy::new());
         assert!(stats.total_busy() < risc_stats.total_busy());
+    }
+
+    /// Asks for the monoCG-Extension and its install in the same epoch.
+    struct MonoNowPolicy;
+
+    impl RuntimePolicy for MonoNowPolicy {
+        fn name(&self) -> String {
+            "mono-now".into()
+        }
+
+        fn plan_block(&mut self, ctx: &SelectionContext<'_>) -> BlockPlan {
+            MonoPolicy.plan_block(ctx)
+        }
+
+        fn plan_execution(
+            &mut self,
+            _kernel: KernelId,
+            _selected: Option<IseId>,
+            _ctx: &ExecContext<'_>,
+        ) -> ExecPlan {
+            ExecPlan {
+                mode: ExecMode::MonoCg,
+                install_mono: true,
+            }
+        }
+    }
+
+    /// A monoCG-Extension is resident from its install on (DESIGN.md
+    /// §4.10), so the resolver serves the very epoch that installs it,
+    /// although the epoch's residency was captured before the install.
+    #[test]
+    fn mono_serves_the_epoch_that_installs_it() {
+        let (catalog, trace) = setup();
+        let stats = Simulator::run(&catalog, machine(1, 0), &trace, &mut MonoNowPolicy);
+        let h = stats.class_histogram();
+        assert_eq!(h.get(&ExecClass::RiscMode), None, "{h:?}");
+        assert_eq!(h.get(&ExecClass::MonoCg), Some(&2_000));
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub mod timeline;
 
 pub use engine::{PrefetchStats, RecoveryConfig, Simulator, LOAD_RETRY_BUDGET};
 pub use policy::{
-    BlockPlan, ExecContext, ExecMode, ExecPlan, FaultEvent, RiscOnlyPolicy, RuntimePolicy,
-    SelectionContext,
+    BlockPlan, ExecContext, ExecMode, ExecPlan, FaultEvent, ResidentSet, RiscOnlyPolicy,
+    RuntimePolicy, SelectionContext,
 };
 pub use stats::{
     jain_index, nearest_rank_percentile, BlockStats, ExecClass, FabricStats, FleetStats,

@@ -16,7 +16,7 @@
 //! actually observed kernel behaviour back (the hook the Monitoring &
 //! Prediction Unit uses).
 
-use mrts_arch::{Cycles, FabricKind, FaultKind, Machine, Resources};
+use mrts_arch::{Cycles, FabricKind, FaultKind, LoadedId, Machine, Resources};
 use mrts_ise::{IseCatalog, IseId, KernelId, TriggerBlock, UnitId};
 use mrts_workload::KernelActivity;
 
@@ -32,6 +32,68 @@ pub struct SelectionContext<'a> {
     /// The trigger instructions of the upcoming functional block — possibly
     /// already corrected by the policy's own monitoring unit.
     pub forecast: &'a TriggerBlock,
+    /// The catalogue units resident at `now`, captured by the engine once
+    /// per trigger.
+    pub resident: &'a ResidentSet,
+}
+
+impl SelectionContext<'_> {
+    /// Whether catalogue unit `u` is resident and usable at `now`: a bit
+    /// test on [`SelectionContext::resident`].
+    #[must_use]
+    pub fn is_resident(&self, u: UnitId) -> bool {
+        self.resident.contains(u)
+    }
+}
+
+/// The units resident at one instant, as a bitset over a catalogue's dense
+/// unit ids. The engine captures one per trigger and one per residency
+/// epoch, and every policy probe during that trigger or epoch is a bit
+/// test on it instead of a scan of the fabric's containers.
+///
+/// Contract: after [`ResidentSet::capture`] of `machine` at `now` for a
+/// catalogue of `units` units, [`ResidentSet::contains`] gives, for every
+/// catalogue unit, the same answer as `machine.is_resident(id, now)`. Ids
+/// outside the catalogue read as not resident. That is enough: policies are
+/// only ever handed catalogue units, and tenants do not share a `Machine`.
+#[derive(Debug, Clone, Default)]
+pub struct ResidentSet {
+    bits: Vec<u64>,
+}
+
+impl ResidentSet {
+    /// Replaces the set with what `machine` holds at `now` among the unit
+    /// ids `0..units`.
+    pub fn capture(&mut self, machine: &Machine, now: Cycles, units: usize) {
+        self.bits.clear();
+        self.bits.resize(units.div_ceil(64), 0);
+        let mut add = |id: LoadedId| {
+            if id < units as u64 {
+                self.bits[(id / 64) as usize] |= 1 << (id % 64);
+            }
+        };
+        machine.fg().for_each_resident_id(now, &mut add);
+        machine.cg().for_each_resident_id(now, &mut add);
+    }
+
+    /// Marks catalogue unit `u` resident (a no-op for ids outside the
+    /// captured catalogue). The engine calls it after installing a
+    /// monoCG-Extension, which is resident from its install on.
+    pub fn insert(&mut self, u: UnitId) {
+        let id = u.as_loaded_id();
+        if let Some(word) = self.bits.get_mut((id / 64) as usize) {
+            *word |= 1 << (id % 64);
+        }
+    }
+
+    /// Whether unit `u` was resident at the captured instant.
+    #[must_use]
+    pub fn contains(&self, u: UnitId) -> bool {
+        let id = u.as_loaded_id();
+        self.bits
+            .get((id / 64) as usize)
+            .is_some_and(|word| word >> (id % 64) & 1 == 1)
+    }
 }
 
 /// A policy's answer to a trigger instruction.
@@ -77,15 +139,19 @@ pub struct ExecContext<'a> {
     pub now: Cycles,
     /// The compile-time ISE catalogue.
     pub catalog: &'a IseCatalog,
-    /// The machine (for residency checks).
+    /// The machine (fabric occupancy, reconfiguration controller).
     pub machine: &'a Machine,
+    /// The catalogue units resident at `now`, captured by the engine once
+    /// per residency epoch.
+    pub resident: &'a ResidentSet,
 }
 
 impl ExecContext<'_> {
-    /// Whether unit `u` is resident and usable right now.
+    /// Whether catalogue unit `u` is resident and usable right now: a bit
+    /// test on [`ExecContext::resident`].
     #[must_use]
     pub fn is_resident(&self, u: UnitId) -> bool {
-        self.machine.is_resident(u.as_loaded_id(), self.now)
+        self.resident.contains(u)
     }
 }
 
@@ -273,6 +339,7 @@ mod tests {
         use std::sync::OnceLock;
         static CATALOG: OnceLock<IseCatalog> = OnceLock::new();
         static MACHINE: OnceLock<Machine> = OnceLock::new();
+        static RESIDENT: OnceLock<ResidentSet> = OnceLock::new();
         let catalog = CATALOG.get_or_init(|| {
             use mrts_ise::datapath::{DataPathGraph, OpKind};
             use mrts_ise::{CatalogBuilder, KernelSpec};
@@ -295,6 +362,7 @@ mod tests {
             now: Cycles::ZERO,
             catalog,
             machine,
+            resident: RESIDENT.get_or_init(ResidentSet::default),
         }
     }
 }

@@ -8,14 +8,17 @@ use mrts::arch::{ArchParams, Cycles, FabricKind, Machine, Resources};
 use mrts::core::Mrts;
 use mrts::ise::{IseCatalog, UnitId};
 use mrts::sim::{
-    BlockPlan, ExecClass, ExecMode, KernelStats, RiscOnlyPolicy, RunStats, RuntimePolicy,
-    SelectionContext, Simulator,
+    BlockPlan, ExecClass, ExecMode, KernelStats, ResidentSet, RiscOnlyPolicy, RunStats,
+    RuntimePolicy, SelectionContext, Simulator,
 };
 use mrts::workload::synthetic::{synthetic_trace, Pattern};
 use mrts::workload::{Trace, WorkloadModel};
 
 /// One-execution-at-a-time reference implementation of the engine's
-/// semantics (see `mrts-sim/src/engine.rs` for the contract).
+/// semantics (see `mrts-sim/src/engine.rs` for the contract). The policy's
+/// contexts carry a residency capture of their own, but the reference's
+/// own resolve step asks the machine directly, so it stays an independent
+/// oracle for the engine's resolver.
 fn naive_run(
     catalog: &IseCatalog,
     mut machine: Machine,
@@ -26,15 +29,19 @@ fn naive_run(
         policy: policy.name(),
         ..RunStats::default()
     };
+    let units = catalog.units().len();
+    let mut resident = ResidentSet::default();
     let mut now = Cycles::ZERO;
     for activation in trace.activations() {
         let t0 = now;
         machine.settle(t0);
+        resident.capture(&machine, t0, units);
         let plan: BlockPlan = policy.plan_block(&SelectionContext {
             now: t0,
             catalog,
             machine: &machine,
             forecast: &activation.forecast,
+            resident: &resident,
         });
         for &u in &plan.evict {
             let _ = machine.evict(u.as_loaded_id());
@@ -67,6 +74,7 @@ fn naive_run(
             let kstats: &mut KernelStats = stats.kernels.entry(activity.kernel).or_default();
             for _ in 0..activity.executions {
                 machine.settle(t);
+                resident.capture(&machine, t, units);
                 let eplan = policy.plan_execution(
                     activity.kernel,
                     selected,
@@ -74,6 +82,7 @@ fn naive_run(
                         now: t,
                         catalog,
                         machine: &machine,
+                        resident: &resident,
                     },
                 );
                 if eplan.install_mono {
