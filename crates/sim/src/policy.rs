@@ -76,10 +76,10 @@ impl ResidentSet {
         machine.cg().for_each_resident_id(now, &mut add);
     }
 
-    /// Marks catalogue unit `u` resident (a no-op for ids outside the
-    /// captured catalogue). The engine calls it after installing a
-    /// monoCG-Extension, which is resident from its install on.
-    pub fn insert(&mut self, u: UnitId) {
+    /// Marks catalogue unit `u` resident. The engine calls it after
+    /// installing a monoCG-Extension, which is resident from its install
+    /// on.
+    pub(crate) fn insert(&mut self, u: UnitId) {
         let id = u.as_loaded_id();
         if let Some(word) = self.bits.get_mut((id / 64) as usize) {
             *word |= 1 << (id % 64);

@@ -112,18 +112,6 @@ proptest! {
     }
 }
 
-#[test]
-fn insert_marks_catalogue_units_only() {
-    let m = Machine::new(ArchParams::default(), Resources::new(1, 1)).expect("valid machine");
-    let mut set = ResidentSet::default();
-    set.capture(&m, Cycles::ZERO, UNITS as usize);
-    set.insert(UnitId(70));
-    set.insert(UnitId(IDS + 1_000));
-    assert!(set.contains(UnitId(70)));
-    assert!(!set.contains(UnitId(69)));
-    assert!(!set.contains(UnitId(IDS + 1_000)));
-}
-
 // ---------------------------------------------------------------------
 // The capture inside whole runs
 // ---------------------------------------------------------------------
