@@ -34,6 +34,7 @@ const RATES: [f64; 9] = [0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1];
 const FAULT_SEEDS: [u64; 3] = [11, 12, 13];
 
 fn main() {
+    let threads = par::ThreadConfig::from_env_and_args();
     print_header(
         "Fault sweep",
         "speedup retention of RISPP-like / offline-optimal / mRTS under injected faults",
@@ -66,27 +67,23 @@ fn main() {
         .iter()
         .flat_map(|&rate| FAULT_SEEDS.iter().map(move |&seed| (rate, seed)))
         .collect();
-    let runs = par::sweep(
-        par::ThreadConfig::from_env_and_args(),
-        &cells,
-        |_, &(rate, seed)| {
-            let fm = || FaultModel::new(rate, seed);
-            let rispp = tb.run_with_faults(combo, fm(), &mut RisppPolicy::new());
-            let offline = tb.run_with_faults(
-                combo,
-                fm(),
-                &mut OfflineOptimalPolicy::new(&tb.catalog, capacity, &tb.totals),
-            );
-            let mrts = tb.run_with_faults(combo, fm(), &mut Mrts::new());
-            // Recovery accounting must never lose executions.
-            assert_eq!(
-                mrts.total_executions(),
-                risc.total_executions(),
-                "executions lost at rate {rate} seed {seed}"
-            );
-            (speedup(&rispp), speedup(&offline), mrts)
-        },
-    );
+    let runs = par::sweep(threads, &cells, |_, &(rate, seed)| {
+        let fm = || FaultModel::new(rate, seed);
+        let rispp = tb.run_with_faults(combo, fm(), &mut RisppPolicy::new());
+        let offline = tb.run_with_faults(
+            combo,
+            fm(),
+            &mut OfflineOptimalPolicy::new(&tb.catalog, capacity, &tb.totals),
+        );
+        let mrts = tb.run_with_faults(combo, fm(), &mut Mrts::new());
+        // Recovery accounting must never lose executions.
+        assert_eq!(
+            mrts.total_executions(),
+            risc.total_executions(),
+            "executions lost at rate {rate} seed {seed}"
+        );
+        (speedup(&rispp), speedup(&offline), mrts)
+    });
 
     let mut retained_mrts = Vec::new();
     let mut retained_rispp = Vec::new();

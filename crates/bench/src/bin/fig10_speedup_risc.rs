@@ -12,6 +12,7 @@ use mrts_core::Mrts;
 use mrts_sim::RiscOnlyPolicy;
 
 fn main() {
+    let threads = par::ThreadConfig::from_env_and_args();
     print_header(
         "Fig. 10",
         "mRTS speedup vs RISC-mode per fabric combination, grouped by grain",
@@ -43,14 +44,10 @@ fn main() {
     // deterministic mRTS run. Results come back in input order, so the
     // grouped table below prints identical bytes for any `--threads`.
     let all_combos: Vec<Resources> = groups.iter().flat_map(|(_, c)| c.iter().copied()).collect();
-    let speedup_of: Vec<f64> = par::sweep(
-        par::ThreadConfig::from_env_and_args(),
-        &all_combos,
-        |_, &combo| {
-            let stats = tb.run(combo, &mut Mrts::new());
-            risc_time / stats.total_execution_time().get() as f64
-        },
-    );
+    let speedup_of: Vec<f64> = par::sweep(threads, &all_combos, |_, &combo| {
+        let stats = tb.run(combo, &mut Mrts::new());
+        risc_time / stats.total_execution_time().get() as f64
+    });
     let lookup = |combo: Resources| -> f64 {
         let i = all_combos
             .iter()

@@ -13,6 +13,7 @@
 use mrts_bench::{fig8_combos, geo_mean, mcycles, par, print_header, Testbed, DEFAULT_SEED};
 
 fn main() {
+    let threads = par::ThreadConfig::from_env_and_args();
     print_header(
         "Fig. 8",
         "execution time of RISPP-like / offline-optimal / Morpheus+4S-like / mRTS",
@@ -33,11 +34,7 @@ fn main() {
     // fan them out, then print in input order (byte-identical for any
     // `--threads`, see `mrts_bench::par`).
     let combos = fig8_combos();
-    let cells = par::sweep(
-        par::ThreadConfig::from_env_and_args(),
-        &combos,
-        |_, &combo| tb.run_fig8_contenders(combo),
-    );
+    let cells = par::sweep(threads, &combos, |_, &combo| tb.run_fig8_contenders(combo));
     for (combo, (risc, rispp, offline, morpheus, mrts)) in combos.iter().copied().zip(&cells) {
         let t = |s: &mrts_sim::RunStats| s.total_execution_time();
         let x_rispp = t(rispp).get() as f64 / t(mrts).get() as f64;

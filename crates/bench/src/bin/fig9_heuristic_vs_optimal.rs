@@ -16,6 +16,7 @@
 use mrts_bench::{fig9_combos, mean, par, print_header, Testbed, DEFAULT_SEED};
 
 fn main() {
+    let threads = par::ThreadConfig::from_env_and_args();
     print_header(
         "Fig. 9",
         "% performance difference: greedy ISE selection vs. online-optimal",
@@ -46,11 +47,7 @@ fn main() {
         .into_iter()
         .filter(|c| !c.is_empty())
         .collect();
-    let pairs = par::sweep(
-        par::ThreadConfig::from_env_and_args(),
-        &combos,
-        |_, &combo| tb.run_fig9_pair(combo),
-    );
+    let pairs = par::sweep(threads, &combos, |_, &combo| tb.run_fig9_pair(combo));
     for (combo, (mrts, optimal)) in combos.iter().copied().zip(&pairs) {
         let m = mrts.total_execution_time().get() as f64;
         let o = optimal.total_execution_time().get() as f64;

@@ -29,6 +29,7 @@ use mrts_sim::RunStats;
 const DOMAINS: [&str; 3] = ["h264", "cv", "cryptomix"];
 
 fn main() {
+    let config = par::ThreadConfig::from_env_and_args();
     let quick = std::env::args().any(|a| a == "--quick");
     print_header(
         "Domain sweep",
@@ -55,7 +56,6 @@ fn main() {
     let cells: Vec<(usize, Resources)> = (0..testbeds.len())
         .flat_map(|d| combos.iter().map(move |&c| (d, c)))
         .collect();
-    let config = par::ThreadConfig::from_env_and_args();
     let runs = par::sweep(config, &cells, |_, &(d, combo)| {
         testbeds[d].run_domain_contenders(combo)
     });

@@ -88,6 +88,7 @@ fn run_cell(
 }
 
 fn main() {
+    let threads = par::ThreadConfig::from_env_and_args();
     let quick = std::env::args().any(|a| a == "--quick");
     let sessions: usize = if quick { 2_000 } else { 10_000 };
     print_header(
@@ -115,11 +116,9 @@ fn main() {
         .iter()
         .flat_map(|&g| (0..CONFIGS.len()).map(move |c| (g, c)))
         .collect();
-    let runs: Vec<FleetStats> = par::sweep(
-        par::ThreadConfig::from_env_and_args(),
-        &cells,
-        |_, &(g, c)| run_cell(&registry, sessions, g, CONFIGS[c].1),
-    );
+    let runs: Vec<FleetStats> = par::sweep(threads, &cells, |_, &(g, c)| {
+        run_cell(&registry, sessions, g, CONFIGS[c].1)
+    });
 
     println!(
         "\n{:>9} {:>7} | {:>11} {:>8} {:>6} | {:>7} {:>9} {:>9} {:>6}",

@@ -38,6 +38,7 @@ const CONFIGS: [(&str, &str, ArbiterPolicy); 3] = [
 ];
 
 fn main() {
+    let threads = par::ThreadConfig::from_env_and_args();
     let quick = std::env::args().any(|a| a == "--quick");
     print_header(
         "Multi-tenant sharing",
@@ -75,25 +76,21 @@ fn main() {
         .iter()
         .flat_map(|&n| (0..CONFIGS.len()).map(move |c| (n, c)))
         .collect();
-    let runs: Vec<MultitaskStats> = par::sweep(
-        par::ThreadConfig::from_env_and_args(),
-        &cells,
-        |_, &(n, c)| {
-            let (_, policy, arbiter) = CONFIGS[c];
-            let specs: Vec<TenantSpec<'_>> = mix[..n]
-                .iter()
-                .map(|a| TenantSpec::new(a.name(), &a.catalog, &a.trace))
-                .collect();
-            let cfg = MultitaskConfig {
-                policy: policy.into(),
-                arbiter,
-                scheduler: SchedulerKind::WeightedFair,
-                ..MultitaskConfig::default()
-            };
-            run_multitask(ArchParams::default(), combo, &specs, &cfg)
-                .expect("multitask run must succeed")
-        },
-    );
+    let runs: Vec<MultitaskStats> = par::sweep(threads, &cells, |_, &(n, c)| {
+        let (_, policy, arbiter) = CONFIGS[c];
+        let specs: Vec<TenantSpec<'_>> = mix[..n]
+            .iter()
+            .map(|a| TenantSpec::new(a.name(), &a.catalog, &a.trace))
+            .collect();
+        let cfg = MultitaskConfig {
+            policy: policy.into(),
+            arbiter,
+            scheduler: SchedulerKind::WeightedFair,
+            ..MultitaskConfig::default()
+        };
+        run_multitask(ArchParams::default(), combo, &specs, &cfg)
+            .expect("multitask run must succeed")
+    });
 
     println!(
         "\n{:>7} | {:>12} {:>9} {:>8} {:>8} | {:>8} {:>7}",

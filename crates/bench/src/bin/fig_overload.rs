@@ -84,6 +84,7 @@ fn run(
 }
 
 fn main() {
+    let threads = par::ThreadConfig::from_env_and_args();
     let quick = std::env::args().any(|a| a == "--quick");
     print_header(
         "Overload / SLO ladder",
@@ -133,19 +134,15 @@ fn main() {
         .iter()
         .flat_map(|&f| (0..CONFIGS.len()).map(move |c| (f, c)))
         .collect();
-    let runs: Vec<MultitaskStats> = par::sweep(
-        par::ThreadConfig::from_env_and_args(),
-        &cells,
-        |_, &(f, c)| {
-            let (_, sched, degrade) = CONFIGS[c];
-            let slo = Slo {
-                session_deadline: None,
-                block_period: Some(Cycles::new((base * 100 / f).max(1))),
-                criticality: Criticality::Hard,
-            };
-            run(&mix, combo, Some(slo), &config(sched, degrade))
-        },
-    );
+    let runs: Vec<MultitaskStats> = par::sweep(threads, &cells, |_, &(f, c)| {
+        let (_, sched, degrade) = CONFIGS[c];
+        let slo = Slo {
+            session_deadline: None,
+            block_period: Some(Cycles::new((base * 100 / f).max(1))),
+            criticality: Criticality::Hard,
+        };
+        run(&mix, combo, Some(slo), &config(sched, degrade))
+    });
 
     println!(
         "\n{:>8} | {:>10} {:>9} {:>7} | {:>8} {:>8} {:>8} | {:>7} {:>9}",

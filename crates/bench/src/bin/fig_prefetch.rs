@@ -114,6 +114,7 @@ fn sweep_point(tb: &Testbed, bandwidth_kb_s: u64, confidences: &[f64]) -> Point 
 
 #[allow(clippy::cast_precision_loss)]
 fn main() {
+    let threads = par::ThreadConfig::from_env_and_args();
     let quick = std::env::args().any(|a| a == "--quick");
     print_header(
         "fig_prefetch",
@@ -143,11 +144,9 @@ fn main() {
     println!("{}", "-".repeat(82));
 
     let tb = Testbed::new("h264", DEFAULT_SEED);
-    let points = par::sweep(
-        par::ThreadConfig::from_env_and_args(),
-        &bandwidths,
-        |_, &bw| sweep_point(&tb, bw, &confidences),
-    );
+    let points = par::sweep(threads, &bandwidths, |_, &bw| {
+        sweep_point(&tb, bw, &confidences)
+    });
 
     let mut violations = 0usize;
     let mut ms_scale_cells = 0usize;

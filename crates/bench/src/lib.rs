@@ -14,7 +14,11 @@
 //! | `fault_sweep` | extra — speedup retention under injected hardware faults |
 //! | `fig_multitask` | extra — multi-tenant sharing: aggregate speedup + fairness vs tenant count |
 //! | `fig_overload` | extra — SLO ladder: deadline misses + tardiness past saturation, ladder on/off |
-//! | `bench_suite` | extra — perf-regression tracking (`BENCH_perf.json`) |
+//! | `ablation_mpu_burst` | extra — MPU value on non-stationary step/burst/ramp series |
+//! | `sensitivity_forecast_error` | extra — end-to-end cost vs trigger-forecast error |
+//! | `fig_domains` | extra — Fig. 8-style comparison on the h264, cv and cryptomix domains |
+//! | `fig_fleet_sweep` | extra — fleet accepted throughput vs offered load, dynamic vs static |
+//! | `fig_prefetch` | extra — speculative prefetch: FG port bandwidth x predictor confidence |
 //!
 //! This library holds the pieces the binaries share: the fabric-combination
 //! sweep, policy construction and run helpers, the order-preserving
@@ -24,10 +28,8 @@
 //! are computed in parallel but assembled and printed in input order, so
 //! `--threads 1` and `--threads N` emit identical bytes.
 //!
-//! The `bench_suite` binary times the harness itself (sweep wall-clock
-//! serial vs parallel, per-selection cost, simulator throughput) and writes
-//! `BENCH_perf.json` so every future PR has a perf trajectory to diff
-//! against.
+//! Host time is measured by `perfbench/`, not here: these binaries check
+//! the paper's numbers, and their output is byte-stable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -88,8 +88,8 @@ pub struct SelectorConfig {
     pub cycles_per_candidate: u64,
     /// Run the literal Fig. 6 full re-scan instead of the exact lazy-greedy
     /// hot path. The two produce identical [`Selection`]s (the equivalence
-    /// proptests assert it); the full re-scan is kept as the oracle and for
-    /// the `bench_suite` perf comparison. Off by default.
+    /// proptests assert it); the full re-scan stays as their test oracle.
+    /// Off by default.
     pub full_rescan: bool,
 }
 

@@ -23,6 +23,27 @@ fn registry(params: &ArchParams, variants: usize, seed: u64) -> AppRegistry {
     AppRegistry::new(params, &["toy"], variants, seed, 40).expect("toy registry builds")
 }
 
+/// The default fleet (2 fabrics x 4 lanes, Poisson arrivals) on 2 000
+/// `toy` sessions: the accepted count is pinned exactly, so a change to
+/// admission, placement or queueing that accepts or rejects one more
+/// session shows here.
+#[test]
+fn default_toy_fleet_accepted_count_is_pinned() {
+    let params = ArchParams::default();
+    let records = poisson_arrivals(&PoissonConfig {
+        sessions: 2_000,
+        ..PoissonConfig::default()
+    });
+    let out = run_fleet(
+        &params,
+        &registry(&params, 4, 1),
+        &records,
+        &FleetConfig::default(),
+    )
+    .expect("the fleet run succeeds");
+    assert_eq!(out.stats.accepted, 674);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -374,3 +374,28 @@ proptest! {
         prop_assert!(a.makespan >= last, "makespan precedes a tenant's finish");
     }
 }
+
+/// The two-tenant fft + cipher mix (seeds 1 and 2) on 2 CG + 2 PRC under
+/// the default runner config: its makespan is pinned exactly (12.192
+/// Mcycles at print resolution), so a change to scheduling, arbitration
+/// or per-tenant planning that moves a single cycle shows here.
+#[test]
+fn fft_cipher_default_config_makespan_is_pinned() {
+    let apps = [
+        mrts_bench::Testbed::new("fft", 1),
+        mrts_bench::Testbed::new("cipher", 2),
+    ];
+    let specs: Vec<TenantSpec<'_>> = apps
+        .iter()
+        .map(|a| TenantSpec::new(a.name(), &a.catalog, &a.trace))
+        .collect();
+    let stats = run_multitask(
+        ArchParams::default(),
+        Resources::new(2, 2),
+        &specs,
+        &MultitaskConfig::default(),
+    )
+    .expect("the multitask run succeeds");
+    assert_eq!(stats.makespan, Cycles::new(12_191_775));
+    assert_eq!(format!("{:.3}", stats.makespan.as_mcycles()), "12.192");
+}
