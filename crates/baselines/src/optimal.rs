@@ -14,11 +14,11 @@
 //! reflected in the profit estimates; the simulation that consumes the
 //! selection uses real queueing.)
 
-use crate::common::{evictable_units, eviction_list};
-use mrts_arch::{Cycles, Machine, ReconfigurationController, Resources};
+use mrts_arch::{Cycles, ReconfigurationController, Resources};
 use mrts_core::ecu::{self, EcuConfig};
 use mrts_core::mpu::Mpu;
 use mrts_core::profit::expected_profit;
+use mrts_core::FabricAccount;
 use mrts_ise::{Ise, IseCatalog, IseId, KernelId, TriggerBlock, UnitId};
 use mrts_sim::{BlockPlan, ExecContext, ExecPlan, RuntimePolicy, SelectionContext};
 use mrts_workload::KernelActivity;
@@ -251,6 +251,7 @@ pub fn exhaustive_optimal_profit(
 pub struct OnlineOptimalPolicy {
     mpu: Mpu,
     ecu: EcuConfig,
+    account: FabricAccount,
 }
 
 impl OnlineOptimalPolicy {
@@ -260,6 +261,7 @@ impl OnlineOptimalPolicy {
         OnlineOptimalPolicy {
             mpu: Mpu::default(),
             ecu: EcuConfig::default(),
+            account: FabricAccount::default(),
         }
     }
 }
@@ -277,11 +279,7 @@ impl RuntimePolicy for OnlineOptimalPolicy {
 
     fn plan_block(&mut self, ctx: &SelectionContext<'_>) -> BlockPlan {
         let forecast = self.mpu.correct(ctx.forecast);
-        let keep: Vec<KernelId> = forecast.iter().map(|t| t.kernel).collect();
-        let (evictable, evictable_res) = evictable_units(ctx.machine, ctx.catalog, &keep);
-        let budget = ctx.machine.free_resources() + evictable_res;
-
-        let machine: &Machine = ctx.machine;
+        let budget = self.account.open(ctx, &forecast, None);
         let resident = |u: UnitId| ctx.is_resident(u);
         let selection = dp_optimal_selection(
             ctx.catalog,
@@ -292,28 +290,17 @@ impl RuntimePolicy for OnlineOptimalPolicy {
             ctx.now,
             &|_| true,
         );
-
-        // Same monoCG pre-loading as mRTS: Fig. 9 isolates the selection
-        // algorithm, so everything else must match.
+        // Same monoCG pre-loading and eviction as mRTS: Fig. 9 isolates
+        // the selection algorithm, so everything else must match.
         let mut load_order = selection.load_order;
-        let selection_demand: Resources = load_order
-            .iter()
-            .map(|u| ctx.catalog.unit(*u).resources())
-            .sum();
-        let leftover_cg = budget.cg().saturating_sub(selection_demand.cg());
-        let present = move |u: UnitId| machine.is_resident(u.as_loaded_id(), Cycles::MAX);
-        load_order.extend(mrts_core::runtime::mono_preload_units(
-            ctx.catalog,
+        let mut evict = Vec::new();
+        self.account.close(
+            ctx,
             &selection.choices,
-            leftover_cg,
-            &present,
-        ));
-
-        let need: Resources = load_order
-            .iter()
-            .map(|u| ctx.catalog.unit(*u).resources())
-            .sum();
-        let evict = eviction_list(ctx.catalog, need, ctx.machine.free_resources(), &evictable);
+            &self.ecu,
+            &mut load_order,
+            &mut evict,
+        );
         BlockPlan {
             selections: selection.choices,
             evict,
@@ -329,12 +316,7 @@ impl RuntimePolicy for OnlineOptimalPolicy {
         selected: Option<IseId>,
         ctx: &ExecContext<'_>,
     ) -> ExecPlan {
-        let Ok(k) = ctx.catalog.kernel(kernel) else {
-            return ExecPlan::risc();
-        };
-        let selected_ise = selected.and_then(|id| ctx.catalog.ise(id).ok());
-        let cg_free = || ctx.machine.cg().free_count() > 0;
-        ecu::decide(k, selected_ise, |u| ctx.is_resident(u), cg_free, &self.ecu).plan
+        ecu::plan_execution(kernel, selected, ctx, &self.ecu)
     }
 
     fn observe_block_end(&mut self, _block: mrts_ise::BlockId, observed: &[KernelActivity]) {
@@ -345,7 +327,7 @@ impl RuntimePolicy for OnlineOptimalPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrts_arch::ArchParams;
+    use mrts_arch::{ArchParams, Machine};
     use mrts_core::selector::{select_ises, SelectorConfig};
     use mrts_core::Mrts;
     use mrts_ise::TriggerInstruction;

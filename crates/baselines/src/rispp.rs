@@ -20,12 +20,11 @@
 //! failure mode the paper describes. Execution uses real hardware timing;
 //! only the *decision* model is distorted.
 
-use crate::common::{evictable_units, eviction_list};
-use mrts_arch::{Cycles, Resources};
+use mrts_arch::Cycles;
 use mrts_core::ecu::{self, EcuConfig};
 use mrts_core::mpu::Mpu;
 use mrts_core::selector::{select_ises_with_scratch, SelectorConfig, SelectorScratch};
-
+use mrts_core::FabricAccount;
 use mrts_ise::{Ise, IseId, KernelId, UnitId};
 use mrts_sim::{BlockPlan, ExecContext, ExecPlan, RuntimePolicy, SelectionContext};
 use mrts_workload::KernelActivity;
@@ -38,6 +37,7 @@ pub struct RisppPolicy {
     ecu: EcuConfig,
     /// The selector's working set, kept across blocks.
     scratch: SelectorScratch,
+    account: FabricAccount,
 }
 
 impl RisppPolicy {
@@ -50,6 +50,7 @@ impl RisppPolicy {
             // RISPP has no monoCG-Extension (an mRTS novelty).
             ecu: EcuConfig { use_mono_cg: false },
             scratch: SelectorScratch::new(),
+            account: FabricAccount::default(),
         }
     }
 
@@ -75,9 +76,7 @@ impl RuntimePolicy for RisppPolicy {
 
     fn plan_block(&mut self, ctx: &SelectionContext<'_>) -> BlockPlan {
         let forecast = self.mpu.correct(ctx.forecast);
-        let keep: Vec<KernelId> = forecast.iter().map(|t| t.kernel).collect();
-        let (evictable, evictable_res) = evictable_units(ctx.machine, ctx.catalog, &keep);
-        let budget = ctx.machine.free_resources() + evictable_res;
+        let budget = self.account.open(ctx, &forecast, None);
 
         let resident = |u: UnitId| ctx.is_resident(u);
         let mut profit = |ise: &Ise,
@@ -103,19 +102,22 @@ impl RuntimePolicy for RisppPolicy {
         );
         self.scratch.reclaim_selected(selection.selected);
 
-        let need: Resources = selection
-            .load_order
-            .iter()
-            .map(|u| ctx.catalog.unit(*u).resources())
-            .sum();
-        let evict = eviction_list(ctx.catalog, need, ctx.machine.free_resources(), &evictable);
+        let mut load_order = selection.load_order;
+        let mut evict = Vec::new();
+        self.account.close(
+            ctx,
+            &selection.choices,
+            &self.ecu,
+            &mut load_order,
+            &mut evict,
+        );
         // RISPP's decision cost is comparable to mRTS's (same greedy
         // structure); it is likewise mostly hidden behind reconfiguration.
         let kernels = forecast.kernel_count().max(1) as u64;
         BlockPlan {
             selections: selection.choices,
             evict,
-            load_order: selection.load_order,
+            load_order,
             prefetch: Vec::new(),
             overhead: Cycles::new(selection.overhead_cycles.get() / kernels),
         }
@@ -127,12 +129,7 @@ impl RuntimePolicy for RisppPolicy {
         selected: Option<IseId>,
         ctx: &ExecContext<'_>,
     ) -> ExecPlan {
-        let Ok(k) = ctx.catalog.kernel(kernel) else {
-            return ExecPlan::risc();
-        };
-        let selected_ise = selected.and_then(|id| ctx.catalog.ise(id).ok());
-        // cg_free is irrelevant: monoCG disabled.
-        ecu::decide(k, selected_ise, |u| ctx.is_resident(u), || false, &self.ecu).plan
+        ecu::plan_execution(kernel, selected, ctx, &self.ecu)
     }
 
     fn observe_block_end(&mut self, _block: mrts_ise::BlockId, observed: &[KernelActivity]) {
@@ -147,7 +144,7 @@ impl RuntimePolicy for RisppPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrts_arch::{ArchParams, Machine};
+    use mrts_arch::{ArchParams, Machine, Resources};
     use mrts_core::Mrts;
     use mrts_sim::{ExecClass, RiscOnlyPolicy, Simulator};
     use mrts_workload::synthetic::{synthetic_trace, Pattern};

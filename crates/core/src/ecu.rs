@@ -13,38 +13,8 @@
 //! serve a kernel, the ECU takes the faster one — that is the "steering …
 //! for enhanced performance" the paper attributes to this unit.
 
-use mrts_arch::Cycles;
-use mrts_ise::{Ise, Kernel, UnitId};
-use mrts_sim::{ExecMode, ExecPlan};
-
-/// What the ECU decided and why (the `why` feeds the run statistics and
-/// the ablation benches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EcuVerdict {
-    /// The selected ISE is fully reconfigured.
-    SelectedIse,
-    /// Some of the selected ISE's units are usable: intermediate ISE.
-    IntermediateIse,
-    /// The monoCG-Extension is resident and is the fastest available
-    /// implementation.
-    MonoCg,
-    /// Nothing usable yet, but a CG-EDPE is free: request the
-    /// monoCG-Extension and run RISC meanwhile.
-    InstallMonoCg,
-    /// Plain RISC-mode execution.
-    RiscMode,
-}
-
-/// The ECU's decision for the current residency epoch of one kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EcuDecision {
-    /// The execution plan handed to the simulator.
-    pub plan: ExecPlan,
-    /// Classification of the decision.
-    pub verdict: EcuVerdict,
-    /// The kernel latency the ECU expects from this plan.
-    pub expected_latency: Cycles,
-}
+use mrts_ise::{Ise, IseId, Kernel, KernelId, UnitId};
+use mrts_sim::{ExecContext, ExecMode, ExecPlan};
 
 /// Configuration of the ECU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +30,30 @@ impl Default for EcuConfig {
     }
 }
 
+/// The ECU hand-off of every run-time policy: looks up `kernel` and its
+/// `selected` ISE in the catalogue and runs the Fig. 7 ladder over the
+/// epoch's residency. A kernel the catalogue does not know runs in RISC
+/// mode.
+#[must_use]
+pub fn plan_execution(
+    kernel: KernelId,
+    selected: Option<IseId>,
+    ctx: &ExecContext<'_>,
+    config: &EcuConfig,
+) -> ExecPlan {
+    let Ok(kernel) = ctx.catalog.kernel(kernel) else {
+        return ExecPlan::risc();
+    };
+    let selected = selected.and_then(|id| ctx.catalog.ise(id).ok());
+    decide(
+        kernel,
+        selected,
+        |u| ctx.is_resident(u),
+        || ctx.machine.cg().free_count() > 0,
+        config,
+    )
+}
+
 /// Runs the Fig. 7 ladder.
 ///
 /// * `kernel` — the kernel about to execute.
@@ -67,92 +61,59 @@ impl Default for EcuConfig {
 /// * `resident` — ground-truth unit availability at the current time.
 /// * `cg_free` — whether a CG-EDPE is currently free (step c); called
 ///   only when the ladder reaches step c.
-#[must_use]
-pub fn decide(
+fn decide(
     kernel: &Kernel,
     selected: Option<&Ise>,
     resident: impl Fn(UnitId) -> bool,
     cg_free: impl FnOnce() -> bool,
     config: &EcuConfig,
-) -> EcuDecision {
+) -> ExecPlan {
     let risc = kernel.risc_latency();
     let mono = kernel.mono_cg().filter(|_| config.use_mono_cg);
     let resident_mono = mono.filter(|m| resident(m.unit));
+    let run = |mode| ExecPlan {
+        mode,
+        install_mono: false,
+    };
 
     // Steps a/b: selected ISE, fully or partially reconfigured.
     if let Some(ise) = selected {
-        let latency = ise.latency_with(&resident);
         if ise.is_fully_resident(&resident) {
-            return EcuDecision {
-                plan: ExecPlan {
-                    mode: ExecMode::Ise(ise.id()),
-                    install_mono: false,
-                },
-                verdict: EcuVerdict::SelectedIse,
-                expected_latency: latency,
-            };
+            return run(ExecMode::Ise(ise.id()));
         }
+        let latency = ise.latency_with(&resident);
         if latency < risc {
             // An intermediate ISE is available; take the monoCG-Extension
             // instead only if it is resident AND faster.
-            if let Some(m) = resident_mono.filter(|m| m.latency < latency) {
-                return EcuDecision {
-                    plan: ExecPlan {
-                        mode: ExecMode::MonoCg,
-                        install_mono: false,
-                    },
-                    verdict: EcuVerdict::MonoCg,
-                    expected_latency: m.latency,
-                };
+            if resident_mono.is_some_and(|m| m.latency < latency) {
+                return run(ExecMode::MonoCg);
             }
-            return EcuDecision {
-                plan: ExecPlan {
-                    mode: ExecMode::Ise(ise.id()),
-                    install_mono: false,
-                },
-                verdict: EcuVerdict::IntermediateIse,
-                expected_latency: latency,
-            };
+            return run(ExecMode::Ise(ise.id()));
         }
     }
 
     // Step c: monoCG-Extension.
-    if let Some(m) = resident_mono {
-        return EcuDecision {
-            plan: ExecPlan {
-                mode: ExecMode::MonoCg,
-                install_mono: false,
-            },
-            verdict: EcuVerdict::MonoCg,
-            expected_latency: m.latency,
-        };
+    if resident_mono.is_some() {
+        return run(ExecMode::MonoCg);
     }
     if mono.is_some() && cg_free() {
         // Bridge the gap: run RISC now, stream the extension meanwhile.
-        return EcuDecision {
-            plan: ExecPlan {
-                mode: ExecMode::Risc,
-                install_mono: true,
-            },
-            verdict: EcuVerdict::InstallMonoCg,
-            expected_latency: risc,
+        return ExecPlan {
+            mode: ExecMode::Risc,
+            install_mono: true,
         };
     }
 
     // Step d: RISC-mode.
-    EcuDecision {
-        plan: ExecPlan::risc(),
-        verdict: EcuVerdict::RiscMode,
-        expected_latency: risc,
-    }
+    ExecPlan::risc()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrts_arch::FabricKind;
+    use mrts_arch::{Cycles, FabricKind};
     use mrts_ise::ise::IseStage;
-    use mrts_ise::{IseId, KernelId, MonoCgExtension};
+    use mrts_ise::MonoCgExtension;
 
     fn kernel(with_mono: bool) -> Kernel {
         let mono = with_mono.then_some(MonoCgExtension {
@@ -191,34 +152,35 @@ mod tests {
         EcuConfig::default()
     }
 
+    fn run(mode: ExecMode) -> ExecPlan {
+        ExecPlan {
+            mode,
+            install_mono: false,
+        }
+    }
+
     #[test]
     fn fully_resident_selected_ise_wins() {
-        let k = kernel(true);
-        let i = ise();
-        let d = decide(&k, Some(&i), |_| true, || true, &cfg());
-        assert_eq!(d.verdict, EcuVerdict::SelectedIse);
-        assert_eq!(d.expected_latency, Cycles::new(300));
-        assert!(!d.plan.install_mono);
+        let d = decide(&kernel(true), Some(&ise()), |_| true, || true, &cfg());
+        assert_eq!(d, run(ExecMode::Ise(IseId(0))));
     }
 
     #[test]
     fn intermediate_beats_nothing() {
-        let k = kernel(false);
         let i = ise();
-        // Only the CG unit arrived: latency 600.
-        let d = decide(&k, Some(&i), |u| u == UnitId(1), || false, &cfg());
-        assert_eq!(d.verdict, EcuVerdict::IntermediateIse);
-        assert_eq!(d.expected_latency, Cycles::new(600));
+        // Only the CG unit arrived: latency 600 < RISC 1 000.
+        let resident = |u: UnitId| u == UnitId(1);
+        assert_eq!(i.latency_with(resident), Cycles::new(600));
+        let d = decide(&kernel(false), Some(&i), resident, || false, &cfg());
+        assert_eq!(d, run(ExecMode::Ise(IseId(0))));
     }
 
     #[test]
     fn faster_mono_overrides_slow_intermediate() {
         let k = kernel(true); // mono latency 550 < intermediate 600
-        let i = ise();
         let resident = |u: UnitId| u == UnitId(1) || u == UnitId(100);
-        let d = decide(&k, Some(&i), resident, || false, &cfg());
-        assert_eq!(d.verdict, EcuVerdict::MonoCg);
-        assert_eq!(d.expected_latency, Cycles::new(550));
+        let d = decide(&k, Some(&ise()), resident, || false, &cfg());
+        assert_eq!(d, run(ExecMode::MonoCg));
     }
 
     #[test]
@@ -231,35 +193,33 @@ mod tests {
             load_duration: Cycles::new(64),
         };
         let k = Kernel::new(KernelId(0), "k", Cycles::new(1_000), vec![], Some(mono));
-        let i = ise();
         let resident = |u: UnitId| u == UnitId(1) || u == UnitId(100);
-        let d = decide(&k, Some(&i), resident, || false, &cfg());
-        assert_eq!(d.verdict, EcuVerdict::IntermediateIse);
+        let d = decide(&k, Some(&ise()), resident, || false, &cfg());
+        assert_eq!(d, run(ExecMode::Ise(IseId(0))));
     }
 
     #[test]
     fn mono_requested_when_nothing_resident_and_cg_free() {
-        let k = kernel(true);
-        let i = ise();
-        let d = decide(&k, Some(&i), |_| false, || true, &cfg());
-        assert_eq!(d.verdict, EcuVerdict::InstallMonoCg);
-        assert!(d.plan.install_mono);
-        assert_eq!(d.plan.mode, ExecMode::Risc);
+        let d = decide(&kernel(true), Some(&ise()), |_| false, || true, &cfg());
+        assert_eq!(
+            d,
+            ExecPlan {
+                mode: ExecMode::Risc,
+                install_mono: true,
+            }
+        );
     }
 
     #[test]
     fn risc_when_no_cg_free() {
-        let k = kernel(true);
-        let d = decide(&k, None, |_| false, || false, &cfg());
-        assert_eq!(d.verdict, EcuVerdict::RiscMode);
-        assert_eq!(d.expected_latency, Cycles::new(1_000));
+        let d = decide(&kernel(true), None, |_| false, || false, &cfg());
+        assert_eq!(d, ExecPlan::risc());
     }
 
     #[test]
     fn mono_resident_without_selection() {
-        let k = kernel(true);
-        let d = decide(&k, None, |u| u == UnitId(100), || false, &cfg());
-        assert_eq!(d.verdict, EcuVerdict::MonoCg);
+        let d = decide(&kernel(true), None, |u| u == UnitId(100), || false, &cfg());
+        assert_eq!(d, run(ExecMode::MonoCg));
     }
 
     #[test]
@@ -268,18 +228,17 @@ mod tests {
         let i = ise();
         let unasked = || -> bool { panic!("steps a/b must not count free CG slots") };
         let d = decide(&k, Some(&i), |_| true, unasked, &cfg());
-        assert_eq!(d.verdict, EcuVerdict::SelectedIse);
+        assert_eq!(d, run(ExecMode::Ise(IseId(0))));
         let d = decide(&k, Some(&i), |u| u == UnitId(1), unasked, &cfg());
-        assert_eq!(d.verdict, EcuVerdict::IntermediateIse);
+        assert_eq!(d, run(ExecMode::Ise(IseId(0))));
         let d = decide(&k, None, |u| u == UnitId(100), unasked, &cfg());
-        assert_eq!(d.verdict, EcuVerdict::MonoCg);
+        assert_eq!(d, run(ExecMode::MonoCg));
     }
 
     #[test]
     fn ablation_flag_disables_mono() {
-        let k = kernel(true);
         let no_mono = EcuConfig { use_mono_cg: false };
-        let d = decide(&k, None, |u| u == UnitId(100), || true, &no_mono);
-        assert_eq!(d.verdict, EcuVerdict::RiscMode);
+        let d = decide(&kernel(true), None, |u| u == UnitId(100), || true, &no_mono);
+        assert_eq!(d, ExecPlan::risc());
     }
 }

@@ -64,8 +64,8 @@ pub mod profit;
 pub mod runtime;
 pub mod selector;
 
-pub use ecu::{EcuConfig, EcuDecision, EcuVerdict};
+pub use ecu::EcuConfig;
 pub use mpu::{FlowPredictor, Mpu};
 pub use profit::{expected_profit, ProfitBreakdown, StageProfit};
-pub use runtime::{Mrts, MrtsConfig, PrefetchConfig};
+pub use runtime::{FabricAccount, Mrts, MrtsConfig, PrefetchConfig};
 pub use selector::{select_ises, SelectedIse, Selection, SelectorConfig};

@@ -252,12 +252,6 @@ impl FlowPredictor {
         self.observations
     }
 
-    /// Number of distinct contexts in the history table.
-    #[must_use]
-    pub fn context_count(&self) -> usize {
-        self.contexts.len()
-    }
-
     fn context_index(&self, context: &[BlockId]) -> Result<usize, usize> {
         self.contexts.binary_search_by(|c| {
             c.context

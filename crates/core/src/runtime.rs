@@ -4,6 +4,7 @@
 
 use crate::ecu::{self, EcuConfig};
 use crate::mpu::{FlowPredictor, Mpu};
+use crate::profit::{ExpectedProfitEval, ProfitEvalBuffers};
 use crate::selector::SelectorConfig;
 use mrts_arch::{Cycles, FabricKind, Resources};
 use mrts_ise::{BlockId, IseId, KernelId, TriggerBlock, UnitId};
@@ -90,57 +91,172 @@ impl Default for MrtsConfig {
     }
 }
 
-/// Chooses monoCG-Extensions to pre-load with the leftover CG budget after
-/// ISE selection (the Execution Control Unit's bridging, hoisted to block
-/// start: a context program loads in µs, so having it stream right away is
-/// equivalent to the ECU requesting it at the first execution — but it also
-/// works when the selection itself consumed every slot the ECU would have
-/// found free later).
-///
-/// Kernels are served in forecast order: first those left entirely in RISC
-/// mode, then those whose selected ISE has only ms-scale (FG) stages still
-/// outstanding.
-#[must_use]
-pub fn mono_preload_units(
-    catalog: &mrts_ise::IseCatalog,
-    choices: &[(KernelId, Option<IseId>)],
-    leftover_cg: u16,
-    present: &dyn Fn(UnitId) -> bool,
-) -> Vec<UnitId> {
-    let mut budget = leftover_cg;
-    let mut out = Vec::new();
-    let push = |kernel: KernelId, budget: &mut u16, out: &mut Vec<UnitId>| {
-        if *budget == 0 {
-            return;
+/// The trigger-time fabric account of every run-time policy: what the
+/// fabric holds, what a block may reclaim, the selection budget and, once
+/// the selector has chosen, the monoCG pre-loads and the eviction list.
+/// mRTS and the baselines keep one each around their selectors, so they
+/// differ in selection alone (Section 5). The policy owns it across
+/// triggers, so steady-state accounting allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct FabricAccount {
+    /// The forecast block's kernels.
+    kernels: Vec<KernelId>,
+    /// Loaded ids present on the fabric, resident or streaming, ascending.
+    present: Vec<u64>,
+    /// Present catalogue units of kernels outside the forecast, ascending:
+    /// what the block may reclaim. Ids outside the catalogue belong to
+    /// other tasks sharing the fabric: they occupy slots but are not ours
+    /// to evict.
+    evictable: Vec<UnitId>,
+    /// The selection budget of the open trigger.
+    budget: Resources,
+}
+
+impl FabricAccount {
+    /// Opening step, before selection: takes stock of the fabric for
+    /// `forecast` and returns the selection budget, the free fabric plus
+    /// the evictable units, capped by `slice` when one is given.
+    pub fn open(
+        &mut self,
+        ctx: &SelectionContext<'_>,
+        forecast: &TriggerBlock,
+        slice: Option<Resources>,
+    ) -> Resources {
+        self.kernels.clear();
+        self.kernels.extend(forecast.iter().map(|t| t.kernel));
+        let present = &mut self.present;
+        present.clear();
+        for fabric in [ctx.machine.fg(), ctx.machine.cg()] {
+            fabric.for_each_resident_id(Cycles::MAX, |id| present.push(id));
         }
-        let Ok(k) = catalog.kernel(kernel) else {
-            return;
-        };
-        let Some(mono) = k.mono_cg() else { return };
-        if present(mono.unit) || out.contains(&mono.unit) {
-            return;
-        }
-        out.push(mono.unit);
-        *budget -= 1;
-    };
-    // Pass 1: kernels with no ISE at all.
-    for (kernel, ise) in choices {
-        if ise.is_none() {
-            push(*kernel, &mut budget, &mut out);
-        }
-    }
-    // Pass 2: kernels whose selection still waits on FG loads.
-    for (kernel, ise) in choices {
-        let Some(id) = ise else { continue };
-        let Ok(ise) = catalog.ise(*id) else { continue };
-        let fg_pending = ise
-            .stages()
+        present.sort_unstable();
+        let kernels = &self.kernels;
+        self.evictable.clear();
+        self.evictable.extend(
+            self.present
+                .iter()
+                .map(|&id| UnitId::from_loaded_id(id))
+                .filter(|&u| {
+                    ctx.catalog
+                        .unit_checked(u)
+                        .is_some_and(|unit| !kernels.contains(&unit.kernel()))
+                }),
+        );
+        let evictable: Resources = self
+            .evictable
             .iter()
-            .any(|s| s.fabric == FabricKind::FineGrained && !present(s.unit));
-        if fg_pending {
-            push(*kernel, &mut budget, &mut out);
-        }
+            .map(|&u| ctx.catalog.unit(u).resources())
+            .sum();
+        let budget = ctx.machine.free_resources() + evictable;
+        self.budget = slice.map_or(budget, |slice| budget.min(slice));
+        self.budget
     }
+
+    /// Closing step, after selection: completes the block plan whose
+    /// selector chose `choices` and queued `load_order`, and returns the
+    /// plan's total demand.
+    ///
+    /// When `ecu` allows monoCG-Extensions, the CG budget the selection
+    /// left over pre-loads them (the ECU's bridging hoisted to block start:
+    /// a context program loads in µs, so streaming it right away equals the
+    /// ECU requesting it at the first execution, but it also works when the
+    /// selection consumed every slot the ECU would have found free later).
+    /// Kernels are served in forecast order: first those left entirely in
+    /// RISC mode, then those whose selected ISE still waits on FG stages.
+    ///
+    /// `evict` receives, in ascending unit order, just the evictable units
+    /// the plan's loads displace.
+    pub fn close(
+        &self,
+        ctx: &SelectionContext<'_>,
+        choices: &[(KernelId, Option<IseId>)],
+        ecu: &EcuConfig,
+        load_order: &mut Vec<UnitId>,
+        evict: &mut Vec<UnitId>,
+    ) -> Resources {
+        let demand = |units: &[UnitId]| -> Resources {
+            units.iter().map(|&u| ctx.catalog.unit(u).resources()).sum()
+        };
+        if ecu.use_mono_cg {
+            let present = |u: UnitId| self.present.binary_search(&u.as_loaded_id()).is_ok();
+            let fg_pending = |ise: Option<IseId>| {
+                ise.and_then(|id| ctx.catalog.ise(id).ok())
+                    .is_some_and(|ise| {
+                        ise.stages()
+                            .iter()
+                            .any(|s| s.fabric == FabricKind::FineGrained && !present(s.unit))
+                    })
+            };
+            let mut leftover_cg = self.budget.cg().saturating_sub(demand(load_order).cg());
+            let start = load_order.len();
+            let riscs = choices.iter().filter(|(_, ise)| ise.is_none());
+            let waiting = choices.iter().filter(|(_, ise)| fg_pending(*ise));
+            for (kernel, _) in riscs.chain(waiting) {
+                if leftover_cg == 0 {
+                    break;
+                }
+                let Some(mono) = ctx.catalog.kernel(*kernel).ok().and_then(|k| k.mono_cg()) else {
+                    continue;
+                };
+                if !present(mono.unit) && !load_order[start..].contains(&mono.unit) {
+                    load_order.push(mono.unit);
+                    leftover_cg -= 1;
+                }
+            }
+        }
+
+        // Evict only what the new loads actually displace.
+        let need = demand(load_order);
+        let free = ctx.machine.free_resources();
+        let mut cg_short = need.cg().saturating_sub(free.cg());
+        let mut prc_short = need.prc().saturating_sub(free.prc());
+        evict.clear();
+        for &u in &self.evictable {
+            if cg_short == 0 && prc_short == 0 {
+                break;
+            }
+            let short = match ctx.catalog.unit(u).fabric() {
+                FabricKind::CoarseGrained => &mut cg_short,
+                FabricKind::FineGrained => &mut prc_short,
+            };
+            if *short > 0 {
+                evict.push(u);
+                *short -= 1;
+            }
+        }
+        need
+    }
+}
+
+/// Stages in `out` the forecast the selector plans against:
+/// `compile_time` corrected by `mpu`, or copied unchanged when the MPU is
+/// disabled.
+fn stage_forecast(mpu: &Mpu, use_mpu: bool, compile_time: &TriggerBlock, out: &mut TriggerBlock) {
+    if use_mpu {
+        mpu.correct_into(compile_time, out);
+    } else {
+        out.block = compile_time.block;
+        out.triggers.clear();
+        out.triggers.extend_from_slice(&compile_time.triggers);
+    }
+}
+
+/// Runs `select` with the memoizing Eq. 1–4 evaluator over the trigger's
+/// residency (identical profits to `expected_profit`, bit for bit). The
+/// evaluator is built on `bufs` and hands them back afterwards, so a
+/// policy that keeps `bufs` across triggers allocates nothing here.
+fn with_profit_eval<R>(
+    bufs: &mut ProfitEvalBuffers,
+    ctx: &SelectionContext<'_>,
+    use_mono: bool,
+    select: impl FnOnce(&mut ExpectedProfitEval<'_>, &dyn Fn(UnitId) -> bool) -> R,
+) -> R {
+    let resident = |u: UnitId| ctx.is_resident(u);
+    bufs.rebind_catalog(ctx.catalog);
+    let mut profit = ExpectedProfitEval::with_buffers(ctx.now, &resident, std::mem::take(bufs))
+        .with_mono(use_mono);
+    let out = select(&mut profit, &resident);
+    *bufs = profit.recycle();
     out
 }
 
@@ -177,21 +293,14 @@ pub struct Mrts {
     /// the engine has applied it, so steady-state planning reuses its
     /// capacity instead of allocating per block.
     evict_buf: Vec<UnitId>,
-    /// Scratch: sorted loaded-ids present on the fabric (step 2).
-    resident_buf: Vec<u64>,
-    /// Scratch: the forecast's kernel ids (step 2's evictability filter).
-    kernels_buf: Vec<KernelId>,
-    /// Scratch: units present on the fabric at plan time, sorted by
-    /// loaded id (step 2).
-    present_buf: Vec<UnitId>,
-    /// Scratch: the evictable subset of `present_buf` (step 2/5).
-    evictable_buf: Vec<UnitId>,
+    /// The trigger-time fabric account (steps 2 and 4).
+    account: FabricAccount,
     /// The selector's reusable working-set arena (candidate list, heap,
     /// shadow controller, demand cache …).
     sel_scratch: crate::selector::SelectorScratch,
     /// The profit evaluator's reusable buffers (ready-time scratch and the
     /// per-round port-state memo).
-    profit_bufs: crate::profit::ProfitEvalBuffers,
+    profit_bufs: ProfitEvalBuffers,
     /// Reusable MPU-corrected forecast for the current block.
     forecast_buf: mrts_ise::TriggerBlock,
     /// Online control-flow predictor over the observed block sequence
@@ -233,12 +342,9 @@ impl Mrts {
             total_kernels_selected: 0,
             faults_observed: 0,
             evict_buf: Vec::new(),
-            resident_buf: Vec::new(),
-            kernels_buf: Vec::new(),
-            present_buf: Vec::new(),
-            evictable_buf: Vec::new(),
+            account: FabricAccount::default(),
             sel_scratch: crate::selector::SelectorScratch::new(),
-            profit_bufs: crate::profit::ProfitEvalBuffers::default(),
+            profit_bufs: ProfitEvalBuffers::default(),
             forecast_buf: mrts_ise::TriggerBlock::new(mrts_ise::BlockId(0), Vec::new()),
             flow: FlowPredictor::new(config.prefetch.order),
             forecast_store: Vec::new(),
@@ -307,7 +413,6 @@ impl Mrts {
     fn plan_prefetch_into(
         &mut self,
         ctx: &SelectionContext<'_>,
-        now: Cycles,
         residual_prc: u16,
         demand_loads: &[UnitId],
         out: &mut Vec<UnitId>,
@@ -315,78 +420,71 @@ impl Mrts {
         let pcfg = self.config.prefetch;
         let spec_budget = Resources::new(0, residual_prc);
         let pred = std::mem::take(&mut self.pred_buf);
-        let resident = |u: UnitId| ctx.is_resident(u);
-        self.profit_bufs.rebind_catalog(ctx.catalog);
-        let mut profit = crate::profit::ExpectedProfitEval::with_buffers(
-            now,
-            &resident,
-            std::mem::take(&mut self.profit_bufs),
-        )
-        .with_mono(self.config.ecu.use_mono_cg);
         self.spec_units_buf.clear();
         self.spec_rank_buf.clear();
-        for &(block, confidence) in &pred {
-            if confidence < pcfg.confidence_min {
-                break; // predictions come sorted by descending confidence
-            }
-            if block == ctx.forecast.block {
-                continue; // a self-loop is already planned as demand
-            }
-            let Ok(i) = self
-                .forecast_store
-                .binary_search_by_key(&block, |t| t.block)
-            else {
-                continue; // successor never seen: nothing to plan against
-            };
-            if self.config.use_mpu {
-                self.mpu
-                    .correct_into(&self.forecast_store[i], &mut self.spec_forecast_buf);
-            } else {
-                let stored = &self.forecast_store[i];
-                self.spec_forecast_buf.block = stored.block;
-                self.spec_forecast_buf.triggers.clear();
-                self.spec_forecast_buf
-                    .triggers
-                    .extend_from_slice(&stored.triggers);
-            }
-            let sel = crate::selector::select_ises_with_scratch(
-                ctx.catalog,
-                &self.spec_forecast_buf,
-                spec_budget,
-                &resident,
-                ctx.machine.controller(),
-                now,
-                &self.config.selector,
-                &mut profit,
-                &mut self.sel_scratch,
-            );
-            let start = self.spec_units_buf.len() as u32;
-            let mut saved = 0u64;
-            for &u in &sel.load_order {
-                let unit = ctx.catalog.unit(u);
-                // FG only (a CG context program loads in µs — nothing
-                // worth hiding), and never a unit the current block
-                // already loads, owns, or could claim for its own
-                // kernels mid-block.
-                if unit.fabric() != FabricKind::FineGrained
-                    || demand_loads.contains(&u)
-                    || self.present_buf.contains(&u)
-                    || self.kernels_buf.contains(&unit.kernel())
-                {
-                    continue;
+        with_profit_eval(
+            &mut self.profit_bufs,
+            ctx,
+            self.config.ecu.use_mono_cg,
+            |profit, resident| {
+                for &(block, confidence) in &pred {
+                    if confidence < pcfg.confidence_min {
+                        break; // predictions come sorted by descending confidence
+                    }
+                    if block == ctx.forecast.block {
+                        continue; // a self-loop is already planned as demand
+                    }
+                    let Ok(i) = self
+                        .forecast_store
+                        .binary_search_by_key(&block, |t| t.block)
+                    else {
+                        continue; // successor never seen: nothing to plan against
+                    };
+                    stage_forecast(
+                        &self.mpu,
+                        self.config.use_mpu,
+                        &self.forecast_store[i],
+                        &mut self.spec_forecast_buf,
+                    );
+                    let sel = crate::selector::select_ises_with_scratch(
+                        ctx.catalog,
+                        &self.spec_forecast_buf,
+                        spec_budget,
+                        resident,
+                        ctx.machine.controller(),
+                        ctx.now,
+                        &self.config.selector,
+                        profit,
+                        &mut self.sel_scratch,
+                    );
+                    let start = self.spec_units_buf.len() as u32;
+                    let mut saved = 0u64;
+                    for &u in &sel.load_order {
+                        let unit = ctx.catalog.unit(u);
+                        // FG only (a CG context program loads in µs —
+                        // nothing worth hiding), and never a unit the
+                        // current block already loads, owns, or could
+                        // claim for its own kernels mid-block.
+                        if unit.fabric() != FabricKind::FineGrained
+                            || demand_loads.contains(&u)
+                            || self.account.evictable.contains(&u)
+                            || self.account.kernels.contains(&unit.kernel())
+                        {
+                            continue;
+                        }
+                        self.spec_units_buf.push(u);
+                        saved += unit.load_duration().get();
+                    }
+                    self.sel_scratch.reclaim(sel.choices, sel.load_order);
+                    self.sel_scratch.reclaim_selected(sel.selected);
+                    let end = self.spec_units_buf.len() as u32;
+                    if end > start && saved > 0 {
+                        self.spec_rank_buf
+                            .push((confidence * saved as f64, block, start, end));
+                    }
                 }
-                self.spec_units_buf.push(u);
-                saved += unit.load_duration().get();
-            }
-            self.sel_scratch.reclaim(sel.choices, sel.load_order);
-            self.sel_scratch.reclaim_selected(sel.selected);
-            let end = self.spec_units_buf.len() as u32;
-            if end > start && saved > 0 {
-                self.spec_rank_buf
-                    .push((confidence * saved as f64, block, start, end));
-            }
-        }
-        self.profit_bufs = profit.recycle();
+            },
+        );
         self.pred_buf = pred;
         // Most expected hidden reconfiguration first; ties go to the
         // lower block id so plans stay platform-deterministic.
@@ -467,139 +565,49 @@ impl RuntimePolicy for Mrts {
             &mut self.forecast_buf,
             TriggerBlock::new(BlockId(0), Vec::new()),
         );
-        if self.config.use_mpu {
-            self.mpu.correct_into(ctx.forecast, &mut forecast);
-        } else {
-            forecast.block = ctx.forecast.block;
-            forecast.triggers.clear();
-            forecast.triggers.extend_from_slice(&ctx.forecast.triggers);
-        }
-        let forecast = forecast;
+        stage_forecast(&self.mpu, self.config.use_mpu, ctx.forecast, &mut forecast);
 
         // 2. Fabric status: units of kernels outside this block are
-        //    evictable; their slots extend the selector's budget. All
-        //    three lists are staged in reusable buffers (`resident_buf`
-        //    is the u64 staging area).
-        self.kernels_buf.clear();
-        self.kernels_buf.extend(forecast.iter().map(|t| t.kernel));
-        let forecast_kernels = &self.kernels_buf;
-        self.resident_buf.clear();
-        let stage = &mut self.resident_buf;
-        ctx.machine
-            .fg()
-            .for_each_resident_id(Cycles::MAX, |id| stage.push(id));
-        ctx.machine
-            .cg()
-            .for_each_resident_id(Cycles::MAX, |id| stage.push(id));
-        stage.sort_unstable();
-        self.present_buf.clear();
-        self.present_buf.extend(
-            self.resident_buf
-                .iter()
-                .copied()
-                .map(UnitId::from_loaded_id),
-        );
-        self.evictable_buf.clear();
-        self.evictable_buf.extend(
-            self.present_buf
-                .iter()
-                .copied()
-                // Units outside the catalogue belong to other tasks sharing
-                // the fabric: they occupy slots but are not ours to evict.
-                .filter(|u| {
-                    ctx.catalog
-                        .unit_checked(*u)
-                        .is_some_and(|unit| !forecast_kernels.contains(&unit.kernel()))
-                }),
-        );
-        let evictable = std::mem::take(&mut self.evictable_buf);
-        let evictable_resources: Resources = evictable
-            .iter()
-            .map(|u| ctx.catalog.unit(*u).resources())
-            .sum();
-        let budget = ctx.machine.free_resources() + evictable_resources;
-        // A tenant's selector must not plan past its allotted fabric slice.
-        let budget = match self.config.slice {
-            Some(slice) => budget.min(slice),
-            None => budget,
-        };
+        //    evictable; their slots extend the selector's budget, which a
+        //    tenant's slice caps.
+        let budget = self.account.open(ctx, &forecast, self.config.slice);
 
         // 3. The greedy selection (Fig. 6). Residency at `now` is the
         //    engine's block-start capture; each probe is a bit test.
-        let now = ctx.now;
-        let resident = |u: UnitId| ctx.is_resident(u);
-        let use_mono = self.config.ecu.use_mono_cg;
-        // The memoizing evaluator captures the shadow port schedule once per
-        // selection round and reuses its scratch buffers across candidates
-        // (identical profits to `expected_profit`, bit for bit).
-        self.profit_bufs.rebind_catalog(ctx.catalog);
-        let mut profit = crate::profit::ExpectedProfitEval::with_buffers(
-            now,
-            &resident,
-            std::mem::take(&mut self.profit_bufs),
-        )
-        .with_mono(use_mono);
-        let selection = crate::selector::select_ises_with_scratch(
-            ctx.catalog,
-            &forecast,
-            budget,
-            &resident,
-            ctx.machine.controller(),
-            ctx.now,
-            &self.config.selector,
-            &mut profit,
-            &mut self.sel_scratch,
+        let (selector, scratch) = (&self.config.selector, &mut self.sel_scratch);
+        let selection = with_profit_eval(
+            &mut self.profit_bufs,
+            ctx,
+            self.config.ecu.use_mono_cg,
+            |profit, resident| {
+                crate::selector::select_ises_with_scratch(
+                    ctx.catalog,
+                    &forecast,
+                    budget,
+                    resident,
+                    ctx.machine.controller(),
+                    ctx.now,
+                    selector,
+                    profit,
+                    scratch,
+                )
+            },
         );
-        self.profit_bufs = profit.recycle();
-
-        // 4. Pre-load monoCG-Extensions with the leftover CG budget (the
-        //    ECU's bridging, see `mono_preload_units`).
-        let mut load_order = selection.load_order;
         self.sel_scratch.reclaim_selected(selection.selected);
-        let selection_demand: Resources = load_order
-            .iter()
-            .map(|u| ctx.catalog.unit(*u).resources())
-            .sum();
-        if use_mono {
-            let leftover_cg = budget.cg().saturating_sub(selection_demand.cg());
-            let machine2 = ctx.machine;
-            let present = move |u: UnitId| machine2.is_resident(u.as_loaded_id(), Cycles::MAX);
-            load_order.extend(mono_preload_units(
-                ctx.catalog,
-                &selection.choices,
-                leftover_cg,
-                &present,
-            ));
-        }
 
-        // 5. Evict only what the new loads actually displace.
-        let need: Resources = load_order
-            .iter()
-            .map(|u| ctx.catalog.unit(*u).resources())
-            .sum();
-        let free = ctx.machine.free_resources();
-        let mut cg_short = need.cg().saturating_sub(free.cg());
-        let mut prc_short = need.prc().saturating_sub(free.prc());
+        // 4. Pre-load monoCG-Extensions with the leftover CG budget and
+        //    evict only what the new loads actually displace.
+        let mut load_order = selection.load_order;
         let mut evict = std::mem::take(&mut self.evict_buf);
-        for &u in &evictable {
-            if cg_short == 0 && prc_short == 0 {
-                break;
-            }
-            match ctx.catalog.unit(u).fabric() {
-                FabricKind::CoarseGrained if cg_short > 0 => {
-                    evict.push(u);
-                    cg_short -= 1;
-                }
-                FabricKind::FineGrained if prc_short > 0 => {
-                    evict.push(u);
-                    prc_short -= 1;
-                }
-                _ => {}
-            }
-        }
-        self.evictable_buf = evictable;
+        let need = self.account.close(
+            ctx,
+            &selection.choices,
+            &self.config.ecu,
+            &mut load_order,
+            &mut evict,
+        );
 
-        // 6. Overhead accounting (Section 5.4): the computation after the
+        // 5. Overhead accounting (Section 5.4): the computation after the
         //    first per-kernel selection overlaps the reconfiguration it
         //    already launched.
         let computed = selection.overhead_cycles;
@@ -614,7 +622,7 @@ impl RuntimePolicy for Mrts {
         self.total_kernels_selected += kernels;
         self.forecast_buf = forecast;
 
-        // 7. Speculative prefetch (DESIGN.md §12): train the control-flow
+        // 6. Speculative prefetch (DESIGN.md §12): train the control-flow
         //    predictor on this block's entry, then nominate FG units for
         //    the most confidently predicted successor blocks, ranked by
         //    confidence × reconfiguration cycles the prefetch would hide.
@@ -634,7 +642,7 @@ impl RuntimePolicy for Mrts {
             // time, so this only bounds how much we nominate.
             let residual_prc = budget.prc().saturating_sub(need.prc());
             if residual_prc > 0 && !self.pred_buf.is_empty() {
-                self.plan_prefetch_into(ctx, now, residual_prc, &load_order, &mut prefetch);
+                self.plan_prefetch_into(ctx, residual_prc, &load_order, &mut prefetch);
             }
         }
 
@@ -663,19 +671,7 @@ impl RuntimePolicy for Mrts {
                 return ExecPlan::risc();
             }
         }
-        let Ok(k) = ctx.catalog.kernel(kernel) else {
-            return ExecPlan::risc();
-        };
-        let selected_ise = selected.and_then(|id| ctx.catalog.ise(id).ok());
-        let cg_free = || ctx.machine.cg().free_count() > 0;
-        ecu::decide(
-            k,
-            selected_ise,
-            |u| ctx.is_resident(u),
-            cg_free,
-            &self.config.ecu,
-        )
-        .plan
+        ecu::plan_execution(kernel, selected, ctx, &self.config.ecu)
     }
 
     fn observe_block_end(&mut self, _block: mrts_ise::BlockId, observed: &[KernelActivity]) {
@@ -728,7 +724,8 @@ impl RuntimePolicy for Mrts {
 mod tests {
     use super::*;
     use mrts_arch::{ArchParams, Machine};
-    use mrts_sim::{ExecClass, RiscOnlyPolicy, Simulator};
+    use mrts_ise::TriggerInstruction;
+    use mrts_sim::{ExecClass, ResidentSet, RiscOnlyPolicy, Simulator};
     use mrts_workload::synthetic::{synthetic_trace, Pattern};
     use mrts_workload::{TraceBuilder, WorkloadModel};
 
@@ -832,14 +829,113 @@ mod tests {
     }
 
     #[test]
-    fn eviction_reclaims_foreign_units() {
-        // Two-kernel toy: after block for kernel A, planning a block for
-        // kernel B on a tiny machine must evict A's units.
+    fn evicting_mrts_never_rejects_a_load_on_a_two_slot_machine() {
+        // One-kernel toy on a single PRC and a single EDPE: every plan
+        // must fit in two slots, so the account has to free exactly what
+        // each block's loads displace.
         let (catalog, trace) = toy(Pattern::Constant(3_000), 3);
-        // Machine with a single PRC and single EDPE: every block must fit
-        // in two slots, so plans keep evicting and reloading as needed.
         let stats = Simulator::run(&catalog, machine(1, 1), &trace, &mut Mrts::new());
         assert_eq!(stats.rejected_loads, 0, "eviction must make room");
+    }
+
+    #[test]
+    fn account_reclaims_only_non_forecast_catalogue_units() {
+        let fft = mrts_ingest::model("fft").expect("builtin fft lowers");
+        let catalog = fft
+            .application()
+            .build_catalog(ArchParams::default(), None)
+            .unwrap();
+        let (kept, other) = (KernelId(0), KernelId(1));
+        let cg_units = |k: KernelId| {
+            catalog
+                .units()
+                .iter()
+                .filter(move |u| u.kernel() == k && u.fabric() == FabricKind::CoarseGrained)
+                .map(|u| u.id())
+        };
+        let kept_unit = cg_units(kept).next().unwrap();
+        let other_unit = cg_units(other).next().unwrap();
+        let foreign = catalog.units().len() as u64 + 7;
+
+        // Three CG slots, all taken: a foreign id and a unit of the
+        // forecast kernel, both resident by `now`, and a unit of the other
+        // kernel still streaming at `now`.
+        let params = ArchParams {
+            cg_contexts_per_edpe: 1,
+            ..ArchParams::default()
+        };
+        let mut m = Machine::new(params, Resources::new(3, 1)).unwrap();
+        m.load_cg(Cycles::ZERO, foreign, 16).unwrap();
+        m.load_cg(Cycles::ZERO, kept_unit.as_loaded_id(), 16)
+            .unwrap();
+        let now = Cycles::new(1_000_000);
+        m.load_cg(now, other_unit.as_loaded_id(), 16).unwrap();
+        assert!(!m.is_resident(other_unit.as_loaded_id(), now));
+        let mut resident = ResidentSet::default();
+        resident.capture(&m, now, catalog.units().len());
+        let forecast = TriggerBlock::new(
+            BlockId(0),
+            vec![TriggerInstruction::new(
+                kept,
+                100,
+                Cycles::new(1_000),
+                Cycles::new(300),
+            )],
+        );
+        let ctx = SelectionContext {
+            now,
+            catalog: &catalog,
+            machine: &m,
+            forecast: &forecast,
+            resident: &resident,
+        };
+
+        let mut account = FabricAccount::default();
+        let budget = account.open(&ctx, &forecast, None);
+        assert_eq!(account.evictable, vec![other_unit]);
+        assert_eq!(
+            budget,
+            Resources::new(1, 1),
+            "free PRC + the evictable EDPE"
+        );
+        assert_eq!(
+            account.open(&ctx, &forecast, Some(Resources::new(3, 0))),
+            Resources::new(1, 0),
+            "the slice caps the budget"
+        );
+        let budget = account.open(&ctx, &forecast, None);
+
+        // The eviction list frees exactly the shortfall, per fabric.
+        let no_mono = EcuConfig { use_mono_cg: false };
+        let choices = [(kept, None)];
+        let mut evict = vec![UnitId(99)];
+        let (mut none, mut one_cg) = (Vec::new(), vec![kept_unit]);
+        let need = account.close(&ctx, &choices, &no_mono, &mut none, &mut evict);
+        assert_eq!((need, evict.as_slice()), (Resources::NONE, &[][..]));
+        let need = account.close(&ctx, &choices, &no_mono, &mut one_cg, &mut evict);
+        assert_eq!(need, Resources::cg_only(1));
+        assert_eq!(
+            evict,
+            vec![other_unit],
+            "1 CG short, the free PRC untouched"
+        );
+
+        // With monoCG on, the leftover CG slot pre-loads the RISC-mode
+        // kernel's extension, which displaces the same unit.
+        let mono = catalog.kernel(kept).unwrap().mono_cg().unwrap().unit;
+        let mut load_order = Vec::new();
+        let need = account.close(
+            &ctx,
+            &choices,
+            &EcuConfig::default(),
+            &mut load_order,
+            &mut evict,
+        );
+        assert_eq!(budget.cg(), 1);
+        assert_eq!(
+            (need, load_order, evict),
+            (Resources::cg_only(1), vec![mono], vec![other_unit])
+        );
     }
 
     #[test]

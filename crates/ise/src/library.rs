@@ -36,7 +36,6 @@ pub struct CatalogBuilder {
     params: ArchParams,
     specs: Vec<KernelSpec>,
     machine_budget: Option<Resources>,
-    max_variants: usize,
     enable_copies: bool,
 }
 
@@ -48,7 +47,6 @@ impl CatalogBuilder {
             params,
             specs: Vec::new(),
             machine_budget: None,
-            max_variants: MAX_VARIANTS_PER_KERNEL,
             enable_copies: true,
         }
     }
@@ -66,14 +64,6 @@ impl CatalogBuilder {
     #[must_use]
     pub fn machine_budget(mut self, budget: Resources) -> Self {
         self.machine_budget = Some(budget);
-        self
-    }
-
-    /// Caps the number of variants per kernel (default
-    /// [`MAX_VARIANTS_PER_KERNEL`]).
-    #[must_use]
-    pub fn max_variants_per_kernel(mut self, n: usize) -> Self {
-        self.max_variants = n.max(1);
         self
     }
 
@@ -99,7 +89,6 @@ impl CatalogBuilder {
             params,
             specs,
             machine_budget,
-            max_variants,
             enable_copies,
         } = self;
         let mut builder = InnerBuilder {
@@ -113,7 +102,7 @@ impl CatalogBuilder {
         for (ki, spec) in specs.iter().enumerate() {
             let kid = KernelId(ki as u16);
             let (kernel, ise_ids) =
-                builder.build_kernel(kid, spec, machine_budget, max_variants, enable_copies)?;
+                builder.build_kernel(kid, spec, machine_budget, enable_copies)?;
             kernels.push(kernel);
             by_kernel.push(ise_ids);
         }
@@ -153,7 +142,6 @@ impl InnerBuilder<'_> {
         kid: KernelId,
         spec: &KernelSpec,
         machine_budget: Option<Resources>,
-        max_variants: usize,
         enable_copies: bool,
     ) -> Result<(Kernel, Vec<IseId>), IseError> {
         if spec.data_paths().is_empty() {
@@ -217,7 +205,7 @@ impl InnerBuilder<'_> {
                     let mut a = partial.clone();
                     a.push(opt);
                     next.push(a);
-                    if next.len() >= max_variants {
+                    if next.len() >= MAX_VARIANTS_PER_KERNEL {
                         break 'outer;
                     }
                 }
@@ -534,18 +522,6 @@ impl IseCatalog {
         self.units.get(id.index() as usize)
     }
 
-    /// ISEs of `kernel` that fit within `budget`, in catalogue order.
-    pub fn fitting_ises(
-        &self,
-        kernel: KernelId,
-        budget: Resources,
-    ) -> impl Iterator<Item = &Ise> + '_ {
-        self.ises_of(kernel)
-            .iter()
-            .map(|id| &self.ises[id.index() as usize])
-            .filter(move |ise| ise.resources().fits_in(budget))
-    }
-
     /// The Pareto-efficient ISE variants of `kernel`: those not
     /// [dominated](Ise::dominates) by any sibling in the
     /// (resources, execution latency, load time) space. Whatever the
@@ -725,12 +701,12 @@ mod tests {
                     .data_path(word_graph("b"), 16)
                     .data_path(bit_graph("c"), 16),
             )
-            .max_variants_per_kernel(10)
             .build()
             .unwrap();
-        // The cap bounds the compile-time prepared variants; the kernel's
-        // monoCG-Extension candidate comes on top.
-        assert!(c.ises_of(KernelId(0)).len() <= 11);
+        // Three 16-call data paths, each on CG or FG with one or two copies
+        // or in software, combine in more ways than the cap allows, so the
+        // cap binds; the kernel's monoCG-Extension candidate comes on top.
+        assert_eq!(c.ises_of(KernelId(0)).len(), MAX_VARIANTS_PER_KERNEL + 1);
     }
 
     #[test]

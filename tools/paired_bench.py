@@ -4,11 +4,18 @@
     python3 tools/paired_bench.py <base-rev>
 
 Run from anywhere inside a checkout of the change. The guard exports
-<base-rev> with `git archive` into a temporary directory, builds perfbench
-for each side into its own CARGO_TARGET_DIR, then runs 5 pairs, alternating
-which side goes first. One run of a side is `perfbench/run.py` on seed 1 for
-2 s: the plain pass of every workload, plus a traced solo-h264 pass for
-`block_p50_us` and `ingest.lower_ms`. The guard times nothing itself.
+<base-rev> with `git archive`, and copies the checkout's working tree
+(tracked and untracked files, minus ignored ones), into a temporary
+directory. Each side is built and run from one shared source path: its tree
+is moved there for its build and for each of its runs, and moved back
+after. The build directory is part of what the compiler hashes into a
+binary, so identical sources built from two paths give different binaries;
+from one path they give identical ones (the guard prints both binaries'
+SHA-256). Each side builds perfbench into its own CARGO_TARGET_DIR, then
+the guard runs 5 pairs, alternating which side goes first. One run of a
+side is `perfbench/run.py` on seed 1 for 2 s: the plain pass of every
+workload, plus a traced solo-h264 pass for `block_p50_us` and
+`ingest.lower_ms`. The guard times nothing itself.
 
 A metric is flagged when the change's median is worse than the base's by
 more than the metric's `bound` in BENCHMARK.json (0.25 for the two per-layer
@@ -19,9 +26,12 @@ and metric: the base median, the change median and the pairs lost) and exits
 with 1 if anything is flagged.
 """
 
+import contextlib
+import hashlib
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -90,12 +100,25 @@ def decide(pairs, guarded):
     return rows, failures
 
 
+@contextlib.contextmanager
+def placed(tree, shared):
+    """Moves `tree` to the `shared` source path, and back on leaving."""
+    os.rename(tree, shared)
+    try:
+        yield shared
+    finally:
+        os.rename(shared, tree)
+
+
 def build(side, target):
+    """Builds perfbench in `side`; returns the binary's SHA-256."""
     cmd = ["cargo", "build", "--release", "--offline", "--quiet",
            "--manifest-path", os.path.join(side, "perfbench", "Cargo.toml")]
     env = dict(os.environ, CARGO_TARGET_DIR=target)
     if subprocess.run(cmd, cwd=side, env=env).returncode != 0:
         sys.exit(f"paired_bench: building perfbench in {side} failed")
+    with open(os.path.join(target, "release", "mrts-perfbench"), "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def perfbench(side, target, workload, trace):
@@ -137,15 +160,30 @@ def export(rev, dest):
     if sha.returncode != 0:
         sys.exit(f"paired_bench: unknown revision {rev!r}")
     sha = sha.stdout.strip()
-    archive = os.path.join(dest, "base.tar")
+    archive = dest + ".tar"
     with open(archive, "wb") as f:
         subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", sha], stdout=f, check=True)
     with tarfile.open(archive) as tar:
-        tar.extractall(os.path.join(dest, "base"), filter="data")
+        tar.extractall(dest, filter="data")
+    os.remove(archive)
     return sha
 
 
-def report(rows, failures, base_sha, pairs_run):
+def copy_worktree(root, dest):
+    """Copies the working tree of the checkout at `root` into `dest`: the
+    tracked files as they are on disk and the untracked ones git does not
+    ignore."""
+    listed = subprocess.run(["git", "-C", root, "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], capture_output=True, check=True).stdout
+    for rel in map(os.fsdecode, filter(None, listed.split(b"\0"))):
+        src = os.path.join(root, rel)
+        if not os.path.lexists(src):
+            continue  # tracked, but deleted in the working tree
+        os.makedirs(os.path.join(dest, os.path.dirname(rel)), exist_ok=True)
+        shutil.copy2(src, os.path.join(dest, rel), follow_symlinks=False)
+
+
+def report(rows, failures, base_sha, pairs_run, binaries):
     print(f"{'workload':<14} {'metric':<20} {'base':>12} {'change':>12} {'loss':>8} "
           f"{'lost':>5}  verdict")
     for r in rows:
@@ -153,7 +191,7 @@ def report(rows, failures, base_sha, pairs_run):
         print(f"{r['workload']:<14} {r['metric']:<20} {r['base']:>12.4g} {r['change']:>12.4g} "
               f"{r['loss']:>+8.1%} {r['pairs_lost']:>3}/{pairs_run}  {verdict}")
     trajectory = {"base": base_sha, "pairs": pairs_run, "seed": SEED, "seconds": SECONDS,
-                  "workloads": {}}
+                  "perfbench_sha256": binaries, "workloads": {}}
     for r in rows:
         trajectory["workloads"].setdefault(r["workload"], {})[r["metric"]] = {
             "base_median": r["base"], "change_median": r["change"],
@@ -173,17 +211,26 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         guarded = guarded_metrics(json.load(f))
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
-        base_sha = export(sys.argv[1], tmp)
+        shared = os.path.join(tmp, "src")
         sides = {"base": (os.path.join(tmp, "base"), os.path.join(tmp, "base-target")),
-                 "change": (ROOT, os.path.join(tmp, "change-target"))}
-        for side, target in sides.values():
-            build(side, target)
+                 "change": (os.path.join(tmp, "change"), os.path.join(tmp, "change-target"))}
+        base_sha = export(sys.argv[1], sides["base"][0])
+        copy_worktree(ROOT, sides["change"][0])
+        binaries = {}
+        for name, (tree, target) in sides.items():
+            with placed(tree, shared):
+                binaries[name] = build(shared, target)
+        same = "identical" if binaries["base"] == binaries["change"] else "different"
+        print(f"perfbench binaries: base {binaries['base'][:16]}, "
+              f"change {binaries['change'][:16]} ({same})")
         pairs = []
         for i in range(PAIRS):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             runs = {}
             for name in order:
-                runs[name] = run_side(*sides[name])
+                tree, target = sides[name]
+                with placed(tree, shared):
+                    runs[name] = run_side(shared, target)
                 if runs[name] is None:
                     break
             pairs.append((runs.get("base"), runs.get("change")))
@@ -191,7 +238,7 @@ def main():
             if None in pairs[-1]:
                 break
     rows, failures = decide(pairs, guarded)
-    report(rows, failures, base_sha, len(pairs))
+    report(rows, failures, base_sha, len(pairs), binaries)
     sys.exit(1 if failures else 0)
 
 

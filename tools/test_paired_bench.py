@@ -1,11 +1,15 @@
-"""Unit tests of the paired guard's decision rule on synthetic samples.
+"""Unit tests of the paired guard: its decision rule on synthetic samples,
+and how it places both sides' sources.
 
     python3 -m unittest discover -s tools
 """
 
+import os
+import subprocess
+import tempfile
 import unittest
 
-from paired_bench import decide
+from paired_bench import copy_worktree, decide, placed
 
 KEY = ("solo-h264", "blocks_per_s")
 GUARDED = {KEY: ("higher", 0.25)}
@@ -50,6 +54,49 @@ class DecisionRule(unittest.TestCase):
         self.assertTrue(rows[0]["flagged"])
         rows, _ = decide(pairs([b * 0.7 for b in BASE]), guarded)
         self.assertFalse(rows[0]["flagged"])
+
+
+class SharedSourcePath(unittest.TestCase):
+    def test_each_side_runs_from_the_one_shared_path_and_goes_back(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            shared = os.path.join(tmp, "src")
+            for side in ("base", "change"):
+                os.makedirs(os.path.join(tmp, side))
+                with open(os.path.join(tmp, side, "side.txt"), "w") as f:
+                    f.write(side)
+            for side in ("base", "change", "base"):
+                with placed(os.path.join(tmp, side), shared) as path:
+                    self.assertEqual(path, shared)
+                    with open(os.path.join(path, "side.txt")) as f:
+                        self.assertEqual(f.read(), side)
+                    self.assertFalse(os.path.exists(os.path.join(tmp, side)))
+                self.assertFalse(os.path.exists(shared))
+            with self.assertRaises(RuntimeError):
+                with placed(os.path.join(tmp, "change"), shared):
+                    raise RuntimeError("a failed build")
+            self.assertTrue(os.path.isfile(os.path.join(tmp, "change", "side.txt")))
+
+    def test_the_change_is_the_working_tree_without_ignored_files(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root, dest = os.path.join(tmp, "checkout"), os.path.join(tmp, "copy")
+            os.makedirs(os.path.join(root, "crates"))
+            files = {".gitignore": "/target\n", "crates/lib.rs": "edited",
+                     "crates/new.rs": "untracked", "gone.rs": "deleted",
+                     "target/build.log": "ignored"}
+            for rel, text in files.items():
+                os.makedirs(os.path.dirname(os.path.join(root, rel)), exist_ok=True)
+                with open(os.path.join(root, rel), "w") as f:
+                    f.write(text)
+            subprocess.run(["git", "init", "-q", root], check=True)
+            subprocess.run(["git", "-C", root, "add", ".gitignore", "crates/lib.rs", "gone.rs"],
+                           check=True)
+            os.remove(os.path.join(root, "gone.rs"))
+            copy_worktree(root, dest)
+            copied = sorted(os.path.relpath(os.path.join(d, f), dest)
+                            for d, _, fs in os.walk(dest) for f in fs)
+            self.assertEqual(copied, [".gitignore", "crates/lib.rs", "crates/new.rs"])
+            with open(os.path.join(dest, "crates", "lib.rs")) as f:
+                self.assertEqual(f.read(), "edited")
 
 
 if __name__ == "__main__":
