@@ -913,12 +913,20 @@ mod tests {
         let need = account.close(&ctx, &choices, &no_mono, &mut none, &mut evict);
         assert_eq!((need, evict.as_slice()), (Resources::NONE, &[][..]));
         let need = account.close(&ctx, &choices, &no_mono, &mut one_cg, &mut evict);
-        assert_eq!(need, Resources::cg_only(1));
         assert_eq!(
-            evict,
-            vec![other_unit],
-            "1 CG short, the free PRC untouched"
+            (need, evict.as_slice()),
+            (Resources::cg_only(1), &[other_unit][..])
         );
+        // A PRC short never evicts an EDPE.
+        let mut two_fg: Vec<UnitId> = catalog
+            .units()
+            .iter()
+            .filter(|u| u.fabric() == FabricKind::FineGrained)
+            .map(|u| u.id())
+            .take(2)
+            .collect();
+        let need = account.close(&ctx, &choices, &no_mono, &mut two_fg, &mut evict);
+        assert_eq!((need, evict.as_slice()), (Resources::new(0, 2), &[][..]));
 
         // With monoCG on, the leftover CG slot pre-loads the RISC-mode
         // kernel's extension, which displaces the same unit.
