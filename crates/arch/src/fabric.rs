@@ -181,16 +181,6 @@ impl Fabric {
         true
     }
 
-    /// Frees every container. Permanently failed ones stay failed —
-    /// hardware damage survives block boundaries.
-    pub(crate) fn evict_all(&mut self) {
-        for slot in &mut self.slots {
-            if *slot != Slot::Failed {
-                *slot = Slot::Empty;
-            }
-        }
-    }
-
     /// Sets the number of working containers to `target`. Growing appends
     /// empty containers. Shrinking removes the last free container first
     /// and only then the last occupied one. Failed containers are never
@@ -272,10 +262,6 @@ mod tests {
         assert!(f.place(1, None));
         assert!(!f.place(2, None));
         assert!(!f.fail_one_empty());
-        // evict_all keeps the hardware damage.
-        f.evict_all();
-        assert_eq!((f.free_count(), f.failed_count()), (1, 1));
-        assert!(!f.evict(1));
     }
 
     #[test]

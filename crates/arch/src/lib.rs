@@ -64,6 +64,6 @@ pub use fabric::{Fabric, LoadedId};
 pub use fault::{FaultKind, FaultModel, LoadFault};
 pub use machine::Machine;
 pub use params::ArchParams;
-pub use reconfig::{FabricKind, LoadRequest, LoadTicket, ReconfigurationController, SwitchCosts};
+pub use reconfig::{FabricKind, LoadRequest, LoadTicket, ReconfigurationController};
 pub use resources::Resources;
 pub use scratchpad::Scratchpad;

@@ -411,29 +411,6 @@ impl Machine {
         }
     }
 
-    /// Cancels every load that has not started streaming yet and frees the
-    /// fabric slots reserved for them. Used by run-time systems when a new
-    /// trigger instruction obsoletes the previous selection. Returns the
-    /// artefact ids whose loads were cancelled.
-    pub fn cancel_pending(&mut self, now: Cycles) -> Vec<LoadedId> {
-        let cancelled = self.controller.cancel_pending(now);
-        let mut ids = Vec::with_capacity(cancelled.len());
-        for t in cancelled {
-            // The slot was reserved when the load was admitted; release it.
-            let _ = self.evict(t.id);
-            ids.push(t.id);
-        }
-        ids
-    }
-
-    /// Clears both fabrics and forgets queued loads (end of application /
-    /// fabric reclaimed by the OS for another task).
-    pub fn reset(&mut self) {
-        self.fg.evict_all();
-        self.cg.evict_all();
-        self.controller = ReconfigurationController::new();
-    }
-
     /// Folds completed loads into fabric state; call when time advances.
     pub fn settle(&mut self, now: Cycles) {
         self.fg.settle(now);
@@ -566,36 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_pristine_state() {
-        let mut m = machine(1, 1);
-        m.load_fg(Cycles::ZERO, 1, 10_000).unwrap();
-        m.load_cg(Cycles::ZERO, 2, 32).unwrap();
-        m.reset();
-        assert_eq!(m.free_resources(), m.budget());
-        assert_eq!(
-            m.controller().port_free_at(FabricKind::FineGrained),
-            Cycles::ZERO
-        );
-    }
-
-    #[test]
-    fn cancel_pending_rolls_back_queued_loads() {
-        let mut m = machine(0, 2);
-        // Two FG loads: the first streams, the second queues behind it.
-        let a = m.load_fg(Cycles::ZERO, 1, 83_050).unwrap();
-        let b = m.load_fg(Cycles::ZERO, 2, 83_050).unwrap();
-        assert!(b.starts_at >= a.ready_at);
-        assert_eq!(m.free_resources().prc(), 0);
-        // Cancel mid-stream of the first: only the queued one rolls back.
-        let cancelled = m.cancel_pending(Cycles::new(1_000));
-        assert_eq!(cancelled, vec![2]);
-        assert_eq!(m.free_resources().prc(), 1);
-        // The streaming load still completes on schedule.
-        assert!(m.is_resident(1, a.ready_at));
-        assert!(!m.is_resident(2, Cycles::MAX));
-    }
-
-    #[test]
     fn crc_fault_wastes_port_time_but_leaves_prc_empty() {
         let mut m = machine(1, 1);
         m.set_fault_model(FaultModel::with_rates(1.0, 0.0, 0.0, 3));
@@ -633,9 +580,6 @@ mod tests {
         assert_eq!(m.capacity(), Resources::new(1, 1));
         assert_eq!(m.free_resources(), Resources::new(1, 1));
         assert_eq!(m.failed_resources(), Resources::new(0, 1));
-        // Damage survives a reset.
-        m.reset();
-        assert_eq!(m.capacity(), Resources::new(1, 1));
     }
 
     #[test]

@@ -66,54 +66,10 @@ pub struct LoadTicket {
     pub ready_at: Cycles,
 }
 
-/// Core-cycle costs charged when control of the core moves between tasks
-/// sharing one multi-grained machine, or when the fabric arbiter
-/// re-partitions the container sets.
-///
-/// These are *core-side* costs (pipeline drain, architectural register
-/// save/restore, arbiter bookkeeping); the fabric-side cost of a
-/// re-partition — re-streaming evicted bitstreams and context programs — is
-/// already charged faithfully through the configuration-port model above,
-/// so it is deliberately **not** duplicated here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SwitchCosts {
-    /// Charged each time the core switches from one task to a *different*
-    /// task (never when a task's quantum is simply renewed).
-    pub context_switch: Cycles,
-    /// Charged each time the fabric arbiter changes the partition, on top
-    /// of the reconfiguration traffic the change itself causes.
-    pub repartition: Cycles,
-}
-
-impl Default for SwitchCosts {
-    /// Defaults sized against the paper's 400 MHz core: ~250 cycles
-    /// (0.625 µs) for a context switch — pipeline drain plus register-file
-    /// save/restore from the scratchpad — and ~1000 cycles for an arbiter
-    /// re-partition round (recomputing shares and reprogramming container
-    /// ownership tables).
-    fn default() -> Self {
-        SwitchCosts {
-            context_switch: Cycles::new(250),
-            repartition: Cycles::new(1_000),
-        }
-    }
-}
-
-impl SwitchCosts {
-    /// Zero-cost switching, for idealized baselines and equivalence tests.
-    #[must_use]
-    pub const fn free() -> Self {
-        SwitchCosts {
-            context_switch: Cycles::ZERO,
-            repartition: Cycles::ZERO,
-        }
-    }
-}
-
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 struct Port {
     busy_until: Cycles,
-    /// Completed + in-flight tickets, for bookkeeping and cancellation.
+    /// Completed + in-flight tickets, for bookkeeping and rollback.
     inflight: VecDeque<LoadTicket>,
 }
 
@@ -140,27 +96,6 @@ impl Port {
                 break;
             }
         }
-    }
-
-    /// Cancels every request that has not *started* yet and recomputes the
-    /// port schedule. Requests already streaming cannot be aborted
-    /// (a partially written bitstream would leave the PRC unusable).
-    fn cancel_pending(&mut self, now: Cycles) -> Vec<LoadTicket> {
-        let mut cancelled = Vec::new();
-        let mut kept = VecDeque::new();
-        while let Some(t) = self.inflight.pop_front() {
-            if t.starts_at > now {
-                cancelled.push(t);
-            } else {
-                kept.push_back(t);
-            }
-        }
-        // Kept tickets all started at or before `now`; the port frees when
-        // the last of them drains (possibly already in the past), or at
-        // `now` if nothing is streaming.
-        self.busy_until = kept.back().map_or(now, |t| t.ready_at);
-        self.inflight = kept;
-        cancelled
     }
 
     /// Removes the ticket of artefact `id` wherever it sits in the queue —
@@ -250,16 +185,6 @@ impl ReconfigurationController {
         ticket
     }
 
-    /// Predicts, **without mutating the schedule**, the completion times of a
-    /// whole batch of requests issued back-to-back at `now`. This is what
-    /// the profit function uses to evaluate a candidate ISE's `recT(ISE_i)`
-    /// values before anything is committed.
-    #[must_use]
-    pub fn predict(&self, now: Cycles, reqs: &[LoadRequest]) -> Vec<LoadTicket> {
-        let mut shadow = self.clone();
-        reqs.iter().map(|r| shadow.request(now, *r)).collect()
-    }
-
     /// When the given port becomes free if no further request arrives.
     #[must_use]
     pub fn port_free_at(&self, fabric: FabricKind) -> Cycles {
@@ -272,30 +197,14 @@ impl ReconfigurationController {
         self.cg.prune(now);
     }
 
-    /// Cancels all requests that have not started streaming yet (used when a
-    /// new trigger instruction obsoletes the previous selection). Returns
-    /// the cancelled tickets so the caller can roll back fabric state.
-    pub fn cancel_pending(&mut self, now: Cycles) -> Vec<LoadTicket> {
-        let mut v = self.fg.cancel_pending(now);
-        v.extend(self.cg.cancel_pending(now));
-        v
-    }
-
     /// Aborts the in-flight (queued **or streaming**) transfer of artefact
     /// `id`, returning its ticket if one was tracked. This is the rollback
-    /// path of *speculative* loads (DESIGN.md §12): unlike
-    /// [`Self::cancel_pending`] it may abandon a transfer mid-stream,
-    /// which is only sound because speculative requests are admitted to an
+    /// path of *speculative* loads (DESIGN.md §12). It may abandon a
+    /// transfer mid-stream, which is only sound because speculative requests are admitted to an
     /// idle port exclusively — no committed request is ever scheduled
     /// behind one, so removing it never invalidates another ticket.
     pub fn abort_load(&mut self, id: LoadedId) -> Option<LoadTicket> {
         self.fg.abort(id).or_else(|| self.cg.abort(id))
-    }
-
-    /// Number of transfers still queued or streaming on a port.
-    #[must_use]
-    pub fn inflight_count(&self, fabric: FabricKind) -> usize {
-        self.port(fabric).inflight.len()
     }
 
     /// Completion time of an in-flight (queued or streaming) transfer of
@@ -397,41 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_does_not_mutate() {
-        let mut rc = ReconfigurationController::new();
-        rc.request(Cycles::ZERO, fg_req(1, 100));
-        let before = rc.clone();
-        let predicted = rc.predict(Cycles::ZERO, &[fg_req(2, 10), fg_req(3, 10)]);
-        assert_eq!(rc, before);
-        assert_eq!(predicted[0].starts_at.get(), 100);
-        assert_eq!(predicted[1].ready_at.get(), 120);
-    }
-
-    #[test]
-    fn cancel_pending_keeps_streaming_transfer() {
-        let mut rc = ReconfigurationController::new();
-        rc.request(Cycles::ZERO, fg_req(1, 100)); // streaming at t=50
-        rc.request(Cycles::ZERO, fg_req(2, 100)); // queued, starts at 100
-        let cancelled = rc.cancel_pending(Cycles::new(50));
-        assert_eq!(cancelled.len(), 1);
-        assert_eq!(cancelled[0].id, 2);
-        // The streaming transfer still finishes at 100.
-        assert_eq!(rc.port_free_at(FabricKind::FineGrained).get(), 100);
-    }
-
-    #[test]
-    fn cancel_pending_frees_idle_port() {
-        let mut rc = ReconfigurationController::new();
-        rc.request(Cycles::new(100), fg_req(1, 50)); // starts at 100
-        let cancelled = rc.cancel_pending(Cycles::new(10));
-        assert_eq!(cancelled.len(), 1);
-        assert_eq!(rc.port_free_at(FabricKind::FineGrained).get(), 10);
-        // New request starts immediately.
-        let t = rc.request(Cycles::new(10), fg_req(3, 5));
-        assert_eq!(t.starts_at.get(), 10);
-    }
-
-    #[test]
     fn abort_load_mid_stream_frees_the_port() {
         let mut rc = ReconfigurationController::new();
         let t = rc.request(Cycles::new(10), fg_req(7, 100)); // streams 10..110
@@ -440,7 +314,7 @@ mod tests {
         // request at t=50 is served immediately.
         let n = rc.request(Cycles::new(50), fg_req(8, 5));
         assert_eq!(n.starts_at.get(), 50);
-        assert_eq!(rc.inflight_count(FabricKind::FineGrained), 1);
+        assert_eq!(rc.inflight_tickets().count(), 1);
     }
 
     #[test]
@@ -464,9 +338,9 @@ mod tests {
         rc.request(Cycles::ZERO, fg_req(1, 10));
         rc.request(Cycles::ZERO, fg_req(2, 10));
         rc.settle(Cycles::new(10));
-        assert_eq!(rc.inflight_count(FabricKind::FineGrained), 1);
+        assert_eq!(rc.inflight_tickets().count(), 1);
         rc.settle(Cycles::new(20));
-        assert_eq!(rc.inflight_count(FabricKind::FineGrained), 0);
+        assert_eq!(rc.inflight_tickets().count(), 0);
     }
 
     proptest! {
@@ -486,19 +360,6 @@ mod tests {
                 prop_assert_eq!(t.ready_at - t.starts_at,
                                 Cycles::new(durations[t.id as usize]));
             }
-        }
-
-        /// Predicting a batch equals actually issuing it.
-        #[test]
-        fn predict_matches_request(durations in proptest::collection::vec(1u64..1_000, 1..10)) {
-            let rc = ReconfigurationController::new();
-            let reqs: Vec<LoadRequest> =
-                durations.iter().enumerate().map(|(i, &d)| fg_req(i as u64, d)).collect();
-            let predicted = rc.predict(Cycles::ZERO, &reqs);
-            let mut live = rc.clone();
-            let actual: Vec<LoadTicket> =
-                reqs.iter().map(|r| live.request(Cycles::ZERO, *r)).collect();
-            prop_assert_eq!(predicted, actual);
         }
     }
 }

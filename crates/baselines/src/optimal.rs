@@ -279,7 +279,7 @@ impl RuntimePolicy for OnlineOptimalPolicy {
 
     fn plan_block(&mut self, ctx: &SelectionContext<'_>) -> BlockPlan {
         let forecast = self.mpu.correct(ctx.forecast);
-        let budget = self.account.open(ctx, &forecast, None);
+        let budget = self.account.open(ctx, &forecast);
         let resident = |u: UnitId| ctx.is_resident(u);
         let selection = dp_optimal_selection(
             ctx.catalog,

@@ -76,7 +76,7 @@ impl RuntimePolicy for RisppPolicy {
 
     fn plan_block(&mut self, ctx: &SelectionContext<'_>) -> BlockPlan {
         let forecast = self.mpu.correct(ctx.forecast);
-        let budget = self.account.open(ctx, &forecast, None);
+        let budget = self.account.open(ctx, &forecast);
 
         let resident = |u: UnitId| ctx.is_resident(u);
         let mut profit = |ise: &Ise,

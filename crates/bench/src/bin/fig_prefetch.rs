@@ -94,7 +94,6 @@ fn sweep_point(tb: &Testbed, bandwidth_kb_s: u64, confidences: &[f64]) -> Point 
                 prefetch: PrefetchConfig {
                     enabled: true,
                     confidence_min: c,
-                    ..PrefetchConfig::default()
                 },
                 ..MrtsConfig::default()
             };

@@ -235,6 +235,39 @@ mod tests {
         assert_eq!(d, run(ExecMode::MonoCg));
     }
 
+    /// A tenant at the ladder's floor owns a machine with no working
+    /// container: nothing is resident and no CG slot is free, so the ladder
+    /// ends in RISC mode with monoCG on and an MG ISE selected.
+    #[test]
+    fn empty_machine_ends_in_risc() {
+        use mrts_arch::{ArchParams, Machine, Resources};
+        use mrts_ise::Grain;
+        use mrts_sim::ResidentSet;
+        use mrts_workload::WorkloadModel;
+
+        let toy = mrts_ingest::model("toy").expect("builtin toy lowers");
+        let catalog = toy
+            .application()
+            .build_catalog(ArchParams::default(), None)
+            .unwrap();
+        let mg = catalog
+            .ises()
+            .iter()
+            .find(|i| i.grain() == Grain::MultiGrained)
+            .expect("toy has a multi-grained ISE");
+        assert!(catalog.kernel(mg.kernel()).unwrap().mono_cg().is_some());
+        let machine = Machine::new(ArchParams::default(), Resources::NONE).unwrap();
+        let resident = ResidentSet::default();
+        let ctx = ExecContext {
+            now: Cycles::ZERO,
+            catalog: &catalog,
+            machine: &machine,
+            resident: &resident,
+        };
+        let plan = plan_execution(mg.kernel(), Some(mg.id()), &ctx, &cfg());
+        assert_eq!(plan, ExecPlan::risc());
+    }
+
     #[test]
     fn ablation_flag_disables_mono() {
         let no_mono = EcuConfig { use_mono_cg: false };

@@ -137,21 +137,6 @@ impl Mpu {
     pub fn estimate(&self, kernel: KernelId) -> Option<f64> {
         self.predictors.get(&kernel).map(|p| p.executions)
     }
-
-    /// Mean absolute prediction error against a sequence of (forecast,
-    /// observation) pairs — a diagnostic used by the ablation benches.
-    #[must_use]
-    pub fn mean_abs_error(observations: &[u64], predictions: &[f64]) -> f64 {
-        if observations.is_empty() {
-            return 0.0;
-        }
-        observations
-            .iter()
-            .zip(predictions)
-            .map(|(o, p)| (*o as f64 - p).abs())
-            .sum::<f64>()
-            / observations.len() as f64
-    }
 }
 
 impl Default for Mpu {
@@ -526,13 +511,5 @@ mod tests {
         );
         let back: FlowPredictor = serde_json::from_str(&json).unwrap();
         assert_eq!(back, fp);
-    }
-
-    #[test]
-    fn mean_abs_error_helper() {
-        let obs = [100u64, 200, 300];
-        let pred = [110.0, 190.0, 300.0];
-        assert!((Mpu::mean_abs_error(&obs, &pred) - (10.0 + 10.0) / 3.0).abs() < 1e-12);
-        assert_eq!(Mpu::mean_abs_error(&[], &[]), 0.0);
     }
 }

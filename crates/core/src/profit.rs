@@ -89,13 +89,12 @@ impl fmt::Display for ProfitBreakdown {
 ///
 /// A batch of back-to-back loads issued at `now` on one port completes at
 /// `max(now, port_busy_until) + Σ durations` — the chaining
-/// [`ReconfigurationController::predict`] models by cloning the whole
-/// controller per evaluation. Capturing the two port bases and the ready
-/// times of already-streaming units **once per selection round** makes each
-/// candidate evaluation a pure array walk: no clone, no queue scan, no
-/// allocation. The memo is only valid while the shadow schedule is
-/// unchanged; the greedy loop recaptures it after every commit (see
-/// `ProfitFn::invalidate`).
+/// [`ReconfigurationController::request`] applies to each load in turn.
+/// Capturing the two port bases and the ready times of already-streaming
+/// units **once per selection round** makes each candidate evaluation a
+/// pure array walk: no clone, no queue scan, no allocation. The memo is
+/// only valid while the shadow schedule is unchanged; the greedy loop
+/// recaptures it after every commit (see `ProfitFn::invalidate`).
 #[derive(Debug, Clone)]
 pub struct ProfitMemo {
     /// When the evaluation happens (all `ready_rel` are relative to this).
@@ -151,8 +150,9 @@ impl ProfitMemo {
     }
 
     /// Fills `ready_rel[i]` — when stage `i`'s unit becomes usable,
-    /// relative to `now` — exactly as a fresh
-    /// [`ReconfigurationController::predict`] batch would.
+    /// relative to `now` — exactly as issuing the ISE's missing loads
+    /// through [`ReconfigurationController::request`] on a copy of the
+    /// controller would.
     fn fill_ready_rel(
         &self,
         ise: &Ise,

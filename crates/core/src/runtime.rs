@@ -8,7 +8,7 @@ use crate::profit::{ExpectedProfitEval, ProfitEvalBuffers};
 use crate::selector::SelectorConfig;
 use mrts_arch::{Cycles, FabricKind, Resources};
 use mrts_ise::{BlockId, IseId, KernelId, TriggerBlock, UnitId};
-use mrts_sim::{BlockPlan, ExecContext, ExecPlan, FaultEvent, RuntimePolicy, SelectionContext};
+use mrts_sim::{BlockPlan, ExecContext, ExecPlan, RuntimePolicy, SelectionContext};
 use mrts_workload::KernelActivity;
 
 /// Configuration of the full run-time system. The defaults reproduce the
@@ -29,14 +29,6 @@ pub struct MrtsConfig {
     /// cost lands on the critical path. Disabled, the full cost is charged
     /// (used to bound the overhead from above).
     pub hide_overhead: bool,
-    /// Cap on the selection budget: the tenant's allotted slice of the
-    /// fabric, in slot units. `None` (the default, the single-application
-    /// setup) lets the selector spend everything the machine reports free
-    /// plus evictable. The multi-tenant runner keeps this in sync with the
-    /// fabric arbiter's current partition so a tenant's selector can never
-    /// plan past its slice, even while the fabric is being re-partitioned
-    /// underneath it.
-    pub slice: Option<Resources>,
     /// Speculative reconfiguration prefetch (see [`PrefetchConfig`]).
     pub prefetch: PrefetchConfig,
 }
@@ -54,25 +46,21 @@ pub struct PrefetchConfig {
     /// considered at all. Candidates below the threshold are never
     /// nominated, no matter how much reconfiguration they would hide.
     pub confidence_min: f64,
-    /// Cap on speculative units nominated per block — the planner's half
-    /// of the idle-bandwidth budget. (The engine enforces the other
-    /// half: speculative loads queue *behind* all of the block's demand
-    /// traffic at the FG configuration port, take only genuinely free
-    /// slots, never evict anything, and are fully rolled back before the
-    /// next block is planned unless promoted.)
-    pub max_units: usize,
-    /// Context order of the [`FlowPredictor`] (longest block-history
-    /// match used for prediction).
-    pub order: usize,
 }
+
+/// Cap on speculative units nominated per block — the planner's half of
+/// the idle-bandwidth budget. (The engine enforces the other half:
+/// speculative loads queue *behind* all of the block's demand traffic at
+/// the FG configuration port, take only genuinely free slots, never evict
+/// anything, and are fully rolled back before the next block is planned
+/// unless promoted.)
+const PREFETCH_MAX_UNITS: usize = 2;
 
 impl Default for PrefetchConfig {
     fn default() -> Self {
         PrefetchConfig {
             enabled: false,
             confidence_min: 0.55,
-            max_units: 2,
-            order: 2,
         }
     }
 }
@@ -85,7 +73,6 @@ impl Default for MrtsConfig {
             selector: SelectorConfig::default(),
             ecu: EcuConfig::default(),
             hide_overhead: true,
-            slice: None,
             prefetch: PrefetchConfig::default(),
         }
     }
@@ -115,13 +102,9 @@ pub struct FabricAccount {
 impl FabricAccount {
     /// Opening step, before selection: takes stock of the fabric for
     /// `forecast` and returns the selection budget, the free fabric plus
-    /// the evictable units, capped by `slice` when one is given.
-    pub fn open(
-        &mut self,
-        ctx: &SelectionContext<'_>,
-        forecast: &TriggerBlock,
-        slice: Option<Resources>,
-    ) -> Resources {
+    /// the evictable units. A tenant's share of a shared fabric is its
+    /// machine's capacity, so the budget never exceeds it.
+    pub fn open(&mut self, ctx: &SelectionContext<'_>, forecast: &TriggerBlock) -> Resources {
         self.kernels.clear();
         self.kernels.extend(forecast.iter().map(|t| t.kernel));
         let present = &mut self.present;
@@ -147,8 +130,7 @@ impl FabricAccount {
             .iter()
             .map(|&u| ctx.catalog.unit(u).resources())
             .sum();
-        let budget = ctx.machine.free_resources() + evictable;
-        self.budget = slice.map_or(budget, |slice| budget.min(slice));
+        self.budget = ctx.machine.free_resources() + evictable;
         self.budget
     }
 
@@ -287,7 +269,6 @@ pub struct Mrts {
     blocks_planned: u64,
     total_selection_cycles: u64,
     total_kernels_selected: u64,
-    faults_observed: u64,
     /// Recycled plan buffers (see [`RuntimePolicy::recycle_plan`]): the
     /// eviction list handed out with each [`BlockPlan`] returns here once
     /// the engine has applied it, so steady-state planning reuses its
@@ -340,13 +321,12 @@ impl Mrts {
             blocks_planned: 0,
             total_selection_cycles: 0,
             total_kernels_selected: 0,
-            faults_observed: 0,
             evict_buf: Vec::new(),
             account: FabricAccount::default(),
             sel_scratch: crate::selector::SelectorScratch::new(),
             profit_bufs: ProfitEvalBuffers::default(),
             forecast_buf: mrts_ise::TriggerBlock::new(mrts_ise::BlockId(0), Vec::new()),
-            flow: FlowPredictor::new(config.prefetch.order),
+            flow: FlowPredictor::default(),
             forecast_store: Vec::new(),
             pred_buf: Vec::new(),
             spec_forecast_buf: mrts_ise::TriggerBlock::new(mrts_ise::BlockId(0), Vec::new()),
@@ -354,12 +334,6 @@ impl Mrts {
             spec_rank_buf: Vec::new(),
             prefetch_buf: Vec::new(),
         }
-    }
-
-    /// Number of fault notifications received from the simulator so far.
-    #[must_use]
-    pub fn faults_observed(&self) -> u64 {
-        self.faults_observed
     }
 
     /// The configuration in use.
@@ -402,10 +376,10 @@ impl Mrts {
         }
     }
 
-    /// Fills `out` with up to `max_units` FG units for the predicted
-    /// successor blocks, most valuable first. Each candidate block is
-    /// planned exactly the way its own `plan_block` would plan it —
-    /// current MPU estimates, the same selector and profit model —
+    /// Fills `out` with up to [`PREFETCH_MAX_UNITS`] FG units for the
+    /// predicted successor blocks, most valuable first. Each candidate
+    /// block is planned exactly the way its own `plan_block` would plan it
+    /// — current MPU estimates, the same selector and profit model —
     /// against the residual FG budget left after the committed demand
     /// plan (`demand_loads`). A block's nomination score is
     /// `confidence × Σ load_duration` of its still-missing FG units: the
@@ -417,7 +391,7 @@ impl Mrts {
         demand_loads: &[UnitId],
         out: &mut Vec<UnitId>,
     ) {
-        let pcfg = self.config.prefetch;
+        let confidence_min = self.config.prefetch.confidence_min;
         let spec_budget = Resources::new(0, residual_prc);
         let pred = std::mem::take(&mut self.pred_buf);
         self.spec_units_buf.clear();
@@ -428,7 +402,7 @@ impl Mrts {
             self.config.ecu.use_mono_cg,
             |profit, resident| {
                 for &(block, confidence) in &pred {
-                    if confidence < pcfg.confidence_min {
+                    if confidence < confidence_min {
                         break; // predictions come sorted by descending confidence
                     }
                     if block == ctx.forecast.block {
@@ -495,7 +469,7 @@ impl Mrts {
         });
         'fill: for &(_, _, start, end) in &self.spec_rank_buf {
             for &u in &self.spec_units_buf[start as usize..end as usize] {
-                if out.len() >= pcfg.max_units {
+                if out.len() >= PREFETCH_MAX_UNITS {
                     break 'fill;
                 }
                 if !out.contains(&u) {
@@ -503,13 +477,6 @@ impl Mrts {
                 }
             }
         }
-    }
-
-    /// Updates the fabric-slice cap (see [`MrtsConfig::slice`]). Called by
-    /// the multi-tenant fabric arbiter whenever it re-partitions; learned
-    /// MPU state and fault history survive the change.
-    pub fn set_slice(&mut self, slice: Option<Resources>) {
-        self.config.slice = slice;
     }
 
     /// Average *computed* selection cost per kernel over the run so far —
@@ -537,13 +504,12 @@ impl RuntimePolicy for Mrts {
     }
 
     fn plan_block(&mut self, ctx: &SelectionContext<'_>) -> BlockPlan {
-        // No usable fabric budget — a zero slice (the degradation ladder's
-        // floor) or a zero-fabric machine — means this block runs pure
-        // RISC. Selecting against an empty budget cannot choose anything,
-        // so skip the selector entirely: the tenant sheds the decision
-        // overhead along with the speedup.
-        let cap = ctx.machine.capacity();
-        if self.config.slice.unwrap_or(cap).min(cap).is_empty() {
+        // No working container — a tenant at the degradation ladder's floor
+        // (its machine resized to nothing) or a zero-fabric machine — means
+        // this block runs pure RISC. Selecting against an empty budget
+        // cannot choose anything, so skip the selector entirely: the tenant
+        // sheds the decision overhead along with the speedup.
+        if ctx.machine.capacity().is_empty() {
             self.blocks_planned += 1;
             if self.config.prefetch.enabled {
                 self.note_block(ctx.forecast);
@@ -568,9 +534,10 @@ impl RuntimePolicy for Mrts {
         stage_forecast(&self.mpu, self.config.use_mpu, ctx.forecast, &mut forecast);
 
         // 2. Fabric status: units of kernels outside this block are
-        //    evictable; their slots extend the selector's budget, which a
-        //    tenant's slice caps.
-        let budget = self.account.open(ctx, &forecast, self.config.slice);
+        //    evictable; their slots extend the selector's budget. A
+        //    container lost to a permanent fault has already left the
+        //    machine, so fault recovery is plain re-selection.
+        let budget = self.account.open(ctx, &forecast);
 
         // 3. The greedy selection (Fig. 6). Residency at `now` is the
         //    engine's block-start capture; each probe is a bit test.
@@ -661,16 +628,6 @@ impl RuntimePolicy for Mrts {
         selected: Option<IseId>,
         ctx: &ExecContext<'_>,
     ) -> ExecPlan {
-        // No usable fabric budget (ladder floor): even an opportunistic
-        // monoCG install would plan past the tenant's (empty) fabric share.
-        // Without a slice the ECU needs no such guard: a machine with no
-        // working container holds nothing and has no CG-EDPE free, so the
-        // ladder ends in RISC mode anyway.
-        if let Some(slice) = self.config.slice {
-            if slice.min(ctx.machine.capacity()).is_empty() {
-                return ExecPlan::risc();
-            }
-        }
         ecu::plan_execution(kernel, selected, ctx, &self.config.ecu)
     }
 
@@ -678,25 +635,6 @@ impl RuntimePolicy for Mrts {
         if self.config.use_mpu {
             self.mpu.observe(observed);
         }
-    }
-
-    /// Fault recovery is **re-selection, not a special case**: every
-    /// [`Mrts::plan_block`] recomputes the selector budget from
-    /// `machine.free_resources()` (step 2 above), so a container lost to a
-    /// permanent fault has already vanished from the next block's budget and
-    /// the greedy selector re-plans against the shrunken resource vector
-    /// automatically. The notification is recorded so diagnostics (and the
-    /// fault-sweep bench) can report how much adversity a run absorbed.
-    fn notify_fault(&mut self, event: &FaultEvent) {
-        let _ = event;
-        self.faults_observed += 1;
-    }
-
-    /// Forwards the arbiter's grant to [`Mrts::set_slice`], so a boxed
-    /// `dyn RuntimePolicy` handed out by the policy factory stays
-    /// slice-aware in a multi-tenant run.
-    fn set_resource_slice(&mut self, slice: Option<Resources>) {
-        self.set_slice(slice);
     }
 
     /// Reclaims the applied plan's buffers — the eviction list, the
@@ -891,19 +829,13 @@ mod tests {
         };
 
         let mut account = FabricAccount::default();
-        let budget = account.open(&ctx, &forecast, None);
+        let budget = account.open(&ctx, &forecast);
         assert_eq!(account.evictable, vec![other_unit]);
         assert_eq!(
             budget,
             Resources::new(1, 1),
             "free PRC + the evictable EDPE"
         );
-        assert_eq!(
-            account.open(&ctx, &forecast, Some(Resources::new(3, 0))),
-            Resources::new(1, 0),
-            "the slice caps the budget"
-        );
-        let budget = account.open(&ctx, &forecast, None);
 
         // The eviction list frees exactly the shortfall, per fabric.
         let no_mono = EcuConfig { use_mono_cg: false };
@@ -947,53 +879,18 @@ mod tests {
     }
 
     #[test]
-    fn zero_slice_degrades_to_risc() {
+    fn zero_fabric_fast_path_runs_risc_and_charges_no_overhead() {
         let (catalog, trace) = toy(Pattern::Constant(1_000), 3);
-        let cfg = MrtsConfig {
-            slice: Some(Resources::NONE),
-            ecu: EcuConfig { use_mono_cg: false },
-            ..MrtsConfig::default()
-        };
-        // Plenty of free fabric, but the tenant's slice allows none of it.
-        let stats = Simulator::run(&catalog, machine(2, 2), &trace, &mut Mrts::with_config(cfg));
-        let h = stats.class_histogram();
-        assert_eq!(h.get(&ExecClass::RiscMode).copied().unwrap_or(0), 3_000);
-        assert_eq!(h.len(), 1, "{h:?}");
-    }
-
-    #[test]
-    fn zero_slice_fast_path_charges_no_overhead_and_skips_mono() {
-        let (catalog, trace) = toy(Pattern::Constant(1_000), 3);
-        let cfg = MrtsConfig {
-            slice: Some(Resources::NONE),
-            // monoCG stays enabled: the zero-slice floor must suppress it
-            // on its own, without the ablation flag's help.
-            ..MrtsConfig::default()
-        };
-        let mut mrts = Mrts::with_config(cfg);
-        let stats = Simulator::run(&catalog, machine(2, 2), &trace, &mut mrts);
+        // monoCG stays enabled: a machine with no working container must
+        // suppress it on its own, without the ablation flag's help.
+        let mut mrts = Mrts::new();
+        let stats = Simulator::run(&catalog, machine(0, 0), &trace, &mut mrts);
         let h = stats.class_histogram();
         assert_eq!(h.get(&ExecClass::RiscMode).copied().unwrap_or(0), 3_000);
         assert_eq!(h.len(), 1, "{h:?}");
         // The selector never ran: zero decision overhead on the timeline.
         assert_eq!(stats.total_overhead(), Cycles::ZERO);
         assert_eq!(mrts.avg_selection_cycles_per_kernel(), 0.0);
-    }
-
-    #[test]
-    fn slice_cap_limits_but_does_not_break_selection() {
-        let (catalog, trace) = toy(Pattern::Constant(2_000), 4);
-        let mut capped = Mrts::new();
-        capped.set_slice(Some(Resources::new(1, 1)));
-        let capped_stats = Simulator::run(&catalog, machine(2, 2), &trace, &mut capped);
-        let sliced_machine = Simulator::run(&catalog, machine(1, 1), &trace, &mut Mrts::new());
-        let risc = Simulator::run(&catalog, machine(2, 2), &trace, &mut RiscOnlyPolicy::new());
-        // Capped selection still accelerates...
-        assert!(capped_stats.total_execution_time() < risc.total_execution_time());
-        // ...and never plans past the slice (no rejected loads on the
-        // machine that *is* the slice would be the tenant setup; here the
-        // larger machine absorbs them, so just sanity-check both ran).
-        assert!(sliced_machine.total_execution_time() < risc.total_execution_time());
     }
 
     #[test]

@@ -75,32 +75,25 @@ use mrts_ise::{Ise, IseCatalog, IseId, KernelId, TriggerBlock, TriggerInstructio
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Cost model of the selector itself (drives the Section 5.4 overhead
-/// accounting). Defaults are calibrated so a typical functional block
-/// lands near the paper's "less than 3000 cycles to select an ISE for each
-/// kernel".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Section 5.4 cost model of the selector itself: fixed decision cycles per
+/// forecast kernel (candidate-list management, hardware-status updates).
+/// With [`CYCLES_PER_CANDIDATE`] it is calibrated so a typical functional
+/// block lands near the paper's "less than 3000 cycles to select an ISE
+/// for each kernel".
+pub const BASE_CYCLES_PER_KERNEL: u64 = 300;
+/// Section 5.4 cost model of the selector itself: cycles per
+/// profit-function evaluation.
+pub const CYCLES_PER_CANDIDATE: u64 = 75;
+
+/// Selector configuration: which of two implementations with identical
+/// output runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SelectorConfig {
-    /// Fixed decision cycles per forecast kernel (candidate-list
-    /// management, hardware-status updates).
-    pub base_cycles_per_kernel: u64,
-    /// Cycles per profit-function evaluation.
-    pub cycles_per_candidate: u64,
     /// Run the literal Fig. 6 full re-scan instead of the exact lazy-greedy
     /// hot path. The two produce identical [`Selection`]s (the equivalence
     /// proptests assert it); the full re-scan stays as their test oracle.
     /// Off by default.
     pub full_rescan: bool,
-}
-
-impl Default for SelectorConfig {
-    fn default() -> Self {
-        SelectorConfig {
-            base_cycles_per_kernel: 300,
-            cycles_per_candidate: 75,
-            full_rescan: false,
-        }
-    }
 }
 
 /// One committed selection.
@@ -1047,8 +1040,7 @@ pub fn select_ises_with_scratch<P: ProfitFn + ?Sized>(
     }));
     let total_profit = state.selected.iter().map(|s| s.profit).sum();
     let overhead_cycles = Cycles::new(
-        config.base_cycles_per_kernel * forecast.kernel_count() as u64
-            + config.cycles_per_candidate * modeled,
+        BASE_CYCLES_PER_KERNEL * forecast.kernel_count() as u64 + CYCLES_PER_CANDIDATE * modeled,
     );
 
     // Hand every working buffer back to the arena for the next block.
@@ -1145,10 +1137,7 @@ mod tests {
             &none_resident,
             &ReconfigurationController::new(),
             Cycles::ZERO,
-            &SelectorConfig {
-                full_rescan: true,
-                ..SelectorConfig::default()
-            },
+            &SelectorConfig { full_rescan: true },
         )
     }
 

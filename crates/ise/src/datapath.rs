@@ -458,59 +458,6 @@ impl DataPathGraph {
         let bits = self.ops().filter(|(k, _)| k.is_bit_level()).count();
         bits as f64 / ops as f64
     }
-
-    /// Renders the graph in Graphviz DOT syntax for documentation and
-    /// debugging (`dot -Tsvg`). Inputs are boxes; bit-level operations are
-    /// shaded to make the control/data character visible at a glance.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use mrts_ise::datapath::{DataPathGraph, OpKind};
-    ///
-    /// # fn main() -> Result<(), mrts_ise::IseError> {
-    /// let mut b = DataPathGraph::builder("g");
-    /// let a = b.input();
-    /// let _ = b.op(OpKind::Abs, &[a]);
-    /// let dot = b.finish()?.to_dot();
-    /// assert!(dot.starts_with("digraph"));
-    /// assert!(dot.contains("abs"));
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[must_use]
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph \"{}\" {{", self.name);
-        let _ = writeln!(out, "  rankdir=TB;");
-        let mut input_no = 0usize;
-        for (i, node) in self.nodes.iter().enumerate() {
-            match node {
-                Node::Input => {
-                    let _ = writeln!(out, "  n{i} [shape=box, label=\"in{input_no}\"];");
-                    input_no += 1;
-                }
-                Node::Op { kind, operands } => {
-                    let style = if kind.is_bit_level() {
-                        ", style=filled, fillcolor=lightgrey"
-                    } else {
-                        ""
-                    };
-                    let _ = writeln!(
-                        out,
-                        "  n{i} [shape=ellipse, label=\"{}\"{style}];",
-                        kind.name()
-                    );
-                    for r in operands {
-                        let _ = writeln!(out, "  n{} -> n{i};", r.index());
-                    }
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 /// Incremental builder for [`DataPathGraph`] (errors are deferred to
@@ -642,21 +589,6 @@ mod tests {
         assert!((g.bit_level_fraction() - 0.5).abs() < 1e-12);
         assert!(OpKind::BitShuffle.is_bit_level());
         assert!(!OpKind::Add.is_bit_level());
-    }
-
-    #[test]
-    fn dot_export_mentions_every_op_and_edge() {
-        let g = diamond();
-        let dot = g.to_dot();
-        assert!(dot.starts_with("digraph \"diamond\""));
-        for name in ["sub", "add", "max"] {
-            assert!(dot.contains(name), "{dot}");
-        }
-        // Two inputs, three ops, five edges (2+2+1).
-        assert_eq!(dot.matches("shape=box").count(), 2);
-        assert_eq!(dot.matches("shape=ellipse").count(), 3);
-        assert_eq!(dot.matches(" -> ").count(), 6);
-        assert!(dot.ends_with("}\n"));
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!   instead of work under overload, and
 //! * [`runner::run_multitask`] — drives per-tenant
 //!   [`Simulator`](mrts_sim::Simulator)s one block activation at a time,
-//!   charging context-switch and re-partition costs
-//!   ([`SwitchCosts`](mrts_arch::SwitchCosts)) and folding the result into
+//!   charging context-switch and re-partition costs (250 and 1 000 core
+//!   cycles) and folding the result into
 //!   [`MultitaskStats`](mrts_sim::MultitaskStats) (per-tenant turnaround,
 //!   aggregate speedup, Jain fairness, throughput).
 //!

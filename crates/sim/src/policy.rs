@@ -233,19 +233,19 @@ pub trait RuntimePolicy {
     }
 
     /// Called after the simulator detects and recovers from an injected
-    /// fault (failed load, lost container, corrupted execution). Policies
-    /// that adapt — e.g. mRTS re-running its selector against the shrunken
-    /// resource vector — override this; the default ignores the event.
+    /// fault (failed load, lost container, corrupted execution). A lost
+    /// container has already left the machine the next trigger plans
+    /// against, so no policy in this workspace needs the event; the
+    /// default ignores it.
     fn notify_fault(&mut self, event: &FaultEvent) {
         let _ = event;
     }
 
-    /// Informs the policy that an external fabric arbiter has granted it a
-    /// resource slice (`Some`) or returned it to exclusive machine ownership
-    /// (`None`). A multi-tenant runner calls this whenever the partition
-    /// changes, so slice-aware policies can cap their selection budget.
-    /// Policies that always plan against the machine's free resources — every
-    /// baseline — may ignore it, which is the default.
+    /// Informs the policy of an external fabric arbiter's grant (`Some`) or
+    /// of exclusive machine ownership (`None`). The multi-tenant runner
+    /// never calls it: a tenant's share is its machine, resized to the
+    /// grant, so every policy already plans against exactly its share. The
+    /// default ignores the slice.
     fn set_resource_slice(&mut self, slice: Option<Resources>) {
         let _ = slice;
     }

@@ -41,7 +41,6 @@ fn prefetch_on(confidence_min: f64) -> MrtsConfig {
         prefetch: PrefetchConfig {
             enabled: true,
             confidence_min,
-            ..PrefetchConfig::default()
         },
         ..MrtsConfig::default()
     }
@@ -149,10 +148,6 @@ impl RuntimePolicy for MispredictionStorm {
 
     fn notify_fault(&mut self, event: &FaultEvent) {
         self.inner.notify_fault(event);
-    }
-
-    fn set_resource_slice(&mut self, slice: Option<Resources>) {
-        self.inner.set_resource_slice(slice);
     }
 
     fn recycle_plan(&mut self, plan: BlockPlan) {

@@ -201,10 +201,6 @@ impl RuntimePolicy for Checked {
         self.inner.notify_fault(event);
     }
 
-    fn set_resource_slice(&mut self, slice: Option<Resources>) {
-        self.inner.set_resource_slice(slice);
-    }
-
     fn recycle_plan(&mut self, plan: BlockPlan) {
         self.inner.recycle_plan(plan);
     }
@@ -246,7 +242,6 @@ fn faulted_h264_with_prefetch_sees_exact_residency() {
             prefetch: PrefetchConfig {
                 enabled: true,
                 confidence_min: 0.5,
-                ..PrefetchConfig::default()
             },
             ..MrtsConfig::default()
         })

@@ -191,10 +191,7 @@ fn lazy_and_oracle(
         resident,
         rc,
         now,
-        &SelectorConfig {
-            full_rescan: true,
-            ..SelectorConfig::default()
-        },
+        &SelectorConfig { full_rescan: true },
     );
     assert_selections_identical(&lazy, &oracle);
     assert!(lazy.candidates_evaluated <= oracle.candidates_evaluated);
@@ -259,10 +256,7 @@ fn eager_lazy_and_oracle(
         resident,
         rc,
         now,
-        &SelectorConfig {
-            full_rescan: true,
-            ..SelectorConfig::default()
-        },
+        &SelectorConfig { full_rescan: true },
         &mut eval,
     );
     assert_selections_identical(&lazy, &oracle);
@@ -369,10 +363,7 @@ proptest! {
 }
 
 fn oracle_config() -> SelectorConfig {
-    SelectorConfig {
-        full_rescan: true,
-        ..SelectorConfig::default()
-    }
+    SelectorConfig { full_rescan: true }
 }
 
 /// One selection through a caller-held scratch with a fresh evaluator,

@@ -5,7 +5,7 @@
 
 use mrts::arch::{ArchParams, Cycles, ReconfigurationController, Resources};
 use mrts::baselines::dp_optimal_selection;
-use mrts::core::selector::{select_ises, SelectorConfig};
+use mrts::core::selector::{select_ises, SelectorConfig, BASE_CYCLES_PER_KERNEL};
 use mrts::ise::datapath::{DataPathGraph, OpKind};
 use mrts::ise::{
     CatalogBuilder, IseCatalog, KernelId, KernelSpec, TriggerBlock, TriggerInstruction, UnitId,
@@ -126,8 +126,7 @@ proptest! {
         prop_assert_eq!(units.len(), sel.load_order.len());
         // The overhead model charges at least the per-kernel base cost.
         prop_assert!(sel.overhead_cycles.get()
-            >= SelectorConfig::default().base_cycles_per_kernel
-               * catalog.kernels().len() as u64);
+            >= BASE_CYCLES_PER_KERNEL * catalog.kernels().len() as u64);
     }
 
     /// The exact DP optimum never falls below the greedy heuristic — on

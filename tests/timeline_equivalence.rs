@@ -509,7 +509,6 @@ fn solo_fault_prefetch_spine() -> Vec<(u32, SimEvent)> {
         prefetch: PrefetchConfig {
             enabled: true,
             confidence_min: 0.5,
-            ..PrefetchConfig::default()
         },
         ..MrtsConfig::default()
     });

@@ -12,14 +12,15 @@ after. The build directory is part of what the compiler hashes into a
 binary, so identical sources built from two paths give different binaries;
 from one path they give identical ones (the guard prints both binaries'
 SHA-256). Each side builds perfbench into its own CARGO_TARGET_DIR, then
-the guard runs 5 pairs, alternating which side goes first. One run of a
+the guard runs 6 pairs, alternating which side goes first, so each side
+goes first 3 times. One run of a
 side is `perfbench/run.py` on seed 1 for 2 s: the plain pass of every
 workload, plus a traced solo-h264 pass for `block_p50_us` and
 `ingest.lower_ms`. The guard times nothing itself.
 
 A metric is flagged when the change's median is worse than the base's by
 more than the metric's `bound` in BENCHMARK.json (0.25 for the two per-layer
-metrics) *and* the change is worse in at least 4 of the 5 pairs. A run whose
+metrics) *and* the change is worse in at least 4 of the 6 pairs. A run whose
 output checks fail (`correct: false`, or no result at all) fails the guard.
 The guard writes BENCH_perf.json at the root of the checkout (per workload
 and metric: the base median, the change median and the pairs lost) and exits
@@ -40,7 +41,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("solo-h264", "multitask-slo", "fleet-churn")
-PAIRS = 5
+PAIRS = 6
 MIN_PAIRS_LOST = 4
 SEED = 1
 SECONDS = 2

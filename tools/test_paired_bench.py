@@ -13,7 +13,7 @@ from paired_bench import copy_worktree, decide, placed
 
 KEY = ("solo-h264", "blocks_per_s")
 GUARDED = {KEY: ("higher", 0.25)}
-BASE = [100.0, 102.0, 98.0, 101.0, 99.0]
+BASE = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0]
 
 
 def pairs(change):
@@ -24,20 +24,28 @@ class DecisionRule(unittest.TestCase):
     def test_a_30_percent_loss_in_every_pair_is_flagged(self):
         rows, failures = decide(pairs([b * 0.7 for b in BASE]), GUARDED)
         self.assertTrue(rows[0]["flagged"])
-        self.assertEqual(rows[0]["pairs_lost"], 5)
+        self.assertEqual(rows[0]["pairs_lost"], 6)
         self.assertEqual(len(failures), 1)
 
-    def test_a_30_percent_median_loss_in_3_of_5_pairs_passes(self):
-        change = [70.0, 70.0, 69.0, 120.0, 130.0]
+    def test_a_30_percent_median_loss_in_4_of_6_pairs_is_flagged(self):
+        change = [70.0, 70.0, 69.0, 70.0, 120.0, 130.0]
         rows, failures = decide(pairs(change), GUARDED)
         self.assertAlmostEqual(rows[0]["loss"], 0.30)
+        self.assertEqual(rows[0]["pairs_lost"], 4)
+        self.assertTrue(rows[0]["flagged"])
+        self.assertEqual(len(failures), 1)
+
+    def test_a_30_percent_median_loss_in_3_of_6_pairs_passes(self):
+        change = [40.0, 40.0, 40.0, 101.0, 120.0, 130.0]
+        rows, failures = decide(pairs(change), GUARDED)
+        self.assertGreater(rows[0]["loss"], 0.25)
         self.assertEqual(rows[0]["pairs_lost"], 3)
         self.assertFalse(rows[0]["flagged"])
         self.assertEqual(failures, [])
 
     def test_a_10_percent_loss_in_every_pair_passes(self):
         rows, failures = decide(pairs([b * 0.9 for b in BASE]), GUARDED)
-        self.assertEqual(rows[0]["pairs_lost"], 5)
+        self.assertEqual(rows[0]["pairs_lost"], 6)
         self.assertFalse(rows[0]["flagged"])
         self.assertEqual(failures, [])
 
