@@ -18,7 +18,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// use mrts_arch::Frequency;
 ///
 /// let f = Frequency::from_mhz(400);
-/// assert_eq!(f.as_hz(), 400_000_000);
+/// assert_eq!(f.as_mhz(), 400);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Frequency(u64);
@@ -30,7 +30,7 @@ impl Frequency {
     ///
     /// Panics if `hz` is zero; a clock domain cannot be stopped.
     #[must_use]
-    pub fn from_hz(hz: u64) -> Self {
+    fn from_hz(hz: u64) -> Self {
         assert!(hz > 0, "clock frequency must be non-zero");
         Frequency(hz)
     }
@@ -47,7 +47,7 @@ impl Frequency {
 
     /// Returns the frequency in hertz.
     #[must_use]
-    pub fn as_hz(self) -> u64 {
+    fn as_hz(self) -> u64 {
         self.0
     }
 

@@ -108,11 +108,6 @@ impl Machine {
         &self.fault_model
     }
 
-    /// Replaces the fault model (e.g. to arm faults on an existing machine).
-    pub fn set_fault_model(&mut self, fault_model: FaultModel) {
-        self.fault_model = fault_model;
-    }
-
     /// Samples the index of the first transiently-faulted execution in a
     /// batch of `n` accelerated executions (see
     /// [`FaultModel::first_exec_fault`]).
@@ -481,7 +476,7 @@ mod tests {
     #[test]
     fn speculative_load_draws_no_fault_and_aborts_cleanly() {
         let mut m = machine(1, 1);
-        m.set_fault_model(FaultModel::new(1.0, 42));
+        m.fault_model = FaultModel::new(1.0, 42);
         // A speculative load never consumes a fault draw...
         let t = m.load_fg_speculative(Cycles::ZERO, 9, 81_100).unwrap();
         assert!(m.is_resident(9, t.ready_at));
@@ -545,7 +540,7 @@ mod tests {
     #[test]
     fn crc_fault_wastes_port_time_but_leaves_prc_empty() {
         let mut m = machine(1, 1);
-        m.set_fault_model(FaultModel::with_rates(1.0, 0.0, 0.0, 3));
+        m.fault_model = FaultModel::with_rates(1.0, 0.0, 0.0, 3);
         let err = m.load_fg(Cycles::ZERO, 7, 81_100).unwrap_err();
         let ArchError::LoadFault(fault) = err else {
             panic!("expected LoadFault, got {err:?}");
@@ -560,7 +555,7 @@ mod tests {
             fault.retry_at
         );
         // A retry queues behind the wasted transfer.
-        m.set_fault_model(FaultModel::none());
+        m.fault_model = FaultModel::none();
         let t = m.load_fg(Cycles::ZERO, 7, 81_100).unwrap();
         assert_eq!(t.starts_at, fault.retry_at);
     }
@@ -568,7 +563,7 @@ mod tests {
     #[test]
     fn permanent_fault_kills_the_container() {
         let mut m = machine(1, 2);
-        m.set_fault_model(FaultModel::with_rates(0.0, 0.0, 1.0, 3));
+        m.fault_model = FaultModel::with_rates(0.0, 0.0, 1.0, 3);
         let err = m.load_fg(Cycles::ZERO, 7, 81_100).unwrap_err();
         assert!(matches!(
             err,
@@ -586,7 +581,7 @@ mod tests {
     fn zero_rate_model_changes_nothing() {
         let mut plain = machine(2, 2);
         let mut armed = machine(2, 2);
-        armed.set_fault_model(FaultModel::new(0.0, 42));
+        armed.fault_model = FaultModel::new(0.0, 42);
         let a = plain.load_fg(Cycles::ZERO, 1, 81_100).unwrap();
         let b = armed.load_fg(Cycles::ZERO, 1, 81_100).unwrap();
         assert_eq!(a, b);
@@ -641,9 +636,9 @@ mod tests {
     #[test]
     fn resize_capacity_keeps_fault_damage_pinned() {
         let mut m = machine(1, 2);
-        m.set_fault_model(FaultModel::with_rates(0.0, 0.0, 1.0, 3));
+        m.fault_model = FaultModel::with_rates(0.0, 0.0, 1.0, 3);
         let _ = m.load_fg(Cycles::ZERO, 7, 81_100).unwrap_err();
-        m.set_fault_model(FaultModel::none());
+        m.fault_model = FaultModel::none();
         assert_eq!(m.capacity(), Resources::new(1, 1));
         // The arbiter hands this partition 2 working PRCs again: capacity
         // reaches the target but the failed container stays on the books.

@@ -238,20 +238,6 @@ impl ArchParamsBuilder {
         self
     }
 
-    /// Sets the CG fabric clock.
-    #[must_use]
-    pub fn cg_clock(mut self, f: Frequency) -> Self {
-        self.params.cg_clock = f;
-        self
-    }
-
-    /// Sets the FG fabric clock.
-    #[must_use]
-    pub fn fg_clock(mut self, f: Frequency) -> Self {
-        self.params.fg_clock = f;
-        self
-    }
-
     /// Sets the FG configuration-port bandwidth in KB/s.
     #[must_use]
     pub fn fg_config_bandwidth_kb_s(mut self, kb_s: u64) -> Self {
@@ -347,18 +333,19 @@ mod tests {
     #[test]
     fn builder_overrides_and_validates() {
         let p = ArchParams::builder()
-            .fg_clock(Frequency::from_mhz(50))
+            .core_clock(Frequency::from_mhz(800))
             .cg_context_capacity(64)
             .build()
             .expect("valid params");
-        assert_eq!(p.fg_clock.as_mhz(), 50);
+        assert_eq!(p.core_clock.as_mhz(), 800);
         assert_eq!(p.cg_context_capacity, 64);
 
         let bad = ArchParams::builder().fg_config_bandwidth_kb_s(0).build();
         assert!(matches!(bad, Err(ArchError::InvalidParams(_))));
 
+        // The default FG clock (100 MHz) outruns a 50 MHz core.
         let bad = ArchParams::builder()
-            .fg_clock(Frequency::from_mhz(800))
+            .core_clock(Frequency::from_mhz(50))
             .build();
         assert!(matches!(bad, Err(ArchError::InvalidParams(_))));
     }

@@ -4,8 +4,6 @@
 
 use crate::common::ProfiledTotals;
 use crate::offline::{LooselyCoupledPolicy, OfflineOptimalPolicy};
-use crate::optimal::OnlineOptimalPolicy;
-use crate::rispp::RisppPolicy;
 use mrts_arch::Resources;
 use mrts_core::{Mrts, MrtsConfig};
 use mrts_ise::IseCatalog;
@@ -16,7 +14,8 @@ pub const POLICY_NAMES: &[&str] = &["mrts", "risc", "rispp", "morpheus", "offlin
 
 /// Run-time tuning knobs shared by every front end (CLI, benches,
 /// multi-tenant runner). Only the `mrts` policy consumes them; the
-/// baselines have no equivalent knobs and silently ignore the struct.
+/// baselines, the `rispp` and `optimal` presets included, run as the paper
+/// defines them and silently ignore the struct.
 ///
 /// The `Default` value is the untuned paper configuration, so front ends
 /// can thread a `PolicyTuning` unconditionally.
@@ -71,14 +70,14 @@ pub fn make_policy(
     match name {
         "mrts" => Ok(Box::new(Mrts::with_config(tuning.mrts_config()))),
         "risc" => Ok(Box::new(RiscOnlyPolicy::new())),
-        "rispp" => Ok(Box::new(RisppPolicy::new())),
+        "rispp" => Ok(Box::new(Mrts::with_config(MrtsConfig::rispp_like()))),
         "morpheus" => Ok(Box::new(LooselyCoupledPolicy::new(
             catalog, capacity, totals,
         ))),
         "offline" => Ok(Box::new(OfflineOptimalPolicy::new(
             catalog, capacity, totals,
         ))),
-        "optimal" => Ok(Box::new(OnlineOptimalPolicy::new())),
+        "optimal" => Ok(Box::new(Mrts::with_config(MrtsConfig::online_optimal()))),
         other => Err(format!(
             "unknown policy '{other}' ({})",
             POLICY_NAMES.join("|")
@@ -109,5 +108,41 @@ mod tests {
             assert!(p.is_ok(), "policy '{name}' failed to build");
         }
         assert!(make_policy("bogus", &catalog, capacity, &totals, tuning).is_err());
+    }
+
+    #[test]
+    fn online_baselines_are_mrts_presets_that_ignore_tuning() {
+        let h264 = mrts_ingest::model("h264").expect("builtin h264 lowers");
+        let catalog = h264
+            .application()
+            .build_catalog(ArchParams::default(), None)
+            .unwrap();
+        let trace = mrts_workload::TraceBuilder::new(&h264).build();
+        let totals = ProfiledTotals::from_trace(&trace);
+        let capacity = Resources::new(2, 2);
+        let tuned = PolicyTuning {
+            mpu_alpha: Some(1.0),
+            prefetch: true,
+            prefetch_confidence: Some(0.0),
+        };
+        let run = |name: &str, tuning: PolicyTuning| {
+            let mut policy = make_policy(name, &catalog, capacity, &totals, tuning).unwrap();
+            let machine = mrts_arch::Machine::new(ArchParams::default(), capacity).unwrap();
+            mrts_sim::Simulator::run(&catalog, machine, &trace, policy.as_mut())
+        };
+        for (name, config) in [
+            ("rispp", MrtsConfig::rispp_like()),
+            ("optimal", MrtsConfig::online_optimal()),
+        ] {
+            let preset = {
+                let machine = mrts_arch::Machine::new(ArchParams::default(), capacity).unwrap();
+                let mut policy = Mrts::with_config(config);
+                mrts_sim::Simulator::run(&catalog, machine, &trace, &mut policy)
+            };
+            assert_eq!(run(name, PolicyTuning::default()), preset, "{name}");
+            assert_eq!(run(name, tuned), preset, "{name} must ignore tuning");
+        }
+        // The same knobs do reach mRTS.
+        assert_ne!(run("mrts", tuned), run("mrts", PolicyTuning::default()));
     }
 }

@@ -1,28 +1,29 @@
 //! # mrts-baselines — the paper's comparison run-time systems
 //!
-//! Re-implementations of the selection policies mRTS is evaluated against
-//! in Section 5 of the paper, all running on the same simulator and
-//! machine model:
+//! The selection policies mRTS is evaluated against in Section 5 of the
+//! paper, all running on the same simulator and machine model. The paper
+//! defines each online baseline by the mechanism it changes in mRTS, so
+//! those two are presets of mRTS's own pipeline ([`mrts_core::Mrts`]):
 //!
-//! * [`rispp::RisppPolicy`] — the RISPP-like run-time system
-//!   \[6\] extended to CG fabrics: same greedy block-level selection loop
-//!   but an FG-tuned (millisecond-scale) cost model and no
-//!   monoCG-Extension,
+//! * [`mrts_core::MrtsConfig::rispp_like`] — the RISPP-like run-time
+//!   system \[6\] extended to CG fabrics: the same greedy block-level
+//!   selection loop but an FG-tuned (millisecond-scale) profit function
+//!   and no monoCG-Extension, and
+//! * [`mrts_core::MrtsConfig::online_optimal`] — the optimal selection at
+//!   every trigger instruction ([`mrts_core::dp_optimal_selection`]), used
+//!   only to grade the greedy heuristic (Fig. 9).
+//!
+//! This crate holds the static baselines, which bind their selection at
+//! compile time:
+//!
 //! * [`offline::LooselyCoupledPolicy`] — the
 //!   Morpheus \[8\] / 4S \[7\]-like compile-time, task-level, loosely
 //!   coupled approach: static single-fabric assignment, all-or-nothing
-//!   execution,
+//!   execution, and
 //! * [`offline::OfflineOptimalPolicy`] — the optimal
-//!   static selection for tightly coupled multi-grained fabrics, and
-//! * [`optimal::OnlineOptimalPolicy`] — the optimal
-//!   selection at every trigger instruction, used only to grade the greedy
-//!   heuristic (Fig. 9).
+//!   static selection for tightly coupled multi-grained fabrics,
 //!
-//! [`optimal::dp_optimal_selection`] computes the exact optimum of the
-//! additive profit objective by dynamic programming over the 2-D resource
-//! budget; [`optimal::exhaustive_optimal_profit`] is the naive
-//! enumeration the paper deems infeasible (kept for cross-checks and for
-//! the selector-complexity bench).
+//! and the [`make_policy`] factory that builds every policy by name.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,11 +32,7 @@
 pub mod common;
 pub mod factory;
 pub mod offline;
-pub mod optimal;
-pub mod rispp;
 
 pub use common::ProfiledTotals;
 pub use factory::{make_policy, PolicyTuning, POLICY_NAMES};
 pub use offline::{LooselyCoupledPolicy, OfflineOptimalPolicy};
-pub use optimal::{dp_optimal_selection, exhaustive_optimal_profit, OnlineOptimalPolicy};
-pub use rispp::RisppPolicy;

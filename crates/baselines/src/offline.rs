@@ -15,9 +15,11 @@
 //!   fully configured accelerator or in RISC mode (no intermediate ISEs).
 
 use crate::common::ProfiledTotals;
-use crate::optimal::dp_optimal_selection;
 use mrts_arch::{Cycles, Machine, ReconfigurationController, Resources};
-use mrts_ise::{Grain, IseCatalog, IseId, KernelId, TriggerBlock, TriggerInstruction};
+use mrts_core::dp_optimal_selection;
+use mrts_core::profit::ExpectedProfitEval;
+use mrts_core::selector::ProfitFn;
+use mrts_ise::{Grain, Ise, IseCatalog, IseId, KernelId, TriggerBlock, TriggerInstruction};
 use mrts_sim::{BlockPlan, ExecContext, ExecMode, ExecPlan, RuntimePolicy, SelectionContext};
 use std::collections::BTreeMap;
 
@@ -65,15 +67,18 @@ impl StaticSelection {
             .collect();
         let forecast = TriggerBlock::new(mrts_ise::BlockId(0), triggers);
         let rc = ReconfigurationController::new();
-        let selection = dp_optimal_selection(
-            catalog,
-            &forecast,
-            budget,
-            &|_| false,
-            &rc,
-            Cycles::ZERO,
-            filter,
-        );
+        let none_resident = |_| false;
+        let mut eq4 = ExpectedProfitEval::new(Cycles::ZERO, &none_resident);
+        // A candidate outside `filter` scores 0, which the DP never picks.
+        let mut profit = |ise: &Ise, t: &TriggerInstruction, rc: &ReconfigurationController| {
+            if filter(ise) {
+                eq4.eval(ise, t, rc)
+            } else {
+                0.0
+            }
+        };
+        let selection =
+            dp_optimal_selection(catalog, &forecast, budget, &none_resident, &rc, &mut profit);
         let chosen = selection
             .choices
             .into_iter()

@@ -21,9 +21,9 @@
 //! them out of the pass/fail claim.
 
 use mrts_arch::{FaultModel, Resources};
-use mrts_baselines::{OfflineOptimalPolicy, RisppPolicy};
+use mrts_baselines::OfflineOptimalPolicy;
 use mrts_bench::{geo_mean, par, print_header, Testbed, DEFAULT_SEED};
-use mrts_core::Mrts;
+use mrts_core::{Mrts, MrtsConfig};
 use mrts_sim::{RiscOnlyPolicy, RunStats};
 
 /// The swept per-load / per-execution base fault rates (permanent faults at
@@ -69,7 +69,11 @@ fn main() {
         .collect();
     let runs = par::sweep(threads, &cells, |_, &(rate, seed)| {
         let fm = || FaultModel::new(rate, seed);
-        let rispp = tb.run_with_faults(combo, fm(), &mut RisppPolicy::new());
+        let rispp = tb.run_with_faults(
+            combo,
+            fm(),
+            &mut Mrts::with_config(MrtsConfig::rispp_like()),
+        );
         let offline = tb.run_with_faults(
             combo,
             fm(),

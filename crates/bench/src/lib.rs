@@ -37,10 +37,8 @@
 pub mod par;
 
 use mrts_arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts_baselines::{
-    LooselyCoupledPolicy, OfflineOptimalPolicy, OnlineOptimalPolicy, ProfiledTotals, RisppPolicy,
-};
-use mrts_core::Mrts;
+use mrts_baselines::{LooselyCoupledPolicy, OfflineOptimalPolicy, ProfiledTotals};
+use mrts_core::{Mrts, MrtsConfig};
 use mrts_ingest::ManifestModel;
 use mrts_ise::{IseCatalog, KernelId};
 use mrts_sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
@@ -183,7 +181,7 @@ impl Testbed {
         combo: Resources,
     ) -> (RunStats, RunStats, RunStats, RunStats, RunStats) {
         let risc = self.run(combo, &mut RiscOnlyPolicy::new());
-        let rispp = self.run(combo, &mut RisppPolicy::new());
+        let rispp = self.run(combo, &mut Mrts::with_config(MrtsConfig::rispp_like()));
         let capacity = self.machine(combo).capacity();
         let offline = self.run(
             combo,
@@ -202,7 +200,7 @@ impl Testbed {
     #[must_use]
     pub fn run_fig9_pair(&self, combo: Resources) -> (RunStats, RunStats) {
         let mrts = self.run(combo, &mut Mrts::new());
-        let optimal = self.run(combo, &mut OnlineOptimalPolicy::new());
+        let optimal = self.run(combo, &mut Mrts::with_config(MrtsConfig::online_optimal()));
         (mrts, optimal)
     }
 
@@ -211,7 +209,7 @@ impl Testbed {
     #[must_use]
     pub fn run_domain_contenders(&self, combo: Resources) -> (RunStats, RunStats, RunStats) {
         let risc = self.run(combo, &mut RiscOnlyPolicy::new());
-        let rispp = self.run(combo, &mut RisppPolicy::new());
+        let rispp = self.run(combo, &mut Mrts::with_config(MrtsConfig::rispp_like()));
         let mrts = self.run(combo, &mut Mrts::new());
         (risc, rispp, mrts)
     }

@@ -21,7 +21,10 @@
 //!   ISE, a monoCG-Extension or RISC-mode.
 //!
 //! [`Mrts`] assembles the three into a [`mrts_sim::RuntimePolicy`] ready to
-//! run on the simulator.
+//! run on the simulator. The online baselines of Section 5 are presets of
+//! the same pipeline: [`MrtsConfig::rispp_like`] and
+//! [`MrtsConfig::online_optimal`], whose exact per-trigger search lives in
+//! [`optimal`].
 //!
 //! ## Example
 //!
@@ -60,12 +63,14 @@
 
 pub mod ecu;
 pub mod mpu;
+pub mod optimal;
 pub mod profit;
 pub mod runtime;
 pub mod selector;
 
 pub use ecu::EcuConfig;
 pub use mpu::{FlowPredictor, Mpu};
+pub use optimal::dp_optimal_selection;
 pub use profit::{expected_profit, ProfitBreakdown, StageProfit};
-pub use runtime::{FabricAccount, Mrts, MrtsConfig, PrefetchConfig};
+pub use runtime::{FabricAccount, Mrts, MrtsConfig, PrefetchConfig, Profit, Search};
 pub use selector::{select_ises, SelectedIse, Selection, SelectorConfig};

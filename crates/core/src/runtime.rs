@@ -1,24 +1,36 @@
 //! The assembled mRTS run-time system (Fig. 4): Monitoring & Prediction
 //! Unit → ISE selector → reconfiguration hand-off → Execution Control
 //! Unit, packaged as a [`RuntimePolicy`] for the simulator.
+//!
+//! It is also the one trigger-time pipeline of the online baselines of
+//! Section 5, which the paper defines by the mechanism each changes:
+//! [`MrtsConfig::rispp_like`] swaps the profit function and drops the
+//! monoCG-Extension, [`MrtsConfig::online_optimal`] swaps the search.
 
 use crate::ecu::{self, EcuConfig};
 use crate::mpu::{FlowPredictor, Mpu};
+use crate::optimal::dp_optimal_selection;
 use crate::profit::{ExpectedProfitEval, ProfitEvalBuffers};
-use crate::selector::SelectorConfig;
-use mrts_arch::{Cycles, FabricKind, Resources};
-use mrts_ise::{BlockId, IseId, KernelId, TriggerBlock, UnitId};
+use crate::selector::{ProfitFn, Selection, SelectorConfig, SelectorScratch};
+use mrts_arch::{Cycles, FabricKind, ReconfigurationController, Resources};
+use mrts_ise::{BlockId, Ise, IseId, KernelId, TriggerBlock, TriggerInstruction, UnitId};
 use mrts_sim::{BlockPlan, ExecContext, ExecPlan, RuntimePolicy, SelectionContext};
 use mrts_workload::KernelActivity;
 
 /// Configuration of the full run-time system. The defaults reproduce the
-/// paper's setup; the flags exist for the ablation benches.
+/// paper's setup; the flags exist for the ablation benches, and the
+/// presets [`MrtsConfig::rispp_like`] and [`MrtsConfig::online_optimal`]
+/// are the Section 5 online baselines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MrtsConfig {
     /// Learning rate of the MPU's error back-propagation.
     pub mpu_alpha: f64,
     /// Whether the MPU corrects the compile-time forecasts at all.
     pub use_mpu: bool,
+    /// How the selection searches the candidates.
+    pub search: Search,
+    /// What the selection maximises.
+    pub profit: Profit,
     /// Selector cost model.
     pub selector: SelectorConfig,
     /// ECU behaviour.
@@ -31,6 +43,35 @@ pub struct MrtsConfig {
     pub hide_overhead: bool,
     /// Speculative reconfiguration prefetch (see [`PrefetchConfig`]).
     pub prefetch: PrefetchConfig,
+}
+
+/// How a trigger's selection searches the candidate ISEs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Search {
+    /// The greedy O(N·M) heuristic of Fig. 6 (mRTS, RISPP-like).
+    Greedy,
+    /// The exact optimum of the additive profit objective by dynamic
+    /// programming over the resource budget
+    /// ([`dp_optimal_selection`]). It reports no decision cycles: the
+    /// paper uses it only to grade the heuristic (Fig. 9).
+    BudgetDp,
+}
+
+/// The profit a selection maximises.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Profit {
+    /// Eqs. 1–4: the availability-aware expected profit of mRTS.
+    Eq4,
+    /// RISPP's FG-tuned cost model \[6\]: an FG bitstream only pays off
+    /// over a long horizon, so a candidate is ranked by its asymptotic
+    /// benefit `e × (risc − full latency)`. Reconfiguration latencies
+    /// count as one uniform (ms-scale) constant that cancels out, so the
+    /// µs-scale availability of CG units and the state of the
+    /// configuration ports are invisible to it, and quickly available
+    /// CG/MG trade-offs are under-valued — the failure mode Section 1
+    /// describes. Execution keeps real hardware timing; only the decision
+    /// model is distorted.
+    Rispp,
 }
 
 /// Knobs of the speculative-prefetch planner. **Disabled by default**:
@@ -70,10 +111,39 @@ impl Default for MrtsConfig {
         MrtsConfig {
             mpu_alpha: 0.5,
             use_mpu: true,
+            search: Search::Greedy,
+            profit: Profit::Eq4,
             selector: SelectorConfig::default(),
             ecu: EcuConfig::default(),
             hide_overhead: true,
             prefetch: PrefetchConfig::default(),
+        }
+    }
+}
+
+impl MrtsConfig {
+    /// The RISPP-like run-time system (Bauer et al., DATE 2008 — reference
+    /// \[6\]), extended to place data paths on CG fabric as the paper's
+    /// comparison does: mRTS's greedy block-level loop, but RISPP's
+    /// FG-tuned profit ([`Profit::Rispp`]) and no monoCG-Extension, an
+    /// mRTS novelty.
+    #[must_use]
+    pub fn rispp_like() -> Self {
+        MrtsConfig {
+            profit: Profit::Rispp,
+            ecu: EcuConfig { use_mono_cg: false },
+            ..MrtsConfig::default()
+        }
+    }
+
+    /// The online-optimal reference of Fig. 9: mRTS with the exact
+    /// per-trigger optimum ([`Search::BudgetDp`]) in place of the greedy
+    /// heuristic, so the comparison isolates the search alone.
+    #[must_use]
+    pub fn online_optimal() -> Self {
+        MrtsConfig {
+            search: Search::BudgetDp,
+            ..MrtsConfig::default()
         }
     }
 }
@@ -223,23 +293,101 @@ fn stage_forecast(mpu: &Mpu, use_mpu: bool, compile_time: &TriggerBlock, out: &m
     }
 }
 
-/// Runs `select` with the memoizing Eq. 1–4 evaluator over the trigger's
-/// residency (identical profits to `expected_profit`, bit for bit). The
-/// evaluator is built on `bufs` and hands them back afterwards, so a
-/// policy that keeps `bufs` across triggers allocates nothing here.
-fn with_profit_eval<R>(
+/// The profit function of [`MrtsConfig::profit`], as one [`ProfitFn`].
+enum PolicyProfit<'a> {
+    /// The memoizing Eq. 1–4 evaluator.
+    Eq4(ExpectedProfitEval<'a>),
+    /// RISPP's `e × saving`; monoCG candidates score 0 unless the ECU may
+    /// run them.
+    Rispp { use_mono: bool },
+}
+
+impl ProfitFn for PolicyProfit<'_> {
+    fn eval(
+        &mut self,
+        ise: &Ise,
+        trigger: &TriggerInstruction,
+        shadow: &ReconfigurationController,
+    ) -> f64 {
+        match self {
+            PolicyProfit::Eq4(eval) => eval.eval(ise, trigger, shadow),
+            PolicyProfit::Rispp { use_mono } if !*use_mono && ise.is_mono_extension() => 0.0,
+            PolicyProfit::Rispp { .. } => {
+                let saving = (ise.risc_latency() - ise.full_latency()).get() as f64;
+                saving * trigger.expected_executions as f64
+            }
+        }
+    }
+
+    fn invalidate(&mut self) {
+        if let PolicyProfit::Eq4(eval) = self {
+            eval.invalidate();
+        }
+    }
+
+    fn upper_bound(&mut self, ise: &Ise, trigger: &TriggerInstruction) -> Option<f64> {
+        match self {
+            PolicyProfit::Eq4(eval) => eval.upper_bound(ise, trigger),
+            PolicyProfit::Rispp { .. } => None,
+        }
+    }
+}
+
+/// Runs `select` with `config`'s profit function over the trigger's
+/// residency. The Eq. 1–4 evaluator (identical profits to
+/// `expected_profit`, bit for bit) is built on `bufs` and hands them back
+/// afterwards, so a policy that keeps `bufs` across triggers allocates
+/// nothing here.
+fn with_profit<R>(
     bufs: &mut ProfitEvalBuffers,
     ctx: &SelectionContext<'_>,
-    use_mono: bool,
-    select: impl FnOnce(&mut ExpectedProfitEval<'_>, &dyn Fn(UnitId) -> bool) -> R,
+    config: &MrtsConfig,
+    select: impl FnOnce(&mut PolicyProfit<'_>, &dyn Fn(UnitId) -> bool) -> R,
 ) -> R {
     let resident = |u: UnitId| ctx.is_resident(u);
-    bufs.rebind_catalog(ctx.catalog);
-    let mut profit = ExpectedProfitEval::with_buffers(ctx.now, &resident, std::mem::take(bufs))
-        .with_mono(use_mono);
+    let use_mono = config.ecu.use_mono_cg;
+    let mut profit = match config.profit {
+        Profit::Eq4 => {
+            bufs.rebind_catalog(ctx.catalog);
+            let eval = ExpectedProfitEval::with_buffers(ctx.now, &resident, std::mem::take(bufs));
+            PolicyProfit::Eq4(eval.with_mono(use_mono))
+        }
+        Profit::Rispp => PolicyProfit::Rispp { use_mono },
+    };
     let out = select(&mut profit, &resident);
-    *bufs = profit.recycle();
+    if let PolicyProfit::Eq4(eval) = profit {
+        *bufs = eval.recycle();
+    }
     out
+}
+
+/// One selection for `forecast` within `budget`, by `config`'s search.
+fn select(
+    config: &MrtsConfig,
+    ctx: &SelectionContext<'_>,
+    forecast: &TriggerBlock,
+    budget: Resources,
+    resident: &dyn Fn(UnitId) -> bool,
+    profit: &mut PolicyProfit<'_>,
+    scratch: &mut SelectorScratch,
+) -> Selection {
+    let controller = ctx.machine.controller();
+    match config.search {
+        Search::Greedy => crate::selector::select_ises_with_scratch(
+            ctx.catalog,
+            forecast,
+            budget,
+            resident,
+            controller,
+            ctx.now,
+            &config.selector,
+            profit,
+            scratch,
+        ),
+        Search::BudgetDp => {
+            dp_optimal_selection(ctx.catalog, forecast, budget, resident, controller, profit)
+        }
+    }
 }
 
 /// The mRTS run-time system.
@@ -391,74 +539,67 @@ impl Mrts {
         demand_loads: &[UnitId],
         out: &mut Vec<UnitId>,
     ) {
-        let confidence_min = self.config.prefetch.confidence_min;
+        let config = self.config;
         let spec_budget = Resources::new(0, residual_prc);
         let pred = std::mem::take(&mut self.pred_buf);
         self.spec_units_buf.clear();
         self.spec_rank_buf.clear();
-        with_profit_eval(
-            &mut self.profit_bufs,
-            ctx,
-            self.config.ecu.use_mono_cg,
-            |profit, resident| {
-                for &(block, confidence) in &pred {
-                    if confidence < confidence_min {
-                        break; // predictions come sorted by descending confidence
-                    }
-                    if block == ctx.forecast.block {
-                        continue; // a self-loop is already planned as demand
-                    }
-                    let Ok(i) = self
-                        .forecast_store
-                        .binary_search_by_key(&block, |t| t.block)
-                    else {
-                        continue; // successor never seen: nothing to plan against
-                    };
-                    stage_forecast(
-                        &self.mpu,
-                        self.config.use_mpu,
-                        &self.forecast_store[i],
-                        &mut self.spec_forecast_buf,
-                    );
-                    let sel = crate::selector::select_ises_with_scratch(
-                        ctx.catalog,
-                        &self.spec_forecast_buf,
-                        spec_budget,
-                        resident,
-                        ctx.machine.controller(),
-                        ctx.now,
-                        &self.config.selector,
-                        profit,
-                        &mut self.sel_scratch,
-                    );
-                    let start = self.spec_units_buf.len() as u32;
-                    let mut saved = 0u64;
-                    for &u in &sel.load_order {
-                        let unit = ctx.catalog.unit(u);
-                        // FG only (a CG context program loads in µs —
-                        // nothing worth hiding), and never a unit the
-                        // current block already loads, owns, or could
-                        // claim for its own kernels mid-block.
-                        if unit.fabric() != FabricKind::FineGrained
-                            || demand_loads.contains(&u)
-                            || self.account.evictable.contains(&u)
-                            || self.account.kernels.contains(&unit.kernel())
-                        {
-                            continue;
-                        }
-                        self.spec_units_buf.push(u);
-                        saved += unit.load_duration().get();
-                    }
-                    self.sel_scratch.reclaim(sel.choices, sel.load_order);
-                    self.sel_scratch.reclaim_selected(sel.selected);
-                    let end = self.spec_units_buf.len() as u32;
-                    if end > start && saved > 0 {
-                        self.spec_rank_buf
-                            .push((confidence * saved as f64, block, start, end));
-                    }
+        with_profit(&mut self.profit_bufs, ctx, &config, |profit, resident| {
+            for &(block, confidence) in &pred {
+                if confidence < config.prefetch.confidence_min {
+                    break; // predictions come sorted by descending confidence
                 }
-            },
-        );
+                if block == ctx.forecast.block {
+                    continue; // a self-loop is already planned as demand
+                }
+                let Ok(i) = self
+                    .forecast_store
+                    .binary_search_by_key(&block, |t| t.block)
+                else {
+                    continue; // successor never seen: nothing to plan against
+                };
+                stage_forecast(
+                    &self.mpu,
+                    config.use_mpu,
+                    &self.forecast_store[i],
+                    &mut self.spec_forecast_buf,
+                );
+                let sel = select(
+                    &config,
+                    ctx,
+                    &self.spec_forecast_buf,
+                    spec_budget,
+                    resident,
+                    profit,
+                    &mut self.sel_scratch,
+                );
+                let start = self.spec_units_buf.len() as u32;
+                let mut saved = 0u64;
+                for &u in &sel.load_order {
+                    let unit = ctx.catalog.unit(u);
+                    // FG only (a CG context program loads in µs —
+                    // nothing worth hiding), and never a unit the
+                    // current block already loads, owns, or could
+                    // claim for its own kernels mid-block.
+                    if unit.fabric() != FabricKind::FineGrained
+                        || demand_loads.contains(&u)
+                        || self.account.evictable.contains(&u)
+                        || self.account.kernels.contains(&unit.kernel())
+                    {
+                        continue;
+                    }
+                    self.spec_units_buf.push(u);
+                    saved += unit.load_duration().get();
+                }
+                self.sel_scratch.reclaim(sel.choices, sel.load_order);
+                self.sel_scratch.reclaim_selected(sel.selected);
+                let end = self.spec_units_buf.len() as u32;
+                if end > start && saved > 0 {
+                    self.spec_rank_buf
+                        .push((confidence * saved as f64, block, start, end));
+                }
+            }
+        });
         self.pred_buf = pred;
         // Most expected hidden reconfiguration first; ties go to the
         // lower block id so plans stay platform-deterministic.
@@ -500,7 +641,13 @@ impl Default for Mrts {
 
 impl RuntimePolicy for Mrts {
     fn name(&self) -> String {
-        "mRTS".into()
+        match (self.config.search, self.config.profit) {
+            (Search::Greedy, Profit::Eq4) => "mRTS",
+            (Search::Greedy, Profit::Rispp) => "RISPP-like",
+            (Search::BudgetDp, Profit::Eq4) => "online-optimal",
+            (Search::BudgetDp, Profit::Rispp) => "RISPP-like online-optimal",
+        }
+        .into()
     }
 
     fn plan_block(&mut self, ctx: &SelectionContext<'_>) -> BlockPlan {
@@ -539,22 +686,21 @@ impl RuntimePolicy for Mrts {
         //    machine, so fault recovery is plain re-selection.
         let budget = self.account.open(ctx, &forecast);
 
-        // 3. The greedy selection (Fig. 6). Residency at `now` is the
-        //    engine's block-start capture; each probe is a bit test.
-        let (selector, scratch) = (&self.config.selector, &mut self.sel_scratch);
-        let selection = with_profit_eval(
+        // 3. The selection: the greedy heuristic (Fig. 6) or the exact
+        //    optimum. Residency at `now` is the engine's block-start
+        //    capture; each probe is a bit test.
+        let scratch = &mut self.sel_scratch;
+        let selection = with_profit(
             &mut self.profit_bufs,
             ctx,
-            self.config.ecu.use_mono_cg,
+            &self.config,
             |profit, resident| {
-                crate::selector::select_ises_with_scratch(
-                    ctx.catalog,
+                select(
+                    &self.config,
+                    ctx,
                     &forecast,
                     budget,
                     resident,
-                    ctx.machine.controller(),
-                    ctx.now,
-                    selector,
                     profit,
                     scratch,
                 )
@@ -891,6 +1037,108 @@ mod tests {
         // The selector never ran: zero decision overhead on the timeline.
         assert_eq!(stats.total_overhead(), Cycles::ZERO);
         assert_eq!(mrts.avg_selection_cycles_per_kernel(), 0.0);
+    }
+
+    #[test]
+    fn presets_keep_their_policy_names() {
+        assert_eq!(Mrts::new().name(), "mRTS");
+        assert_eq!(
+            Mrts::with_config(MrtsConfig::rispp_like()).name(),
+            "RISPP-like"
+        );
+        assert_eq!(
+            Mrts::with_config(MrtsConfig::online_optimal()).name(),
+            "online-optimal"
+        );
+    }
+
+    #[test]
+    fn rispp_beats_risc_mode() {
+        let (catalog, trace) = toy(Pattern::Constant(2_000), 6);
+        let mut rispp = Mrts::with_config(MrtsConfig::rispp_like());
+        let rispp = Simulator::run(&catalog, machine(2, 2), &trace, &mut rispp);
+        let risc = Simulator::run(&catalog, machine(2, 2), &trace, &mut RiscOnlyPolicy::new());
+        assert!(rispp.total_execution_time() < risc.total_execution_time());
+    }
+
+    #[test]
+    fn rispp_never_uses_mono_cg() {
+        let (catalog, trace) = toy(Pattern::Constant(2_000), 6);
+        let mut rispp = Mrts::with_config(MrtsConfig::rispp_like());
+        let stats = Simulator::run(&catalog, machine(2, 2), &trace, &mut rispp);
+        assert_eq!(
+            stats.class_histogram().get(&ExecClass::MonoCg),
+            None,
+            "RISPP has no monoCG-Extension"
+        );
+    }
+
+    #[test]
+    fn rispp_like_on_an_empty_machine_is_risc_only() {
+        let (catalog, trace) = toy(Pattern::Constant(1_000), 3);
+        let mut rispp = Mrts::with_config(MrtsConfig::rispp_like());
+        let rispp = Simulator::run(&catalog, machine(0, 0), &trace, &mut rispp);
+        let risc = Simulator::run(&catalog, machine(0, 0), &trace, &mut RiscOnlyPolicy::new());
+        assert_eq!(rispp.total_execution_time(), risc.total_execution_time());
+        assert_eq!(rispp.total_overhead(), Cycles::ZERO);
+    }
+
+    #[test]
+    fn mrts_at_least_matches_rispp_with_cg_fabric() {
+        let (catalog, trace) = toy(Pattern::Constant(2_000), 6);
+        let mut rispp = Mrts::with_config(MrtsConfig::rispp_like());
+        let rispp = Simulator::run(&catalog, machine(2, 2), &trace, &mut rispp);
+        let mrts = Simulator::run(&catalog, machine(2, 2), &trace, &mut Mrts::new());
+        assert!(
+            mrts.total_execution_time() <= rispp.total_execution_time(),
+            "mRTS {} vs RISPP {}",
+            mrts.total_execution_time(),
+            rispp.total_execution_time()
+        );
+    }
+
+    #[test]
+    fn similar_to_mrts_on_fg_only_machine() {
+        // Section 5.2: "RISPP and our approach perform similar when no
+        // CG-EDPEs are available".
+        let (catalog, trace) = toy(Pattern::Constant(2_000), 6);
+        let mut rispp = Mrts::with_config(MrtsConfig::rispp_like());
+        let rispp = Simulator::run(&catalog, machine(0, 3), &trace, &mut rispp);
+        let mrts = Simulator::run(&catalog, machine(0, 3), &trace, &mut Mrts::new());
+        let ratio =
+            rispp.total_execution_time().get() as f64 / mrts.total_execution_time().get() as f64;
+        assert!(
+            (0.9..=1.1).contains(&ratio),
+            "FG-only machines should give near-identical results, ratio {ratio}"
+        );
+    }
+
+    #[test]
+    fn online_optimal_at_least_matches_mrts_on_h264() {
+        let enc = mrts_ingest::model("h264").expect("builtin h264 lowers");
+        let catalog = enc
+            .application()
+            .build_catalog(ArchParams::default(), None)
+            .unwrap();
+        let trace = TraceBuilder::new(&enc).build();
+        let mut optimal = Mrts::with_config(MrtsConfig::online_optimal());
+        let opt = Simulator::run(&catalog, machine(2, 2), &trace, &mut optimal);
+        let mrts = Simulator::run(&catalog, machine(2, 2), &trace, &mut Mrts::new());
+        // Selection optimality must not lose to the greedy heuristic by
+        // more than a whisker (scheduling noise aside); Fig. 9 reports the
+        // gap from the other side.
+        let gap = mrts.total_busy().get() as f64 / opt.total_busy().get() as f64;
+        assert!(gap >= 0.97, "optimal should not be slower: {gap}");
+    }
+
+    #[test]
+    fn online_optimal_runs_on_toy_trace() {
+        let (catalog, trace) = toy(Pattern::Constant(1_000), 3);
+        let mut optimal = Mrts::with_config(MrtsConfig::online_optimal());
+        let stats = Simulator::run(&catalog, machine(1, 1), &trace, &mut optimal);
+        assert_eq!(stats.total_executions(), 3_000);
+        // The optimum is a quality reference: no decision cycles charged.
+        assert_eq!(stats.total_overhead(), Cycles::ZERO);
     }
 
     #[test]

@@ -202,6 +202,12 @@ pub struct RateRule {
     pub expr: RateExpr,
 }
 
+/// The deepest nesting of function calls a rate expression may have. The
+/// shipped manifests nest at most 6 deep; the cap keeps parsing,
+/// evaluation, printing and dropping, which all recurse over the tree,
+/// far inside the stack.
+const MAX_RATE_DEPTH: usize = 64;
+
 /// The most executions a rate rule yields for one kernel in one frame
 /// (2³²). A larger value saturates here, so run totals summed over frames,
 /// kernels and blocks stay far inside `u64`.
@@ -238,7 +244,12 @@ impl RateRule {
     ///
     /// [`IngestError::Pass`] on any lexical or grammatical problem.
     pub fn parse(text: &str, path: &str) -> Result<Self, IngestError> {
-        let mut p = Parser { text, pos: 0, path };
+        let mut p = Parser {
+            text,
+            pos: 0,
+            path,
+            depth: 0,
+        };
         let round = match p.ident()?.as_str() {
             "round1" => Round::NearestMin1,
             "trunc" => Round::Trunc,
@@ -267,6 +278,8 @@ struct Parser<'a> {
     text: &'a str,
     pos: usize,
     path: &'a str,
+    /// Function calls open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -324,6 +337,13 @@ impl Parser<'_> {
 
     fn args(&mut self, n: usize) -> Result<Vec<RateExpr>, IngestError> {
         self.expect('(')?;
+        if self.depth == MAX_RATE_DEPTH {
+            return Err(IngestError::at(
+                self.path,
+                format!("rate rule nests deeper than {MAX_RATE_DEPTH} calls"),
+            ));
+        }
+        self.depth += 1;
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             if i > 0 {
@@ -332,6 +352,7 @@ impl Parser<'_> {
             out.push(self.expr()?);
         }
         self.expect(')')?;
+        self.depth -= 1;
         Ok(out)
     }
 
@@ -431,5 +452,26 @@ mod tests {
         assert!(RateRule::parse("ceil(mb)", "k").is_err());
         assert!(RateRule::parse("round1(mb) junk", "k").is_err());
         assert!(RateRule::parse("round1(add(mb))", "k").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| {
+            format!(
+                "trunc({}edge{})",
+                "add(1.0, ".repeat(depth),
+                ")".repeat(depth)
+            )
+        };
+        let at_cap = RateRule::parse(&nested(MAX_RATE_DEPTH), "kernels[0].rate").expect("parses");
+        assert_eq!(at_cap.print(), nested(MAX_RATE_DEPTH));
+        let err = RateRule::parse(&nested(MAX_RATE_DEPTH + 1), "kernels[0].rate").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "kernels[0].rate: rate rule nests deeper than 64 calls"
+        );
+        // Far past the cap, parsing stops at the cap instead of overflowing
+        // the stack.
+        assert!(RateRule::parse(&nested(50_000), "k").is_err());
     }
 }

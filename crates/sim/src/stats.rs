@@ -106,12 +106,6 @@ impl KernelStats {
         }
         cycles
     }
-
-    /// Executions in a given class.
-    #[must_use]
-    pub fn class_count(&self, class: ExecClass) -> u64 {
-        self.by_class.get(&class).copied().unwrap_or(0)
-    }
 }
 
 /// Timing of one functional-block activation.
@@ -300,12 +294,6 @@ impl TenantStats {
             return 0.0;
         }
         self.deadline_misses as f64 / self.slo_deadlines as f64
-    }
-
-    /// Sum of all tardiness values (cycles late, accumulated).
-    #[must_use]
-    pub fn total_tardiness(&self) -> u64 {
-        self.tardiness.iter().sum()
     }
 
     /// Worst single tardiness (0 when every deadline was met).
@@ -560,7 +548,7 @@ impl FleetStats {
     /// Fraction of offered sessions that were accepted (1.0 when nothing
     /// was offered).
     #[must_use]
-    pub fn acceptance_rate(&self) -> f64 {
+    fn acceptance_rate(&self) -> f64 {
         if self.offered == 0 {
             return 1.0;
         }
@@ -611,7 +599,7 @@ impl FleetStats {
 
     /// Mean queue wait over completed sessions, in cycles.
     #[must_use]
-    pub fn mean_queue_wait(&self) -> f64 {
+    fn mean_queue_wait(&self) -> f64 {
         let (sum, n) = self
             .sessions
             .iter()
@@ -785,8 +773,8 @@ mod tests {
         k.record(ExecClass::FullIse, 5, Cycles::new(20));
         assert_eq!(k.executions, 15);
         assert_eq!(k.cycles, Cycles::new(1_100));
-        assert_eq!(k.class_count(ExecClass::RiscMode), 10);
-        assert_eq!(k.class_count(ExecClass::MonoCg), 0);
+        assert_eq!(k.by_class.get(&ExecClass::RiscMode), Some(&10));
+        assert_eq!(k.by_class.get(&ExecClass::MonoCg), None);
     }
 
     #[test]
@@ -981,7 +969,6 @@ mod tests {
         assert_eq!(MultitaskStats::default().tardiness_percentile(95, 100), 0);
         let t = &m.tenants[0];
         assert!((t.miss_rate() - 0.25).abs() < 1e-12);
-        assert_eq!(t.total_tardiness(), 600);
         assert_eq!(t.max_tardiness(), 500);
     }
 }

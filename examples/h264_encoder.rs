@@ -7,10 +7,8 @@
 //! ```
 
 use mrts::arch::{ArchParams, Machine, Resources};
-use mrts::baselines::{
-    LooselyCoupledPolicy, OfflineOptimalPolicy, OnlineOptimalPolicy, ProfiledTotals, RisppPolicy,
-};
-use mrts::core::Mrts;
+use mrts::baselines::{LooselyCoupledPolicy, OfflineOptimalPolicy, ProfiledTotals};
+use mrts::core::{Mrts, MrtsConfig};
 use mrts::sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
 use mrts::workload::{TraceBuilder, VideoModel, WorkloadModel};
 
@@ -45,10 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut risc_time = 0.0f64;
     let mut policies: Vec<Box<dyn RuntimePolicy>> = vec![
         Box::new(RiscOnlyPolicy::new()),
-        Box::new(RisppPolicy::new()),
+        Box::new(Mrts::with_config(MrtsConfig::rispp_like())),
         Box::new(LooselyCoupledPolicy::new(&catalog, capacity, &totals)),
         Box::new(OfflineOptimalPolicy::new(&catalog, capacity, &totals)),
-        Box::new(OnlineOptimalPolicy::new()),
+        Box::new(Mrts::with_config(MrtsConfig::online_optimal())),
         Box::new(Mrts::new()),
     ];
     for policy in &mut policies {

@@ -2,10 +2,8 @@
 //! catalogue → video → trace → simulator → policies — across crates.
 
 use mrts::arch::{ArchParams, Resources};
-use mrts::baselines::{
-    LooselyCoupledPolicy, OfflineOptimalPolicy, OnlineOptimalPolicy, RisppPolicy,
-};
-use mrts::core::Mrts;
+use mrts::baselines::{LooselyCoupledPolicy, OfflineOptimalPolicy};
+use mrts::core::{Mrts, MrtsConfig};
 use mrts::ise::{BlockId, KernelId};
 use mrts::sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
 use mrts::workload::{MergedWorkload, Trace, TraceBuilder, VideoModel, WorkloadModel};
@@ -30,7 +28,7 @@ fn every_policy_executes_the_whole_trace() {
         .sum();
     let mut policies: Vec<Box<dyn RuntimePolicy>> = vec![
         Box::new(RiscOnlyPolicy::new()),
-        Box::new(RisppPolicy::new()),
+        Box::new(Mrts::with_config(MrtsConfig::rispp_like())),
         Box::new(LooselyCoupledPolicy::new(
             &bed.catalog,
             capacity,
@@ -41,7 +39,7 @@ fn every_policy_executes_the_whole_trace() {
             capacity,
             &bed.totals,
         )),
-        Box::new(OnlineOptimalPolicy::new()),
+        Box::new(Mrts::with_config(MrtsConfig::online_optimal())),
         Box::new(Mrts::new()),
     ];
     for p in &mut policies {
@@ -68,7 +66,7 @@ fn policy_ordering_holds_on_multi_grained_machines() {
         let capacity = bed.machine(combo).capacity();
         let risc = bed.run(combo, &mut RiscOnlyPolicy::new());
         let mrts = bed.run(combo, &mut Mrts::new());
-        let optimal = bed.run(combo, &mut OnlineOptimalPolicy::new());
+        let optimal = bed.run(combo, &mut Mrts::with_config(MrtsConfig::online_optimal()));
         let offline = bed.run(
             combo,
             &mut OfflineOptimalPolicy::new(&bed.catalog, capacity, &bed.totals),

@@ -4,8 +4,8 @@
 //! orderings, regions and bounds are.
 
 use mrts::arch::{Cycles, FabricKind, Resources};
-use mrts::baselines::{LooselyCoupledPolicy, OfflineOptimalPolicy, OnlineOptimalPolicy};
-use mrts::core::Mrts;
+use mrts::baselines::{LooselyCoupledPolicy, OfflineOptimalPolicy};
+use mrts::core::{Mrts, MrtsConfig};
 use mrts::ise::{Grain, Ise};
 use mrts::sim::{RiscOnlyPolicy, RuntimePolicy};
 use mrts::workload::{VideoModel, WorkloadModel};
@@ -171,7 +171,11 @@ fn fig9_heuristic_close_to_optimal_in_improvement_terms() {
         Resources::new(0, 4),
     ] {
         let m = run(&tb, combo, &mut Mrts::new()) as f64;
-        let o = run(&tb, combo, &mut OnlineOptimalPolicy::new()) as f64;
+        let o = run(
+            &tb,
+            combo,
+            &mut Mrts::with_config(MrtsConfig::online_optimal()),
+        ) as f64;
         let gap = ((risc - o) - (risc - m)) / (risc - o) * 100.0;
         worst = worst.max(gap);
     }

@@ -16,7 +16,6 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use mrts::arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts::baselines::RisppPolicy;
 use mrts::core::{Mrts, MrtsConfig, PrefetchConfig};
 use mrts::ise::{BlockId, IseId, KernelId, UnitId};
 use mrts::multitask::{
@@ -253,7 +252,7 @@ fn faulted_h264_with_prefetch_sees_exact_residency() {
 fn rispp_like_sees_exact_residency() {
     let machine =
         || Machine::new(ArchParams::default(), Resources::new(4, 3)).expect("valid machine");
-    solo_h264_checked(machine, RisppPolicy::new);
+    solo_h264_checked(machine, || Mrts::with_config(MrtsConfig::rispp_like()));
 }
 
 /// The three-tenant EDF run of the ladder golden (`timeline_equivalence`),

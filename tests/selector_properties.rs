@@ -4,7 +4,8 @@
 //! tool chain can produce, not just the H.264 one.
 
 use mrts::arch::{ArchParams, Cycles, ReconfigurationController, Resources};
-use mrts::baselines::dp_optimal_selection;
+use mrts::core::dp_optimal_selection;
+use mrts::core::profit::ExpectedProfitEval;
 use mrts::core::selector::{select_ises, SelectorConfig, BASE_CYCLES_PER_KERNEL};
 use mrts::ise::datapath::{DataPathGraph, OpKind};
 use mrts::ise::{
@@ -145,8 +146,9 @@ proptest! {
             &catalog, &forecast, budget, &none_resident, &rc, Cycles::ZERO,
             &SelectorConfig::default(),
         );
+        let mut eq4 = ExpectedProfitEval::new(Cycles::ZERO, &none_resident);
         let optimal = dp_optimal_selection(
-            &catalog, &forecast, budget, &none_resident, &rc, Cycles::ZERO, &|_| true,
+            &catalog, &forecast, budget, &none_resident, &rc, &mut eq4,
         );
         prop_assert!(
             optimal.total_profit >= greedy.total_profit - 1e-6,

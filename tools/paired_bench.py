@@ -6,14 +6,16 @@
 Run from anywhere inside a checkout of the change. The guard exports
 <base-rev> with `git archive`, and copies the checkout's working tree
 (tracked and untracked files, minus ignored ones), into a temporary
-directory. Each side is built and run from one shared source path: its tree
-is moved there for its build and for each of its runs, and moved back
-after. The build directory is part of what the compiler hashes into a
-binary, so identical sources built from two paths give different binaries;
-from one path they give identical ones (the guard prints both binaries'
-SHA-256). Each side builds perfbench into its own CARGO_TARGET_DIR, then
-the guard runs 6 pairs, alternating which side goes first, so each side
-goes first 3 times. One run of a
+directory. Each side is built and run from one shared pair of paths: its
+source tree and its own build directory are moved to `src` and `target`
+for its build and for each of its runs, and moved back after. The build
+directory is part of what the compiler hashes into a binary, so identical
+sources built from two paths give different binaries; from one path they
+give identical ones (the guard prints both binaries' SHA-256). Both sides'
+binaries also run from the same file path with the same environment, so
+nothing but their contents tells the sides apart. The guard runs 6 pairs,
+alternating which side goes first, so each side goes first 3 times. One
+run of a
 side is `perfbench/run.py` on seed 1 for 2 s: the plain pass of every
 workload, plus a traced solo-h264 pass for `block_p50_us` and
 `ingest.lower_ms`. The guard times nothing itself.
@@ -109,6 +111,16 @@ def placed(tree, shared):
         yield shared
     finally:
         os.rename(shared, tree)
+
+
+@contextlib.contextmanager
+def as_shared(side, tmp):
+    """Places a side's (source tree, build directory) at `tmp/src` and
+    `tmp/target`, the paths every side builds and runs from; yields them."""
+    tree, target = side
+    src, shared_target = os.path.join(tmp, "src"), os.path.join(tmp, "target")
+    with placed(tree, src), placed(target, shared_target):
+        yield src, shared_target
 
 
 def build(side, target):
@@ -212,15 +224,15 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         guarded = guarded_metrics(json.load(f))
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
-        shared = os.path.join(tmp, "src")
         sides = {"base": (os.path.join(tmp, "base"), os.path.join(tmp, "base-target")),
                  "change": (os.path.join(tmp, "change"), os.path.join(tmp, "change-target"))}
         base_sha = export(sys.argv[1], sides["base"][0])
         copy_worktree(ROOT, sides["change"][0])
         binaries = {}
-        for name, (tree, target) in sides.items():
-            with placed(tree, shared):
-                binaries[name] = build(shared, target)
+        for name, side in sides.items():
+            os.makedirs(side[1])
+            with as_shared(side, tmp) as (src, target):
+                binaries[name] = build(src, target)
         same = "identical" if binaries["base"] == binaries["change"] else "different"
         print(f"perfbench binaries: base {binaries['base'][:16]}, "
               f"change {binaries['change'][:16]} ({same})")
@@ -229,9 +241,8 @@ def main():
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             runs = {}
             for name in order:
-                tree, target = sides[name]
-                with placed(tree, shared):
-                    runs[name] = run_side(shared, target)
+                with as_shared(sides[name], tmp) as (src, target):
+                    runs[name] = run_side(src, target)
                 if runs[name] is None:
                     break
             pairs.append((runs.get("base"), runs.get("change")))

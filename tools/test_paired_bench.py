@@ -9,7 +9,7 @@ import subprocess
 import tempfile
 import unittest
 
-from paired_bench import copy_worktree, decide, placed
+from paired_bench import as_shared, copy_worktree, decide, placed
 
 KEY = ("solo-h264", "blocks_per_s")
 GUARDED = {KEY: ("higher", 0.25)}
@@ -83,6 +83,26 @@ class SharedSourcePath(unittest.TestCase):
                 with placed(os.path.join(tmp, "change"), shared):
                     raise RuntimeError("a failed build")
             self.assertTrue(os.path.isfile(os.path.join(tmp, "change", "side.txt")))
+
+    def test_both_sides_build_and_run_from_one_source_and_one_target_path(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            sides = {}
+            for side in ("base", "change"):
+                sides[side] = (os.path.join(tmp, side), os.path.join(tmp, side + "-target"))
+                for d in sides[side]:
+                    os.makedirs(d)
+                    with open(os.path.join(d, "side.txt"), "w") as f:
+                        f.write(side)
+            seen = set()
+            for side in ("base", "change", "change", "base"):
+                with as_shared(sides[side], tmp) as paths:
+                    seen.add(paths)
+                    for d in paths:
+                        with open(os.path.join(d, "side.txt")) as f:
+                            self.assertEqual(f.read(), side)
+                for d in sides[side]:
+                    self.assertTrue(os.path.isfile(os.path.join(d, "side.txt")))
+            self.assertEqual(seen, {(os.path.join(tmp, "src"), os.path.join(tmp, "target"))})
 
     def test_the_change_is_the_working_tree_without_ignored_files(self):
         with tempfile.TemporaryDirectory() as tmp:
