@@ -137,13 +137,15 @@ pub struct Selection {
     pub overhead_cycles: Cycles,
 }
 
-/// A pluggable profit evaluator for [`select_ises_with`].
+/// A pluggable profit evaluator for [`select_ises_with`] and
+/// [`dp_optimal_selection`](crate::optimal::dp_optimal_selection).
 ///
 /// Implemented for any `FnMut(&Ise, &TriggerInstruction,
-/// &ReconfigurationController) -> f64` closure (the RISPP-like baseline's
-/// hook), and by [`ExpectedProfitEval`], the memoizing evaluator of the
-/// paper's Eqs. 1–4 that reuses scratch buffers and a per-round cache of
-/// predicted unit-ready times.
+/// &ReconfigurationController) -> f64` closure, and by
+/// [`ExpectedProfitEval`], the memoizing evaluator of the paper's Eqs. 1–4
+/// that reuses scratch buffers and a per-round cache of predicted
+/// unit-ready times. [`Mrts`](crate::Mrts) plugs in the profit its
+/// [`MrtsConfig::profit`](crate::MrtsConfig::profit) names through it.
 ///
 /// # Contract
 ///
@@ -702,9 +704,8 @@ impl SelectorScratch {
     }
 }
 
-/// [`select_ises`] with a custom profit evaluator — the hook the
-/// RISPP-like baseline uses to plug in its FG-tuned cost function while
-/// reusing the identical greedy loop. Allocates a throwaway scratch arena;
+/// [`select_ises`] with a custom profit evaluator, reusing the identical
+/// greedy loop. Allocates a throwaway scratch arena;
 /// hot-path callers hold a [`SelectorScratch`] across blocks and use
 /// [`select_ises_with_scratch`] instead.
 #[allow(clippy::too_many_arguments)]
