@@ -148,24 +148,6 @@ impl FaultModel {
             && self.permanent_fault_rate == 0.0
     }
 
-    /// The per-load CRC fault probability.
-    #[must_use]
-    pub fn load_fault_rate(&self) -> f64 {
-        self.load_fault_rate
-    }
-
-    /// The per-execution transient fault probability.
-    #[must_use]
-    pub fn exec_fault_rate(&self) -> f64 {
-        self.exec_fault_rate
-    }
-
-    /// The per-load permanent container fault probability.
-    #[must_use]
-    pub fn permanent_fault_rate(&self) -> f64 {
-        self.permanent_fault_rate
-    }
-
     /// The seed.
     #[must_use]
     pub fn seed(&self) -> u64 {

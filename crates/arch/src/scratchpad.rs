@@ -4,11 +4,9 @@
 //! connected to the memory hierarchy — to allow for fast data access and to
 //! store intermediate results."* (Section 3, Fig. 3)
 //!
-//! The scratch-pad is word-addressed and **banked**: consecutive words live
-//! in consecutive banks (low-order interleaving), so a burst of accesses
-//! touching distinct banks completes in parallel while same-bank accesses
-//! serialize. The CG-EDPE interpreter uses it as its data memory; the
-//! bank-conflict accounting feeds wide (128-bit) FG load/store modelling.
+//! The scratch-pad is word-addressed and organised in banks; addresses
+//! wrap modulo its capacity. The CG-EDPE interpreter uses it as its data
+//! memory.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -23,10 +21,8 @@ use std::fmt;
 /// let mut spm = Scratchpad::new(4, 64); // 4 banks x 64 words
 /// spm.write(5, 99);
 /// assert_eq!(spm.read(5), 99);
-/// // Four consecutive words hit four distinct banks: one access round.
-/// assert_eq!(spm.access_cycles(&[0, 1, 2, 3]), 1);
-/// // Four words in the same bank serialize.
-/// assert_eq!(spm.access_cycles(&[0, 4, 8, 12]), 4);
+/// // Addresses wrap modulo the 256-word capacity.
+/// assert_eq!(spm.read(5 + 256), 99);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Scratchpad {
@@ -65,18 +61,6 @@ impl Scratchpad {
         self.data.is_empty()
     }
 
-    /// Number of banks.
-    #[must_use]
-    pub fn banks(&self) -> u32 {
-        self.banks
-    }
-
-    /// The bank an address maps to (low-order interleaving).
-    #[must_use]
-    pub fn bank_of(&self, addr: u32) -> u32 {
-        (addr % self.len() as u32) % self.banks
-    }
-
     /// Reads the word at `addr` (addresses wrap modulo capacity, like the
     /// hardware's address decoder).
     #[must_use]
@@ -93,19 +77,6 @@ impl Scratchpad {
     /// Zeroes the memory.
     pub fn clear(&mut self) {
         self.data.fill(0);
-    }
-
-    /// Cycles needed to service a burst of simultaneous accesses: the
-    /// maximum number of accesses landing in one bank (same-bank accesses
-    /// serialize; distinct banks proceed in parallel). An empty burst is
-    /// free.
-    #[must_use]
-    pub fn access_cycles(&self, addrs: &[u32]) -> u64 {
-        let mut per_bank = vec![0u64; self.banks as usize];
-        for &a in addrs {
-            per_bank[self.bank_of(a) as usize] += 1;
-        }
-        per_bank.into_iter().max().unwrap_or(0)
     }
 }
 
@@ -145,25 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn bank_interleaving() {
-        let s = Scratchpad::new(4, 16);
-        assert_eq!(s.bank_of(0), 0);
-        assert_eq!(s.bank_of(1), 1);
-        assert_eq!(s.bank_of(4), 0);
-        assert_eq!(s.bank_of(7), 3);
-    }
-
-    #[test]
-    fn conflict_accounting() {
-        let s = Scratchpad::new(4, 16);
-        assert_eq!(s.access_cycles(&[]), 0);
-        assert_eq!(s.access_cycles(&[0]), 1);
-        assert_eq!(s.access_cycles(&[0, 1, 2, 3]), 1);
-        assert_eq!(s.access_cycles(&[0, 4]), 2);
-        assert_eq!(s.access_cycles(&[0, 1, 5, 9]), 3); // bank 1 hit thrice
-    }
-
-    #[test]
     #[should_panic(expected = "at least one bank")]
     fn zero_banks_rejected() {
         let _ = Scratchpad::new(0, 16);
@@ -177,16 +129,6 @@ mod tests {
             s.write(addr, a);
             s.write(addr, b);
             prop_assert_eq!(s.read(addr), b);
-        }
-
-        /// A burst never takes more cycles than its length, and at least
-        /// ceil(len / banks).
-        #[test]
-        fn conflict_bounds(addrs in proptest::collection::vec(0u32..4_096, 0..32)) {
-            let s = Scratchpad::new(4, 64);
-            let c = s.access_cycles(&addrs);
-            prop_assert!(c <= addrs.len() as u64);
-            prop_assert!(c >= (addrs.len() as u64).div_ceil(4).min(addrs.len() as u64));
         }
     }
 }

@@ -2,12 +2,12 @@
 //! runner, so every tool accepts the same policy names and builds
 //! identically configured instances.
 
-use crate::common::ProfiledTotals;
-use crate::offline::{LooselyCoupledPolicy, OfflineOptimalPolicy};
+use crate::StaticPolicy;
 use mrts_arch::Resources;
 use mrts_core::{Mrts, MrtsConfig};
 use mrts_ise::IseCatalog;
 use mrts_sim::{RiscOnlyPolicy, RuntimePolicy};
+use mrts_workload::Trace;
 
 /// Every policy name [`make_policy`] accepts, in reporting order.
 pub const POLICY_NAMES: &[&str] = &["mrts", "risc", "rispp", "morpheus", "offline", "optimal"];
@@ -35,8 +35,7 @@ pub struct PolicyTuning {
 
 impl PolicyTuning {
     /// The [`MrtsConfig`] these knobs select.
-    #[must_use]
-    pub fn mrts_config(&self) -> MrtsConfig {
+    fn mrts_config(&self) -> MrtsConfig {
         let mut config = MrtsConfig::default();
         if let Some(alpha) = self.mpu_alpha {
             config.mpu_alpha = alpha;
@@ -51,9 +50,10 @@ impl PolicyTuning {
 
 /// Builds a fresh, boxed run-time policy by name.
 ///
-/// `catalog`, `capacity` and `totals` parameterize the offline policies
-/// (which bind their selection at "compile time" from profiled totals);
-/// the online policies ignore them. `tuning` configures the `mrts` policy
+/// `catalog`, `capacity` and `trace` parameterize the static policies
+/// (which bind their selection at "compile time" from the whole run's
+/// profile, built here and only for them); the online policies ignore
+/// them. `tuning` configures the `mrts` policy
 /// only. In a multi-tenant run each tenant gets its own instance built
 /// from *its* catalogue and fabric slice.
 ///
@@ -64,18 +64,18 @@ pub fn make_policy(
     name: &str,
     catalog: &IseCatalog,
     capacity: Resources,
-    totals: &ProfiledTotals,
+    trace: &Trace,
     tuning: PolicyTuning,
 ) -> Result<Box<dyn RuntimePolicy>, String> {
     match name {
         "mrts" => Ok(Box::new(Mrts::with_config(tuning.mrts_config()))),
         "risc" => Ok(Box::new(RiscOnlyPolicy::new())),
         "rispp" => Ok(Box::new(Mrts::with_config(MrtsConfig::rispp_like()))),
-        "morpheus" => Ok(Box::new(LooselyCoupledPolicy::new(
-            catalog, capacity, totals,
+        "morpheus" => Ok(Box::new(StaticPolicy::loosely_coupled(
+            catalog, capacity, trace,
         ))),
-        "offline" => Ok(Box::new(OfflineOptimalPolicy::new(
-            catalog, capacity, totals,
+        "offline" => Ok(Box::new(StaticPolicy::offline_optimal(
+            catalog, capacity, trace,
         ))),
         "optimal" => Ok(Box::new(Mrts::with_config(MrtsConfig::online_optimal()))),
         other => Err(format!(
@@ -100,14 +100,13 @@ mod tests {
             .build_catalog(ArchParams::default(), None)
             .unwrap();
         let trace = synthetic_trace(&toy, &[Pattern::Constant(100)], 2);
-        let totals = ProfiledTotals::from_trace(&trace);
         let capacity = Resources::new(2, 2);
         let tuning = PolicyTuning::default();
         for name in POLICY_NAMES {
-            let p = make_policy(name, &catalog, capacity, &totals, tuning);
+            let p = make_policy(name, &catalog, capacity, &trace, tuning);
             assert!(p.is_ok(), "policy '{name}' failed to build");
         }
-        assert!(make_policy("bogus", &catalog, capacity, &totals, tuning).is_err());
+        assert!(make_policy("bogus", &catalog, capacity, &trace, tuning).is_err());
     }
 
     #[test]
@@ -118,7 +117,6 @@ mod tests {
             .build_catalog(ArchParams::default(), None)
             .unwrap();
         let trace = mrts_workload::TraceBuilder::new(&h264).build();
-        let totals = ProfiledTotals::from_trace(&trace);
         let capacity = Resources::new(2, 2);
         let tuned = PolicyTuning {
             mpu_alpha: Some(1.0),
@@ -126,7 +124,7 @@ mod tests {
             prefetch_confidence: Some(0.0),
         };
         let run = |name: &str, tuning: PolicyTuning| {
-            let mut policy = make_policy(name, &catalog, capacity, &totals, tuning).unwrap();
+            let mut policy = make_policy(name, &catalog, capacity, &trace, tuning).unwrap();
             let machine = mrts_arch::Machine::new(ArchParams::default(), capacity).unwrap();
             mrts_sim::Simulator::run(&catalog, machine, &trace, policy.as_mut())
         };

@@ -14,14 +14,15 @@
 //!   only to grade the greedy heuristic (Fig. 9).
 //!
 //! This crate holds the static baselines, which bind their selection at
-//! compile time:
+//! compile time from the whole run's profile. They differ only in the ISEs
+//! they may pick and in how they execute, so they are one type,
+//! [`StaticPolicy`], with two constructors:
 //!
-//! * [`offline::LooselyCoupledPolicy`] — the
-//!   Morpheus \[8\] / 4S \[7\]-like compile-time, task-level, loosely
-//!   coupled approach: static single-fabric assignment, all-or-nothing
-//!   execution, and
-//! * [`offline::OfflineOptimalPolicy`] — the optimal
-//!   static selection for tightly coupled multi-grained fabrics,
+//! * [`StaticPolicy::loosely_coupled`] — the Morpheus \[8\] / 4S \[7\]-like
+//!   compile-time, task-level, loosely coupled approach: static
+//!   single-fabric assignment, all-or-nothing execution, and
+//! * [`StaticPolicy::offline_optimal`] — the optimal static selection for
+//!   tightly coupled multi-grained fabrics,
 //!
 //! and the [`make_policy`] factory that builds every policy by name.
 
@@ -29,10 +30,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod common;
-pub mod factory;
-pub mod offline;
+mod factory;
+mod static_policy;
 
-pub use common::ProfiledTotals;
 pub use factory::{make_policy, PolicyTuning, POLICY_NAMES};
-pub use offline::{LooselyCoupledPolicy, OfflineOptimalPolicy};
+pub use static_policy::StaticPolicy;

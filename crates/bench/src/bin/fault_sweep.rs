@@ -21,7 +21,7 @@
 //! them out of the pass/fail claim.
 
 use mrts_arch::{FaultModel, Resources};
-use mrts_baselines::OfflineOptimalPolicy;
+use mrts_baselines::StaticPolicy;
 use mrts_bench::{geo_mean, par, print_header, Testbed, DEFAULT_SEED};
 use mrts_core::{Mrts, MrtsConfig};
 use mrts_sim::{RiscOnlyPolicy, RunStats};
@@ -43,6 +43,9 @@ fn main() {
     let tb = Testbed::new("h264", DEFAULT_SEED);
     let combo = Resources::new(2, 2); // the paper's headline machine
     let capacity = tb.machine(combo).capacity();
+    // The static assignment depends on the trace and the budget only, so
+    // every cell runs a copy of one instance.
+    let offline_policy = StaticPolicy::offline_optimal(&tb.catalog, capacity, &tb.trace);
 
     // Fault-free RISC-mode reference (RISC execution has no reconfigurable
     // data paths, so faults cannot touch it).
@@ -74,11 +77,7 @@ fn main() {
             fm(),
             &mut Mrts::with_config(MrtsConfig::rispp_like()),
         );
-        let offline = tb.run_with_faults(
-            combo,
-            fm(),
-            &mut OfflineOptimalPolicy::new(&tb.catalog, capacity, &tb.totals),
-        );
+        let offline = tb.run_with_faults(combo, fm(), &mut offline_policy.clone());
         let mrts = tb.run_with_faults(combo, fm(), &mut Mrts::new());
         // Recovery accounting must never lose executions.
         assert_eq!(

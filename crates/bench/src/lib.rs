@@ -37,7 +37,7 @@
 pub mod par;
 
 use mrts_arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts_baselines::{LooselyCoupledPolicy, OfflineOptimalPolicy, ProfiledTotals};
+use mrts_baselines::StaticPolicy;
 use mrts_core::{Mrts, MrtsConfig};
 use mrts_ingest::ManifestModel;
 use mrts_ise::{IseCatalog, KernelId};
@@ -85,8 +85,6 @@ pub struct Testbed {
     pub catalog: IseCatalog,
     /// The trace of the whole run.
     pub trace: Trace,
-    /// The profiling summary for the offline baselines.
-    pub totals: ProfiledTotals,
 }
 
 impl Testbed {
@@ -109,12 +107,10 @@ impl Testbed {
         let trace = TraceBuilder::new(&model)
             .video(VideoModel::paper_default(seed))
             .build();
-        let totals = ProfiledTotals::from_trace(&trace);
         Testbed {
             model,
             catalog,
             trace,
-            totals,
         }
     }
 
@@ -185,11 +181,11 @@ impl Testbed {
         let capacity = self.machine(combo).capacity();
         let offline = self.run(
             combo,
-            &mut OfflineOptimalPolicy::new(&self.catalog, capacity, &self.totals),
+            &mut StaticPolicy::offline_optimal(&self.catalog, capacity, &self.trace),
         );
         let morpheus = self.run(
             combo,
-            &mut LooselyCoupledPolicy::new(&self.catalog, capacity, &self.totals),
+            &mut StaticPolicy::loosely_coupled(&self.catalog, capacity, &self.trace),
         );
         let mrts = self.run(combo, &mut Mrts::new());
         (risc, rispp, offline, morpheus, mrts)

@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use mrts_arch::{ArchParams, Cycles, FabricKind, FaultModel, Machine, Resources};
-use mrts_baselines::{make_policy, PolicyTuning, ProfiledTotals};
+use mrts_baselines::{make_policy, PolicyTuning};
 use mrts_fleet::{
     poisson_arrivals, records_from_jsonl, records_to_jsonl, run_fleet, AppRegistry, FleetConfig,
     FleetOutcome, Placement, PoissonConfig, SessionRecord,
@@ -137,7 +137,6 @@ pub fn catalog(args: &Args) -> CliResult {
 fn simulate_once(
     catalog: &IseCatalog,
     trace: &Trace,
-    totals: &ProfiledTotals,
     combo: Resources,
     fault: FaultModel,
     policy_name: &str,
@@ -147,7 +146,7 @@ fn simulate_once(
 ) -> Result<(RunStats, Option<String>, PrefetchStats), Box<dyn std::error::Error>> {
     let machine = Machine::with_fault_model(ArchParams::default(), combo, fault)?;
     let capacity = machine.capacity();
-    let mut p = make_policy(policy_name, catalog, capacity, totals, tuning)?;
+    let mut p = make_policy(policy_name, catalog, capacity, trace, tuning)?;
     let mut sim = Simulator::new(catalog, machine).with_recovery(recovery);
     let sink = if record {
         let sink = VecSink::new();
@@ -265,7 +264,6 @@ pub fn simulate(args: &Args) -> CliResult {
     // Replays the identical configuration on `threads` OS threads and
     // demands byte-identical statistics and event logs. The simulator is
     // deterministic by construction; this is the executable proof.
-    let totals = ProfiledTotals::from_trace(&trace);
     let (stats, jsonl, prefetch) = replay(
         threads,
         &format!("{threads} threads, byte-identical stats and event logs"),
@@ -273,7 +271,6 @@ pub fn simulate(args: &Args) -> CliResult {
             simulate_once(
                 &catalog,
                 &trace,
-                &totals,
                 combo,
                 FaultModel::new(fault_rate, fault_seed),
                 policy_name,
@@ -358,7 +355,6 @@ pub fn simulate(args: &Args) -> CliResult {
 pub fn sweep(args: &Args) -> CliResult {
     args.expect_only(&["app", "seed", "policy", "format"])?;
     let (_, catalog, trace) = build(args)?;
-    let totals = ProfiledTotals::from_trace(&trace);
     let name = args.get_or("policy", "mrts");
     let format = args.get_or("format", "table");
     let csv = match format {
@@ -386,7 +382,7 @@ pub fn sweep(args: &Args) -> CliResult {
             let combo = Resources::new(cg, prc);
             let machine = Machine::new(ArchParams::default(), combo)?;
             let capacity = machine.capacity();
-            let mut p = make_policy(name, &catalog, capacity, &totals, PolicyTuning::default())?;
+            let mut p = make_policy(name, &catalog, capacity, &trace, PolicyTuning::default())?;
             let stats = Simulator::run(&catalog, machine, &trace, p.as_mut());
             let s = risc_ref.total_execution_time().get() as f64
                 / stats.total_execution_time().get().max(1) as f64;

@@ -72,5 +72,5 @@ pub use ecu::EcuConfig;
 pub use mpu::{FlowPredictor, Mpu};
 pub use optimal::dp_optimal_selection;
 pub use profit::{expected_profit, ProfitBreakdown, StageProfit};
-pub use runtime::{FabricAccount, Mrts, MrtsConfig, PrefetchConfig, Profit, Search};
+pub use runtime::{Mrts, MrtsConfig, PrefetchConfig, Profit, Search};
 pub use selector::{select_ises, SelectedIse, Selection, SelectorConfig};

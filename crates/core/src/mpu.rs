@@ -43,8 +43,9 @@ struct Predictor {
 /// let forecast = TriggerBlock::new(BlockId(0), vec![
 ///     TriggerInstruction::new(KernelId(0), 1_000, Cycles::new(500), Cycles::new(300)),
 /// ]);
+/// let mut corrected = TriggerBlock::new(BlockId(0), Vec::new());
 /// // First block: no observations yet, the compile-time forecast passes through.
-/// let corrected = mpu.correct(&forecast);
+/// mpu.correct_into(&forecast, &mut corrected);
 /// assert_eq!(corrected.triggers[0].expected_executions, 1_000);
 ///
 /// // The kernel actually ran 3 000 times: the first observation seeds the
@@ -54,10 +55,12 @@ struct Predictor {
 ///     first_delay: Cycles::new(500), gap: Cycles::new(300),
 /// };
 /// mpu.observe(&[seen(3_000)]);
-/// assert_eq!(mpu.correct(&forecast).triggers[0].expected_executions, 3_000);
+/// mpu.correct_into(&forecast, &mut corrected);
+/// assert_eq!(corrected.triggers[0].expected_executions, 3_000);
 /// mpu.observe(&[seen(1_000)]);
 /// // 3000 + 0.5 * (1000 - 3000) = 2000.
-/// assert_eq!(mpu.correct(&forecast).triggers[0].expected_executions, 2_000);
+/// mpu.correct_into(&forecast, &mut corrected);
+/// assert_eq!(corrected.triggers[0].expected_executions, 2_000);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mpu {
@@ -90,18 +93,10 @@ impl Mpu {
         self.predictors.len()
     }
 
-    /// Replaces the forecast's `e`/`tb` values with the MPU's learned
-    /// estimates where observations exist; kernels never observed pass
-    /// through unchanged.
-    #[must_use]
-    pub fn correct(&self, forecast: &TriggerBlock) -> TriggerBlock {
-        let mut out = TriggerBlock::new(forecast.block, Vec::new());
-        self.correct_into(forecast, &mut out);
-        out
-    }
-
-    /// [`Mpu::correct`] writing into a caller-owned block, reusing its
-    /// trigger buffer (the per-block hot path's allocation hygiene).
+    /// Writes `forecast` into `out` with its `e`/`tb` values replaced by
+    /// the MPU's learned estimates where observations exist; kernels never
+    /// observed pass through unchanged. Reuses `out`'s trigger buffer (the
+    /// per-block hot path's allocation hygiene).
     pub fn correct_into(&self, forecast: &TriggerBlock, out: &mut TriggerBlock) {
         out.block = forecast.block;
         out.triggers.clear();
@@ -343,6 +338,12 @@ mod tests {
         }
     }
 
+    fn correct(mpu: &Mpu, forecast: &TriggerBlock) -> TriggerBlock {
+        let mut out = TriggerBlock::new(forecast.block, Vec::new());
+        mpu.correct_into(forecast, &mut out);
+        out
+    }
+
     fn forecast(e: u64) -> TriggerBlock {
         TriggerBlock::new(
             BlockId(0),
@@ -396,7 +397,7 @@ mod tests {
                 TriggerInstruction::new(KernelId(7), 77, Cycles::new(3), Cycles::new(4)),
             ],
         );
-        let c = mpu.correct(&f);
+        let c = correct(&mpu, &f);
         assert_eq!(c.triggers[0].expected_executions, 9_999);
         assert_eq!(c.triggers[0].time_between, Cycles::new(200));
         // Unobserved kernel: untouched.
@@ -413,7 +414,7 @@ mod tests {
         mpu.observe(&[activity(8_000)]);
         // alpha = 0: the estimate stays at its seed.
         assert_eq!(mpu.estimate(KernelId(0)), Some(4_000.0));
-        let c = mpu.correct(&forecast(123));
+        let c = correct(&mpu, &forecast(123));
         assert_eq!(c.triggers[0].expected_executions, 4_000);
     }
 

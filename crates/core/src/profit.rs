@@ -96,7 +96,7 @@ impl fmt::Display for ProfitBreakdown {
 /// only valid while the shadow schedule is unchanged; the greedy loop
 /// recaptures it after every commit (see `ProfitFn::invalidate`).
 #[derive(Debug, Clone)]
-pub struct ProfitMemo {
+struct ProfitMemo {
     /// When the evaluation happens (all `ready_rel` are relative to this).
     now: Cycles,
     /// `max(now, busy_until)` of the FG configuration port.
@@ -127,7 +127,7 @@ impl Default for ProfitMemo {
 impl ProfitMemo {
     /// Captures the port state of `controller` as seen at `now`.
     #[must_use]
-    pub fn capture(controller: &ReconfigurationController, now: Cycles) -> Self {
+    fn capture(controller: &ReconfigurationController, now: Cycles) -> Self {
         let mut memo = ProfitMemo::default();
         memo.capture_into(controller, now);
         memo
@@ -136,7 +136,7 @@ impl ProfitMemo {
     /// [`ProfitMemo::capture`] in place, reusing the pending-transfer
     /// buffer — the greedy loop recaptures once per commit round, so this
     /// keeps the rounds allocation-free.
-    pub fn capture_into(&mut self, controller: &ReconfigurationController, now: Cycles) {
+    fn capture_into(&mut self, controller: &ReconfigurationController, now: Cycles) {
         self.pending.clear();
         for t in controller.inflight_tickets() {
             if !self.pending.iter().any(|(id, _)| *id == t.id) {
@@ -185,7 +185,7 @@ impl ProfitMemo {
 /// Reusable buffers for [`expected_profit_value`] — the allocation hygiene
 /// of the selector hot loop. One instance serves any number of evaluations.
 #[derive(Debug, Clone, Default)]
-pub struct ProfitScratch {
+struct ProfitScratch {
     ready_rel: Vec<Cycles>,
     order: Vec<usize>,
 }
@@ -373,7 +373,7 @@ pub fn expected_profit(
 /// [`expected_profit`]`.profit` evaluated against the controller the memo
 /// was captured from.
 #[must_use]
-pub fn expected_profit_value(
+fn expected_profit_value(
     ise: &Ise,
     trigger: &TriggerInstruction,
     memo: &ProfitMemo,

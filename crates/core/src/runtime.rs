@@ -148,14 +148,15 @@ impl MrtsConfig {
     }
 }
 
-/// The trigger-time fabric account of every run-time policy: what the
+/// The trigger-time fabric account of the [`Mrts`] pipeline: what the
 /// fabric holds, what a block may reclaim, the selection budget and, once
 /// the selector has chosen, the monoCG pre-loads and the eviction list.
-/// mRTS and the baselines keep one each around their selectors, so they
-/// differ in selection alone (Section 5). The policy owns it across
-/// triggers, so steady-state accounting allocates nothing.
+/// Every preset (mRTS, RISPP-like, online-optimal) keeps one around its
+/// selector, so the presets differ in selection alone (Section 5). The
+/// policy owns it across triggers, so steady-state accounting allocates
+/// nothing.
 #[derive(Debug, Clone, Default)]
-pub struct FabricAccount {
+struct FabricAccount {
     /// The forecast block's kernels.
     kernels: Vec<KernelId>,
     /// Loaded ids present on the fabric, resident or streaming, ascending.
@@ -174,7 +175,7 @@ impl FabricAccount {
     /// `forecast` and returns the selection budget, the free fabric plus
     /// the evictable units. A tenant's share of a shared fabric is its
     /// machine's capacity, so the budget never exceeds it.
-    pub fn open(&mut self, ctx: &SelectionContext<'_>, forecast: &TriggerBlock) -> Resources {
+    fn open(&mut self, ctx: &SelectionContext<'_>, forecast: &TriggerBlock) -> Resources {
         self.kernels.clear();
         self.kernels.extend(forecast.iter().map(|t| t.kernel));
         let present = &mut self.present;
@@ -218,7 +219,7 @@ impl FabricAccount {
     ///
     /// `evict` receives, in ascending unit order, just the evictable units
     /// the plan's loads displace.
-    pub fn close(
+    fn close(
         &self,
         ctx: &SelectionContext<'_>,
         choices: &[(KernelId, Option<IseId>)],

@@ -316,14 +316,14 @@ pub fn cluster(m: &Manifest) -> Vec<ClusterInfo> {
 /// Area of an ISE variant in PRC-equivalents (one CG-EDPE is modeled as
 /// four PRC tiles — the scalarisation the trade-off curve is monotone in).
 #[must_use]
-pub fn area_units(r: mrts_arch::Resources) -> u32 {
+fn area_units(r: mrts_arch::Resources) -> u32 {
     4 * u32::from(r.cg()) + u32::from(r.prc())
 }
 
 /// One point of a kernel's area-latency trade-off curve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TradeoffPoint {
-    /// Fabric area in PRC-equivalents ([`area_units`]).
+    /// Fabric area in PRC-equivalents (a CG-EDPE counts as four PRCs).
     pub area: u32,
     /// Fully resident execution latency.
     pub latency: Cycles,

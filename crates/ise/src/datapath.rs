@@ -445,19 +445,6 @@ impl DataPathGraph {
         }
         depth.into_iter().max().unwrap_or(0)
     }
-
-    /// Fraction of operation nodes that are bit-level, in `0.0..=1.0`
-    /// (0 for an empty graph). Classifies a data path as control- or
-    /// data-dominant.
-    #[must_use]
-    pub fn bit_level_fraction(&self) -> f64 {
-        let ops = self.op_count();
-        if ops == 0 {
-            return 0.0;
-        }
-        let bits = self.ops().filter(|(k, _)| k.is_bit_level()).count();
-        bits as f64 / ops as f64
-    }
 }
 
 /// Incremental builder for [`DataPathGraph`] (errors are deferred to
@@ -580,13 +567,7 @@ mod tests {
     }
 
     #[test]
-    fn bit_level_fraction_classifies() {
-        let mut b = DataPathGraph::builder("bits");
-        let a = b.input();
-        let x = b.op(OpKind::BitShuffle, &[a, a]);
-        let _y = b.op(OpKind::Add, &[x, a]);
-        let g = b.finish().unwrap();
-        assert!((g.bit_level_fraction() - 0.5).abs() < 1e-12);
+    fn bit_level_ops_are_classified() {
         assert!(OpKind::BitShuffle.is_bit_level());
         assert!(!OpKind::Add.is_bit_level());
     }

@@ -207,7 +207,7 @@ impl Ise {
     ///
     /// Panics if `i > stage_count()`.
     #[must_use]
-    pub fn latency_after_stage(&self, i: usize) -> Cycles {
+    fn latency_after_stage(&self, i: usize) -> Cycles {
         assert!(i <= self.stages.len(), "stage index out of range");
         let saved: Cycles = self.stages[..i].iter().map(|s| s.saving_per_exec).sum();
         self.risc_latency - saved
@@ -242,7 +242,7 @@ impl Ise {
     /// Total pure load time of all stages (lower bound of the
     /// reconfiguration latency, before port queueing).
     #[must_use]
-    pub fn total_load_duration(&self) -> Cycles {
+    fn total_load_duration(&self) -> Cycles {
         self.stages.iter().map(|s| s.load_duration).sum()
     }
 

@@ -23,26 +23,7 @@ use serde::{Deserialize, Serialize};
 pub const PRC_LUT_CAPACITY: u64 = 6_000;
 
 /// Software (RISC-mode) cost of one invocation of the data path.
-///
-/// # Example
-///
-/// ```
-/// use mrts_ise::datapath::{DataPathGraph, OpKind};
-/// use mrts_ise::mapping::sw_cycles_per_call;
-///
-/// # fn main() -> Result<(), mrts_ise::IseError> {
-/// let mut b = DataPathGraph::builder("g");
-/// let a = b.input();
-/// let x = b.op(OpKind::Mul, &[a, a]);
-/// let _ = b.op(OpKind::Add, &[x, a]);
-/// let g = b.finish()?;
-/// // mul(4) + add(1) plus the per-call loop overhead of 2.
-/// assert_eq!(sw_cycles_per_call(&g), 4 + 1 + 2);
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn sw_cycles_per_call(graph: &DataPathGraph) -> u64 {
+fn sw_cycles_per_call(graph: &DataPathGraph) -> u64 {
     // Sequential issue on the scalar core plus loop/branch overhead.
     const CALL_OVERHEAD: u64 = 2;
     graph.ops().map(|(k, _)| k.sw_cycles()).sum::<u64>() + CALL_OVERHEAD
@@ -226,6 +207,25 @@ pub fn fg_cycles_per_exec(imp: &FgImpl, calls: u32, params: &ArchParams) -> Cycl
 
 /// Per-kernel-execution software cycles (core cycles) of `calls`
 /// invocations in RISC mode.
+///
+/// # Example
+///
+/// ```
+/// use mrts_arch::Cycles;
+/// use mrts_ise::datapath::{DataPathGraph, OpKind};
+/// use mrts_ise::mapping::sw_cycles_per_exec;
+///
+/// # fn main() -> Result<(), mrts_ise::IseError> {
+/// let mut b = DataPathGraph::builder("g");
+/// let a = b.input();
+/// let x = b.op(OpKind::Mul, &[a, a]);
+/// let _ = b.op(OpKind::Add, &[x, a]);
+/// let g = b.finish()?;
+/// // mul(4) + add(1) plus the per-call loop overhead of 2, three calls.
+/// assert_eq!(sw_cycles_per_exec(&g, 3), Cycles::new(3 * (4 + 1 + 2)));
+/// # Ok(())
+/// # }
+/// ```
 #[must_use]
 pub fn sw_cycles_per_exec(graph: &DataPathGraph, calls: u32) -> Cycles {
     Cycles::new(u64::from(calls) * sw_cycles_per_call(graph))

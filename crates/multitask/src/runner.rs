@@ -4,8 +4,9 @@
 //! Each tenant owns a [`Simulator`] over its slice of the fabric (a
 //! [`Machine`] resized to the arbiter's grant) and a private run-time
 //! system instance built by the shared policy factory
-//! ([`mrts_baselines::make_policy`], with the run's [`PolicyTuning`]) —
-//! mRTS state (MPU history, fault blacklist) never leaks between tenants.
+//! ([`mrts_baselines::make_policy`] from the tenant's catalogue, grant and
+//! trace, with the run's [`PolicyTuning`]) — mRTS state (MPU history,
+//! fault blacklist) never leaks between tenants.
 //! The scheduler picks which tenant's next block activation runs;
 //! everything else is bookkeeping:
 //!
@@ -40,7 +41,7 @@ use crate::arbiter::{ArbiterPolicy, FabricArbiter};
 use crate::scheduler::SchedulerKind;
 use crate::slo::{ladder_cap, Criticality, Slo, SloSnapshot, LADDER_BOTTOM};
 use mrts_arch::{ArchError, ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts_baselines::{make_policy, PolicyTuning, ProfiledTotals};
+use mrts_baselines::{make_policy, PolicyTuning};
 use mrts_ise::{BlockId, IseCatalog, KernelId};
 use mrts_sim::timeline::{EventSink, SimEvent, Timeline, VecSink};
 use mrts_sim::{MultitaskStats, RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator, TenantStats};
@@ -121,7 +122,8 @@ impl<'a> TenantSpec<'a> {
 #[derive(Debug, Clone)]
 pub struct MultitaskConfig {
     /// Per-tenant run-time system, by factory name
-    /// (see [`mrts_baselines::POLICY_NAMES`]).
+    /// (see [`mrts_baselines::POLICY_NAMES`]; the static baselines bind
+    /// their selection from the tenant's own trace).
     pub policy: String,
     /// Fabric space-partitioning discipline.
     pub arbiter: ArbiterPolicy,
@@ -1309,12 +1311,11 @@ impl<'a> MultitaskRunner<'a> {
             None => Machine::new(self.params.clone(), Resources::NONE)?,
         };
         let _ = machine.resize_capacity(grant);
-        let totals = ProfiledTotals::from_trace(spec.trace);
         let policy = make_policy(
             &self.cfg.policy,
             spec.catalog,
             grant,
-            &totals,
+            spec.trace,
             self.cfg.tuning,
         )
         .map_err(MultitaskError::Policy)?;

@@ -144,7 +144,7 @@ pub struct ContextProgram {
 impl ContextProgram {
     /// Assembles a program from instructions, appending a final `Halt`.
     #[must_use]
-    pub fn assemble(instrs: &[Instr]) -> Self {
+    fn assemble(instrs: &[Instr]) -> Self {
         let mut words: Vec<u128> = instrs.iter().map(|i| i.encode()).collect();
         words.push(Instr::Halt.encode());
         ContextProgram { words }
@@ -244,7 +244,7 @@ pub struct ExecOutcome {
 /// Canonical semantics of every operator — shared by the interpreter and
 /// the reference graph evaluator so they can be compared bit-for-bit.
 #[must_use]
-pub fn eval_op(kind: OpKind, a: u32, b: u32, c: u32) -> u32 {
+fn eval_op(kind: OpKind, a: u32, b: u32, c: u32) -> u32 {
     match kind {
         OpKind::Add => a.wrapping_add(b),
         OpKind::Sub => a.wrapping_sub(b),
@@ -382,13 +382,6 @@ impl EdpeInterpreter {
             params,
             cycle_limit: 10_000_000,
         }
-    }
-
-    /// Overrides the runaway-protection cycle limit.
-    #[must_use]
-    pub fn with_cycle_limit(mut self, limit: u64) -> Self {
-        self.cycle_limit = limit;
-        self
     }
 
     /// Executes a program on the given state.
@@ -649,7 +642,10 @@ mod tests {
                 srcs: [1, 0, 0],
             },
         ]);
-        let tiny = interp().with_cycle_limit(10);
+        let tiny = EdpeInterpreter {
+            cycle_limit: 10,
+            ..interp()
+        };
         assert_eq!(
             tiny.execute(&prog, &mut EdpeState::new()),
             Err(EdpeError::CycleLimit)

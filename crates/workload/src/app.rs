@@ -20,9 +20,9 @@ pub struct FunctionalBlock {
     pub kernels: Vec<KernelId>,
 }
 
-/// Why [`Application::try_merged`] refused to merge a set of applications.
+/// Why `Application::try_merged` refused to merge a set of applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeError {
+enum MergeError {
     /// No applications were given.
     Empty,
     /// The concatenated kernel count exceeds the 16-bit [`KernelId`] space.
@@ -132,14 +132,13 @@ impl Application {
     /// # Panics
     ///
     /// Panics if `apps` is empty or the merged id spaces overflow the
-    /// 16-bit [`KernelId`] / [`BlockId`] ranges (see
-    /// [`Application::try_merged`] for the non-panicking form).
+    /// 16-bit [`KernelId`] / [`BlockId`] ranges.
     #[must_use]
     #[track_caller]
     pub fn merged(name: impl Into<String>, apps: &[&Application]) -> (Application, Vec<u16>) {
         match Application::try_merged(name, apps) {
             Ok(merged) => merged,
-            Err(e) => panic!("Application::merged: {e} (use Application::try_merged to handle this without panicking)"),
+            Err(e) => panic!("Application::merged: {e}"),
         }
     }
 
@@ -152,7 +151,7 @@ impl Application {
     /// Returns [`MergeError::Empty`] for an empty `apps` slice, and
     /// [`MergeError::KernelIdOverflow`] / [`MergeError::BlockIdOverflow`]
     /// when the concatenated kernel or block count does not fit a `u16`.
-    pub fn try_merged(
+    fn try_merged(
         name: impl Into<String>,
         apps: &[&Application],
     ) -> Result<(Application, Vec<u16>), MergeError> {

@@ -44,7 +44,7 @@ pub enum Pattern {
 impl Pattern {
     /// The count at activation `i` of `n`.
     #[must_use]
-    pub fn value_at(&self, i: usize, n: usize) -> u64 {
+    fn value_at(&self, i: usize, n: usize) -> u64 {
         match *self {
             Pattern::Constant(c) => c,
             Pattern::Step { low, high, at } => {

@@ -157,27 +157,13 @@ impl VideoModel {
             .build()
     }
 
-    /// Frame width in macroblocks.
-    #[must_use]
-    pub fn width_mb(&self) -> u16 {
-        self.width_mb
-    }
-
-    /// Frame height in macroblocks.
-    #[must_use]
-    pub fn height_mb(&self) -> u16 {
-        self.height_mb
-    }
-
     /// Macroblocks per frame.
-    #[must_use]
-    pub fn mb_per_frame(&self) -> u32 {
+    fn mb_per_frame(&self) -> u32 {
         u32::from(self.width_mb) * u32::from(self.height_mb)
     }
 
     /// Total frame count.
-    #[must_use]
-    pub fn frame_count(&self) -> u32 {
+    fn frame_count(&self) -> u32 {
         self.scenes.iter().map(|s| s.frames).sum()
     }
 

@@ -7,7 +7,7 @@
 //! ```
 
 use mrts::arch::{ArchParams, Machine, Resources};
-use mrts::baselines::{LooselyCoupledPolicy, OfflineOptimalPolicy, ProfiledTotals};
+use mrts::baselines::StaticPolicy;
 use mrts::core::{Mrts, MrtsConfig};
 use mrts::sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
 use mrts::workload::{TraceBuilder, VideoModel, WorkloadModel};
@@ -25,7 +25,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = TraceBuilder::new(&encoder)
         .video(VideoModel::paper_default(1))
         .build();
-    let totals = ProfiledTotals::from_trace(&trace);
     let capacity = Machine::new(ArchParams::default(), combo)?.capacity();
 
     println!(
@@ -44,8 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut policies: Vec<Box<dyn RuntimePolicy>> = vec![
         Box::new(RiscOnlyPolicy::new()),
         Box::new(Mrts::with_config(MrtsConfig::rispp_like())),
-        Box::new(LooselyCoupledPolicy::new(&catalog, capacity, &totals)),
-        Box::new(OfflineOptimalPolicy::new(&catalog, capacity, &totals)),
+        Box::new(StaticPolicy::loosely_coupled(&catalog, capacity, &trace)),
+        Box::new(StaticPolicy::offline_optimal(&catalog, capacity, &trace)),
         Box::new(Mrts::with_config(MrtsConfig::online_optimal())),
         Box::new(Mrts::new()),
     ];

@@ -2,7 +2,7 @@
 //! catalogue → video → trace → simulator → policies — across crates.
 
 use mrts::arch::{ArchParams, Resources};
-use mrts::baselines::{LooselyCoupledPolicy, OfflineOptimalPolicy};
+use mrts::baselines::StaticPolicy;
 use mrts::core::{Mrts, MrtsConfig};
 use mrts::ise::{BlockId, KernelId};
 use mrts::sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
@@ -29,15 +29,15 @@ fn every_policy_executes_the_whole_trace() {
     let mut policies: Vec<Box<dyn RuntimePolicy>> = vec![
         Box::new(RiscOnlyPolicy::new()),
         Box::new(Mrts::with_config(MrtsConfig::rispp_like())),
-        Box::new(LooselyCoupledPolicy::new(
+        Box::new(StaticPolicy::loosely_coupled(
             &bed.catalog,
             capacity,
-            &bed.totals,
+            &bed.trace,
         )),
-        Box::new(OfflineOptimalPolicy::new(
+        Box::new(StaticPolicy::offline_optimal(
             &bed.catalog,
             capacity,
-            &bed.totals,
+            &bed.trace,
         )),
         Box::new(Mrts::with_config(MrtsConfig::online_optimal())),
         Box::new(Mrts::new()),
@@ -69,11 +69,11 @@ fn policy_ordering_holds_on_multi_grained_machines() {
         let optimal = bed.run(combo, &mut Mrts::with_config(MrtsConfig::online_optimal()));
         let offline = bed.run(
             combo,
-            &mut OfflineOptimalPolicy::new(&bed.catalog, capacity, &bed.totals),
+            &mut StaticPolicy::offline_optimal(&bed.catalog, capacity, &bed.trace),
         );
         let morpheus = bed.run(
             combo,
-            &mut LooselyCoupledPolicy::new(&bed.catalog, capacity, &bed.totals),
+            &mut StaticPolicy::loosely_coupled(&bed.catalog, capacity, &bed.trace),
         );
         let t = |s: &RunStats| s.total_execution_time().get();
         // Everyone beats plain RISC-mode on a machine with fabric.

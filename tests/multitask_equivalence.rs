@@ -27,9 +27,8 @@ fn testbed(spec: &str, seed: u64) -> (String, IseCatalog, Trace) {
 fn solo(catalog: &IseCatalog, combo: Resources, trace: &Trace, policy: &str) -> RunStats {
     let machine = Machine::new(ArchParams::default(), combo).expect("valid machine");
     let capacity = machine.capacity();
-    let totals = mrts::baselines::ProfiledTotals::from_trace(trace);
     let mut p =
-        mrts::baselines::make_policy(policy, catalog, capacity, &totals, PolicyTuning::default())
+        mrts::baselines::make_policy(policy, catalog, capacity, trace, PolicyTuning::default())
             .expect("known policy");
     Simulator::run(catalog, machine, trace, p.as_mut())
 }
@@ -145,9 +144,8 @@ fn one_tenant_equals_solo_under_fault_injection() {
     let machine = Machine::with_fault_model(ArchParams::default(), combo, fault.clone())
         .expect("valid machine");
     let capacity = machine.capacity();
-    let totals = mrts::baselines::ProfiledTotals::from_trace(&trace);
     let mut p =
-        mrts::baselines::make_policy("mrts", &catalog, capacity, &totals, PolicyTuning::default())
+        mrts::baselines::make_policy("mrts", &catalog, capacity, &trace, PolicyTuning::default())
             .expect("known policy");
     let reference = Simulator::run(&catalog, machine, &trace, p.as_mut());
 

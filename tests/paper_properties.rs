@@ -3,13 +3,13 @@
 //! not checked (our substrate is a simulator, not the authors' testbed);
 //! orderings, regions and bounds are.
 
-use mrts::arch::{Cycles, FabricKind, Resources};
-use mrts::baselines::{LooselyCoupledPolicy, OfflineOptimalPolicy};
+use mrts::arch::{Cycles, FabricKind, FaultModel, Resources};
+use mrts::baselines::StaticPolicy;
 use mrts::core::{Mrts, MrtsConfig};
 use mrts::ise::{Grain, Ise};
-use mrts::sim::{RiscOnlyPolicy, RuntimePolicy};
+use mrts::sim::{ExecClass, RiscOnlyPolicy, RuntimePolicy};
 use mrts::workload::{VideoModel, WorkloadModel};
-use mrts_bench::Testbed;
+use mrts_bench::{fig8_combos, Testbed};
 
 /// The encoder of the evaluation over the paper video (seed 1).
 fn h264() -> Testbed {
@@ -117,7 +117,7 @@ fn run(tb: &Testbed, combo: Resources, p: &mut dyn RuntimePolicy) -> u64 {
 #[test]
 fn fig8_orderings_and_applicability() {
     let tb = h264();
-    let (catalog, totals) = (&tb.catalog, &tb.totals);
+    let (catalog, trace) = (&tb.catalog, &tb.trace);
 
     // MG machine: mRTS beats both static schemes clearly.
     let combo = Resources::new(2, 2);
@@ -126,12 +126,12 @@ fn fig8_orderings_and_applicability() {
     let offline = run(
         &tb,
         combo,
-        &mut OfflineOptimalPolicy::new(catalog, capacity, totals),
+        &mut StaticPolicy::offline_optimal(catalog, capacity, trace),
     );
     let morpheus = run(
         &tb,
         combo,
-        &mut LooselyCoupledPolicy::new(catalog, capacity, totals),
+        &mut StaticPolicy::loosely_coupled(catalog, capacity, trace),
     );
     assert!(
         mrts as f64 * 1.25 < offline as f64,
@@ -150,13 +150,65 @@ fn fig8_orderings_and_applicability() {
     let morph_fg = run(
         &tb,
         fg_only,
-        &mut LooselyCoupledPolicy::new(catalog, cap_fg, totals),
+        &mut StaticPolicy::loosely_coupled(catalog, cap_fg, trace),
     ) as f64;
     let ratio = morph_fg / mrts_fg;
     assert!(
         ratio < 1.45,
         "single-fabric gap should shrink towards parity: {ratio}"
     );
+}
+
+/// Section 5 tells the static baselines apart by their candidates and
+/// their execution style. Morpheus/4S-like is loosely coupled: single-fabric
+/// ISEs only, and a kernel runs on its fully configured accelerator or in
+/// RISC mode, never on an intermediate ISE. Offline-optimal is tightly
+/// coupled and uses intermediate ISEs as their stages arrive. Neither has
+/// mRTS's monoCG-Extension. Checked on every Fig. 8 combination, fault-free
+/// and with faults injected.
+#[test]
+fn static_baselines_keep_their_candidates_and_execution_styles() {
+    let tb = h264();
+    let mut offline_intermediate = 0;
+    for combo in fig8_combos() {
+        let capacity = tb.machine(combo).capacity();
+        let loose = StaticPolicy::loosely_coupled(&tb.catalog, capacity, &tb.trace);
+        let tight = StaticPolicy::offline_optimal(&tb.catalog, capacity, &tb.trace);
+        for (_, id) in loose.assignment() {
+            let ise = tb.catalog.ise(id).expect("static choice is valid");
+            assert_ne!(ise.grain(), Grain::MultiGrained, "{combo}: {}", ise.label());
+            assert!(!ise.is_mono_extension(), "{combo}: {}", ise.label());
+        }
+        for (_, id) in tight.assignment() {
+            let ise = tb.catalog.ise(id).expect("static choice is valid");
+            assert!(!ise.is_mono_extension(), "{combo}: {}", ise.label());
+        }
+        for rate in [0.0, 0.05] {
+            let fault = FaultModel::new(rate, 7);
+            let morpheus = tb
+                .run_with_faults(combo, fault.clone(), &mut loose.clone())
+                .class_histogram();
+            for class in morpheus.keys() {
+                assert!(
+                    matches!(class, ExecClass::RiscMode | ExecClass::FullIse),
+                    "{combo} at fault rate {rate}: Morpheus/4S-like ran {class:?}"
+                );
+            }
+            let offline = tb
+                .run_with_faults(combo, fault, &mut tight.clone())
+                .class_histogram();
+            assert!(
+                !offline.contains_key(&ExecClass::MonoCg),
+                "{combo} at fault rate {rate}: offline-optimal ran monoCG"
+            );
+            offline_intermediate += offline
+                .get(&ExecClass::IntermediateIse)
+                .copied()
+                .unwrap_or(0);
+        }
+    }
+    // The two styles do differ: tight coupling runs partial ISEs somewhere.
+    assert!(offline_intermediate > 0);
 }
 
 #[test]

@@ -27,7 +27,7 @@
 //!    `LoadReady` at the time its `LoadIssued` promised).
 
 use mrts::arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts::baselines::{make_policy, PolicyTuning, ProfiledTotals, POLICY_NAMES};
+use mrts::baselines::{make_policy, PolicyTuning, POLICY_NAMES};
 use mrts::core::{Mrts, MrtsConfig, PrefetchConfig};
 use mrts::fleet::{
     poisson_arrivals, run_fleet, AppRegistry, FleetConfig, FleetOutcome, PoissonConfig,
@@ -86,8 +86,7 @@ fn solo(
     }
     .expect("valid machine");
     let capacity = machine.capacity();
-    let totals = ProfiledTotals::from_trace(trace);
-    let mut p = make_policy(policy, catalog, capacity, &totals, PolicyTuning::default())
+    let mut p = make_policy(policy, catalog, capacity, trace, PolicyTuning::default())
         .expect("known policy");
     Simulator::run(catalog, machine, trace, p.as_mut())
 }
@@ -174,8 +173,7 @@ fn solo_with_events(
     }
     .expect("valid machine");
     let capacity = machine.capacity();
-    let totals = ProfiledTotals::from_trace(trace);
-    let mut p = make_policy(policy, catalog, capacity, &totals, PolicyTuning::default())
+    let mut p = make_policy(policy, catalog, capacity, trace, PolicyTuning::default())
         .expect("known policy");
     let mut sim = Simulator::new(catalog, machine);
     let sink = VecSink::new();
