@@ -14,7 +14,7 @@ use mrts::arch::{ArchParams, Cycles, Machine, Resources};
 use mrts::core::Mrts;
 use mrts::ingest::{builtin, Manifest};
 use mrts::sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
-use mrts::workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
+use mrts::workload::{Scene, Trace, TraceBuilder, VideoModel, WorkloadModel};
 
 /// The checked-in manifest file for `name` (tests run from the workspace
 /// root, so the path is relative to `CARGO_MANIFEST_DIR`).
@@ -193,5 +193,41 @@ fn every_builtin_busy_fingerprint_is_pinned() {
             "{name}: busy-cycle fingerprint moved — the ingestion pipeline \
              no longer reproduces the reference run"
         );
+    }
+}
+
+/// A seeded 120-frame video of four scenes on `width_mb` × `height_mb`
+/// macroblocks: long enough that a changed row/column term or a changed
+/// RNG draw order shows up far from the first frames.
+fn long_video(width_mb: u16, height_mb: u16) -> VideoModel {
+    VideoModel::builder(width_mb, height_mb)
+        .scene(Scene::new(37, 0.15, 0.65))
+        .scene(Scene::new(29, 0.90, 0.35))
+        .scene(Scene::new(41, 0.55, 0.85))
+        .scene(Scene::new(13, 0.70, 0.10))
+        .seed(0x5eed_0028)
+        .build()
+}
+
+#[test]
+fn long_video_traces_and_frames_are_pinned() {
+    // Traces of two builtins over a long CIF video with scene changes at
+    // frames 0, 37, 66 and 107.
+    for (name, want) in [("h264", "fc98eaa8fb9adcee"), ("cv", "0f453f5225277d58")] {
+        let model = mrts::ingest::model(name).expect("builtin spec resolves");
+        let trace = TraceBuilder::new(&model).video(long_video(22, 18)).build();
+        assert_eq!(trace.len(), 120 * model.application().blocks().len());
+        assert_eq!(digest!(&trace), want, "{name}: long-video trace moved");
+    }
+    // Whole frame statistics at two non-CIF sizes, one of them degenerate.
+    for ((w, h), want) in [((5, 3), "1a701e87765e7fac"), ((1, 1), "d30dae532b9f170f")] {
+        let frames = long_video(w, h).frames();
+        let changes: Vec<u32> = frames
+            .iter()
+            .filter(|f| f.scene_change)
+            .map(|f| f.index)
+            .collect();
+        assert_eq!(changes, [0, 37, 66, 107]);
+        assert_eq!(digest!(&frames), want, "{w}x{h}: frame statistics moved");
     }
 }
