@@ -185,27 +185,33 @@ impl<'m, M: WorkloadModel + ?Sized> TraceBuilder<'m, M> {
 
     /// Generates the trace: per frame, every functional block is activated
     /// in application order; forecasts are the whole-video profiling means.
+    ///
+    /// One streaming pass generates the frames and evaluates each frame's
+    /// kernel executions once; the builder keeps only every frame's index
+    /// and counts, never the frames themselves. The profiling means and
+    /// the activations are both derived from those counts.
     #[must_use]
     pub fn build(self) -> Trace {
         let app = self.model.application();
-        let frames = self.video.frames();
-
-        // Offline profiling pass: whole-run average executions per kernel.
+        // Offline profiling: whole-run sums of executions per kernel,
+        // taken as the frames stream past.
         let mut sums = vec![0u64; app.kernel_count()];
-        for f in &frames {
-            for (k, e) in self.model.kernel_executions(f).iter().enumerate() {
+        let mut counts: Vec<(u32, Vec<u64>)> = Vec::new();
+        self.video.for_each_frame(|frame| {
+            let frame_counts = self.model.kernel_executions(frame);
+            for (k, e) in frame_counts.iter().enumerate() {
                 sums[k] += e;
             }
-        }
-        let n = frames.len().max(1) as u64;
+            counts.push((frame.index, frame_counts));
+        });
+        let n = counts.len().max(1) as u64;
         let profiled: Vec<u64> = sums.iter().map(|s| (s / n).max(1)).collect();
 
-        let mut activations = Vec::new();
-        for frame in &frames {
-            let counts = self.model.kernel_executions(frame);
+        let mut activations = Vec::with_capacity(counts.len() * app.blocks().len());
+        for (frame, counts) in &counts {
             for block in app.blocks() {
-                let mut triggers = Vec::new();
-                let mut actual = Vec::new();
+                let mut triggers = Vec::with_capacity(block.kernels.len());
+                let mut actual = Vec::with_capacity(block.kernels.len());
                 for &k in &block.kernels {
                     let tf = self.model.kernel_first_delay(block, k);
                     let tb = self.model.kernel_gap(k);
@@ -224,7 +230,7 @@ impl<'m, M: WorkloadModel + ?Sized> TraceBuilder<'m, M> {
                 }
                 activations.push(BlockActivation {
                     block: block.id,
-                    frame: frame.index,
+                    frame: *frame,
                     forecast: TriggerBlock::new(block.id, triggers),
                     actual,
                 });
