@@ -425,8 +425,8 @@ pub struct Mrts {
     evict_buf: Vec<UnitId>,
     /// The trigger-time fabric account (steps 2 and 4).
     account: FabricAccount,
-    /// The selector's reusable working-set arena (candidate list, heap,
-    /// shadow controller, demand cache …).
+    /// The selector's reusable working-set arena (candidate list, ranked
+    /// runs, shadow controller, demand cache …).
     sel_scratch: crate::selector::SelectorScratch,
     /// The profit evaluator's reusable buffers (ready-time scratch and the
     /// per-round port-state memo).
