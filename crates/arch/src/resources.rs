@@ -130,12 +130,6 @@ impl Resources {
         self.cg > 0 && self.prc == 0
     }
 
-    /// True iff the vector uses only FG resources (and at least one).
-    #[must_use]
-    pub const fn is_fg_only(self) -> bool {
-        self.prc > 0 && self.cg == 0
-    }
-
     /// True iff the vector uses both kinds of fabric — the signature of a
     /// *multi-grained* ISE.
     #[must_use]
@@ -279,11 +273,11 @@ mod tests {
     #[test]
     fn grain_classification() {
         assert!(Resources::cg_only(2).is_cg_only());
-        assert!(Resources::prc_only(3).is_fg_only());
+        assert!(!Resources::prc_only(3).is_cg_only());
+        assert!(!Resources::prc_only(3).is_multi_grained());
         assert!(Resources::new(1, 1).is_multi_grained());
         assert!(!Resources::NONE.is_multi_grained());
         assert!(!Resources::NONE.is_cg_only());
-        assert!(!Resources::NONE.is_fg_only());
     }
 
     #[test]
@@ -341,12 +335,13 @@ mod tests {
         }
 
         #[test]
-        fn exactly_one_grain_class(cg in 0u16..10, prc in 0u16..10) {
+        fn at_most_one_grain_class(cg in 0u16..10, prc in 0u16..10) {
             let r = Resources::new(cg, prc);
             let classes =
                 u8::from(r.is_empty()) + u8::from(r.is_cg_only())
-                + u8::from(r.is_fg_only()) + u8::from(r.is_multi_grained());
-            prop_assert_eq!(classes, 1);
+                + u8::from(r.is_multi_grained());
+            // An FG-only vector is the one class without a predicate.
+            prop_assert_eq!(classes, u8::from(cg > 0 || prc == 0));
         }
     }
 }
