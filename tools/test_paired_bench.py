@@ -4,12 +4,13 @@ and how it places both sides' sources.
     python3 -m unittest discover -s tools
 """
 
+import json
 import os
 import subprocess
 import tempfile
 import unittest
 
-from paired_bench import as_shared, copy_worktree, decide, placed
+from paired_bench import ROOT, as_shared, copy_worktree, decide, guarded_metrics, placed
 
 KEY = ("solo-h264", "blocks_per_s")
 GUARDED = {KEY: ("higher", 0.25)}
@@ -62,6 +63,21 @@ class DecisionRule(unittest.TestCase):
         self.assertTrue(rows[0]["flagged"])
         rows, _ = decide(pairs([b * 0.7 for b in BASE]), guarded)
         self.assertFalse(rows[0]["flagged"])
+
+
+class GuardedMetrics(unittest.TestCase):
+    def test_trace_build_time_is_guarded_on_the_traced_pass(self):
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+            guarded = guarded_metrics(json.load(f))
+        key = ("solo-h264", "workload.trace_ms")
+        self.assertEqual(guarded[key], ("lower", 0.25))
+        for workload in ("multitask-slo", "fleet-churn"):
+            self.assertNotIn((workload, "workload.trace_ms"), guarded)
+        base = [24.0, 25.0, 23.5, 24.5, 26.0, 24.0]
+        slower = [({key: b}, {key: b * 1.3}) for b in base]
+        rows, failures = decide(slower, {key: guarded[key]})
+        self.assertTrue(rows[0]["flagged"])
+        self.assertEqual(len(failures), 1)
 
 
 class SharedSourcePath(unittest.TestCase):
