@@ -34,7 +34,7 @@ const RATES: [f64; 9] = [0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1];
 const FAULT_SEEDS: [u64; 3] = [11, 12, 13];
 
 fn main() {
-    let threads = par::ThreadConfig::from_env_and_args();
+    let threads = par::ThreadConfig::from_args();
     print_header(
         "Fault sweep",
         "speedup retention of RISPP-like / offline-optimal / mRTS under injected faults",

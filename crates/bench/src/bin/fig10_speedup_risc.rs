@@ -12,7 +12,7 @@ use mrts_core::Mrts;
 use mrts_sim::RiscOnlyPolicy;
 
 fn main() {
-    let threads = par::ThreadConfig::from_env_and_args();
+    let threads = par::ThreadConfig::from_args();
     print_header(
         "Fig. 10",
         "mRTS speedup vs RISC-mode per fabric combination, grouped by grain",

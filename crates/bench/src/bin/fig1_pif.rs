@@ -11,9 +11,7 @@
 //! execution counts (µs reconfiguration), ISE-1 at high counts (best
 //! execution latency once its ms-scale loads amortize), ISE-3 in between.
 
-use mrts_arch::Cycles;
 use mrts_bench::{print_header, Testbed, DEFAULT_SEED};
-use mrts_ise::{Grain, Ise};
 
 fn main() {
     print_header(
@@ -22,47 +20,20 @@ fn main() {
         DEFAULT_SEED,
     );
     let tb = Testbed::new("h264", DEFAULT_SEED);
-    let deblock = tb.kernel("deblock");
 
     // The three case-study ISEs: best full-coverage variant per grain.
-    let pick = |grain: Grain| -> &Ise {
-        tb.catalog
-            .ises_of(deblock)
-            .iter()
-            .map(|i| tb.catalog.ise(*i).expect("dense ids"))
-            // The case study's ISEs place each of the two data paths once
-            // (single-copy variants).
-            .filter(|i| {
-                i.grain() == grain
-                    && !i.is_mono_extension()
-                    && i.stage_count() == 2
-                    && !i.label().contains("@sw") // both data paths covered
-            })
-            .max_by_key(|i| i.risc_latency() - i.full_latency())
-            .expect("variant exists")
-    };
-    let ise1 = pick(Grain::FineGrained);
-    let ise2 = pick(Grain::CoarseGrained);
-    let ise3 = pick(Grain::MultiGrained);
+    let [ise1, ise2, ise3] = tb.case_study_ises();
     println!("ISE-1 (FG): {}", ise1.label());
     println!("ISE-2 (CG): {}", ise2.label());
     println!("ISE-3 (MG): {}", ise3.label());
     println!();
 
-    // Reconfiguration latency on an otherwise idle machine: the serialized
-    // load of all stages on their respective ports.
-    let recfg = |ise: &Ise| -> Cycles {
-        let mut fg = Cycles::ZERO;
-        let mut cg = Cycles::ZERO;
-        for s in ise.stages() {
-            match s.fabric {
-                mrts_arch::FabricKind::FineGrained => fg += s.load_duration,
-                mrts_arch::FabricKind::CoarseGrained => cg += s.load_duration,
-            }
-        }
-        fg.max(cg)
-    };
-    let (r1, r2, r3) = (recfg(ise1), recfg(ise2), recfg(ise3));
+    // Reconfiguration latency on an otherwise idle machine.
+    let (r1, r2, r3) = (
+        ise1.isolated_reconfig_latency(),
+        ise2.isolated_reconfig_latency(),
+        ise3.isolated_reconfig_latency(),
+    );
     println!(
         "reconfiguration latencies: ISE-1 {:.3} ms, ISE-2 {:.5} ms, ISE-3 {:.3} ms",
         r1.as_millis_f64(tb.catalog.params().core_clock),

@@ -9,9 +9,7 @@
 //! performance-wise best ISE during one iteration of the kernel does not
 //! remain the best option for the next iteration"*.
 
-use mrts_arch::Cycles;
 use mrts_bench::{print_header, Testbed, DEFAULT_SEED};
-use mrts_ise::{Grain, Ise};
 use mrts_workload::WorkloadModel;
 
 fn main() {
@@ -24,41 +22,8 @@ fn main() {
     let deblock = tb.kernel("deblock");
     let frames = mrts_workload::VideoModel::paper_default(DEFAULT_SEED).frames();
 
-    let pick = |grain: Grain| -> &Ise {
-        tb.catalog
-            .ises_of(deblock)
-            .iter()
-            .map(|i| tb.catalog.ise(*i).expect("dense ids"))
-            // The case study's ISEs place each of the two data paths once
-            // (single-copy variants).
-            .filter(|i| {
-                i.grain() == grain
-                    && !i.is_mono_extension()
-                    && i.stage_count() == 2
-                    && !i.label().contains("@sw") // both data paths covered
-            })
-            .max_by_key(|i| i.risc_latency() - i.full_latency())
-            .expect("variant exists")
-    };
-    let ises = [
-        ("ISE-1", pick(Grain::FineGrained)),
-        ("ISE-2", pick(Grain::CoarseGrained)),
-        ("ISE-3", pick(Grain::MultiGrained)),
-    ];
-    let recfg: Vec<Cycles> = ises
-        .iter()
-        .map(|(_, ise)| {
-            let mut fg = Cycles::ZERO;
-            let mut cg = Cycles::ZERO;
-            for s in ise.stages() {
-                match s.fabric {
-                    mrts_arch::FabricKind::FineGrained => fg += s.load_duration,
-                    mrts_arch::FabricKind::CoarseGrained => cg += s.load_duration,
-                }
-            }
-            fg.max(cg)
-        })
-        .collect();
+    let [ise1, ise2, ise3] = tb.case_study_ises();
+    let ises = [("ISE-1", ise1), ("ISE-2", ise2), ("ISE-3", ise3)];
 
     println!(
         "{:>5} | {:>10} | {:>6} | bar",
@@ -69,8 +34,8 @@ fn main() {
     for f in &frames {
         let e = tb.model.kernel_executions(f)[usize::from(deblock.index())];
         let (mut best, mut best_pif) = ("?", f64::NEG_INFINITY);
-        for ((name, ise), r) in ises.iter().zip(&recfg) {
-            let pif = ise.performance_improvement_factor(e, *r);
+        for (name, ise) in &ises {
+            let pif = ise.performance_improvement_factor(e, ise.isolated_reconfig_latency());
             if pif > best_pif {
                 best_pif = pif;
                 best = name;

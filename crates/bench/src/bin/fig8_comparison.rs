@@ -13,7 +13,7 @@
 use mrts_bench::{fig8_combos, geo_mean, mcycles, par, print_header, Testbed, DEFAULT_SEED};
 
 fn main() {
-    let threads = par::ThreadConfig::from_env_and_args();
+    let threads = par::ThreadConfig::from_args();
     print_header(
         "Fig. 8",
         "execution time of RISPP-like / offline-optimal / Morpheus+4S-like / mRTS",

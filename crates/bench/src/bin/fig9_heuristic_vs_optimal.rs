@@ -16,7 +16,7 @@
 use mrts_bench::{fig9_combos, mean, par, print_header, Testbed, DEFAULT_SEED};
 
 fn main() {
-    let threads = par::ThreadConfig::from_env_and_args();
+    let threads = par::ThreadConfig::from_args();
     print_header(
         "Fig. 9",
         "% performance difference: greedy ISE selection vs. online-optimal",

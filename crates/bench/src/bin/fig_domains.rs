@@ -29,7 +29,7 @@ use mrts_sim::RunStats;
 const DOMAINS: [&str; 3] = ["h264", "cv", "cryptomix"];
 
 fn main() {
-    let config = par::ThreadConfig::from_env_and_args();
+    let config = par::ThreadConfig::from_args();
     let quick = std::env::args().any(|a| a == "--quick");
     print_header(
         "Domain sweep",

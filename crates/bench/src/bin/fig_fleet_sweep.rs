@@ -88,7 +88,7 @@ fn run_cell(
 }
 
 fn main() {
-    let threads = par::ThreadConfig::from_env_and_args();
+    let threads = par::ThreadConfig::from_args();
     let quick = std::env::args().any(|a| a == "--quick");
     let sessions: usize = if quick { 2_000 } else { 10_000 };
     print_header(

@@ -38,7 +38,7 @@ const CONFIGS: [(&str, &str, ArbiterPolicy); 3] = [
 ];
 
 fn main() {
-    let threads = par::ThreadConfig::from_env_and_args();
+    let threads = par::ThreadConfig::from_args();
     let quick = std::env::args().any(|a| a == "--quick");
     print_header(
         "Multi-tenant sharing",

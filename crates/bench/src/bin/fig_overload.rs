@@ -84,7 +84,7 @@ fn run(
 }
 
 fn main() {
-    let threads = par::ThreadConfig::from_env_and_args();
+    let threads = par::ThreadConfig::from_args();
     let quick = std::env::args().any(|a| a == "--quick");
     print_header(
         "Overload / SLO ladder",

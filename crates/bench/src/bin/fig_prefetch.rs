@@ -113,7 +113,7 @@ fn sweep_point(tb: &Testbed, bandwidth_kb_s: u64, confidences: &[f64]) -> Point 
 
 #[allow(clippy::cast_precision_loss)]
 fn main() {
-    let threads = par::ThreadConfig::from_env_and_args();
+    let threads = par::ThreadConfig::from_args();
     let quick = std::env::args().any(|a| a == "--quick");
     print_header(
         "fig_prefetch",

@@ -40,7 +40,7 @@ use mrts_arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
 use mrts_baselines::StaticPolicy;
 use mrts_core::{Mrts, MrtsConfig};
 use mrts_ingest::ManifestModel;
-use mrts_ise::{IseCatalog, KernelId};
+use mrts_ise::{Grain, Ise, IseCatalog, KernelId};
 use mrts_sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
 use mrts_workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
@@ -133,6 +133,39 @@ impl Testbed {
             .find(|k| k.name() == name)
             .unwrap_or_else(|| panic!("{} has no kernel '{name}'", self.name()))
             .id()
+    }
+
+    /// The three deblocking-filter ISEs of the Section 2 case study, one
+    /// per grain: ISE-1 (FG), ISE-2 (CG) and ISE-3 (MG). Each is the
+    /// single-copy variant covering both data paths with the largest
+    /// per-execution saving.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the application has no `deblock` kernel or lacks such a
+    /// variant of some grain; the H.264 encoder has all three.
+    #[must_use]
+    pub fn case_study_ises(&self) -> [&Ise; 3] {
+        let deblock = self.kernel("deblock");
+        let pick = |grain: Grain| -> &Ise {
+            self.catalog
+                .ises_of(deblock)
+                .iter()
+                .map(|i| self.catalog.ise(*i).expect("dense ids"))
+                .filter(|i| {
+                    i.grain() == grain
+                        && !i.is_mono_extension()
+                        && i.stage_count() == 2
+                        && !i.label().contains("@sw") // both data paths covered
+                })
+                .max_by_key(|i| i.risc_latency() - i.full_latency())
+                .expect("variant exists")
+        };
+        [
+            pick(Grain::FineGrained),
+            pick(Grain::CoarseGrained),
+            pick(Grain::MultiGrained),
+        ]
     }
 
     /// A fresh machine with the given fabric combination.

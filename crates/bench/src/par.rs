@@ -12,10 +12,9 @@
 //! determinism contract DESIGN.md §7 spells out.
 //!
 //! The worker count is controlled by `--threads N` on every figure binary
-//! (parsed by [`ThreadConfig::from_env_and_args`]) or the
-//! `MRTS_BENCH_THREADS` environment variable; `--threads 1` /
-//! `MRTS_BENCH_THREADS=1` is the escape hatch that forces the serial path
-//! (no worker threads are spawned at all).
+//! (parsed by [`ThreadConfig::from_args`]); `--threads 1` is the escape
+//! hatch that forces the serial path (no worker threads are spawned at
+//! all).
 //!
 //! ```
 //! use mrts_bench::par;
@@ -32,45 +31,36 @@ use std::thread;
 /// Worker-count policy of a sweep run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadConfig {
-    /// An explicit request (`--threads N` / `MRTS_BENCH_THREADS=N`);
-    /// `None` means "use every available core".
+    /// An explicit request (`--threads N`); `None` means "use every
+    /// available core".
     pub requested: Option<usize>,
 }
 
 impl ThreadConfig {
-    /// Configuration from the process environment: `--threads N` (or
-    /// `--threads=N`) in the argument list wins over the
-    /// `MRTS_BENCH_THREADS` environment variable; with neither present the
-    /// sweep uses all available cores.
+    /// Configuration from the process arguments: `--threads N` (or
+    /// `--threads=N`, the last one winning); without it the sweep uses all
+    /// available cores.
     ///
     /// This is the sweep binaries' argument boundary: a value that is not
     /// a positive integer prints `error: threads: …` and exits the process
     /// with status 1 — a figure run with a silently mis-parsed worker count
     /// would be hard to trust.
     #[must_use]
-    pub fn from_env_and_args() -> Self {
+    pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
-        let env = std::env::var("MRTS_BENCH_THREADS").ok();
-        Self::parse(&args, env.as_deref()).unwrap_or_else(|e| {
+        Self::parse(&args).unwrap_or_else(|e| {
             eprintln!("error: threads: {e}");
             std::process::exit(1)
         })
     }
 
-    /// Testable core of [`Self::from_env_and_args`].
+    /// Testable core of [`Self::from_args`].
     ///
     /// # Errors
     ///
-    /// Names the offending source when `--threads` has no value, or when
-    /// it or `MRTS_BENCH_THREADS` is not a positive integer.
-    pub fn parse(args: &[String], env: Option<&str>) -> Result<Self, String> {
-        let positive = |source: &str, v: &str| {
-            v.parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("{source} must be a positive integer, got {v:?}"))
-        };
-        let mut requested = env.map(|v| positive("MRTS_BENCH_THREADS", v)).transpose()?;
+    /// When `--threads` has no value or is not a positive integer.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let mut requested = None;
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let value = if a == "--threads" {
@@ -79,7 +69,10 @@ impl ThreadConfig {
                 a.strip_prefix("--threads=")
             };
             if let Some(v) = value {
-                requested = Some(positive("--threads", v)?);
+                let n = v.parse::<usize>().ok().filter(|&n| n > 0);
+                let n =
+                    n.ok_or_else(|| format!("--threads must be a positive integer, got {v:?}"))?;
+                requested = Some(n);
             }
         }
         Ok(ThreadConfig { requested })
@@ -199,13 +192,12 @@ mod tests {
     #[test]
     fn thread_config_parsing_precedence() {
         let args = |s: &[&str]| s.iter().map(|x| (*x).to_owned()).collect::<Vec<_>>();
-        let requested = |a: &[&str], env| ThreadConfig::parse(&args(a), env).unwrap().requested;
-        assert_eq!(requested(&["bin"], None), None);
-        assert_eq!(requested(&["bin"], Some("3")), Some(3));
-        // args win over the environment, last flag wins.
-        assert_eq!(requested(&["bin", "--threads", "2"], Some("3")), Some(2));
+        let requested = |a: &[&str]| ThreadConfig::parse(&args(a)).unwrap().requested;
+        assert_eq!(requested(&["bin"]), None);
+        assert_eq!(requested(&["bin", "--threads", "2"]), Some(2));
+        // The last flag wins.
         assert_eq!(
-            requested(&["bin", "--threads=4", "--threads", "5"], None),
+            requested(&["bin", "--threads=4", "--threads", "5"]),
             Some(5)
         );
     }

@@ -1,7 +1,7 @@
 //! The CLI subcommands.
 
 use crate::args::Args;
-use mrts_arch::{ArchParams, Cycles, FabricKind, FaultModel, Machine, Resources};
+use mrts_arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
 use mrts_baselines::{make_policy, PolicyTuning};
 use mrts_fleet::{
     poisson_arrivals, records_from_jsonl, records_to_jsonl, run_fleet, AppRegistry, FleetConfig,
@@ -774,32 +774,19 @@ pub fn pif(args: &Args) -> CliResult {
     if picks.is_empty() {
         return Err(format!("kernel '{kernel_name}' has no full-coverage variants").into());
     }
-    let recfg: Vec<Cycles> = picks
-        .iter()
-        .map(|ise| {
-            let mut fg = Cycles::ZERO;
-            let mut cg = Cycles::ZERO;
-            for s in ise.stages() {
-                match s.fabric {
-                    FabricKind::FineGrained => fg += s.load_duration,
-                    FabricKind::CoarseGrained => cg += s.load_duration,
-                }
-            }
-            fg.max(cg)
-        })
-        .collect();
 
     println!(
         "kernel '{kernel_name}' (RISC latency {} cycles)",
         kernel.risc_latency().get()
     );
-    for (ise, r) in picks.iter().zip(&recfg) {
+    for ise in &picks {
         println!(
             "  {:<34} {:<4} exec {:>5} cyc  reconfig {:>10.4} ms",
             ise.label(),
             ise.grain().to_string(),
             ise.full_latency().get(),
-            r.as_millis_f64(catalog.params().core_clock)
+            ise.isolated_reconfig_latency()
+                .as_millis_f64(catalog.params().core_clock)
         );
     }
     println!();
@@ -813,8 +800,9 @@ pub fn pif(args: &Args) -> CliResult {
         // In u128, so a `--max-exec` near `u64::MAX` cannot overflow.
         let e = (u128::from(max_exec) * u128::from(i) / u128::from(steps)) as u64;
         print!("{e:>10}");
-        for (ise, r) in picks.iter().zip(&recfg) {
-            print!(" {:>9.3}", ise.performance_improvement_factor(e, *r));
+        for ise in &picks {
+            let pif = ise.performance_improvement_factor(e, ise.isolated_reconfig_latency());
+            print!(" {pif:>9.3}");
         }
         println!();
     }
@@ -927,14 +915,4 @@ fn emit(args: &Args, text: String, what: &str) -> CliResult {
         None => print!("{text}"),
     }
     Ok(())
-}
-
-/// Run statistics pretty-printer used by tests.
-#[allow(dead_code)]
-fn summary(stats: &RunStats) -> String {
-    format!(
-        "{}: {:.3} Mcycles",
-        stats.policy,
-        stats.total_execution_time().as_mcycles()
-    )
 }

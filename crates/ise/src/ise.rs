@@ -246,6 +246,22 @@ impl Ise {
         self.stages.iter().map(|s| s.load_duration).sum()
     }
 
+    /// Reconfiguration latency on an otherwise idle machine: each port
+    /// streams its stages back to back and the two ports run in parallel,
+    /// so the ISE is complete when the busier port is done. This is the
+    /// `recT` of Eq. 1 in the Section 2 case study.
+    #[must_use]
+    pub fn isolated_reconfig_latency(&self) -> Cycles {
+        let (mut fg, mut cg) = (Cycles::ZERO, Cycles::ZERO);
+        for s in &self.stages {
+            match s.fabric {
+                FabricKind::FineGrained => fg += s.load_duration,
+                FabricKind::CoarseGrained => cg += s.load_duration,
+            }
+        }
+        fg.max(cg)
+    }
+
     /// Whether this ISE *dominates* `other` (same kernel): it needs no more
     /// of either fabric, executes at least as fast once configured, and
     /// loads at least as quickly — with a strict advantage somewhere. A
@@ -386,6 +402,8 @@ mod tests {
     #[test]
     fn total_load_duration_sums_stages() {
         assert_eq!(mg_ise().total_load_duration(), Cycles::new(480_060));
+        // The two ports load in parallel: the FG port is the busier one.
+        assert_eq!(mg_ise().isolated_reconfig_latency(), Cycles::new(480_000));
     }
 
     #[test]

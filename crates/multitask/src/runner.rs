@@ -896,7 +896,7 @@ impl<'a> MultitaskRunner<'a> {
         };
         let t = self
             .scheduler
-            .pick_slo(&self.runnable, &snap)
+            .pick(&self.runnable, &snap)
             .expect("scheduler must pick while a tenant is runnable");
         debug_assert!(self.runnable[t], "scheduler picked a finished tenant");
 

@@ -32,17 +32,12 @@ pub trait Scheduler: fmt::Debug {
     fn name(&self) -> &'static str;
 
     /// Chooses the next tenant among the runnable ones (`runnable[i]` is
-    /// `true` iff tenant `i` still has blocks to execute). Returns `None`
-    /// iff no tenant is runnable.
-    fn pick(&mut self, runnable: &[bool]) -> Option<usize>;
-
-    /// Deadline-aware pick: like [`Scheduler::pick`], but with the
-    /// tenants' current SLO state available. The deadline-blind
-    /// disciplines ignore the snapshot (this default); EDF and LLF are
-    /// *defined* by it.
-    fn pick_slo(&mut self, runnable: &[bool], _slo: &SloSnapshot<'_>) -> Option<usize> {
-        self.pick(runnable)
-    }
+    /// `true` iff tenant `i` still has blocks to execute), given the
+    /// tenants' current SLO state. Returns `None` iff no tenant is
+    /// runnable. The deadline-blind disciplines ignore `slo`; EDF and LLF
+    /// are *defined* by it, and with an empty snapshot they rank every
+    /// tenant equally and pick the lowest runnable index.
+    fn pick(&mut self, runnable: &[bool], slo: &SloSnapshot<'_>) -> Option<usize>;
 
     /// Accounts `consumed` core cycles to `tenant` after it ran a block.
     fn charge(&mut self, tenant: usize, consumed: Cycles);
@@ -101,7 +96,7 @@ impl Scheduler for RoundRobin {
         "rr"
     }
 
-    fn pick(&mut self, runnable: &[bool]) -> Option<usize> {
+    fn pick(&mut self, runnable: &[bool], _slo: &SloSnapshot<'_>) -> Option<usize> {
         if let Some(cur) = self.current {
             if cur < runnable.len()
                 && runnable[cur]
@@ -168,7 +163,7 @@ impl Scheduler for StrictPriority {
         "prio"
     }
 
-    fn pick(&mut self, runnable: &[bool]) -> Option<usize> {
+    fn pick(&mut self, runnable: &[bool], _slo: &SloSnapshot<'_>) -> Option<usize> {
         (0..runnable.len())
             .filter(|&i| runnable[i])
             .max_by_key(|&i| {
@@ -228,7 +223,7 @@ impl Scheduler for WeightedFair {
         "wfq"
     }
 
-    fn pick(&mut self, runnable: &[bool]) -> Option<usize> {
+    fn pick(&mut self, runnable: &[bool], _slo: &SloSnapshot<'_>) -> Option<usize> {
         (0..runnable.len())
             .filter(|&i| runnable[i])
             .min_by_key(|&i| (self.vtime.get(i).copied().unwrap_or(0), i))
@@ -278,13 +273,7 @@ impl Scheduler for EarliestDeadline {
         "edf"
     }
 
-    fn pick(&mut self, runnable: &[bool]) -> Option<usize> {
-        // Without deadline information every tenant ranks equally:
-        // degenerate to lowest-index-first.
-        runnable.iter().position(|&r| r)
-    }
-
-    fn pick_slo(&mut self, runnable: &[bool], slo: &SloSnapshot<'_>) -> Option<usize> {
+    fn pick(&mut self, runnable: &[bool], slo: &SloSnapshot<'_>) -> Option<usize> {
         (0..runnable.len())
             .filter(|&i| runnable[i])
             .min_by_key(|&i| {
@@ -315,11 +304,7 @@ impl Scheduler for LeastLaxity {
         "llf"
     }
 
-    fn pick(&mut self, runnable: &[bool]) -> Option<usize> {
-        runnable.iter().position(|&r| r)
-    }
-
-    fn pick_slo(&mut self, runnable: &[bool], slo: &SloSnapshot<'_>) -> Option<usize> {
+    fn pick(&mut self, runnable: &[bool], slo: &SloSnapshot<'_>) -> Option<usize> {
         (0..runnable.len())
             .filter(|&i| runnable[i])
             .min_by_key(|&i| {
@@ -397,13 +382,19 @@ impl fmt::Display for SchedulerKind {
 mod tests {
     use super::*;
 
+    /// No deadline or laxity information for any tenant.
+    const BLIND: SloSnapshot<'static> = SloSnapshot {
+        deadlines: &[],
+        laxities: &[],
+    };
+
     #[test]
     fn round_robin_rotates_each_block_with_zero_quantum() {
         let mut rr = RoundRobin::new(Cycles::ZERO);
         let runnable = vec![true, true, true];
         let picks: Vec<usize> = (0..6)
             .map(|_| {
-                let t = rr.pick(&runnable).unwrap();
+                let t = rr.pick(&runnable, &BLIND).unwrap();
                 rr.charge(t, Cycles::new(10));
                 t
             })
@@ -415,23 +406,35 @@ mod tests {
     fn round_robin_honours_quantum_and_skips_finished() {
         let mut rr = RoundRobin::new(Cycles::new(100));
         let mut runnable = vec![true, true, true];
-        assert_eq!(rr.pick(&runnable), Some(0));
+        assert_eq!(rr.pick(&runnable, &BLIND), Some(0));
         rr.charge(0, Cycles::new(60));
-        assert_eq!(rr.pick(&runnable), Some(0), "quantum not yet used up");
+        assert_eq!(
+            rr.pick(&runnable, &BLIND),
+            Some(0),
+            "quantum not yet used up"
+        );
         rr.charge(0, Cycles::new(60));
-        assert_eq!(rr.pick(&runnable), Some(1), "quantum exceeded");
+        assert_eq!(rr.pick(&runnable, &BLIND), Some(1), "quantum exceeded");
         rr.charge(1, Cycles::new(200));
         runnable[2] = false; // tenant 2 finished
-        assert_eq!(rr.pick(&runnable), Some(0), "rotation skips finished");
+        assert_eq!(
+            rr.pick(&runnable, &BLIND),
+            Some(0),
+            "rotation skips finished"
+        );
     }
 
     #[test]
     fn strict_priority_prefers_heavy_then_low_index() {
         let mut p = StrictPriority::new(&[1, 5, 5]);
-        assert_eq!(p.pick(&[true, true, true]), Some(1), "tie → lowest index");
-        assert_eq!(p.pick(&[true, false, true]), Some(2));
-        assert_eq!(p.pick(&[true, false, false]), Some(0));
-        assert_eq!(p.pick(&[false, false, false]), None);
+        assert_eq!(
+            p.pick(&[true, true, true], &BLIND),
+            Some(1),
+            "tie → lowest index"
+        );
+        assert_eq!(p.pick(&[true, false, true], &BLIND), Some(2));
+        assert_eq!(p.pick(&[true, false, false], &BLIND), Some(0));
+        assert_eq!(p.pick(&[false, false, false], &BLIND), None);
     }
 
     #[test]
@@ -440,7 +443,7 @@ mod tests {
         let runnable = vec![true, true];
         let mut served = [0u64, 0u64];
         for _ in 0..400 {
-            let t = w.pick(&runnable).unwrap();
+            let t = w.pick(&runnable, &BLIND).unwrap();
             served[t] += 100;
             w.charge(t, Cycles::new(100));
         }
@@ -458,7 +461,7 @@ mod tests {
         let mut gap = 0u32;
         let mut worst = 0u32;
         for _ in 0..2_000 {
-            let t = w.pick(&runnable).unwrap();
+            let t = w.pick(&runnable, &BLIND).unwrap();
             w.charge(t, Cycles::new(50));
             if t == 0 {
                 worst = worst.max(gap);
@@ -477,17 +480,17 @@ mod tests {
         w.register(1, &[true]);
         // The newcomer starts at the incumbent's virtual clock, so the
         // tie breaks to the incumbent instead of a zero-vtime monopoly.
-        assert_eq!(w.pick(&[true, true]), Some(0));
+        assert_eq!(w.pick(&[true, true], &BLIND), Some(0));
         w.charge(0, Cycles::new(10));
-        assert_eq!(w.pick(&[true, true]), Some(1));
+        assert_eq!(w.pick(&[true, true], &BLIND), Some(1));
         // Strict priority just learns the newcomer's weight.
         let mut p = StrictPriority::new(&[1]);
         p.register(9, &[true]);
-        assert_eq!(p.pick(&[true, true]), Some(1));
+        assert_eq!(p.pick(&[true, true], &BLIND), Some(1));
         // Stateless disciplines ignore registration.
         let mut edf = EarliestDeadline;
         edf.register(1, &[true]);
-        assert_eq!(edf.pick(&[true, true]), Some(0));
+        assert_eq!(edf.pick(&[true, true], &BLIND), Some(0));
     }
 
     /// Retiring a tenant must pick exactly as keeping it forever
@@ -541,8 +544,8 @@ mod tests {
                         }
                         _ => {
                             let mask: Vec<bool> = live_ids.iter().map(|&i| runnable[i]).collect();
-                            let want = ghost.pick(&runnable);
-                            let got = live.pick(&mask).map(|p| live_ids[p]);
+                            let want = ghost.pick(&runnable, &BLIND);
+                            let got = live.pick(&mask, &BLIND).map(|p| live_ids[p]);
                             assert_eq!(got, want, "{kind} seed {seed}: picks diverged");
                             if let Some(id) = want {
                                 let consumed = Cycles::new(10 + draw(100));
@@ -587,14 +590,14 @@ mod tests {
             laxities: &[None; 4],
         };
         // Soonest deadline wins; the 400-cycle tie breaks to index 1.
-        assert_eq!(edf.pick_slo(&[true; 4], &snap), Some(1));
+        assert_eq!(edf.pick(&[true; 4], &snap), Some(1));
         // With the urgent pair done, 900 beats "no deadline".
-        assert_eq!(edf.pick_slo(&[true, false, true, false], &snap), Some(0));
+        assert_eq!(edf.pick(&[true, false, true, false], &snap), Some(0));
         // Only the unconstrained tenant left: it still runs.
-        assert_eq!(edf.pick_slo(&[false, false, true, false], &snap), Some(2));
-        assert_eq!(edf.pick_slo(&[false; 4], &snap), None);
-        // Deadline-blind fallback degenerates to lowest index.
-        assert_eq!(edf.pick(&[false, true, true, false]), Some(1));
+        assert_eq!(edf.pick(&[false, false, true, false], &snap), Some(2));
+        assert_eq!(edf.pick(&[false; 4], &snap), None);
+        // An empty snapshot ranks every tenant equally: lowest index.
+        assert_eq!(edf.pick(&[false, true, true, false], &BLIND), Some(1));
     }
 
     #[test]
@@ -606,9 +609,10 @@ mod tests {
             laxities: &laxities,
         };
         // Most negative laxity is most urgent; tie breaks to index 1.
-        assert_eq!(llf.pick_slo(&[true; 4], &snap), Some(1));
-        assert_eq!(llf.pick_slo(&[true, false, true, false], &snap), Some(0));
-        assert_eq!(llf.pick_slo(&[false, false, true, false], &snap), Some(2));
+        assert_eq!(llf.pick(&[true; 4], &snap), Some(1));
+        assert_eq!(llf.pick(&[true, false, true, false], &snap), Some(0));
+        assert_eq!(llf.pick(&[false, false, true, false], &snap), Some(2));
+        assert_eq!(llf.pick(&[false, true, true, false], &BLIND), Some(1));
     }
 
     #[test]
@@ -621,6 +625,6 @@ mod tests {
         let mut wfq = WeightedFair::new(&[1, 1]);
         wfq.charge(0, Cycles::new(1_000));
         // WFQ's virtual time, not the deadline, decides.
-        assert_eq!(wfq.pick_slo(&[true, true], &snap), Some(1));
+        assert_eq!(wfq.pick(&[true, true], &snap), Some(1));
     }
 }

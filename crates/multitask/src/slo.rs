@@ -145,7 +145,7 @@ pub fn ladder_cap(level: u8, entitlement: Resources) -> Resources {
 }
 
 /// Read-only view of the tenants' deadline state, handed to
-/// [`Scheduler::pick_slo`](crate::Scheduler::pick_slo) each dispatch.
+/// [`Scheduler::pick`](crate::Scheduler::pick) each dispatch.
 /// Indices align with the runnable mask; `None` marks a tenant without
 /// that piece of information (no SLO, not admitted, or finished).
 #[derive(Debug, Clone, Copy)]

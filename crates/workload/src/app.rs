@@ -20,43 +20,6 @@ pub struct FunctionalBlock {
     pub kernels: Vec<KernelId>,
 }
 
-/// Why `Application::try_merged` refused to merge a set of applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MergeError {
-    /// No applications were given.
-    Empty,
-    /// The concatenated kernel count exceeds the 16-bit [`KernelId`] space.
-    KernelIdOverflow {
-        /// Total kernels across all components.
-        total: usize,
-    },
-    /// The concatenated block count exceeds the 16-bit [`BlockId`] space.
-    BlockIdOverflow {
-        /// Total blocks across all components.
-        total: usize,
-    },
-}
-
-impl std::fmt::Display for MergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MergeError::Empty => write!(f, "merging requires at least one application"),
-            MergeError::KernelIdOverflow { total } => write!(
-                f,
-                "merged kernel count {total} exceeds the 16-bit KernelId space ({})",
-                u16::MAX
-            ),
-            MergeError::BlockIdOverflow { total } => write!(
-                f,
-                "merged block count {total} exceeds the 16-bit BlockId space ({})",
-                u16::MAX
-            ),
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
-
 /// A complete application: kernel specifications plus the functional-block
 /// structure over them.
 #[derive(Debug, Clone)]
@@ -119,104 +82,6 @@ impl Application {
         self.specs.len()
     }
 
-    /// Merges several applications into one that multi-tasks them on a
-    /// shared machine: kernel ids and block ids are re-based so each
-    /// component keeps its structure, and the blocks interleave in
-    /// round-robin order (app₀ block₀, app₁ block₀, …, app₀ block₁, …) —
-    /// the paper's *"available fine- and coarse-grained reconfigurable
-    /// fabric (shared among various tasks)"* scenario.
-    ///
-    /// Returns the merged application and, per component, its kernel-id
-    /// offset (to translate component-local ids).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `apps` is empty or the merged id spaces overflow the
-    /// 16-bit [`KernelId`] / [`BlockId`] ranges.
-    #[must_use]
-    #[track_caller]
-    pub fn merged(name: impl Into<String>, apps: &[&Application]) -> (Application, Vec<u16>) {
-        match Application::try_merged(name, apps) {
-            Ok(merged) => merged,
-            Err(e) => panic!("Application::merged: {e}"),
-        }
-    }
-
-    /// Fallible form of [`Application::merged`]: kernel-id re-basing and
-    /// block renumbering are overflow-checked instead of silently
-    /// truncating past 65 535 ids.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MergeError::Empty`] for an empty `apps` slice, and
-    /// [`MergeError::KernelIdOverflow`] / [`MergeError::BlockIdOverflow`]
-    /// when the concatenated kernel or block count does not fit a `u16`.
-    fn try_merged(
-        name: impl Into<String>,
-        apps: &[&Application],
-    ) -> Result<(Application, Vec<u16>), MergeError> {
-        if apps.is_empty() {
-            return Err(MergeError::Empty);
-        }
-        let total_kernels: usize = apps.iter().map(|a| a.kernel_count()).sum();
-        if total_kernels > usize::from(u16::MAX) {
-            return Err(MergeError::KernelIdOverflow {
-                total: total_kernels,
-            });
-        }
-        let total_blocks: usize = apps.iter().map(|a| a.blocks().len()).sum();
-        if total_blocks > usize::from(u16::MAX) {
-            return Err(MergeError::BlockIdOverflow {
-                total: total_blocks,
-            });
-        }
-        let mut specs = Vec::new();
-        let mut offsets = Vec::with_capacity(apps.len());
-        let mut rebased_blocks: Vec<Vec<FunctionalBlock>> = Vec::with_capacity(apps.len());
-        for app in apps {
-            // Checked above: specs.len() stays within u16 for every prefix.
-            let offset = u16::try_from(specs.len()).expect("total kernel count checked");
-            offsets.push(offset);
-            specs.extend(app.kernel_specs().iter().cloned());
-            rebased_blocks.push(
-                app.blocks()
-                    .iter()
-                    .map(|b| {
-                        let kernels = b
-                            .kernels
-                            .iter()
-                            .map(|k| {
-                                k.index().checked_add(offset).map(KernelId).ok_or(
-                                    MergeError::KernelIdOverflow {
-                                        total: total_kernels,
-                                    },
-                                )
-                            })
-                            .collect::<Result<Vec<KernelId>, MergeError>>()?;
-                        Ok(FunctionalBlock {
-                            id: BlockId(0), // renumbered below
-                            name: format!("{}::{}", app.name(), b.name),
-                            kernels,
-                        })
-                    })
-                    .collect::<Result<Vec<FunctionalBlock>, MergeError>>()?,
-            );
-        }
-        // Round-robin interleave the component block sequences.
-        let mut blocks = Vec::new();
-        let longest = rebased_blocks.iter().map(Vec::len).max().unwrap_or(0);
-        for round in 0..longest {
-            for seq in &mut rebased_blocks {
-                if round < seq.len() {
-                    let mut b = seq[round].clone();
-                    b.id = BlockId(u16::try_from(blocks.len()).expect("total block count checked"));
-                    blocks.push(b);
-                }
-            }
-        }
-        Ok((Application::new(name, specs, blocks), offsets))
-    }
-
     /// Builds the compile-time ISE catalogue for this application.
     ///
     /// # Errors
@@ -268,104 +133,6 @@ pub trait WorkloadModel {
     }
 }
 
-/// A [`WorkloadModel`] multi-tasking several component models on one
-/// machine (see [`Application::merged`]).
-///
-/// # Example
-///
-/// ```
-/// use mrts_ise::datapath::{DataPathGraph, OpKind};
-/// use mrts_ise::{BlockId, KernelId, KernelSpec};
-/// use mrts_workload::video::FrameStats;
-/// use mrts_workload::{Application, FunctionalBlock, MergedWorkload, WorkloadModel};
-///
-/// # struct Fixed(Application, u64);
-/// # impl WorkloadModel for Fixed {
-/// #     fn application(&self) -> &Application {
-/// #         &self.0
-/// #     }
-/// #     fn kernel_executions(&self, _: &FrameStats) -> Vec<u64> {
-/// #         vec![self.1]
-/// #     }
-/// # }
-/// # fn one_kernel(name: &str) -> Application {
-/// #     let mut g = DataPathGraph::builder("abs");
-/// #     let x = g.input();
-/// #     let _ = g.op(OpKind::Abs, &[x]);
-/// #     let kernel = KernelSpec::new(name).data_path(g.finish().expect("valid"), 4);
-/// #     let block = FunctionalBlock { id: BlockId(0), name: "main".into(), kernels: vec![KernelId(0)] };
-/// #     Application::new(name, vec![kernel], vec![block])
-/// # }
-/// // Two one-kernel, one-block models (`Fixed` returns a constant count).
-/// let fft = Fixed(one_kernel("fft"), 64);
-/// let cipher = Fixed(one_kernel("cipher"), 512);
-/// let merged = MergedWorkload::new("radio", vec![&fft, &cipher]);
-/// assert_eq!(merged.application().kernel_count(), 2);
-/// assert_eq!(merged.application().blocks()[1].name, "cipher::main");
-/// ```
-pub struct MergedWorkload<'a> {
-    app: Application,
-    components: Vec<&'a dyn WorkloadModel>,
-    offsets: Vec<u16>,
-}
-
-impl std::fmt::Debug for MergedWorkload<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MergedWorkload")
-            .field("app", &self.app.name())
-            .field("components", &self.components.len())
-            .field("offsets", &self.offsets)
-            .finish()
-    }
-}
-
-impl<'a> MergedWorkload<'a> {
-    /// Merges the component models (at least one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `components` is empty.
-    #[must_use]
-    pub fn new(name: impl Into<String>, components: Vec<&'a dyn WorkloadModel>) -> Self {
-        let apps: Vec<&Application> = components.iter().map(|c| c.application()).collect();
-        let (app, offsets) = Application::merged(name, &apps);
-        MergedWorkload {
-            app,
-            components,
-            offsets,
-        }
-    }
-
-    /// The component (and its kernel-id offset) owning a merged kernel id.
-    fn component_of(&self, kernel: KernelId) -> (usize, u16) {
-        let mut owner = 0;
-        for (i, off) in self.offsets.iter().enumerate() {
-            if kernel.index() >= *off {
-                owner = i;
-            }
-        }
-        (owner, self.offsets[owner])
-    }
-}
-
-impl WorkloadModel for MergedWorkload<'_> {
-    fn application(&self) -> &Application {
-        &self.app
-    }
-
-    fn kernel_executions(&self, frame: &FrameStats) -> Vec<u64> {
-        self.components
-            .iter()
-            .flat_map(|c| c.kernel_executions(frame))
-            .collect()
-    }
-
-    fn kernel_gap(&self, kernel: KernelId) -> mrts_arch::Cycles {
-        let (i, off) = self.component_of(kernel);
-        self.components[i].kernel_gap(KernelId(kernel.index() - off))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,43 +162,6 @@ mod tests {
             .build_catalog(ArchParams::default(), None)
             .expect("catalog builds");
         assert_eq!(catalog.kernels().len(), 2);
-    }
-
-    #[test]
-    fn try_merged_rejects_kernel_id_overflow() {
-        // Two 40 000-kernel components: 80 000 merged ids would silently
-        // wrap the u16 KernelId space under unchecked arithmetic.
-        let big = Application::new(
-            "big",
-            vec![spec("k"); 40_000],
-            vec![FunctionalBlock {
-                id: BlockId(0),
-                name: "fb".into(),
-                kernels: vec![KernelId(39_999)],
-            }],
-        );
-        let err = Application::try_merged("pair", &[&big, &big]).unwrap_err();
-        assert_eq!(err, MergeError::KernelIdOverflow { total: 80_000 });
-        assert!(err.to_string().contains("80000"));
-        // A single component of the same size is fine and rebases from 0.
-        let (merged, offsets) = Application::try_merged("solo", &[&big]).unwrap();
-        assert_eq!(merged.kernel_count(), 40_000);
-        assert_eq!(offsets, vec![0]);
-    }
-
-    #[test]
-    fn try_merged_rejects_empty_input() {
-        assert_eq!(
-            Application::try_merged("none", &[]).unwrap_err(),
-            MergeError::Empty
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the 16-bit KernelId space")]
-    fn merged_panics_on_overflow_instead_of_truncating() {
-        let big = Application::new("big", vec![spec("k"); 40_000], Vec::new());
-        let _ = Application::merged("pair", &[&big, &big]);
     }
 
     #[test]

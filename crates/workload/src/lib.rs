@@ -27,6 +27,6 @@ pub mod synthetic;
 pub mod trace;
 pub mod video;
 
-pub use app::{Application, FunctionalBlock, MergedWorkload, WorkloadModel};
+pub use app::{Application, FunctionalBlock, WorkloadModel};
 pub use trace::{BlockActivation, KernelActivity, Trace, TraceBuilder};
 pub use video::{Scene, VideoModel};

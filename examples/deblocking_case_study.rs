@@ -9,7 +9,7 @@
 //! cargo run --release --example deblocking_case_study
 //! ```
 
-use mrts::arch::{ArchParams, Cycles, FabricKind};
+use mrts::arch::ArchParams;
 use mrts::ise::{Grain, Ise};
 use mrts::workload::{VideoModel, WorkloadModel};
 
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     println!();
     for (name, ise) in &ises {
-        let recfg = reconfig_latency(ise);
+        let recfg = ise.isolated_reconfig_latency();
         println!(
             "{name} {:<24} needs {:<14} exec latency {:>4} cycles, reconfig {:>9.4} ms",
             ise.label(),
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|(n, ise)| {
                 format!(
                     "{n}={:5.2}",
-                    ise.performance_improvement_factor(e, reconfig_latency(ise))
+                    ise.performance_improvement_factor(e, ise.isolated_reconfig_latency())
                 )
             })
             .collect();
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|(n, ise)| {
                 (
                     *n,
-                    ise.performance_improvement_factor(e, reconfig_latency(ise)),
+                    ise.performance_improvement_factor(e, ise.isolated_reconfig_latency()),
                 )
             })
             .max_by(|a, b| a.1.total_cmp(&b.1))
@@ -103,17 +103,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          cannot follow it; mRTS reselects at every trigger instruction."
     );
     Ok(())
-}
-
-/// Serialized load time of an ISE's stages per configuration port.
-fn reconfig_latency(ise: &Ise) -> Cycles {
-    let mut fg = Cycles::ZERO;
-    let mut cg = Cycles::ZERO;
-    for s in ise.stages() {
-        match s.fabric {
-            FabricKind::FineGrained => fg += s.load_duration,
-            FabricKind::CoarseGrained => cg += s.load_duration,
-        }
-    }
-    fg.max(cg)
 }

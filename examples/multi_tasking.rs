@@ -1,9 +1,11 @@
 //! Multi-tasking: three applications — the H.264 encoder, an FFT pipeline
-//! and a stream cipher — share one multi-grained machine. Their functional
-//! blocks interleave, so every trigger instruction finds fabric occupied by
-//! the *other* tasks' ISEs: exactly the run-time varying availability the
-//! paper's Section 1 motivates ("the available fine- and coarse-grained
-//! reconfigurable fabric (shared among various tasks)").
+//! and a stream cipher — share one multi-grained machine. Each tenant runs
+//! its own mRTS on the fabric slice the arbiter grants it, and the core
+//! switches between tenants at block boundaries, so every trigger
+//! instruction finds fabric availability shaped by the *other* tasks:
+//! exactly the run-time varying availability the paper's Section 1
+//! motivates ("the available fine- and coarse-grained reconfigurable
+//! fabric (shared among various tasks)").
 //!
 //! ```text
 //! cargo run --release --example multi_tasking
@@ -11,74 +13,70 @@
 
 use std::collections::BTreeMap;
 
-use mrts::arch::{ArchParams, Machine, Resources};
-use mrts::core::Mrts;
-use mrts::sim::{RiscOnlyPolicy, SimEvent, Simulator, VecSink};
-use mrts::workload::{MergedWorkload, TraceBuilder, VideoModel, WorkloadModel};
+use mrts::arch::{ArchParams, Resources};
+use mrts::multitask::{run_multitask_with_events, MultitaskConfig, TenantSpec};
+use mrts::sim::{SimEvent, VecSink};
+use mrts::workload::{TraceBuilder, VideoModel, WorkloadModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let encoder = mrts::ingest::model("h264")?;
-    let fft = mrts::ingest::model("fft")?;
-    let cipher = mrts::ingest::model("cipher")?;
-    let merged = MergedWorkload::new("soc_multitask", vec![&encoder, &fft, &cipher]);
-    println!(
-        "merged workload: {} kernels in {} interleaved functional blocks",
-        merged.application().kernel_count(),
-        merged.application().blocks().len()
-    );
-
-    let catalog = merged
-        .application()
-        .build_catalog(ArchParams::default(), None)?;
-    let trace = TraceBuilder::new(&merged)
-        .video(VideoModel::paper_default(3))
-        .build();
+    // One catalogue and one trace per application, each over the paper's
+    // three-scene video.
+    let mut apps = Vec::new();
+    for name in ["h264", "fft", "cipher"] {
+        let model = mrts::ingest::model(name)?;
+        let catalog = model
+            .application()
+            .build_catalog(ArchParams::default(), None)?;
+        let trace = TraceBuilder::new(&model)
+            .video(VideoModel::paper_default(3))
+            .build();
+        apps.push((name, catalog, trace));
+    }
+    let specs: Vec<TenantSpec<'_>> = apps
+        .iter()
+        .map(|(name, catalog, trace)| TenantSpec::new(*name, catalog, trace))
+        .collect();
 
     let combo = Resources::new(2, 2);
-    let machine = || Machine::new(ArchParams::default(), combo);
-    let risc = Simulator::run(&catalog, machine()?, &trace, &mut RiscOnlyPolicy::new());
-    // Record the mRTS run's event spine.
-    let sink = VecSink::new();
-    let mut sim = Simulator::new(&catalog, machine()?);
-    sim.attach_events(0, Box::new(sink.clone()));
-    let mrts = sim.run_trace(&trace, &mut Mrts::new());
-    sim.finish_events();
+    let mut sink = VecSink::new();
+    let stats = run_multitask_with_events(
+        ArchParams::default(),
+        combo,
+        &specs,
+        &MultitaskConfig::default(),
+        &mut sink,
+    )?;
     let events = sink.take();
+    println!("machine {combo}, one mRTS per tenant:");
+    print!("{stats}");
 
-    println!();
-    println!(
-        "machine {combo}: RISC {:.2} Mcycles -> mRTS {:.2} Mcycles ({:.2}x)",
-        risc.total_execution_time().as_mcycles(),
-        mrts.total_execution_time().as_mcycles(),
-        mrts.speedup_vs(&risc)
-    );
-
-    // How much fabric churn does task interleaving cause?
-    let count = |pred: fn(&SimEvent) -> bool| events.iter().filter(|(_, e)| pred(e)).count();
-    let triggers = count(|e| matches!(e, SimEvent::BlockStart { .. }));
-    let loads = count(|e| matches!(e, SimEvent::LoadIssued { .. }));
-    println!(
-        "over {triggers} trigger instructions mRTS streamed {loads} units \
-         (tasks steal fabric from each other at every block boundary)"
-    );
-
-    // Which tasks' kernels kept changing how they execute?
+    // How much fabric churn does sharing cause, and which tenants' kernels
+    // kept changing how they execute? Events carry their tenant's index.
+    let mut loads = BTreeMap::new();
     let mut changes = BTreeMap::new();
     let mut last = BTreeMap::new();
-    for (_, event) in &events {
+    for (tenant, event) in &events {
+        if matches!(event, SimEvent::LoadIssued { .. }) {
+            *loads.entry(*tenant).or_insert(0usize) += 1;
+        }
         if let SimEvent::ExecBatch { kernel, class, .. } = event {
-            if last
-                .insert(*kernel, *class)
-                .is_some_and(|prev| prev != *class)
-            {
-                *changes.entry(*kernel).or_insert(0usize) += 1;
+            let key = (*tenant, *kernel);
+            if last.insert(key, *class).is_some_and(|prev| prev != *class) {
+                *changes.entry(key).or_insert(0usize) += 1;
             }
         }
     }
     println!();
+    println!("units streamed per tenant:");
+    for (tenant, n) in &loads {
+        println!("  {:<8} {n} loads", specs[*tenant as usize].name);
+    }
+    println!();
     println!("execution-class changes per kernel (adaptivity under fabric sharing):");
-    for (kernel, n) in changes {
-        println!("  {:<22} {n} changes", catalog.kernel(kernel)?.name());
+    for ((tenant, kernel), n) in changes {
+        let spec = &specs[tenant as usize];
+        let kernel = spec.catalog.kernel(kernel)?.name();
+        println!("  {:<8} {kernel:<22} {n} changes", spec.name);
     }
     Ok(())
 }

@@ -1,12 +1,11 @@
 //! End-to-end integration tests: the full pipeline — application →
 //! catalogue → video → trace → simulator → policies — across crates.
 
-use mrts::arch::{ArchParams, Resources};
+use mrts::arch::Resources;
 use mrts::baselines::StaticPolicy;
 use mrts::core::{Mrts, MrtsConfig};
-use mrts::ise::{BlockId, KernelId};
 use mrts::sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
-use mrts::workload::{MergedWorkload, Trace, TraceBuilder, VideoModel, WorkloadModel};
+use mrts::workload::{Trace, TraceBuilder, VideoModel};
 use mrts_bench::Testbed;
 
 /// The encoder of the evaluation over the paper video (seed 1).
@@ -156,50 +155,4 @@ fn machine_state_persists_across_traces() {
         s1.total_busy() + s2.total_busy(),
         "split simulation must be seamless"
     );
-}
-
-#[test]
-fn merged_applications_interleave_blocks_and_rebase_kernels() {
-    let model = |name| mrts::ingest::model(name).expect("builtin lowers");
-    let (enc, fft, cipher) = (model("h264"), model("fft"), model("cipher"));
-    let merged = MergedWorkload::new("soc", vec![&enc, &fft, &cipher]);
-    let app = merged.application();
-    // 11 + 2 + 2 kernels; 3 + 1 + 1 blocks.
-    assert_eq!(app.kernel_count(), 15);
-    assert_eq!(app.blocks().len(), 5);
-    // Round-robin: enc.b0, fft.b0, cipher.b0, enc.b1, enc.b2.
-    let names: Vec<&str> = app.blocks().iter().map(|b| b.name.as_str()).collect();
-    assert_eq!(
-        names,
-        vec![
-            "h264_encoder::motion_intra",
-            "fft_pipeline::fft",
-            "stream_cipher::encrypt",
-            "h264_encoder::transform_encode",
-            "h264_encoder::loop_filter",
-        ]
-    );
-    // Block ids renumbered densely.
-    for (i, b) in app.blocks().iter().enumerate() {
-        assert_eq!(b.id, BlockId(i as u16));
-    }
-    // The fft block's kernels were rebased past the encoder's 11.
-    assert_eq!(app.blocks()[1].kernels, vec![KernelId(11), KernelId(12)]);
-    // Execution counts concatenate component outputs.
-    let frame = &VideoModel::paper_default(1).frames()[0];
-    let counts = merged.kernel_executions(frame);
-    assert_eq!(counts.len(), 15);
-    assert_eq!(&counts[..11], &enc.kernel_executions(frame)[..]);
-    assert_eq!(&counts[11..13], &fft.kernel_executions(frame)[..]);
-    // Gaps dispatch to the owning component.
-    assert_eq!(merged.kernel_gap(KernelId(11)), fft.kernel_gap(KernelId(0)));
-    assert_eq!(
-        merged.kernel_gap(KernelId(14)),
-        cipher.kernel_gap(KernelId(1))
-    );
-    // And the merged catalogue builds.
-    let catalog = app
-        .build_catalog(ArchParams::default(), None)
-        .expect("merged catalog builds");
-    assert_eq!(catalog.kernels().len(), 15);
 }

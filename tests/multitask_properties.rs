@@ -16,12 +16,19 @@ use mrts::arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
 use mrts::core::Mrts;
 use mrts::multitask::{
     run_multitask, ArbiterPolicy, Criticality, FabricArbiter, MultitaskConfig, Scheduler,
-    SchedulerKind, Slo, TenantSpec, WeightedFair,
+    SchedulerKind, Slo, SloSnapshot, TenantSpec, WeightedFair,
 };
 use mrts::sim::{RunStats, Simulator};
 use mrts::workload::synthetic::{synthetic_trace, Pattern};
 use mrts::workload::WorkloadModel;
 use proptest::prelude::*;
+
+/// No deadline or laxity information: what a deadline-blind discipline
+/// such as WFQ sees.
+const BLIND: SloSnapshot<'static> = SloSnapshot {
+    deadlines: &[],
+    laxities: &[],
+};
 
 /// One tenant per weight on the runner's up-front partition: an even
 /// split of `pool`, weighted under [`ArbiterPolicy::Proportional`].
@@ -200,7 +207,7 @@ proptest! {
         let mut last_seen = vec![0usize; n];
         let mut max_gap = vec![0usize; n];
         for round in 0..rounds {
-            let t = wfq.pick(&runnable).expect("someone is runnable");
+            let t = wfq.pick(&runnable, &BLIND).expect("someone is runnable");
             prop_assert!(t < n);
             picks[t] += 1;
             for i in 0..n {
@@ -237,7 +244,7 @@ proptest! {
         let runnable: Vec<bool> = (0..n).map(|i| mask_bits >> i & 1 == 1).collect();
         let mut wfq = WeightedFair::new(&weights);
         for _ in 0..50 {
-            match wfq.pick(&runnable) {
+            match wfq.pick(&runnable, &BLIND) {
                 Some(t) => {
                     prop_assert!(runnable[t], "picked a non-runnable tenant");
                     wfq.charge(t, Cycles::new(1000));

@@ -3,10 +3,11 @@
 //! not checked (our substrate is a simulator, not the authors' testbed);
 //! orderings, regions and bounds are.
 
-use mrts::arch::{Cycles, FabricKind, FaultModel, Resources};
+use mrts::arch::{ArchParams, Cycles, FaultModel, ReconfigurationController, Resources};
 use mrts::baselines::StaticPolicy;
-use mrts::core::{Mrts, MrtsConfig};
-use mrts::ise::{Grain, Ise};
+use mrts::core::{expected_profit, Mrts, MrtsConfig};
+use mrts::ingest::BUILTIN_APPS;
+use mrts::ise::{Grain, TriggerInstruction};
 use mrts::sim::{ExecClass, RiscOnlyPolicy, RuntimePolicy};
 use mrts::workload::{VideoModel, WorkloadModel};
 use mrts_bench::{fig8_combos, Testbed};
@@ -16,51 +17,14 @@ fn h264() -> Testbed {
     Testbed::new("h264", 1)
 }
 
-/// The three case-study ISEs of Section 2 (full coverage, single copy).
-fn case_study_ises(tb: &Testbed) -> [&Ise; 3] {
-    let catalog = &tb.catalog;
-    let deblock = tb.kernel("deblock");
-    let pick = |grain: Grain| -> &Ise {
-        catalog
-            .ises_of(deblock)
-            .iter()
-            .map(|i| catalog.ise(*i).expect("dense ids"))
-            .filter(|i| {
-                i.grain() == grain
-                    && !i.is_mono_extension()
-                    && i.stage_count() == 2
-                    && !i.label().contains("@sw")
-            })
-            .max_by_key(|i| i.risc_latency() - i.full_latency())
-            .expect("variant exists")
-    };
-    [
-        pick(Grain::FineGrained),
-        pick(Grain::CoarseGrained),
-        pick(Grain::MultiGrained),
-    ]
-}
-
-fn reconfig_latency(ise: &Ise) -> Cycles {
-    let mut fg = Cycles::ZERO;
-    let mut cg = Cycles::ZERO;
-    for s in ise.stages() {
-        match s.fabric {
-            FabricKind::FineGrained => fg += s.load_duration,
-            FabricKind::CoarseGrained => cg += s.load_duration,
-        }
-    }
-    fg.max(cg)
-}
-
 #[test]
 fn fig1_regions_appear_in_paper_order() {
     let tb = h264();
-    let [ise1, ise2, ise3] = case_study_ises(&tb);
+    let [ise1, ise2, ise3] = tb.case_study_ises();
     let recfg = [
-        reconfig_latency(ise1),
-        reconfig_latency(ise2),
-        reconfig_latency(ise3),
+        ise1.isolated_reconfig_latency(),
+        ise2.isolated_reconfig_latency(),
+        ise3.isolated_reconfig_latency(),
     ];
     let mut regions: Vec<usize> = Vec::new();
     for e in (250..=50_000u64).step_by(250) {
@@ -85,12 +49,39 @@ fn fig1_regions_appear_in_paper_order() {
     assert!(recfg[0].get() > recfg[1].get() * 1_000);
 }
 
+/// Fig. 1's `recT` is the profit model's: on an idle machine with nothing
+/// resident, the two-port latency every case-study figure uses equals the
+/// reconfiguration latency `expected_profit` derives, for every ISE of
+/// every builtin catalogue.
+#[test]
+fn isolated_reconfig_latency_is_the_profit_models() {
+    let idle = ReconfigurationController::new();
+    for app in BUILTIN_APPS {
+        let catalog = mrts::ingest::model(app)
+            .expect("builtin lowers")
+            .application()
+            .build_catalog(ArchParams::default(), None)
+            .expect("builtin catalogue builds");
+        for ise in catalog.ises() {
+            let t =
+                TriggerInstruction::new(ise.kernel(), 100, Cycles::new(1_000), Cycles::new(400));
+            let modelled = expected_profit(ise, &t, Cycles::ZERO, &idle, &|_| false);
+            assert_eq!(
+                ise.isolated_reconfig_latency(),
+                modelled.reconfig_latency,
+                "{app}: {}",
+                ise.label()
+            );
+        }
+    }
+}
+
 #[test]
 fn fig2_best_ise_changes_across_frames() {
     let tb = h264();
     let deblock = usize::from(tb.kernel("deblock").index());
-    let ises = case_study_ises(&tb);
-    let recfg: Vec<Cycles> = ises.iter().map(|i| reconfig_latency(i)).collect();
+    let ises = tb.case_study_ises();
+    let recfg: Vec<Cycles> = ises.iter().map(|i| i.isolated_reconfig_latency()).collect();
     let mut labels = std::collections::BTreeSet::new();
     for frame in VideoModel::paper_default(1).frames() {
         let e = tb.model.kernel_executions(&frame)[deblock];
