@@ -15,13 +15,17 @@
 use mrts::arch::{
     ArchParams, Cycles, FabricKind, LoadRequest, ReconfigurationController, Resources,
 };
-use mrts::core::profit::{expected_profit, ExpectedProfitEval};
+use mrts::core::profit::{expected_profit, ExpectedProfitEval, ProfitEvalBuffers};
 use mrts::core::selector::{
-    select_ises, select_ises_with, select_ises_with_scratch, Selection, SelectorConfig,
+    select_ises, select_ises_with, select_ises_with_scratch, ProfitFn, Selection, SelectorConfig,
     SelectorScratch,
 };
+use mrts::ingest::BUILTIN_APPS;
 use mrts::ise::datapath::{DataPathGraph, OpKind};
-use mrts::ise::{CatalogBuilder, IseCatalog, KernelSpec, TriggerBlock, TriggerInstruction, UnitId};
+use mrts::ise::{
+    CatalogBuilder, Ise, IseCatalog, KernelSpec, TriggerBlock, TriggerInstruction, UnitId,
+};
+use mrts::workload::WorkloadModel;
 use proptest::prelude::*;
 
 /// A chain data-path graph seeded from up to three inputs, its operators
@@ -359,6 +363,178 @@ proptest! {
         let budget = Resources::new(cg, prc);
         let _ = lazy_and_oracle(&catalog, &forecast, budget, &resident, &rc, Cycles::ZERO);
         eager_lazy_and_oracle(&catalog, &forecast, budget, &resident, &rc, Cycles::ZERO);
+    }
+}
+
+/// An evaluator whose bound is one flat key per trigger, the kernel's
+/// largest `e · (risc − full)`: every candidate of a run ties on it, so
+/// only the `IseId` tie-break orders the run, against its saving rank.
+/// With `flat_profit` every profit is that key too, so the tie-break alone
+/// picks each winner.
+struct FlatBound<'a> {
+    inner: ExpectedProfitEval<'a>,
+    catalog: &'a IseCatalog,
+    flat_profit: bool,
+}
+
+impl FlatBound<'_> {
+    fn key(&self, trigger: &TriggerInstruction) -> f64 {
+        let max_saving = self
+            .catalog
+            .ises_of(trigger.kernel)
+            .iter()
+            .map(|&id| {
+                let ise = self.catalog.ise(id).expect("dense ids");
+                (ise.risc_latency() - ise.full_latency()).get()
+            })
+            .max()
+            .unwrap_or(0);
+        trigger.expected_executions as f64 * max_saving as f64
+    }
+}
+
+impl ProfitFn for FlatBound<'_> {
+    fn eval(
+        &mut self,
+        ise: &Ise,
+        trigger: &TriggerInstruction,
+        shadow: &ReconfigurationController,
+    ) -> f64 {
+        if self.flat_profit {
+            self.key(trigger)
+        } else {
+            self.inner.eval(ise, trigger, shadow)
+        }
+    }
+
+    fn invalidate(&mut self) {
+        self.inner.invalidate();
+    }
+
+    fn upper_bound(&mut self, _: &Ise, trigger: &TriggerInstruction) -> Option<f64> {
+        Some(self.key(trigger))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Forecasts of 2⁴⁰ to 2⁵⁰ executions push seed keys past 2⁵³, where
+    /// `e · (risc − full)` is rounded: the lazy path still selects what
+    /// the oracle does, on a random catalogue and on one whose sibling
+    /// savings tie (so equal keys leave the order to the `IseId`
+    /// tie-break).
+    #[test]
+    fn lazy_equals_oracle_with_huge_execution_counts(
+        catalog in arb_catalog(),
+        tied in arb_tied_catalog(),
+        cg in 0u16..8,
+        prc in 0u16..5,
+        es in prop::collection::vec((1u64 << 40)..(1u64 << 50), 1..5),
+        tb in 1u64..1_000,
+        resident_mod in 0u64..5,
+    ) {
+        let rc = ReconfigurationController::new();
+        let resident =
+            move |u: UnitId| resident_mod > 0 && u.as_loaded_id().is_multiple_of(resident_mod);
+        let budget = Resources::new(cg, prc);
+        for catalog in [&catalog, &tied] {
+            let forecast = forecast_per_kernel(catalog, &es, 500, tb);
+            let _ = lazy_and_oracle(catalog, &forecast, budget, &resident, &rc, Cycles::ZERO);
+            eager_lazy_and_oracle(catalog, &forecast, budget, &resident, &rc, Cycles::ZERO);
+        }
+    }
+
+    /// Every candidate's bound ties with its run's others, and with
+    /// `flat_profit` every profit too (see [`FlatBound`]), so the `IseId`
+    /// tie-break alone orders each run, whatever the saving rank says.
+    #[test]
+    fn lazy_equals_oracle_when_every_bound_ties(
+        catalog in arb_catalog(),
+        cg in 0u16..8,
+        prc in 0u16..5,
+        es in prop::collection::vec(0u64..30_000, 1..5),
+        resident_mod in 0u64..5,
+        flat_profit in any::<bool>(),
+    ) {
+        let forecast = forecast_per_kernel(&catalog, &es, 500, 200);
+        let rc = ReconfigurationController::new();
+        let resident =
+            move |u: UnitId| resident_mod > 0 && u.as_loaded_id().is_multiple_of(resident_mod);
+        let budget = Resources::new(cg, prc);
+        let eval = || FlatBound {
+            inner: ExpectedProfitEval::new(Cycles::ZERO, &resident),
+            catalog: &catalog,
+            flat_profit,
+        };
+        let lazy = select_ises_with(
+            &catalog, &forecast, budget, &resident, &rc, Cycles::ZERO,
+            &SelectorConfig::default(), &mut eval(),
+        );
+        let oracle = select_ises_with(
+            &catalog, &forecast, budget, &resident, &rc, Cycles::ZERO,
+            &oracle_config(), &mut eval(),
+        );
+        assert_selections_identical(&lazy, &oracle);
+        prop_assert!(lazy.candidates_evaluated <= oracle.candidates_evaluated);
+    }
+}
+
+/// The lazy path's one assumption about an evaluator's bounds: along a
+/// kernel's static rank (per-execution saving `risc − full` descending,
+/// then `IseId` ascending) the positive [`ExpectedProfitEval`] bounds of
+/// one trigger never rise, and equal ones come in `IseId` order. Checked
+/// for every kernel of the six builtin catalogues, at small and huge
+/// execution counts, with monoCG candidates allowed and disallowed.
+#[test]
+fn expected_profit_bounds_follow_the_static_rank() {
+    let none = |_: UnitId| false;
+    for app in BUILTIN_APPS {
+        let catalog = mrts::ingest::model(app)
+            .expect("builtin lowers")
+            .application()
+            .build_catalog(ArchParams::default(), None)
+            .expect("builtin catalogue builds");
+        let mut bufs = ProfitEvalBuffers::default();
+        bufs.rebind_catalog(&catalog);
+        for kernel in catalog.kernels() {
+            let mut rank: Vec<&Ise> = catalog
+                .ises_of(kernel.id())
+                .iter()
+                .map(|&id| catalog.ise(id).expect("dense ids"))
+                .collect();
+            rank.sort_by(|a, b| {
+                let saving = |i: &Ise| i.risc_latency() - i.full_latency();
+                saving(b).cmp(&saving(a)).then(a.id().cmp(&b.id()))
+            });
+            for allow_mono in [true, false] {
+                for e in [0, 1, 3, 4_000, 30_000, 1 << 40, (1 << 50) + 7, u64::MAX] {
+                    let trigger =
+                        TriggerInstruction::new(kernel.id(), e, Cycles::new(500), Cycles::new(200));
+                    let mut eval =
+                        ExpectedProfitEval::with_buffers(Cycles::ZERO, &none, bufs.clone())
+                            .with_mono(allow_mono);
+                    let bounds: Vec<(f64, &Ise)> = rank
+                        .iter()
+                        .map(|&ise| {
+                            let bound = eval.upper_bound(ise, &trigger).expect("Eq. 4 has a bound");
+                            (bound, ise)
+                        })
+                        .filter(|&(bound, _)| bound > 0.0)
+                        .collect();
+                    for pair in bounds.windows(2) {
+                        let ((hi, a), (lo, b)) = (pair[0], pair[1]);
+                        assert!(
+                            lo < hi || (lo == hi && a.id() < b.id()),
+                            "{app} {}: e = {e}, {} bound {hi} ranks before {} bound {lo}",
+                            kernel.name(),
+                            a.label(),
+                            b.label()
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
