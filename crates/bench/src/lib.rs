@@ -136,9 +136,8 @@ impl Testbed {
     }
 
     /// The three deblocking-filter ISEs of the Section 2 case study, one
-    /// per grain: ISE-1 (FG), ISE-2 (CG) and ISE-3 (MG). Each is the
-    /// single-copy variant covering both data paths with the largest
-    /// per-execution saving.
+    /// per grain: ISE-1 (FG), ISE-2 (CG) and ISE-3 (MG), each the
+    /// catalogue's [`single_copy_ise`](IseCatalog::single_copy_ise).
     ///
     /// # Panics
     ///
@@ -147,25 +146,16 @@ impl Testbed {
     #[must_use]
     pub fn case_study_ises(&self) -> [&Ise; 3] {
         let deblock = self.kernel("deblock");
-        let pick = |grain: Grain| -> &Ise {
-            self.catalog
-                .ises_of(deblock)
-                .iter()
-                .map(|i| self.catalog.ise(*i).expect("dense ids"))
-                .filter(|i| {
-                    i.grain() == grain
-                        && !i.is_mono_extension()
-                        && i.stage_count() == 2
-                        && !i.label().contains("@sw") // both data paths covered
-                })
-                .max_by_key(|i| i.risc_latency() - i.full_latency())
-                .expect("variant exists")
-        };
         [
-            pick(Grain::FineGrained),
-            pick(Grain::CoarseGrained),
-            pick(Grain::MultiGrained),
+            Grain::FineGrained,
+            Grain::CoarseGrained,
+            Grain::MultiGrained,
         ]
+        .map(|grain| {
+            self.catalog
+                .single_copy_ise(deblock, grain)
+                .expect("variant exists")
+        })
     }
 
     /// A fresh machine with the given fabric combination.

@@ -754,25 +754,19 @@ pub fn pif(args: &Args) -> CliResult {
             )
         })?;
 
-    // Best full-coverage variant per grain (mirrors the Fig. 1 picks).
-    let mut picks: Vec<&Ise> = Vec::new();
-    for grain in [
+    // The case study's pick per grain, as Fig. 1 makes it.
+    let picks: Vec<&Ise> = [
         mrts_ise::Grain::FineGrained,
         mrts_ise::Grain::CoarseGrained,
         mrts_ise::Grain::MultiGrained,
-    ] {
-        if let Some(ise) = catalog
-            .ises_of(kernel.id())
-            .iter()
-            .map(|i| catalog.ise(*i).expect("dense ids"))
-            .filter(|i| i.grain() == grain && !i.is_mono_extension() && !i.label().contains("@sw"))
-            .max_by_key(|i| i.risc_latency() - i.full_latency())
-        {
-            picks.push(ise);
-        }
-    }
+    ]
+    .into_iter()
+    .filter_map(|grain| catalog.single_copy_ise(kernel.id(), grain))
+    .collect();
     if picks.is_empty() {
-        return Err(format!("kernel '{kernel_name}' has no full-coverage variants").into());
+        return Err(
+            format!("kernel '{kernel_name}' has no single-copy full-coverage variants").into(),
+        );
     }
 
     println!(

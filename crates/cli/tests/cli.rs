@@ -90,9 +90,24 @@ fn pif_prints_the_case_study_table() {
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("kernel 'deblock'"));
-    assert!(text.contains("FG"));
-    assert!(text.contains("CG"));
-    assert!(text.contains("MG"));
+    // The three ISEs Fig. 1 plots, as its committed output names them.
+    let fig1 = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/fig1_pif.txt"),
+    )
+    .expect("results/fig1_pif.txt is readable");
+    let labels: Vec<&str> = fig1
+        .lines()
+        .filter(|l| l.starts_with("ISE-"))
+        .filter_map(|l| l.split_once(": ").map(|(_, label)| label))
+        .collect();
+    assert_eq!(labels.len(), 3, "{fig1}");
+    let listed: Vec<&str> = text
+        .lines()
+        .skip(1)
+        .take(3)
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(listed, labels, "{text}");
 }
 
 #[test]

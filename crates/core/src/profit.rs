@@ -138,12 +138,12 @@ impl ProfitMemo {
     /// keeps the rounds allocation-free.
     fn capture_into(&mut self, controller: &ReconfigurationController, now: Cycles) {
         self.pending.clear();
-        for t in controller.inflight_tickets() {
-            if !self.pending.iter().any(|(id, _)| *id == t.id) {
-                self.pending.push((t.id, t.ready_at));
-            }
-        }
-        self.pending.sort_unstable_by_key(|(id, _)| *id);
+        self.pending
+            .extend(controller.inflight_tickets().map(|t| (t.id, t.ready_at)));
+        // Stable, so on a duplicate id the FG port's ticket stays first
+        // and `dedup_by_key` keeps it.
+        self.pending.sort_by_key(|(id, _)| *id);
+        self.pending.dedup_by_key(|(id, _)| *id);
         self.now = now;
         self.fg_base = now.max(controller.port_free_at(FabricKind::FineGrained));
         self.cg_base = now.max(controller.port_free_at(FabricKind::CoarseGrained));
@@ -253,9 +253,15 @@ fn walk_stages(
     mut stages_out: Option<&mut Vec<StageProfit>>,
 ) -> WalkResult {
     // Availability order: earliest-ready first (stable on stage order).
+    // An ISE has a few stages, so an insertion sort is cheapest.
     order.clear();
-    order.extend(0..ise.stage_count());
-    order.sort_by_key(|&i| (ready_rel[i], i));
+    for i in 0..ise.stage_count() {
+        let at = order
+            .iter()
+            .rposition(|&j| ready_rel[j] <= ready_rel[i])
+            .map_or(0, |j| j + 1);
+        order.insert(at, i);
+    }
 
     // Walk the stages computing Eq. 3 / Eq. 2.
     let e = trigger.expected_executions as f64;

@@ -15,7 +15,7 @@
 
 use crate::error::IseError;
 use crate::ids::{IseId, KernelId, UnitId};
-use crate::ise::{Ise, IseStage};
+use crate::ise::{Grain, Ise, IseStage};
 use crate::kernel::{Kernel, KernelSpec, MonoCgExtension};
 use crate::mapping::{
     cg_cycles_per_exec, fg_cycles_per_exec, map_to_cg, map_to_fg, sw_cycles_per_exec, CgImpl,
@@ -541,6 +541,26 @@ impl IseCatalog {
             .collect()
     }
 
+    /// The Section 2 case study's `grain` variant of `kernel`: of the ISEs
+    /// (not the monoCG-Extension) that implement every data path of the
+    /// kernel in exactly one copy, none left in software, the one with the
+    /// largest per-execution saving `risc − full`. `None` if no variant of
+    /// that grain qualifies or the kernel is unknown.
+    #[must_use]
+    pub fn single_copy_ise(&self, kernel: KernelId, grain: Grain) -> Option<&Ise> {
+        let data_paths = self.kernel(kernel).ok()?.data_paths().len();
+        self.ises_of(kernel)
+            .iter()
+            .map(|id| &self.ises[id.index() as usize])
+            .filter(|i| {
+                i.grain() == grain
+                    && !i.is_mono_extension()
+                    && i.stage_count() == data_paths
+                    && !i.label().contains("@sw") // every data path covered
+            })
+            .max_by_key(|i| i.risc_latency() - i.full_latency())
+    }
+
     /// Total number of one-ISE-per-kernel combinations over the given
     /// kernels (the search-space size the paper quotes as "more than 78
     /// million" for six H.264 kernels). Saturates at `u128::MAX`.
@@ -616,6 +636,32 @@ mod tests {
         assert!(grains.contains(&crate::ise::Grain::FineGrained));
         assert!(grains.contains(&crate::ise::Grain::CoarseGrained));
         assert!(grains.contains(&crate::ise::Grain::MultiGrained));
+    }
+
+    #[test]
+    fn single_copy_ise_is_the_case_study_pick() {
+        let c = two_kernel_catalog();
+        let saving = |i: &Ise| i.risc_latency() - i.full_latency();
+        let (deblock, sad) = (KernelId(0), KernelId(1));
+        let fg = c.single_copy_ise(deblock, Grain::FineGrained).unwrap();
+        assert_eq!(fg.label(), "deblock[cond@FGx1,filt@FGx1]");
+        // A two-copy FG variant saves more, but is not the pick.
+        assert!(c
+            .ises_of(deblock)
+            .iter()
+            .map(|&id| c.ise(id).unwrap())
+            .any(|i| i.grain() == Grain::FineGrained && saving(i) > saving(fg)));
+        let cg = c.single_copy_ise(deblock, Grain::CoarseGrained).unwrap();
+        assert_eq!(cg.label(), "deblock[cond@CGx1,filt@CGx1]");
+        let mg = c.single_copy_ise(deblock, Grain::MultiGrained).unwrap();
+        assert_eq!((mg.stage_count(), mg.label().matches("x1").count()), (2, 2));
+        // One data path: one stage, and no multi-grained variant.
+        let sad_fg = c.single_copy_ise(sad, Grain::FineGrained).unwrap();
+        assert_eq!(sad_fg.label(), "sad[sad16@FGx1]");
+        assert!(c.single_copy_ise(sad, Grain::MultiGrained).is_none());
+        assert!(c
+            .single_copy_ise(KernelId(9), Grain::CoarseGrained)
+            .is_none());
     }
 
     #[test]

@@ -33,24 +33,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The three case-study ISEs: single-copy variants covering both data
     // paths, one per grain.
-    let pick = |grain: Grain| -> &Ise {
+    let pick = |grain: Grain| -> Result<&Ise, String> {
         catalog
-            .ises_of(deblock)
-            .iter()
-            .map(|i| catalog.ise(*i).expect("dense ids"))
-            .filter(|i| {
-                i.grain() == grain
-                    && !i.is_mono_extension()
-                    && i.stage_count() == 2
-                    && !i.label().contains("@sw") // both data paths covered
-            })
-            .max_by_key(|i| i.risc_latency() - i.full_latency())
-            .expect("variant exists")
+            .single_copy_ise(deblock, grain)
+            .ok_or_else(|| format!("deblock has no single-copy {grain} ISE"))
     };
     let ises = [
-        ("ISE-1", pick(Grain::FineGrained)),
-        ("ISE-2", pick(Grain::CoarseGrained)),
-        ("ISE-3", pick(Grain::MultiGrained)),
+        ("ISE-1", pick(Grain::FineGrained)?),
+        ("ISE-2", pick(Grain::CoarseGrained)?),
+        ("ISE-3", pick(Grain::MultiGrained)?),
     ];
     println!();
     for (name, ise) in &ises {

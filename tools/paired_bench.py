@@ -18,10 +18,11 @@ alternating which side goes first, so each side goes first 3 times. One
 run of a
 side is `perfbench/run.py` on seed 1 for 2 s: the plain pass of every
 workload, plus a traced solo-h264 pass for `block_p50_us`,
-`ingest.lower_ms` and `workload.trace_ms`. The guard times nothing itself.
+`core.plan_block.ns_p50`, `ingest.lower_ms` and `workload.trace_ms`. The
+guard times nothing itself.
 
 A metric is flagged when the change's median is worse than the base's by
-more than the metric's `bound` in BENCHMARK.json (0.25 for the three
+more than the metric's `bound` in BENCHMARK.json (0.25 for the four
 per-layer metrics) *and* the change is worse in at least 4 of the 6 pairs. A run whose
 output checks fail (`correct: false`, or no result at all) fails the guard.
 The guard writes BENCH_perf.json at the root of the checkout (per workload
@@ -49,7 +50,12 @@ SEED = 1
 SECONDS = 2
 # Per-layer metrics read from the traced solo-h264 pass, with their bound.
 TRACED_WORKLOAD = "solo-h264"
-PER_LAYER_BOUNDS = {"block_p50_us": 0.25, "ingest.lower_ms": 0.25, "workload.trace_ms": 0.25}
+PER_LAYER_BOUNDS = {
+    "block_p50_us": 0.25,
+    "core.plan_block.ns_p50": 0.25,
+    "ingest.lower_ms": 0.25,
+    "workload.trace_ms": 0.25,
+}
 
 
 def guarded_metrics(spec):

@@ -79,6 +79,19 @@ class GuardedMetrics(unittest.TestCase):
         self.assertTrue(rows[0]["flagged"])
         self.assertEqual(len(failures), 1)
 
+    def test_block_planning_time_is_guarded_on_the_traced_pass(self):
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+            guarded = guarded_metrics(json.load(f))
+        key = ("solo-h264", "core.plan_block.ns_p50")
+        self.assertEqual(guarded[key], ("lower", 0.25))
+        for workload in ("multitask-slo", "fleet-churn"):
+            self.assertNotIn((workload, "core.plan_block.ns_p50"), guarded)
+        base = [5400.0, 5500.0, 5350.0, 5450.0, 5600.0, 5400.0]
+        slower = [({key: b}, {key: b * 1.3}) for b in base]
+        rows, failures = decide(slower, {key: guarded[key]})
+        self.assertTrue(rows[0]["flagged"])
+        self.assertEqual(len(failures), 1)
+
 
 class SharedSourcePath(unittest.TestCase):
     def test_each_side_runs_from_the_one_shared_path_and_goes_back(self):
