@@ -48,18 +48,6 @@ pub struct Machine {
     fault_model: FaultModel,
 }
 
-/// How [`Machine::admit`] treats a load it accepts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Admission {
-    /// A demand load: draws a fault; usable from the ticket's `ready_at`.
-    Demand,
-    /// A monoCG install: draws a fault; resident at once, although the
-    /// port is busy until the ticket's `ready_at` (DESIGN.md §4.10).
-    MonoCg,
-    /// A prefetch: draws no fault; usable from the ticket's `ready_at`.
-    Speculative,
-}
-
 impl Machine {
     /// Builds a machine with the given fabric budget.
     ///
@@ -193,22 +181,22 @@ impl Machine {
     }
 
     /// The one load-admission path: checks for a free container, draws a
-    /// fault for demand loads only, queues the transfer on the fabric's
-    /// configuration port and places the artefact in the first free
-    /// container.
+    /// fault, queues the transfer on the fabric's configuration port and
+    /// places the artefact in the first free container. The artefact is
+    /// usable from the ticket's `ready_at`, or at once for a monoCG install
+    /// (`resident_at_once`), whose port stays busy until `ready_at`
+    /// (DESIGN.md §4.10).
     fn admit(
         &mut self,
         now: Cycles,
         id: LoadedId,
         fabric: FabricKind,
         duration: Cycles,
-        admission: Admission,
+        resident_at_once: bool,
     ) -> Result<LoadTicket, ArchError> {
         self.check_free(fabric)?;
-        if admission != Admission::Speculative {
-            if let Some(kind) = self.fault_model.next_load_fault() {
-                return Err(self.faulted_load(now, id, fabric, duration, kind));
-            }
+        if let Some(kind) = self.fault_model.next_load_fault() {
+            return Err(self.faulted_load(now, id, fabric, duration, kind));
         }
         let ticket = self.controller.request(
             now,
@@ -218,7 +206,7 @@ impl Machine {
                 duration,
             },
         );
-        let ready_at = (admission != Admission::MonoCg).then_some(ticket.ready_at);
+        let ready_at = (!resident_at_once).then_some(ticket.ready_at);
         let placed = self.fabric_mut(fabric).place(id, ready_at);
         assert!(placed, "free container checked above");
         Ok(ticket)
@@ -269,13 +257,7 @@ impl Machine {
         bitstream_bytes: u64,
     ) -> Result<LoadTicket, ArchError> {
         let duration = self.params.fg_reconfig_time(bitstream_bytes);
-        self.admit(
-            now,
-            id,
-            FabricKind::FineGrained,
-            duration,
-            Admission::Demand,
-        )
+        self.admit(now, id, FabricKind::FineGrained, duration, false)
     }
 
     /// Starts loading a CG context program of `instrs` instructions into a
@@ -292,13 +274,7 @@ impl Machine {
         instrs: u16,
     ) -> Result<LoadTicket, ArchError> {
         let duration = self.params.cg_reconfig_time(instrs);
-        self.admit(
-            now,
-            id,
-            FabricKind::CoarseGrained,
-            duration,
-            Admission::Demand,
-        )
+        self.admit(now, id, FabricKind::CoarseGrained, duration, false)
     }
 
     /// Installs a monoCG-Extension context program on a free EDPE context
@@ -316,73 +292,7 @@ impl Machine {
         instrs: u16,
     ) -> Result<LoadTicket, ArchError> {
         let duration = self.params.cg_reconfig_time(instrs);
-        self.admit(
-            now,
-            id,
-            FabricKind::CoarseGrained,
-            duration,
-            Admission::MonoCg,
-        )
-    }
-
-    /// Starts loading an FG data path *speculatively* (a prefetch for a
-    /// predicted-next block, DESIGN.md §12). Same transport model as
-    /// [`Machine::load_fg`] with one deliberate difference: **no fault is
-    /// drawn** from the injected-fault model. Fault draws happen per
-    /// *demand* attempt, so a run whose speculations are all rolled back
-    /// consumes the exact same fault-model stream as a trigger-time run
-    /// (the byte-identity guarantee under misprediction); a promoted
-    /// speculation replaces a demand attempt — and its draw — with an
-    /// already-CRC-checked bitstream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InsufficientResources`] if no PRC is free —
-    /// speculation never evicts committed residency to make room.
-    pub fn load_fg_speculative(
-        &mut self,
-        now: Cycles,
-        id: LoadedId,
-        bitstream_bytes: u64,
-    ) -> Result<LoadTicket, ArchError> {
-        let duration = self.params.fg_reconfig_time(bitstream_bytes);
-        self.admit(
-            now,
-            id,
-            FabricKind::FineGrained,
-            duration,
-            Admission::Speculative,
-        )
-    }
-
-    /// Rolls back a speculative load: removes its port ticket (even
-    /// mid-stream — sound because nothing committed queues behind a
-    /// speculative transfer) and frees the slot reserved for it, whether
-    /// the artefact was still streaming or already resident. Returns
-    /// whether anything was actually released.
-    pub fn abort_speculative(&mut self, id: LoadedId) -> bool {
-        let ticketed = self.controller.abort_load(id).is_some();
-        self.evict(id).is_ok() || ticketed
-    }
-
-    /// Re-installs a *fully transferred* speculative FG bitstream as
-    /// instantly resident, without touching the configuration port. Used
-    /// by the promotion path: the completed speculation was evicted before
-    /// planning (so the planner sees exact trigger-time state), and if the
-    /// resulting plan demand-loads the same unit, the already-streamed
-    /// configuration is adopted in place of the transfer — zero port
-    /// occupancy, usable at `now`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InsufficientResources`] if no PRC is free
-    /// (cannot happen when the caller promotes into a slot the plan
-    /// reserved for the demand load this adoption replaces).
-    pub fn promote_speculative(&mut self, now: Cycles, id: LoadedId) -> Result<(), ArchError> {
-        self.check_free(FabricKind::FineGrained)?;
-        let placed = self.fg.place(id, Some(now));
-        assert!(placed, "free PRC checked above");
-        Ok(())
+        self.admit(now, id, FabricKind::CoarseGrained, duration, true)
     }
 
     /// Whether artefact `id` is resident and usable anywhere at `now`.
@@ -471,40 +381,6 @@ mod tests {
         m.load_cg(Cycles::ZERO, 1, 32).unwrap();
         m.load_fg(Cycles::ZERO, 2, 81_100).unwrap();
         assert_eq!(m.free_resources(), Resources::new(1, 2));
-    }
-
-    #[test]
-    fn speculative_load_draws_no_fault_and_aborts_cleanly() {
-        let mut m = machine(1, 1);
-        m.fault_model = FaultModel::new(1.0, 42);
-        // A speculative load never consumes a fault draw...
-        let t = m.load_fg_speculative(Cycles::ZERO, 9, 81_100).unwrap();
-        assert!(m.is_resident(9, t.ready_at));
-        assert_eq!(m.free_resources().prc(), 0);
-        // ...so the fault stream the next *demand* attempt sees is exactly
-        // what a prefetch-free run would have seen.
-        assert!(m.abort_speculative(9));
-        assert_eq!(m.free_resources().prc(), 1);
-        assert_eq!(
-            m.controller().port_free_at(FabricKind::FineGrained),
-            Cycles::ZERO
-        );
-        assert!(matches!(
-            m.load_fg(Cycles::ZERO, 9, 81_100),
-            Err(ArchError::LoadFault(_))
-        ));
-        // Aborting an unknown artefact is a no-op.
-        assert!(!m.abort_speculative(77));
-    }
-
-    #[test]
-    fn speculative_load_never_displaces_residency() {
-        let mut m = machine(1, 1);
-        m.load_fg(Cycles::ZERO, 1, 81_100).unwrap();
-        assert!(matches!(
-            m.load_fg_speculative(Cycles::ZERO, 2, 81_100),
-            Err(ArchError::InsufficientResources { .. })
-        ));
     }
 
     #[test]

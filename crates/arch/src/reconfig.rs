@@ -69,7 +69,7 @@ pub struct LoadTicket {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 struct Port {
     busy_until: Cycles,
-    /// Completed + in-flight tickets, for bookkeeping and rollback.
+    /// Completed + in-flight tickets, for bookkeeping.
     inflight: VecDeque<LoadTicket>,
 }
 
@@ -96,29 +96,6 @@ impl Port {
                 break;
             }
         }
-    }
-
-    /// Removes the ticket of artefact `id` wherever it sits in the queue —
-    /// even mid-stream. A partially streamed speculative bitstream can be
-    /// abandoned safely *because nothing committed ever queues behind it*:
-    /// speculative requests are only admitted to an idle port, so every
-    /// ticket after an aborted one is itself speculative (and aborted with
-    /// it or promoted before any demand request arrives). Later tickets
-    /// keep their original schedule — the abort opens a hole rather than
-    /// compacting it, which keeps completion times monotone and the
-    /// rollback deterministic.
-    fn abort(&mut self, id: LoadedId) -> Option<LoadTicket> {
-        let pos = self.inflight.iter().position(|t| t.id == id)?;
-        let removed = self.inflight.remove(pos)?;
-        // With the queue empty the port was last genuinely busy just
-        // before the removed transfer began; `admit` takes
-        // `max(now, busy_until)`, so rolling back to its start time is
-        // exact for every later request.
-        self.busy_until = self
-            .inflight
-            .back()
-            .map_or(removed.starts_at, |t| t.ready_at);
-        Some(removed)
     }
 }
 
@@ -195,16 +172,6 @@ impl ReconfigurationController {
     pub fn settle(&mut self, now: Cycles) {
         self.fg.prune(now);
         self.cg.prune(now);
-    }
-
-    /// Aborts the in-flight (queued **or streaming**) transfer of artefact
-    /// `id`, returning its ticket if one was tracked. This is the rollback
-    /// path of *speculative* loads (DESIGN.md §12). It may abandon a
-    /// transfer mid-stream, which is only sound because speculative requests are admitted to an
-    /// idle port exclusively — no committed request is ever scheduled
-    /// behind one, so removing it never invalidates another ticket.
-    pub fn abort_load(&mut self, id: LoadedId) -> Option<LoadTicket> {
-        self.fg.abort(id).or_else(|| self.cg.abort(id))
     }
 
     /// Completion time of an in-flight (queued or streaming) transfer of
@@ -303,33 +270,6 @@ mod tests {
         let b = rc.request(Cycles::new(500), fg_req(2, 100));
         assert_eq!(b.starts_at.get(), 500);
         assert_eq!(b.ready_at.get(), 600);
-    }
-
-    #[test]
-    fn abort_load_mid_stream_frees_the_port() {
-        let mut rc = ReconfigurationController::new();
-        let t = rc.request(Cycles::new(10), fg_req(7, 100)); // streams 10..110
-        assert_eq!(rc.abort_load(7), Some(t));
-        // The port rolls back to the aborted transfer's start time: a new
-        // request at t=50 is served immediately.
-        let n = rc.request(Cycles::new(50), fg_req(8, 5));
-        assert_eq!(n.starts_at.get(), 50);
-        assert_eq!(rc.inflight_tickets().count(), 1);
-    }
-
-    #[test]
-    fn abort_load_keeps_later_speculative_schedule() {
-        let mut rc = ReconfigurationController::new();
-        let a = rc.request(Cycles::ZERO, fg_req(1, 100));
-        let b = rc.request(Cycles::ZERO, fg_req(2, 50));
-        assert_eq!(rc.abort_load(1), Some(a));
-        // The later ticket keeps its original (hole-preserving) schedule.
-        assert_eq!(rc.pending_ready_time(2), Some(b.ready_at));
-        assert_eq!(rc.port_free_at(FabricKind::FineGrained), b.ready_at);
-        // Aborting the last ticket rolls the port all the way back.
-        rc.abort_load(2);
-        assert_eq!(rc.port_free_at(FabricKind::FineGrained), b.starts_at);
-        assert_eq!(rc.abort_load(2), None);
     }
 
     #[test]

@@ -25,12 +25,6 @@ pub struct PolicyTuning {
     /// Callers validate the 0.0..=1.0 range at parse time; out-of-range
     /// values are clamped by the MPU anyway.
     pub mpu_alpha: Option<f64>,
-    /// Enables the speculative reconfiguration prefetcher (DESIGN.md §12).
-    pub prefetch: bool,
-    /// Overrides the prefetcher's minimum nomination confidence (`None`
-    /// keeps the [`mrts_core::PrefetchConfig`] default). Ignored unless
-    /// `prefetch` is set.
-    pub prefetch_confidence: Option<f64>,
 }
 
 impl PolicyTuning {
@@ -39,10 +33,6 @@ impl PolicyTuning {
         let mut config = MrtsConfig::default();
         if let Some(alpha) = self.mpu_alpha {
             config.mpu_alpha = alpha;
-        }
-        config.prefetch.enabled = self.prefetch;
-        if let Some(c) = self.prefetch_confidence {
-            config.prefetch.confidence_min = c;
         }
         config
     }
@@ -120,8 +110,6 @@ mod tests {
         let capacity = Resources::new(2, 2);
         let tuned = PolicyTuning {
             mpu_alpha: Some(1.0),
-            prefetch: true,
-            prefetch_confidence: Some(0.0),
         };
         let run = |name: &str, tuning: PolicyTuning| {
             let mut policy = make_policy(name, &catalog, capacity, &trace, tuning).unwrap();

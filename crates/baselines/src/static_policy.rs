@@ -187,7 +187,6 @@ impl RuntimePolicy for StaticPolicy {
             selections,
             evict: Vec::new(), // the static assignment fits by construction
             load_order,
-            prefetch: Vec::new(),
             overhead: Cycles::ZERO, // decisions were made at compile time
         }
     }

@@ -18,7 +18,6 @@
 //! | `sensitivity_forecast_error` | extra — end-to-end cost vs trigger-forecast error |
 //! | `fig_domains` | extra — Fig. 8-style comparison on the h264, cv and cryptomix domains |
 //! | `fig_fleet_sweep` | extra — fleet accepted throughput vs offered load, dynamic vs static |
-//! | `fig_prefetch` | extra — speculative prefetch: FG port bandwidth x predictor confidence |
 //!
 //! This library holds the pieces the binaries share: the fabric-combination
 //! sweep, policy construction and run helpers, the order-preserving

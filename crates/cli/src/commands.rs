@@ -13,8 +13,8 @@ use mrts_multitask::{
     MultitaskConfig, SchedulerKind, TenantSpec,
 };
 use mrts_sim::{
-    events_to_jsonl, ExecClass, MultitaskStats, PrefetchStats, RecoveryConfig, RiscOnlyPolicy,
-    RunStats, Simulator, VecSink,
+    events_to_jsonl, ExecClass, MultitaskStats, RecoveryConfig, RiscOnlyPolicy, RunStats,
+    Simulator, VecSink,
 };
 use mrts_workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
@@ -41,9 +41,9 @@ fn build(args: &Args) -> Result<BuildOutput, Box<dyn std::error::Error>> {
     Ok((app, catalog, trace))
 }
 
-/// Parses the shared mRTS tuning flags (`--mpu-alpha`, `--prefetch`,
-/// `--prefetch-confidence`), validating ranges at parse time so a typo
-/// fails fast instead of being silently clamped mid-run.
+/// Parses the shared mRTS tuning flag (`--mpu-alpha`), validating its
+/// range at parse time so a typo fails fast instead of being silently
+/// clamped mid-run.
 fn tuning_from_args(args: &Args) -> Result<PolicyTuning, Box<dyn std::error::Error>> {
     let mut tuning = PolicyTuning::default();
     if let Some(raw) = args.get("mpu-alpha") {
@@ -54,20 +54,6 @@ fn tuning_from_args(args: &Args) -> Result<PolicyTuning, Box<dyn std::error::Err
             return Err(format!("--mpu-alpha {alpha} must be within [0, 1]").into());
         }
         tuning.mpu_alpha = Some(alpha);
-    }
-    tuning.prefetch = match args.get_or("prefetch", "off") {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("unknown --prefetch '{other}' (on|off)").into()),
-    };
-    if let Some(raw) = args.get("prefetch-confidence") {
-        let c: f64 = raw
-            .parse()
-            .map_err(|_| format!("--prefetch-confidence: cannot parse '{raw}'"))?;
-        if !(0.0..=1.0).contains(&c) {
-            return Err(format!("--prefetch-confidence {c} must be within [0, 1]").into());
-        }
-        tuning.prefetch_confidence = Some(c);
     }
     Ok(tuning)
 }
@@ -143,7 +129,7 @@ fn simulate_once(
     recovery: RecoveryConfig,
     record: bool,
     tuning: PolicyTuning,
-) -> Result<(RunStats, Option<String>, PrefetchStats), Box<dyn std::error::Error>> {
+) -> Result<(RunStats, Option<String>), Box<dyn std::error::Error>> {
     let machine = Machine::with_fault_model(ArchParams::default(), combo, fault)?;
     let capacity = machine.capacity();
     let mut p = make_policy(policy_name, catalog, capacity, trace, tuning)?;
@@ -161,7 +147,7 @@ fn simulate_once(
         Some(s) => Some(events_to_jsonl(&s.take())?),
         None => None,
     };
-    Ok((stats, jsonl, sim.prefetch_stats()))
+    Ok((stats, jsonl))
 }
 
 /// The largest count a flag that sizes a buffer (`--sessions`,
@@ -242,8 +228,6 @@ pub fn simulate(args: &Args) -> CliResult {
         "events-out",
         "threads",
         "mpu-alpha",
-        "prefetch",
-        "prefetch-confidence",
     ])?;
     let (_, catalog, trace) = build(args)?;
     let combo = Resources::new(args.get_num("cg", 2)?, args.get_num("prc", 2)?);
@@ -264,7 +248,7 @@ pub fn simulate(args: &Args) -> CliResult {
     // Replays the identical configuration on `threads` OS threads and
     // demands byte-identical statistics and event logs. The simulator is
     // deterministic by construction; this is the executable proof.
-    let (stats, jsonl, prefetch) = replay(
+    let (stats, jsonl) = replay(
         threads,
         &format!("{threads} threads, byte-identical stats and event logs"),
         |_| {
@@ -280,11 +264,7 @@ pub fn simulate(args: &Args) -> CliResult {
             )
             .map_err(|e| e.to_string())
         },
-        |a, b| {
-            Ok(serde_json::to_string(&a.0)? == serde_json::to_string(&b.0)?
-                && a.1 == b.1
-                && a.2 == b.2)
-        },
+        |a, b| Ok(serde_json::to_string(&a.0)? == serde_json::to_string(&b.0)? && a.1 == b.1),
     )?;
     if let (Some(path), Some(log)) = (events_out, &jsonl) {
         std::fs::write(path, log)?;
@@ -315,15 +295,6 @@ pub fn simulate(args: &Args) -> CliResult {
         "speedup  : {:.2}x vs RISC-mode",
         stats.speedup_vs(&risc).max(0.0)
     );
-    if tuning.prefetch {
-        println!(
-            "prefetch : {} issued, {} hits ({:.0}% hit rate), {} wasted",
-            prefetch.issued,
-            prefetch.hits,
-            100.0 * prefetch.hit_rate(),
-            prefetch.wasted
-        );
-    }
     println!("executions by implementation:");
     let h = stats.class_histogram();
     for class in ExecClass::ALL {
@@ -377,26 +348,24 @@ pub fn sweep(args: &Args) -> CliResult {
         );
         println!("{}", "-".repeat(34));
     }
-    for cg in 0..=4u16 {
-        for prc in 0..=3u16 {
-            let combo = Resources::new(cg, prc);
-            let machine = Machine::new(ArchParams::default(), combo)?;
-            let capacity = machine.capacity();
-            let mut p = make_policy(name, &catalog, capacity, &trace, PolicyTuning::default())?;
-            let stats = Simulator::run(&catalog, machine, &trace, p.as_mut());
-            let s = risc_ref.total_execution_time().get() as f64
-                / stats.total_execution_time().get().max(1) as f64;
-            if csv {
-                println!(
-                    "{cg},{prc},{:.3},{s:.3}",
-                    stats.total_execution_time().as_mcycles()
-                );
-            } else {
-                println!(
-                    "{cg:>4} {prc:>4} {:>12.3} {s:>8.2}x",
-                    stats.total_execution_time().as_mcycles()
-                );
-            }
+    for combo in mrts_bench::fig8_combos() {
+        let (cg, prc) = (combo.cg(), combo.prc());
+        let machine = Machine::new(ArchParams::default(), combo)?;
+        let capacity = machine.capacity();
+        let mut p = make_policy(name, &catalog, capacity, &trace, PolicyTuning::default())?;
+        let stats = Simulator::run(&catalog, machine, &trace, p.as_mut());
+        let s = risc_ref.total_execution_time().get() as f64
+            / stats.total_execution_time().get().max(1) as f64;
+        if csv {
+            println!(
+                "{cg},{prc},{:.3},{s:.3}",
+                stats.total_execution_time().as_mcycles()
+            );
+        } else {
+            println!(
+                "{cg:>4} {prc:>4} {:>12.3} {s:>8.2}x",
+                stats.total_execution_time().as_mcycles()
+            );
         }
     }
     Ok(())
@@ -421,8 +390,6 @@ pub fn multitask(args: &Args) -> CliResult {
         "events-out",
         "threads",
         "mpu-alpha",
-        "prefetch",
-        "prefetch-confidence",
     ])?;
     // The shared flag-triple parser (also the fleet's session-trace
     // syntax): apps comma list, optional parallel weights/slo lists.

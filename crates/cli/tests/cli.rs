@@ -198,6 +198,16 @@ fn errors_exit_nonzero_with_message() {
     }
 }
 
+/// Command lines that still pass the retired `--prefetch` flag fail with the
+/// flag-qualified unknown-flag error, never a panic.
+#[test]
+fn retired_prefetch_flag_is_an_unknown_flag() {
+    let out = run(&["simulate", "--prefetch", "on"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.starts_with("error: unknown flag --prefetch "), "{err}");
+}
+
 #[test]
 fn cg_slot_overflow_is_a_field_qualified_error() {
     // 21 846 EDPEs × 3 contexts = 65 538 context slots, one past u16.
@@ -242,7 +252,6 @@ fn numeric_flags_at_their_edges_exit_cleanly() {
         (simulate, "retry-budget", U32),
         (simulate, "threads", USIZE),
         (simulate, "mpu-alpha", F64),
-        (simulate, "prefetch-confidence", F64),
         (multitask, "seed", U64),
         (multitask, "cg", U16),
         (multitask, "prc", U16),
@@ -251,7 +260,6 @@ fn numeric_flags_at_their_edges_exit_cleanly() {
         (multitask, "fault-seed", U64),
         (multitask, "threads", USIZE),
         (multitask, "mpu-alpha", F64),
-        (multitask, "prefetch-confidence", F64),
         (fleet, "seed", U64),
         (fleet, "sessions", USIZE),
         (fleet, "mean-gap", U64),

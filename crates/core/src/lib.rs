@@ -69,8 +69,8 @@ pub mod runtime;
 pub mod selector;
 
 pub use ecu::EcuConfig;
-pub use mpu::{FlowPredictor, Mpu};
+pub use mpu::Mpu;
 pub use optimal::dp_optimal_selection;
 pub use profit::{expected_profit, ProfitBreakdown, StageProfit};
-pub use runtime::{Mrts, MrtsConfig, PrefetchConfig, Profit, Search};
+pub use runtime::{Mrts, MrtsConfig, Profit, Search};
 pub use selector::{select_ises, SelectedIse, Selection, SelectorConfig};

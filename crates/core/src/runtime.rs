@@ -8,7 +8,7 @@
 //! monoCG-Extension, [`MrtsConfig::online_optimal`] swaps the search.
 
 use crate::ecu::{self, EcuConfig};
-use crate::mpu::{FlowPredictor, Mpu};
+use crate::mpu::Mpu;
 use crate::optimal::dp_optimal_selection;
 use crate::profit::{ExpectedProfitEval, ProfitEvalBuffers};
 use crate::selector::{ProfitFn, Selection, SelectorConfig, SelectorScratch};
@@ -41,8 +41,6 @@ pub struct MrtsConfig {
     /// cost lands on the critical path. Disabled, the full cost is charged
     /// (used to bound the overhead from above).
     pub hide_overhead: bool,
-    /// Speculative reconfiguration prefetch (see [`PrefetchConfig`]).
-    pub prefetch: PrefetchConfig,
 }
 
 /// How a trigger's selection searches the candidate ISEs.
@@ -74,38 +72,6 @@ pub enum Profit {
     Rispp,
 }
 
-/// Knobs of the speculative-prefetch planner. **Disabled by default**:
-/// with `enabled: false` the planner is never consulted, the control-flow
-/// predictor never learns, and every plan (and therefore every golden
-/// trace and results file) is byte-identical to the trigger-time-only
-/// run-time system.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrefetchConfig {
-    /// Master switch for speculative planning.
-    pub enabled: bool,
-    /// Minimum predictor confidence for a successor block to be
-    /// considered at all. Candidates below the threshold are never
-    /// nominated, no matter how much reconfiguration they would hide.
-    pub confidence_min: f64,
-}
-
-/// Cap on speculative units nominated per block — the planner's half of
-/// the idle-bandwidth budget. (The engine enforces the other half:
-/// speculative loads queue *behind* all of the block's demand traffic at
-/// the FG configuration port, take only genuinely free slots, never evict
-/// anything, and are fully rolled back before the next block is planned
-/// unless promoted.)
-const PREFETCH_MAX_UNITS: usize = 2;
-
-impl Default for PrefetchConfig {
-    fn default() -> Self {
-        PrefetchConfig {
-            enabled: false,
-            confidence_min: 0.55,
-        }
-    }
-}
-
 impl Default for MrtsConfig {
     fn default() -> Self {
         MrtsConfig {
@@ -116,7 +82,6 @@ impl Default for MrtsConfig {
             selector: SelectorConfig::default(),
             ecu: EcuConfig::default(),
             hide_overhead: true,
-            prefetch: PrefetchConfig::default(),
         }
     }
 }
@@ -206,8 +171,7 @@ impl FabricAccount {
     }
 
     /// Closing step, after selection: completes the block plan whose
-    /// selector chose `choices` and queued `load_order`, and returns the
-    /// plan's total demand.
+    /// selector chose `choices` and queued `load_order`.
     ///
     /// When `ecu` allows monoCG-Extensions, the CG budget the selection
     /// left over pre-loads them (the ECU's bridging hoisted to block start:
@@ -226,7 +190,7 @@ impl FabricAccount {
         ecu: &EcuConfig,
         load_order: &mut Vec<UnitId>,
         evict: &mut Vec<UnitId>,
-    ) -> Resources {
+    ) {
         let demand = |units: &[UnitId]| -> Resources {
             units.iter().map(|&u| ctx.catalog.unit(u).resources()).sum()
         };
@@ -277,7 +241,6 @@ impl FabricAccount {
                 *short -= 1;
             }
         }
-        need
     }
 }
 
@@ -433,25 +396,6 @@ pub struct Mrts {
     profit_bufs: ProfitEvalBuffers,
     /// Reusable MPU-corrected forecast for the current block.
     forecast_buf: mrts_ise::TriggerBlock,
-    /// Online control-flow predictor over the observed block sequence
-    /// (only consulted/trained when `config.prefetch.enabled`).
-    flow: FlowPredictor,
-    /// Compile-time forecast snapshots of every block seen so far, sorted
-    /// by block id. When the predictor nominates a successor, its
-    /// snapshot (MPU-corrected with *current* estimates) is what the
-    /// speculative selector plans against.
-    forecast_store: Vec<TriggerBlock>,
-    /// Scratch: the predictor's (block, confidence) output.
-    pred_buf: Vec<(BlockId, f64)>,
-    /// Scratch: MPU-corrected forecast of a predicted successor block.
-    spec_forecast_buf: TriggerBlock,
-    /// Scratch: speculative unit candidates, grouped per predicted block.
-    spec_units_buf: Vec<UnitId>,
-    /// Scratch: per-predicted-block ranking entries
-    /// `(confidence × saved cycles, block, range into spec_units_buf)`.
-    spec_rank_buf: Vec<(f64, BlockId, u32, u32)>,
-    /// Recycled `BlockPlan::prefetch` buffer.
-    prefetch_buf: Vec<UnitId>,
 }
 
 impl Mrts {
@@ -475,13 +419,6 @@ impl Mrts {
             sel_scratch: crate::selector::SelectorScratch::new(),
             profit_bufs: ProfitEvalBuffers::default(),
             forecast_buf: mrts_ise::TriggerBlock::new(mrts_ise::BlockId(0), Vec::new()),
-            flow: FlowPredictor::default(),
-            forecast_store: Vec::new(),
-            pred_buf: Vec::new(),
-            spec_forecast_buf: mrts_ise::TriggerBlock::new(mrts_ise::BlockId(0), Vec::new()),
-            spec_units_buf: Vec::new(),
-            spec_rank_buf: Vec::new(),
-            prefetch_buf: Vec::new(),
         }
     }
 
@@ -495,130 +432,6 @@ impl Mrts {
     #[must_use]
     pub fn mpu(&self) -> &Mpu {
         &self.mpu
-    }
-
-    /// Read access to the control-flow predictor (tests and diagnostics).
-    /// Untrained — zero observations — unless prefetch is enabled.
-    #[must_use]
-    pub fn flow(&self) -> &FlowPredictor {
-        &self.flow
-    }
-
-    /// Trains the control-flow predictor on the block entry and snapshots
-    /// the block's compile-time forecast so a later *prediction* of this
-    /// block can be planned speculatively without waiting for its trigger
-    /// instructions. Called from every `plan_block` path (including the
-    /// zero-budget fast path: history gaps would corrupt the context
-    /// model) when prefetch is enabled.
-    fn note_block(&mut self, forecast: &TriggerBlock) {
-        self.flow.observe(forecast.block);
-        match self
-            .forecast_store
-            .binary_search_by_key(&forecast.block, |t| t.block)
-        {
-            Ok(i) => {
-                let slot = &mut self.forecast_store[i];
-                slot.triggers.clear();
-                slot.triggers.extend_from_slice(&forecast.triggers);
-            }
-            Err(i) => self.forecast_store.insert(i, forecast.clone()),
-        }
-    }
-
-    /// Fills `out` with up to [`PREFETCH_MAX_UNITS`] FG units for the
-    /// predicted successor blocks, most valuable first. Each candidate
-    /// block is planned exactly the way its own `plan_block` would plan it
-    /// — current MPU estimates, the same selector and profit model —
-    /// against the residual FG budget left after the committed demand
-    /// plan (`demand_loads`). A block's nomination score is
-    /// `confidence × Σ load_duration` of its still-missing FG units: the
-    /// reconfiguration time the prefetch is expected to hide.
-    fn plan_prefetch_into(
-        &mut self,
-        ctx: &SelectionContext<'_>,
-        residual_prc: u16,
-        demand_loads: &[UnitId],
-        out: &mut Vec<UnitId>,
-    ) {
-        let config = self.config;
-        let spec_budget = Resources::new(0, residual_prc);
-        let pred = std::mem::take(&mut self.pred_buf);
-        self.spec_units_buf.clear();
-        self.spec_rank_buf.clear();
-        with_profit(&mut self.profit_bufs, ctx, &config, |profit, resident| {
-            for &(block, confidence) in &pred {
-                if confidence < config.prefetch.confidence_min {
-                    break; // predictions come sorted by descending confidence
-                }
-                if block == ctx.forecast.block {
-                    continue; // a self-loop is already planned as demand
-                }
-                let Ok(i) = self
-                    .forecast_store
-                    .binary_search_by_key(&block, |t| t.block)
-                else {
-                    continue; // successor never seen: nothing to plan against
-                };
-                stage_forecast(
-                    &self.mpu,
-                    config.use_mpu,
-                    &self.forecast_store[i],
-                    &mut self.spec_forecast_buf,
-                );
-                let sel = select(
-                    &config,
-                    ctx,
-                    &self.spec_forecast_buf,
-                    spec_budget,
-                    resident,
-                    profit,
-                    &mut self.sel_scratch,
-                );
-                let start = self.spec_units_buf.len() as u32;
-                let mut saved = 0u64;
-                for &u in &sel.load_order {
-                    let unit = ctx.catalog.unit(u);
-                    // FG only (a CG context program loads in µs —
-                    // nothing worth hiding), and never a unit the
-                    // current block already loads, owns, or could
-                    // claim for its own kernels mid-block.
-                    if unit.fabric() != FabricKind::FineGrained
-                        || demand_loads.contains(&u)
-                        || self.account.evictable.contains(&u)
-                        || self.account.kernels.contains(&unit.kernel())
-                    {
-                        continue;
-                    }
-                    self.spec_units_buf.push(u);
-                    saved += unit.load_duration().get();
-                }
-                self.sel_scratch.reclaim(sel.choices, sel.load_order);
-                self.sel_scratch.reclaim_selected(sel.selected);
-                let end = self.spec_units_buf.len() as u32;
-                if end > start && saved > 0 {
-                    self.spec_rank_buf
-                        .push((confidence * saved as f64, block, start, end));
-                }
-            }
-        });
-        self.pred_buf = pred;
-        // Most expected hidden reconfiguration first; ties go to the
-        // lower block id so plans stay platform-deterministic.
-        self.spec_rank_buf.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        'fill: for &(_, _, start, end) in &self.spec_rank_buf {
-            for &u in &self.spec_units_buf[start as usize..end as usize] {
-                if out.len() >= PREFETCH_MAX_UNITS {
-                    break 'fill;
-                }
-                if !out.contains(&u) {
-                    out.push(u);
-                }
-            }
-        }
     }
 
     /// Average *computed* selection cost per kernel over the run so far —
@@ -659,14 +472,10 @@ impl RuntimePolicy for Mrts {
         // sheds the decision overhead along with the speedup.
         if ctx.machine.capacity().is_empty() {
             self.blocks_planned += 1;
-            if self.config.prefetch.enabled {
-                self.note_block(ctx.forecast);
-            }
             return BlockPlan {
                 selections: ctx.forecast.iter().map(|t| (t.kernel, None)).collect(),
                 evict: Vec::new(),
                 load_order: Vec::new(),
-                prefetch: Vec::new(),
                 overhead: Cycles::ZERO,
             };
         }
@@ -713,7 +522,7 @@ impl RuntimePolicy for Mrts {
         //    evict only what the new loads actually displace.
         let mut load_order = selection.load_order;
         let mut evict = std::mem::take(&mut self.evict_buf);
-        let need = self.account.close(
+        self.account.close(
             ctx,
             &selection.choices,
             &self.config.ecu,
@@ -736,35 +545,10 @@ impl RuntimePolicy for Mrts {
         self.total_kernels_selected += kernels;
         self.forecast_buf = forecast;
 
-        // 6. Speculative prefetch (DESIGN.md §12): train the control-flow
-        //    predictor on this block's entry, then nominate FG units for
-        //    the most confidently predicted successor blocks, ranked by
-        //    confidence × reconfiguration cycles the prefetch would hide.
-        //    The list is advisory: the engine issues speculative loads
-        //    only into an idle FG port with genuinely free slots, never
-        //    evicts for them, and aborts them before any demand load
-        //    could queue behind one. No overhead is charged — the
-        //    speculative selection overlaps this block's execution, off
-        //    the critical path by construction.
-        let mut prefetch = std::mem::take(&mut self.prefetch_buf);
-        prefetch.clear();
-        if self.config.prefetch.enabled {
-            self.note_block(ctx.forecast);
-            self.flow.predict_into(&mut self.pred_buf);
-            // FG slots plausibly still free once this block's own loads
-            // are placed; the engine re-checks the real machine at issue
-            // time, so this only bounds how much we nominate.
-            let residual_prc = budget.prc().saturating_sub(need.prc());
-            if residual_prc > 0 && !self.pred_buf.is_empty() {
-                self.plan_prefetch_into(ctx, residual_prc, &load_order, &mut prefetch);
-            }
-        }
-
         BlockPlan {
             selections: selection.choices,
             evict,
             load_order,
-            prefetch,
             overhead: charged,
         }
     }
@@ -795,11 +579,6 @@ impl RuntimePolicy for Mrts {
         // the zero-budget fast path must not shrink the pool).
         if evict.capacity() > self.evict_buf.capacity() {
             self.evict_buf = evict;
-        }
-        let mut prefetch = plan.prefetch;
-        prefetch.clear();
-        if prefetch.capacity() > self.prefetch_buf.capacity() {
-            self.prefetch_buf = prefetch;
         }
         self.sel_scratch.reclaim(plan.selections, plan.load_order);
     }
@@ -989,13 +768,10 @@ mod tests {
         let choices = [(kept, None)];
         let mut evict = vec![UnitId(99)];
         let (mut none, mut one_cg) = (Vec::new(), vec![kept_unit]);
-        let need = account.close(&ctx, &choices, &no_mono, &mut none, &mut evict);
-        assert_eq!((need, evict.as_slice()), (Resources::NONE, &[][..]));
-        let need = account.close(&ctx, &choices, &no_mono, &mut one_cg, &mut evict);
-        assert_eq!(
-            (need, evict.as_slice()),
-            (Resources::cg_only(1), &[other_unit][..])
-        );
+        account.close(&ctx, &choices, &no_mono, &mut none, &mut evict);
+        assert!(evict.is_empty());
+        account.close(&ctx, &choices, &no_mono, &mut one_cg, &mut evict);
+        assert_eq!(evict, [other_unit]);
         // A PRC short never evicts an EDPE.
         let mut two_fg: Vec<UnitId> = catalog
             .units()
@@ -1004,14 +780,14 @@ mod tests {
             .map(|u| u.id())
             .take(2)
             .collect();
-        let need = account.close(&ctx, &choices, &no_mono, &mut two_fg, &mut evict);
-        assert_eq!((need, evict.as_slice()), (Resources::new(0, 2), &[][..]));
+        account.close(&ctx, &choices, &no_mono, &mut two_fg, &mut evict);
+        assert!(evict.is_empty());
 
         // With monoCG on, the leftover CG slot pre-loads the RISC-mode
         // kernel's extension, which displaces the same unit.
         let mono = catalog.kernel(kept).unwrap().mono_cg().unwrap().unit;
         let mut load_order = Vec::new();
-        let need = account.close(
+        account.close(
             &ctx,
             &choices,
             &EcuConfig::default(),
@@ -1019,10 +795,7 @@ mod tests {
             &mut evict,
         );
         assert_eq!(budget.cg(), 1);
-        assert_eq!(
-            (need, load_order, evict),
-            (Resources::cg_only(1), vec![mono], vec![other_unit])
-        );
+        assert_eq!((load_order, evict), (vec![mono], vec![other_unit]));
     }
 
     #[test]

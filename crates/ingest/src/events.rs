@@ -140,6 +140,43 @@ mod tests {
         assert!(profile_jsonl("not json\n").is_err());
     }
 
+    /// Spines recorded while the engine still had a speculative prefetcher
+    /// hold its three event kinds. They profile as if those lines were
+    /// absent, apart from the count of lines read.
+    #[test]
+    fn spines_with_retired_prefetch_events_still_profile() {
+        let current = concat!(
+            r#"{"tenant":0,"event":{"BlockStart":{"at":0,"block":0,"frame":0}}}"#,
+            "\n",
+            r#"{"tenant":0,"event":{"ExecBatch":{"at":11875,"kernel":0,"class":"IntermediateIse","count":410,"latency":932}}}"#,
+            "\n",
+            r#"{"tenant":0,"event":{"ExecBatch":{"at":13875,"kernel":1,"class":"RiscMode","count":610,"latency":424}}}"#,
+            "\n",
+        );
+        let retired = concat!(
+            r#"{"tenant":0,"event":{"PrefetchIssued":{"at":7794248,"unit":77,"fabric":"FineGrained","ready_at":8351062}}}"#,
+            "\n",
+            r#"{"tenant":0,"event":{"PrefetchHit":{"at":9672137,"unit":77}}}"#,
+            "\n",
+            r#"{"tenant":0,"event":{"PrefetchWasted":{"at":9672137,"unit":61}}}"#,
+            "\n",
+        );
+        let without = profile_jsonl(current).expect("profiles");
+        let with = profile_jsonl(&format!("{retired}{current}")).expect("profiles");
+        assert_eq!(with.lines, without.lines + 3);
+        assert_eq!(
+            EventProfile {
+                lines: without.lines,
+                ..with
+            },
+            without
+        );
+        assert_eq!(
+            (without.block_starts, without.total_executions()),
+            (1, 1020)
+        );
+    }
+
     #[test]
     fn overflowing_execution_counts_are_syntax_errors() {
         // Per-kernel total (kernel 1 twice), then spine total (kernels 1, 2).

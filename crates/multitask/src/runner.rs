@@ -157,7 +157,7 @@ pub struct MultitaskConfig {
     /// merge in tenant-index order at the barrier, so the output is
     /// byte-identical to the serial run for any worker count.
     pub workers: usize,
-    /// mRTS tuning knobs (MPU learning rate, speculative prefetch),
+    /// mRTS tuning knobs (the MPU learning rate),
     /// applied identically to every tenant's policy instance. Ignored by
     /// the baseline policies. The default is the untuned configuration.
     pub tuning: PolicyTuning,

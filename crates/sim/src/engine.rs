@@ -92,43 +92,6 @@ impl EpochBatches {
     }
 }
 
-/// Outcome counters of the speculative-prefetch path (DESIGN.md §12).
-///
-/// Kept **outside** [`RunStats`] on purpose: speculation is observational
-/// bookkeeping, and the serialised `RunStats` of a prefetch-free run must
-/// stay byte-identical to the pinned goldens.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchStats {
-    /// Speculative loads admitted to an idle configuration port.
-    pub issued: u64,
-    /// Speculations the next trigger vindicated (unit resident or further
-    /// along its stream than a trigger-time load could have been).
-    pub hits: u64,
-    /// Speculations rolled back: mispredicted, displaced by an arbiter
-    /// re-partition, or left unresolved at the end of the run.
-    pub wasted: u64,
-}
-
-impl PrefetchStats {
-    /// Fraction of issued speculations that hit (0 when none were issued).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.issued == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.issued as f64
-        }
-    }
-}
-
-/// One outstanding speculative load, awaiting judgment at the next trigger.
-#[derive(Debug, Clone, Copy)]
-struct SpecLoad {
-    unit: UnitId,
-    /// The speculative transfer's completion time, fixed at admission.
-    ready_at: Cycles,
-}
-
 /// The simulator: machine state plus the [`Timeline`] (clock, residency
 /// boundary queue and event spine).
 #[derive(Debug)]
@@ -143,12 +106,6 @@ pub struct Simulator<'a> {
     /// Residency captured once per trigger and once per epoch: the one
     /// answer the policy's probes and [`Simulator::resolve_execution`] read.
     resident: ResidentSet,
-    /// Speculative loads issued for predicted-next blocks and not yet
-    /// vindicated or rolled back.
-    spec: Vec<SpecLoad>,
-    /// Prefetch outcome counters (kept out of [`RunStats`] — see
-    /// [`PrefetchStats`]).
-    prefetch_stats: PrefetchStats,
 }
 
 impl<'a> Simulator<'a> {
@@ -162,16 +119,7 @@ impl<'a> Simulator<'a> {
             recovery: RecoveryConfig::default(),
             batches: EpochBatches::default(),
             resident: ResidentSet::default(),
-            spec: Vec::new(),
-            prefetch_stats: PrefetchStats::default(),
         }
-    }
-
-    /// Outcome counters of the speculative-prefetch path for this
-    /// simulator's lifetime (all zeros when the policy never prefetches).
-    #[must_use]
-    pub fn prefetch_stats(&self) -> PrefetchStats {
-        self.prefetch_stats
     }
 
     /// Replaces the fault-recovery configuration (builder form).
@@ -212,21 +160,9 @@ impl<'a> Simulator<'a> {
     }
 
     /// Drains events whose timestamps lie beyond the last clock advance
-    /// (reconfigurations can outlive the trace), after closing out any
-    /// speculation the trace ended before judging — an unresolved prefetch
-    /// counts as wasted and is rolled back so every `PrefetchIssued` in the
-    /// log is matched by a `PrefetchHit` or `PrefetchWasted`. Call once at
-    /// the end of a run; [`Simulator::run`] does it automatically.
+    /// (reconfigurations can outlive the trace). Call once at the end of a
+    /// run; [`Simulator::run`] does it automatically.
     pub fn finish_events(&mut self) {
-        let now = self.timeline.now();
-        for s in std::mem::take(&mut self.spec) {
-            self.machine.abort_speculative(s.unit.as_loaded_id());
-            self.prefetch_stats.wasted += 1;
-            self.timeline.emit_with(now, || SimEvent::PrefetchWasted {
-                at: now,
-                unit: s.unit,
-            });
-        }
         self.timeline.finish();
     }
 
@@ -330,14 +266,6 @@ impl<'a> Simulator<'a> {
             frame: activation.frame,
         });
 
-        // Speculation judgment, phase 1 (pre-plan): restore exact
-        // trigger-time machine state — roll back in-flight speculations,
-        // evict completed ones (kept as promotion candidates). The policy
-        // then plans on the state a prefetch-free run would have had, so
-        // the committed plan is byte-identical to the trigger-time plan
-        // (DESIGN.md §12).
-        self.judge_speculation_pre_plan(t0);
-
         let units = self.catalog.units().len();
         self.resident.capture(&self.machine, t0, units);
         let plan = {
@@ -354,12 +282,6 @@ impl<'a> Simulator<'a> {
         for &u in &plan.evict {
             let _ = self.machine.evict(u.as_loaded_id());
         }
-
-        // Speculation judgment, phase 2 (post-plan): a surviving speculation
-        // the committed plan actually wants is promoted to demand (hit);
-        // anything else is rolled back *before* the demand loads are issued,
-        // so no demand transfer ever queues behind a doomed speculative one.
-        self.judge_speculation_post_plan(t0, &plan);
 
         // Epoch boundaries: completions of loads already in flight plus the
         // ones issued for this plan. The controller *feeds* them into the
@@ -380,13 +302,6 @@ impl<'a> Simulator<'a> {
                 self.timeline.push_boundary(ready_at);
             }
         }
-
-        // Speculative loads for predicted-next blocks stream during this
-        // block's execution, but only into idle port bandwidth and free
-        // slots. Their completions are deliberately *not* pushed as epoch
-        // boundaries: residency visible to this block's kernels stays
-        // exactly what the committed plan produced.
-        self.issue_speculative(t0, &plan);
 
         let mut makespan = Cycles::ZERO;
         let mut busy = Cycles::ZERO;
@@ -597,123 +512,6 @@ impl<'a> Simulator<'a> {
     /// Whether unit `u` is resident or currently streaming in.
     fn is_present(&self, u: UnitId) -> bool {
         self.machine.is_resident(u.as_loaded_id(), Cycles::MAX)
-    }
-
-    /// Rolls back one speculation: abandons its transfer (even mid-stream),
-    /// frees its slot and records the waste.
-    fn rollback_speculation(&mut self, now: Cycles, unit: UnitId) {
-        self.machine.abort_speculative(unit.as_loaded_id());
-        self.prefetch_stats.wasted += 1;
-        self.timeline
-            .emit_with(now, || SimEvent::PrefetchWasted { at: now, unit });
-    }
-
-    /// Speculation judgment, phase 1: before the policy sees the machine,
-    /// restore *exact* trigger-time state so the plan it commits is
-    /// byte-identical to the plan a prefetch-free run would commit.
-    ///
-    /// Speculations still streaming at block start are rolled back
-    /// entirely (ticket and slot): a transfer holding the config port
-    /// would serialize the block's demand loads behind its tail, which
-    /// can cost more than the head start is worth. The rollback walks in
-    /// *reverse issue order* — speculative tickets form the contiguous
-    /// tail of the FG queue (demand never admits between a block's
-    /// speculation and this judgment), so unwinding from the back
-    /// restores the port's schedule, including `busy_until`, bit-exactly.
-    ///
-    /// Fully completed speculations (`ready_at ≤ now`; their tickets
-    /// already drained from the port) are *evicted* from the fabric —
-    /// giving the planner the same free slot a trigger-time run would
-    /// have — but kept as promotion candidates: if the identically
-    /// planned block demand-loads the same unit, phase 2 adopts the
-    /// already-streamed bitstream instead of paying the transfer.
-    fn judge_speculation_pre_plan(&mut self, now: Cycles) {
-        for i in (0..self.spec.len()).rev() {
-            let s = self.spec[i];
-            if s.ready_at <= now && self.is_present(s.unit) {
-                let _ = self.machine.evict(s.unit.as_loaded_id());
-            } else {
-                self.spec.remove(i);
-                self.rollback_speculation(now, s.unit);
-            }
-        }
-    }
-
-    /// Speculation judgment, phase 2: after the plan is committed (and its
-    /// evictions applied) but before any demand load is issued, promote
-    /// every candidate whose unit the plan demand-loads — the completed
-    /// bitstream is re-installed instantly resident
-    /// ([`Machine::promote_speculative`]) in the slot the plan reserved
-    /// for the transfer, and the demand loop then skips the unit as
-    /// already present. Everything else is rolled back as wasted.
-    ///
-    /// Because phase 1 restored trigger-time state, the plan here is the
-    /// trigger-time plan; a promotion strictly *removes* one transfer from
-    /// the FG port queue, so every remaining load completes no later than
-    /// in a prefetch-free run — the never-slower guarantee is structural,
-    /// not statistical.
-    fn judge_speculation_post_plan(&mut self, now: Cycles, plan: &crate::policy::BlockPlan) {
-        for s in std::mem::take(&mut self.spec) {
-            let promoted = plan.load_order.contains(&s.unit)
-                && self
-                    .machine
-                    .promote_speculative(now, s.unit.as_loaded_id())
-                    .is_ok();
-            if promoted {
-                self.prefetch_stats.hits += 1;
-                self.timeline.emit_with(now, || SimEvent::PrefetchHit {
-                    at: now,
-                    unit: s.unit,
-                });
-            } else {
-                self.rollback_speculation(now, s.unit);
-            }
-        }
-    }
-
-    /// Issues the plan's speculative loads into the FG port's spare
-    /// bandwidth. Requests queue *behind* whatever demand traffic the
-    /// block start already admitted (demand ahead, speculation at the
-    /// back) and take only genuinely free slots — prefetching never
-    /// evicts. Before the next block's demand loads are issued, every
-    /// speculative ticket is either promoted to a plan-wanted load (its
-    /// earlier start can only bring the completion forward) or aborted
-    /// in reverse admission order, restoring the port schedule
-    /// bit-exactly — so a speculative transfer never delays a committed
-    /// demand transfer. Coarse-grained units are never speculated on
-    /// (their µs-scale loads save nothing and an occupied CG port could
-    /// delay this block's own monoCG bridging installs), so the engine
-    /// enforces FG-only here regardless of what a policy put in the plan.
-    fn issue_speculative(&mut self, now: Cycles, plan: &crate::policy::BlockPlan) {
-        for &u in &plan.prefetch {
-            if self.is_present(u) || self.spec.iter().any(|s| s.unit == u) {
-                continue;
-            }
-            let Some(unit) = self.catalog.unit_checked(u) else {
-                continue;
-            };
-            if unit.fabric() != FabricKind::FineGrained {
-                continue;
-            }
-            let bytes = unit.bitstream_bytes();
-            match self
-                .machine
-                .load_fg_speculative(now, u.as_loaded_id(), bytes)
-            {
-                Ok(t) => {
-                    let ready_at = t.ready_at;
-                    self.timeline.emit_with(now, || SimEvent::PrefetchIssued {
-                        at: now,
-                        unit: u,
-                        fabric: FabricKind::FineGrained,
-                        ready_at,
-                    });
-                    self.spec.push(SpecLoad { unit: u, ready_at });
-                    self.prefetch_stats.issued += 1;
-                }
-                Err(_) => break, // no free slot: speculation never evicts
-            }
-        }
     }
 
     /// Issues the reconfiguration of `u`, retrying faulted attempts up to

@@ -41,7 +41,7 @@ pub mod policy;
 pub mod stats;
 pub mod timeline;
 
-pub use engine::{PrefetchStats, RecoveryConfig, Simulator, LOAD_RETRY_BUDGET};
+pub use engine::{RecoveryConfig, Simulator, LOAD_RETRY_BUDGET};
 pub use policy::{
     BlockPlan, ExecContext, ExecMode, ExecPlan, FaultEvent, ResidentSet, RiscOnlyPolicy,
     RuntimePolicy, SelectionContext,

@@ -109,13 +109,6 @@ pub struct BlockPlan {
     /// Decision-computation cost of the run-time system itself (the
     /// Section 5.4 overhead; added to the block's timeline).
     pub overhead: Cycles,
-    /// Units to load *speculatively* for predicted-next blocks, in
-    /// descending `confidence × expected reconfiguration saving` order.
-    /// The engine issues them only into idle config-port bandwidth and
-    /// free slots after the demand loads above — never evicting for them —
-    /// and rolls back every unit the next trigger does not vindicate
-    /// (DESIGN.md §12). Policies without a predictor leave this empty.
-    pub prefetch: Vec<UnitId>,
 }
 
 impl BlockPlan {

@@ -214,39 +214,6 @@ pub enum SimEvent {
         /// PRC containers the tenant holds after the step.
         prc: u16,
     },
-    /// A *speculative* reconfiguration was issued into idle config-port
-    /// bandwidth for a predicted-next block (DESIGN.md §12). Unlike
-    /// [`SimEvent::LoadIssued`], a prefetch makes no completion promise: it
-    /// is resolved by a later `PrefetchHit` (the next block wanted it) or
-    /// `PrefetchWasted` (rolled back) — never by a `LoadReady`.
-    PrefetchIssued {
-        /// When the speculative request entered the (idle) port queue.
-        at: Cycles,
-        /// The unit being streamed ahead of demand.
-        unit: UnitId,
-        /// The target fabric.
-        fabric: FabricKind,
-        /// When the transfer would complete if the speculation survives.
-        ready_at: Cycles,
-    },
-    /// A speculative load was promoted to demand: the block that triggered
-    /// next actually wants the unit, which is already resident or further
-    /// along its stream than a trigger-time load could be.
-    PrefetchHit {
-        /// Promotion time (the predicted block's trigger).
-        at: Cycles,
-        /// The correctly prefetched unit.
-        unit: UnitId,
-    },
-    /// A speculation was rolled back: the prediction missed (or the run
-    /// ended first) and the unit — and any in-flight port ticket it held —
-    /// was evicted without ever displacing committed residency.
-    PrefetchWasted {
-        /// Rollback time.
-        at: Cycles,
-        /// The mispredicted unit.
-        unit: UnitId,
-    },
     /// A fleet session was admitted onto a fabric (open-loop runs): the
     /// session's tenant simulator joins the fabric's runner and becomes
     /// runnable. `queued_for` is how long the session waited between
@@ -302,9 +269,6 @@ impl SimEvent {
             | SimEvent::RepartitionGranted { at, .. }
             | SimEvent::DeadlineMiss { at, .. }
             | SimEvent::DegradeStep { at, .. }
-            | SimEvent::PrefetchIssued { at, .. }
-            | SimEvent::PrefetchHit { at, .. }
-            | SimEvent::PrefetchWasted { at, .. }
             | SimEvent::SessionAdmitted { at, .. }
             | SimEvent::SessionDeparted { at, .. }
             | SimEvent::BlockEnd { at, .. } => *at,
@@ -600,25 +564,6 @@ fn write_event(out: &mut Vec<u8>, tenant: u32, ev: &SimEvent) {
             num(out, r#","to_level":"#, to_level.into());
             num(out, r#","cg":"#, cg.into());
             num(out, r#","prc":"#, prc.into());
-        }
-        SimEvent::PrefetchIssued {
-            at,
-            unit,
-            fabric,
-            ready_at,
-        } => {
-            num(out, r#","event":{"PrefetchIssued":{"at":"#, at.get());
-            num(out, r#","unit":"#, unit.0);
-            lit(out, r#","fabric":"#, fabric_tag(fabric));
-            num(out, r#","ready_at":"#, ready_at.get());
-        }
-        SimEvent::PrefetchHit { at, unit } => {
-            num(out, r#","event":{"PrefetchHit":{"at":"#, at.get());
-            num(out, r#","unit":"#, unit.0);
-        }
-        SimEvent::PrefetchWasted { at, unit } => {
-            num(out, r#","event":{"PrefetchWasted":{"at":"#, at.get());
-            num(out, r#","unit":"#, unit.0);
         }
         SimEvent::SessionAdmitted {
             at,
@@ -960,7 +905,7 @@ mod tests {
     }
 
     /// Number of `SimEvent` variants [`arb_event`] draws from.
-    const VARIANTS: usize = 19;
+    const VARIANTS: usize = 16;
 
     /// A field value: `0`, all ones (`MAX` of every integer type once
     /// truncated), a decimal digit-count boundary (`10^k - 1` or `10^k`
@@ -1072,21 +1017,13 @@ mod tests {
                 cg: w[4] as u16,
                 prc: w[5] as u16,
             },
-            13 => SimEvent::PrefetchIssued {
-                at,
-                unit,
-                fabric,
-                ready_at: c(w[3]),
-            },
-            14 => SimEvent::PrefetchHit { at, unit },
-            15 => SimEvent::PrefetchWasted { at, unit },
-            16 => SimEvent::SessionAdmitted {
+            13 => SimEvent::SessionAdmitted {
                 at,
                 session: w[1] as u32,
                 fabric: w[2] as u32,
                 queued_for: c(w[3]),
             },
-            17 => SimEvent::SessionDeparted {
+            14 => SimEvent::SessionDeparted {
                 at,
                 session: w[1] as u32,
                 fabric: w[2] as u32,

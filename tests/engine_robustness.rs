@@ -54,7 +54,6 @@ impl RuntimePolicy for Liar {
             selections: ctx.forecast.iter().map(|t| (t.kernel, None)).collect(),
             evict: vec![UnitId::INVALID], // nonexistent: must be ignored
             load_order,
-            prefetch: Vec::new(),
             overhead: Cycles::ZERO,
         }
     }

@@ -6,7 +6,7 @@
 //! outside the catalogue read as not resident.
 //!
 //! 1. A property test drives a bare [`Machine`] through random loads,
-//!    settles, evictions, re-partitions, lost containers and speculation,
+//!    settles, evictions, re-partitions and lost containers,
 //!    and compares the capture with the machine around every `ready_at`.
 //! 2. A checking wrapper policy compares both contexts' sets with the
 //!    machine at every callback of whole runs, and the wrapped runs must
@@ -16,7 +16,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use mrts::arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts::core::{Mrts, MrtsConfig, PrefetchConfig};
+use mrts::core::{Mrts, MrtsConfig};
 use mrts::ise::{BlockId, IseId, KernelId, UnitId};
 use mrts::multitask::{
     run_multitask, MultitaskConfig, MultitaskRunner, SchedulerKind, StepOutcome, TenantSpec,
@@ -58,7 +58,7 @@ proptest! {
 
     #[test]
     fn capture_matches_machine_after_any_operation_sequence(
-        ops in prop::collection::vec((0u8..10, 0u64..IDS, 0u64..400_000, 0u16..4), 1..60),
+        ops in prop::collection::vec((0u8..7, 0u64..IDS, 0u64..400_000, 0u16..4), 1..60),
         fault_seed in any::<u64>(),
     ) {
         // Faults on: CRC retries and permanent container loss happen.
@@ -73,25 +73,16 @@ proptest! {
                 0 => m.load_fg(now, id, 20_000 + step).ok(),
                 1 => m.load_cg(now, id, 8 + size * 16).ok(),
                 2 => m.load_mono_cg(now, id, 8 + size * 16).ok(),
-                3 => m.load_fg_speculative(now, id, 20_000 + step).ok(),
-                4 => {
+                3 => {
                     m.settle(now);
                     None
                 }
-                5 => {
+                4 => {
                     let _ = m.evict(id);
                     None
                 }
-                6 => {
+                5 => {
                     let _ = m.resize_capacity(Resources::new(size + 1, size * 2));
-                    None
-                }
-                7 => {
-                    let _ = m.abort_speculative(id);
-                    None
-                }
-                8 => {
-                    let _ = m.promote_speculative(now, id);
                     None
                 }
                 _ => {
@@ -230,22 +221,13 @@ fn solo_h264_checked<P: RuntimePolicy + 'static>(
 }
 
 #[test]
-fn faulted_h264_with_prefetch_sees_exact_residency() {
+fn faulted_h264_sees_exact_residency() {
     let machine = || {
         let fault = FaultModel::with_rates(0.2, 1e-4, 0.01, 7);
         Machine::with_fault_model(ArchParams::default(), Resources::new(2, 16), fault)
             .expect("valid machine")
     };
-    let policy = || {
-        Mrts::with_config(MrtsConfig {
-            prefetch: PrefetchConfig {
-                enabled: true,
-                confidence_min: 0.5,
-            },
-            ..MrtsConfig::default()
-        })
-    };
-    solo_h264_checked(machine, policy);
+    solo_h264_checked(machine, Mrts::new);
 }
 
 #[test]

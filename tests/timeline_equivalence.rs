@@ -14,7 +14,7 @@
 //!    and ladder goldens (`multi_admission_*`, `multi_ladder_spine`, last
 //!    section) pin the multitask runner the same way: they were recorded
 //!    before its up-front and mid-run session paths became one. The spine
-//!    digests (`multi_ladder_spine`, `solo_fault_prefetch_spine`,
+//!    digests (`multi_ladder_spine`, `solo_fault_spine`,
 //!    `fleet_spine`) together cover every `SimEvent` variant and pin the
 //!    JSONL bytes of each. The retirement goldens (`fleet_churn_*`, one
 //!    per core scheduler, and `multi_queue_pinned_spine`) were recorded
@@ -28,7 +28,7 @@
 
 use mrts::arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
 use mrts::baselines::{make_policy, PolicyTuning, POLICY_NAMES};
-use mrts::core::{Mrts, MrtsConfig, PrefetchConfig};
+use mrts::core::Mrts;
 use mrts::fleet::{
     poisson_arrivals, run_fleet, AppRegistry, FleetConfig, FleetOutcome, PoissonConfig,
 };
@@ -490,10 +490,10 @@ fn ladder_event_spine_matches_golden() {
     check_golden("multi_ladder_spine", &golden);
 }
 
-/// H.264 alone on a (2 CG, 16 PRC) machine with speculative prefetch on and
-/// a fault model that fires load CRC failures often enough to exhaust the
-/// retry budget, plus transient execution upsets and lost containers.
-fn solo_fault_prefetch_spine() -> Vec<(u32, SimEvent)> {
+/// H.264 alone on a (2 CG, 16 PRC) machine with a fault model that fires
+/// load CRC failures often enough to exhaust the retry budget, plus
+/// transient execution upsets and lost containers.
+fn solo_fault_spine() -> Vec<(u32, SimEvent)> {
     let enc = mrts::ingest::model("h264").expect("builtin h264 lowers");
     let catalog = enc
         .application()
@@ -503,13 +503,7 @@ fn solo_fault_prefetch_spine() -> Vec<(u32, SimEvent)> {
     let fault = FaultModel::with_rates(0.2, 1e-4, 0.01, 7);
     let machine = Machine::with_fault_model(ArchParams::default(), Resources::new(2, 16), fault)
         .expect("valid machine");
-    let mut policy = Mrts::with_config(MrtsConfig {
-        prefetch: PrefetchConfig {
-            enabled: true,
-            confidence_min: 0.5,
-        },
-        ..MrtsConfig::default()
-    });
+    let mut policy = Mrts::new();
     let mut sim = Simulator::new(&catalog, machine);
     let sink = VecSink::new();
     sim.attach_events(0, Box::new(sink.clone()));
@@ -539,11 +533,8 @@ fn fleet_spine() -> Vec<(u32, SimEvent)> {
 }
 
 #[test]
-fn solo_fault_prefetch_spine_matches_golden() {
-    check_golden(
-        "solo_fault_prefetch_spine",
-        &spine_digest(&solo_fault_prefetch_spine()),
-    );
+fn solo_fault_spine_matches_golden() {
+    check_golden("solo_fault_spine", &spine_digest(&solo_fault_spine()));
 }
 
 #[test]
@@ -572,38 +563,32 @@ fn variant_name(ev: &SimEvent) -> &'static str {
         SimEvent::RepartitionGranted { .. } => "RepartitionGranted",
         SimEvent::DeadlineMiss { .. } => "DeadlineMiss",
         SimEvent::DegradeStep { .. } => "DegradeStep",
-        SimEvent::PrefetchIssued { .. } => "PrefetchIssued",
-        SimEvent::PrefetchHit { .. } => "PrefetchHit",
-        SimEvent::PrefetchWasted { .. } => "PrefetchWasted",
         SimEvent::SessionAdmitted { .. } => "SessionAdmitted",
         SimEvent::SessionDeparted { .. } => "SessionDeparted",
         SimEvent::BlockEnd { .. } => "BlockEnd",
     }
 }
 
-/// Number of distinct [`variant_name`]s: the 19 `SimEvent` variants, with
+/// Number of distinct [`variant_name`]s: the 16 `SimEvent` variants, with
 /// `FaultDetected` counted once per `fabric` shape.
-const SIM_EVENT_VARIANTS: usize = 20;
+const SIM_EVENT_VARIANTS: usize = 17;
 
 /// The variant names present in a spine.
 fn variant_names(events: &[(u32, SimEvent)]) -> BTreeSet<&'static str> {
     events.iter().map(|(_, ev)| variant_name(ev)).collect()
 }
 
-/// The three pinned spines — ladder, solo with faults and prefetch, fleet —
+/// The three pinned spines — ladder, solo with faults, fleet —
 /// together hold every `SimEvent` variant, so their digests pin the bytes
 /// of every variant's encoding.
 #[test]
 fn pinned_spines_cover_every_variant() {
-    let solo = variant_names(&solo_fault_prefetch_spine());
+    let solo = variant_names(&solo_fault_spine());
     for name in [
         "FaultDetected(fabric: None)",
         "FaultDetected(fabric: Some)",
         "FaultRecovered",
         "LoadRejected",
-        "PrefetchIssued",
-        "PrefetchHit",
-        "PrefetchWasted",
     ] {
         assert!(solo.contains(name), "the solo spine has no {name}");
     }
