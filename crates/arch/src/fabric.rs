@@ -131,17 +131,13 @@ impl Fabric {
         self.slots.iter().filter(|s| pred(**s)).count() as u16
     }
 
-    /// Places `id` in the first free container: usable from `ready_at`, or
-    /// resident at once when `ready_at` is `None`. Returns `false` if every
-    /// container is busy.
-    pub(crate) fn place(&mut self, id: LoadedId, ready_at: Option<Cycles>) -> bool {
+    /// Places `id` in the first free container, usable from `ready_at`.
+    /// Returns `false` if every container is busy.
+    pub(crate) fn place(&mut self, id: LoadedId, ready_at: Cycles) -> bool {
         let Some(slot) = self.first_free() else {
             return false;
         };
-        *slot = match ready_at {
-            Some(ready_at) => Slot::Loading { id, ready_at },
-            None => Slot::Loaded { id },
-        };
+        *slot = Slot::Loading { id, ready_at };
         true
     }
 
@@ -214,19 +210,25 @@ mod tests {
     #[test]
     fn place_takes_the_first_free_container() {
         let mut f = Fabric::new(2);
-        assert!(f.place(1, Some(Cycles::new(10))));
-        assert!(f.place(2, None));
+        assert!(f.place(1, Cycles::new(10)));
+        assert!(f.place(2, Cycles::ZERO));
         assert_eq!(f.free_count(), 0);
-        assert!(!f.place(3, None));
+        assert!(!f.place(3, Cycles::ZERO));
         assert!(f.evict(1));
-        assert!(f.place(3, None));
-        assert_eq!(f.slots[0], Slot::Loaded { id: 3 });
+        assert!(f.place(3, Cycles::ZERO));
+        assert_eq!(
+            f.slots[0],
+            Slot::Loading {
+                id: 3,
+                ready_at: Cycles::ZERO
+            }
+        );
     }
 
     #[test]
     fn loading_is_resident_from_ready_at_and_settle_keeps_it() {
         let mut f = Fabric::new(1);
-        f.place(42, Some(Cycles::new(100)));
+        f.place(42, Cycles::new(100));
         assert!(!f.is_resident(42, Cycles::new(99)));
         assert!(f.is_resident(42, Cycles::new(100)));
         f.settle(Cycles::new(100));
@@ -238,7 +240,7 @@ mod tests {
     #[test]
     fn evict_frees_the_holder_and_reports_unknown_ids() {
         let mut f = Fabric::new(1);
-        f.place(7, Some(Cycles::new(5)));
+        f.place(7, Cycles::new(5));
         assert!(f.evict(7));
         assert_eq!(f.free_count(), 1);
         assert!(!f.evict(7));
@@ -247,9 +249,9 @@ mod tests {
     #[test]
     fn resident_ids_sorted() {
         let mut f = Fabric::new(3);
-        f.place(9, Some(Cycles::ZERO));
-        f.place(3, Some(Cycles::ZERO));
-        f.place(5, Some(Cycles::new(2)));
+        f.place(9, Cycles::ZERO);
+        f.place(3, Cycles::ZERO);
+        f.place(5, Cycles::new(2));
         assert_eq!(f.resident_ids(Cycles::new(1)), vec![3, 9]);
     }
 
@@ -259,8 +261,8 @@ mod tests {
         assert!(f.fail_one_empty());
         assert_eq!(f.slots[0], Slot::Failed);
         assert_eq!((f.free_count(), f.failed_count()), (1, 1));
-        assert!(f.place(1, None));
-        assert!(!f.place(2, None));
+        assert!(f.place(1, Cycles::ZERO));
+        assert!(!f.place(2, Cycles::ZERO));
         assert!(!f.fail_one_empty());
     }
 
@@ -282,8 +284,8 @@ mod tests {
     #[test]
     fn resize_shrinks_the_last_free_then_the_last_occupied() {
         let mut f = Fabric::new(4);
-        f.place(10, Some(Cycles::ZERO));
-        f.place(20, None);
+        f.place(10, Cycles::ZERO);
+        f.place(20, Cycles::ZERO);
         // 2 occupied + 2 free; shrinking to 3 removes one free container.
         assert!(f.resize(3).is_empty());
         assert_eq!((f.working_count(), f.free_count()), (3, 1));

@@ -182,17 +182,14 @@ impl Machine {
 
     /// The one load-admission path: checks for a free container, draws a
     /// fault, queues the transfer on the fabric's configuration port and
-    /// places the artefact in the first free container. The artefact is
-    /// usable from the ticket's `ready_at`, or at once for a monoCG install
-    /// (`resident_at_once`), whose port stays busy until `ready_at`
-    /// (DESIGN.md §4.10).
+    /// places the artefact in the first free container, usable from the
+    /// ticket's `ready_at`.
     fn admit(
         &mut self,
         now: Cycles,
         id: LoadedId,
         fabric: FabricKind,
         duration: Cycles,
-        resident_at_once: bool,
     ) -> Result<LoadTicket, ArchError> {
         self.check_free(fabric)?;
         if let Some(kind) = self.fault_model.next_load_fault() {
@@ -206,8 +203,7 @@ impl Machine {
                 duration,
             },
         );
-        let ready_at = (!resident_at_once).then_some(ticket.ready_at);
-        let placed = self.fabric_mut(fabric).place(id, ready_at);
+        let placed = self.fabric_mut(fabric).place(id, ticket.ready_at);
         assert!(placed, "free container checked above");
         Ok(ticket)
     }
@@ -257,7 +253,7 @@ impl Machine {
         bitstream_bytes: u64,
     ) -> Result<LoadTicket, ArchError> {
         let duration = self.params.fg_reconfig_time(bitstream_bytes);
-        self.admit(now, id, FabricKind::FineGrained, duration, false)
+        self.admit(now, id, FabricKind::FineGrained, duration)
     }
 
     /// Starts loading a CG context program of `instrs` instructions into a
@@ -274,25 +270,7 @@ impl Machine {
         instrs: u16,
     ) -> Result<LoadTicket, ArchError> {
         let duration = self.params.cg_reconfig_time(instrs);
-        self.admit(now, id, FabricKind::CoarseGrained, duration, false)
-    }
-
-    /// Installs a monoCG-Extension context program on a free EDPE context
-    /// slot. Same transport as [`Machine::load_cg`], but the extension is
-    /// resident at `now`, before the ticket's `ready_at` (DESIGN.md §4.10).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InsufficientResources`] if no context slot is
-    /// free, or [`ArchError::LoadFault`] on an injected fault.
-    pub fn load_mono_cg(
-        &mut self,
-        now: Cycles,
-        id: LoadedId,
-        instrs: u16,
-    ) -> Result<LoadTicket, ArchError> {
-        let duration = self.params.cg_reconfig_time(instrs);
-        self.admit(now, id, FabricKind::CoarseGrained, duration, true)
+        self.admit(now, id, FabricKind::CoarseGrained, duration)
     }
 
     /// Whether artefact `id` is resident and usable anywhere at `now`.
@@ -357,10 +335,10 @@ mod tests {
 
     fn machine(cg: u16, prc: u16) -> Machine {
         // One context slot per EDPE for simple arithmetic in these tests.
-        let params = ArchParams::builder()
-            .cg_contexts_per_edpe(1)
-            .build()
-            .expect("valid");
+        let params = ArchParams {
+            cg_contexts_per_edpe: 1,
+            ..ArchParams::default()
+        };
         Machine::new(params, Resources::new(cg, prc)).expect("valid")
     }
 
@@ -406,7 +384,7 @@ mod tests {
     fn eviction_across_fabrics() {
         let mut m = machine(1, 1);
         m.load_fg(Cycles::ZERO, 1, 10_000).unwrap();
-        m.load_mono_cg(Cycles::ZERO, 2, 16).unwrap();
+        m.load_cg(Cycles::ZERO, 2, 16).unwrap();
         assert!(m.evict(1).is_ok());
         assert!(m.evict(2).is_ok());
         assert!(m.evict(3).is_err());
@@ -523,16 +501,18 @@ mod tests {
         assert_eq!(m.failed_resources(), Resources::new(0, 1));
     }
 
-    /// Pins the monoCG residency quirk (DESIGN.md §4.10): the extension is
-    /// resident from the instant it is installed, although its ticket's
-    /// `ready_at` lies later.
+    /// A monoCG-Extension goes through the CG load path like any other
+    /// context program: it is resident from its ticket's `ready_at` only,
+    /// not from the instant it is installed (DESIGN.md §4.10).
     #[test]
-    fn mono_cg_is_resident_from_install() {
+    fn mono_cg_is_resident_from_ready_at_only() {
         let mut m = machine(1, 0);
         let now = Cycles::new(1_000);
-        let t = m.load_mono_cg(now, 5, 16).unwrap();
+        let t = m.load_cg(now, 5, 16).unwrap();
         assert!(t.ready_at > now);
-        assert!(m.is_resident(5, now));
+        assert!(!m.is_resident(5, now));
+        assert!(!m.is_resident(5, t.ready_at - Cycles::new(1)));
+        assert!(m.is_resident(5, t.ready_at));
     }
 
     #[test]

@@ -38,9 +38,10 @@ impl Default for CgOpTiming {
 
 /// Complete parameter set of the multi-grained processor model.
 ///
-/// Construct with [`ArchParams::default`] for the paper's platform or use
-/// [`ArchParams::builder`] to vary individual constants (e.g. for the
-/// sensitivity ablations).
+/// Construct with [`ArchParams::default`] for the paper's platform. To vary
+/// individual constants (e.g. for the sensitivity ablations), override the
+/// fields with struct update syntax and check the result with
+/// [`ArchParams::validate`].
 ///
 /// # Example
 ///
@@ -51,9 +52,11 @@ impl Default for CgOpTiming {
 /// let paper = ArchParams::default();
 /// assert_eq!(paper.core_clock.as_mhz(), 400);
 ///
-/// let slow_config = ArchParams::builder()
-///     .fg_config_bandwidth_kb_s(33_792) // half the paper's port speed
-///     .build()?;
+/// let slow_config = ArchParams {
+///     fg_config_bandwidth_kb_s: 33_792, // half the paper's port speed
+///     ..ArchParams::default()
+/// };
+/// slow_config.validate()?;
 /// assert!(slow_config.fg_reconfig_time(80_000) > paper.fg_reconfig_time(80_000));
 /// # Ok(())
 /// # }
@@ -127,14 +130,6 @@ impl Default for ArchParams {
 }
 
 impl ArchParams {
-    /// Starts a builder pre-populated with the paper defaults.
-    #[must_use]
-    pub fn builder() -> ArchParamsBuilder {
-        ArchParamsBuilder {
-            params: ArchParams::default(),
-        }
-    }
-
     /// Reconfiguration time for an FG bitstream of `bytes` bytes, in core
     /// cycles, through the serial configuration port.
     ///
@@ -224,67 +219,6 @@ impl ArchParams {
     }
 }
 
-/// Builder for [`ArchParams`] (see [`ArchParams::builder`]).
-#[derive(Debug, Clone)]
-pub struct ArchParamsBuilder {
-    params: ArchParams,
-}
-
-impl ArchParamsBuilder {
-    /// Sets the core (and time-base) clock.
-    #[must_use]
-    pub fn core_clock(mut self, f: Frequency) -> Self {
-        self.params.core_clock = f;
-        self
-    }
-
-    /// Sets the FG configuration-port bandwidth in KB/s.
-    #[must_use]
-    pub fn fg_config_bandwidth_kb_s(mut self, kb_s: u64) -> Self {
-        self.params.fg_config_bandwidth_kb_s = kb_s;
-        self
-    }
-
-    /// Sets the CG context-memory capacity (instructions).
-    #[must_use]
-    pub fn cg_context_capacity(mut self, instrs: u16) -> Self {
-        self.params.cg_context_capacity = instrs;
-        self
-    }
-
-    /// Sets the number of simultaneously resident contexts per CG-EDPE.
-    #[must_use]
-    pub fn cg_contexts_per_edpe(mut self, contexts: u16) -> Self {
-        self.params.cg_contexts_per_edpe = contexts;
-        self
-    }
-
-    /// Sets the CG operation timing table.
-    #[must_use]
-    pub fn cg_op_timing(mut self, t: CgOpTiming) -> Self {
-        self.params.cg_op_timing = t;
-        self
-    }
-
-    /// Sets the nominal FG data-path bitstream size in bytes.
-    #[must_use]
-    pub fn fg_nominal_bitstream_bytes(mut self, bytes: u64) -> Self {
-        self.params.fg_nominal_bitstream_bytes = bytes;
-        self
-    }
-
-    /// Finalizes the parameter set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InvalidParams`] for inconsistent combinations
-    /// (see [`ArchParams::validate`]).
-    pub fn build(self) -> Result<ArchParams, ArchError> {
-        self.params.validate()?;
-        Ok(self.params)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,23 +265,28 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_and_validates() {
-        let p = ArchParams::builder()
-            .core_clock(Frequency::from_mhz(800))
-            .cg_context_capacity(64)
-            .build()
-            .expect("valid params");
+    fn overrides_are_validated() {
+        let p = ArchParams {
+            core_clock: Frequency::from_mhz(800),
+            cg_context_capacity: 64,
+            ..ArchParams::default()
+        };
+        assert!(p.validate().is_ok());
         assert_eq!(p.core_clock.as_mhz(), 800);
         assert_eq!(p.cg_context_capacity, 64);
 
-        let bad = ArchParams::builder().fg_config_bandwidth_kb_s(0).build();
-        assert!(matches!(bad, Err(ArchError::InvalidParams(_))));
+        let bad = ArchParams {
+            fg_config_bandwidth_kb_s: 0,
+            ..ArchParams::default()
+        };
+        assert!(matches!(bad.validate(), Err(ArchError::InvalidParams(_))));
 
         // The default FG clock (100 MHz) outruns a 50 MHz core.
-        let bad = ArchParams::builder()
-            .core_clock(Frequency::from_mhz(50))
-            .build();
-        assert!(matches!(bad, Err(ArchError::InvalidParams(_))));
+        let bad = ArchParams {
+            core_clock: Frequency::from_mhz(50),
+            ..ArchParams::default()
+        };
+        assert!(matches!(bad.validate(), Err(ArchError::InvalidParams(_))));
     }
 
     #[test]

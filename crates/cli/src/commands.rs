@@ -182,10 +182,11 @@ fn get_threads(args: &Args) -> Result<usize, Box<dyn std::error::Error>> {
 }
 
 /// The `--threads` determinism proof: runs `replica(i)` for every
-/// `i < threads`, each on its own scoped OS thread, fails unless every
-/// replica is `same` as replica 0, and prints `determinism: {proof}`.
-/// With one thread, replica 0 runs inline and nothing is compared.
-/// Returns replica 0's result.
+/// `i < threads` on a pool of `threads` workers
+/// ([`mrts_bench::par::map_ordered`]), fails unless every replica is
+/// `same` as replica 0, and prints `determinism: {proof}`. With one
+/// thread, replica 0 runs inline and nothing is compared. Returns replica
+/// 0's result.
 fn replay<T: Send>(
     threads: usize,
     proof: &str,
@@ -195,16 +196,10 @@ fn replay<T: Send>(
     if threads == 1 {
         return Ok(replica(0)?);
     }
-    let replica = &replica;
-    let mut runs = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|i| scope.spawn(move || replica(i)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("replay thread panicked"))
-            .collect::<Result<Vec<_>, String>>()
-    })?;
+    let replicas: Vec<usize> = (0..threads).collect();
+    let mut runs = mrts_bench::par::map_ordered(threads, &replicas, |_, &i| replica(i))
+        .into_iter()
+        .collect::<Result<Vec<_>, String>>()?;
     for (i, run) in runs.iter().enumerate().skip(1) {
         if !same(&runs[0], run)? {
             return Err(format!("determinism violation: thread {i} diverged from thread 0").into());

@@ -275,11 +275,7 @@ impl ProfitFn for PolicyProfit<'_> {
     ) -> f64 {
         match self {
             PolicyProfit::Eq4(eval) => eval.eval(ise, trigger, shadow),
-            PolicyProfit::Rispp { use_mono } if !*use_mono && ise.is_mono_extension() => 0.0,
-            PolicyProfit::Rispp { .. } => {
-                let saving = (ise.risc_latency() - ise.full_latency()).get() as f64;
-                saving * trigger.expected_executions as f64
-            }
+            PolicyProfit::Rispp { use_mono } => rispp_profit(*use_mono, ise, trigger),
         }
     }
 
@@ -289,12 +285,24 @@ impl ProfitFn for PolicyProfit<'_> {
         }
     }
 
+    /// RISPP's profit ignores the schedule, so it is its own bound.
     fn upper_bound(&mut self, ise: &Ise, trigger: &TriggerInstruction) -> Option<f64> {
         match self {
             PolicyProfit::Eq4(eval) => eval.upper_bound(ise, trigger),
-            PolicyProfit::Rispp { .. } => None,
+            PolicyProfit::Rispp { use_mono } => Some(rispp_profit(*use_mono, ise, trigger)),
         }
     }
+}
+
+/// RISPP's profit `e × (risc − full)`, 0 for a monoCG candidate unless the
+/// ECU may run it. A trigger's candidates share `e`, so it falls along the
+/// selector's static rank.
+fn rispp_profit(use_mono: bool, ise: &Ise, trigger: &TriggerInstruction) -> f64 {
+    if !use_mono && ise.is_mono_extension() {
+        return 0.0;
+    }
+    let saving = (ise.risc_latency() - ise.full_latency()).get() as f64;
+    saving * trigger.expected_executions as f64
 }
 
 /// Runs `select` with `config`'s profit function over the trigger's
@@ -587,8 +595,9 @@ impl RuntimePolicy for Mrts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::selector::{Selection, SelectorConfig};
     use mrts_arch::{ArchParams, Machine};
-    use mrts_ise::TriggerInstruction;
+    use mrts_ise::{TriggerBlock, TriggerInstruction};
     use mrts_sim::{ExecClass, ResidentSet, RiscOnlyPolicy, Simulator};
     use mrts_workload::synthetic::{synthetic_trace, Pattern};
     use mrts_workload::{TraceBuilder, WorkloadModel};
@@ -926,5 +935,122 @@ mod tests {
         let (catalog, trace) = toy(Pattern::Constant(1_000), 3);
         let _ = Simulator::run(&catalog, machine(1, 1), &trace, &mut mrts);
         assert_eq!(mrts.mpu().tracked_kernels(), 0);
+    }
+
+    /// RISPP's profit ignores the schedule, so its bound is the profit
+    /// itself. Along the selector's static rank (per-execution saving
+    /// `risc − full` descending, then `IseId` ascending) its positive
+    /// bounds for one trigger never rise, and equal ones come in `IseId`
+    /// order. Checked for every kernel of the six builtin catalogues, at
+    /// small and huge execution counts, with monoCG candidates allowed and
+    /// disallowed.
+    #[test]
+    fn rispp_bound_is_its_profit_and_follows_the_static_rank() {
+        let shadow = ReconfigurationController::new();
+        for app in mrts_ingest::BUILTIN_APPS {
+            let catalog = mrts_ingest::model(app)
+                .expect("builtin lowers")
+                .application()
+                .build_catalog(ArchParams::default(), None)
+                .expect("builtin catalogue builds");
+            for kernel in catalog.kernels() {
+                let mut rank: Vec<&Ise> = catalog
+                    .ises_of(kernel.id())
+                    .iter()
+                    .map(|&id| catalog.ise(id).expect("dense ids"))
+                    .collect();
+                rank.sort_by(|a, b| {
+                    let saving = |i: &Ise| i.risc_latency() - i.full_latency();
+                    saving(b).cmp(&saving(a)).then(a.id().cmp(&b.id()))
+                });
+                for use_mono in [true, false] {
+                    let mut profit = PolicyProfit::Rispp { use_mono };
+                    for e in [0, 1, 3, 4_000, 30_000, 1 << 40, (1 << 50) + 7, u64::MAX] {
+                        let trigger = TriggerInstruction::new(
+                            kernel.id(),
+                            e,
+                            Cycles::new(500),
+                            Cycles::new(200),
+                        );
+                        let mut last: Option<(f64, &Ise)> = None;
+                        for &ise in &rank {
+                            let bound = profit.upper_bound(ise, &trigger).expect("RISPP bounds");
+                            let eval = profit.eval(ise, &trigger, &shadow);
+                            assert_eq!(bound.to_bits(), eval.to_bits(), "{}", ise.label());
+                            if bound <= 0.0 {
+                                continue;
+                            }
+                            if let Some((hi, a)) = last {
+                                assert!(
+                                    bound < hi || (bound == hi && a.id() < ise.id()),
+                                    "{app} {}: e = {e}, {} bound {hi} ranks before {} bound {bound}",
+                                    kernel.name(),
+                                    a.label(),
+                                    ise.label()
+                                );
+                            }
+                            last = Some((bound, ise));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// RISPP-like's selection on the block of the selector's pinned
+    /// evaluation counts (`tests/selector_equivalence.rs`): the first
+    /// seven H.264 kernels at 4 000 executions each, cold on 4 CG + 3 PRC.
+    /// The lazy path equals the full-rescan oracle on every field but
+    /// `candidates_evaluated`. The bound keys the runs and equals the
+    /// profit, so the lazy path evaluates only each round's winner: 2
+    /// candidates for its 2 commits. The oracle and the cost model count
+    /// 222.
+    #[test]
+    fn rispp_like_selection_equals_the_oracle_and_its_evaluations_are_pinned() {
+        let catalog = mrts_ingest::model("h264")
+            .expect("builtin h264 lowers")
+            .application()
+            .build_catalog(ArchParams::default(), None)
+            .unwrap();
+        let forecast = TriggerBlock::new(
+            mrts_ise::BlockId(0),
+            catalog
+                .kernels()
+                .iter()
+                .take(7)
+                .map(|k| {
+                    TriggerInstruction::new(k.id(), 4_000, Cycles::new(1_000), Cycles::new(300))
+                })
+                .collect(),
+        );
+        let none = |_: UnitId| false;
+        let rc = ReconfigurationController::new();
+        let run = |full_rescan| {
+            crate::selector::select_ises_with(
+                &catalog,
+                &forecast,
+                Resources::new(4, 3),
+                &none,
+                &rc,
+                Cycles::ZERO,
+                &SelectorConfig { full_rescan },
+                &mut PolicyProfit::Rispp { use_mono: false },
+            )
+        };
+        let (lazy, oracle) = (run(false), run(true));
+        assert_eq!(
+            Selection {
+                candidates_evaluated: oracle.candidates_evaluated,
+                ..lazy.clone()
+            },
+            oracle
+        );
+        assert_eq!(lazy.selected.len(), 2);
+        assert_eq!(
+            lazy.candidates_evaluated, 2,
+            "RISPP-like's lazy evaluations moved"
+        );
+        assert_eq!(oracle.candidates_evaluated, 222);
+        assert_eq!(lazy.modeled_evaluations, 222);
     }
 }

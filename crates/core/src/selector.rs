@@ -40,15 +40,15 @@
 //! its kernel's static rank (below). A run builds one entry only, its
 //! *head*: the next candidate in rank that fits the current budget and has
 //! a positive upper bound. Entries that leave the runs — a re-evaluated
-//! one that lost to the next key, the eager profits of an evaluator
-//! without a bound, a group of tied bounds the rank does not order — go to
-//! one small sorted list. The best remaining entry is the largest of the
-//! ≤ K run heads and the list's best, and the merge yields exactly the
-//! order a single global max-heap of all entries would pop — the same
-//! evaluations in the same order. Serving a kernel retires its runs in
-//! O(1) and drops its list entries; a shrunk budget recounts each run's
-//! fitting candidates, moves a head that no longer fits and drops the list
-//! entries that no longer fit, so every entry in the merge is admissible.
+//! one that lost to the next key, a group of tied bounds the rank does not
+//! order — go to one small sorted list. The best remaining entry is the
+//! largest of the ≤ K run heads and the list's best, and the merge yields
+//! exactly the order a single global max-heap of all entries would pop —
+//! the same evaluations in the same order. Serving a kernel retires its
+//! runs in O(1) and drops its list entries; a shrunk budget recounts each
+//! run's fitting candidates, moves a head that no longer fits and drops
+//! the list entries that no longer fit, so every entry in the merge is
+//! admissible.
 //!
 //! # Static rank
 //!
@@ -60,12 +60,13 @@
 //! ranked so once per catalogue, together with per-candidate bit masks of
 //! the kernel's unit slots (see `RankTables`). The seed pass visits the
 //! candidates in that rank and takes each one's new demand as popcounts
-//! against the trigger's needs-load mask; it evaluates and bounds nothing
-//! when the evaluator has bounds. A run's head is its maximum because
-//! positive bounds never rise along the rank (the [`ProfitFn::upper_bound`]
-//! contract); the first exposure in a group of equal bounds checks that
-//! the group comes in [`IseId`] order, and sends it to the sorted list if
-//! not.
+//! against the trigger's needs-load mask; it evaluates and bounds nothing.
+//! A run's head is its maximum because positive bounds never rise along
+//! the rank (the [`ProfitFn::upper_bound`] contract); the first exposure in
+//! a group of equal bounds checks that the group comes in [`IseId`] order,
+//! and sends it to the sorted list if not. An evaluator without a bound
+//! reads as `+∞` for every candidate: one tied group, all of which the
+//! first round evaluates, as the reference loop does.
 //!
 //! The reference full-rescan loop is kept behind
 //! [`SelectorConfig::full_rescan`] as the test oracle, and the paper's
@@ -176,25 +177,21 @@ pub trait ProfitFn {
     /// ever return for this candidate — valid for the initial shadow state
     /// and (by the monotonicity contract) for every later round too.
     ///
-    /// When an evaluator provides one, the lazy-greedy loop keys its runs
-    /// with bounds instead of evaluating every candidate up front (CELF
-    /// with optimistic initialization), and bounds a candidate only when
-    /// its run's cursor reaches it: candidates whose bound never becomes
-    /// the best remaining key are never bounded or evaluated at all, and a
-    /// bound `<= 0` proves the candidate can never be selected. The
-    /// default `None` keeps the eager round-0 sweep, which is always safe.
+    /// The lazy-greedy loop keys its runs with bounds (CELF with optimistic
+    /// initialization) and bounds a candidate only when its run's cursor
+    /// reaches it: candidates whose bound never becomes the best remaining
+    /// key are never evaluated at all, and a bound `<= 0` proves the
+    /// candidate can never be selected. `None`, the default, reads as
+    /// `+∞`: such candidates are all evaluated in the first round, which
+    /// is always safe.
     ///
-    /// Two obligations come with a bound:
-    ///
-    /// * **All or none.** For one trigger, return `Some` for every
-    ///   candidate or for none; the loop asks the kernel's first-ranked
-    ///   candidate to decide, and panics on a `None` after a `Some`.
-    /// * **Rank order.** Along the kernel's static rank (per-execution
-    ///   saving `risc − full` descending, then [`IseId`] ascending), the
-    ///   positive bounds of one trigger never rise. Equal bounds may come
-    ///   in any [`IseId`] order. [`ExpectedProfitEval`]'s `e·(risc − full)`
-    ///   meets this for every `e`, since rounding a product is monotone. A
-    ///   `debug_assert!` checks it on every bound the loop compares.
+    /// One obligation comes with a bound. Along the kernel's static rank
+    /// (per-execution saving `risc − full` descending, then [`IseId`]
+    /// ascending), the positive bounds of one trigger, `None` read as
+    /// `+∞`, never rise. Equal bounds may come in any [`IseId`] order.
+    /// [`ExpectedProfitEval`]'s `e·(risc − full)` meets this for every
+    /// `e`, since rounding a product is monotone. A `debug_assert!` checks
+    /// it on every bound the loop compares.
     ///
     /// [`eval`]: ProfitFn::eval
     fn upper_bound(&mut self, ise: &Ise, trigger: &TriggerInstruction) -> Option<f64> {
@@ -438,7 +435,8 @@ struct RunView<'a> {
 
 impl RunView<'_> {
     /// Rank position `pos` of run `ti` as a merge entry keyed by its
-    /// bound, if it fits the budget and its bound is positive.
+    /// bound (`None` read as `+∞`), if it fits the budget and its bound is
+    /// positive.
     fn entry<P: ProfitFn + ?Sized>(
         &self,
         run: &Run,
@@ -453,7 +451,7 @@ impl RunView<'_> {
         let id = self.ranked[(run.rank + pos) as usize].ise;
         let bound = profit
             .upper_bound(&self.ises[id.index() as usize], &self.triggers[ti])
-            .expect("an evaluator bounds every candidate of a trigger or none");
+            .unwrap_or(f64::INFINITY);
         debug_assert!(!bound.is_nan(), "upper bound of {id} is NaN");
         (bound > 0.0).then_some(LazyEntry {
             profit: bound,
@@ -1010,43 +1008,10 @@ pub fn select_ises_with_scratch<P: ProfitFn + ?Sized>(
             triggers,
             remaining: state.remaining,
         };
-        // Each run exposes its head, unless the evaluator has no bound.
+        // Each run exposes its head.
         for (ti, run) in runs.iter_mut().enumerate() {
-            let trigger = &triggers[ti];
-            let bounded = run.len > 0 && {
-                let id = view.ranked[run.rank as usize].ise;
-                profit
-                    .upper_bound(&ises[id.index() as usize], trigger)
-                    .is_some()
-            };
-            if bounded {
-                view.advance(run, ti, profit, &mut sorted);
-                continue;
-            }
-            // No bound: the reference loop's first sweep, every fitting
-            // candidate evaluated now and kept in the sorted list.
-            for pos in 0..run.len {
-                let idx = run.first + pos;
-                if !demands[idx as usize].fits_in(view.remaining) {
-                    continue;
-                }
-                let id = view.ranked[(run.rank + pos) as usize].ise;
-                evaluated += 1;
-                let p = profit.eval(&ises[id.index() as usize], trigger, &state.shadow);
-                debug_assert!(!p.is_nan(), "round-0 profit of {id} is NaN");
-                if p > 0.0 {
-                    sorted.push(LazyEntry {
-                        profit: p,
-                        ise: id,
-                        idx,
-                        run: ti as u32,
-                        round,
-                    });
-                }
-            }
-            run.cursor = run.len;
+            view.advance(run, ti, profit, &mut sorted);
         }
-        sorted.sort_unstable_by(merge_cmp);
         // The reference loop evaluates every admissible candidate of every
         // unserved kernel per round: that count is `modeled`'s charge.
         let mut admissible: u64 = runs.iter().map(|r| u64::from(r.fitting)).sum();

@@ -3,7 +3,7 @@
 //! Functional blocks are the scheduling quanta — a trigger instruction
 //! hands the core to the run-time system and the block runs to completion,
 //! so preemption happens only at block boundaries (the same granularity at
-//! which the paper's mRTS itself takes decisions). All three schedulers
+//! which the paper's mRTS itself takes decisions). All five schedulers
 //! are pure integer machines: given the same pick/charge sequence they
 //! reproduce the same schedule bit-for-bit, which keeps multi-tenant runs
 //! deterministic across hosts and thread counts.
@@ -28,9 +28,6 @@ use std::str::FromStr;
 /// tie-break picks exactly as if every departed tenant were still there,
 /// never runnable.
 pub trait Scheduler: fmt::Debug {
-    /// Short diagnostic name (`rr`, `prio`, `wfq`, `edf`, `llf`).
-    fn name(&self) -> &'static str;
-
     /// Chooses the next tenant among the runnable ones (`runnable[i]` is
     /// `true` iff tenant `i` still has blocks to execute), given the
     /// tenants' current SLO state. Returns `None` iff no tenant is
@@ -92,10 +89,6 @@ impl RoundRobin {
 }
 
 impl Scheduler for RoundRobin {
-    fn name(&self) -> &'static str {
-        "rr"
-    }
-
     fn pick(&mut self, runnable: &[bool], _slo: &SloSnapshot<'_>) -> Option<usize> {
         if let Some(cur) = self.current {
             if cur < runnable.len()
@@ -159,10 +152,6 @@ impl StrictPriority {
 }
 
 impl Scheduler for StrictPriority {
-    fn name(&self) -> &'static str {
-        "prio"
-    }
-
     fn pick(&mut self, runnable: &[bool], _slo: &SloSnapshot<'_>) -> Option<usize> {
         (0..runnable.len())
             .filter(|&i| runnable[i])
@@ -219,10 +208,6 @@ impl WeightedFair {
 }
 
 impl Scheduler for WeightedFair {
-    fn name(&self) -> &'static str {
-        "wfq"
-    }
-
     fn pick(&mut self, runnable: &[bool], _slo: &SloSnapshot<'_>) -> Option<usize> {
         (0..runnable.len())
             .filter(|&i| runnable[i])
@@ -269,10 +254,6 @@ impl Scheduler for WeightedFair {
 pub struct EarliestDeadline;
 
 impl Scheduler for EarliestDeadline {
-    fn name(&self) -> &'static str {
-        "edf"
-    }
-
     fn pick(&mut self, runnable: &[bool], slo: &SloSnapshot<'_>) -> Option<usize> {
         (0..runnable.len())
             .filter(|&i| runnable[i])
@@ -300,10 +281,6 @@ impl Scheduler for EarliestDeadline {
 pub struct LeastLaxity;
 
 impl Scheduler for LeastLaxity {
-    fn name(&self) -> &'static str {
-        "llf"
-    }
-
     fn pick(&mut self, runnable: &[bool], slo: &SloSnapshot<'_>) -> Option<usize> {
         (0..runnable.len())
             .filter(|&i| runnable[i])
@@ -571,7 +548,8 @@ mod tests {
         ] {
             let kind: SchedulerKind = s.parse().unwrap();
             assert_eq!(kind.to_string(), name);
-            assert_eq!(kind.build().name(), name);
+            // Every discipline picks the only runnable tenant.
+            assert_eq!(kind.build().pick(&[false, true], &BLIND), Some(1));
         }
         assert!("lottery".parse::<SchedulerKind>().is_err());
     }

@@ -56,6 +56,9 @@ impl SelectionContext<'_> {
 /// catalogue unit, the same answer as `machine.is_resident(id, now)`. Ids
 /// outside the catalogue read as not resident. That is enough: policies are
 /// only ever handed catalogue units, and tenants do not share a `Machine`.
+/// `capture` is the only mutator, so a captured set stays frozen: a load
+/// issued after it, a monoCG install included, is resident from its
+/// `ready_at`, and the engine captures again there.
 #[derive(Debug, Clone, Default)]
 pub struct ResidentSet {
     bits: Vec<u64>,
@@ -74,16 +77,6 @@ impl ResidentSet {
         };
         machine.fg().for_each_resident_id(now, &mut add);
         machine.cg().for_each_resident_id(now, &mut add);
-    }
-
-    /// Marks catalogue unit `u` resident. The engine calls it after
-    /// installing a monoCG-Extension, which is resident from its install
-    /// on.
-    pub(crate) fn insert(&mut self, u: UnitId) {
-        let id = u.as_loaded_id();
-        if let Some(word) = self.bits.get_mut((id / 64) as usize) {
-            *word |= 1 << (id % 64);
-        }
     }
 
     /// Whether unit `u` was resident at the captured instant.
@@ -168,7 +161,10 @@ pub struct ExecPlan {
     /// The implementation to use.
     pub mode: ExecMode,
     /// Ask the simulator to start loading the kernel's monoCG-Extension now
-    /// (honoured only if a CG-EDPE is free and the extension exists).
+    /// (honoured only if a CG-EDPE is free and the extension exists). Like
+    /// every context load it is resident from its ticket's `ready_at`: this
+    /// epoch still runs with what its [`ResidentSet`] holds, and the engine
+    /// ends the epoch at `ready_at`.
     pub install_mono: bool,
 }
 

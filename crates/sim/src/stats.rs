@@ -730,38 +730,6 @@ impl fmt::Display for MultitaskStats {
     }
 }
 
-impl fmt::Display for RunStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{}: {:.3} Mcycles busy (+{:.3} Mcycles overhead), {} executions",
-            self.policy,
-            self.total_busy().as_mcycles(),
-            self.total_overhead().as_mcycles(),
-            self.total_executions()
-        )?;
-        let h = self.class_histogram();
-        for c in ExecClass::ALL {
-            if let Some(n) = h.get(&c) {
-                writeln!(f, "  {c}: {n}")?;
-            }
-        }
-        if self.failed_loads > 0 || self.degraded_executions > 0 {
-            writeln!(
-                f,
-                "  faults: {} failed loads ({} retries, {} containers lost), \
-                 {} degraded executions, {:.3} Mcycles recovery",
-                self.failed_loads,
-                self.retried_loads,
-                self.blacklisted_containers,
-                self.degraded_executions,
-                self.recovery_cycles.as_mcycles()
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

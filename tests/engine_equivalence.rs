@@ -88,7 +88,7 @@ fn naive_run(
                 if eplan.install_mono {
                     if let Some(mono) = kernel.mono_cg() {
                         if !machine.is_resident(mono.unit.as_loaded_id(), Cycles::MAX) {
-                            let _ = machine.load_mono_cg(t, mono.unit.as_loaded_id(), mono.instrs);
+                            let _ = machine.load_cg(t, mono.unit.as_loaded_id(), mono.instrs);
                         }
                     }
                 }

@@ -10,19 +10,21 @@
 //!    and compares the capture with the machine around every `ready_at`.
 //! 2. A checking wrapper policy compares both contexts' sets with the
 //!    machine at every callback of whole runs, and the wrapped runs must
-//!    produce the unwrapped runs' statistics.
+//!    produce the unwrapped runs' statistics. One of the runs has the ECU
+//!    install monoCG-Extensions mid-block, so an epoch's capture is held
+//!    to the machine across those installs too.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use mrts::arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts::core::{Mrts, MrtsConfig};
+use mrts::core::{EcuConfig, Mrts, MrtsConfig};
 use mrts::ise::{BlockId, IseId, KernelId, UnitId};
 use mrts::multitask::{
     run_multitask, MultitaskConfig, MultitaskRunner, SchedulerKind, StepOutcome, TenantSpec,
 };
 use mrts::sim::{
-    BlockPlan, ExecContext, ExecPlan, FaultEvent, MultitaskStats, ResidentSet, RunStats,
+    BlockPlan, ExecClass, ExecContext, ExecPlan, FaultEvent, MultitaskStats, ResidentSet, RunStats,
     RuntimePolicy, SelectionContext, Simulator,
 };
 use mrts::workload::{KernelActivity, TraceBuilder, WorkloadModel};
@@ -58,7 +60,7 @@ proptest! {
 
     #[test]
     fn capture_matches_machine_after_any_operation_sequence(
-        ops in prop::collection::vec((0u8..7, 0u64..IDS, 0u64..400_000, 0u16..4), 1..60),
+        ops in prop::collection::vec((0u8..6, 0u64..IDS, 0u64..400_000, 0u16..4), 1..60),
         fault_seed in any::<u64>(),
     ) {
         // Faults on: CRC retries and permanent container loss happen.
@@ -72,16 +74,15 @@ proptest! {
             let ticket = match op {
                 0 => m.load_fg(now, id, 20_000 + step).ok(),
                 1 => m.load_cg(now, id, 8 + size * 16).ok(),
-                2 => m.load_mono_cg(now, id, 8 + size * 16).ok(),
-                3 => {
+                2 => {
                     m.settle(now);
                     None
                 }
-                4 => {
+                3 => {
                     let _ = m.evict(id);
                     None
                 }
-                5 => {
+                4 => {
                     let _ = m.resize_capacity(Resources::new(size + 1, size * 2));
                     None
                 }
@@ -112,6 +113,10 @@ proptest! {
 struct Checks {
     blocks: Cell<u64>,
     epochs: Cell<u64>,
+    /// Epochs whose plan installs a monoCG-Extension: one is asked for,
+    /// it is neither resident nor streaming, and a CG context slot is
+    /// free.
+    mono_installs: Cell<u64>,
 }
 
 /// Forwards every callback to `inner`, first asserting that the context's
@@ -180,7 +185,16 @@ impl RuntimePolicy for Checked {
             "plan_execution",
         );
         self.checks.epochs.set(self.checks.epochs.get() + 1);
-        self.inner.plan_execution(kernel, selected, ctx)
+        let plan = self.inner.plan_execution(kernel, selected, ctx);
+        let mono = ctx.catalog.kernel(kernel).ok().and_then(|k| k.mono_cg());
+        if plan.install_mono
+            && mono.is_some_and(|m| !ctx.machine.is_resident(m.unit.as_loaded_id(), Cycles::MAX))
+            && ctx.machine.cg().free_count() > 0
+        {
+            let installs = &self.checks.mono_installs;
+            installs.set(installs.get() + 1);
+        }
+        plan
     }
 
     fn observe_block_end(&mut self, block: BlockId, observed: &[KernelActivity]) {
@@ -197,11 +211,12 @@ impl RuntimePolicy for Checked {
 }
 
 /// Runs the H.264 trace solo on `machine`, once with `policy` as is and
-/// once wrapped, and checks that both give the same statistics.
+/// once wrapped, and checks that both give the same statistics. Returns
+/// the statistics and the wrapped run's checks.
 fn solo_h264_checked<P: RuntimePolicy + 'static>(
     machine: impl Fn() -> Machine,
     policy: impl Fn() -> P,
-) {
+) -> (RunStats, Rc<Checks>) {
     let enc = mrts::ingest::model("h264").expect("builtin h264 lowers");
     let catalog = enc
         .application()
@@ -218,6 +233,7 @@ fn solo_h264_checked<P: RuntimePolicy + 'static>(
     assert_eq!(checks.blocks.get(), trace.activations().len() as u64);
     assert!(checks.epochs.get() > checks.blocks.get());
     assert_eq!(checked, plain);
+    (plain, checks)
 }
 
 #[test]
@@ -235,6 +251,42 @@ fn rispp_like_sees_exact_residency() {
     let machine =
         || Machine::new(ArchParams::default(), Resources::new(4, 3)).expect("valid machine");
     solo_h264_checked(machine, || Mrts::with_config(MrtsConfig::rispp_like()));
+}
+
+/// Selects and loads nothing at a trigger and leaves every execution to
+/// the paper's ECU. With no ISE selected and a CG context slot free, the
+/// ECU's step c runs the kernel in RISC mode and installs its
+/// monoCG-Extension, at the kernel's first epoch: mid-block.
+struct EcuOnly;
+
+impl RuntimePolicy for EcuOnly {
+    fn name(&self) -> String {
+        "ecu-only".into()
+    }
+
+    fn plan_block(&mut self, _ctx: &SelectionContext<'_>) -> BlockPlan {
+        BlockPlan::default()
+    }
+
+    fn plan_execution(
+        &mut self,
+        kernel: KernelId,
+        selected: Option<IseId>,
+        ctx: &ExecContext<'_>,
+    ) -> ExecPlan {
+        mrts::core::ecu::plan_execution(kernel, selected, ctx, &EcuConfig::default())
+    }
+}
+
+#[test]
+fn ecu_mono_installs_mid_block_see_exact_residency() {
+    let machine =
+        || Machine::new(ArchParams::default(), Resources::new(1, 0)).expect("valid machine");
+    let (stats, checks) = solo_h264_checked(machine, || EcuOnly);
+    // One EDPE holds three contexts: the ECU installs three extensions,
+    // which then serve their kernels.
+    assert_eq!(checks.mono_installs.get(), 3);
+    assert!(stats.class_histogram().contains_key(&ExecClass::MonoCg));
 }
 
 /// The three-tenant EDF run of the ladder golden (`timeline_equivalence`),

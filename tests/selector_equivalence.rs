@@ -13,18 +13,20 @@
 //!    worker count.
 
 use mrts::arch::{
-    ArchParams, Cycles, FabricKind, LoadRequest, ReconfigurationController, Resources,
+    ArchParams, Cycles, FabricKind, LoadRequest, Machine, ReconfigurationController, Resources,
 };
 use mrts::core::profit::{expected_profit, ExpectedProfitEval, ProfitEvalBuffers};
 use mrts::core::selector::{
     select_ises, select_ises_with, select_ises_with_scratch, ProfitFn, Selection, SelectorConfig,
     SelectorScratch,
 };
+use mrts::core::{Mrts, MrtsConfig};
 use mrts::ingest::BUILTIN_APPS;
 use mrts::ise::datapath::{DataPathGraph, OpKind};
 use mrts::ise::{
     CatalogBuilder, Ise, IseCatalog, KernelSpec, TriggerBlock, TriggerInstruction, UnitId,
 };
+use mrts::sim::{ResidentSet, RuntimePolicy, SelectionContext};
 use mrts::workload::WorkloadModel;
 use proptest::prelude::*;
 
@@ -229,9 +231,10 @@ fn assert_selections_identical(lazy: &Selection, oracle: &Selection) {
 }
 
 /// [`lazy_and_oracle`] through `select_ises_with` and a closure evaluator,
-/// which has no `upper_bound`: the eager seed path the RISPP-like
-/// baseline's hook takes, every run seeded with evaluated round-0 profits.
-fn eager_lazy_and_oracle(
+/// which has no `upper_bound`. The selector reads the missing bound as
+/// `+∞`, so every fitting candidate is evaluated in the first round, as
+/// the oracle's first sweep does.
+fn unbounded_lazy_and_oracle(
     catalog: &IseCatalog,
     forecast: &TriggerBlock,
     budget: Resources,
@@ -267,6 +270,49 @@ fn eager_lazy_and_oracle(
     assert!(lazy.candidates_evaluated <= oracle.candidates_evaluated);
 }
 
+/// RISPP-like, the `Mrts` preset with RISPP's profit, plans `forecast` on
+/// a machine of `budget` EDPEs and PRCs, once with the lazy selector and
+/// once with the full-rescan oracle: the plans must be identical. The
+/// plan carries the selection's choices and load order, and its overhead
+/// is the cost model's charge for the oracle's evaluation count. Units
+/// whose id is a multiple of `resident_mod` (none when it is 0) are
+/// loaded at time 0 where they fit; at `now` they are resident or still
+/// streaming.
+fn rispp_like_plan_equals_oracle(
+    catalog: &IseCatalog,
+    forecast: &TriggerBlock,
+    budget: Resources,
+    resident_mod: u64,
+    now: Cycles,
+) {
+    let mut machine = Machine::new(ArchParams::default(), budget).expect("valid machine");
+    for unit in catalog.units() {
+        let id = unit.id().as_loaded_id();
+        if resident_mod == 0 || !id.is_multiple_of(resident_mod) {
+            continue;
+        }
+        let _ = match unit.fabric() {
+            FabricKind::FineGrained => machine.load_fg(Cycles::ZERO, id, unit.bitstream_bytes()),
+            FabricKind::CoarseGrained => machine.load_cg(Cycles::ZERO, id, unit.cg_instrs()),
+        };
+    }
+    let mut resident = ResidentSet::default();
+    resident.capture(&machine, now, catalog.units().len());
+    let ctx = SelectionContext {
+        now,
+        catalog,
+        machine: &machine,
+        forecast,
+        resident: &resident,
+    };
+    let plan = |full_rescan| {
+        let mut config = MrtsConfig::rispp_like();
+        config.selector.full_rescan = full_rescan;
+        Mrts::with_config(config).plan_block(&ctx)
+    };
+    assert_eq!(plan(false), plan(true));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -287,6 +333,7 @@ proptest! {
         let _ = lazy_and_oracle(
             &catalog, &forecast, Resources::new(cg, prc), &none, &rc, Cycles::ZERO,
         );
+        rispp_like_plan_equals_oracle(&catalog, &forecast, Resources::new(cg, prc), 0, Cycles::ZERO);
     }
 
     /// Warm start: in-flight loads queue behind the ports, some units are
@@ -322,9 +369,11 @@ proptest! {
         // A deterministic pseudo-random resident subset.
         let resident = move |u: UnitId| u.as_loaded_id().is_multiple_of(resident_mod);
         let _ = lazy_and_oracle(&catalog, &forecast, budget, &resident, &rc, now);
+        rispp_like_plan_equals_oracle(&catalog, &forecast, budget, resident_mod, now);
     }
 
-    /// The eager seed path (see [`eager_lazy_and_oracle`]), warm.
+    /// A closure evaluator without a bound (see
+    /// [`unbounded_lazy_and_oracle`]), warm.
     #[test]
     fn lazy_equals_oracle_eager_closure(
         catalog in arb_catalog(),
@@ -340,13 +389,13 @@ proptest! {
         let now = Cycles::new(now_raw);
         let rc = ReconfigurationController::new();
         let resident = move |u: UnitId| u.as_loaded_id().is_multiple_of(resident_mod);
-        eager_lazy_and_oracle(&catalog, &forecast, budget, &resident, &rc, now);
+        unbounded_lazy_and_oracle(&catalog, &forecast, budget, &resident, &rc, now);
     }
 
     /// Sibling ISEs with equal `risc − full` savings have equal bound seed
     /// keys, and — when fully resident (`resident_mod == 1`) — equal
     /// evaluated profits too: the `IseId` tie-break alone orders them
-    /// within a run, for both seed paths.
+    /// within a run, for evaluators with and without a bound.
     #[test]
     fn lazy_equals_oracle_on_seed_key_ties(
         catalog in arb_tied_catalog(),
@@ -362,7 +411,8 @@ proptest! {
             move |u: UnitId| resident_mod > 0 && u.as_loaded_id().is_multiple_of(resident_mod);
         let budget = Resources::new(cg, prc);
         let _ = lazy_and_oracle(&catalog, &forecast, budget, &resident, &rc, Cycles::ZERO);
-        eager_lazy_and_oracle(&catalog, &forecast, budget, &resident, &rc, Cycles::ZERO);
+        unbounded_lazy_and_oracle(&catalog, &forecast, budget, &resident, &rc, Cycles::ZERO);
+        rispp_like_plan_equals_oracle(&catalog, &forecast, budget, resident_mod, Cycles::ZERO);
     }
 }
 
@@ -441,7 +491,8 @@ proptest! {
         for catalog in [&catalog, &tied] {
             let forecast = forecast_per_kernel(catalog, &es, 500, tb);
             let _ = lazy_and_oracle(catalog, &forecast, budget, &resident, &rc, Cycles::ZERO);
-            eager_lazy_and_oracle(catalog, &forecast, budget, &resident, &rc, Cycles::ZERO);
+            unbounded_lazy_and_oracle(catalog, &forecast, budget, &resident, &rc, Cycles::ZERO);
+            rispp_like_plan_equals_oracle(catalog, &forecast, budget, resident_mod, Cycles::ZERO);
         }
     }
 
@@ -486,6 +537,9 @@ proptest! {
 /// one trigger never rise, and equal ones come in `IseId` order. Checked
 /// for every kernel of the six builtin catalogues, at small and huge
 /// execution counts, with monoCG candidates allowed and disallowed.
+/// RISPP's bound, which is its profit, gets the same check next to its
+/// private evaluator (`mrts-core`'s
+/// `rispp_bound_is_its_profit_and_follows_the_static_rank`).
 #[test]
 fn expected_profit_bounds_follow_the_static_rank() {
     let none = |_: UnitId| false;
@@ -708,7 +762,8 @@ proptest! {
         let rc = ReconfigurationController::new();
         let none = |_: UnitId| false;
         let _ = lazy_and_oracle(&catalog, &forecast, Resources::new(cg, prc), &none, &rc, Cycles::ZERO);
-        eager_lazy_and_oracle(&catalog, &forecast, Resources::new(cg, prc), &none, &rc, Cycles::ZERO);
+        unbounded_lazy_and_oracle(&catalog, &forecast, Resources::new(cg, prc), &none, &rc, Cycles::ZERO);
+        rispp_like_plan_equals_oracle(&catalog, &forecast, Resources::new(cg, prc), 0, Cycles::ZERO);
     }
 
     /// A kernel with more unit slots than one mask word selects exactly as
@@ -774,7 +829,10 @@ fn lazy_saves_evaluations_on_the_paper_catalog() {
 /// seven H.264 kernels at 4 000 executions each on the 4 CG + 3 PRC
 /// machine, cold. The lazy path evaluates 13 candidates and the full
 /// re-scan oracle 240; the lazy path charges the cost model the oracle's
-/// 240. (The name is historical: these counts were once entries of a
+/// 240. RISPP-like's counts on the same block (2 lazy, 222 for the oracle
+/// and the cost model) are pinned next to its private evaluator, in
+/// `mrts-core`'s `rispp_like_selection_equals_the_oracle_and_its_evaluations_are_pinned`.
+/// (The name is historical: these counts were once entries of a
 /// host-time suite.)
 #[test]
 fn bench_suite_selection_evaluation_counts_are_pinned() {

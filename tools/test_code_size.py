@@ -1,0 +1,89 @@
+"""Unit tests of the code-size table: where a file's test code starts and
+which lines are public declarations.
+
+    python3 -m unittest discover -s tools
+"""
+
+import os
+import tempfile
+import unittest
+
+from code_size import count_file, crate_sizes, table
+
+LIB = """\
+//! A crate.
+pub mod inner;
+pub use inner::Thing;
+
+pub struct Thing {
+    pub field: u32,
+}
+
+impl Thing {
+    pub const fn new() -> Self {
+        Thing { field: 0 }
+    }
+
+    pub(crate) fn hidden(&self) {}
+
+    pub fn shown(&self) {}
+}
+"""
+
+TESTED = """\
+pub enum Kind {
+    A,
+}
+pub(crate) const LIMIT: u32 = 3;
+
+#[cfg(test)]
+mod tests {
+    pub fn helper() {}
+}
+"""
+
+
+class CountFile(unittest.TestCase):
+    def test_a_file_without_a_test_module_counts_every_line(self):
+        lines, _ = count_file(LIB)
+        self.assertEqual(lines, len(LIB.splitlines()))
+
+    def test_pub_const_fn_counts_and_pub_crate_does_not(self):
+        # `pub mod`, `pub struct`, `pub const fn` and `pub fn`; not the
+        # re-export, the field or `pub(crate) fn`.
+        _, items = count_file(LIB)
+        self.assertEqual(items, 4)
+
+    def test_lines_stop_at_the_first_top_level_cfg_test(self):
+        lines, items = count_file(TESTED)
+        self.assertEqual(lines, 5)
+        # `pub enum` only: `pub(crate) const` is restricted and the test
+        # module's `pub fn` is test code.
+        self.assertEqual(items, 1)
+
+    def test_an_indented_cfg_test_does_not_end_the_file(self):
+        text = "impl T {\n    #[cfg(test)]\n    fn t() {}\n    pub fn after() {}\n}\n"
+        self.assertEqual(count_file(text), (5, 1))
+
+
+class CrateSizes(unittest.TestCase):
+    def test_crates_are_summed_over_nested_files_and_totalled(self):
+        with tempfile.TemporaryDirectory() as root:
+            for path, text in [
+                ("crates/a/src/lib.rs", LIB),
+                ("crates/a/src/bin/tool.rs", TESTED),
+                ("crates/b/src/lib.rs", TESTED),
+            ]:
+                full = os.path.join(root, path)
+                os.makedirs(os.path.dirname(full), exist_ok=True)
+                with open(full, "w", encoding="utf-8") as f:
+                    f.write(text)
+            sizes = crate_sizes(root)
+            lib_lines = len(LIB.splitlines())
+            self.assertEqual(sizes, {"a": (lib_lines + 5, 5), "b": (5, 1)})
+            last = table(sizes).splitlines()[-1].split()
+            self.assertEqual(last, ["total", str(lib_lines + 10), "6"])
+
+
+if __name__ == "__main__":
+    unittest.main()
