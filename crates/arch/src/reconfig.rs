@@ -189,8 +189,9 @@ impl ReconfigurationController {
     /// Every transfer still tracked (queued or streaming), FG port first —
     /// the iteration order [`Self::pending_ready_time`] resolves duplicate
     /// ids in. Read-only view for memoized ready-time prediction: the
-    /// selector's per-round profit memo snapshots it once per commit round
-    /// instead of scanning the queues per candidate.
+    /// selector's profit memo snapshots it once per selection and then
+    /// reads only the tickets each commit appends, instead of scanning the
+    /// queues per candidate.
     pub fn inflight_tickets(&self) -> impl Iterator<Item = &LoadTicket> {
         self.fg.inflight.iter().chain(self.cg.inflight.iter())
     }

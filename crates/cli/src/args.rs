@@ -2,6 +2,8 @@
 //!
 //! Flags are `--name value` pairs; everything before the first flag is the
 //! subcommand. Unknown flags are reported with the subcommand's usage.
+//! `--help` and `-h` take no value: either one, as the subcommand or in a
+//! flag's place, asks for the `help` command.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -33,14 +35,22 @@ impl Args {
     /// Returns [`ArgError`] for a flag without a value or a stray
     /// positional argument after flags started.
     pub fn parse(raw: impl Iterator<Item = String>) -> Result<Self, ArgError> {
+        let is_help = |token: &str| token == "--help" || token == "-h";
+        let help = || Args {
+            command: Some("help".to_owned()),
+            flags: BTreeMap::new(),
+        };
         let mut args = Args::default();
         let mut iter = raw.peekable();
         if let Some(first) = iter.peek() {
-            if !first.starts_with("--") {
+            if !first.starts_with("--") && !is_help(first) {
                 args.command = iter.next();
             }
         }
         while let Some(token) = iter.next() {
+            if is_help(&token) {
+                return Ok(help());
+            }
             let Some(name) = token.strip_prefix("--") else {
                 return Err(ArgError(format!(
                     "unexpected positional argument '{token}' (flags are --name value)"
@@ -133,6 +143,23 @@ mod tests {
         assert!(parse(&["x", "stray"]).is_err());
         let a = parse(&["x", "--n", "abc"]).unwrap();
         assert!(a.get_num::<u32>("n", 0).is_err());
+    }
+
+    #[test]
+    fn help_flags_ask_for_help_and_take_no_value() {
+        for tokens in [
+            &["--help"][..],
+            &["-h"],
+            &["simulate", "--help"],
+            &["simulate", "--cg", "2", "-h", "--prc"],
+        ] {
+            let a = parse(tokens).unwrap();
+            assert_eq!(a.command(), Some("help"), "{tokens:?}");
+            assert_eq!(a.get("cg"), None);
+        }
+        // A flag's value is not a help request.
+        let a = parse(&["trace", "--out", "-h"]).unwrap();
+        assert_eq!((a.command(), a.get("out")), (Some("trace"), Some("-h")));
     }
 
     #[test]

@@ -42,7 +42,7 @@ COMMANDS:
     trace      generate a workload trace and write it as JSON
     pif        print the Eq. 1 performance-improvement table for a kernel
     ingest     validate, dump or lower a workload manifest (no simulation)
-    help       show this message
+    help       show this message (so do --help and -h)
 
 COMMON FLAGS:
     --app      h264 (default) | fft | cipher | toy | cv | cryptomix,

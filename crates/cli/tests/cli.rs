@@ -20,9 +20,17 @@ fn stderr(out: &Output) -> String {
 
 #[test]
 fn help_lists_all_commands() {
-    for args in [vec![], vec!["help"]] {
+    for args in [
+        vec![],
+        vec!["help"],
+        vec!["--help"],
+        vec!["-h"],
+        vec!["simulate", "--help"],
+        vec!["simulate", "-h"],
+        vec!["simulate", "--cg", "1", "--help"],
+    ] {
         let out = run(&args);
-        assert!(out.status.success());
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
         let text = stdout(&out);
         for cmd in ["catalog", "simulate", "sweep", "trace", "pif"] {
             assert!(text.contains(cmd), "help must mention '{cmd}'");

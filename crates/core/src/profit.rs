@@ -84,18 +84,25 @@ impl fmt::Display for ProfitBreakdown {
     }
 }
 
-/// Per-round snapshot of the shadow controller's port state, from which
+/// Per-selection snapshot of the shadow controller's port state, from which
 /// every candidate's unit-ready times follow analytically.
 ///
 /// A batch of back-to-back loads issued at `now` on one port completes at
 /// `max(now, port_busy_until) + Σ durations` — the chaining
 /// [`ReconfigurationController::request`] applies to each load in turn.
 /// Capturing the two port bases and the ready times of already-streaming
-/// units **once per selection round** makes each candidate evaluation a
-/// pure array walk: no clone, no queue scan, no allocation. The memo is
-/// only valid while the shadow schedule is unchanged; the greedy loop
-/// recaptures it after every commit (see `ProfitFn::invalidate`).
-#[derive(Debug, Clone)]
+/// units makes each candidate evaluation a pure array walk: no clone, no
+/// queue scan, no allocation.
+///
+/// The memo is captured in full once per selection. A commit only appends
+/// tickets to the shadow ports, so after [`ProfitFn::invalidate`] the memo
+/// [catches up](ProfitMemo::catch_up): it checks that each port still
+/// starts with the tickets it saw, folds in the new tail tickets and
+/// re-reads the two port clocks. A controller that is not such an
+/// extension (settled, replaced or shrunk) gets a full capture instead.
+///
+/// [`ProfitFn::invalidate`]: crate::selector::ProfitFn::invalidate
+#[derive(Debug, Clone, Default)]
 struct ProfitMemo {
     /// When the evaluation happens (all `ready_rel` are relative to this).
     now: Cycles,
@@ -109,19 +116,11 @@ struct ProfitMemo {
     /// [`ReconfigurationController::pending_ready_time`]). The queues are
     /// short, so a flat sorted vector beats hashing every stage lookup.
     pending: Vec<(LoadedId, Cycles)>,
-}
-
-impl Default for ProfitMemo {
-    /// An empty memo (idle ports at time zero); only useful as the
-    /// starting state for [`ProfitMemo::capture_into`].
-    fn default() -> Self {
-        ProfitMemo {
-            now: Cycles::ZERO,
-            fg_base: Cycles::ZERO,
-            cg_base: Cycles::ZERO,
-            pending: Vec::new(),
-        }
-    }
+    /// The tickets folded into `pending`, `(id, ready_at)` in port order:
+    /// FG port first, the CG port's from `fg_seen` on.
+    seen: Vec<(LoadedId, Cycles)>,
+    /// How many of `seen` are the FG port's.
+    fg_seen: usize,
 }
 
 impl ProfitMemo {
@@ -133,17 +132,71 @@ impl ProfitMemo {
         memo
     }
 
-    /// [`ProfitMemo::capture`] in place, reusing the pending-transfer
-    /// buffer — the greedy loop recaptures once per commit round, so this
-    /// keeps the rounds allocation-free.
+    /// [`ProfitMemo::capture`] in place, reusing the buffers, so a policy
+    /// that keeps one memo across triggers captures without allocating.
     fn capture_into(&mut self, controller: &ReconfigurationController, now: Cycles) {
+        self.seen.clear();
+        self.fg_seen = 0;
+        for t in controller.inflight_tickets() {
+            self.fg_seen += usize::from(t.fabric == FabricKind::FineGrained);
+            self.seen.push((t.id, t.ready_at));
+        }
         self.pending.clear();
-        self.pending
-            .extend(controller.inflight_tickets().map(|t| (t.id, t.ready_at)));
+        self.pending.extend_from_slice(&self.seen);
         // Stable, so on a duplicate id the FG port's ticket stays first
         // and `dedup_by_key` keeps it.
         self.pending.sort_by_key(|(id, _)| *id);
         self.pending.dedup_by_key(|(id, _)| *id);
+        self.read_clocks(controller, now);
+    }
+
+    /// Folds the tickets `controller` queued since the last capture into
+    /// `pending` and re-reads the port clocks. Returns `false`, leaving the
+    /// memo to be captured in full, unless each port starts with exactly
+    /// the tickets the memo saw and every new ticket's id is new: a
+    /// duplicate id would need the FG-first rule of a full capture.
+    fn catch_up(&mut self, controller: &ReconfigurationController) -> bool {
+        let (old_fg, old_len) = (self.fg_seen, self.seen.len());
+        let (mut fg, mut cg) = (0, 0);
+        for t in controller.inflight_tickets() {
+            let (pos, seen) = match t.fabric {
+                FabricKind::FineGrained => (&mut fg, old_fg),
+                FabricKind::CoarseGrained => (&mut cg, old_len - old_fg),
+            };
+            let key = (t.id, t.ready_at);
+            if *pos < seen {
+                // Every FG ticket comes first, so the CG port's seen ones
+                // start after all of the FG port's, new ones included.
+                let at = match t.fabric {
+                    FabricKind::FineGrained => *pos,
+                    FabricKind::CoarseGrained => self.fg_seen + *pos,
+                };
+                if self.seen[at] != key {
+                    return false;
+                }
+            } else {
+                let Err(at) = self.pending.binary_search_by_key(&t.id, |(id, _)| *id) else {
+                    return false;
+                };
+                self.pending.insert(at, key);
+                match t.fabric {
+                    FabricKind::FineGrained => {
+                        self.seen.insert(self.fg_seen, key);
+                        self.fg_seen += 1;
+                    }
+                    FabricKind::CoarseGrained => self.seen.push(key),
+                }
+            }
+            *pos += 1;
+        }
+        if fg < old_fg || cg < old_len - old_fg {
+            return false;
+        }
+        self.read_clocks(controller, self.now);
+        true
+    }
+
+    fn read_clocks(&mut self, controller: &ReconfigurationController, now: Cycles) {
         self.now = now;
         self.fg_base = now.max(controller.port_free_at(FabricKind::FineGrained));
         self.cg_base = now.max(controller.port_free_at(FabricKind::CoarseGrained));
@@ -152,19 +205,21 @@ impl ProfitMemo {
     /// Fills `ready_rel[i]` — when stage `i`'s unit becomes usable,
     /// relative to `now` — exactly as issuing the ISE's missing loads
     /// through [`ReconfigurationController::request`] on a copy of the
-    /// controller would. Returns whether every stage is ready at once
-    /// (all `ready_rel` zero).
-    fn fill_ready_rel(
+    /// controller would. `ready_rel` holds one entry per stage. When every
+    /// stage is ready at once (all `ready_rel` zero), returns the sum of
+    /// the stages' savings per execution.
+    fn fill_ready_rel<R: Fn(UnitId) -> bool + ?Sized>(
         &self,
-        ise: &Ise,
-        resident: &dyn Fn(UnitId) -> bool,
-        ready_rel: &mut Vec<Cycles>,
-    ) -> bool {
-        ready_rel.clear();
+        stages: &[IseStage],
+        resident: &R,
+        ready_rel: &mut [Cycles],
+    ) -> Option<Cycles> {
         let mut fg_acc = Cycles::ZERO;
         let mut cg_acc = Cycles::ZERO;
         let mut waits = false;
-        for stage in ise.stages() {
+        let mut saving = Cycles::ZERO;
+        for (stage, out) in stages.iter().zip(ready_rel) {
+            saving += stage.saving_per_exec;
             let rel = if resident(stage.unit) {
                 Cycles::ZERO
             } else if let Ok(i) = self
@@ -181,18 +236,41 @@ impl ProfitMemo {
                 base + *acc - self.now
             };
             waits |= rel > Cycles::ZERO;
-            ready_rel.push(rel);
+            *out = rel;
         }
-        !waits
+        (!waits).then_some(saving)
     }
 }
 
-/// Reusable buffers for [`expected_profit_value`] — the allocation hygiene
-/// of the selector hot loop. One instance serves any number of evaluations.
+/// Stages an ISE may have for [`with_stage_buffers`] to keep the walk's
+/// buffers on the stack; a wider ISE walks on heap buffers.
+const INLINE_STAGES: usize = 8;
+
+/// Heap buffers of the stage walk for ISEs wider than [`INLINE_STAGES`].
 #[derive(Debug, Clone, Default)]
 struct ProfitScratch {
     ready_rel: Vec<Cycles>,
     order: Vec<usize>,
+}
+
+/// Runs `walk` on zeroed `ready_rel` and `order` buffers of `n` entries:
+/// stack arrays up to [`INLINE_STAGES`], `wide`'s vectors beyond.
+fn with_stage_buffers<T>(
+    n: usize,
+    wide: &mut ProfitScratch,
+    walk: impl FnOnce(&mut [Cycles], &mut [usize]) -> T,
+) -> T {
+    if n <= INLINE_STAGES {
+        let mut ready_rel = [Cycles::ZERO; INLINE_STAGES];
+        let mut order = [0; INLINE_STAGES];
+        walk(&mut ready_rel[..n], &mut order[..n])
+    } else {
+        wide.ready_rel.clear();
+        wide.ready_rel.resize(n, Cycles::ZERO);
+        wide.order.clear();
+        wide.order.resize(n, 0);
+        walk(&mut wide.ready_rel, &mut wide.order)
+    }
 }
 
 /// The complete buffer set of an [`ExpectedProfitEval`], extractable via
@@ -234,9 +312,7 @@ impl ProfitEvalBuffers {
     }
 }
 
-/// The Eq. 2/3/4 stage walk shared by the breakdown and hot paths. Both
-/// perform the identical floating-point operation sequence, so the profits
-/// they produce are bit-identical.
+/// What the Eq. 2/3/4 stage walk computes besides the per-stage records.
 struct WalkResult {
     risc_executions: f64,
     full_executions: f64,
@@ -245,22 +321,28 @@ struct WalkResult {
     profit: f64,
 }
 
+/// The Eq. 2/3/4 stage walk, shared by [`expected_profit`] and the
+/// selector's [`ExpectedProfitEval`], so both perform the identical
+/// floating-point operation sequence and their profits are bit-identical.
+/// `order` is scratch with one entry per stage, as `ready_rel` is. Always
+/// inlined: the selector's copy then drops the per-stage record keeping.
+#[inline(always)]
 fn walk_stages(
     ise: &Ise,
     trigger: &TriggerInstruction,
     ready_rel: &[Cycles],
-    order: &mut Vec<usize>,
+    order: &mut [usize],
     mut stages_out: Option<&mut Vec<StageProfit>>,
 ) -> WalkResult {
     // Availability order: earliest-ready first (stable on stage order).
     // An ISE has a few stages, so an insertion sort is cheapest.
-    order.clear();
-    for i in 0..ise.stage_count() {
-        let at = order
-            .iter()
-            .rposition(|&j| ready_rel[j] <= ready_rel[i])
-            .map_or(0, |j| j + 1);
-        order.insert(at, i);
+    for i in 0..order.len() {
+        let mut at = i;
+        while at > 0 && ready_rel[order[at - 1]] > ready_rel[i] {
+            order[at] = order[at - 1];
+            at -= 1;
+        }
+        order[at] = i;
     }
 
     // Walk the stages computing Eq. 3 / Eq. 2.
@@ -314,8 +396,9 @@ fn walk_stages(
         }
     }
 
-    // Eq. 4: the fully configured ISE takes the remaining executions.
-    let full_latency = ise.full_latency();
+    // Eq. 4: the fully configured ISE takes the remaining executions. Its
+    // latency is what every stage's saving leaves of the RISC latency.
+    let full_latency = risc - cumulative_saving;
     let full_executions = (e - used).max(0.0);
     let max_saving = (risc - full_latency).get() as f64;
     let full_improvement = full_executions * max_saving;
@@ -359,15 +442,14 @@ pub fn expected_profit(
     resident: &dyn Fn(UnitId) -> bool,
 ) -> ProfitBreakdown {
     let memo = ProfitMemo::capture(controller, now);
-    let mut scratch = ProfitScratch::default();
-    memo.fill_ready_rel(ise, resident, &mut scratch.ready_rel);
     let mut breakdown_stages = Vec::with_capacity(ise.stage_count());
-    let w = walk_stages(
-        ise,
-        trigger,
-        &scratch.ready_rel,
-        &mut scratch.order,
-        Some(&mut breakdown_stages),
+    let w = with_stage_buffers(
+        ise.stage_count(),
+        &mut ProfitScratch::default(),
+        |ready_rel, order| {
+            memo.fill_ready_rel(ise.stages(), resident, ready_rel);
+            walk_stages(ise, trigger, ready_rel, order, Some(&mut breakdown_stages))
+        },
     );
     ProfitBreakdown {
         risc_executions: w.risc_executions,
@@ -384,47 +466,65 @@ pub fn expected_profit(
 /// [`expected_profit`]`.profit` evaluated against the controller the memo
 /// was captured from.
 #[must_use]
-fn expected_profit_value(
+fn expected_profit_value<R: Fn(UnitId) -> bool + ?Sized>(
     ise: &Ise,
     trigger: &TriggerInstruction,
     memo: &ProfitMemo,
-    resident: &dyn Fn(UnitId) -> bool,
-    scratch: &mut ProfitScratch,
+    resident: &R,
+    wide: &mut ProfitScratch,
 ) -> f64 {
-    // No-wait fast path: when every `ready_rel` is zero (each unit
-    // resident or already loaded by `now`) the stage walk degenerates —
-    // `NoE_RM = 0`, every intermediate window is empty, and all `e`
-    // executions land on the fully configured ISE. The walk would compute
-    // `0.0 + e·(risc − latency(ISEₙ))`, and `0.0 + x` is `x` bit for bit
-    // for the non-negative products here, so returning the closed form
-    // directly is exact (`memoized_eval_matches_the_reference_walk` pins
-    // this).
-    if memo.fill_ready_rel(ise, resident, &mut scratch.ready_rel) {
-        let e = trigger.expected_executions as f64;
-        let max_saving = (ise.risc_latency() - ise.full_latency()).get() as f64;
-        return e * max_saving;
-    }
-    walk_stages(ise, trigger, &scratch.ready_rel, &mut scratch.order, None).profit
+    with_stage_buffers(ise.stage_count(), wide, |ready_rel, order| {
+        // No-wait fast path: when every `ready_rel` is zero (each unit
+        // resident or already loaded by `now`) the stage walk degenerates
+        // — `NoE_RM = 0`, every intermediate window is empty, and all `e`
+        // executions land on the fully configured ISE. The walk would
+        // compute `0.0 + e·(risc − latency(ISEₙ))`, and `0.0 + x` is `x`
+        // bit for bit for the non-negative products here, so returning
+        // the closed form directly is exact
+        // (`memoized_eval_matches_the_reference_walk` pins this).
+        if let Some(saving) = memo.fill_ready_rel(ise.stages(), resident, ready_rel) {
+            let (risc, e) = (ise.risc_latency(), trigger.expected_executions as f64);
+            let full_latency = risc - saving;
+            return e * (risc - full_latency).get() as f64;
+        }
+        walk_stages(ise, trigger, ready_rel, order, None).profit
+    })
+}
+
+/// Whether an [`ExpectedProfitEval`]'s memo matches the shadow controller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MemoState {
+    /// Nothing captured for this evaluator yet: capture in full.
+    Empty,
+    /// The shadow may have changed since the capture: catch up.
+    Stale,
+    /// The memo describes the shadow.
+    Valid,
 }
 
 /// The memoizing [`crate::selector::ProfitFn`] evaluator of Eqs. 1–4:
-/// captures the shadow port schedule once per selection round and reuses
-/// scratch buffers across evaluations, so the per-candidate cost is a pure
-/// array walk with zero allocation.
-pub struct ExpectedProfitEval<'a> {
+/// captures the shadow port schedule once per selection, catches up on
+/// each commit's appended loads, and walks each candidate's stages on
+/// stack buffers, so the per-candidate cost is a pure array walk with zero
+/// allocation.
+///
+/// `R` is the residency predicate. [`ExpectedProfitEval::new`] takes it as
+/// a `&dyn Fn`; [`ExpectedProfitEval::with_buffers`] also takes a concrete
+/// closure, whose probes then inline instead of going through a vtable.
+pub struct ExpectedProfitEval<'a, R: Fn(UnitId) -> bool + ?Sized = dyn Fn(UnitId) -> bool + 'a> {
     now: Cycles,
-    resident: &'a dyn Fn(UnitId) -> bool,
+    resident: &'a R,
     allow_mono: bool,
     bufs: ProfitEvalBuffers,
-    memo_valid: bool,
+    memo: MemoState,
 }
 
-impl fmt::Debug for ExpectedProfitEval<'_> {
+impl<R: Fn(UnitId) -> bool + ?Sized> fmt::Debug for ExpectedProfitEval<'_, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ExpectedProfitEval")
             .field("now", &self.now)
             .field("allow_mono", &self.allow_mono)
-            .field("memo_valid", &self.memo_valid)
+            .field("memo", &self.memo)
             .finish_non_exhaustive()
     }
 }
@@ -435,23 +535,21 @@ impl<'a> ExpectedProfitEval<'a> {
     pub fn new(now: Cycles, resident: &'a dyn Fn(UnitId) -> bool) -> Self {
         Self::with_buffers(now, resident, ProfitEvalBuffers::default())
     }
+}
 
+impl<'a, R: Fn(UnitId) -> bool + ?Sized> ExpectedProfitEval<'a, R> {
     /// An evaluator reusing previously [`recycled`] buffers, so creating
     /// one per block allocates nothing in the steady state.
     ///
     /// [`recycled`]: ExpectedProfitEval::recycle
     #[must_use]
-    pub fn with_buffers(
-        now: Cycles,
-        resident: &'a dyn Fn(UnitId) -> bool,
-        bufs: ProfitEvalBuffers,
-    ) -> Self {
+    pub fn with_buffers(now: Cycles, resident: &'a R, bufs: ProfitEvalBuffers) -> Self {
         ExpectedProfitEval {
             now,
             resident,
             allow_mono: true,
             bufs,
-            memo_valid: false,
+            memo: MemoState::Empty,
         }
     }
 
@@ -470,7 +568,7 @@ impl<'a> ExpectedProfitEval<'a> {
     }
 }
 
-impl crate::selector::ProfitFn for ExpectedProfitEval<'_> {
+impl<R: Fn(UnitId) -> bool + ?Sized> crate::selector::ProfitFn for ExpectedProfitEval<'_, R> {
     /// Eq. 4's ceiling: at most `e` executions, each saving at most the
     /// fully-configured ISE's `risc - full_latency` cycles (intermediate
     /// stages save strictly less), whatever the reconfiguration schedule.
@@ -497,16 +595,24 @@ impl crate::selector::ProfitFn for ExpectedProfitEval<'_> {
         if !self.allow_mono && ise.is_mono_extension() {
             return 0.0; // ablation: monoCG disabled entirely
         }
-        if !self.memo_valid {
-            self.bufs.memo.capture_into(shadow, self.now);
-            self.memo_valid = true;
+        match self.memo {
+            MemoState::Valid => {}
+            MemoState::Stale => {
+                if !self.bufs.memo.catch_up(shadow) {
+                    self.bufs.memo.capture_into(shadow, self.now);
+                }
+            }
+            MemoState::Empty => self.bufs.memo.capture_into(shadow, self.now),
         }
+        self.memo = MemoState::Valid;
         let ProfitEvalBuffers { scratch, memo, .. } = &mut self.bufs;
         expected_profit_value(ise, trigger, memo, self.resident, scratch)
     }
 
     fn invalidate(&mut self) {
-        self.memo_valid = false;
+        if self.memo == MemoState::Valid {
+            self.memo = MemoState::Stale;
+        }
     }
 }
 
@@ -765,6 +871,195 @@ mod tests {
             }
             let (now, tr) = (Cycles::new(now), trigger(e, tf, tb));
             let reference = expected_profit(&ise, &tr, now, &rc, &resident).profit;
+            let memoized = ExpectedProfitEval::new(now, &resident).eval(&ise, &tr, &rc);
+            prop_assert_eq!(memoized.to_bits(), reference.to_bits());
+        }
+    }
+
+    /// A second ISE over the ids the controller changes below use: unit 1
+    /// (shared with [`mg_ise`]) and units 3 and 4, on both fabrics.
+    fn three_stage_ise() -> Ise {
+        Ise::new(
+            IseId(1),
+            KernelId(0),
+            "k[3]",
+            vec![
+                stage(3, FabricKind::FineGrained, 300_000, 200),
+                stage(1, FabricKind::CoarseGrained, 60, 300),
+                stage(4, FabricKind::CoarseGrained, 90, 100),
+            ],
+            Cycles::new(1_000),
+        )
+    }
+
+    /// Applies change `kind` to `rc`: 0–2 append a load (the only change a
+    /// selector's commit makes), 3 appends a discarded load, 4 settles the
+    /// ports, 5 replaces the controller with one of as many tickets and
+    /// other ids.
+    fn change(
+        rc: &mut ReconfigurationController,
+        (kind, id, fg, duration, at): (u8, u64, bool, u64, u64),
+    ) {
+        let request = LoadRequest {
+            id,
+            fabric: if fg {
+                FabricKind::FineGrained
+            } else {
+                FabricKind::CoarseGrained
+            },
+            duration: Cycles::new(duration),
+        };
+        match kind {
+            0..=2 => {
+                rc.request(Cycles::new(at), request);
+            }
+            3 => {
+                rc.request_wasted(Cycles::new(at), request);
+            }
+            4 => rc.settle(Cycles::new(at)),
+            _ => {
+                let tickets: Vec<_> = rc.inflight_tickets().copied().collect();
+                *rc = ReconfigurationController::new();
+                for t in tickets {
+                    rc.request(
+                        t.starts_at,
+                        LoadRequest {
+                            id: t.id + 1,
+                            fabric: t.fabric,
+                            duration: t.ready_at - t.starts_at,
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    /// Eq. 2–4 for `ise` written out on its own: ready times from the
+    /// controller's tickets (the FG port's first) and port clocks, a stable
+    /// sort into availability order, then the stage-by-stage sums.
+    fn reference_profit(
+        ise: &Ise,
+        tr: &TriggerInstruction,
+        now: Cycles,
+        rc: &ReconfigurationController,
+        resident: &dyn Fn(UnitId) -> bool,
+    ) -> f64 {
+        let mut ports = [
+            now.max(rc.port_free_at(FabricKind::FineGrained)),
+            now.max(rc.port_free_at(FabricKind::CoarseGrained)),
+        ];
+        let mut stages: Vec<(Cycles, Cycles)> = ise
+            .stages()
+            .iter()
+            .map(|s| {
+                let ready = if resident(s.unit) {
+                    Cycles::ZERO
+                } else if let Some(at) = rc.pending_ready_time(s.unit.as_loaded_id()) {
+                    at - now
+                } else {
+                    let port = &mut ports[usize::from(s.fabric == FabricKind::CoarseGrained)];
+                    *port += s.load_duration;
+                    *port - now
+                };
+                (ready, s.saving_per_exec)
+            })
+            .collect();
+        stages.sort_by_key(|&(ready, _)| ready);
+        let (e, tb) = (tr.expected_executions as f64, tr.time_between.get() as f64);
+        let risc = ise.risc_latency();
+        let mut used = if stages[0].0 > tr.time_to_first {
+            ((stages[0].0 - tr.time_to_first).get() as f64 / (risc.get() as f64 + tb)).min(e)
+        } else {
+            0.0
+        };
+        let (mut profit, mut saved) = (0.0, Cycles::ZERO);
+        for (i, &(ready, saving)) in stages.iter().enumerate() {
+            saved += saving;
+            let latency = risc - saved;
+            let Some(&(next, _)) = stages.get(i + 1) else {
+                break;
+            };
+            let window = (next - ready.max(tr.time_to_first)).get() as f64;
+            let n = (window / (latency.get() as f64 + tb))
+                .max(0.0)
+                .min((e - used).max(0.0));
+            used += n;
+            profit += n * (risc - latency).get() as f64;
+        }
+        let max_saving = saved.get() as f64;
+        (profit + (e - used).max(0.0) * max_saving).min(e * max_saving)
+    }
+
+    proptest! {
+        /// Between invalidations the shadow changes in any way: loads
+        /// appended on either port (duplicate ids included), discarded
+        /// loads, settled ports, a replaced controller. After each change
+        /// the evaluator, caught up or captured again, returns the
+        /// reference walk's profit bit for bit for every ISE.
+        #[test]
+        fn caught_up_memo_matches_the_reference_walk(
+            changes in prop::collection::vec(
+                (0u8..6, 0u64..6, any::<bool>(), 1u64..400_000, 0u64..600_000),
+                1..12,
+            ),
+            e in 0u64..50_000,
+            tf in 0u64..10_000,
+            tb in 0u64..2_000,
+            resident_mask in 0u64..32,
+            now in 0u64..600_000,
+        ) {
+            let ises = [mg_ise(), three_stage_ise()];
+            let resident = move |u: UnitId| u.0 < 5 && resident_mask & (1 << u.0) != 0;
+            let (now, tr) = (Cycles::new(now), trigger(e, tf, tb));
+            let mut rc = ReconfigurationController::new();
+            let mut eval = ExpectedProfitEval::new(now, &resident);
+            for c in changes {
+                change(&mut rc, c);
+                eval.invalidate();
+                for ise in &ises {
+                    let reference = expected_profit(ise, &tr, now, &rc, &resident).profit;
+                    prop_assert_eq!(eval.eval(ise, &tr, &rc).to_bits(), reference.to_bits());
+                }
+            }
+        }
+
+        /// The stage walk on stack buffers (up to `INLINE_STAGES` stages)
+        /// and on the heap fallback of a wider ISE gives the profit of the
+        /// written-out Eqs. 2–4, bit for bit, through the evaluator and
+        /// through `expected_profit`.
+        #[test]
+        fn stage_walk_matches_eqs_2_to_4_at_every_width(
+            stages in prop::collection::vec(
+                (any::<bool>(), 1u64..500_000, 1u64..60, 0u64..3),
+                1..(2 * INLINE_STAGES + 3),
+            ),
+            inflight in prop::collection::vec((0u64..24, any::<bool>(), 1u64..500_000), 0..4),
+            e in 0u64..50_000,
+            tf in 0u64..400_000,
+            tb in 0u64..2_000,
+            now in 0u64..300_000,
+        ) {
+            let ise_stages: Vec<IseStage> = stages
+                .iter()
+                .enumerate()
+                .map(|(i, &(fg, load, saving, _))| {
+                    let fabric = if fg { FabricKind::FineGrained } else { FabricKind::CoarseGrained };
+                    stage(i as u64, fabric, load, saving)
+                })
+                .collect();
+            let total: u64 = stages.iter().map(|s| s.2).sum();
+            let ise = Ise::new(IseId(2), KernelId(0), "k[wide]", ise_stages, Cycles::new(total + 100));
+            let resident = |u: UnitId| stages.get(u.0 as usize).is_some_and(|s| s.3 == 0);
+            let mut rc = ReconfigurationController::new();
+            for (id, fg, duration) in inflight {
+                let fabric = if fg { FabricKind::FineGrained } else { FabricKind::CoarseGrained };
+                rc.request(Cycles::ZERO, LoadRequest { id, fabric, duration: Cycles::new(duration) });
+            }
+            let (now, tr) = (Cycles::new(now), trigger(e, tf, tb));
+            let reference = reference_profit(&ise, &tr, now, &rc, &resident);
+            let breakdown = expected_profit(&ise, &tr, now, &rc, &resident);
+            prop_assert_eq!(breakdown.profit.to_bits(), reference.to_bits());
+            prop_assert_eq!(breakdown.stages.len(), ise.stage_count());
             let memoized = ExpectedProfitEval::new(now, &resident).eval(&ise, &tr, &rc);
             prop_assert_eq!(memoized.to_bits(), reference.to_bits());
         }

@@ -257,16 +257,17 @@ fn stage_forecast(mpu: &Mpu, use_mpu: bool, compile_time: &TriggerBlock, out: &m
     }
 }
 
-/// The profit function of [`MrtsConfig::profit`], as one [`ProfitFn`].
-enum PolicyProfit<'a> {
+/// The profit function of [`MrtsConfig::profit`], as one [`ProfitFn`],
+/// over the residency predicate `R`.
+enum PolicyProfit<'a, R: Fn(UnitId) -> bool + ?Sized = dyn Fn(UnitId) -> bool + 'a> {
     /// The memoizing Eq. 1–4 evaluator.
-    Eq4(ExpectedProfitEval<'a>),
+    Eq4(ExpectedProfitEval<'a, R>),
     /// RISPP's `e × saving`; monoCG candidates score 0 unless the ECU may
     /// run them.
     Rispp { use_mono: bool },
 }
 
-impl ProfitFn for PolicyProfit<'_> {
+impl<R: Fn(UnitId) -> bool + ?Sized> ProfitFn for PolicyProfit<'_, R> {
     fn eval(
         &mut self,
         ise: &Ise,
@@ -305,42 +306,45 @@ fn rispp_profit(use_mono: bool, ise: &Ise, trigger: &TriggerInstruction) -> f64 
     saving * trigger.expected_executions as f64
 }
 
-/// Runs `select` with `config`'s profit function over the trigger's
-/// residency. The Eq. 1–4 evaluator (identical profits to
-/// `expected_profit`, bit for bit) is built on `bufs` and hands them back
-/// afterwards, so a policy that keeps `bufs` across triggers allocates
-/// nothing here.
-fn with_profit<R>(
-    bufs: &mut ProfitEvalBuffers,
-    ctx: &SelectionContext<'_>,
-    config: &MrtsConfig,
-    select: impl FnOnce(&mut PolicyProfit<'_>, &dyn Fn(UnitId) -> bool) -> R,
-) -> R {
-    let resident = |u: UnitId| ctx.is_resident(u);
-    let use_mono = config.ecu.use_mono_cg;
-    let mut profit = match config.profit {
-        Profit::Eq4 => {
-            bufs.rebind_catalog(ctx.catalog);
-            let eval = ExpectedProfitEval::with_buffers(ctx.now, &resident, std::mem::take(bufs));
-            PolicyProfit::Eq4(eval.with_mono(use_mono))
+impl<'a, R: Fn(UnitId) -> bool> PolicyProfit<'a, R> {
+    /// `config`'s profit function over `resident`. The Eq. 1–4 evaluator
+    /// (identical profits to `expected_profit`, bit for bit) is built on
+    /// `bufs`, which [`PolicyProfit::recycle`] hands back, so a policy that
+    /// keeps `bufs` across triggers allocates nothing here.
+    fn new(
+        config: &MrtsConfig,
+        ctx: &SelectionContext<'_>,
+        resident: &'a R,
+        bufs: &mut ProfitEvalBuffers,
+    ) -> Self {
+        let use_mono = config.ecu.use_mono_cg;
+        match config.profit {
+            Profit::Eq4 => {
+                bufs.rebind_catalog(ctx.catalog);
+                let eval =
+                    ExpectedProfitEval::with_buffers(ctx.now, resident, std::mem::take(bufs));
+                PolicyProfit::Eq4(eval.with_mono(use_mono))
+            }
+            Profit::Rispp => PolicyProfit::Rispp { use_mono },
         }
-        Profit::Rispp => PolicyProfit::Rispp { use_mono },
-    };
-    let out = select(&mut profit, &resident);
-    if let PolicyProfit::Eq4(eval) = profit {
-        *bufs = eval.recycle();
     }
-    out
+
+    /// Returns the evaluator's buffers to `bufs`.
+    fn recycle(self, bufs: &mut ProfitEvalBuffers) {
+        if let PolicyProfit::Eq4(eval) = self {
+            *bufs = eval.recycle();
+        }
+    }
 }
 
 /// One selection for `forecast` within `budget`, by `config`'s search.
-fn select(
+fn select<R: Fn(UnitId) -> bool>(
     config: &MrtsConfig,
     ctx: &SelectionContext<'_>,
     forecast: &TriggerBlock,
     budget: Resources,
-    resident: &dyn Fn(UnitId) -> bool,
-    profit: &mut PolicyProfit<'_>,
+    resident: &R,
+    profit: &mut PolicyProfit<'_, R>,
     scratch: &mut SelectorScratch,
 ) -> Selection {
     let controller = ctx.machine.controller();
@@ -396,11 +400,11 @@ pub struct Mrts {
     evict_buf: Vec<UnitId>,
     /// The trigger-time fabric account (steps 2 and 4).
     account: FabricAccount,
-    /// The selector's reusable working-set arena (candidate list, ranked
-    /// runs, shadow controller, demand cache …).
+    /// The selector's reusable working-set arena (candidate list, cursor
+    /// runs, shadow controller, the static rank with its demand cache …).
     sel_scratch: crate::selector::SelectorScratch,
-    /// The profit evaluator's reusable buffers (ready-time scratch and the
-    /// per-round port-state memo).
+    /// The profit evaluator's reusable buffers (the port-state memo, the
+    /// wide-ISE walk scratch and the bound table).
     profit_bufs: ProfitEvalBuffers,
     /// Reusable MPU-corrected forecast for the current block.
     forecast_buf: mrts_ise::TriggerBlock,
@@ -506,24 +510,19 @@ impl RuntimePolicy for Mrts {
 
         // 3. The selection: the greedy heuristic (Fig. 6) or the exact
         //    optimum. Residency at `now` is the engine's block-start
-        //    capture; each probe is a bit test.
-        let scratch = &mut self.sel_scratch;
-        let selection = with_profit(
-            &mut self.profit_bufs,
-            ctx,
+        //    capture; each probe is an inlined bit test.
+        let resident = |u: UnitId| ctx.is_resident(u);
+        let mut profit = PolicyProfit::new(&self.config, ctx, &resident, &mut self.profit_bufs);
+        let selection = select(
             &self.config,
-            |profit, resident| {
-                select(
-                    &self.config,
-                    ctx,
-                    &forecast,
-                    budget,
-                    resident,
-                    profit,
-                    scratch,
-                )
-            },
+            ctx,
+            &forecast,
+            budget,
+            &resident,
+            &mut profit,
+            &mut self.sel_scratch,
         );
+        profit.recycle(&mut self.profit_bufs);
         self.sel_scratch.reclaim_selected(selection.selected);
 
         // 4. Pre-load monoCG-Extensions with the leftover CG budget and
@@ -964,7 +963,7 @@ mod tests {
                     saving(b).cmp(&saving(a)).then(a.id().cmp(&b.id()))
                 });
                 for use_mono in [true, false] {
-                    let mut profit = PolicyProfit::Rispp { use_mono };
+                    let mut profit: PolicyProfit = PolicyProfit::Rispp { use_mono };
                     for e in [0, 1, 3, 4_000, 30_000, 1 << 40, (1 << 50) + 7, u64::MAX] {
                         let trigger = TriggerInstruction::new(
                             kernel.id(),
@@ -1026,6 +1025,7 @@ mod tests {
         let none = |_: UnitId| false;
         let rc = ReconfigurationController::new();
         let run = |full_rescan| {
+            let mut rispp: PolicyProfit = PolicyProfit::Rispp { use_mono: false };
             crate::selector::select_ises_with(
                 &catalog,
                 &forecast,
@@ -1034,7 +1034,7 @@ mod tests {
                 &rc,
                 Cycles::ZERO,
                 &SelectorConfig { full_rescan },
-                &mut PolicyProfit::Rispp { use_mono: false },
+                &mut rispp,
             )
         };
         let (lazy, oracle) = (run(false), run(true));

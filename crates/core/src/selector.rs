@@ -44,11 +44,11 @@
 //! order — go to one small sorted list. The best remaining entry is the
 //! largest of the ≤ K run heads and the list's best, and the merge yields
 //! exactly the order a single global max-heap of all entries would pop —
-//! the same evaluations in the same order. Serving a kernel retires its
-//! runs in O(1) and drops its list entries; a shrunk budget recounts each
-//! run's fitting candidates, moves a head that no longer fits and drops
-//! the list entries that no longer fit, so every entry in the merge is
-//! admissible.
+//! the same evaluations in the same order. Each entry's order is packed
+//! into one integer key, so a merge step is a scan of K integers. Serving
+//! a kernel retires its runs in O(1) and drops its list entries; a shrunk
+//! budget moves a head that no longer fits and drops the list entries
+//! that no longer fit, so every entry in the merge is admissible.
 //!
 //! # Static rank
 //!
@@ -58,9 +58,11 @@
 //! trigger's candidates, so its runs are ordered by the per-execution
 //! saving `risc − full`, then [`IseId`]. Each kernel's candidates are
 //! ranked so once per catalogue, together with per-candidate bit masks of
-//! the kernel's unit slots (see `RankTables`). The seed pass visits the
-//! candidates in that rank and takes each one's new demand as popcounts
-//! against the trigger's needs-load mask; it evaluates and bounds nothing.
+//! the kernel's unit slots (see `RankTables`). The seed pass probes each
+//! slot of a trigger's kernel into a needs-load mask; each candidate's new
+//! demand is two popcounts against it, kept with the rank and recomputed
+//! only when the kernel's mask changes. The seed evaluates and bounds
+//! nothing.
 //! A run's head is its maximum because positive bounds never rise along
 //! the rank (the [`ProfitFn::upper_bound`] contract); the first exposure in
 //! a group of equal bounds checks that the group comes in [`IseId`] order,
@@ -73,14 +75,14 @@
 //! Section 5.4 overhead cost model keeps charging the *full-rescan*
 //! evaluation count ([`Selection::modeled_evaluations`]) so the simulated
 //! hardware cost of the run-time system is unchanged by this software
-//! optimisation. The lazy path replays it as a per-round count of the
-//! fitting candidate demands in unserved runs — exactly the candidate list
-//! the reference loop's step 2 leaves to evaluate.
+//! optimisation. The lazy path replays it once the loop is done: per
+//! round, the candidate demands of the runs still unserved that fit the
+//! round's budget — exactly the candidate list the reference loop's step 2
+//! leaves to evaluate.
 
 use crate::profit::ExpectedProfitEval;
 use mrts_arch::{Cycles, LoadRequest, ReconfigurationController, Resources};
 use mrts_ise::{Ise, IseCatalog, IseId, KernelId, TriggerBlock, TriggerInstruction, UnitId};
-use std::cmp::Ordering;
 
 /// Section 5.4 cost model of the selector itself: fixed decision cycles per
 /// forecast kernel (candidate-list management, hardware-status updates).
@@ -150,15 +152,19 @@ pub struct Selection {
 /// Implemented for any `FnMut(&Ise, &TriggerInstruction,
 /// &ReconfigurationController) -> f64` closure, and by
 /// [`ExpectedProfitEval`], the memoizing evaluator of the paper's Eqs. 1–4
-/// that reuses scratch buffers and a per-round cache of predicted
-/// unit-ready times. [`Mrts`](crate::Mrts) plugs in the profit its
-/// [`MrtsConfig::profit`](crate::MrtsConfig::profit) names through it.
+/// that snapshots the shadow ports once per selection and catches up on
+/// each commit's appended loads. [`Mrts`](crate::Mrts) plugs in the profit
+/// its [`MrtsConfig::profit`](crate::MrtsConfig::profit) names through it.
 ///
 /// # Contract
 ///
 /// Between two [`ProfitFn::invalidate`] calls the evaluator may assume the
 /// shadow controller passed to [`ProfitFn::eval`] is unchanged; the greedy
-/// loop invalidates after every commit that mutates it.
+/// loop invalidates after every commit that mutates it. After an
+/// invalidation the controller may have changed in any way: the greedy
+/// loop only appends loads to it, and [`ExpectedProfitEval`] reads just the
+/// appended tickets then, but it captures in full whatever is not such an
+/// extension.
 pub trait ProfitFn {
     /// Expected profit (cycles saved) of selecting `ise` under `trigger`
     /// given the shadow reconfiguration schedule.
@@ -256,8 +262,7 @@ struct Candidate {
 }
 
 /// Mutable greedy state shared by the lazy and full-rescan paths.
-struct GreedyState<'c> {
-    catalog: &'c IseCatalog,
+struct GreedyState {
     now: Cycles,
     shadow: ReconfigurationController,
     remaining: Resources,
@@ -274,7 +279,7 @@ struct GreedyState<'c> {
     load_order: Vec<UnitId>,
 }
 
-impl GreedyState<'_> {
+impl GreedyState {
     /// Whether artefact `id` is queued or streaming on the shadow ports.
     fn is_pending(&self, id: u64) -> bool {
         self.pending_ids.binary_search(&id).is_ok()
@@ -290,7 +295,7 @@ impl GreedyState<'_> {
     /// Resources a candidate still needs: units neither resident nor
     /// already streaming (same answer as the former per-stage
     /// `pending_ready_time` queue scan).
-    fn new_demand(&self, ise: &Ise, resident: &dyn Fn(UnitId) -> bool) -> Resources {
+    fn new_demand<R: Fn(UnitId) -> bool + ?Sized>(&self, ise: &Ise, resident: &R) -> Resources {
         let mut cg = 0u16;
         let mut prc = 0u16;
         for s in ise.stages() {
@@ -304,9 +309,15 @@ impl GreedyState<'_> {
         Resources::cg_only(cg) + Resources::prc_only(prc)
     }
 
-    /// Step 4 of Fig. 6: commit one winner — update hardware status,
-    /// stream the new units.
-    fn commit(&mut self, ise: &Ise, profit: f64, resident: &dyn Fn(UnitId) -> bool) {
+    /// Step 4 of Fig. 6: commit one winner, whose new units need `demand`
+    /// — update hardware status, stream the new units.
+    fn commit<R: Fn(UnitId) -> bool + ?Sized>(
+        &mut self,
+        ise: &Ise,
+        profit: f64,
+        demand: Resources,
+        resident: &R,
+    ) {
         // `selected` may hold recycled entries past the commits so far
         // (see `SelectorScratch::reclaim_selected`): reuse their buffers.
         let k = self.selected_kernels.len();
@@ -332,10 +343,12 @@ impl GreedyState<'_> {
         for u in &new_units {
             self.note_pending(u.as_loaded_id());
         }
-        let demand: Resources = new_units
-            .iter()
-            .map(|u| self.catalog.unit(*u).resources())
-            .sum();
+        debug_assert_eq!(
+            demand.cg() + demand.prc(),
+            new_units.len() as u16,
+            "demand of {} disagrees with its new units",
+            ise.id()
+        );
         self.remaining = self.remaining.saturating_sub(demand);
         self.selected_kernels.push(ise.kernel());
         self.load_order.extend(new_units.iter().copied());
@@ -352,7 +365,7 @@ impl GreedyState<'_> {
     }
 
     /// Step 2 of Fig. 6: whether a candidate is still admissible.
-    fn admissible(&self, ise: &Ise, resident: &dyn Fn(UnitId) -> bool) -> bool {
+    fn admissible<R: Fn(UnitId) -> bool + ?Sized>(&self, ise: &Ise, resident: &R) -> bool {
         !self.selected_kernels.contains(&ise.kernel())
             && self.new_demand(ise, resident).fits_in(self.remaining)
     }
@@ -363,52 +376,75 @@ impl GreedyState<'_> {
 /// as stale (their key is an upper bound, not an evaluated profit).
 const BOUND_ROUND: u32 = u32::MAX;
 
-/// Entry of the lazy-greedy merge, ordered by [`merge_cmp`]. Owns its ids
-/// so the merge state can persist in [`SelectorScratch`] across blocks.
+/// Entry of the lazy-greedy merge, ordered by its [`merge_key`]. Owns its
+/// ids so the merge state can persist in [`SelectorScratch`] across blocks.
 #[derive(Debug, Clone, Copy)]
 struct LazyEntry {
-    profit: f64,
-    ise: IseId,
-    /// Index of the candidate's demand in the per-selection demand list.
+    /// [`merge_key`] of the entry's profit, candidate and run; 0 marks no
+    /// entry, as in an exhausted run's head.
+    key: u128,
+    /// The candidate's position in [`RankTables::ranked`] and
+    /// [`RankTables::demands`].
     idx: u32,
-    /// The candidate's run, which is also its trigger's index.
-    run: u32,
     /// Commit round the profit was evaluated in; an entry is *fresh* iff
     /// its round equals the current one. [`BOUND_ROUND`] marks entries
     /// keyed by an upper bound, which are never fresh.
     round: u32,
 }
 
-/// The reference loop's arg-max order: profit, then the lower [`IseId`] as
-/// the greater entry. Profits are never NaN (asserted where they are
-/// made); `total_cmp` gives a total order either way.
-fn key_cmp(a: &LazyEntry, b: &LazyEntry) -> Ordering {
-    a.profit
-        .total_cmp(&b.profit)
-        .then_with(|| b.ise.cmp(&a.ise))
+/// The head of a run with no candidate left.
+const NO_ENTRY: LazyEntry = LazyEntry {
+    key: 0,
+    idx: 0,
+    round: 0,
+};
+
+/// The merge order as one integer, the larger first: the profit, then the
+/// lower [`IseId`] (the reference loop's arg-max order), then the earlier
+/// run (the two entries one candidate has when its kernel is triggered
+/// twice tie on the first two). Every profit in the merge is positive, as
+/// a bound or profit `<= 0` never enters it, and the bits of a positive
+/// `f64`, `+∞` included, order as its value does; so the key orders
+/// entries as the pair of comparisons would, and 0 is below every entry.
+fn merge_key(profit: f64, ise: IseId, run: u32) -> u128 {
+    debug_assert!(profit > 0.0, "merge entry of {ise} with profit {profit}");
+    (u128::from(profit.to_bits()) << 64) | (u128::from(!ise.0) << 32) | u128::from(!run)
 }
 
-/// The merge order: [`key_cmp`], then the earlier run. The two entries one
-/// candidate has when its kernel is triggered twice tie on (profit,
-/// [`IseId`]); the earlier trigger's goes first.
-fn merge_cmp(a: &LazyEntry, b: &LazyEntry) -> Ordering {
-    key_cmp(a, b).then_with(|| b.run.cmp(&a.run))
+impl LazyEntry {
+    fn profit(&self) -> f64 {
+        f64::from_bits((self.key >> 64) as u64)
+    }
+
+    fn ise(&self) -> IseId {
+        IseId(!((self.key >> 32) as u32))
+    }
+
+    /// The candidate's run, which is also its trigger's index.
+    fn run(&self) -> usize {
+        !(self.key as u32) as usize
+    }
+
+    /// The key without the run: the reference loop's arg-max order.
+    fn arg_max_key(&self) -> u128 {
+        self.key >> 32
+    }
 }
 
 /// Puts `entry` into the sorted list at its place (worst first).
 fn insert_sorted(sorted: &mut Vec<LazyEntry>, entry: LazyEntry) {
-    let at = sorted.partition_point(|e| merge_cmp(e, &entry) == Ordering::Less);
+    let at = sorted.partition_point(|e| e.key < entry.key);
     sorted.insert(at, entry);
 }
 
 /// One forecast trigger's run: a cursor into its kernel's static rank.
-/// Only the head, the run's best remaining candidate, is kept.
+/// Its head, the run's best remaining candidate, is kept apart, in the
+/// heads the merge scans.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     kernel: KernelId,
-    /// Start of the kernel's candidates in [`RankTables::ranked`].
-    rank: u32,
-    /// The trigger's candidate demands, in rank order: `first..first + len`.
+    /// The kernel's candidates in [`RankTables::ranked`] and their demands
+    /// in [`RankTables::demands`]: `first..first + len`.
     first: u32,
     len: u32,
     /// The next rank position to look at.
@@ -416,11 +452,9 @@ struct Run {
     /// Rank positions below this one are known to come in merge order:
     /// the group of equal bounds they belong to was checked.
     checked: u32,
-    /// The exposed candidate, keyed by its bound; `None` once the run is
-    /// exhausted or served.
-    head: Option<LazyEntry>,
-    /// How many of the trigger's candidates still fit the budget.
-    fitting: u32,
+    /// The commit round that served the run's kernel, `u32::MAX` while
+    /// unserved.
+    served: u32,
 }
 
 /// What a run's cursor reads: the static rank, the candidates' demands and
@@ -448,35 +482,33 @@ impl RunView<'_> {
         if !self.demands[idx as usize].fits_in(self.remaining) {
             return None;
         }
-        let id = self.ranked[(run.rank + pos) as usize].ise;
+        let id = self.ranked[idx as usize].ise;
         let bound = profit
             .upper_bound(&self.ises[id.index() as usize], &self.triggers[ti])
             .unwrap_or(f64::INFINITY);
         debug_assert!(!bound.is_nan(), "upper bound of {id} is NaN");
-        (bound > 0.0).then_some(LazyEntry {
-            profit: bound,
-            ise: id,
+        (bound > 0.0).then(|| LazyEntry {
+            key: merge_key(bound, id, ti as u32),
             idx,
-            run: ti as u32,
             round: BOUND_ROUND,
         })
     }
 
     /// Moves run `ti`'s cursor to its next candidate that fits and has a
-    /// positive bound, and exposes it as the head. Bounds never rise along
-    /// the rank (the [`ProfitFn::upper_bound`] contract), so the candidate
-    /// outranks every later one unless a later one ties its bound with a
-    /// lower [`IseId`]. The first exposure in a group of equal bounds
-    /// checks that; a group out of `IseId` order goes to the sorted list
-    /// whole, which orders it.
+    /// positive bound, and returns it as the new head ([`NO_ENTRY`] when
+    /// none is left). Bounds never rise along the rank (the
+    /// [`ProfitFn::upper_bound`] contract), so the candidate outranks
+    /// every later one unless a later one ties its bound with a lower
+    /// [`IseId`]. The first exposure in a group of equal bounds checks
+    /// that; a group out of `IseId` order goes to the sorted list whole,
+    /// which orders it.
     fn advance<P: ProfitFn + ?Sized>(
         &self,
         run: &mut Run,
         ti: usize,
         profit: &mut P,
         sorted: &mut Vec<LazyEntry>,
-    ) {
-        run.head = None;
+    ) -> LazyEntry {
         while run.cursor < run.len {
             let pos = run.cursor;
             run.cursor += 1;
@@ -484,33 +516,31 @@ impl RunView<'_> {
                 continue;
             };
             if pos < run.checked {
-                run.head = Some(head);
-                return;
+                return head;
             }
-            let (mut end, mut last, mut in_order) = (pos + 1, head.ise, true);
+            let (mut end, mut last, mut in_order) = (pos + 1, head.ise(), true);
             while end < run.len {
                 if let Some(e) = self.entry(run, ti, end, profit) {
                     debug_assert!(
-                        e.profit <= head.profit,
+                        e.profit() <= head.profit(),
                         "upper bounds of {} rise along the static rank: {} ({}) -> {} ({})",
                         run.kernel,
-                        head.profit,
-                        head.ise,
-                        e.profit,
-                        e.ise
+                        head.profit(),
+                        head.ise(),
+                        e.profit(),
+                        e.ise()
                     );
-                    if e.profit < head.profit {
+                    if e.profit() < head.profit() {
                         break;
                     }
-                    in_order &= e.ise > last;
-                    last = e.ise;
+                    in_order &= e.ise() > last;
+                    last = e.ise();
                 }
                 end += 1;
             }
             run.checked = end;
             if in_order {
-                run.head = Some(head);
-                return;
+                return head;
             }
             insert_sorted(sorted, head);
             for p in pos + 1..end {
@@ -520,22 +550,26 @@ impl RunView<'_> {
             }
             run.cursor = end;
         }
+        NO_ENTRY
     }
 }
 
-/// The best remaining entry in [`merge_cmp`] order — the largest of the
-/// sorted list's last entry and the run heads — with the index of the run
-/// it heads (`None`: it is the sorted list's).
-fn peek_best(runs: &[Run], sorted: &[LazyEntry]) -> Option<(LazyEntry, Option<usize>)> {
-    let mut best = sorted.last().map(|&e| (e, None));
-    for (i, run) in runs.iter().enumerate() {
-        if let Some(h) = run.head {
-            if best.is_none_or(|(b, _)| merge_cmp(&h, &b) == Ordering::Greater) {
-                best = Some((h, Some(i)));
-            }
+/// The best remaining entry — the largest of the sorted list's last entry
+/// and the run heads — with the index of the run it heads (`None`: it is
+/// the sorted list's).
+fn peek_best(heads: &[LazyEntry], sorted: &[LazyEntry]) -> Option<(LazyEntry, Option<usize>)> {
+    let mut best = sorted.last().map_or(0, |e| e.key);
+    let mut from = None;
+    for (i, h) in heads.iter().enumerate() {
+        if h.key > best {
+            best = h.key;
+            from = Some(i);
         }
     }
-    best
+    match from {
+        Some(i) => Some((heads[i], Some(i))),
+        None => sorted.last().map(|&e| (e, None)),
+    }
 }
 
 /// One candidate in a kernel's static rank, with the unit slots `0..64`
@@ -563,6 +597,11 @@ struct KernelRanks {
     /// Start of the kernel's slot words beyond the first in `wide`,
     /// `wide_words()` per candidate.
     wide_first: u32,
+    /// Start of the kernel's needs-load mask in `needs`, `1 + wide_words()`
+    /// words.
+    need_first: u32,
+    /// Whether `demands` holds the candidates' demands under that mask.
+    demanded: bool,
 }
 
 impl KernelRanks {
@@ -585,6 +624,11 @@ impl KernelRanks {
         let start = self.wide_first as usize + r * words;
         start..start + words
     }
+
+    /// The kernel's needs-load mask in `needs`.
+    fn need(&self) -> std::ops::Range<usize> {
+        self.need_first as usize..self.need_first as usize + 1 + self.wide_words()
+    }
 }
 
 /// The lazy path's static view of a catalogue, built once per kernel (the
@@ -605,6 +649,9 @@ impl KernelRanks {
 ///   the trigger's needs-load mask — the count of its stages that need a
 ///   load, since an ISE uses each unit once (the catalogue builder gives
 ///   every data-path placement a unit of its own).
+/// * **Demands.** Each candidate's demand under the needs-load mask of the
+///   kernel's last trigger. Residency changes slowly, so a trigger almost
+///   always finds its kernel's mask unchanged and its demands computed.
 #[derive(Debug, Default)]
 struct RankTables {
     /// Identity of the catalogue the tables describe: address and length
@@ -620,6 +667,11 @@ struct RankTables {
     wide: Vec<[u64; 2]>,
     /// Per unit index, its absolute slot in `slots`.
     unit_slot: Vec<u32>,
+    /// Per candidate in `ranked`, its demand under its kernel's mask in
+    /// `needs`.
+    demands: Vec<Resources>,
+    /// Per kernel, the needs-load mask `demands` was computed for.
+    needs: Vec<u64>,
     /// Build scratch: a kernel's candidates keyed by saving.
     order: Vec<(Cycles, IseId)>,
 }
@@ -646,6 +698,8 @@ impl RankTables {
             self.unit_slot.clear();
             self.unit_slot.resize(units.len(), u32::MAX);
             self.wide.clear();
+            self.demands.clear();
+            self.needs.clear();
         }
     }
 
@@ -694,7 +748,11 @@ impl RankTables {
             slot_first: slot_first as u32,
             slot_len: (self.slots.len() - slot_first) as u32,
             wide_first: self.wide.len() as u32,
+            need_first: self.needs.len() as u32,
+            demanded: false,
         };
+        self.demands.resize(self.ranked.len(), Resources::NONE);
+        self.needs.resize(kr.need().end, 0);
         if kr.wide_words() > 0 {
             for (r, &(_, id)) in ids.iter().enumerate() {
                 let wide = kr.wide_of(r);
@@ -710,6 +768,36 @@ impl RankTables {
         }
         self.order = ids;
         kr
+    }
+
+    /// Makes `demands` of `kernel`'s candidates their new demands under
+    /// `need`, the kernel's needs-load mask: two popcounts per candidate,
+    /// skipped when they were last computed for the same mask.
+    fn refresh_demands(&mut self, kernel: KernelId, need: &[u64]) {
+        let kr = &mut self.kernels[usize::from(kernel.index())];
+        if kr.demanded && self.needs[kr.need()] == *need {
+            return;
+        }
+        kr.demanded = true;
+        let kr = *kr;
+        self.needs[kr.need()].copy_from_slice(need);
+        let wide = kr.wide_words() > 0;
+        let ranked = &self.ranked[kr.candidates()];
+        for (r, (c, demand)) in ranked
+            .iter()
+            .zip(&mut self.demands[kr.candidates()])
+            .enumerate()
+        {
+            let mut cg = (c.cg & need[0]).count_ones();
+            let mut prc = (c.fg & need[0]).count_ones();
+            if wide {
+                for (&[cg_mask, fg_mask], &n) in self.wide[kr.wide_of(r)].iter().zip(&need[1..]) {
+                    cg += (cg_mask & n).count_ones();
+                    prc += (fg_mask & n).count_ones();
+                }
+            }
+            *demand = Resources::new(cg as u16, prc as u16);
+        }
     }
 
     /// The slot of `unit` relative to the kernel whose slots start at
@@ -735,6 +823,15 @@ fn fabric_index(fabric: mrts_arch::FabricKind) -> usize {
     }
 }
 
+/// How many of `demands` fit `budget`; written without a branch so it
+/// vectorises.
+fn count_fitting(demands: &[Resources], budget: Resources) -> u64 {
+    demands
+        .iter()
+        .map(|d| u64::from((d.cg() <= budget.cg()) & (d.prc() <= budget.prc())))
+        .sum()
+}
+
 /// Reusable allocation arena for the selector's per-block working set.
 ///
 /// Every `Vec` and shadow-controller queue the greedy loop needs is kept
@@ -750,12 +847,14 @@ fn fabric_index(fabric: mrts_arch::FabricKind) -> usize {
 pub struct SelectorScratch {
     candidates: Vec<Candidate>,
     pending_ids: Vec<u64>,
-    /// Every candidate's demand, trigger by trigger (see [`Run`]).
-    demands: Vec<Resources>,
     runs: Vec<Run>,
+    /// Each run's head, [`NO_ENTRY`] once it has none.
+    heads: Vec<LazyEntry>,
     /// The merge entries outside the runs' cursors, worst first.
     sorted: Vec<LazyEntry>,
-    /// The catalogue's per-kernel candidate ranks and unit masks.
+    /// The remaining budget at the start of each commit round.
+    budgets: Vec<Resources>,
+    /// The catalogue's per-kernel candidate ranks, unit masks and demands.
     ranks: RankTables,
     /// The current trigger's needs-load mask, one bit per unit slot.
     need: Vec<u64>,
@@ -839,14 +938,15 @@ pub fn select_ises_with<P: ProfitFn + ?Sized>(
 /// [`select_ises_with`] drawing every working buffer from a caller-held
 /// [`SelectorScratch`], so repeated selections (one per trigger block) run
 /// without heap allocation in the steady state. Byte-identical output to
-/// the scratch-free entry points.
+/// the scratch-free entry points. `resident` may be a concrete closure, so
+/// its probes inline; [`select_ises_with`] passes a `&dyn Fn`.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
-pub fn select_ises_with_scratch<P: ProfitFn + ?Sized>(
+pub fn select_ises_with_scratch<R: Fn(UnitId) -> bool + ?Sized, P: ProfitFn + ?Sized>(
     catalog: &IseCatalog,
     forecast: &TriggerBlock,
     budget: Resources,
-    resident: &dyn Fn(UnitId) -> bool,
+    resident: &R,
     controller: &ReconfigurationController,
     now: Cycles,
     config: &SelectorConfig,
@@ -866,7 +966,6 @@ pub fn select_ises_with_scratch<P: ProfitFn + ?Sized>(
     let mut load_order = std::mem::take(&mut scratch.load_order_spare);
     load_order.clear();
     let mut state = GreedyState {
-        catalog,
         now,
         shadow,
         remaining: budget,
@@ -934,27 +1033,29 @@ pub fn select_ises_with_scratch<P: ProfitFn + ?Sized>(
             let winner = catalog
                 .ise(candidates[best_idx].ise)
                 .expect("catalogue ids are dense");
-            state.commit(winner, best_profit, resident);
+            let demand = state.new_demand(winner, resident);
+            state.commit(winner, best_profit, demand, resident);
             profit.invalidate();
         }
         modeled = evaluated;
         scratch.candidates = candidates;
     } else {
         // Lazy-greedy (CELF) over cursor runs: identical output, far fewer
-        // evaluations. Seed pass: one sweep records every candidate's
-        // demand and each run's count of those that fit. A demand is
-        // valid for the *whole* selection: residency is frozen while the
-        // machine is untouched, and the pending set only grows with
-        // committed units — which belong to the committed kernel and are
-        // never shared with another kernel's candidates (the same
-        // no-shared-load-units invariant the lazy-greedy monotonicity
-        // argument rests on).
-        let mut demands = std::mem::take(&mut scratch.demands);
-        demands.clear();
+        // evaluations. Seed pass: one sweep makes the rank tables hold
+        // every candidate's demand under its trigger's needs-load mask. A
+        // demand is valid for the *whole* selection: residency
+        // is frozen while the machine is untouched, and the pending set
+        // only grows with committed units — which belong to the committed
+        // kernel and are never shared with another kernel's candidates
+        // (the same no-shared-load-units invariant the lazy-greedy
+        // monotonicity argument rests on).
         let mut runs = std::mem::take(&mut scratch.runs);
         runs.clear();
+        let mut heads = std::mem::take(&mut scratch.heads);
         let mut sorted = std::mem::take(&mut scratch.sorted);
         sorted.clear();
+        let mut budgets = std::mem::take(&mut scratch.budgets);
+        budgets.clear();
         let mut ranks = std::mem::take(&mut scratch.ranks);
         ranks.bind(catalog);
         let mut need = std::mem::take(&mut scratch.need);
@@ -972,137 +1073,138 @@ pub fn select_ises_with_scratch<P: ProfitFn + ?Sized>(
                     need[j / 64] |= 1 << (j % 64);
                 }
             }
-            let first = demands.len() as u32;
-            let mut fitting = 0;
-            let wide = kr.wide_words() > 0;
-            for (r, c) in ranks.ranked[kr.candidates()].iter().enumerate() {
-                let mut cg = (c.cg & need[0]).count_ones();
-                let mut prc = (c.fg & need[0]).count_ones();
-                if wide {
-                    for (&[cg_mask, fg_mask], &n) in
-                        ranks.wide[kr.wide_of(r)].iter().zip(&need[1..])
-                    {
-                        cg += (cg_mask & n).count_ones();
-                        prc += (fg_mask & n).count_ones();
-                    }
-                }
-                let demand = Resources::new(cg as u16, prc as u16);
-                fitting += u32::from(demand.fits_in(state.remaining));
-                demands.push(demand);
-            }
+            ranks.refresh_demands(trigger.kernel, &need);
             runs.push(Run {
                 kernel: trigger.kernel,
-                rank: kr.first,
-                first,
+                first: kr.first,
                 len: kr.len,
                 cursor: 0,
                 checked: 0,
-                head: None,
-                fitting,
+                served: u32::MAX,
             });
         }
+        let demands = &ranks.demands;
         let mut view = RunView {
             ranked: &ranks.ranked,
-            demands: &demands,
+            demands,
             ises,
             triggers,
             remaining: state.remaining,
         };
         // Each run exposes its head.
+        heads.clear();
         for (ti, run) in runs.iter_mut().enumerate() {
-            view.advance(run, ti, profit, &mut sorted);
+            heads.push(view.advance(run, ti, profit, &mut sorted));
         }
-        // The reference loop evaluates every admissible candidate of every
-        // unserved kernel per round: that count is `modeled`'s charge.
-        let mut admissible: u64 = runs.iter().map(|r| u64::from(r.fitting)).sum();
-        while admissible > 0 {
-            modeled += admissible;
+        // Every entry in the merge is admissible, so the reference loop's
+        // rounds are exactly the rounds here: each round while the merge
+        // has an entry, plus the one that finds it empty. `budgets[r]` is
+        // the budget of round `r`, for `modeled` below.
+        budgets.push(state.remaining);
+        let mut next = peek_best(&heads, &sorted);
+        while next.is_some() {
             // Exact arg-max: take the best remaining entry until it is
-            // fresh (or provably dominant after re-evaluation).
+            // fresh (or provably dominant after re-evaluation). `next` is
+            // always the best remaining entry.
             let winner = loop {
-                let Some((top, from)) = peek_best(&runs, &sorted) else {
+                let Some((top, from)) = next else {
                     break None;
                 };
                 match from {
-                    Some(ti) => view.advance(&mut runs[ti], ti, profit, &mut sorted),
+                    Some(ti) => heads[ti] = view.advance(&mut runs[ti], ti, profit, &mut sorted),
                     None => {
                         sorted.pop();
                     }
                 }
                 // Commits retire served runs and drop what no longer fits.
                 debug_assert!(
-                    !state
-                        .selected_kernels
-                        .contains(&runs[top.run as usize].kernel)
+                    runs[top.run()].served == u32::MAX
                         && demands[top.idx as usize].fits_in(state.remaining),
                     "inadmissible entry {} left in the merge",
-                    top.ise
+                    top.ise()
                 );
                 if top.round == round {
                     break Some(top);
                 }
-                let ise = &ises[top.ise.index() as usize];
-                let p = profit.eval(ise, &triggers[top.run as usize], &state.shadow);
+                let ise = &ises[top.ise().index() as usize];
+                let p = profit.eval(ise, &triggers[top.run()], &state.shadow);
                 evaluated += 1;
                 debug_assert!(
-                    p <= top.profit + 1e-6 + top.profit.abs() * 1e-9,
+                    p <= top.profit() + 1e-6 + top.profit().abs() * 1e-9,
                     "profit monotonicity violated for {}: {} (stale) -> {} (fresh)",
-                    top.ise,
-                    top.profit,
+                    top.ise(),
+                    top.profit(),
                     p
                 );
+                next = peek_best(&heads, &sorted);
                 if p <= 0.0 {
                     continue; // profits never recover: drop permanently
                 }
                 let fresh = LazyEntry {
-                    profit: p,
+                    key: merge_key(p, top.ise(), top.run() as u32),
                     round,
                     ..top
                 };
                 // A fresh key that still beats the next (stale ⇒ upper
-                // bound) key beats every fresh profit left.
-                match peek_best(&runs, &sorted) {
-                    Some((next, _)) if key_cmp(&fresh, &next) == Ordering::Less => {
+                // bound) key beats every fresh profit left. One that does
+                // not goes below `next`, which stays the best.
+                match next {
+                    Some((n, _)) if fresh.arg_max_key() < n.arg_max_key() => {
                         insert_sorted(&mut sorted, fresh);
                     }
                     _ => break Some(fresh),
                 }
             };
             let Some(winner) = winner else { break };
-            let winner_ise = &ises[winner.ise.index() as usize];
+            let winner_ise = &ises[winner.ise().index() as usize];
             let before = state.remaining;
-            state.commit(winner_ise, winner.profit, resident);
+            state.commit(
+                winner_ise,
+                winner.profit(),
+                demands[winner.idx as usize],
+                resident,
+            );
             profit.invalidate();
-            round += 1;
             // Step 4: the served kernel's remaining candidates leave at once.
-            // Only a shrunk budget can drop other runs' candidates: their
-            // fitting counts are redone and a head that no longer fits
-            // moves on.
-            let served = runs[winner.run as usize].kernel;
+            // Only a shrunk budget can drop other runs' candidates: a head
+            // that no longer fits moves on.
+            let served = runs[winner.run()].kernel;
             let shrunk = state.remaining != before;
             view.remaining = state.remaining;
             let fits = |d: &Resources| d.fits_in(state.remaining);
             for (ti, r) in runs.iter_mut().enumerate() {
                 if r.kernel == served {
-                    r.head = None;
+                    heads[ti] = NO_ENTRY;
                     r.cursor = r.len;
-                    r.fitting = 0;
-                } else if shrunk && r.fitting > 0 {
-                    let all = r.first as usize..(r.first + r.len) as usize;
-                    r.fitting = demands[all].iter().filter(|d| fits(d)).count() as u32;
-                    if r.head.is_some_and(|h| !fits(&demands[h.idx as usize])) {
-                        view.advance(r, ti, profit, &mut sorted);
-                    }
+                    r.served = round;
+                } else if shrunk && heads[ti].key != 0 && !fits(&demands[heads[ti].idx as usize]) {
+                    heads[ti] = view.advance(r, ti, profit, &mut sorted);
                 }
             }
-            sorted.retain(|e| {
-                runs[e.run as usize].kernel != served && fits(&demands[e.idx as usize])
-            });
-            admissible = runs.iter().map(|r| u64::from(r.fitting)).sum();
+            sorted.retain(|e| runs[e.run()].kernel != served && fits(&demands[e.idx as usize]));
+            round += 1;
+            budgets.push(state.remaining);
+            next = peek_best(&heads, &sorted);
         }
-        scratch.demands = demands;
+        // The reference loop evaluates every admissible candidate of every
+        // unserved kernel per round: that count is `modeled`'s charge. A
+        // run takes part in the rounds up to the one that served it, and
+        // budgets only shrink, so a candidate fits a prefix of those rounds.
+        for run in &runs {
+            let all = &ranks.demands[run.first as usize..(run.first + run.len) as usize];
+            let rounds = &budgets[..=(run.served as usize).min(budgets.len() - 1)];
+            for &budget in rounds {
+                let fitting = count_fitting(all, budget);
+                if fitting == 0 {
+                    break; // budgets only shrink
+                }
+                modeled += fitting;
+            }
+        }
         scratch.runs = runs;
+        scratch.heads = heads;
         scratch.sorted = sorted;
+        scratch.budgets = budgets;
         scratch.ranks = ranks;
         scratch.need = need;
     }

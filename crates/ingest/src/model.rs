@@ -13,7 +13,7 @@ use mrts_workload::{Application, WorkloadModel};
 
 use crate::lower::{lower, Lowered};
 use crate::manifest::Manifest;
-use crate::rate::RateRule;
+use crate::rate::{FrameFeatures, RateRule};
 use crate::IngestError;
 
 /// A workload model lowered from a [`Manifest`].
@@ -47,8 +47,14 @@ impl WorkloadModel for ManifestModel {
         &self.app
     }
 
+    /// Every kernel's count for `frame`, computing each frame feature the
+    /// rules reference once.
     fn kernel_executions(&self, frame: &FrameStats) -> Vec<u64> {
-        self.rates.iter().map(|r| r.executions(frame)).collect()
+        let features = FrameFeatures::new(frame);
+        self.rates
+            .iter()
+            .map(|r| r.executions_in(&features))
+            .collect()
     }
 
     fn kernel_gap(&self, kernel: KernelId) -> Cycles {
@@ -56,5 +62,25 @@ impl WorkloadModel for ManifestModel {
             .get(usize::from(kernel.index()))
             .copied()
             .unwrap_or(Cycles::new(400))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mrts_workload::video::VideoModel;
+
+    /// One frame's features, computed once and shared by every rule, give
+    /// each builtin kernel the count its rule gives on its own.
+    #[test]
+    fn shared_frame_features_give_each_rule_its_own_count() {
+        let frames = VideoModel::paper_default(7).frames();
+        for app in crate::BUILTIN_APPS {
+            let model = crate::model(app).expect("builtin lowers");
+            for frame in frames.iter().take(60) {
+                let own: Vec<u64> = model.rates.iter().map(|r| r.executions(frame)).collect();
+                assert_eq!(model.kernel_executions(frame), own, "{app}");
+            }
+        }
     }
 }

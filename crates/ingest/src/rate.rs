@@ -21,6 +21,8 @@
 //! feature := "mb" | "motion" | "residual" | "texture" | "edge"
 //! ```
 
+use std::cell::Cell;
+
 use mrts_workload::video::FrameStats;
 
 use crate::IngestError;
@@ -72,6 +74,35 @@ impl Feature {
     }
 }
 
+/// One frame's features, each computed on its first reference and reused
+/// after: the rules of one frame then average its macroblocks once per
+/// feature they reference, not once per reference. A reused value is the
+/// one computing the feature again would give, bit for bit.
+pub(crate) struct FrameFeatures<'a> {
+    frame: &'a FrameStats,
+    /// Per [`Feature`], in declaration order.
+    values: [Cell<Option<f64>>; Feature::ALL.len()],
+}
+
+impl<'a> FrameFeatures<'a> {
+    /// `frame`'s features, none computed yet.
+    pub(crate) fn new(frame: &'a FrameStats) -> Self {
+        FrameFeatures {
+            frame,
+            values: Default::default(),
+        }
+    }
+
+    fn get(&self, feature: Feature) -> f64 {
+        let slot = &self.values[feature as usize];
+        slot.get().unwrap_or_else(|| {
+            let v = feature.eval(self.frame);
+            slot.set(Some(v));
+            v
+        })
+    }
+}
+
 /// An execution-frequency expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RateExpr {
@@ -108,16 +139,23 @@ impl RateExpr {
     /// Evaluates the expression for one frame.
     #[must_use]
     pub fn eval(&self, frame: &FrameStats) -> f64 {
+        self.eval_in(&FrameFeatures::new(frame))
+    }
+
+    /// [`RateExpr::eval`] for the frame of `features`, reusing the
+    /// features already computed there.
+    fn eval_in(&self, features: &FrameFeatures<'_>) -> f64 {
+        let frame = features.frame;
         match self {
             RateExpr::Const(c) => *c,
-            RateExpr::Feature(feat) => feat.eval(frame),
-            RateExpr::Add(a, b) => a.eval(frame) + b.eval(frame),
-            RateExpr::Mul(a, b) => a.eval(frame) * b.eval(frame),
+            RateExpr::Feature(feat) => features.get(*feat),
+            RateExpr::Add(a, b) => a.eval_in(features) + b.eval_in(features),
+            RateExpr::Mul(a, b) => a.eval_in(features) * b.eval_in(features),
             RateExpr::IfScene(t, e) => {
                 if frame.scene_change {
-                    t.eval(frame)
+                    t.eval_in(features)
                 } else {
-                    e.eval(frame)
+                    e.eval_in(features)
                 }
             }
             RateExpr::DeblockEdges {
@@ -217,7 +255,13 @@ impl RateRule {
     /// The kernel's execution count for one frame, at most 2³².
     #[must_use]
     pub fn executions(&self, frame: &FrameStats) -> u64 {
-        let v = self.expr.eval(frame);
+        self.executions_in(&FrameFeatures::new(frame))
+    }
+
+    /// [`RateRule::executions`] for the frame of `features`, reusing the
+    /// features other rules already computed for it.
+    pub(crate) fn executions_in(&self, features: &FrameFeatures<'_>) -> u64 {
+        let v = self.expr.eval_in(features);
         let n = match self.round {
             Round::NearestMin1 => v.round().max(1.0) as u64,
             Round::Trunc => v as u64,

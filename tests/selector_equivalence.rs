@@ -285,6 +285,25 @@ fn rispp_like_plan_equals_oracle(
     resident_mod: u64,
     now: Cycles,
 ) {
+    plan_equals_oracle(
+        MrtsConfig::rispp_like(),
+        catalog,
+        forecast,
+        budget,
+        resident_mod,
+        now,
+    );
+}
+
+/// [`rispp_like_plan_equals_oracle`] for any `Mrts` preset `config`.
+fn plan_equals_oracle(
+    config: MrtsConfig,
+    catalog: &IseCatalog,
+    forecast: &TriggerBlock,
+    budget: Resources,
+    resident_mod: u64,
+    now: Cycles,
+) {
     let mut machine = Machine::new(ArchParams::default(), budget).expect("valid machine");
     for unit in catalog.units() {
         let id = unit.id().as_loaded_id();
@@ -306,7 +325,7 @@ fn rispp_like_plan_equals_oracle(
         resident: &resident,
     };
     let plan = |full_rescan| {
-        let mut config = MrtsConfig::rispp_like();
+        let mut config = config;
         config.selector.full_rescan = full_rescan;
         Mrts::with_config(config).plan_block(&ctx)
     };
@@ -338,7 +357,7 @@ proptest! {
 
     /// Warm start: in-flight loads queue behind the ports, some units are
     /// already resident, and the selection starts mid-run — the regime the
-    /// per-round profit memo actually has to get right.
+    /// profit memo's capture and catch-up actually have to get right.
     #[test]
     fn lazy_equals_oracle_warm(
         catalog in arb_catalog(),
@@ -413,6 +432,99 @@ proptest! {
         let _ = lazy_and_oracle(&catalog, &forecast, budget, &resident, &rc, Cycles::ZERO);
         unbounded_lazy_and_oracle(&catalog, &forecast, budget, &resident, &rc, Cycles::ZERO);
         rispp_like_plan_equals_oracle(&catalog, &forecast, budget, resident_mod, Cycles::ZERO);
+    }
+}
+
+/// The selection over a concrete residency closure, the way `Mrts` runs
+/// it (the evaluator built on bound-table buffers, every probe inlined),
+/// equals the one through `select_ises_with`'s `&dyn Fn` on every field,
+/// `candidates_evaluated` included, and both equal the full-rescan oracle
+/// on every field but that one.
+fn concrete_equals_dyn_and_oracle<R: Fn(UnitId) -> bool>(
+    catalog: &IseCatalog,
+    forecast: &TriggerBlock,
+    budget: Resources,
+    resident: &R,
+    rc: &ReconfigurationController,
+    now: Cycles,
+) {
+    let mut bufs = ProfitEvalBuffers::default();
+    bufs.rebind_catalog(catalog);
+    let mut concrete_eval = ExpectedProfitEval::with_buffers(now, resident, bufs);
+    let concrete = select_ises_with_scratch(
+        catalog,
+        forecast,
+        budget,
+        resident,
+        rc,
+        now,
+        &SelectorConfig::default(),
+        &mut concrete_eval,
+        &mut SelectorScratch::new(),
+    );
+    let resident: &dyn Fn(UnitId) -> bool = resident;
+    let dynamic = select_ises_with(
+        catalog,
+        forecast,
+        budget,
+        resident,
+        rc,
+        now,
+        &SelectorConfig::default(),
+        &mut ExpectedProfitEval::new(now, resident),
+    );
+    let oracle = select_ises_with(
+        catalog,
+        forecast,
+        budget,
+        resident,
+        rc,
+        now,
+        &oracle_config(),
+        &mut ExpectedProfitEval::new(now, resident),
+    );
+    assert_eq!(concrete, dynamic, "the concrete and the dyn path diverged");
+    assert_selections_identical(&concrete, &oracle);
+    assert!(concrete.candidates_evaluated <= oracle.candidates_evaluated);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Loads in flight on both ports and a partly resident fabric: the
+    /// concrete-predicate path, the `&dyn` path and the oracle agree (see
+    /// [`concrete_equals_dyn_and_oracle`]), and so do mRTS's own lazy and
+    /// full-rescan plans, for the mRTS and the RISPP-like presets.
+    #[test]
+    fn concrete_predicate_path_equals_dyn_path_and_oracle(
+        catalog in arb_catalog(),
+        cg in 0u16..8,
+        prc in 0u16..5,
+        es in prop::collection::vec(0u64..30_000, 1..5),
+        tb in 1u64..1_000,
+        now_raw in 0u64..50_000,
+        inflight in prop::collection::vec((0usize..64, any::<bool>(), 100u64..900_000), 0..6),
+        resident_mod in 0u64..5,
+    ) {
+        let forecast = forecast_per_kernel(&catalog, &es, 500, tb);
+        let now = Cycles::new(now_raw);
+        let mut rc = ReconfigurationController::new();
+        let units = catalog.units();
+        for (i, fg, duration) in inflight {
+            let fabric = if fg { FabricKind::FineGrained } else { FabricKind::CoarseGrained };
+            let _ = rc.request(Cycles::ZERO, LoadRequest {
+                id: units[i % units.len()].id().as_loaded_id(),
+                fabric,
+                duration: Cycles::new(duration),
+            });
+        }
+        let resident =
+            move |u: UnitId| resident_mod > 0 && u.as_loaded_id().is_multiple_of(resident_mod);
+        let budget = Resources::new(cg, prc);
+        concrete_equals_dyn_and_oracle(&catalog, &forecast, budget, &resident, &rc, now);
+        for config in [MrtsConfig::default(), MrtsConfig::rispp_like()] {
+            plan_equals_oracle(config, &catalog, &forecast, budget, resident_mod, now);
+        }
     }
 }
 

@@ -28,6 +28,12 @@ output checks fail (`correct: false`, or no result at all) fails the guard.
 The guard writes BENCH_perf.json at the root of the checkout (per workload
 and metric: the base median, the change median and the pairs lost) and exits
 with 1 if anything is flagged.
+
+Next to each binary's SHA-256, BENCH_perf.json records the sizes `nm -S
+--demangle` gives the hot path's symbols (every symbol whose name contains
+one of HOT_SYMBOLS), and the guard prints their totals per side. They are
+for reading only: a change of code layout between the sides shows there,
+and nothing in the decision depends on them.
 """
 
 import contextlib
@@ -56,6 +62,45 @@ PER_LAYER_BOUNDS = {
     "ingest.lower_ms": 0.25,
     "workload.trace_ms": 0.25,
 }
+
+
+# Name substrings of the hot path's symbols whose sizes are recorded.
+HOT_SYMBOLS = (
+    "plan_block",
+    "select_ises_with_scratch",
+    "RunView::advance",
+    "profit::walk_stages",
+    "step_activation",
+)
+
+
+def symbol_sizes(listing, names=HOT_SYMBOLS):
+    """{name: {symbol: size in bytes}} from an `nm -S --demangle` listing,
+    for every sized symbol whose demangled name contains one of `names`."""
+    sizes = {name: {} for name in names}
+    for line in listing.splitlines():
+        parts = line.split(None, 3)
+        # A sized symbol reads "<address> <size> <type> <name>", address and
+        # size of equal width; undefined and unsized symbols lack a field.
+        if len(parts) < 4 or len(parts[0]) != len(parts[1]) or len(parts[2]) != 1:
+            continue
+        try:
+            size = int(parts[1], 16)
+        except ValueError:
+            continue
+        for name in names:
+            if name in parts[3]:
+                sizes[name][parts[3]] = size
+    return sizes
+
+
+def hot_symbol_sizes(binary):
+    """`symbol_sizes` of `binary`, or None if `nm` cannot read it."""
+    try:
+        done = subprocess.run(["nm", "-S", "--demangle", binary], capture_output=True, text=True)
+    except OSError:
+        return None
+    return symbol_sizes(done.stdout) if done.returncode == 0 else None
 
 
 def guarded_metrics(spec):
@@ -130,14 +175,16 @@ def as_shared(side, tmp):
 
 
 def build(side, target):
-    """Builds perfbench in `side`; returns the binary's SHA-256."""
+    """Builds perfbench in `side`; returns the binary's SHA-256 and its
+    `hot_symbol_sizes`."""
     cmd = ["cargo", "build", "--release", "--offline", "--quiet",
            "--manifest-path", os.path.join(side, "perfbench", "Cargo.toml")]
     env = dict(os.environ, CARGO_TARGET_DIR=target)
     if subprocess.run(cmd, cwd=side, env=env).returncode != 0:
         sys.exit(f"paired_bench: building perfbench in {side} failed")
-    with open(os.path.join(target, "release", "mrts-perfbench"), "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+    binary = os.path.join(target, "release", "mrts-perfbench")
+    with open(binary, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest(), hot_symbol_sizes(binary)
 
 
 def perfbench(side, target, workload, trace):
@@ -202,7 +249,7 @@ def copy_worktree(root, dest):
         shutil.copy2(src, os.path.join(dest, rel), follow_symlinks=False)
 
 
-def report(rows, failures, base_sha, pairs_run, binaries):
+def report(rows, failures, base_sha, pairs_run, binaries, symbols):
     print(f"{'workload':<14} {'metric':<20} {'base':>12} {'change':>12} {'loss':>8} "
           f"{'lost':>5}  verdict")
     for r in rows:
@@ -210,7 +257,8 @@ def report(rows, failures, base_sha, pairs_run, binaries):
         print(f"{r['workload']:<14} {r['metric']:<20} {r['base']:>12.4g} {r['change']:>12.4g} "
               f"{r['loss']:>+8.1%} {r['pairs_lost']:>3}/{pairs_run}  {verdict}")
     trajectory = {"base": base_sha, "pairs": pairs_run, "seed": SEED, "seconds": SECONDS,
-                  "perfbench_sha256": binaries, "workloads": {}}
+                  "perfbench_sha256": binaries, "perfbench_symbol_sizes": symbols,
+                  "workloads": {}}
     for r in rows:
         trajectory["workloads"].setdefault(r["workload"], {})[r["metric"]] = {
             "base_median": r["base"], "change_median": r["change"],
@@ -234,14 +282,18 @@ def main():
                  "change": (os.path.join(tmp, "change"), os.path.join(tmp, "change-target"))}
         base_sha = export(sys.argv[1], sides["base"][0])
         copy_worktree(ROOT, sides["change"][0])
-        binaries = {}
+        binaries, symbols = {}, {}
         for name, side in sides.items():
             os.makedirs(side[1])
             with as_shared(side, tmp) as (src, target):
-                binaries[name] = build(src, target)
+                binaries[name], symbols[name] = build(src, target)
         same = "identical" if binaries["base"] == binaries["change"] else "different"
         print(f"perfbench binaries: base {binaries['base'][:16]}, "
               f"change {binaries['change'][:16]} ({same})")
+        if all(symbols.values()):
+            for hot in HOT_SYMBOLS:
+                total = {n: sum(symbols[n][hot].values()) for n in sides}
+                print(f"  {hot}: base {total['base']} bytes, change {total['change']} bytes")
         pairs = []
         for i in range(PAIRS):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -256,7 +308,7 @@ def main():
             if None in pairs[-1]:
                 break
     rows, failures = decide(pairs, guarded)
-    report(rows, failures, base_sha, len(pairs), binaries)
+    report(rows, failures, base_sha, len(pairs), binaries, symbols)
     sys.exit(1 if failures else 0)
 
 

@@ -10,7 +10,8 @@ import subprocess
 import tempfile
 import unittest
 
-from paired_bench import ROOT, as_shared, copy_worktree, decide, guarded_metrics, placed
+from paired_bench import (ROOT, as_shared, copy_worktree, decide, guarded_metrics, placed,
+                          symbol_sizes)
 
 KEY = ("solo-h264", "blocks_per_s")
 GUARDED = {KEY: ("higher", 0.25)}
@@ -91,6 +92,32 @@ class GuardedMetrics(unittest.TestCase):
         rows, failures = decide(slower, {key: guarded[key]})
         self.assertTrue(rows[0]["flagged"])
         self.assertEqual(len(failures), 1)
+
+
+LISTING = """\
+                 U memmove@GLIBC_2.2.5
+0000000000001000 T _init
+0000000000002000 b <mrts_core::profit::walk_stages as an unsized symbol>
+00000000000be7e0 000000000000066f t mrts_core::profit::walk_stages
+00000000000bf000 000000000000142a T <mrts_core::runtime::Mrts as mrts_sim::policy::RuntimePolicy>::plan_block
+00000000000c1000 0000000000000025 t <mrts_core::runtime::Mrts as mrts_sim::policy::RuntimePolicy>::plan_block::{{closure}}
+00000000000c2000 0000000000000a9f t mrts_core::selector::RunView::advance
+00000000000c3000 0000000000000100 t mrts_core::selector::select_ises_with
+"""
+
+
+class SymbolSizes(unittest.TestCase):
+    def test_sized_symbols_are_matched_by_name_substring(self):
+        sizes = symbol_sizes(LISTING)
+        self.assertEqual(sizes["profit::walk_stages"], {"mrts_core::profit::walk_stages": 0x66f})
+        self.assertEqual(sizes["RunView::advance"], {"mrts_core::selector::RunView::advance": 0xa9f})
+        self.assertEqual(sorted(sizes["plan_block"].values()), [0x25, 0x142a])
+
+    def test_unsized_undefined_and_unmatched_symbols_are_skipped(self):
+        sizes = symbol_sizes(LISTING)
+        self.assertEqual(sizes["select_ises_with_scratch"], {})
+        self.assertEqual(sizes["step_activation"], {})
+        self.assertEqual(symbol_sizes("", names=("plan_block",)), {"plan_block": {}})
 
 
 class SharedSourcePath(unittest.TestCase):
