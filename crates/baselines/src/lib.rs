@@ -33,5 +33,5 @@
 mod factory;
 mod static_policy;
 
-pub use factory::{make_policy, PolicyTuning, POLICY_NAMES};
+pub use factory::{make_policy, POLICY_NAMES};
 pub use static_policy::StaticPolicy;

@@ -19,7 +19,7 @@ fn main() {
         "contribution of monoCG, MPU feedback and parallel-copy variants",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new("h264", DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED).expect("builtin app lowers");
     let combo = Resources::new(2, 2);
 
     let full = tb.run(combo, &mut Mrts::new());

@@ -24,7 +24,7 @@ fn main() {
         "error back-propagation vs static forecasts on non-stationary series",
         0,
     );
-    let tb = Testbed::new("h264", DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED).expect("builtin app lowers");
     let kernels = tb.model.application().kernel_count();
 
     // Base per-kernel activity levels (roughly the video-driven means).

@@ -24,7 +24,7 @@ use mrts_arch::{FaultModel, Resources};
 use mrts_baselines::StaticPolicy;
 use mrts_bench::{geo_mean, par, print_header, Testbed, DEFAULT_SEED};
 use mrts_core::{Mrts, MrtsConfig};
-use mrts_sim::{RiscOnlyPolicy, RunStats};
+use mrts_sim::RunStats;
 
 /// The swept per-load / per-execution base fault rates (permanent faults at
 /// 2% of the base rate, see `FaultModel::new`).
@@ -40,7 +40,7 @@ fn main() {
         "speedup retention of RISPP-like / offline-optimal / mRTS under injected faults",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new("h264", DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED).expect("builtin app lowers");
     let combo = Resources::new(2, 2); // the paper's headline machine
     let capacity = tb.machine(combo).capacity();
     // The static assignment depends on the trace and the budget only, so
@@ -49,7 +49,7 @@ fn main() {
 
     // Fault-free RISC-mode reference (RISC execution has no reconfigurable
     // data paths, so faults cannot touch it).
-    let risc = tb.run(combo, &mut RiscOnlyPolicy::new());
+    let risc = tb.run_policy(combo, "risc").expect("listed policy");
     let speedup = |s: &RunStats| {
         risc.total_execution_time().get() as f64 / s.total_execution_time().get().max(1) as f64
     };

@@ -8,8 +8,6 @@
 
 use mrts_arch::Resources;
 use mrts_bench::{mean, par, print_header, Testbed, DEFAULT_SEED};
-use mrts_core::Mrts;
-use mrts_sim::RiscOnlyPolicy;
 
 fn main() {
     let threads = par::ThreadConfig::from_args();
@@ -18,8 +16,10 @@ fn main() {
         "mRTS speedup vs RISC-mode per fabric combination, grouped by grain",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new("h264", DEFAULT_SEED);
-    let risc = tb.run(Resources::NONE, &mut RiscOnlyPolicy::new());
+    let tb = Testbed::new("h264", DEFAULT_SEED).expect("builtin app lowers");
+    let risc = tb
+        .run_policy(Resources::NONE, "risc")
+        .expect("listed policy");
     let risc_time = risc.total_execution_time().get() as f64;
 
     let groups: Vec<(&str, Vec<Resources>)> = vec![
@@ -45,7 +45,7 @@ fn main() {
     // grouped table below prints identical bytes for any `--threads`.
     let all_combos: Vec<Resources> = groups.iter().flat_map(|(_, c)| c.iter().copied()).collect();
     let speedup_of: Vec<f64> = par::sweep(threads, &all_combos, |_, &combo| {
-        let stats = tb.run(combo, &mut Mrts::new());
+        let stats = tb.run_policy(combo, "mrts").expect("listed policy");
         risc_time / stats.total_execution_time().get() as f64
     });
     let lookup = |combo: Resources| -> f64 {

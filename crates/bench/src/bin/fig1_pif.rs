@@ -19,7 +19,7 @@ fn main() {
         "pif of three deblocking-filter ISEs vs. number of executions",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new("h264", DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED).expect("builtin app lowers");
 
     // The three case-study ISEs: best full-coverage variant per grain.
     let [ise1, ise2, ise3] = tb.case_study_ises();

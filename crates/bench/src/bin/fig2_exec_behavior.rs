@@ -18,7 +18,7 @@ fn main() {
         "deblocking-filter executions per frame + performance-wise best ISE",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new("h264", DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED).expect("builtin app lowers");
     let deblock = tb.kernel("deblock");
     let frames = mrts_workload::VideoModel::paper_default(DEFAULT_SEED).frames();
 

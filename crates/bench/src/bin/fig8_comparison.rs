@@ -12,6 +12,10 @@
 
 use mrts_bench::{fig8_combos, geo_mean, mcycles, par, print_header, Testbed, DEFAULT_SEED};
 
+/// The RISC reference and the four contenders, by factory name, in
+/// column order.
+const POLICIES: [&str; 5] = ["risc", "rispp", "offline", "morpheus", "mrts"];
+
 fn main() {
     let threads = par::ThreadConfig::from_args();
     print_header(
@@ -19,7 +23,7 @@ fn main() {
         "execution time of RISPP-like / offline-optimal / Morpheus+4S-like / mRTS",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new("h264", DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED).expect("builtin app lowers");
 
     println!(
         "{:>5} {:>4} | {:>8} {:>8} {:>8} {:>8} {:>8} | {:>7} {:>7} {:>7}",
@@ -34,8 +38,10 @@ fn main() {
     // fan them out, then print in input order (byte-identical for any
     // `--threads`, see `mrts_bench::par`).
     let combos = fig8_combos();
-    let cells = par::sweep(threads, &combos, |_, &combo| tb.run_fig8_contenders(combo));
-    for (combo, (risc, rispp, offline, morpheus, mrts)) in combos.iter().copied().zip(&cells) {
+    let cells = par::sweep(threads, &combos, |_, &combo| {
+        POLICIES.map(|name| tb.run_policy(combo, name).expect("listed policy"))
+    });
+    for (combo, [risc, rispp, offline, morpheus, mrts]) in combos.iter().copied().zip(&cells) {
         let t = |s: &mrts_sim::RunStats| s.total_execution_time();
         let x_rispp = t(rispp).get() as f64 / t(mrts).get() as f64;
         let x_off = t(offline).get() as f64 / t(mrts).get() as f64;

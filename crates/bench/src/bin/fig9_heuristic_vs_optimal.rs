@@ -22,14 +22,12 @@ fn main() {
         "% performance difference: greedy ISE selection vs. online-optimal",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new("h264", DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED).expect("builtin app lowers");
     // The RISC-mode reference for the "performance improvement" metric the
     // paper's Fig. 9 uses (improvement = cycles saved vs RISC-mode).
     let risc = tb
-        .run(
-            mrts_arch::Resources::NONE,
-            &mut mrts_sim::RiscOnlyPolicy::new(),
-        )
+        .run_policy(mrts_arch::Resources::NONE, "risc")
+        .expect("listed policy")
         .total_execution_time()
         .get() as f64;
     println!(
@@ -47,8 +45,10 @@ fn main() {
         .into_iter()
         .filter(|c| !c.is_empty())
         .collect();
-    let pairs = par::sweep(threads, &combos, |_, &combo| tb.run_fig9_pair(combo));
-    for (combo, (mrts, optimal)) in combos.iter().copied().zip(&pairs) {
+    let pairs = par::sweep(threads, &combos, |_, &combo| {
+        ["mrts", "optimal"].map(|name| tb.run_policy(combo, name).expect("listed policy"))
+    });
+    for (combo, [mrts, optimal]) in combos.iter().copied().zip(&pairs) {
         let m = mrts.total_execution_time().get() as f64;
         let o = optimal.total_execution_time().get() as f64;
         // Fig. 9's metric: percentage difference between the performance

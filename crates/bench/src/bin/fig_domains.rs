@@ -28,6 +28,9 @@ use mrts_sim::RunStats;
 /// The three domains, by ingestion spec (all builtin manifests).
 const DOMAINS: [&str; 3] = ["h264", "cv", "cryptomix"];
 
+/// The contenders, by factory name, in column order.
+const POLICIES: [&str; 3] = ["risc", "rispp", "mrts"];
+
 fn main() {
     let config = par::ThreadConfig::from_args();
     let quick = std::env::args().any(|a| a == "--quick");
@@ -49,16 +52,17 @@ fn main() {
 
     let testbeds: Vec<Testbed> = DOMAINS
         .iter()
-        .map(|spec| Testbed::new(spec, DEFAULT_SEED))
+        .map(|spec| Testbed::new(spec, DEFAULT_SEED).expect("builtin app lowers"))
         .collect();
 
     // One cell per (domain, combo); every cell is independent.
     let cells: Vec<(usize, Resources)> = (0..testbeds.len())
         .flat_map(|d| combos.iter().map(move |&c| (d, c)))
         .collect();
-    let runs = par::sweep(config, &cells, |_, &(d, combo)| {
-        testbeds[d].run_domain_contenders(combo)
-    });
+    let run_cell = |_, &(d, combo): &(usize, Resources)| {
+        POLICIES.map(|name| testbeds[d].run_policy(combo, name).expect("listed policy"))
+    };
+    let runs = par::sweep(config, &cells, run_cell);
 
     let mut all_hold = true;
     for (d, tb) in testbeds.iter().enumerate() {
@@ -78,7 +82,7 @@ fn main() {
             if cd != d {
                 continue;
             }
-            let (risc, rispp, mrts) = &runs[i];
+            let [risc, rispp, mrts] = &runs[i];
             let t = |s: &RunStats| s.total_execution_time();
             let x = t(rispp).get() as f64 / t(mrts).get() as f64;
             if !combo.is_empty() {
@@ -111,13 +115,8 @@ fn main() {
     // Determinism smoke: the whole sweep replayed serially must match the
     // (possibly threaded) pass byte-for-byte in its statistics.
     let serial_config = par::ThreadConfig { requested: Some(1) };
-    let serial = par::sweep(serial_config, &cells, |_, &(d, combo)| {
-        testbeds[d].run_domain_contenders(combo)
-    });
-    let identical = runs
-        .iter()
-        .zip(&serial)
-        .all(|(a, b)| a.0 == b.0 && a.1 == b.1 && a.2 == b.2);
+    let serial = par::sweep(serial_config, &cells, run_cell);
+    let identical = runs == serial;
     println!(
         "\nserial vs threaded sweep byte-identical (run stats): {}",
         if identical {

@@ -54,21 +54,15 @@ fn main() {
     // The tenant mix, built once and shared read-only by all cells. The
     // quick mix swaps the 48-activation H.264 encoder for the lighter
     // 16-activation apps so CI smoke runs stay fast.
-    let mix: Vec<Testbed> = if quick {
-        vec![
-            Testbed::new("cipher", DEFAULT_SEED),
-            Testbed::new("fft", DEFAULT_SEED + 1),
-            Testbed::new("cipher", DEFAULT_SEED + 2),
-            Testbed::new("fft", DEFAULT_SEED + 3),
-        ]
+    let apps = if quick {
+        ["cipher", "fft", "cipher", "fft"]
     } else {
-        vec![
-            Testbed::new("h264", DEFAULT_SEED),
-            Testbed::new("fft", DEFAULT_SEED + 1),
-            Testbed::new("cipher", DEFAULT_SEED + 2),
-            Testbed::new("h264", DEFAULT_SEED + 3),
-        ]
+        ["h264", "fft", "cipher", "h264"]
     };
+    let mix: Vec<Testbed> = (DEFAULT_SEED..)
+        .zip(apps)
+        .map(|(seed, app)| Testbed::new(app, seed).expect("builtin app lowers"))
+        .collect();
     let counts: Vec<usize> = (1..=mix.len()).collect();
 
     // One cell per (tenant count, contender); fan out across workers.

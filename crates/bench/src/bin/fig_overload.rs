@@ -101,11 +101,10 @@ fn main() {
     // Tenant 0 is the deadline-constrained, fabric-hungry one; the other
     // two are best-effort ladder victims. `--quick` keeps the same mix
     // (the sim is integer-fast) and only trims the factor list.
-    let mix: Vec<Testbed> = vec![
-        Testbed::new("h264", DEFAULT_SEED),
-        Testbed::new("fft", DEFAULT_SEED + 1),
-        Testbed::new("cipher", DEFAULT_SEED + 2),
-    ];
+    let mix: Vec<Testbed> = (DEFAULT_SEED..)
+        .zip(["h264", "fft", "cipher"])
+        .map(|(seed, app)| Testbed::new(app, seed).expect("builtin app lowers"))
+        .collect();
     let factors: &[u64] = if quick { &FACTORS_QUICK } else { &FACTORS };
 
     // Calibrate the saturation point: without an SLO, EDF degenerates to

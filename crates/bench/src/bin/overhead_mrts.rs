@@ -18,7 +18,7 @@ fn main() {
         "mRTS implementation overhead (selection cost, overhead fraction)",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new("h264", DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED).expect("builtin app lowers");
     let combos = [
         Resources::new(1, 1),
         Resources::new(2, 2),

@@ -69,7 +69,7 @@ fn main() {
         "mRTS end-to-end cost vs trigger-instruction forecast error",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new("h264", DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED).expect("builtin app lowers");
     let combo = Resources::new(2, 2);
 
     let mrts_static = || {

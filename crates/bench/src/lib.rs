@@ -36,12 +36,12 @@
 pub mod par;
 
 use mrts_arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts_baselines::StaticPolicy;
-use mrts_core::{Mrts, MrtsConfig};
+use mrts_baselines::make_policy;
 use mrts_ingest::ManifestModel;
 use mrts_ise::{Grain, Ise, IseCatalog, KernelId};
-use mrts_sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
+use mrts_sim::{RunStats, RuntimePolicy, Simulator};
 use mrts_workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
+use std::error::Error;
 
 /// The seed every figure uses (printed in each header for reproducibility).
 pub const DEFAULT_SEED: u64 = 1;
@@ -90,27 +90,23 @@ impl Testbed {
     /// Builds the testbed for `spec` (paper video model, paper
     /// architecture).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the spec does not resolve or its kernels fail to map —
-    /// the specs the harness passes are the checked-in builtins, covered
-    /// by the ingest tests.
-    #[must_use]
-    pub fn new(spec: &str, seed: u64) -> Self {
-        let model =
-            mrts_ingest::model(spec).unwrap_or_else(|e| panic!("ingest '{spec}' failed: {e}"));
+    /// Returns the ingest error, which names the spec, if `spec` does not
+    /// resolve, or the mapping error if its kernels fail to map.
+    pub fn new(spec: &str, seed: u64) -> Result<Self, Box<dyn Error>> {
+        let model = mrts_ingest::model(spec)?;
         let catalog = model
             .application()
-            .build_catalog(ArchParams::default(), None)
-            .expect("ingested kernels are mappable");
+            .build_catalog(ArchParams::default(), None)?;
         let trace = TraceBuilder::new(&model)
             .video(VideoModel::paper_default(seed))
             .build();
-        Testbed {
+        Ok(Testbed {
             model,
             catalog,
             trace,
-        }
+        })
     }
 
     /// The application's display name (from the lowered manifest).
@@ -161,7 +157,8 @@ impl Testbed {
     ///
     /// # Panics
     ///
-    /// Panics only on invalid default parameters (impossible).
+    /// Panics if the combination's CG context slots overflow a `u16`
+    /// (see [`Machine::new`]); every figure's grid is far below that.
     #[must_use]
     pub fn machine(&self, combo: Resources) -> Machine {
         Machine::new(ArchParams::default(), combo).expect("default params are valid")
@@ -177,7 +174,7 @@ impl Testbed {
     ///
     /// # Panics
     ///
-    /// Panics only on invalid default parameters (impossible).
+    /// As [`machine`](Self::machine).
     #[must_use]
     pub fn run_with_faults(
         &self,
@@ -190,46 +187,27 @@ impl Testbed {
         Simulator::run(&self.catalog, machine, &self.trace, policy)
     }
 
-    /// Runs the four Fig. 8 contenders plus the RISC reference on one
-    /// combination. Returns `(risc, rispp, offline_optimal, morpheus_4s,
-    /// mrts)`.
-    #[must_use]
-    pub fn run_fig8_contenders(
-        &self,
-        combo: Resources,
-    ) -> (RunStats, RunStats, RunStats, RunStats, RunStats) {
-        let risc = self.run(combo, &mut RiscOnlyPolicy::new());
-        let rispp = self.run(combo, &mut Mrts::with_config(MrtsConfig::rispp_like()));
-        let capacity = self.machine(combo).capacity();
-        let offline = self.run(
-            combo,
-            &mut StaticPolicy::offline_optimal(&self.catalog, capacity, &self.trace),
-        );
-        let morpheus = self.run(
-            combo,
-            &mut StaticPolicy::loosely_coupled(&self.catalog, capacity, &self.trace),
-        );
-        let mrts = self.run(combo, &mut Mrts::new());
-        (risc, rispp, offline, morpheus, mrts)
-    }
-
-    /// Runs greedy-mRTS and the online-optimal reference on one
-    /// combination. Returns `(mrts, optimal)`.
-    #[must_use]
-    pub fn run_fig9_pair(&self, combo: Resources) -> (RunStats, RunStats) {
-        let mrts = self.run(combo, &mut Mrts::new());
-        let optimal = self.run(combo, &mut Mrts::with_config(MrtsConfig::online_optimal()));
-        (mrts, optimal)
-    }
-
-    /// Runs the domain-comparison contenders on one combination.
-    /// Returns `(risc, rispp, mrts)`.
-    #[must_use]
-    pub fn run_domain_contenders(&self, combo: Resources) -> (RunStats, RunStats, RunStats) {
-        let risc = self.run(combo, &mut RiscOnlyPolicy::new());
-        let rispp = self.run(combo, &mut Mrts::with_config(MrtsConfig::rispp_like()));
-        let mrts = self.run(combo, &mut Mrts::new());
-        (risc, rispp, mrts)
+    /// Runs the policy the factory builds under `name` (one of
+    /// [`POLICY_NAMES`](mrts_baselines::POLICY_NAMES)) on one fabric
+    /// combination; the static policies bind their selection from this
+    /// testbed's trace and the machine's capacity.
+    ///
+    /// # Errors
+    ///
+    /// Returns the factory's message if `name` is unknown.
+    ///
+    /// # Panics
+    ///
+    /// As [`machine`](Self::machine).
+    pub fn run_policy(&self, combo: Resources, name: &str) -> Result<RunStats, String> {
+        let machine = self.machine(combo);
+        let mut policy = make_policy(name, &self.catalog, machine.capacity(), &self.trace)?;
+        Ok(Simulator::run(
+            &self.catalog,
+            machine,
+            &self.trace,
+            policy.as_mut(),
+        ))
     }
 }
 
@@ -287,9 +265,19 @@ mod tests {
 
     #[test]
     fn testbed_builds_and_runs_smallest_combo() {
-        let tb = Testbed::new("h264", DEFAULT_SEED);
+        let tb = Testbed::new("h264", DEFAULT_SEED).unwrap();
         assert_eq!(tb.kernel("deblock"), KernelId(10));
-        let stats = tb.run(Resources::NONE, &mut RiscOnlyPolicy::new());
+        let stats = tb.run_policy(Resources::NONE, "risc").unwrap();
         assert!(stats.total_busy().get() > 0);
+        assert!(tb.run_policy(Resources::NONE, "bogus").is_err());
+    }
+
+    #[test]
+    fn an_unresolved_spec_is_the_ingest_error_naming_it() {
+        let err = Testbed::new("no/such.json", DEFAULT_SEED).unwrap_err();
+        assert!(err.is::<mrts_ingest::IngestError>(), "{err}");
+        assert!(err.to_string().contains("no/such.json"), "{err}");
+        let err = Testbed::new("bogus", DEFAULT_SEED).unwrap_err();
+        assert!(err.to_string().contains("unknown app 'bogus'"), "{err}");
     }
 }

@@ -2,82 +2,57 @@
 
 use crate::args::Args;
 use mrts_arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts_baselines::{make_policy, PolicyTuning};
+use mrts_baselines::make_policy;
+use mrts_bench::Testbed;
 use mrts_fleet::{
     poisson_arrivals, records_from_jsonl, records_to_jsonl, run_fleet, AppRegistry, FleetConfig,
     FleetOutcome, Placement, PoissonConfig, SessionRecord,
 };
-use mrts_ise::{Ise, IseCatalog};
+use mrts_ise::Ise;
 use mrts_multitask::{
     parse_tenant_specs, run_multitask, run_multitask_with_events, AdmissionPolicy, ArbiterPolicy,
     MultitaskConfig, SchedulerKind, TenantSpec,
 };
 use mrts_sim::{
-    events_to_jsonl, ExecClass, MultitaskStats, RecoveryConfig, RiscOnlyPolicy, RunStats,
-    Simulator, VecSink,
+    events_to_jsonl, ExecClass, MultitaskStats, RecoveryConfig, RunStats, Simulator, VecSink,
 };
-use mrts_workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
+use mrts_workload::WorkloadModel;
+use std::io::Write;
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
-type BuildOutput = (Box<dyn WorkloadModel>, IseCatalog, Trace);
 
-/// Resolves `--app` through the ingestion pipeline: builtin names
+/// The `--app`/`--seed` testbed. Builtin names
 /// (`h264|fft|cipher|toy|cv|cryptomix`) and manifest paths both lower
-/// through the same IR, so every subcommand accepts either.
-fn model(name: &str) -> Result<Box<dyn WorkloadModel>, String> {
-    let m = mrts_ingest::model(name).map_err(|e| e.to_string())?;
-    Ok(Box::new(m))
-}
-
-fn build(args: &Args) -> Result<BuildOutput, Box<dyn std::error::Error>> {
-    let app = model(args.get_or("app", "h264"))?;
+/// through the ingestion pipeline, so every subcommand accepts either.
+fn testbed(args: &Args) -> Result<Testbed, Box<dyn std::error::Error>> {
     let seed: u64 = args.get_num("seed", 1)?;
-    let catalog = app
-        .application()
-        .build_catalog(ArchParams::default(), None)?;
-    let trace = TraceBuilder::new(app.as_ref())
-        .video(VideoModel::paper_default(seed))
-        .build();
-    Ok((app, catalog, trace))
-}
-
-/// Parses the shared mRTS tuning flag (`--mpu-alpha`), validating its
-/// range at parse time so a typo fails fast instead of being silently
-/// clamped mid-run.
-fn tuning_from_args(args: &Args) -> Result<PolicyTuning, Box<dyn std::error::Error>> {
-    let mut tuning = PolicyTuning::default();
-    if let Some(raw) = args.get("mpu-alpha") {
-        let alpha: f64 = raw
-            .parse()
-            .map_err(|_| format!("--mpu-alpha: cannot parse '{raw}'"))?;
-        if !(0.0..=1.0).contains(&alpha) {
-            return Err(format!("--mpu-alpha {alpha} must be within [0, 1]").into());
-        }
-        tuning.mpu_alpha = Some(alpha);
-    }
-    Ok(tuning)
+    Testbed::new(args.get_or("app", "h264"), seed)
 }
 
 /// `mrts-cli catalog` — inspect the compile-time ISE catalogue.
-pub fn catalog(args: &Args) -> CliResult {
+pub fn catalog(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&["app", "seed"])?;
-    let (app, catalog, _) = build(args)?;
-    println!(
+    let tb = testbed(args)?;
+    let (app, catalog) = (tb.model.application(), &tb.catalog);
+    writeln!(
+        out,
         "application '{}': {} kernels, {} functional blocks",
-        app.application().name(),
+        app.name(),
         catalog.kernels().len(),
-        app.application().blocks().len()
-    );
-    println!(
+        app.blocks().len()
+    )?;
+    writeln!(
+        out,
         "{} ISE variants, {} load units\n",
         catalog.ises().len(),
         catalog.units().len()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>7}",
         "kernel", "RISC cyc", "variants", "FG", "CG", "MG", "mono"
-    );
-    println!("{}", "-".repeat(68));
+    )?;
+    writeln!(out, "{}", "-".repeat(68))?;
     for k in catalog.kernels() {
         let variants: Vec<&Ise> = catalog
             .ises_of(k.id())
@@ -90,7 +65,8 @@ pub fn catalog(args: &Args) -> CliResult {
                 .filter(|i| i.grain() == g && !i.is_mono_extension())
                 .count()
         };
-        println!(
+        writeln!(
+            out,
             "{:<10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>7}",
             k.name(),
             k.risc_latency().get(),
@@ -99,41 +75,37 @@ pub fn catalog(args: &Args) -> CliResult {
             count(mrts_ise::Grain::CoarseGrained),
             count(mrts_ise::Grain::MultiGrained),
             if k.mono_cg().is_some() { "yes" } else { "no" },
-        );
+        )?;
     }
-    for b in app.application().blocks() {
-        println!(
+    for b in app.blocks() {
+        writeln!(
+            out,
             "\nblock '{}': {} kernels, {} one-ISE-per-kernel combinations",
             b.name,
             b.kernels.len(),
             catalog.combination_count(&b.kernels)
-        );
+        )?;
     }
     Ok(())
 }
 
-/// One full simulation pass, optionally recording the event spine.
+/// One full simulation pass of `tb`'s trace on `machine`, optionally
+/// recording the event spine.
 ///
 /// Returns the run statistics plus — when `record` is set — the entire
 /// event log rendered as deterministic JSONL. Used both for the normal
 /// `simulate` path and for the `--threads` determinism check, which
 /// replays the identical configuration on several OS threads and
 /// insists on byte-identical outputs.
-#[allow(clippy::too_many_arguments)]
 fn simulate_once(
-    catalog: &IseCatalog,
-    trace: &Trace,
-    combo: Resources,
-    fault: FaultModel,
+    tb: &Testbed,
+    machine: Machine,
     policy_name: &str,
     recovery: RecoveryConfig,
     record: bool,
-    tuning: PolicyTuning,
 ) -> Result<(RunStats, Option<String>), Box<dyn std::error::Error>> {
-    let machine = Machine::with_fault_model(ArchParams::default(), combo, fault)?;
-    let capacity = machine.capacity();
-    let mut p = make_policy(policy_name, catalog, capacity, trace, tuning)?;
-    let mut sim = Simulator::new(catalog, machine).with_recovery(recovery);
+    let mut p = make_policy(policy_name, &tb.catalog, machine.capacity(), &tb.trace)?;
+    let mut sim = Simulator::new(&tb.catalog, machine).with_recovery(recovery);
     let sink = if record {
         let sink = VecSink::new();
         sim.attach_events(0, Box::new(sink.clone()));
@@ -141,7 +113,7 @@ fn simulate_once(
     } else {
         None
     };
-    let stats = sim.run_trace(trace, p.as_mut());
+    let stats = sim.run_trace(&tb.trace, p.as_mut());
     sim.finish_events();
     let jsonl = match sink {
         Some(s) => Some(events_to_jsonl(&s.take())?),
@@ -188,6 +160,7 @@ fn get_threads(args: &Args) -> Result<usize, Box<dyn std::error::Error>> {
 /// thread, replica 0 runs inline and nothing is compared. Returns replica
 /// 0's result.
 fn replay<T: Send>(
+    out: &mut dyn Write,
     threads: usize,
     proof: &str,
     replica: impl Fn(usize) -> Result<T, String> + Sync,
@@ -205,12 +178,12 @@ fn replay<T: Send>(
             return Err(format!("determinism violation: thread {i} diverged from thread 0").into());
         }
     }
-    println!("determinism: {proof}");
+    writeln!(out, "determinism: {proof}")?;
     Ok(runs.swap_remove(0))
 }
 
 /// `mrts-cli simulate` — one app, one machine, one policy.
-pub fn simulate(args: &Args) -> CliResult {
+pub fn simulate(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&[
         "app",
         "seed",
@@ -222,9 +195,8 @@ pub fn simulate(args: &Args) -> CliResult {
         "retry-budget",
         "events-out",
         "threads",
-        "mpu-alpha",
     ])?;
-    let (_, catalog, trace) = build(args)?;
+    let tb = testbed(args)?;
     let combo = Resources::new(args.get_num("cg", 2)?, args.get_num("prc", 2)?);
     let fault_rate: f64 = args.get_num("fault-rate", 0.0)?;
     if !(0.0..=1.0).contains(&fault_rate) {
@@ -235,76 +207,76 @@ pub fn simulate(args: &Args) -> CliResult {
         retry_budget: args.get_num("retry-budget", mrts_sim::LOAD_RETRY_BUDGET)?,
     };
     let policy_name = args.get_or("policy", "mrts");
-    let tuning = tuning_from_args(args)?;
     let events_out = args.get("events-out");
     let threads = get_threads(args)?;
     let record = events_out.is_some() || threads > 1;
+    let machine = Machine::with_fault_model(
+        ArchParams::default(),
+        combo,
+        FaultModel::new(fault_rate, fault_seed),
+    )?;
 
     // Replays the identical configuration on `threads` OS threads and
     // demands byte-identical statistics and event logs. The simulator is
     // deterministic by construction; this is the executable proof.
     let (stats, jsonl) = replay(
+        out,
         threads,
         &format!("{threads} threads, byte-identical stats and event logs"),
         |_| {
-            simulate_once(
-                &catalog,
-                &trace,
-                combo,
-                FaultModel::new(fault_rate, fault_seed),
-                policy_name,
-                recovery,
-                record,
-                tuning,
-            )
-            .map_err(|e| e.to_string())
+            simulate_once(&tb, machine.clone(), policy_name, recovery, record)
+                .map_err(|e| e.to_string())
         },
         |a, b| Ok(serde_json::to_string(&a.0)? == serde_json::to_string(&b.0)? && a.1 == b.1),
     )?;
     if let (Some(path), Some(log)) = (events_out, &jsonl) {
         std::fs::write(path, log)?;
-        println!(
+        writeln!(
+            out,
             "events   : wrote {} events ({} bytes) to {path}",
             log.lines().count(),
             log.len()
-        );
+        )?;
     }
 
     // The RISC reference for a speedup line.
-    let risc_machine = Machine::new(ArchParams::default(), combo)?;
-    let risc = Simulator::run(&catalog, risc_machine, &trace, &mut RiscOnlyPolicy::new());
+    let risc = tb.run_policy(combo, "risc")?;
 
-    println!(
-        "machine  : {} ({} usable slots)",
-        combo,
-        Machine::new(ArchParams::default(), combo)?.capacity()
-    );
-    println!("policy   : {}", stats.policy);
-    println!(
+    writeln!(
+        out,
+        "machine  : {combo} ({} usable slots)",
+        machine.capacity()
+    )?;
+    writeln!(out, "policy   : {}", stats.policy)?;
+    writeln!(
+        out,
         "time     : {:.3} Mcycles ({:.3} busy + {:.3} overhead)",
         stats.total_execution_time().as_mcycles(),
         stats.total_busy().as_mcycles(),
         stats.total_overhead().as_mcycles()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "speedup  : {:.2}x vs RISC-mode",
         stats.speedup_vs(&risc).max(0.0)
-    );
-    println!("executions by implementation:");
+    )?;
+    writeln!(out, "executions by implementation:")?;
     let h = stats.class_histogram();
     for class in ExecClass::ALL {
         let n = h.get(&class).copied().unwrap_or(0);
         let pct = 100.0 * n as f64 / stats.total_executions().max(1) as f64;
-        println!("  {:<14} {n:>9}  ({pct:5.1}%)", class.to_string());
+        writeln!(out, "  {:<14} {n:>9}  ({pct:5.1}%)", class.to_string())?;
     }
     if stats.rejected_loads > 0 {
-        println!(
+        writeln!(
+            out,
             "warning: {} load requests were rejected",
             stats.rejected_loads
-        );
+        )?;
     }
     if fault_rate > 0.0 {
-        println!(
+        writeln!(
+            out,
             "faults   : {} failed loads, {} retries, {} containers lost, \
              {} degraded executions, {:.3} Mcycles recovery",
             stats.failed_loads,
@@ -312,15 +284,15 @@ pub fn simulate(args: &Args) -> CliResult {
             stats.blacklisted_containers,
             stats.degraded_executions,
             stats.recovery_cycles.as_mcycles()
-        );
+        )?;
     }
     Ok(())
 }
 
 /// `mrts-cli sweep` — the Fig. 8 grid for one policy, vs RISC-mode.
-pub fn sweep(args: &Args) -> CliResult {
+pub fn sweep(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&["app", "seed", "policy", "format"])?;
-    let (_, catalog, trace) = build(args)?;
+    let tb = testbed(args)?;
     let name = args.get_or("policy", "mrts");
     let format = args.get_or("format", "table");
     let csv = match format {
@@ -329,45 +301,42 @@ pub fn sweep(args: &Args) -> CliResult {
         other => return Err(format!("unknown format '{other}' (table|csv)").into()),
     };
 
-    let risc_ref = {
-        let machine = Machine::new(ArchParams::default(), Resources::NONE)?;
-        Simulator::run(&catalog, machine, &trace, &mut RiscOnlyPolicy::new())
-    };
+    let risc_ref = tb.run_policy(Resources::NONE, "risc")?;
     if csv {
-        println!("cg,prc,mcycles,speedup_vs_risc");
+        writeln!(out, "cg,prc,mcycles,speedup_vs_risc")?;
     } else {
-        println!("policy: {name}");
-        println!(
+        writeln!(out, "policy: {name}")?;
+        writeln!(
+            out,
             "{:>4} {:>4} {:>12} {:>9}",
             "CG", "PRC", "Mcycles", "speedup"
-        );
-        println!("{}", "-".repeat(34));
+        )?;
+        writeln!(out, "{}", "-".repeat(34))?;
     }
     for combo in mrts_bench::fig8_combos() {
         let (cg, prc) = (combo.cg(), combo.prc());
-        let machine = Machine::new(ArchParams::default(), combo)?;
-        let capacity = machine.capacity();
-        let mut p = make_policy(name, &catalog, capacity, &trace, PolicyTuning::default())?;
-        let stats = Simulator::run(&catalog, machine, &trace, p.as_mut());
+        let stats = tb.run_policy(combo, name)?;
         let s = risc_ref.total_execution_time().get() as f64
             / stats.total_execution_time().get().max(1) as f64;
         if csv {
-            println!(
+            writeln!(
+                out,
                 "{cg},{prc},{:.3},{s:.3}",
                 stats.total_execution_time().as_mcycles()
-            );
+            )?;
         } else {
-            println!(
+            writeln!(
+                out,
                 "{cg:>4} {prc:>4} {:>12.3} {s:>8.2}x",
                 stats.total_execution_time().as_mcycles()
-            );
+            )?;
         }
     }
     Ok(())
 }
 
 /// `mrts-cli multitask` — several applications time-sharing one machine.
-pub fn multitask(args: &Args) -> CliResult {
+pub fn multitask(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&[
         "apps",
         "weights",
@@ -384,7 +353,6 @@ pub fn multitask(args: &Args) -> CliResult {
         "fault-seed",
         "events-out",
         "threads",
-        "mpu-alpha",
     ])?;
     // The shared flag-triple parser (also the fleet's session-trace
     // syntax): apps comma list, optional parallel weights/slo lists.
@@ -409,16 +377,9 @@ pub fn multitask(args: &Args) -> CliResult {
     let record = events_out.is_some() || threads > 1;
 
     // Tenant workloads are built first so the specs can borrow them.
-    let mut built: Vec<(String, IseCatalog, Trace)> = Vec::new();
+    let mut built: Vec<Testbed> = Vec::new();
     for (i, req) in requests.iter().enumerate() {
-        let app = model(&req.app)?;
-        let catalog = app
-            .application()
-            .build_catalog(ArchParams::default(), None)?;
-        let trace = TraceBuilder::new(app.as_ref())
-            .video(VideoModel::paper_default(seed.wrapping_add(i as u64)))
-            .build();
-        built.push((app.application().name().to_owned(), catalog, trace));
+        built.push(Testbed::new(&req.app, seed.wrapping_add(i as u64))?);
     }
 
     let cfg = MultitaskConfig {
@@ -427,7 +388,6 @@ pub fn multitask(args: &Args) -> CliResult {
         scheduler: args.get_or("sched", "wfq").parse::<SchedulerKind>()?,
         admission: args.get_or("admission", "off").parse::<AdmissionPolicy>()?,
         degrade,
-        tuning: tuning_from_args(args)?,
         ..MultitaskConfig::default()
     };
     let budget = Resources::new(args.get_num("cg", 2)?, args.get_num("prc", 2)?);
@@ -442,9 +402,9 @@ pub fn multitask(args: &Args) -> CliResult {
             .iter()
             .zip(&requests)
             .enumerate()
-            .map(|(i, ((name, catalog, trace), req))| {
+            .map(|(i, (tb, req))| {
                 let mut spec =
-                    TenantSpec::new(name.clone(), catalog, trace).with_weight(req.weight);
+                    TenantSpec::new(tb.name(), &tb.catalog, &tb.trace).with_weight(req.weight);
                 if fault_rate > 0.0 {
                     spec = spec.with_fault_model(FaultModel::new(
                         fault_rate,
@@ -481,6 +441,7 @@ pub fn multitask(args: &Args) -> CliResult {
     // run-to-run reproducibility and serial/parallel byte-identity of
     // stats and event logs.
     let (stats, jsonl) = replay(
+        out,
         threads,
         &format!(
             "serial vs {threads}-worker intra-run × {threads} threads, \
@@ -491,20 +452,23 @@ pub fn multitask(args: &Args) -> CliResult {
     )?;
     if let (Some(path), Some(log)) = (events_out, &jsonl) {
         std::fs::write(path, log)?;
-        println!(
+        writeln!(
+            out,
             "events: wrote {} events ({} bytes) to {path}",
             log.lines().count(),
             log.len()
-        );
+        )?;
     }
-    print!("{stats}");
-    println!(
+    write!(out, "{stats}")?;
+    writeln!(
+        out,
         "aggregate speedup {:.3}x vs back-to-back RISC, throughput {:.1} execs/Mcycle",
         stats.aggregate_speedup(),
         stats.throughput()
-    );
+    )?;
     if stats.slo_deadlines() > 0 {
-        println!(
+        writeln!(
+            out,
             "slo: {}/{} deadlines missed ({:.1}%), tardiness p50/p95/p99 \
              {:.3}/{:.3}/{:.3} Mcycles, ladder {}v/{}^",
             stats.deadline_misses(),
@@ -515,7 +479,7 @@ pub fn multitask(args: &Args) -> CliResult {
             stats.tardiness_percentile(99, 100) as f64 / 1e6,
             stats.degrade_steps(),
             stats.promote_steps(),
-        );
+        )?;
     }
     Ok(())
 }
@@ -523,7 +487,7 @@ pub fn multitask(args: &Args) -> CliResult {
 /// `mrts-cli fleet` — a long-lived open-loop service over several fabric
 /// shards: seeded Poisson (or replayed JSONL) session arrivals, placement,
 /// streaming admission, churn, and fleet-level service statistics.
-pub fn fleet(args: &Args) -> CliResult {
+pub fn fleet(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&[
         "apps",
         "weights",
@@ -580,11 +544,12 @@ pub fn fleet(args: &Args) -> CliResult {
     if let Some(path) = args.get("arrivals-out") {
         let jsonl = records_to_jsonl(&records)?;
         std::fs::write(path, &jsonl)?;
-        println!(
+        writeln!(
+            out,
             "arrivals : wrote {} records ({} bytes) to {path}",
             records.len(),
             jsonl.len()
-        );
+        )?;
     }
 
     // One registry entry per distinct app in the arrival list; the
@@ -629,19 +594,20 @@ pub fn fleet(args: &Args) -> CliResult {
             record_events: record,
             ..cfg.clone()
         };
-        let out = run_fleet(&params, &registry, &records, &cfg).map_err(|e| e.to_string())?;
+        let outcome = run_fleet(&params, &registry, &records, &cfg).map_err(|e| e.to_string())?;
         let jsonl = if record {
-            Some(events_to_jsonl(&out.events).map_err(|e| e.to_string())?)
+            Some(events_to_jsonl(&outcome.events).map_err(|e| e.to_string())?)
         } else {
             None
         };
-        Ok((out, jsonl))
+        Ok((outcome, jsonl))
     };
 
     // Replays the identical fleet configuration on `threads` OS threads
     // and demands byte-identical fleet statistics, per-shard statistics
     // and merged event spines.
-    let (out, jsonl) = replay(
+    let (outcome, jsonl) = replay(
+        out,
         threads,
         &format!("{threads} threads, byte-identical fleet stats and event spines"),
         |_| run_once(record),
@@ -655,54 +621,59 @@ pub fn fleet(args: &Args) -> CliResult {
     )?;
     if let (Some(path), Some(log)) = (events_out, &jsonl) {
         std::fs::write(path, log)?;
-        println!(
+        writeln!(
+            out,
             "events   : wrote {} events ({} bytes) to {path}",
             log.lines().count(),
             log.len()
-        );
+        )?;
     }
 
-    print!("{}", out.stats);
-    println!(
+    write!(out, "{}", outcome.stats)?;
+    writeln!(
+        out,
         "  queued {:.1}% of accepted, {} windows of {:.3} Mcycles",
-        out.stats.queued_rate() * 100.0,
-        out.stats.window_jain().len(),
+        outcome.stats.queued_rate() * 100.0,
+        outcome.stats.window_jain().len(),
         cfg.window.as_mcycles()
-    );
-    for (f, shard) in out.shards.iter().enumerate() {
-        println!(
+    )?;
+    for (f, shard) in outcome.shards.iter().enumerate() {
+        writeln!(
+            out,
             "  shard[{f}]: {} switches ({:.3} Mcycles), {} repartitions",
             shard.context_switches,
             shard.switch_cycles.as_mcycles(),
             shard.repartitions
-        );
+        )?;
     }
     Ok(())
 }
 
 /// `mrts-cli trace` — generate and export a workload trace as JSON.
-pub fn trace(args: &Args) -> CliResult {
+pub fn trace(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&["app", "seed", "out"])?;
-    let (_, _, trace) = build(args)?;
+    let trace = testbed(args)?.trace;
     let json = serde_json::to_string_pretty(&trace)?;
     match args.get("out") {
         Some(path) => {
             std::fs::write(path, &json)?;
-            println!(
+            writeln!(
+                out,
                 "wrote {} activations ({} bytes) to {path}",
                 trace.len(),
                 json.len()
-            );
+            )?;
         }
-        None => println!("{json}"),
+        None => writeln!(out, "{json}")?,
     }
     Ok(())
 }
 
 /// `mrts-cli pif` — Eq. 1 table for one kernel's grain-representative ISEs.
-pub fn pif(args: &Args) -> CliResult {
+pub fn pif(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&["app", "seed", "kernel", "max-exec"])?;
-    let (app, catalog, _) = build(args)?;
+    let tb = testbed(args)?;
+    let catalog = &tb.catalog;
     let kernel_name = args.get_or("kernel", "deblock");
     let max_exec: u64 = args.get_num("max-exec", 10_000)?;
     let kernel = catalog
@@ -712,7 +683,7 @@ pub fn pif(args: &Args) -> CliResult {
         .ok_or_else(|| {
             format!(
                 "unknown kernel '{kernel_name}' in app '{}' (try 'mrts-cli catalog')",
-                app.application().name()
+                tb.name()
             )
         })?;
 
@@ -731,36 +702,38 @@ pub fn pif(args: &Args) -> CliResult {
         );
     }
 
-    println!(
+    writeln!(
+        out,
         "kernel '{kernel_name}' (RISC latency {} cycles)",
         kernel.risc_latency().get()
-    );
+    )?;
     for ise in &picks {
-        println!(
+        writeln!(
+            out,
             "  {:<34} {:<4} exec {:>5} cyc  reconfig {:>10.4} ms",
             ise.label(),
             ise.grain().to_string(),
             ise.full_latency().get(),
             ise.isolated_reconfig_latency()
                 .as_millis_f64(catalog.params().core_clock)
-        );
+        )?;
     }
-    println!();
-    print!("{:>10}", "execs");
+    writeln!(out)?;
+    write!(out, "{:>10}", "execs")?;
     for ise in &picks {
-        print!(" {:>9}", ise.grain().to_string());
+        write!(out, " {:>9}", ise.grain().to_string())?;
     }
-    println!();
+    writeln!(out)?;
     let steps = 20u64;
     for i in 1..=steps {
         // In u128, so a `--max-exec` near `u64::MAX` cannot overflow.
         let e = (u128::from(max_exec) * u128::from(i) / u128::from(steps)) as u64;
-        print!("{e:>10}");
+        write!(out, "{e:>10}")?;
         for ise in &picks {
             let pif = ise.performance_improvement_factor(e, ise.isolated_reconfig_latency());
-            print!(" {pif:>9.3}");
+            write!(out, " {pif:>9.3}")?;
         }
-        println!();
+        writeln!(out)?;
     }
     Ok(())
 }
@@ -777,7 +750,7 @@ pub fn pif(args: &Args) -> CliResult {
 ///
 /// `SPEC` is a builtin app name or a manifest file path, exactly as
 /// accepted by `--app` elsewhere.
-pub fn ingest(args: &Args) -> CliResult {
+pub fn ingest(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&["check", "dump", "lower", "out", "replay"])?;
     let modes = [args.get("check"), args.get("dump"), args.get("lower")]
         .iter()
@@ -789,7 +762,7 @@ pub fn ingest(args: &Args) -> CliResult {
 
     if let Some(spec) = args.get("dump") {
         let manifest = mrts_ingest::builtin::load(spec)?;
-        return emit(args, manifest.to_json(), "manifest");
+        return emit(args, out, manifest.to_json(), "manifest");
     }
     if let Some(spec) = args.get("lower") {
         let manifest = mrts_ingest::builtin::load(spec)?;
@@ -797,29 +770,32 @@ pub fn ingest(args: &Args) -> CliResult {
         let catalog = lowered.derive_catalog(ArchParams::default(), None)?;
         let mut json = serde_json::to_string_pretty(&catalog)?;
         json.push('\n');
-        return emit(args, json, "catalogue");
+        return emit(args, out, json, "catalogue");
     }
 
     let spec = args.get("check").expect("mode counted above");
     let manifest = mrts_ingest::builtin::load(spec)?;
     let lowered = mrts_ingest::lower(&manifest)?;
     let catalog = lowered.derive_catalog(ArchParams::default(), None)?;
-    println!(
+    writeln!(
+        out,
         "manifest '{}' OK: {} kernels, {} functional blocks, {} dead ops removed",
         lowered.app.name(),
         lowered.app.kernel_specs().len(),
         lowered.app.blocks().len(),
         lowered.dce.removed_ops,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "catalogue: {} ISE variants over {} kernels",
         catalog.ises().len(),
         catalog.kernels().len(),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  {:<14} {:>8} {:>5} {:>9} {:>9}  area/latency points",
         "kernel", "affinity", "ops", "bit-frac", "variants"
-    );
+    )?;
     for (idx, cluster) in lowered.clusters.iter().enumerate() {
         let id = mrts_ise::KernelId(idx as u16);
         let points = mrts_ingest::passes::tradeoff_points(&catalog, id);
@@ -827,7 +803,8 @@ pub fn ingest(args: &Args) -> CliResult {
             .iter()
             .map(|p| format!("{}u/{}c", p.area, p.latency.get()))
             .collect();
-        println!(
+        writeln!(
+            out,
             "  {:<14} {:>8} {:>5} {:>9.2} {:>9}  {}",
             cluster.kernel,
             cluster.affinity(),
@@ -835,40 +812,42 @@ pub fn ingest(args: &Args) -> CliResult {
             cluster.bit_fraction,
             catalog.ises_of(id).len(),
             curve.join(" ")
-        );
+        )?;
     }
     if let Some(path) = args.get("replay") {
         let text = std::fs::read_to_string(path)?;
         let profile = mrts_ingest::events::profile_jsonl(&text)?;
-        println!(
+        writeln!(
+            out,
             "replayed spine: {} lines, {} block starts, {} executions",
             profile.lines,
             profile.block_starts,
             profile.total_executions()
-        );
+        )?;
         for (k, count) in &profile.executions {
             let name = lowered
                 .app
                 .kernel_specs()
                 .get(*k as usize)
                 .map_or("?", |spec| spec.name());
-            println!(
+            writeln!(
+                out,
                 "  kernel {k} ({name}): {count} executions ({:.1}% share)",
                 100.0 * profile.share(*k)
-            );
+            )?;
         }
     }
     Ok(())
 }
 
 /// Writes `text` to `--out` (reporting size) or prints it.
-fn emit(args: &Args, text: String, what: &str) -> CliResult {
+fn emit(args: &Args, out: &mut dyn Write, text: String, what: &str) -> CliResult {
     match args.get("out") {
         Some(path) => {
             std::fs::write(path, &text)?;
-            println!("wrote {what} ({} bytes) to {path}", text.len());
+            writeln!(out, "wrote {what} ({} bytes) to {path}", text.len())?;
         }
-        None => print!("{text}"),
+        None => write!(out, "{text}")?,
     }
     Ok(())
 }

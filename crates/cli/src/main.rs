@@ -1,7 +1,7 @@
 //! `mrts-cli` — command-line interface for the mRTS reproduction.
 //!
 //! ```text
-//! mrts-cli catalog  [--app h264|fft|cipher|toy]
+//! mrts-cli catalog  [--app h264|fft|cipher|toy|cv|cryptomix|MANIFEST.json]
 //! mrts-cli simulate [--app ..] [--cg N] [--prc N] [--policy ..] [--seed N]
 //!                   [--fault-rate P] [--fault-seed N] [--retry-budget N]
 //!                   [--events-out FILE] [--threads N]
@@ -25,6 +25,7 @@ mod args;
 mod commands;
 
 use args::Args;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -123,23 +124,29 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let out = &mut io::stdout();
     let result = match args.command() {
-        Some("catalog") => commands::catalog(&args),
-        Some("simulate") => commands::simulate(&args),
-        Some("sweep") => commands::sweep(&args),
-        Some("multitask") => commands::multitask(&args),
-        Some("fleet") => commands::fleet(&args),
-        Some("trace") => commands::trace(&args),
-        Some("pif") => commands::pif(&args),
-        Some("ingest") => commands::ingest(&args),
-        Some("help") | None => {
-            print!("{USAGE}");
-            Ok(())
-        }
+        Some("catalog") => commands::catalog(&args, out),
+        Some("simulate") => commands::simulate(&args, out),
+        Some("sweep") => commands::sweep(&args, out),
+        Some("multitask") => commands::multitask(&args, out),
+        Some("fleet") => commands::fleet(&args, out),
+        Some("trace") => commands::trace(&args, out),
+        Some("pif") => commands::pif(&args, out),
+        Some("ingest") => commands::ingest(&args, out),
+        Some("help") | None => out.write_all(USAGE.as_bytes()).map_err(Into::into),
         Some(other) => Err(format!("unknown command '{other}'; try 'mrts-cli help'").into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that closed stdout early (`mrts-cli ... | head`) has
+        // all the output it wants.
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

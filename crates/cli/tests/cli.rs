@@ -185,6 +185,10 @@ fn errors_exit_nonzero_with_message() {
     let cases: Vec<(Vec<&str>, &str)> = vec![
         (vec!["simulate", "--policy", "bogus"], "unknown policy"),
         (vec!["simulate", "--app", "bogus"], "unknown app"),
+        (
+            vec!["simulate", "--app", "no/such.json"],
+            "cannot read manifest 'no/such.json'",
+        ),
         (vec!["frobnicate"], "unknown command"),
         (vec!["simulate", "--cg"], "missing its value"),
         (vec!["pif", "--kernel", "nope"], "unknown kernel"),
@@ -206,14 +210,50 @@ fn errors_exit_nonzero_with_message() {
     }
 }
 
-/// Command lines that still pass the retired `--prefetch` flag fail with the
-/// flag-qualified unknown-flag error, never a panic.
+/// Command lines that still pass a retired flag (`--prefetch`,
+/// `--mpu-alpha`) fail with the flag-qualified unknown-flag error, never a
+/// panic.
 #[test]
 fn retired_prefetch_flag_is_an_unknown_flag() {
-    let out = run(&["simulate", "--prefetch", "on"]);
-    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
-    let err = stderr(&out);
-    assert!(err.starts_with("error: unknown flag --prefetch "), "{err}");
+    for (command, flag, value) in [
+        ("simulate", "--prefetch", "on"),
+        ("simulate", "--mpu-alpha", "0.3"),
+        ("multitask", "--mpu-alpha", "0.3"),
+    ] {
+        let out = run(&[command, flag, value]);
+        assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+        let err = stderr(&out);
+        assert!(
+            err.starts_with(&format!("error: unknown flag {flag} ")),
+            "{err}"
+        );
+    }
+}
+
+/// A reader that closes stdout early (`mrts-cli trace | head -c 100`) ends
+/// the run quietly: no panic, no exit 101. The h264 trace's JSON is larger
+/// than a pipe buffer, so the CLI is still writing when the pipe closes.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    use std::io::Read;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mrts-cli"))
+        .args(["trace", "--app", "h264"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut head = [0u8; 100];
+    child
+        .stdout
+        .take()
+        .expect("piped stdout")
+        .read_exact(&mut head)
+        .expect("the trace starts");
+    // The read end is dropped here, closing the pipe.
+    let out = child.wait_with_output().expect("binary exits");
+    assert_ne!(out.status.code(), Some(101), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
 }
 
 #[test]
@@ -259,7 +299,6 @@ fn numeric_flags_at_their_edges_exit_cleanly() {
         (simulate, "fault-seed", U64),
         (simulate, "retry-budget", U32),
         (simulate, "threads", USIZE),
-        (simulate, "mpu-alpha", F64),
         (multitask, "seed", U64),
         (multitask, "cg", U16),
         (multitask, "prc", U16),
@@ -267,7 +306,6 @@ fn numeric_flags_at_their_edges_exit_cleanly() {
         (multitask, "fault-rate", F64),
         (multitask, "fault-seed", U64),
         (multitask, "threads", USIZE),
-        (multitask, "mpu-alpha", F64),
         (fleet, "seed", U64),
         (fleet, "sessions", USIZE),
         (fleet, "mean-gap", U64),

@@ -46,15 +46,6 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// Resolves an app name through the ingestion pipeline, so fleet sessions
-/// accept builtin names and manifest paths alike (see `mrts-ingest`).
-fn model(name: &str) -> Result<Box<dyn WorkloadModel>, RegistryError> {
-    match mrts_ingest::model(name) {
-        Ok(m) => Ok(Box::new(m)),
-        Err(e) => Err(RegistryError::UnknownApp(format!("{name}: {e}"))),
-    }
-}
-
 /// A deterministic per-kernel pattern for variant `v`: the shape cycles
 /// through constant/step/ramp/burst and the magnitudes are seeded, so
 /// variants of one app exercise the run-time system differently while a
@@ -115,7 +106,10 @@ impl AppRegistry {
             if entries.iter().any(|e| e.name == name) {
                 continue;
             }
-            let app = model(name)?;
+            // Builtin names and manifest paths resolve alike (see
+            // `mrts-ingest`).
+            let app = mrts_ingest::model(name)
+                .map_err(|e| RegistryError::UnknownApp(format!("{name}: {e}")))?;
             let catalog = app
                 .application()
                 .build_catalog(params.clone(), None)
@@ -126,9 +120,9 @@ impl AppRegistry {
                 let trace = if name == "toy" {
                     let patterns: Vec<Pattern> =
                         (0..kernels).map(|k| variant_pattern(seed, v, k)).collect();
-                    synthetic_trace(app.as_ref(), &patterns, 4 + v % 5)
+                    synthetic_trace(&app, &patterns, 4 + v % 5)
                 } else {
-                    let full = TraceBuilder::new(app.as_ref())
+                    let full = TraceBuilder::new(&app)
                         .video(VideoModel::paper_default(seed.wrapping_add(v as u64)))
                         .build();
                     let cut = full.len().min(max_blocks.max(1));

@@ -5,8 +5,8 @@
 //! [`Machine`] resized to the arbiter's grant) and a private run-time
 //! system instance built by the shared policy factory
 //! ([`mrts_baselines::make_policy`] from the tenant's catalogue, grant and
-//! trace, with the run's [`PolicyTuning`]) — mRTS state (MPU history,
-//! fault blacklist) never leaks between tenants.
+//! trace) — mRTS state (MPU history, fault blacklist) never leaks between
+//! tenants.
 //! The scheduler picks which tenant's next block activation runs;
 //! everything else is bookkeeping:
 //!
@@ -41,7 +41,7 @@ use crate::arbiter::{ArbiterPolicy, FabricArbiter};
 use crate::scheduler::SchedulerKind;
 use crate::slo::{ladder_cap, Criticality, Slo, SloSnapshot, LADDER_BOTTOM};
 use mrts_arch::{ArchError, ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts_baselines::{make_policy, PolicyTuning};
+use mrts_baselines::make_policy;
 use mrts_ise::{BlockId, IseCatalog, KernelId};
 use mrts_sim::timeline::{EventSink, SimEvent, Timeline, VecSink};
 use mrts_sim::{MultitaskStats, RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator, TenantStats};
@@ -157,10 +157,6 @@ pub struct MultitaskConfig {
     /// merge in tenant-index order at the barrier, so the output is
     /// byte-identical to the serial run for any worker count.
     pub workers: usize,
-    /// mRTS tuning knobs (the MPU learning rate),
-    /// applied identically to every tenant's policy instance. Ignored by
-    /// the baseline policies. The default is the untuned configuration.
-    pub tuning: PolicyTuning,
 }
 
 impl Default for MultitaskConfig {
@@ -175,7 +171,6 @@ impl Default for MultitaskConfig {
             admission: AdmissionPolicy::Off,
             degrade: true,
             workers: 1,
-            tuning: PolicyTuning::default(),
         }
     }
 }
@@ -1311,14 +1306,8 @@ impl<'a> MultitaskRunner<'a> {
             None => Machine::new(self.params.clone(), Resources::NONE)?,
         };
         let _ = machine.resize_capacity(grant);
-        let policy = make_policy(
-            &self.cfg.policy,
-            spec.catalog,
-            grant,
-            spec.trace,
-            self.cfg.tuning,
-        )
-        .map_err(MultitaskError::Policy)?;
+        let policy = make_policy(&self.cfg.policy, spec.catalog, grant, spec.trace)
+            .map_err(MultitaskError::Policy)?;
         let run = RunStats {
             policy: policy.name(),
             ..RunStats::default()

@@ -7,9 +7,8 @@
 //! ```
 
 use mrts::arch::{ArchParams, Machine, Resources};
-use mrts::baselines::StaticPolicy;
-use mrts::core::{Mrts, MrtsConfig};
-use mrts::sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
+use mrts::baselines::make_policy;
+use mrts::sim::{RunStats, Simulator};
 use mrts::workload::{TraceBuilder, VideoModel, WorkloadModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,16 +38,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", "-".repeat(84));
 
+    // Every policy by its factory name, RISC-mode first: it is the
+    // speedup reference.
     let mut risc_time = 0.0f64;
-    let mut policies: Vec<Box<dyn RuntimePolicy>> = vec![
-        Box::new(RiscOnlyPolicy::new()),
-        Box::new(Mrts::with_config(MrtsConfig::rispp_like())),
-        Box::new(StaticPolicy::loosely_coupled(&catalog, capacity, &trace)),
-        Box::new(StaticPolicy::offline_optimal(&catalog, capacity, &trace)),
-        Box::new(Mrts::with_config(MrtsConfig::online_optimal())),
-        Box::new(Mrts::new()),
-    ];
-    for policy in &mut policies {
+    for name in ["risc", "rispp", "morpheus", "offline", "optimal", "mrts"] {
+        let mut policy = make_policy(name, &catalog, capacity, &trace)?;
         let machine = Machine::new(ArchParams::default(), combo)?;
         let stats = Simulator::run(&catalog, machine, &trace, policy.as_mut());
         let t = stats.total_execution_time().get() as f64;

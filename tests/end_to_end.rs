@@ -10,7 +10,7 @@ use mrts_bench::Testbed;
 
 /// The encoder of the evaluation over the paper video (seed 1).
 fn bed() -> Testbed {
-    Testbed::new("h264", 1)
+    Testbed::new("h264", 1).unwrap()
 }
 
 #[test]
@@ -123,7 +123,7 @@ fn zero_fabric_machine_degenerates_to_risc_for_all_policies() {
 #[test]
 fn other_applications_also_profit() {
     for name in ["fft", "cipher"] {
-        let tb = Testbed::new(name, 5);
+        let tb = Testbed::new(name, 5).unwrap();
         let risc = tb.run(Resources::new(1, 1), &mut RiscOnlyPolicy::new());
         let mrts = tb.run(Resources::new(1, 1), &mut Mrts::new());
         assert!(

@@ -10,7 +10,7 @@
 //! model — for every policy the factory knows.
 
 use mrts::arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts::baselines::{PolicyTuning, POLICY_NAMES};
+use mrts::baselines::POLICY_NAMES;
 use mrts::ise::IseCatalog;
 use mrts::multitask::{run_multitask, ArbiterPolicy, MultitaskConfig, SchedulerKind, TenantSpec};
 use mrts::sim::{RunStats, Simulator};
@@ -19,7 +19,7 @@ use mrts::workload::{Trace, WorkloadModel};
 
 /// Builds (name, catalogue, paper-video trace) for a workload model.
 fn testbed(spec: &str, seed: u64) -> (String, IseCatalog, Trace) {
-    let tb = mrts_bench::Testbed::new(spec, seed);
+    let tb = mrts_bench::Testbed::new(spec, seed).unwrap();
     (tb.name().to_owned(), tb.catalog, tb.trace)
 }
 
@@ -28,8 +28,7 @@ fn solo(catalog: &IseCatalog, combo: Resources, trace: &Trace, policy: &str) -> 
     let machine = Machine::new(ArchParams::default(), combo).expect("valid machine");
     let capacity = machine.capacity();
     let mut p =
-        mrts::baselines::make_policy(policy, catalog, capacity, trace, PolicyTuning::default())
-            .expect("known policy");
+        mrts::baselines::make_policy(policy, catalog, capacity, trace).expect("known policy");
     Simulator::run(catalog, machine, trace, p.as_mut())
 }
 
@@ -145,8 +144,7 @@ fn one_tenant_equals_solo_under_fault_injection() {
         .expect("valid machine");
     let capacity = machine.capacity();
     let mut p =
-        mrts::baselines::make_policy("mrts", &catalog, capacity, &trace, PolicyTuning::default())
-            .expect("known policy");
+        mrts::baselines::make_policy("mrts", &catalog, capacity, &trace).expect("known policy");
     let reference = Simulator::run(&catalog, machine, &trace, p.as_mut());
 
     let specs = [TenantSpec::new(name, &catalog, &trace).with_fault_model(fault)];

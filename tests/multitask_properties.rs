@@ -389,8 +389,8 @@ proptest! {
 #[test]
 fn fft_cipher_default_config_makespan_is_pinned() {
     let apps = [
-        mrts_bench::Testbed::new("fft", 1),
-        mrts_bench::Testbed::new("cipher", 2),
+        mrts_bench::Testbed::new("fft", 1).unwrap(),
+        mrts_bench::Testbed::new("cipher", 2).unwrap(),
     ];
     let specs: Vec<TenantSpec<'_>> = apps
         .iter()

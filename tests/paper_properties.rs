@@ -14,7 +14,7 @@ use mrts_bench::{fig8_combos, Testbed};
 
 /// The encoder of the evaluation over the paper video (seed 1).
 fn h264() -> Testbed {
-    Testbed::new("h264", 1)
+    Testbed::new("h264", 1).unwrap()
 }
 
 #[test]
@@ -356,7 +356,7 @@ fn fft_and_cipher_lean_to_their_grain() {
         ("fft", Grain::FineGrained),
         ("cipher", Grain::CoarseGrained),
     ] {
-        let catalog = Testbed::new(app, 1).catalog;
+        let catalog = Testbed::new(app, 1).unwrap().catalog;
         for k in catalog.kernels() {
             let best = catalog
                 .ises_of(k.id())

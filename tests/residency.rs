@@ -293,9 +293,9 @@ fn ecu_mono_installs_mid_block_see_exact_residency() {
 /// through `MultitaskRunner` with every tenant's policy optionally
 /// wrapped; returns the stats and the wrapped runs' checks.
 fn ladder_run(wrap: bool) -> (MultitaskStats, Vec<Rc<Checks>>) {
-    let fft = mrts_bench::Testbed::new("fft", 1);
-    let cipher = mrts_bench::Testbed::new("cipher", 2);
-    let bg = mrts_bench::Testbed::new("fft", 3);
+    let fft = mrts_bench::Testbed::new("fft", 1).unwrap();
+    let cipher = mrts_bench::Testbed::new("cipher", 2).unwrap();
+    let bg = mrts_bench::Testbed::new("fft", 3).unwrap();
     let specs = [
         TenantSpec::new("fft", &fft.catalog, &fft.trace)
             .with_slo("hard:1200000".parse().expect("valid SLO")),

@@ -916,7 +916,7 @@ proptest! {
 /// candidates it re-evaluates, or when, moves it.
 #[test]
 fn lazy_saves_evaluations_on_the_paper_catalog() {
-    let catalog = mrts_bench::Testbed::new("h264", 1).catalog;
+    let catalog = mrts_bench::Testbed::new("h264", 1).unwrap().catalog;
     let forecast = forecast_for(&catalog, 4_000, 1_000, 300);
     let rc = ReconfigurationController::new();
     let none = |_: UnitId| false;
@@ -948,7 +948,9 @@ fn lazy_saves_evaluations_on_the_paper_catalog() {
 /// host-time suite.)
 #[test]
 fn bench_suite_selection_evaluation_counts_are_pinned() {
-    let catalog = mrts_bench::Testbed::new("h264", mrts_bench::DEFAULT_SEED).catalog;
+    let catalog = mrts_bench::Testbed::new("h264", mrts_bench::DEFAULT_SEED)
+        .unwrap()
+        .catalog;
     let forecast = TriggerBlock::new(
         mrts::ise::BlockId(0),
         catalog
@@ -982,7 +984,7 @@ fn bench_suite_selection_evaluation_counts_are_pinned() {
 fn parallel_figure_cells_are_byte_identical_across_thread_counts() {
     use mrts_bench::{par, Testbed, DEFAULT_SEED};
 
-    let tb = Testbed::new("h264", DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED).unwrap();
     let combos = [
         Resources::new(0, 1),
         Resources::new(1, 0),

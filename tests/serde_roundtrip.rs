@@ -12,7 +12,7 @@ use mrts_bench::Testbed;
 
 #[test]
 fn catalog_round_trips_through_json() {
-    let c = Testbed::new("h264", 1).catalog;
+    let c = Testbed::new("h264", 1).unwrap().catalog;
     let json = serde_json::to_string(&c).expect("serializes");
     let back: IseCatalog = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(c, back);
@@ -20,7 +20,7 @@ fn catalog_round_trips_through_json() {
 
 #[test]
 fn trace_round_trips_through_json() {
-    let t = Testbed::new("h264", 3).trace;
+    let t = Testbed::new("h264", 3).unwrap().trace;
     let json = serde_json::to_string(&t).expect("serializes");
     let back: Trace = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(t, back);
@@ -36,7 +36,9 @@ fn machine_round_trips_through_json() {
 
 #[test]
 fn run_stats_round_trip_through_json() {
-    let stats = Testbed::new("h264", 1).run(Resources::new(1, 1), &mut Mrts::new());
+    let stats = Testbed::new("h264", 1)
+        .unwrap()
+        .run(Resources::new(1, 1), &mut Mrts::new());
     let json = serde_json::to_string(&stats).expect("serializes");
     let back: RunStats = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(stats, back);

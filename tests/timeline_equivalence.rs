@@ -27,7 +27,7 @@
 //!    `LoadReady` at the time its `LoadIssued` promised).
 
 use mrts::arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts::baselines::{make_policy, PolicyTuning, POLICY_NAMES};
+use mrts::baselines::{make_policy, POLICY_NAMES};
 use mrts::core::Mrts;
 use mrts::fleet::{
     poisson_arrivals, run_fleet, AppRegistry, FleetConfig, FleetOutcome, PoissonConfig,
@@ -68,7 +68,7 @@ fn check_golden(name: &str, json: &str) {
 }
 
 fn testbed(spec: &str, seed: u64) -> (String, IseCatalog, Trace) {
-    let tb = mrts_bench::Testbed::new(spec, seed);
+    let tb = mrts_bench::Testbed::new(spec, seed).unwrap();
     (tb.name().to_owned(), tb.catalog, tb.trace)
 }
 
@@ -86,8 +86,7 @@ fn solo(
     }
     .expect("valid machine");
     let capacity = machine.capacity();
-    let mut p = make_policy(policy, catalog, capacity, trace, PolicyTuning::default())
-        .expect("known policy");
+    let mut p = make_policy(policy, catalog, capacity, trace).expect("known policy");
     Simulator::run(catalog, machine, trace, p.as_mut())
 }
 
@@ -173,8 +172,7 @@ fn solo_with_events(
     }
     .expect("valid machine");
     let capacity = machine.capacity();
-    let mut p = make_policy(policy, catalog, capacity, trace, PolicyTuning::default())
-        .expect("known policy");
+    let mut p = make_policy(policy, catalog, capacity, trace).expect("known policy");
     let mut sim = Simulator::new(catalog, machine);
     let sink = VecSink::new();
     sim.attach_events(0, Box::new(sink.clone()));
