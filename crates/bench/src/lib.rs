@@ -1,8 +1,10 @@
 //! # mrts-bench — the experiment harness
 //!
-//! One binary per figure of the paper's evaluation (Section 5):
+//! One runner, `figure NAME [--quick] [--threads N]`, prints every figure
+//! of the paper's evaluation (Section 5) and the extra studies; NAME is the
+//! stem of the figure's archived output in `results/`:
 //!
-//! | target | regenerates |
+//! | NAME | regenerates |
 //! |---|---|
 //! | `fig1_pif` | Fig. 1 — pif of the three deblocking-filter ISEs vs. executions |
 //! | `fig2_exec_behavior` | Fig. 2 — per-frame deblocking executions + best ISE |
@@ -19,23 +21,25 @@
 //! | `fig_domains` | extra — Fig. 8-style comparison on the h264, cv and cryptomix domains |
 //! | `fig_fleet_sweep` | extra — fleet accepted throughput vs offered load, dynamic vs static |
 //!
-//! This library holds the pieces the binaries share: the fabric-combination
-//! sweep, policy construction and run helpers, the order-preserving
-//! parallel sweep runner ([`par`]) and plain-text table printing.
-//! Everything is deterministic (fixed seeds) so figure output is
-//! reproducible bit for bit — including across `--threads` settings: cells
-//! are computed in parallel but assembled and printed in input order, so
-//! `--threads 1` and `--threads N` emit identical bytes.
+//! Each figure is one entry of [`figures::FIGURES`]; this library also
+//! holds what the figures and the CLI share: the fabric-combination grids,
+//! the [`Testbed`] that builds and runs an app, and the order-preserving
+//! parallel map ([`par`]). Everything is deterministic (fixed seeds) so
+//! figure output is reproducible bit for bit — including across
+//! `--threads` settings: cells are computed in parallel but assembled and
+//! printed in input order, so `--threads 1` and `--threads N` emit
+//! identical bytes.
 //!
-//! Host time is measured by `perfbench/`, not here: these binaries check
-//! the paper's numbers, and their output is byte-stable.
+//! Host time is measured by `perfbench/`, not here: the figures check the
+//! paper's numbers, and their output is byte-stable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod figures;
 pub mod par;
 
-use mrts_arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
+use mrts_arch::{ArchError, ArchParams, FaultModel, Machine, Resources};
 use mrts_baselines::make_policy;
 use mrts_ingest::ManifestModel;
 use mrts_ise::{Grain, Ise, IseCatalog, KernelId};
@@ -43,33 +47,27 @@ use mrts_sim::{RunStats, RuntimePolicy, Simulator};
 use mrts_workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 use std::error::Error;
 
-/// The seed every figure uses (printed in each header for reproducibility).
+/// The seed the figures use (printed in each header for reproducibility).
 pub const DEFAULT_SEED: u64 = 1;
 
 /// The Fig. 8 fabric sweep: CG fabrics 0..=4 × PRCs 0..=3 (the first
 /// combination, 0/0, is the RISC-mode reference).
 #[must_use]
 pub fn fig8_combos() -> Vec<Resources> {
-    let mut v = Vec::new();
-    for cg in 0..=4u16 {
-        for prc in 0..=3u16 {
-            v.push(Resources::new(cg, prc));
-        }
-    }
-    v
+    grid(4, 3)
 }
 
 /// The Fig. 9 sweep: CG fabrics 0..=3 × PRCs 0..=6 (the paper's surface
 /// puts its worst case at {0 CG, 4 PRCs}).
 #[must_use]
-pub fn fig9_combos() -> Vec<Resources> {
-    let mut v = Vec::new();
-    for cg in 0..=3u16 {
-        for prc in 0..=6u16 {
-            v.push(Resources::new(cg, prc));
-        }
-    }
-    v
+pub(crate) fn fig9_combos() -> Vec<Resources> {
+    grid(3, 6)
+}
+
+/// CG fabrics `0..=cg` × PRCs `0..=prc`, CG-major.
+fn grid(cg: u16, prc: u16) -> Vec<Resources> {
+    let row = move |cg| (0..=prc).map(move |prc| Resources::new(cg, prc));
+    (0..=cg).flat_map(row).collect()
 }
 
 /// Everything a figure run needs: one app's lowered workload model, its
@@ -94,7 +92,7 @@ impl Testbed {
     ///
     /// Returns the ingest error, which names the spec, if `spec` does not
     /// resolve, or the mapping error if its kernels fail to map.
-    pub fn new(spec: &str, seed: u64) -> Result<Self, Box<dyn Error>> {
+    pub fn new(spec: &str, seed: u64) -> Result<Self, Box<dyn Error + Send + Sync>> {
         let model = mrts_ingest::model(spec)?;
         let catalog = model
             .application()
@@ -155,36 +153,41 @@ impl Testbed {
 
     /// A fresh machine with the given fabric combination.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the combination's CG context slots overflow a `u16`
-    /// (see [`Machine::new`]); every figure's grid is far below that.
-    #[must_use]
-    pub fn machine(&self, combo: Resources) -> Machine {
-        Machine::new(ArchParams::default(), combo).expect("default params are valid")
+    /// Returns [`Machine::new`]'s error if the combination's CG context
+    /// slots overflow a `u16`; every figure's grid is far below that.
+    pub fn machine(&self, combo: Resources) -> Result<Machine, ArchError> {
+        Machine::new(ArchParams::default(), combo)
     }
 
     /// Runs one policy on one fabric combination.
-    #[must_use]
-    pub fn run(&self, combo: Resources, policy: &mut dyn RuntimePolicy) -> RunStats {
-        Simulator::run(&self.catalog, self.machine(combo), &self.trace, policy)
+    ///
+    /// # Errors
+    ///
+    /// As [`machine`](Self::machine).
+    pub fn run(
+        &self,
+        combo: Resources,
+        policy: &mut dyn RuntimePolicy,
+    ) -> Result<RunStats, ArchError> {
+        let machine = self.machine(combo)?;
+        Ok(Simulator::run(&self.catalog, machine, &self.trace, policy))
     }
 
     /// Runs one policy on one fabric combination with an armed fault model.
     ///
-    /// # Panics
+    /// # Errors
     ///
     /// As [`machine`](Self::machine).
-    #[must_use]
     pub fn run_with_faults(
         &self,
         combo: Resources,
         fault: FaultModel,
         policy: &mut dyn RuntimePolicy,
-    ) -> RunStats {
-        let machine = Machine::with_fault_model(ArchParams::default(), combo, fault)
-            .expect("default params are valid");
-        Simulator::run(&self.catalog, machine, &self.trace, policy)
+    ) -> Result<RunStats, ArchError> {
+        let machine = Machine::with_fault_model(ArchParams::default(), combo, fault)?;
+        Ok(Simulator::run(&self.catalog, machine, &self.trace, policy))
     }
 
     /// Runs the policy the factory builds under `name` (one of
@@ -194,54 +197,18 @@ impl Testbed {
     ///
     /// # Errors
     ///
-    /// Returns the factory's message if `name` is unknown.
-    ///
-    /// # Panics
-    ///
-    /// As [`machine`](Self::machine).
-    pub fn run_policy(&self, combo: Resources, name: &str) -> Result<RunStats, String> {
-        let machine = self.machine(combo);
+    /// Returns [`machine`](Self::machine)'s error, or the factory's message
+    /// if `name` is unknown.
+    pub fn run_policy(
+        &self,
+        combo: Resources,
+        name: &str,
+    ) -> Result<RunStats, Box<dyn Error + Send + Sync>> {
+        let machine = self.machine(combo)?;
         let mut policy = make_policy(name, &self.catalog, machine.capacity(), &self.trace)?;
-        Ok(Simulator::run(
-            &self.catalog,
-            machine,
-            &self.trace,
-            policy.as_mut(),
-        ))
+        let stats = Simulator::run(&self.catalog, machine, &self.trace, policy.as_mut());
+        Ok(stats)
     }
-}
-
-/// Geometric mean of a slice (1.0 for empty input).
-#[must_use]
-pub fn geo_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// Arithmetic mean (0.0 for empty input).
-#[must_use]
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Formats a cycles value as millions with three decimals (the Fig. 8
-/// y-axis unit).
-#[must_use]
-pub fn mcycles(c: Cycles) -> String {
-    format!("{:8.3}", c.as_mcycles())
-}
-
-/// Prints a standard figure header with the reproduction seed.
-pub fn print_header(figure: &str, description: &str, seed: u64) {
-    println!("================================================================");
-    println!("{figure} — {description}");
-    println!("(mRTS reproduction; deterministic, seed = {seed})");
-    println!("================================================================");
 }
 
 #[cfg(test)]
@@ -256,20 +223,33 @@ mod tests {
     }
 
     #[test]
-    fn means() {
-        assert!((geo_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert_eq!(geo_mean(&[]), 1.0);
-        assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
     fn testbed_builds_and_runs_smallest_combo() {
         let tb = Testbed::new("h264", DEFAULT_SEED).unwrap();
         assert_eq!(tb.kernel("deblock"), KernelId(10));
         let stats = tb.run_policy(Resources::NONE, "risc").unwrap();
         assert!(stats.total_busy().get() > 0);
         assert!(tb.run_policy(Resources::NONE, "bogus").is_err());
+    }
+
+    #[test]
+    fn an_oversized_machine_is_machine_new_s_error_not_a_panic() {
+        let tb = Testbed::new("toy", DEFAULT_SEED).unwrap();
+        let combo = Resources::new(21846, 0);
+        let expected = Machine::new(ArchParams::default(), combo).unwrap_err();
+        assert!(
+            matches!(expected, ArchError::InvalidParams(_)),
+            "{expected}"
+        );
+        assert_eq!(tb.machine(combo).unwrap_err(), expected);
+        let risc = mrts_sim::RiscOnlyPolicy::new;
+        assert_eq!(tb.run(combo, &mut risc()).unwrap_err(), expected);
+        assert_eq!(
+            tb.run_with_faults(combo, FaultModel::new(0.1, 7), &mut risc())
+                .unwrap_err(),
+            expected
+        );
+        let err = tb.run_policy(combo, "risc").unwrap_err();
+        assert_eq!(err.downcast_ref::<ArchError>(), Some(&expected));
     }
 
     #[test]

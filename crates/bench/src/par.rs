@@ -11,10 +11,10 @@
 //! text output is byte-identical whatever the worker count — the
 //! determinism contract DESIGN.md §7 spells out.
 //!
-//! The worker count is controlled by `--threads N` on every figure binary
-//! (parsed by [`ThreadConfig::from_args`]); `--threads 1` is the escape
-//! hatch that forces the serial path (no worker threads are spawned at
-//! all).
+//! The worker count is the figure runner's `--threads N` (every available
+//! core without it, see [`crate::figures::Opts`]); `--threads 1` is the
+//! escape hatch that forces the serial path (no worker threads are spawned
+//! at all).
 //!
 //! ```
 //! use mrts_bench::par;
@@ -27,68 +27,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
-
-/// Worker-count policy of a sweep run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadConfig {
-    /// An explicit request (`--threads N`); `None` means "use every
-    /// available core".
-    pub requested: Option<usize>,
-}
-
-impl ThreadConfig {
-    /// Configuration from the process arguments: `--threads N` (or
-    /// `--threads=N`, the last one winning); without it the sweep uses all
-    /// available cores.
-    ///
-    /// This is the sweep binaries' argument boundary: a value that is not
-    /// a positive integer prints `error: threads: …` and exits the process
-    /// with status 1 — a figure run with a silently mis-parsed worker count
-    /// would be hard to trust.
-    #[must_use]
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        Self::parse(&args).unwrap_or_else(|e| {
-            eprintln!("error: threads: {e}");
-            std::process::exit(1)
-        })
-    }
-
-    /// Testable core of [`Self::from_args`].
-    ///
-    /// # Errors
-    ///
-    /// When `--threads` has no value or is not a positive integer.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
-        let mut requested = None;
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let value = if a == "--threads" {
-                Some(it.next().ok_or("--threads requires a value")?.as_str())
-            } else {
-                a.strip_prefix("--threads=")
-            };
-            if let Some(v) = value {
-                let n = v.parse::<usize>().ok().filter(|&n| n > 0);
-                let n =
-                    n.ok_or_else(|| format!("--threads must be a positive integer, got {v:?}"))?;
-                requested = Some(n);
-            }
-        }
-        Ok(ThreadConfig { requested })
-    }
-
-    /// The worker count to use for `jobs` cells: the explicit request if
-    /// any, else every available core — never more workers than jobs and
-    /// never zero.
-    #[must_use]
-    pub fn effective(&self, jobs: usize) -> usize {
-        let cap = self.requested.unwrap_or_else(|| {
-            thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
-        cap.min(jobs).max(1)
-    }
-}
 
 /// Maps `f` over `jobs` on up to `threads` scoped workers and returns the
 /// results **in input order**. `f` receives `(index, &job)` so a cell can
@@ -134,22 +72,11 @@ where
         .collect()
 }
 
-/// [`map_ordered`] with the worker count taken from a [`ThreadConfig`].
-pub fn sweep<J, R, F>(config: ThreadConfig, jobs: &[J], f: F) -> Vec<R>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(usize, &J) -> R + Sync,
-{
-    map_ordered(config.effective(jobs.len()), jobs, f)
-}
-
 // The whole parallel harness rests on the testbed being shareable
 // read-only; keep that a compile-time fact.
 const _: () = {
     const fn assert_sync<T: Sync>() {}
     assert_sync::<crate::Testbed>();
-    assert_sync::<ThreadConfig>();
 };
 
 #[cfg(test)]
@@ -187,28 +114,5 @@ mod tests {
         let none: Vec<u32> = Vec::new();
         assert!(map_ordered(4, &none, |_, &j| j).is_empty());
         assert_eq!(map_ordered(4, &[9u32], |_, &j| j + 1), vec![10]);
-    }
-
-    #[test]
-    fn thread_config_parsing_precedence() {
-        let args = |s: &[&str]| s.iter().map(|x| (*x).to_owned()).collect::<Vec<_>>();
-        let requested = |a: &[&str]| ThreadConfig::parse(&args(a)).unwrap().requested;
-        assert_eq!(requested(&["bin"]), None);
-        assert_eq!(requested(&["bin", "--threads", "2"]), Some(2));
-        // The last flag wins.
-        assert_eq!(
-            requested(&["bin", "--threads=4", "--threads", "5"]),
-            Some(5)
-        );
-    }
-
-    #[test]
-    fn effective_caps_at_jobs_and_floors_at_one() {
-        let c = ThreadConfig { requested: Some(8) };
-        assert_eq!(c.effective(3), 3);
-        assert_eq!(c.effective(0), 1);
-        assert_eq!(c.effective(100), 8);
-        let one = ThreadConfig { requested: Some(1) };
-        assert_eq!(one.effective(100), 1);
     }
 }

@@ -19,12 +19,15 @@ use mrts_sim::{
 use mrts_workload::WorkloadModel;
 use std::io::Write;
 
-type CliResult = Result<(), Box<dyn std::error::Error>>;
+/// Every subcommand's error: `Send` and `Sync` like the testbed's, so one
+/// `?` carries either.
+type Error = Box<dyn std::error::Error + Send + Sync>;
+type CliResult = Result<(), Error>;
 
 /// The `--app`/`--seed` testbed. Builtin names
 /// (`h264|fft|cipher|toy|cv|cryptomix`) and manifest paths both lower
 /// through the ingestion pipeline, so every subcommand accepts either.
-fn testbed(args: &Args) -> Result<Testbed, Box<dyn std::error::Error>> {
+fn testbed(args: &Args) -> Result<Testbed, Error> {
     let seed: u64 = args.get_num("seed", 1)?;
     Testbed::new(args.get_or("app", "h264"), seed)
 }
@@ -103,7 +106,7 @@ fn simulate_once(
     policy_name: &str,
     recovery: RecoveryConfig,
     record: bool,
-) -> Result<(RunStats, Option<String>), Box<dyn std::error::Error>> {
+) -> Result<(RunStats, Option<String>), Error> {
     let mut p = make_policy(policy_name, &tb.catalog, machine.capacity(), &tb.trace)?;
     let mut sim = Simulator::new(&tb.catalog, machine).with_recovery(recovery);
     let sink = if record {
@@ -131,12 +134,7 @@ const MAX_COUNT: usize = 1 << 20;
 const MAX_THREADS: usize = 256;
 
 /// Parses a count flag bounded by `max`.
-fn get_count(
-    args: &Args,
-    name: &str,
-    default: usize,
-    max: usize,
-) -> Result<usize, Box<dyn std::error::Error>> {
+fn get_count(args: &Args, name: &str, default: usize, max: usize) -> Result<usize, Error> {
     let n: usize = args.get_num(name, default)?;
     if n > max {
         return Err(format!("--{name} {n} exceeds the limit of {max}").into());
@@ -145,7 +143,7 @@ fn get_count(
 }
 
 /// Parses `--threads`: at least one, at most [`MAX_THREADS`].
-fn get_threads(args: &Args) -> Result<usize, Box<dyn std::error::Error>> {
+fn get_threads(args: &Args) -> Result<usize, Error> {
     let threads = get_count(args, "threads", 1, MAX_THREADS)?;
     if threads == 0 {
         return Err("--threads must be at least 1".into());
@@ -165,7 +163,7 @@ fn replay<T: Send>(
     proof: &str,
     replica: impl Fn(usize) -> Result<T, String> + Sync,
     same: impl Fn(&T, &T) -> Result<bool, serde_json::Error>,
-) -> Result<T, Box<dyn std::error::Error>> {
+) -> Result<T, Error> {
     if threads == 1 {
         return Ok(replica(0)?);
     }

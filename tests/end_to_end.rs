@@ -17,7 +17,7 @@ fn bed() -> Testbed {
 fn every_policy_executes_the_whole_trace() {
     let bed = bed();
     let combo = Resources::new(2, 2);
-    let capacity = bed.machine(combo).capacity();
+    let capacity = bed.machine(combo).unwrap().capacity();
     let expected: u64 = bed
         .trace
         .activations()
@@ -42,7 +42,7 @@ fn every_policy_executes_the_whole_trace() {
         Box::new(Mrts::new()),
     ];
     for p in &mut policies {
-        let stats = bed.run(combo, p.as_mut());
+        let stats = bed.run(combo, p.as_mut()).unwrap();
         assert_eq!(
             stats.total_executions(),
             expected,
@@ -62,18 +62,24 @@ fn policy_ordering_holds_on_multi_grained_machines() {
         Resources::new(2, 2),
         Resources::new(3, 2),
     ] {
-        let capacity = bed.machine(combo).capacity();
-        let risc = bed.run(combo, &mut RiscOnlyPolicy::new());
-        let mrts = bed.run(combo, &mut Mrts::new());
-        let optimal = bed.run(combo, &mut Mrts::with_config(MrtsConfig::online_optimal()));
-        let offline = bed.run(
-            combo,
-            &mut StaticPolicy::offline_optimal(&bed.catalog, capacity, &bed.trace),
-        );
-        let morpheus = bed.run(
-            combo,
-            &mut StaticPolicy::loosely_coupled(&bed.catalog, capacity, &bed.trace),
-        );
+        let capacity = bed.machine(combo).unwrap().capacity();
+        let risc = bed.run(combo, &mut RiscOnlyPolicy::new()).unwrap();
+        let mrts = bed.run(combo, &mut Mrts::new()).unwrap();
+        let optimal = bed
+            .run(combo, &mut Mrts::with_config(MrtsConfig::online_optimal()))
+            .unwrap();
+        let offline = bed
+            .run(
+                combo,
+                &mut StaticPolicy::offline_optimal(&bed.catalog, capacity, &bed.trace),
+            )
+            .unwrap();
+        let morpheus = bed
+            .run(
+                combo,
+                &mut StaticPolicy::loosely_coupled(&bed.catalog, capacity, &bed.trace),
+            )
+            .unwrap();
         let t = |s: &RunStats| s.total_execution_time().get();
         // Everyone beats plain RISC-mode on a machine with fabric.
         for s in [&mrts, &optimal, &offline, &morpheus] {
@@ -99,8 +105,8 @@ fn policy_ordering_holds_on_multi_grained_machines() {
 fn runs_are_deterministic() {
     let bed = bed();
     let combo = Resources::new(2, 3);
-    let a = bed.run(combo, &mut Mrts::new());
-    let b = bed.run(combo, &mut Mrts::new());
+    let a = bed.run(combo, &mut Mrts::new()).unwrap();
+    let b = bed.run(combo, &mut Mrts::new()).unwrap();
     assert_eq!(a, b);
     // And the trace itself regenerates identically.
     let encoder = mrts::ingest::model("h264").expect("builtin h264 lowers");
@@ -114,8 +120,8 @@ fn runs_are_deterministic() {
 fn zero_fabric_machine_degenerates_to_risc_for_all_policies() {
     let bed = bed();
     let combo = Resources::NONE;
-    let risc = bed.run(combo, &mut RiscOnlyPolicy::new());
-    let mrts = bed.run(combo, &mut Mrts::new());
+    let risc = bed.run(combo, &mut RiscOnlyPolicy::new()).unwrap();
+    let mrts = bed.run(combo, &mut Mrts::new()).unwrap();
     // Identical busy cycles; only the decision overhead differs.
     assert_eq!(risc.total_busy(), mrts.total_busy());
 }
@@ -124,8 +130,10 @@ fn zero_fabric_machine_degenerates_to_risc_for_all_policies() {
 fn other_applications_also_profit() {
     for name in ["fft", "cipher"] {
         let tb = Testbed::new(name, 5).unwrap();
-        let risc = tb.run(Resources::new(1, 1), &mut RiscOnlyPolicy::new());
-        let mrts = tb.run(Resources::new(1, 1), &mut Mrts::new());
+        let risc = tb
+            .run(Resources::new(1, 1), &mut RiscOnlyPolicy::new())
+            .unwrap();
+        let mrts = tb.run(Resources::new(1, 1), &mut Mrts::new()).unwrap();
         assert!(
             mrts.total_execution_time() < risc.total_execution_time(),
             "{name}: mRTS must accelerate"
@@ -136,7 +144,7 @@ fn other_applications_also_profit() {
 #[test]
 fn machine_state_persists_across_traces() {
     let bed = bed();
-    let mut sim = Simulator::new(&bed.catalog, bed.machine(Resources::new(2, 2)));
+    let mut sim = Simulator::new(&bed.catalog, bed.machine(Resources::new(2, 2)).unwrap());
     let mut mrts = Mrts::new();
     let acts = bed.trace.activations();
     let first = Trace::new("a", acts[..24].to_vec());
@@ -149,7 +157,7 @@ fn machine_state_persists_across_traces() {
     // Both halves executed.
     assert!(s1.total_executions() > 0 && s2.total_executions() > 0);
     // Split run equals the single run (same machine state evolution).
-    let whole = bed.run(Resources::new(2, 2), &mut Mrts::new());
+    let whole = bed.run(Resources::new(2, 2), &mut Mrts::new()).unwrap();
     assert_eq!(
         whole.total_busy(),
         s1.total_busy() + s2.total_busy(),

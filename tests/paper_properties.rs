@@ -102,7 +102,7 @@ fn fig2_best_ise_changes_across_frames() {
 
 /// Total execution time of one policy on one fabric combination.
 fn run(tb: &Testbed, combo: Resources, p: &mut dyn RuntimePolicy) -> u64 {
-    tb.run(combo, p).total_execution_time().get()
+    tb.run(combo, p).unwrap().total_execution_time().get()
 }
 
 #[test]
@@ -112,7 +112,7 @@ fn fig8_orderings_and_applicability() {
 
     // MG machine: mRTS beats both static schemes clearly.
     let combo = Resources::new(2, 2);
-    let capacity = tb.machine(combo).capacity();
+    let capacity = tb.machine(combo).unwrap().capacity();
     let mrts = run(&tb, combo, &mut Mrts::new());
     let offline = run(
         &tb,
@@ -136,7 +136,7 @@ fn fig8_orderings_and_applicability() {
     // Applicability (Section 5.2): on a single-fabric machine mRTS
     // collapses to the loosely coupled paradigm — results become similar.
     let fg_only = Resources::prc_only(2);
-    let cap_fg = tb.machine(fg_only).capacity();
+    let cap_fg = tb.machine(fg_only).unwrap().capacity();
     let mrts_fg = run(&tb, fg_only, &mut Mrts::new()) as f64;
     let morph_fg = run(
         &tb,
@@ -162,7 +162,7 @@ fn static_baselines_keep_their_candidates_and_execution_styles() {
     let tb = h264();
     let mut offline_intermediate = 0;
     for combo in fig8_combos() {
-        let capacity = tb.machine(combo).capacity();
+        let capacity = tb.machine(combo).unwrap().capacity();
         let loose = StaticPolicy::loosely_coupled(&tb.catalog, capacity, &tb.trace);
         let tight = StaticPolicy::offline_optimal(&tb.catalog, capacity, &tb.trace);
         for (_, id) in loose.assignment() {
@@ -178,6 +178,7 @@ fn static_baselines_keep_their_candidates_and_execution_styles() {
             let fault = FaultModel::new(rate, 7);
             let morpheus = tb
                 .run_with_faults(combo, fault.clone(), &mut loose.clone())
+                .unwrap()
                 .class_histogram();
             for class in morpheus.keys() {
                 assert!(
@@ -187,6 +188,7 @@ fn static_baselines_keep_their_candidates_and_execution_styles() {
             }
             let offline = tb
                 .run_with_faults(combo, fault, &mut tight.clone())
+                .unwrap()
                 .class_histogram();
             assert!(
                 !offline.contains_key(&ExecClass::MonoCg),
@@ -249,7 +251,7 @@ fn fig10_speedups_by_grain_group() {
 #[test]
 fn section_5_4_overhead_bounds() {
     let mut mrts = Mrts::new();
-    let stats = h264().run(Resources::new(2, 2), &mut mrts);
+    let stats = h264().run(Resources::new(2, 2), &mut mrts).unwrap();
     assert!(
         mrts.avg_selection_cycles_per_kernel() < 3_000.0,
         "selection cost per kernel: {}",

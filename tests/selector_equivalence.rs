@@ -994,7 +994,7 @@ fn parallel_figure_cells_are_byte_identical_across_thread_counts() {
         Resources::new(2, 2),
     ];
     let render = |_: usize, combo: &Resources| {
-        let stats = tb.run(*combo, &mut mrts::core::Mrts::new());
+        let stats = tb.run(*combo, &mut mrts::core::Mrts::new()).unwrap();
         format!(
             "{combo}: {:>12} cycles, {} executions",
             stats.total_execution_time().get(),

@@ -38,7 +38,8 @@ fn machine_round_trips_through_json() {
 fn run_stats_round_trip_through_json() {
     let stats = Testbed::new("h264", 1)
         .unwrap()
-        .run(Resources::new(1, 1), &mut Mrts::new());
+        .run(Resources::new(1, 1), &mut Mrts::new())
+        .unwrap();
     let json = serde_json::to_string(&stats).expect("serializes");
     let back: RunStats = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(stats, back);
