@@ -105,6 +105,23 @@ impl Fabric {
         }
     }
 
+    /// Feeds every held id, resident or streaming, to `f` in slot order
+    /// (unsorted) and returns the numbers of free and of working
+    /// containers: what [`Fabric::for_each_resident_id`] at `Cycles::MAX`,
+    /// [`Fabric::free_count`] and the machine's capacity read, in one walk.
+    pub fn take_stock(&self, mut f: impl FnMut(LoadedId)) -> (u16, u16) {
+        let (mut free, mut working) = (0, 0);
+        for slot in &self.slots {
+            match *slot {
+                Slot::Empty => free += 1,
+                Slot::Loading { id, .. } | Slot::Loaded { id } => f(id),
+                Slot::Failed => continue,
+            }
+            working += 1;
+        }
+        (free, working)
+    }
+
     /// Whether artefact `id` is resident and usable at `now`.
     #[must_use]
     pub fn is_resident(&self, id: LoadedId, now: Cycles) -> bool {
@@ -156,15 +173,18 @@ impl Fabric {
     }
 
     /// Converts every load whose `ready_at` has passed into a loaded
-    /// container.
-    pub(crate) fn settle(&mut self, now: Cycles) {
+    /// container. Returns whether any did.
+    pub(crate) fn settle(&mut self, now: Cycles) -> bool {
+        let mut loaded = false;
         for slot in &mut self.slots {
             if let Slot::Loading { id, ready_at } = *slot {
                 if now >= ready_at {
                     *slot = Slot::Loaded { id };
+                    loaded = true;
                 }
             }
         }
+        loaded
     }
 
     /// Frees the container holding (or loading) `id`. Returns whether one
@@ -208,6 +228,23 @@ mod tests {
     use super::*;
 
     #[test]
+    fn take_stock_is_the_three_separate_reads() {
+        let mut f = Fabric::new(5);
+        f.place(7, Cycles::new(50));
+        f.place(3, Cycles::ZERO);
+        f.settle(Cycles::new(10));
+        f.fail_one_empty();
+        let mut held = Vec::new();
+        let (free, working) = f.take_stock(|id| held.push(id));
+        assert_eq!(held, [7, 3]);
+        let mut resident = Vec::new();
+        f.for_each_resident_id(Cycles::MAX, |id| resident.push(id));
+        assert_eq!(held, resident);
+        assert_eq!((free, working), (f.free_count(), f.working_count()));
+        assert_eq!((free, working), (2, 4));
+    }
+
+    #[test]
     fn place_takes_the_first_free_container() {
         let mut f = Fabric::new(2);
         assert!(f.place(1, Cycles::new(10)));
@@ -231,8 +268,10 @@ mod tests {
         f.place(42, Cycles::new(100));
         assert!(!f.is_resident(42, Cycles::new(99)));
         assert!(f.is_resident(42, Cycles::new(100)));
-        f.settle(Cycles::new(100));
+        assert!(!f.settle(Cycles::new(99)), "nothing is due yet");
+        assert!(f.settle(Cycles::new(100)));
         assert_eq!(f.slots[0], Slot::Loaded { id: 42 });
+        assert!(!f.settle(Cycles::new(200)), "already loaded");
         // Once settled, the artefact is resident at any time.
         assert!(f.is_resident(42, Cycles::ZERO));
     }

@@ -295,10 +295,13 @@ impl Machine {
     }
 
     /// Folds completed loads into fabric state; call when time advances.
-    pub fn settle(&mut self, now: Cycles) {
-        self.fg.settle(now);
-        self.cg.settle(now);
+    /// Returns whether any container became loaded: when none did, the
+    /// set of loaded containers is what it was before the call.
+    pub fn settle(&mut self, now: Cycles) -> bool {
+        let fg = self.fg.settle(now);
+        let cg = self.cg.settle(now);
         self.controller.settle(now);
+        fg | cg
     }
 
     /// Re-partitions the machine to a new capacity `target`, expressed in

@@ -4,7 +4,7 @@
 
 use crate::StaticPolicy;
 use mrts_arch::Resources;
-use mrts_core::{Mrts, MrtsConfig};
+use mrts_core::{Mrts, MrtsConfig, SelectionMemo};
 use mrts_ise::IseCatalog;
 use mrts_sim::{RiscOnlyPolicy, RuntimePolicy};
 use mrts_workload::Trace;
@@ -20,6 +20,9 @@ pub const POLICY_NAMES: &[&str] = &["mrts", "risc", "rispp", "morpheus", "offlin
 /// them. In a multi-tenant run each tenant gets its own instance built
 /// from *its* catalogue and fabric slice.
 ///
+/// `memo`, when given, is attached to the mRTS presets
+/// ([`Mrts::with_memo`]); the other policies ignore it.
+///
 /// # Errors
 ///
 /// Returns a message listing the accepted names if `name` is unknown.
@@ -28,18 +31,26 @@ pub fn make_policy(
     catalog: &IseCatalog,
     capacity: Resources,
     trace: &Trace,
+    memo: Option<&SelectionMemo>,
 ) -> Result<Box<dyn RuntimePolicy>, String> {
+    let mrts = |config| {
+        let mrts = Mrts::with_config(config);
+        Box::new(match memo {
+            Some(memo) => mrts.with_memo(memo.clone()),
+            None => mrts,
+        })
+    };
     match name {
-        "mrts" => Ok(Box::new(Mrts::new())),
+        "mrts" => Ok(mrts(MrtsConfig::default())),
         "risc" => Ok(Box::new(RiscOnlyPolicy::new())),
-        "rispp" => Ok(Box::new(Mrts::with_config(MrtsConfig::rispp_like()))),
+        "rispp" => Ok(mrts(MrtsConfig::rispp_like())),
         "morpheus" => Ok(Box::new(StaticPolicy::loosely_coupled(
             catalog, capacity, trace,
         ))),
         "offline" => Ok(Box::new(StaticPolicy::offline_optimal(
             catalog, capacity, trace,
         ))),
-        "optimal" => Ok(Box::new(Mrts::with_config(MrtsConfig::online_optimal()))),
+        "optimal" => Ok(mrts(MrtsConfig::online_optimal())),
         other => Err(format!(
             "unknown policy '{other}' ({})",
             POLICY_NAMES.join("|")
@@ -64,10 +75,10 @@ mod tests {
         let trace = synthetic_trace(&toy, &[Pattern::Constant(100)], 2);
         let capacity = Resources::new(2, 2);
         for name in POLICY_NAMES {
-            let p = make_policy(name, &catalog, capacity, &trace);
+            let p = make_policy(name, &catalog, capacity, &trace, None);
             assert!(p.is_ok(), "policy '{name}' failed to build");
         }
-        assert!(make_policy("bogus", &catalog, capacity, &trace).is_err());
+        assert!(make_policy("bogus", &catalog, capacity, &trace, None).is_err());
     }
 
     #[test]
@@ -85,7 +96,7 @@ mod tests {
             ("rispp", MrtsConfig::rispp_like()),
             ("optimal", MrtsConfig::online_optimal()),
         ] {
-            let mut policy = make_policy(name, &catalog, capacity, &trace).unwrap();
+            let mut policy = make_policy(name, &catalog, capacity, &trace, None).unwrap();
             let by_name = mrts_sim::Simulator::run(&catalog, machine(), &trace, policy.as_mut());
             let preset = mrts_sim::Simulator::run(
                 &catalog,

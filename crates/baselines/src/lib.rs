@@ -34,4 +34,6 @@ mod factory;
 mod static_policy;
 
 pub use factory::{make_policy, POLICY_NAMES};
+/// The memo [`make_policy`] attaches to the mRTS presets.
+pub use mrts_core::SelectionMemo;
 pub use static_policy::StaticPolicy;

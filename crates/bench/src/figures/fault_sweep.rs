@@ -69,7 +69,7 @@ pub(super) fn body(out: &mut dyn Write, opts: &Opts) -> io::Result<bool> {
         .flat_map(|&rate| FAULT_SEEDS.iter().map(move |&seed| (rate, seed)))
         .collect();
     let run = |name, rate, seed| -> Result<RunStats, Box<dyn Error + Send + Sync>> {
-        let mut policy = make_policy(name, &tb.catalog, capacity, &tb.trace)?;
+        let mut policy = make_policy(name, &tb.catalog, capacity, &tb.trace, None)?;
         let fault = FaultModel::new(rate, seed);
         let stats = tb.run_with_faults(HEADLINE, fault, policy.as_mut())?;
         // Recovery accounting must never lose executions.

@@ -205,7 +205,7 @@ impl Testbed {
         name: &str,
     ) -> Result<RunStats, Box<dyn Error + Send + Sync>> {
         let machine = self.machine(combo)?;
-        let mut policy = make_policy(name, &self.catalog, machine.capacity(), &self.trace)?;
+        let mut policy = make_policy(name, &self.catalog, machine.capacity(), &self.trace, None)?;
         let stats = Simulator::run(&self.catalog, machine, &self.trace, policy.as_mut());
         Ok(stats)
     }

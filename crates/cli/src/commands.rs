@@ -107,7 +107,13 @@ fn simulate_once(
     recovery: RecoveryConfig,
     record: bool,
 ) -> Result<(RunStats, Option<String>), Error> {
-    let mut p = make_policy(policy_name, &tb.catalog, machine.capacity(), &tb.trace)?;
+    let mut p = make_policy(
+        policy_name,
+        &tb.catalog,
+        machine.capacity(),
+        &tb.trace,
+        None,
+    )?;
     let mut sim = Simulator::new(&tb.catalog, machine).with_recovery(recovery);
     let sink = if record {
         let sink = VecSink::new();

@@ -62,6 +62,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod ecu;
+pub mod memo;
 pub mod mpu;
 pub mod optimal;
 pub mod profit;
@@ -69,6 +70,7 @@ pub mod runtime;
 pub mod selector;
 
 pub use ecu::EcuConfig;
+pub use memo::SelectionMemo;
 pub use mpu::Mpu;
 pub use optimal::dp_optimal_selection;
 pub use profit::{expected_profit, ProfitBreakdown, StageProfit};

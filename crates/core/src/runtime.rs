@@ -8,6 +8,7 @@
 //! monoCG-Extension, [`MrtsConfig::online_optimal`] swaps the search.
 
 use crate::ecu::{self, EcuConfig};
+use crate::memo::{self, SelectionMemo};
 use crate::mpu::Mpu;
 use crate::optimal::dp_optimal_selection;
 use crate::profit::{ExpectedProfitEval, ProfitEvalBuffers};
@@ -126,6 +127,10 @@ struct FabricAccount {
     kernels: Vec<KernelId>,
     /// Loaded ids present on the fabric, resident or streaming, ascending.
     present: Vec<u64>,
+    /// The machine's free fabric.
+    free: Resources,
+    /// The machine's capacity (working containers).
+    capacity: Resources,
     /// Present catalogue units of kernels outside the forecast, ascending:
     /// what the block may reclaim. Ids outside the catalogue belong to
     /// other tasks sharing the fabric: they occupy slots but are not ours
@@ -136,19 +141,28 @@ struct FabricAccount {
 }
 
 impl FabricAccount {
-    /// Opening step, before selection: takes stock of the fabric for
-    /// `forecast` and returns the selection budget, the free fabric plus
-    /// the evictable units. A tenant's share of a shared fabric is its
-    /// machine's capacity, so the budget never exceeds it.
+    /// Takes stock of the fabric in one walk of each: every id it holds,
+    /// resident or streaming, ascending, the free fabric and the capacity.
+    /// The memo key, [`FabricAccount::open`] and [`FabricAccount::close`]
+    /// read this stock.
+    fn take_stock(&mut self, ctx: &SelectionContext<'_>) {
+        let present = &mut self.present;
+        present.clear();
+        let (fg_free, fg_working) = ctx.machine.fg().take_stock(|id| present.push(id));
+        let (cg_free, cg_working) = ctx.machine.cg().take_stock(|id| present.push(id));
+        present.sort_unstable();
+        self.free = Resources::new(cg_free, fg_free);
+        self.capacity = Resources::new(cg_working, fg_working);
+    }
+
+    /// Opening step, before selection: accounts the stock
+    /// [`FabricAccount::take_stock`] took for `forecast` and returns the
+    /// selection budget, the free fabric plus the evictable units. A
+    /// tenant's share of a shared fabric is its machine's capacity, so the
+    /// budget never exceeds it.
     fn open(&mut self, ctx: &SelectionContext<'_>, forecast: &TriggerBlock) -> Resources {
         self.kernels.clear();
         self.kernels.extend(forecast.iter().map(|t| t.kernel));
-        let present = &mut self.present;
-        present.clear();
-        for fabric in [ctx.machine.fg(), ctx.machine.cg()] {
-            fabric.for_each_resident_id(Cycles::MAX, |id| present.push(id));
-        }
-        present.sort_unstable();
         let kernels = &self.kernels;
         self.evictable.clear();
         self.evictable.extend(
@@ -166,7 +180,7 @@ impl FabricAccount {
             .iter()
             .map(|&u| ctx.catalog.unit(u).resources())
             .sum();
-        self.budget = ctx.machine.free_resources() + evictable;
+        self.budget = self.free + evictable;
         self.budget
     }
 
@@ -224,9 +238,8 @@ impl FabricAccount {
 
         // Evict only what the new loads actually displace.
         let need = demand(load_order);
-        let free = ctx.machine.free_resources();
-        let mut cg_short = need.cg().saturating_sub(free.cg());
-        let mut prc_short = need.prc().saturating_sub(free.prc());
+        let mut cg_short = need.cg().saturating_sub(self.free.cg());
+        let mut prc_short = need.prc().saturating_sub(self.free.prc());
         evict.clear();
         for &u in &self.evictable {
             if cg_short == 0 && prc_short == 0 {
@@ -408,6 +421,11 @@ pub struct Mrts {
     profit_bufs: ProfitEvalBuffers,
     /// Reusable MPU-corrected forecast for the current block.
     forecast_buf: mrts_ise::TriggerBlock,
+    /// The shared selection memo, if one is attached
+    /// ([`Mrts::with_memo`]).
+    memo: Option<SelectionMemo>,
+    /// Reusable memo key of the current trigger.
+    memo_key: Vec<u64>,
 }
 
 impl Mrts {
@@ -431,7 +449,22 @@ impl Mrts {
             sel_scratch: crate::selector::SelectorScratch::new(),
             profit_bufs: ProfitEvalBuffers::default(),
             forecast_buf: mrts_ise::TriggerBlock::new(mrts_ise::BlockId(0), Vec::new()),
+            memo: None,
+            memo_key: Vec::new(),
         }
+    }
+
+    /// Attaches a shared, exact [`SelectionMemo`] (builder form): a
+    /// trigger whose selection input equals one the memo holds reuses the
+    /// stored plan instead of selecting, with the same plan, the same
+    /// timeline charge and the same [`Mrts::avg_selection_cycles_per_kernel`]
+    /// as a fresh selection. Worth it only where triggers repeat across
+    /// policies sharing the memo, as a fleet's sessions of one
+    /// application do.
+    #[must_use]
+    pub fn with_memo(mut self, memo: SelectionMemo) -> Self {
+        self.memo = Some(memo);
+        self
     }
 
     /// The configuration in use.
@@ -456,6 +489,88 @@ impl Mrts {
             return 0.0;
         }
         self.total_selection_cycles as f64 / self.total_kernels_selected as f64
+    }
+
+    /// Steps 2–4 for the staged `forecast` over the stock the account
+    /// took: open the fabric account, select, close. Returns the plan,
+    /// its overhead still zero, and the selection's computed cycles.
+    fn select_fresh(
+        &mut self,
+        ctx: &SelectionContext<'_>,
+        forecast: &TriggerBlock,
+    ) -> (BlockPlan, Cycles) {
+        // 2. Fabric status: units of kernels outside this block are
+        //    evictable; their slots extend the selector's budget. A
+        //    container lost to a permanent fault has already left the
+        //    machine, so fault recovery is plain re-selection.
+        let budget = self.account.open(ctx, forecast);
+
+        // 3. The selection: the greedy heuristic (Fig. 6) or the exact
+        //    optimum. Residency at `now` is the engine's block-start
+        //    capture; each probe is an inlined bit test.
+        let resident = |u: UnitId| ctx.is_resident(u);
+        let mut profit = PolicyProfit::new(&self.config, ctx, &resident, &mut self.profit_bufs);
+        let selection = select(
+            &self.config,
+            ctx,
+            forecast,
+            budget,
+            &resident,
+            &mut profit,
+            &mut self.sel_scratch,
+        );
+        profit.recycle(&mut self.profit_bufs);
+        self.sel_scratch.reclaim_selected(selection.selected);
+
+        // 4. Pre-load monoCG-Extensions with the leftover CG budget and
+        //    evict only what the new loads actually displace.
+        let mut load_order = selection.load_order;
+        let mut evict = std::mem::take(&mut self.evict_buf);
+        self.account.close(
+            ctx,
+            &selection.choices,
+            &self.config.ecu,
+            &mut load_order,
+            &mut evict,
+        );
+        let plan = BlockPlan {
+            selections: selection.choices,
+            evict,
+            load_order,
+            overhead: Cycles::ZERO,
+        };
+        (plan, selection.overhead_cycles)
+    }
+
+    /// A plan on the recycled buffers, for a memo hit to refill.
+    fn spare_plan(&mut self) -> BlockPlan {
+        let (selections, load_order) = self.sel_scratch.take_plan_buffers();
+        BlockPlan {
+            selections,
+            evict: std::mem::take(&mut self.evict_buf),
+            load_order,
+            overhead: Cycles::ZERO,
+        }
+    }
+
+    /// Debug builds check every memo hit: a fresh selection must give the
+    /// stored plan and computed cycles, and with them the same counters.
+    #[cfg(debug_assertions)]
+    fn verify_hit(
+        &mut self,
+        ctx: &SelectionContext<'_>,
+        forecast: &TriggerBlock,
+        plan: &BlockPlan,
+        computed: Cycles,
+    ) {
+        let (fresh, fresh_computed) = self.select_fresh(ctx, forecast);
+        assert_eq!(
+            (plan, computed),
+            (&fresh, fresh_computed),
+            "memo hit differs from a fresh selection of {}",
+            forecast.block
+        );
+        self.recycle_plan(fresh);
     }
 }
 
@@ -482,7 +597,8 @@ impl RuntimePolicy for Mrts {
         // this block runs pure RISC. Selecting against an empty budget
         // cannot choose anything, so skip the selector entirely: the tenant
         // sheds the decision overhead along with the speedup.
-        if ctx.machine.capacity().is_empty() {
+        self.account.take_stock(ctx);
+        if self.account.capacity.is_empty() {
             self.blocks_planned += 1;
             return BlockPlan {
                 selections: ctx.forecast.iter().map(|t| (t.kernel, None)).collect(),
@@ -502,47 +618,39 @@ impl RuntimePolicy for Mrts {
         );
         stage_forecast(&self.mpu, self.config.use_mpu, ctx.forecast, &mut forecast);
 
-        // 2. Fabric status: units of kernels outside this block are
-        //    evictable; their slots extend the selector's budget. A
-        //    container lost to a permanent fault has already left the
-        //    machine, so fault recovery is plain re-selection.
-        let budget = self.account.open(ctx, &forecast);
-
-        // 3. The selection: the greedy heuristic (Fig. 6) or the exact
-        //    optimum. Residency at `now` is the engine's block-start
-        //    capture; each probe is an inlined bit test.
-        let resident = |u: UnitId| ctx.is_resident(u);
-        let mut profit = PolicyProfit::new(&self.config, ctx, &resident, &mut self.profit_bufs);
-        let selection = select(
-            &self.config,
-            ctx,
-            &forecast,
-            budget,
-            &resident,
-            &mut profit,
-            &mut self.sel_scratch,
-        );
-        profit.recycle(&mut self.profit_bufs);
-        self.sel_scratch.reclaim_selected(selection.selected);
-
-        // 4. Pre-load monoCG-Extensions with the leftover CG budget and
-        //    evict only what the new loads actually displace.
-        let mut load_order = selection.load_order;
-        let mut evict = std::mem::take(&mut self.evict_buf);
-        self.account.close(
-            ctx,
-            &selection.choices,
-            &self.config.ecu,
-            &mut load_order,
-            &mut evict,
-        );
+        // 2.–4. The selection plan: from the memo when it holds this
+        //    trigger's input, else selected afresh (and stored).
+        let hide = self.config.hide_overhead && self.blocks_planned > 0;
+        let memo = self.memo.take();
+        let (mut plan, computed) = match &memo {
+            Some(memo) if memo.serves(&self.config, ctx.catalog) => {
+                let stock = (
+                    &self.account.present[..],
+                    self.account.free,
+                    self.account.capacity,
+                );
+                memo::write_key(&mut self.memo_key, ctx, &forecast, stock, hide);
+                let mut plan = self.spare_plan();
+                if let Some(computed) = memo.lookup(&self.memo_key, &mut plan) {
+                    #[cfg(debug_assertions)]
+                    self.verify_hit(ctx, &forecast, &plan, computed);
+                    (plan, computed)
+                } else {
+                    self.recycle_plan(plan);
+                    let (plan, computed) = self.select_fresh(ctx, &forecast);
+                    memo.insert(&self.memo_key, &plan, computed);
+                    (plan, computed)
+                }
+            }
+            _ => self.select_fresh(ctx, &forecast),
+        };
+        self.memo = memo;
 
         // 5. Overhead accounting (Section 5.4): the computation after the
         //    first per-kernel selection overlaps the reconfiguration it
         //    already launched.
-        let computed = selection.overhead_cycles;
         let kernels = forecast.kernel_count().max(1) as u64;
-        let charged = if self.config.hide_overhead && self.blocks_planned > 0 {
+        plan.overhead = if hide {
             Cycles::new(computed.get() / kernels)
         } else {
             computed
@@ -551,13 +659,7 @@ impl RuntimePolicy for Mrts {
         self.total_selection_cycles += computed.get();
         self.total_kernels_selected += kernels;
         self.forecast_buf = forecast;
-
-        BlockPlan {
-            selections: selection.choices,
-            evict,
-            load_order,
-            overhead: charged,
-        }
+        plan
     }
 
     fn plan_execution(
@@ -763,6 +865,7 @@ mod tests {
         };
 
         let mut account = FabricAccount::default();
+        account.take_stock(&ctx);
         let budget = account.open(&ctx, &forecast);
         assert_eq!(account.evictable, vec![other_unit]);
         assert_eq!(

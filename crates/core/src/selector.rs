@@ -896,6 +896,16 @@ impl SelectorScratch {
         }
     }
 
+    /// Takes the spare choice list and load order, for a plan built
+    /// outside the selector (a memo hit) to refill;
+    /// [`SelectorScratch::reclaim`] returns them.
+    pub(crate) fn take_plan_buffers(&mut self) -> (Vec<(KernelId, Option<IseId>)>, Vec<UnitId>) {
+        (
+            std::mem::take(&mut self.choices_spare),
+            std::mem::take(&mut self.load_order_spare),
+        )
+    }
+
     /// Returns a consumed selection's `selected` list, so the next
     /// selection reuses it and its entries' unit buffers.
     pub fn reclaim_selected(&mut self, selected: Vec<SelectedIse>) {

@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use mrts_arch::{ArchParams, Cycles, Resources};
 use mrts_multitask::{
     estimate_utilization_ppm, AdmissionController, AdmissionOutcome, AdmissionPolicy, Criticality,
-    MultitaskConfig, MultitaskError, MultitaskRunner, Slo, StepOutcome, TenantSpec,
+    MultitaskConfig, MultitaskError, MultitaskRunner, SelectionMemo, Slo, StepOutcome, TenantSpec,
 };
 use mrts_sim::{FabricStats, FleetStats, MultitaskStats, SessionStats, SimEvent};
 
@@ -256,17 +256,45 @@ impl<'a> Shard<'a> {
 
     /// The session's projected utilization against lane `lane`'s base
     /// share — the price the admission controller charges.
-    fn price(&self, registry: &AppRegistry, sub: &Submission, lane: usize) -> u64 {
+    fn price(&self, apps: &Apps<'_>, sub: &Submission, lane: usize) -> u64 {
+        estimate_utilization_ppm(&apps.spec(sub), self.bases[lane])
+    }
+}
+
+/// What one [`run_fleet`] call serves sessions from: the registry and one
+/// selection memo per app, shared by every session of the app on every
+/// shard and dropped when the call returns. Sessions replay a few trace
+/// variants on equal lane shares, so nearly every trigger repeats one an
+/// earlier session met (DESIGN.md §7.4).
+struct Apps<'a> {
+    registry: &'a AppRegistry,
+    memos: Vec<SelectionMemo>,
+}
+
+impl<'a> Apps<'a> {
+    fn new(registry: &'a AppRegistry) -> Self {
+        let memos = registry
+            .names()
+            .iter()
+            .map(|_| SelectionMemo::new())
+            .collect();
+        Apps { registry, memos }
+    }
+
+    /// The tenant of submission `sub`, sharing its app's memo.
+    fn spec(&self, sub: &Submission) -> TenantSpec<'_> {
+        let app = sub.app;
         let mut spec = TenantSpec::new(
-            registry.name(sub.app),
-            registry.catalog(sub.app),
-            registry.trace(sub.app, sub.variant),
+            self.registry.name(app),
+            self.registry.catalog(app),
+            self.registry.trace(app, sub.variant),
         )
-        .with_weight(sub.weight);
+        .with_weight(sub.weight)
+        .with_memo(&self.memos[app]);
         if let Some(slo) = sub.slo {
             spec = spec.with_slo(slo);
         }
-        estimate_utilization_ppm(&spec, self.bases[lane])
+        spec
     }
 }
 
@@ -339,6 +367,7 @@ pub fn run_fleet(
     }
     let window = cfg.window.get();
     let subs = parse_arrivals(registry, records, window)?;
+    let apps = Apps::new(registry);
 
     // Shard runners start empty, with their admission control off: the
     // fleet's per-shard controllers are the admission authority.
@@ -419,13 +448,13 @@ pub fn run_fleet(
             // A lagging (necessarily idle) shard catches up to the arrival.
             shard.runner.advance_clock_to(sub.submitted);
             let global = sub.global;
-            submit(registry, shard, target, sub, cfg, dynamic, &mut sessions)?;
+            submit(&apps, shard, target, sub, cfg, dynamic, &mut sessions)?;
             check_window(shard, window, global)?;
             continue;
         }
 
         let Some(s) = active else { break };
-        step_shard(registry, &mut shards, s, dynamic, window, &mut sessions)?;
+        step_shard(&apps, &mut shards, s, dynamic, window, &mut sessions)?;
     }
 
     // Assemble the fleet aggregates and drain the shard runners.
@@ -488,7 +517,7 @@ pub fn run_fleet(
 /// Delivers one arrival to its placed shard: price it if a lane is free
 /// and nothing is ahead of it in the queue, otherwise queue or reject.
 fn submit<'a>(
-    registry: &'a AppRegistry,
+    apps: &'a Apps<'a>,
     shard: &mut Shard<'a>,
     fabric: usize,
     sub: Submission,
@@ -499,12 +528,12 @@ fn submit<'a>(
     let g = sub.global as usize;
     if shard.queue.is_empty() {
         if let Some(lane) = shard.free_lane() {
-            let util = shard.price(registry, &sub, lane);
+            let util = shard.price(apps, &sub, lane);
             let (cidx, outcome) = shard.controller.offer(util);
             match outcome {
                 AdmissionOutcome::Admitted => {
                     admit_now(
-                        registry, shard, fabric, sub, util, cidx, false, dynamic, sessions,
+                        apps, shard, fabric, sub, util, cidx, false, dynamic, sessions,
                     )?;
                 }
                 AdmissionOutcome::Rejected => {
@@ -516,7 +545,7 @@ fn submit<'a>(
                         // starve an idle fabric.
                         shard.controller.admit_anyway(cidx);
                         admit_now(
-                            registry, shard, fabric, sub, util, cidx, false, dynamic, sessions,
+                            apps, shard, fabric, sub, util, cidx, false, dynamic, sessions,
                         )?;
                     } else if shard.queue.len() < cfg.queue_cap {
                         sessions[g].queued = true;
@@ -553,7 +582,7 @@ fn submit<'a>(
 /// back from over-granted incumbents first under the dynamic arbiter.
 #[allow(clippy::too_many_arguments)]
 fn admit_now<'a>(
-    registry: &'a AppRegistry,
+    apps: &'a Apps<'a>,
     shard: &mut Shard<'a>,
     fabric: usize,
     sub: Submission,
@@ -601,17 +630,10 @@ fn admit_now<'a>(
             }
         }
     }
-    let mut spec = TenantSpec::new(
-        registry.name(sub.app),
-        registry.catalog(sub.app),
-        registry.trace(sub.app, sub.variant),
-    )
-    .with_weight(sub.weight);
-    if let Some(slo) = sub.slo {
-        spec = spec.with_slo(slo);
-    }
-    let prep = registry.prep(sub.app, sub.variant).clone();
-    let tenant = shard.runner.admit_session(&spec, prep, base, sub.global)?;
+    let prep = apps.registry.prep(sub.app, sub.variant).clone();
+    let tenant = shard
+        .runner
+        .admit_session(&apps.spec(&sub), prep, base, sub.global)?;
     let constrained = sub.constrained();
     if constrained {
         shard.slo_util_ppm = shard.slo_util_ppm.saturating_add(util);
@@ -643,7 +665,7 @@ fn admit_now<'a>(
 /// Steps shard `s` once and handles a finishing session: departure
 /// book-keeping, slice release and queue drain.
 fn step_shard<'a>(
-    registry: &'a AppRegistry,
+    apps: &'a Apps<'a>,
     shards: &mut [Shard<'a>],
     s: usize,
     dynamic: bool,
@@ -704,7 +726,7 @@ fn step_shard<'a>(
             // the slice back as free fabric instead.
             let _ = shard.runner.depart_session(tenant);
         }
-        drain_queue(registry, shard, s, dynamic, sessions)?;
+        drain_queue(apps, shard, s, dynamic, sessions)?;
     }
     shard.runner.ladder_maybe();
     check_window(shard, window, global)
@@ -725,7 +747,7 @@ fn check_window(shard: &Shard<'_>, window: u64, global: u32) -> Result<(), Fleet
 /// Admits queue heads while lanes and admission capacity allow, in strict
 /// FIFO order.
 fn drain_queue<'a>(
-    registry: &'a AppRegistry,
+    apps: &'a Apps<'a>,
     shard: &mut Shard<'a>,
     fabric: usize,
     dynamic: bool,
@@ -747,7 +769,7 @@ fn drain_queue<'a>(
                 // Queued for lack of a lane, never priced: price it now
                 // against the lane it is about to occupy.
                 let sub = shard.queue.front().expect("checked non-empty").sub.clone();
-                let util = shard.price(registry, &sub, lane);
+                let util = shard.price(apps, &sub, lane);
                 let (cidx, outcome) = shard.controller.offer(util);
                 {
                     let head = shard.queue.front_mut().expect("checked non-empty");
@@ -776,7 +798,7 @@ fn drain_queue<'a>(
         let head = shard.queue.pop_front().expect("checked non-empty");
         let cidx = head.cidx.expect("admitted head was priced");
         admit_now(
-            registry, shard, fabric, head.sub, head.util, cidx, true, dynamic, sessions,
+            apps, shard, fabric, head.sub, head.util, cidx, true, dynamic, sessions,
         )?;
     }
     Ok(())

@@ -84,6 +84,8 @@ pub mod spec;
 
 pub use admission::{AdmissionController, AdmissionOutcome, AdmissionPolicy};
 pub use arbiter::{ArbiterPolicy, FabricArbiter};
+/// The memo a [`TenantSpec`] may share with other tenants' policies.
+pub use mrts_baselines::SelectionMemo;
 pub use runner::{
     estimate_utilization_ppm, prep_session, run_multitask, run_multitask_with_events,
     MultitaskConfig, MultitaskError, MultitaskRunner, StepOutcome, TenantPrep, TenantSpec,

@@ -41,7 +41,7 @@ use crate::arbiter::{ArbiterPolicy, FabricArbiter};
 use crate::scheduler::SchedulerKind;
 use crate::slo::{ladder_cap, Criticality, Slo, SloSnapshot, LADDER_BOTTOM};
 use mrts_arch::{ArchError, ArchParams, Cycles, FaultModel, Machine, Resources};
-use mrts_baselines::make_policy;
+use mrts_baselines::{make_policy, SelectionMemo};
 use mrts_ise::{BlockId, IseCatalog, KernelId};
 use mrts_sim::timeline::{EventSink, SimEvent, Timeline, VecSink};
 use mrts_sim::{MultitaskStats, RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator, TenantStats};
@@ -80,6 +80,10 @@ pub struct TenantSpec<'a> {
     /// Optional service-level objective: deadlines and criticality. `None`
     /// runs the tenant exactly as before SLOs existed.
     pub slo: Option<Slo>,
+    /// Optional selection memo the tenant's policy shares with others
+    /// (see [`mrts_baselines::make_policy`]); the fleet sets one per
+    /// application.
+    pub memo: Option<&'a SelectionMemo>,
 }
 
 impl<'a> TenantSpec<'a> {
@@ -93,6 +97,7 @@ impl<'a> TenantSpec<'a> {
             weight: 1,
             fault_model: None,
             slo: None,
+            memo: None,
         }
     }
 
@@ -114,6 +119,13 @@ impl<'a> TenantSpec<'a> {
     #[must_use]
     pub fn with_slo(mut self, slo: Slo) -> Self {
         self.slo = Some(slo);
+        self
+    }
+
+    /// Shares `memo` with the tenant's policy.
+    #[must_use]
+    pub fn with_memo(mut self, memo: &'a SelectionMemo) -> Self {
+        self.memo = Some(memo);
         self
     }
 }
@@ -1306,7 +1318,7 @@ impl<'a> MultitaskRunner<'a> {
             None => Machine::new(self.params.clone(), Resources::NONE)?,
         };
         let _ = machine.resize_capacity(grant);
-        let policy = make_policy(&self.cfg.policy, spec.catalog, grant, spec.trace)
+        let policy = make_policy(&self.cfg.policy, spec.catalog, grant, spec.trace, spec.memo)
             .map_err(MultitaskError::Policy)?;
         let run = RunStats {
             policy: policy.name(),

@@ -103,9 +103,13 @@ pub struct Simulator<'a> {
     /// SoA scratch for the per-kernel epoch walk (capacity reused across
     /// kernels and blocks).
     batches: EpochBatches,
-    /// Residency captured once per trigger and once per epoch: the one
-    /// answer the policy's probes and [`Simulator::resolve_execution`] read.
+    /// Residency captured once per trigger and at every epoch whose
+    /// loaded containers changed: the one answer the policy's probes and
+    /// [`Simulator::resolve_execution`] read.
     resident: ResidentSet,
+    /// Whether the block's plan evicted a container since `resident` was
+    /// captured.
+    evicted_since_capture: bool,
 }
 
 impl<'a> Simulator<'a> {
@@ -119,6 +123,7 @@ impl<'a> Simulator<'a> {
             recovery: RecoveryConfig::default(),
             batches: EpochBatches::default(),
             resident: ResidentSet::default(),
+            evicted_since_capture: false,
         }
     }
 
@@ -268,6 +273,7 @@ impl<'a> Simulator<'a> {
 
         let units = self.catalog.units().len();
         self.resident.capture(&self.machine, t0, units);
+        self.evicted_since_capture = false;
         let plan = {
             let ctx = SelectionContext {
                 now: t0,
@@ -280,7 +286,7 @@ impl<'a> Simulator<'a> {
         };
 
         for &u in &plan.evict {
-            let _ = self.machine.evict(u.as_loaded_id());
+            self.evicted_since_capture |= self.machine.evict(u.as_loaded_id()).is_ok();
         }
 
         // Epoch boundaries: completions of loads already in flight plus the
@@ -363,8 +369,13 @@ impl<'a> Simulator<'a> {
         self.batches.clear();
 
         while remaining > 0 {
-            self.machine.settle(t);
-            self.resident.capture(&self.machine, t, units);
+            // After `settle(t)` the capture at `t` is the set of loaded
+            // containers, so it is only redone when that set changed: a
+            // load settled here, or the plan evicted since the last one.
+            if self.machine.settle(t) || self.evicted_since_capture {
+                self.resident.capture(&self.machine, t, units);
+                self.evicted_since_capture = false;
+            }
             self.timeline.emit_with(t, || SimEvent::EpochBegin {
                 at: t,
                 kernel: activity.kernel,

@@ -47,9 +47,9 @@ impl SelectionContext<'_> {
 }
 
 /// The units resident at one instant, as a bitset over a catalogue's dense
-/// unit ids. The engine captures one per trigger and one per residency
-/// epoch, and every policy probe during that trigger or epoch is a bit
-/// test on it instead of a scan of the fabric's containers.
+/// unit ids. The engine holds one per trigger and one per residency epoch,
+/// and every policy probe during that trigger or epoch is a bit test on it
+/// instead of a scan of the fabric's containers.
 ///
 /// Contract: after [`ResidentSet::capture`] of `machine` at `now` for a
 /// catalogue of `units` units, [`ResidentSet::contains`] gives, for every
@@ -58,7 +58,15 @@ impl SelectionContext<'_> {
 /// only ever handed catalogue units, and tenants do not share a `Machine`.
 /// `capture` is the only mutator, so a captured set stays frozen: a load
 /// issued after it, a monoCG install included, is resident from its
-/// `ready_at`, and the engine captures again there.
+/// `ready_at`, where the engine's `settle` loads it.
+///
+/// Right after `machine.settle(now)` the capture at `now` is exactly the
+/// set of loaded containers (a loaded container is resident at any time,
+/// DESIGN.md §4.10). The engine captures at every trigger; in an epoch it
+/// captures again only when that set changed since its last capture, that
+/// is when `settle` reports a newly loaded container or the block's plan
+/// evicted one. Otherwise the held capture already answers for the
+/// epoch's instant.
 #[derive(Debug, Clone, Default)]
 pub struct ResidentSet {
     bits: Vec<u64>,
@@ -127,8 +135,8 @@ pub struct ExecContext<'a> {
     pub catalog: &'a IseCatalog,
     /// The machine (fabric occupancy, reconfiguration controller).
     pub machine: &'a Machine,
-    /// The catalogue units resident at `now`, captured by the engine once
-    /// per residency epoch.
+    /// The catalogue units resident at `now`: the engine's capture, redone
+    /// for an epoch whenever the loaded containers changed.
     pub resident: &'a ResidentSet,
 }
 

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // speedup reference.
     let mut risc_time = 0.0f64;
     for name in ["risc", "rispp", "morpheus", "offline", "optimal", "mrts"] {
-        let mut policy = make_policy(name, &catalog, capacity, &trace)?;
+        let mut policy = make_policy(name, &catalog, capacity, &trace, None)?;
         let machine = Machine::new(ArchParams::default(), combo)?;
         let stats = Simulator::run(&catalog, machine, &trace, policy.as_mut());
         let t = stats.total_execution_time().get() as f64;

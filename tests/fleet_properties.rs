@@ -157,7 +157,9 @@ proptest! {
     /// admit/step/finish service loop must reproduce [`run_multitask`]'s
     /// statistics byte-for-byte (same admission order, same even split,
     /// same scheduler state), for every core scheduler and for both the
-    /// dynamic and the static arbiter.
+    /// dynamic and the static arbiter. The fleet's sessions share one
+    /// selection memo per app and the batch runner's tenants plan without
+    /// one, so this also holds the memo to fresh selection end to end.
     #[test]
     fn single_fabric_t0_fleet_matches_batch_runner(
         n in 1usize..5,

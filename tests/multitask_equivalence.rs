@@ -28,7 +28,7 @@ fn solo(catalog: &IseCatalog, combo: Resources, trace: &Trace, policy: &str) -> 
     let machine = Machine::new(ArchParams::default(), combo).expect("valid machine");
     let capacity = machine.capacity();
     let mut p =
-        mrts::baselines::make_policy(policy, catalog, capacity, trace).expect("known policy");
+        mrts::baselines::make_policy(policy, catalog, capacity, trace, None).expect("known policy");
     Simulator::run(catalog, machine, trace, p.as_mut())
 }
 
@@ -143,8 +143,8 @@ fn one_tenant_equals_solo_under_fault_injection() {
     let machine = Machine::with_fault_model(ArchParams::default(), combo, fault.clone())
         .expect("valid machine");
     let capacity = machine.capacity();
-    let mut p =
-        mrts::baselines::make_policy("mrts", &catalog, capacity, &trace).expect("known policy");
+    let mut p = mrts::baselines::make_policy("mrts", &catalog, capacity, &trace, None)
+        .expect("known policy");
     let reference = Simulator::run(&catalog, machine, &trace, p.as_mut());
 
     let specs = [TenantSpec::new(name, &catalog, &trace).with_fault_model(fault)];

@@ -86,7 +86,7 @@ fn solo(
     }
     .expect("valid machine");
     let capacity = machine.capacity();
-    let mut p = make_policy(policy, catalog, capacity, trace).expect("known policy");
+    let mut p = make_policy(policy, catalog, capacity, trace, None).expect("known policy");
     Simulator::run(catalog, machine, trace, p.as_mut())
 }
 
@@ -172,7 +172,7 @@ fn solo_with_events(
     }
     .expect("valid machine");
     let capacity = machine.capacity();
-    let mut p = make_policy(policy, catalog, capacity, trace).expect("known policy");
+    let mut p = make_policy(policy, catalog, capacity, trace, None).expect("known policy");
     let mut sim = Simulator::new(catalog, machine);
     let sink = VecSink::new();
     sim.attach_events(0, Box::new(sink.clone()));

@@ -12,8 +12,12 @@ the `pub` declarations: `fn` (also `const fn`, `unsafe fn`, `async fn`,
 `mod`. Restricted visibility such as `pub(crate)` is not public and does
 not count, and neither do `pub use` re-exports or `pub` struct fields.
 
-It prints one row per crate and a total row. The numbers inform; nothing
-fails on them.
+It prints one row per crate and a total row. Below the table it lists,
+per crate, the public declarations whose name no other crate names: no
+`.rs` file outside `crates/<crate>/` (under `crates/`, `tests/`,
+`examples/`, `src/` or `perfbench/src/`) holds the name as a word. A
+name shared with another item counts as named, so the list is a floor.
+The numbers inform; nothing fails on them.
 """
 
 import os
@@ -27,7 +31,11 @@ PUB_ITEM = re.compile(
     r"^\s*pub\s+"
     r"(?:(?:const|unsafe|async|extern(?:\s+\"[^\"]*\")?)\s+)*"
     r"(?:fn|struct|enum|trait|type|const|static|mod)\b"
+    r"\s*(?:r#)?(\w*)"
 )
+WORD = re.compile(r"\w+")
+# Where other crates' code lives, besides `crates/*/`.
+OUTSIDE = ("tests", "examples", "src", os.path.join("perfbench", "src"))
 
 
 def non_test_lines(text):
@@ -43,29 +51,86 @@ def non_test_lines(text):
 def count_file(text):
     """(non-test lines, public declarations) of one source file."""
     lines = non_test_lines(text)
-    return len(lines), sum(1 for line in lines if PUB_ITEM.match(line))
+    return len(lines), len(pub_names(lines))
+
+
+def pub_names(lines):
+    """The names of the public declarations among `lines`, in order."""
+    return [m.group(1) for m in map(PUB_ITEM.match, lines) if m]
+
+
+def rust_files(top):
+    """Every `.rs` file under `top`, in a stable order."""
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if name.endswith(".rs"):
+                yield os.path.join(dirpath, name)
+
+
+def read(path):
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def crate_sizes(root):
     """{crate: (non-test lines, public declarations)} over
     `root/crates/*/src`, crates in name order."""
-    crates_dir = os.path.join(root, "crates")
     sizes = {}
-    for crate in sorted(os.listdir(crates_dir)):
-        src = os.path.join(crates_dir, crate, "src")
-        if not os.path.isdir(src):
-            continue
+    for crate, src in crate_dirs(root):
         lines = items = 0
-        for dirpath, dirnames, filenames in os.walk(src):
-            dirnames.sort()
-            for name in sorted(filenames):
-                if name.endswith(".rs"):
-                    with open(os.path.join(dirpath, name), encoding="utf-8") as f:
-                        n, p = count_file(f.read())
-                    lines += n
-                    items += p
+        for path in rust_files(src):
+            n, p = count_file(read(path))
+            lines += n
+            items += p
         sizes[crate] = (lines, items)
     return sizes
+
+
+def crate_dirs(root):
+    """(crate, its `src` directory) of every crate under `root/crates`,
+    in name order."""
+    crates_dir = os.path.join(root, "crates")
+    for crate in sorted(os.listdir(crates_dir)):
+        src = os.path.join(crates_dir, crate, "src")
+        if os.path.isdir(src):
+            yield crate, src
+
+
+def unnamed_elsewhere(root):
+    """{crate: sorted names of its public declarations that no file
+    outside `crates/<crate>/` names as a word}."""
+    words = {}
+    crates_dir = os.path.join(root, "crates")
+    for crate in sorted(os.listdir(crates_dir)):
+        words[crate] = set()
+        for path in rust_files(os.path.join(crates_dir, crate)):
+            words[crate].update(WORD.findall(read(path)))
+    outside = set()
+    for top in OUTSIDE:
+        for path in rust_files(os.path.join(root, top)):
+            outside.update(WORD.findall(read(path)))
+    unnamed = {}
+    for crate, src in crate_dirs(root):
+        named = outside.union(*(w for c, w in words.items() if c != crate))
+        declared = set()
+        for path in rust_files(src):
+            declared.update(pub_names(non_test_lines(read(path))))
+        # A macro's declaration has no literal name to look for.
+        declared.discard("")
+        unnamed[crate] = sorted(declared - named)
+    return unnamed
+
+
+def unnamed_table(unnamed):
+    """The printed list: per crate, the count and the names."""
+    width = max([len("total")] + [len(c) for c in unnamed])
+    rows = ["pub items no other crate names:"]
+    for crate, names in unnamed.items():
+        rows.append(f"{crate:<{width}}  {len(names):>5}  {' '.join(names)}".rstrip())
+    total = sum(len(names) for names in unnamed.values())
+    rows.append(f"{'total':<{width}}  {total:>5}")
+    return "\n".join(rows)
 
 
 def table(sizes):
@@ -86,6 +151,8 @@ def main(argv):
         return 2
     root = argv[1] if len(argv) == 2 else ROOT
     print(table(crate_sizes(root)))
+    print()
+    print(unnamed_table(unnamed_elsewhere(root)))
     return 0
 
 

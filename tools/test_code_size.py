@@ -8,7 +8,7 @@ import os
 import tempfile
 import unittest
 
-from code_size import count_file, crate_sizes, table
+from code_size import count_file, crate_sizes, table, unnamed_elsewhere, unnamed_table
 
 LIB = """\
 //! A crate.
@@ -83,6 +83,40 @@ class CrateSizes(unittest.TestCase):
             self.assertEqual(sizes, {"a": (lib_lines + 5, 5), "b": (5, 1)})
             last = table(sizes).splitlines()[-1].split()
             self.assertEqual(last, ["total", str(lib_lines + 10), "6"])
+
+
+def write_tree(root, files):
+    for path, text in files:
+        full = os.path.join(root, path)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        with open(full, "w", encoding="utf-8") as f:
+            f.write(text)
+
+
+class UnnamedElsewhere(unittest.TestCase):
+    def test_only_names_no_other_crate_or_top_level_file_uses_are_listed(self):
+        with tempfile.TemporaryDirectory() as root:
+            write_tree(root, [
+                # `Thing`, `inner`, `new` and `shown`; `hidden` is
+                # restricted and the test module's `helper` is test code.
+                ("crates/a/src/lib.rs", LIB),
+                ("crates/a/src/more.rs",
+                 "pub fn used_by_b() {}\npub fn used_by_tests() {}\n"
+                 "pub fn used_by_perfbench() {}\npub struct $name;\n"
+                 "#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n"),
+                # The crate's own tests do not count as another crate.
+                ("crates/a/tests/own.rs", "fn t() { a::shown(); }\n"),
+                ("crates/b/src/lib.rs", "pub fn b_only() { a::used_by_b(); }\n"),
+                ("tests/it.rs", "fn t() { a::used_by_tests(); a::Thing::new(); }\n"),
+                ("perfbench/src/main.rs", "fn main() { a::used_by_perfbench(); }\n"),
+                # Outside the searched directories: does not count.
+                ("tools/x.rs", "fn x() { a::inner::f(); }\n"),
+            ])
+            unnamed = unnamed_elsewhere(root)
+            self.assertEqual(unnamed, {"a": ["inner", "shown"], "b": ["b_only"]})
+            rows = unnamed_table(unnamed).splitlines()
+            self.assertEqual(rows[1].split(), ["a", "2", "inner", "shown"])
+            self.assertEqual(rows[-1].split(), ["total", "3"])
 
 
 if __name__ == "__main__":
