@@ -18,6 +18,13 @@
 //!   tardiness,
 //! * **llf+ladder** — least-laxity-first instead of EDF, same ladder.
 //!
+//! The llf+ladder rows equal the edf+ladder rows at every factor because
+//! only the rt tenant carries a deadline, and with at most one deadline
+//! EDF and LLF pick identically
+//! (`mrts_multitask::scheduler::tests::edf_and_llf_agree_with_at_most_one_deadline`);
+//! the `fleet_churn_edf`/`fleet_churn_llf` timeline goldens, whose sessions
+//! carry several deadlines at once, are where the two disciplines differ.
+//!
 //! Shape to verify (the headline invariant, greppable by CI): at every
 //! overload factor the ladder misses **strictly fewer** deadlines than
 //! no-ladder — overload is absorbed by shedding the best-effort tenants'

@@ -96,6 +96,23 @@ impl Args {
         }
     }
 
+    /// A flag parsed through its type's `FromStr`, with a default given
+    /// as flag text. A bad value fails with the flag named ahead of the
+    /// parser's own message (`--sched: unknown scheduler 'rr' (...)`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError`] if the value (or the default) does not parse.
+    pub fn get_parsed<T>(&self, name: &str, default: &str) -> Result<T, ArgError>
+    where
+        T: std::str::FromStr,
+        T::Err: fmt::Display,
+    {
+        self.get_or(name, default)
+            .parse()
+            .map_err(|e| ArgError(format!("--{name}: {e}")))
+    }
+
     /// Rejects flags outside the allowed set (typo protection).
     ///
     /// # Errors
@@ -143,6 +160,11 @@ mod tests {
         assert!(parse(&["x", "stray"]).is_err());
         let a = parse(&["x", "--n", "abc"]).unwrap();
         assert!(a.get_num::<u32>("n", 0).is_err());
+        assert_eq!(
+            a.get_parsed::<u32>("n", "0"),
+            Err(ArgError("--n: invalid digit found in string".into()))
+        );
+        assert_eq!(a.get_parsed::<u32>("m", "7"), Ok(7));
     }
 
     #[test]

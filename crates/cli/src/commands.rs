@@ -6,12 +6,11 @@ use mrts_baselines::make_policy;
 use mrts_bench::Testbed;
 use mrts_fleet::{
     poisson_arrivals, records_from_jsonl, records_to_jsonl, run_fleet, AppRegistry, FleetConfig,
-    FleetOutcome, Placement, PoissonConfig, SessionRecord,
+    FleetOutcome, PoissonConfig, SessionRecord,
 };
 use mrts_ise::Ise;
 use mrts_multitask::{
-    parse_tenant_specs, run_multitask, run_multitask_with_events, AdmissionPolicy, ArbiterPolicy,
-    MultitaskConfig, SchedulerKind, TenantSpec,
+    parse_tenant_specs, run_multitask, run_multitask_with_events, MultitaskConfig, TenantSpec,
 };
 use mrts_sim::{
     events_to_jsonl, ExecClass, MultitaskStats, RecoveryConfig, RunStats, Simulator, VecSink,
@@ -374,27 +373,27 @@ pub fn multitask(args: &Args, out: &mut dyn Write) -> CliResult {
     let degrade = match args.get_or("degrade", "on") {
         "on" => true,
         "off" => false,
-        other => return Err(format!("unknown --degrade '{other}' (on|off)").into()),
+        other => return Err(format!("--degrade: unknown value '{other}' (on|off)").into()),
     };
     let threads = get_threads(args)?;
     let events_out = args.get("events-out");
     let record = events_out.is_some() || threads > 1;
+
+    let cfg = MultitaskConfig {
+        policy: args.get_or("policy", "mrts").to_owned(),
+        arbiter: args.get_parsed("arbiter", "dynamic")?,
+        scheduler: args.get_parsed("sched", "wfq")?,
+        admission: args.get_parsed("admission", "off")?,
+        degrade,
+        ..MultitaskConfig::default()
+    };
+    let budget = Resources::new(args.get_num("cg", 2)?, args.get_num("prc", 2)?);
 
     // Tenant workloads are built first so the specs can borrow them.
     let mut built: Vec<Testbed> = Vec::new();
     for (i, req) in requests.iter().enumerate() {
         built.push(Testbed::new(&req.app, seed.wrapping_add(i as u64))?);
     }
-
-    let cfg = MultitaskConfig {
-        policy: args.get_or("policy", "mrts").to_owned(),
-        arbiter: args.get_or("arbiter", "dynamic").parse::<ArbiterPolicy>()?,
-        scheduler: args.get_or("sched", "wfq").parse::<SchedulerKind>()?,
-        admission: args.get_or("admission", "off").parse::<AdmissionPolicy>()?,
-        degrade,
-        ..MultitaskConfig::default()
-    };
-    let budget = Resources::new(args.get_num("cg", 2)?, args.get_num("prc", 2)?);
 
     // One full multi-tenant pass; rebuilt per replay thread so each run is
     // completely independent state. `workers` switches the runner's
@@ -525,6 +524,26 @@ pub fn fleet(args: &Args, out: &mut dyn Write) -> CliResult {
     let threads = get_threads(args)?;
     let events_out = args.get("events-out");
     let record = events_out.is_some() || threads > 1;
+    let cfg = FleetConfig {
+        multitask: MultitaskConfig {
+            policy: args.get_or("policy", "mrts").to_owned(),
+            arbiter: args.get_parsed("arbiter", "dynamic")?,
+            scheduler: args.get_parsed("sched", "wfq")?,
+            admission: args.get_parsed("admission", "off")?,
+            // Fleet sessions are session-sized, far below the batch
+            // runner's repartition threshold — lower it so the dynamic
+            // arbiter actually redistributes freed fabric.
+            repartition_min_demand: Cycles::new(args.get_num("repart-min", 50_000)?),
+            ..MultitaskConfig::default()
+        },
+        fabrics: get_count(args, "fabrics", 2, MAX_COUNT)?,
+        ways: get_count(args, "ways", 4, MAX_COUNT)?,
+        queue_cap: args.get_num("queue-cap", 16)?,
+        placement: args.get_parsed("placement", "least-loaded")?,
+        budget: Resources::new(args.get_num("cg", 8)?, args.get_num("prc", 8)?),
+        window: Cycles::new(args.get_num("window", 1_000_000)?),
+        record_events: record,
+    };
 
     // The arrival list: replayed from JSONL, or freshly generated from the
     // seeded Poisson process over the --apps/--weights/--slo mix.
@@ -569,29 +588,6 @@ pub fn fleet(args: &Args, out: &mut dyn Write) -> CliResult {
         return Err("the arrival list is empty".into());
     }
     let registry = AppRegistry::new(&params, &apps, variants.max(1), seed, max_blocks)?;
-
-    let cfg = FleetConfig {
-        multitask: MultitaskConfig {
-            policy: args.get_or("policy", "mrts").to_owned(),
-            arbiter: args.get_or("arbiter", "dynamic").parse::<ArbiterPolicy>()?,
-            scheduler: args.get_or("sched", "wfq").parse::<SchedulerKind>()?,
-            admission: args.get_or("admission", "off").parse::<AdmissionPolicy>()?,
-            // Fleet sessions are session-sized, far below the batch
-            // runner's repartition threshold — lower it so the dynamic
-            // arbiter actually redistributes freed fabric.
-            repartition_min_demand: Cycles::new(args.get_num("repart-min", 50_000)?),
-            ..MultitaskConfig::default()
-        },
-        fabrics: get_count(args, "fabrics", 2, MAX_COUNT)?,
-        ways: get_count(args, "ways", 4, MAX_COUNT)?,
-        queue_cap: args.get_num("queue-cap", 16)?,
-        placement: args
-            .get_or("placement", "least-loaded")
-            .parse::<Placement>()?,
-        budget: Resources::new(args.get_num("cg", 8)?, args.get_num("prc", 8)?),
-        window: Cycles::new(args.get_num("window", 1_000_000)?),
-        record_events: record,
-    };
 
     let run_once = |record: bool| -> Result<(FleetOutcome, Option<String>), String> {
         let cfg = FleetConfig {

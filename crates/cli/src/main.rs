@@ -70,8 +70,8 @@ MULTITASK-ONLY FLAGS:
     --slo       one SLO per app as crit[:period[:session]] cycles, with
                 crit = hard|soft|be; '-' or 'none' skips a tenant
                 (example: --slo hard:40000000,-)
-    --arbiter   dynamic (default) | static | prop   fabric partitioning
-    --sched     wfq (default) | rr | prio | edf | llf   core time-sharing
+    --arbiter   dynamic (default) | static   fabric partitioning
+    --sched     wfq (default) | edf | llf   core time-sharing
     --admission off (default) | reject | queue   SLO feasibility gate
     --degrade   on (default) | off   laxity-driven degradation ladder
 

@@ -230,6 +230,49 @@ fn retired_prefetch_flag_is_an_unknown_flag() {
     }
 }
 
+/// The multi-tenant modes no figure needed (schedulers `rr` and `prio`,
+/// arbiter `prop`) are gone: passing one fails with exit 1 and an error
+/// naming the flag, in both subcommands that take them. So does any
+/// other unknown `--admission`, `--placement` or `--degrade` value.
+#[test]
+fn retired_and_unknown_mode_values_name_their_flag() {
+    for command in ["multitask", "fleet"] {
+        for (flag, value, message) in [
+            ("--sched", "rr", "unknown scheduler 'rr' (wfq|edf|llf)"),
+            ("--sched", "prio", "unknown scheduler 'prio' (wfq|edf|llf)"),
+            (
+                "--arbiter",
+                "prop",
+                "unknown arbiter 'prop' (static|dynamic)",
+            ),
+            (
+                "--admission",
+                "maybe",
+                "unknown admission policy 'maybe' (off|reject|queue)",
+            ),
+        ] {
+            let out = run(&[command, flag, value]);
+            assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+            assert_eq!(stderr(&out), format!("error: {flag}: {message}\n"));
+            assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+        }
+    }
+    for (args, error) in [
+        (
+            ["fleet", "--placement", "random"],
+            "error: --placement: unknown placement 'random' (rr|least-loaded|crit)\n",
+        ),
+        (
+            ["multitask", "--degrade", "maybe"],
+            "error: --degrade: unknown value 'maybe' (on|off)\n",
+        ),
+    ] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+        assert_eq!(stderr(&out), error);
+    }
+}
+
 /// A reader that closes stdout early (`mrts-cli trace | head -c 100`) ends
 /// the run quietly: no panic, no exit 101. The h264 trace's JSON is larger
 /// than a pipe buffer, so the CLI is still writing when the pipe closes.

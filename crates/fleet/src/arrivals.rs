@@ -8,7 +8,7 @@
 //! generated trace round-trips through JSONL byte-identically and a
 //! replayed run reproduces the generated run exactly.
 
-use mrts_multitask::{parse_slo_field, Slo, TenantRequest};
+use mrts_multitask::TenantRequest;
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -27,17 +27,6 @@ pub struct SessionRecord {
     /// Which of the app's trace variants this session runs (taken modulo
     /// the registry's variant count).
     pub variant: u64,
-}
-
-impl SessionRecord {
-    /// Parses the record's SLO field.
-    ///
-    /// # Errors
-    ///
-    /// The [`Slo`] parse error, verbatim.
-    pub fn parse_slo(&self) -> Result<Option<Slo>, String> {
-        parse_slo_field(&self.slo)
-    }
 }
 
 /// Configuration of the seeded Poisson arrival process.

@@ -22,8 +22,9 @@ use std::collections::VecDeque;
 
 use mrts_arch::{ArchParams, Cycles, Resources};
 use mrts_multitask::{
-    estimate_utilization_ppm, AdmissionController, AdmissionOutcome, AdmissionPolicy, Criticality,
-    MultitaskConfig, MultitaskError, MultitaskRunner, SelectionMemo, Slo, StepOutcome, TenantSpec,
+    estimate_utilization_ppm, parse_slo_field, AdmissionController, AdmissionOutcome,
+    AdmissionPolicy, ArbiterPolicy, Criticality, MultitaskConfig, MultitaskError, MultitaskRunner,
+    SelectionMemo, Slo, StepOutcome, TenantSpec,
 };
 use mrts_sim::{FabricStats, FleetStats, MultitaskStats, SessionStats, SimEvent};
 
@@ -54,7 +55,7 @@ pub struct FleetConfig {
     /// Per-shard fabric budget (in slots).
     pub budget: Resources,
     /// Width of the fabric-utilization reporting windows, at least one
-    /// cycle. A run may span at most [`MAX_WINDOWS`] of them.
+    /// cycle. A run may span at most 4 Mi (2^22) of them.
     pub window: Cycles,
     /// Record the merged event spine (session lifecycle + per-tenant
     /// engine events).
@@ -81,7 +82,7 @@ impl Default for FleetConfig {
 /// The most fabric-utilization windows a fleet run may span: 4 Mi windows,
 /// a 32 MiB busy-time row per shard. At the default 1 Mcycle window that is
 /// over four trillion cycles, about three hours at the 400 MHz core.
-pub const MAX_WINDOWS: u64 = 1 << 22;
+pub(crate) const MAX_WINDOWS: u64 = 1 << 22;
 
 /// The utilization window `at` falls in, or `None` past [`MAX_WINDOWS`].
 fn window_index(at: Cycles, window: u64) -> Option<usize> {
@@ -111,7 +112,7 @@ pub enum FleetError {
         /// What was wrong with it.
         reason: String,
     },
-    /// The run would span more than [`MAX_WINDOWS`] utilization windows
+    /// The run would span more than 2^22 utilization windows
     /// of `window` cycles: record `index` is submitted, or its session
     /// runs, past the last one. A wider [`FleetConfig::window`] covers a
     /// longer run.
@@ -318,7 +319,7 @@ fn parse_arrivals(
                 index: i,
                 reason: format!("unknown app '{}'", r.app),
             })?;
-        let slo = r.parse_slo().map_err(|e| FleetError::BadRecord {
+        let slo = parse_slo_field(&r.slo).map_err(|e| FleetError::BadRecord {
             index: i,
             reason: e,
         })?;
@@ -418,10 +419,7 @@ pub fn run_fleet(
         })
         .collect();
 
-    let dynamic = !matches!(
-        cfg.multitask.arbiter,
-        mrts_multitask::ArbiterPolicy::Static | mrts_multitask::ArbiterPolicy::Proportional
-    );
+    let dynamic = cfg.multitask.arbiter == ArbiterPolicy::Dynamic;
     let mut rr = 0usize;
     let mut next = 0usize;
 

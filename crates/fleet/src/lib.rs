@@ -34,6 +34,6 @@ pub mod registry;
 pub use arrivals::{
     poisson_arrivals, records_from_jsonl, records_to_jsonl, PoissonConfig, SessionRecord,
 };
-pub use fleet::{run_fleet, FleetConfig, FleetError, FleetOutcome, MAX_WINDOWS};
+pub use fleet::{run_fleet, FleetConfig, FleetError, FleetOutcome};
 pub use placement::{Placement, ShardLoad};
 pub use registry::{AppRegistry, RegistryError};

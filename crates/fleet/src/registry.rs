@@ -150,7 +150,7 @@ impl AppRegistry {
 
     /// Index of app `name`, if registered.
     #[must_use]
-    pub fn index_of(&self, name: &str) -> Option<usize> {
+    pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
         self.entries.iter().position(|e| e.name == name)
     }
 
@@ -174,7 +174,7 @@ impl AppRegistry {
 
     /// Trace variants available for `app`.
     #[must_use]
-    pub fn variant_count(&self, app: usize) -> usize {
+    pub(crate) fn variant_count(&self, app: usize) -> usize {
         self.entries[app].traces.len()
     }
 

@@ -3,7 +3,7 @@
 //! The schedulability test is the classic utilization bound, integerised:
 //! each tenant with a deadline contributes `estimated service per block ×
 //! 1_000_000 / period` parts-per-million of the core, and the mix is
-//! feasible while the sum stays ≤ [`FULL_UTILIZATION_PPM`]. The estimate
+//! feasible while the sum stays ≤ one full core (1 000 000 ppm). The estimate
 //! is *optimistic* — it prices each block at the best ISE latency that
 //! fits the tenant's fabric slice — so admission is deliberately
 //! permissive: it refuses only sessions that cannot meet their deadlines
@@ -86,7 +86,7 @@ impl AdmissionOutcome {
 }
 
 /// One full core, in parts per million.
-pub const FULL_UTILIZATION_PPM: u64 = 1_000_000;
+pub(crate) const FULL_UTILIZATION_PPM: u64 = 1_000_000;
 
 /// Tracks per-session utilization and verdicts over a run.
 ///

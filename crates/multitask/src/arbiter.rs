@@ -7,13 +7,11 @@
 //! per-tenant run-time systems plan against their slice exactly as a
 //! single-tenant mRTS plans against a whole (smaller) machine.
 //!
-//! Three disciplines are provided:
+//! Two disciplines are provided:
 //!
 //! * [`ArbiterPolicy::Static`] — an even split, fixed for the whole run.
 //!   Freed resources of finished tenants idle. This is the baseline the
 //!   dynamic arbiter must beat.
-//! * [`ArbiterPolicy::Proportional`] — a weighted split (largest-remainder
-//!   apportionment over the tenant weights), also fixed.
 //! * [`ArbiterPolicy::Dynamic`] — starts from the even split and, whenever
 //!   a tenant finishes, redistributes its freed slice to the still-active
 //!   tenants in proportion to their *remaining RISC demand*. Grants only
@@ -30,20 +28,17 @@ use std::str::FromStr;
 pub enum ArbiterPolicy {
     /// Even split, fixed for the whole run.
     Static,
-    /// Weighted split, fixed for the whole run.
-    Proportional,
     /// Even split that redistributes freed slices by remaining demand.
     #[default]
     Dynamic,
 }
 
 impl ArbiterPolicy {
-    /// Short label used in policy strings (`static`, `prop`, `dynamic`).
+    /// Short label used in policy strings (`static`, `dynamic`).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             ArbiterPolicy::Static => "static",
-            ArbiterPolicy::Proportional => "prop",
             ArbiterPolicy::Dynamic => "dynamic",
         }
     }
@@ -55,9 +50,8 @@ impl FromStr for ArbiterPolicy {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "static" => Ok(ArbiterPolicy::Static),
-            "prop" => Ok(ArbiterPolicy::Proportional),
             "dynamic" => Ok(ArbiterPolicy::Dynamic),
-            other => Err(format!("unknown arbiter '{other}' (static|prop|dynamic)")),
+            other => Err(format!("unknown arbiter '{other}' (static|dynamic)")),
         }
     }
 }
@@ -87,7 +81,7 @@ pub struct FabricArbiter {
     /// arbiter and [`FabricArbiter::admit`] carves new grants from.
     free: Resources,
     /// What retired tenants kept: their permanently failed slots (under
-    /// the static disciplines, their whole idle slice). It never moves
+    /// the static discipline, their whole idle slice). It never moves
     /// again, so `pool == Σ slices + free + retired` as sessions come and
     /// go.
     retired: Resources,
@@ -203,7 +197,7 @@ impl FabricArbiter {
     /// to the active tenants by largest-remainder apportionment over their
     /// demands; grants only grow. Returns `true` iff any grant changed, so
     /// the runner knows to resize machines and charge the re-partition
-    /// cost. Static and proportional arbiters never re-partition.
+    /// cost. A static arbiter never re-partitions.
     pub fn release(&mut self, finished: usize, keep: Resources, demands: &[(usize, u64)]) -> bool {
         if self.policy != ArbiterPolicy::Dynamic {
             return false;
@@ -248,15 +242,11 @@ impl FabricArbiter {
 mod tests {
     use super::*;
 
-    /// One tenant per weight on the runner's up-front partition: an even
-    /// split of `pool`, weighted under [`ArbiterPolicy::Proportional`].
-    fn partitioned(policy: ArbiterPolicy, pool: Resources, weights: &[u64]) -> FabricArbiter {
-        let slices = match policy {
-            ArbiterPolicy::Proportional => pool.split_weighted(weights),
-            ArbiterPolicy::Static | ArbiterPolicy::Dynamic => pool.split_even(weights.len()),
-        };
+    /// `n` tenants on the runner's up-front partition: an even split of
+    /// `pool`.
+    fn partitioned(policy: ArbiterPolicy, pool: Resources, n: usize) -> FabricArbiter {
         let mut a = FabricArbiter::empty(policy, pool);
-        for slice in slices {
+        for slice in pool.split_even(n) {
             a.admit(slice);
         }
         a
@@ -265,12 +255,8 @@ mod tests {
     #[test]
     fn partitions_cover_the_pool_exactly() {
         let pool = Resources::new(6, 4);
-        for policy in [
-            ArbiterPolicy::Static,
-            ArbiterPolicy::Proportional,
-            ArbiterPolicy::Dynamic,
-        ] {
-            let a = partitioned(policy, pool, &[1, 2, 3]);
+        for policy in [ArbiterPolicy::Static, ArbiterPolicy::Dynamic] {
+            let a = partitioned(policy, pool, 3);
             let total: Resources = a.slices().iter().copied().sum();
             assert_eq!(total, pool, "{policy} loses or invents resources");
             for s in a.slices() {
@@ -280,16 +266,9 @@ mod tests {
     }
 
     #[test]
-    fn proportional_follows_weights() {
-        let a = partitioned(ArbiterPolicy::Proportional, Resources::new(6, 3), &[1, 2]);
-        assert_eq!(a.grant(0), Resources::new(2, 1));
-        assert_eq!(a.grant(1), Resources::new(4, 2));
-    }
-
-    #[test]
     fn dynamic_release_redistributes_by_demand_and_only_grows() {
         let pool = Resources::new(6, 6);
-        let mut a = partitioned(ArbiterPolicy::Dynamic, pool, &[1, 1, 1]);
+        let mut a = partitioned(ArbiterPolicy::Dynamic, pool, 3);
         let before: Vec<Resources> = a.slices().to_vec();
         assert_eq!(before, vec![Resources::new(2, 2); 3]);
         let changed = a.release(1, Resources::NONE, &[(0, 100), (2, 300)]);
@@ -307,7 +286,7 @@ mod tests {
 
     #[test]
     fn dynamic_release_pins_failed_resources() {
-        let mut a = partitioned(ArbiterPolicy::Dynamic, Resources::new(4, 4), &[1, 1]);
+        let mut a = partitioned(ArbiterPolicy::Dynamic, Resources::new(4, 4), 2);
         let changed = a.release(0, Resources::new(1, 0), &[(1, 10)]);
         assert!(changed);
         assert_eq!(a.grant(0), Resources::new(1, 0), "dead slots stay put");
@@ -315,18 +294,16 @@ mod tests {
     }
 
     #[test]
-    fn static_and_proportional_never_repartition() {
-        for policy in [ArbiterPolicy::Static, ArbiterPolicy::Proportional] {
-            let mut a = partitioned(policy, Resources::new(4, 4), &[1, 1]);
-            let before = a.slices().to_vec();
-            assert!(!a.release(0, Resources::NONE, &[(1, 10)]));
-            assert_eq!(a.slices(), before.as_slice());
-        }
+    fn static_never_repartitions() {
+        let mut a = partitioned(ArbiterPolicy::Static, Resources::new(4, 4), 2);
+        let before = a.slices().to_vec();
+        assert!(!a.release(0, Resources::NONE, &[(1, 10)]));
+        assert_eq!(a.slices(), before.as_slice());
     }
 
     #[test]
     fn release_with_no_actives_parks_the_freed_slice() {
-        let mut a = partitioned(ArbiterPolicy::Dynamic, Resources::new(4, 4), &[1]);
+        let mut a = partitioned(ArbiterPolicy::Dynamic, Resources::new(4, 4), 1);
         assert!(!a.release(0, Resources::NONE, &[]));
         assert_eq!(a.grant(0), Resources::NONE);
         assert_eq!(a.free(), Resources::new(4, 4), "freed slice is parked");
@@ -381,7 +358,7 @@ mod tests {
     #[test]
     fn transfer_moves_clamped_amount_and_conserves_the_pool() {
         let pool = Resources::new(4, 4);
-        let mut a = partitioned(ArbiterPolicy::Static, pool, &[1, 1]);
+        let mut a = partitioned(ArbiterPolicy::Static, pool, 2);
         assert_eq!(a.grant(0), Resources::new(2, 2));
         // Ask for more than tenant 0 holds: the move clamps.
         let moved = a.transfer(0, 1, Resources::new(3, 1));
@@ -401,13 +378,11 @@ mod tests {
 
     #[test]
     fn labels_parse_round_trip() {
-        for p in [
-            ArbiterPolicy::Static,
-            ArbiterPolicy::Proportional,
-            ArbiterPolicy::Dynamic,
-        ] {
+        for p in [ArbiterPolicy::Static, ArbiterPolicy::Dynamic] {
             assert_eq!(p.label().parse::<ArbiterPolicy>().unwrap(), p);
         }
-        assert!("greedy".parse::<ArbiterPolicy>().is_err());
+        for retired in ["prop", "greedy"] {
+            assert!(retired.parse::<ArbiterPolicy>().is_err(), "{retired}");
+        }
     }
 }

@@ -11,12 +11,11 @@
 //!
 //! * [`arbiter::FabricArbiter`] — **space**-partitions the fabric: every
 //!   tenant is granted a disjoint slice of CG context slots and PRCs
-//!   (static even split, proportional share, or demand-driven dynamic
-//!   re-partitioning as tenants finish),
+//!   (a static even split, or demand-driven dynamic re-partitioning as
+//!   tenants finish),
 //! * [`scheduler::Scheduler`] — **time**-shares the single core between
-//!   runnable tenants (round-robin with a time quantum, strict priority,
-//!   or weighted-fair queuing — plus the deadline-driven EDF and
-//!   least-laxity-first disciplines),
+//!   runnable tenants (weighted-fair queuing, plus the deadline-driven
+//!   EDF and least-laxity-first disciplines),
 //! * [`slo::Slo`] + [`admission::AdmissionController`] — give tenants
 //!   deadlines and criticality classes, admit only feasible SLO mixes
 //!   (reject or queue the rest), and let deadline-aware schedulers (EDF,
@@ -90,9 +89,6 @@ pub use runner::{
     estimate_utilization_ppm, prep_session, run_multitask, run_multitask_with_events,
     MultitaskConfig, MultitaskError, MultitaskRunner, StepOutcome, TenantPrep, TenantSpec,
 };
-pub use scheduler::{
-    EarliestDeadline, LeastLaxity, RoundRobin, Scheduler, SchedulerKind, StrictPriority,
-    WeightedFair,
-};
-pub use slo::{ladder_cap, Criticality, Slo, SloSnapshot, LADDER_BOTTOM};
+pub use scheduler::{EarliestDeadline, LeastLaxity, Scheduler, SchedulerKind, WeightedFair};
+pub use slo::{Criticality, Slo, SloSnapshot};
 pub use spec::{parse_slo_field, parse_tenant_specs, TenantRequest};

@@ -72,7 +72,7 @@ pub struct TenantSpec<'a> {
     pub catalog: &'a IseCatalog,
     /// The tenant's block-activation trace.
     pub trace: &'a Trace,
-    /// Scheduling weight (priority under `prio`, share under `wfq`).
+    /// Scheduling weight (the core share under `wfq`).
     pub weight: u64,
     /// Optional per-tenant injected-fault source (PR 1 substrate); fault
     /// state stays inside the tenant's own machine slice.
@@ -769,9 +769,9 @@ impl<'a> MultitaskRunner<'a> {
     /// Builds the runner and admits an up-front batch of tenants at time
     /// zero (possibly none — the fleet's churn path starts with the whole
     /// pool in the arbiter's free store). Each tenant gets an even share
-    /// of the pool (weighted under [`ArbiterPolicy::Proportional`]); the
-    /// admission controller then prices the batch in criticality order,
-    /// and the slices of rejected tenants go back to the others.
+    /// of the pool; the admission controller then prices the batch in
+    /// criticality order, and the slices of rejected tenants go back to
+    /// the others.
     /// `record_events` arms the shared event buffer; `false` skips every
     /// emission at the cost of one branch.
     ///
@@ -788,13 +788,7 @@ impl<'a> MultitaskRunner<'a> {
         // The pool is partitioned in slot units (what `Machine::capacity`
         // reports and every policy-facing `Resources` value uses).
         let pool = Machine::new(params.clone(), budget)?.capacity();
-        let slices = match cfg.arbiter {
-            ArbiterPolicy::Proportional => {
-                let weights: Vec<u64> = specs.iter().map(|s| s.weight.max(1)).collect();
-                pool.split_weighted(&weights)
-            }
-            ArbiterPolicy::Static | ArbiterPolicy::Dynamic => pool.split_even(specs.len()),
-        };
+        let slices = pool.split_even(specs.len());
 
         // Per-tenant setup: the one phase of a multi-tenant run where
         // tenants are fully independent of each other (no shared clock, no

@@ -3,10 +3,13 @@
 //! Functional blocks are the scheduling quanta — a trigger instruction
 //! hands the core to the run-time system and the block runs to completion,
 //! so preemption happens only at block boundaries (the same granularity at
-//! which the paper's mRTS itself takes decisions). All five schedulers
-//! are pure integer machines: given the same pick/charge sequence they
-//! reproduce the same schedule bit-for-bit, which keeps multi-tenant runs
-//! deterministic across hosts and thread counts.
+//! which the paper's mRTS itself takes decisions). Three disciplines are
+//! provided: weighted-fair queuing for throughput-fair sharing, and
+//! earliest-deadline-first and least-laxity-first for tenants with
+//! service-level objectives. All three are pure integer machines: given
+//! the same pick/charge sequence they reproduce the same schedule
+//! bit-for-bit, which keeps multi-tenant runs deterministic across hosts
+//! and thread counts.
 
 use crate::slo::SloSnapshot;
 use mrts_arch::Cycles;
@@ -31,17 +34,19 @@ pub trait Scheduler: fmt::Debug {
     /// Chooses the next tenant among the runnable ones (`runnable[i]` is
     /// `true` iff tenant `i` still has blocks to execute), given the
     /// tenants' current SLO state. Returns `None` iff no tenant is
-    /// runnable. The deadline-blind disciplines ignore `slo`; EDF and LLF
-    /// are *defined* by it, and with an empty snapshot they rank every
-    /// tenant equally and pick the lowest runnable index.
+    /// runnable. WFQ ignores `slo`; EDF and LLF are *defined* by it, and
+    /// with an empty snapshot they rank every tenant equally and pick the
+    /// lowest runnable index.
     fn pick(&mut self, runnable: &[bool], slo: &SloSnapshot<'_>) -> Option<usize>;
 
     /// Accounts `consumed` core cycles to `tenant` after it ran a block.
-    fn charge(&mut self, tenant: usize, consumed: Cycles);
+    /// Disciplines that rank by deadline state alone ignore it (this
+    /// default).
+    fn charge(&mut self, _tenant: usize, _consumed: Cycles) {}
 
     /// Registers a new tenant, appended after the highest index seen so
-    /// far. `weight` is the newcomer's share/priority and `runnable` the
-    /// mask of the *existing* tenants at admission time, letting fairness
+    /// far. `weight` is the newcomer's share and `runnable` the mask of
+    /// the *existing* tenants at admission time, letting fairness
     /// disciplines start the newcomer at the virtual clock of the
     /// currently backlogged tenants — a tenant arriving mid-run neither
     /// monopolises the core catching up from zero nor pays for history it
@@ -57,125 +62,6 @@ pub trait Scheduler: fmt::Debug {
     #[cfg(test)]
     fn tracked(&self) -> usize {
         0
-    }
-}
-
-/// Round-robin with a time quantum: a tenant keeps the core for
-/// consecutive blocks until it has consumed at least `quantum` cycles,
-/// then the core rotates to the next runnable tenant. A quantum of zero
-/// rotates after every single block.
-#[derive(Debug, Clone)]
-pub struct RoundRobin {
-    quantum: Cycles,
-    /// The tenant holding the core and its quantum, if it is still here.
-    current: Option<usize>,
-    /// Where the rotation scan starts: one above the last pick, or the
-    /// position the next tenant moved down to when the last pick retired.
-    next: usize,
-    used: Cycles,
-}
-
-impl RoundRobin {
-    /// Creates the scheduler with the given time quantum.
-    #[must_use]
-    pub fn new(quantum: Cycles) -> Self {
-        RoundRobin {
-            quantum,
-            current: None,
-            next: 0,
-            used: Cycles::ZERO,
-        }
-    }
-}
-
-impl Scheduler for RoundRobin {
-    fn pick(&mut self, runnable: &[bool], _slo: &SloSnapshot<'_>) -> Option<usize> {
-        if let Some(cur) = self.current {
-            if cur < runnable.len()
-                && runnable[cur]
-                && self.quantum > Cycles::ZERO
-                && self.used < self.quantum
-            {
-                return Some(cur);
-            }
-        }
-        let n = runnable.len();
-        for off in 0..n {
-            let idx = (self.next + off) % n;
-            if runnable[idx] {
-                self.current = Some(idx);
-                self.next = idx + 1;
-                self.used = Cycles::ZERO;
-                return Some(idx);
-            }
-        }
-        None
-    }
-
-    fn charge(&mut self, tenant: usize, consumed: Cycles) {
-        if self.current == Some(tenant) {
-            self.used += consumed;
-        }
-    }
-
-    fn retire(&mut self, pos: usize) {
-        // A retired holder loses its quantum, and the scan resumes at the
-        // first tenant above it: the one that now sits at `pos`.
-        self.current = match self.current {
-            Some(c) if c == pos => None,
-            Some(c) if c > pos => Some(c - 1),
-            c => c,
-        };
-        if pos < self.next {
-            self.next -= 1;
-        }
-    }
-}
-
-/// Strict priority: always the runnable tenant with the highest weight
-/// (ties break towards the lowest index). Lower-priority tenants run only
-/// when every higher-priority one has finished — the discipline that
-/// maximally *violates* fairness, kept as the Jain-index floor.
-#[derive(Debug, Clone)]
-pub struct StrictPriority {
-    weights: Vec<u64>,
-}
-
-impl StrictPriority {
-    /// Creates the scheduler; `weights[i]` is tenant `i`'s priority.
-    #[must_use]
-    pub fn new(weights: &[u64]) -> Self {
-        StrictPriority {
-            weights: weights.to_vec(),
-        }
-    }
-}
-
-impl Scheduler for StrictPriority {
-    fn pick(&mut self, runnable: &[bool], _slo: &SloSnapshot<'_>) -> Option<usize> {
-        (0..runnable.len())
-            .filter(|&i| runnable[i])
-            .max_by_key(|&i| {
-                (
-                    self.weights.get(i).copied().unwrap_or(0),
-                    usize::MAX - i, // tie → lowest index
-                )
-            })
-    }
-
-    fn charge(&mut self, _tenant: usize, _consumed: Cycles) {}
-
-    fn register(&mut self, weight: u64, _runnable: &[bool]) {
-        self.weights.push(weight);
-    }
-
-    fn retire(&mut self, pos: usize) {
-        self.weights.remove(pos);
-    }
-
-    #[cfg(test)]
-    fn tracked(&self) -> usize {
-        self.weights.len()
     }
 }
 
@@ -267,8 +153,6 @@ impl Scheduler for EarliestDeadline {
                 (d, i)
             })
     }
-
-    fn charge(&mut self, _tenant: usize, _consumed: Cycles) {}
 }
 
 /// Least-laxity-first: the runnable tenant with the smallest slack
@@ -289,17 +173,11 @@ impl Scheduler for LeastLaxity {
                 (l, i)
             })
     }
-
-    fn charge(&mut self, _tenant: usize, _consumed: Cycles) {}
 }
 
 /// Selector for the scheduling discipline a multi-tenant run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// [`RoundRobin`] with the given quantum.
-    RoundRobin(Cycles),
-    /// [`StrictPriority`] over the tenant weights.
-    StrictPriority,
     /// [`WeightedFair`] over the tenant weights.
     WeightedFair,
     /// [`EarliestDeadline`] over the tenants' SLO deadlines.
@@ -309,17 +187,11 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Default round-robin quantum (≈ a few H.264 macroblock rows at the
-    /// paper's 400 MHz core).
-    pub const DEFAULT_QUANTUM: Cycles = Cycles::new(200_000);
-
     /// Builds the scheduler with no tenants yet; each one joins through
     /// [`Scheduler::register`].
     #[must_use]
     pub fn build(&self) -> Box<dyn Scheduler> {
         match self {
-            SchedulerKind::RoundRobin(q) => Box::new(RoundRobin::new(*q)),
-            SchedulerKind::StrictPriority => Box::new(StrictPriority::new(&[])),
             SchedulerKind::WeightedFair => Box::new(WeightedFair::new(&[])),
             SchedulerKind::EarliestDeadline => Box::new(EarliestDeadline),
             SchedulerKind::LeastLaxity => Box::new(LeastLaxity),
@@ -330,15 +202,13 @@ impl SchedulerKind {
 impl FromStr for SchedulerKind {
     type Err = String;
 
-    /// Parses `rr` (default quantum), `prio`, `wfq`, `edf` or `llf`.
+    /// Parses `wfq`, `edf` or `llf`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "rr" => Ok(SchedulerKind::RoundRobin(Self::DEFAULT_QUANTUM)),
-            "prio" => Ok(SchedulerKind::StrictPriority),
             "wfq" => Ok(SchedulerKind::WeightedFair),
             "edf" => Ok(SchedulerKind::EarliestDeadline),
             "llf" => Ok(SchedulerKind::LeastLaxity),
-            other => Err(format!("unknown scheduler '{other}' (rr|prio|wfq|edf|llf)")),
+            other => Err(format!("unknown scheduler '{other}' (wfq|edf|llf)")),
         }
     }
 }
@@ -346,8 +216,6 @@ impl FromStr for SchedulerKind {
 impl fmt::Display for SchedulerKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SchedulerKind::RoundRobin(_) => write!(f, "rr"),
-            SchedulerKind::StrictPriority => write!(f, "prio"),
             SchedulerKind::WeightedFair => write!(f, "wfq"),
             SchedulerKind::EarliestDeadline => write!(f, "edf"),
             SchedulerKind::LeastLaxity => write!(f, "llf"),
@@ -364,55 +232,6 @@ mod tests {
         deadlines: &[],
         laxities: &[],
     };
-
-    #[test]
-    fn round_robin_rotates_each_block_with_zero_quantum() {
-        let mut rr = RoundRobin::new(Cycles::ZERO);
-        let runnable = vec![true, true, true];
-        let picks: Vec<usize> = (0..6)
-            .map(|_| {
-                let t = rr.pick(&runnable, &BLIND).unwrap();
-                rr.charge(t, Cycles::new(10));
-                t
-            })
-            .collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn round_robin_honours_quantum_and_skips_finished() {
-        let mut rr = RoundRobin::new(Cycles::new(100));
-        let mut runnable = vec![true, true, true];
-        assert_eq!(rr.pick(&runnable, &BLIND), Some(0));
-        rr.charge(0, Cycles::new(60));
-        assert_eq!(
-            rr.pick(&runnable, &BLIND),
-            Some(0),
-            "quantum not yet used up"
-        );
-        rr.charge(0, Cycles::new(60));
-        assert_eq!(rr.pick(&runnable, &BLIND), Some(1), "quantum exceeded");
-        rr.charge(1, Cycles::new(200));
-        runnable[2] = false; // tenant 2 finished
-        assert_eq!(
-            rr.pick(&runnable, &BLIND),
-            Some(0),
-            "rotation skips finished"
-        );
-    }
-
-    #[test]
-    fn strict_priority_prefers_heavy_then_low_index() {
-        let mut p = StrictPriority::new(&[1, 5, 5]);
-        assert_eq!(
-            p.pick(&[true, true, true], &BLIND),
-            Some(1),
-            "tie → lowest index"
-        );
-        assert_eq!(p.pick(&[true, false, true], &BLIND), Some(2));
-        assert_eq!(p.pick(&[true, false, false], &BLIND), Some(0));
-        assert_eq!(p.pick(&[false, false, false], &BLIND), None);
-    }
 
     #[test]
     fn weighted_fair_converges_to_weight_ratio() {
@@ -460,10 +279,6 @@ mod tests {
         assert_eq!(w.pick(&[true, true], &BLIND), Some(0));
         w.charge(0, Cycles::new(10));
         assert_eq!(w.pick(&[true, true], &BLIND), Some(1));
-        // Strict priority just learns the newcomer's weight.
-        let mut p = StrictPriority::new(&[1]);
-        p.register(9, &[true]);
-        assert_eq!(p.pick(&[true, true], &BLIND), Some(1));
         // Stateless disciplines ignore registration.
         let mut edf = EarliestDeadline;
         edf.register(1, &[true]);
@@ -478,10 +293,9 @@ mod tests {
     #[test]
     fn retire_picks_exactly_like_a_never_runnable_ghost() {
         let kinds = [
-            SchedulerKind::RoundRobin(Cycles::ZERO),
-            SchedulerKind::RoundRobin(Cycles::new(150)),
-            SchedulerKind::StrictPriority,
             SchedulerKind::WeightedFair,
+            SchedulerKind::EarliestDeadline,
+            SchedulerKind::LeastLaxity,
         ];
         for kind in kinds {
             for seed in 0..20u64 {
@@ -539,19 +353,15 @@ mod tests {
 
     #[test]
     fn kind_parses_and_builds() {
-        for (s, name) in [
-            ("rr", "rr"),
-            ("prio", "prio"),
-            ("wfq", "wfq"),
-            ("edf", "edf"),
-            ("llf", "llf"),
-        ] {
-            let kind: SchedulerKind = s.parse().unwrap();
+        for name in ["wfq", "edf", "llf"] {
+            let kind: SchedulerKind = name.parse().unwrap();
             assert_eq!(kind.to_string(), name);
             // Every discipline picks the only runnable tenant.
             assert_eq!(kind.build().pick(&[false, true], &BLIND), Some(1));
         }
-        assert!("lottery".parse::<SchedulerKind>().is_err());
+        for retired in ["rr", "prio", "lottery"] {
+            assert!(retired.parse::<SchedulerKind>().is_err(), "{retired}");
+        }
     }
 
     #[test]
@@ -591,6 +401,46 @@ mod tests {
         assert_eq!(llf.pick(&[true, false, true, false], &snap), Some(0));
         assert_eq!(llf.pick(&[false, false, true, false], &snap), Some(2));
         assert_eq!(llf.pick(&[false, true, true, false], &BLIND), Some(1));
+    }
+
+    /// With at most one tenant carrying a deadline, EDF and LLF cannot
+    /// disagree: the runner fills a tenant's deadline and laxity from the
+    /// same SLO (both `Some` or both `None`), so either that tenant is
+    /// runnable and both disciplines pick it ahead of the deadline-free
+    /// rest, or it is not and both fall back to the lowest runnable index.
+    /// (The one exception is a deadline saturated at `u64::MAX`, which
+    /// EDF ranks level with "no deadline".) This is why `fig_overload`'s single-deadline mix reads the same
+    /// for `llf+ladder` as for `edf+ladder`.
+    #[test]
+    fn edf_and_llf_agree_with_at_most_one_deadline() {
+        const N: usize = 4;
+        for carrier in (0..N).map(Some).chain([None]) {
+            for (deadline, laxity) in [
+                (0, -5_000),
+                (1, 0),
+                (700, 300),
+                (u64::MAX - 1, i128::MAX - 1),
+            ] {
+                let mut deadlines = [None; N];
+                let mut laxities = [None; N];
+                if let Some(c) = carrier {
+                    deadlines[c] = Some(Cycles::new(deadline));
+                    laxities[c] = Some(laxity);
+                }
+                let snap = SloSnapshot {
+                    deadlines: &deadlines,
+                    laxities: &laxities,
+                };
+                for mask in 0u32..1 << N {
+                    let runnable: Vec<bool> = (0..N).map(|i| mask & (1 << i) != 0).collect();
+                    assert_eq!(
+                        EarliestDeadline.pick(&runnable, &snap),
+                        LeastLaxity.pick(&runnable, &snap),
+                        "carrier {carrier:?}, mask {mask:04b}, deadline {deadline}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! The degradation ladder (ROADMAP item 2) reuses the PR 1 recovery
 //! ladder — full ISE → intermediate ISE → monoCG → RISC — as a QoS
-//! mechanism: [`ladder_cap`] maps a ladder level to the fabric budget a
+//! mechanism: `ladder_cap` maps a ladder level to the fabric budget a
 //! *victim* tenant is allowed to keep at that level, and the freed slots
 //! are loaned to a tardy tenant until its laxity recovers.
 
@@ -122,7 +122,7 @@ impl fmt::Display for Slo {
 }
 
 /// Deepest ladder level: the victim keeps no fabric at all (pure RISC).
-pub const LADDER_BOTTOM: u8 = 3;
+pub(crate) const LADDER_BOTTOM: u8 = 3;
 
 /// The fabric budget a tenant demoted to `level` keeps out of its
 /// entitlement. Mirrors the PR 1 recovery ladder, coarsened to slot
@@ -135,7 +135,7 @@ pub const LADDER_BOTTOM: u8 = 3;
 /// | 2     | monoCG            | one CG slot, no PRC          |
 /// | 3     | RISC              | nothing                      |
 #[must_use]
-pub fn ladder_cap(level: u8, entitlement: Resources) -> Resources {
+pub(crate) fn ladder_cap(level: u8, entitlement: Resources) -> Resources {
     match level {
         0 => entitlement,
         1 => Resources::new(entitlement.cg().div_ceil(2), entitlement.prc().div_ceil(2)),

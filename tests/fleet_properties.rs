@@ -85,7 +85,7 @@ proptest! {
         ways in 1usize..4,
         queue_cap in 0usize..4,
         placement_ix in 0usize..3,
-        arbiter_ix in 0usize..3,
+        arbiter_ix in 0usize..2,
         admission_ix in 0usize..3,
     ) {
         let params = ArchParams::default();
@@ -116,7 +116,7 @@ proptest! {
         let cfg = FleetConfig {
             multitask: MultitaskConfig {
                 admission: [AdmissionPolicy::Off, AdmissionPolicy::Reject, AdmissionPolicy::Queue][admission_ix],
-                arbiter: [ArbiterPolicy::Static, ArbiterPolicy::Proportional, ArbiterPolicy::Dynamic][arbiter_ix],
+                arbiter: [ArbiterPolicy::Static, ArbiterPolicy::Dynamic][arbiter_ix],
                 repartition_min_demand: mrts::arch::Cycles::new(50_000),
                 ..MultitaskConfig::default()
             },
@@ -166,7 +166,7 @@ proptest! {
         weights in prop::collection::vec(1u64..8, 5),
         variants in 1u64..4,
         seed in 0u64..500,
-        sched_ix in 0usize..5,
+        sched_ix in 0usize..3,
         static_arbiter in any::<bool>(),
         cg in 2u16..10,
         prc in 2u16..6,
@@ -175,8 +175,6 @@ proptest! {
         let registry = registry(&params, 4, seed);
         let scheduler = [
             SchedulerKind::WeightedFair,
-            SchedulerKind::StrictPriority,
-            SchedulerKind::RoundRobin(SchedulerKind::DEFAULT_QUANTUM),
             SchedulerKind::EarliestDeadline,
             SchedulerKind::LeastLaxity,
         ][sched_ix];

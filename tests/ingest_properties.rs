@@ -452,15 +452,13 @@ proptest! {
             (0u8..8, any::<usize>(), 1u8..255, 0usize..EXTREMES.len()),
             1..5,
         ),
-        scheduler in 0usize..5,
+        scheduler in 0usize..3,
         admission in 0usize..3,
     ) {
         let (registry, jsonl) = arrivals_fixture();
         let cfg = FleetConfig {
             multitask: MultitaskConfig {
                 scheduler: [
-                    SchedulerKind::RoundRobin(SchedulerKind::DEFAULT_QUANTUM),
-                    SchedulerKind::StrictPriority,
                     SchedulerKind::WeightedFair,
                     SchedulerKind::EarliestDeadline,
                     SchedulerKind::LeastLaxity,

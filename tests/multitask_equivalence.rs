@@ -97,14 +97,10 @@ fn one_tenant_equals_solo_across_schedulers_and_arbiters() {
     let reference = solo(&catalog, combo, &trace, "mrts");
     for scheduler in [
         SchedulerKind::WeightedFair,
-        SchedulerKind::StrictPriority,
-        SchedulerKind::RoundRobin(Cycles::new(50_000)),
+        SchedulerKind::EarliestDeadline,
+        SchedulerKind::LeastLaxity,
     ] {
-        for arbiter in [
-            ArbiterPolicy::Static,
-            ArbiterPolicy::Proportional,
-            ArbiterPolicy::Dynamic,
-        ] {
+        for arbiter in [ArbiterPolicy::Static, ArbiterPolicy::Dynamic] {
             let stats = multi(&name, &catalog, combo, &trace, "mrts", scheduler, arbiter);
             assert_identical(&reference, &stats);
         }

@@ -684,12 +684,6 @@ fn churn_run(scheduler: SchedulerKind) -> FleetOutcome {
 #[test]
 fn fleet_churn_matches_goldens_under_every_scheduler() {
     for (label, scheduler) in [
-        ("rr0", SchedulerKind::RoundRobin(Cycles::ZERO)),
-        (
-            "rr",
-            SchedulerKind::RoundRobin(SchedulerKind::DEFAULT_QUANTUM),
-        ),
-        ("prio", SchedulerKind::StrictPriority),
         ("wfq", SchedulerKind::WeightedFair),
         ("edf", SchedulerKind::EarliestDeadline),
         ("llf", SchedulerKind::LeastLaxity),
