@@ -11,15 +11,6 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// A frequency in hertz.
-///
-/// # Example
-///
-/// ```
-/// use mrts_arch::Frequency;
-///
-/// let f = Frequency::from_mhz(400);
-/// assert_eq!(f.as_mhz(), 400);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Frequency(u64);
 
@@ -41,7 +32,7 @@ impl Frequency {
     ///
     /// Panics if `mhz` is zero.
     #[must_use]
-    pub fn from_mhz(mhz: u64) -> Self {
+    pub(crate) fn from_mhz(mhz: u64) -> Self {
         Frequency::from_hz(mhz * 1_000_000)
     }
 
@@ -53,7 +44,7 @@ impl Frequency {
 
     /// Returns the frequency in megahertz (truncating).
     #[must_use]
-    pub fn as_mhz(self) -> u64 {
+    pub(crate) fn as_mhz(self) -> u64 {
         self.0 / 1_000_000
     }
 }
@@ -158,7 +149,7 @@ impl Cycles {
     /// Converts a wall-clock duration in nanoseconds to core cycles for the
     /// given core frequency (rounding up: an event cannot complete early).
     #[must_use]
-    pub fn from_nanos(nanos: u64, core: Frequency) -> Cycles {
+    pub(crate) fn from_nanos(nanos: u64, core: Frequency) -> Cycles {
         // cycles = ns * hz / 1e9, computed in u128 to avoid overflow.
         let c = (u128::from(nanos) * u128::from(core.as_hz())).div_ceil(1_000_000_000);
         Cycles(c as u64)
@@ -173,8 +164,8 @@ impl Cycles {
 
     /// Converts this cycle count to wall-clock microseconds at the given core
     /// frequency, as a floating-point value (used for reporting only).
-    #[must_use]
-    pub fn as_micros_f64(self, core: Frequency) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn as_micros_f64(self, core: Frequency) -> f64 {
         self.0 as f64 / core.as_hz() as f64 * 1e6
     }
 
@@ -267,7 +258,7 @@ impl fmt::Display for Cycles {
 /// domain; latencies measured in another domain are converted with
 /// [`ClockDomain::to_core_cycles`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ClockDomain {
+pub(crate) enum ClockDomain {
     /// The RISC core (hosts the main application binary).
     Core,
     /// The coarse-grained EDPE array (same frequency as the core by default).
@@ -277,34 +268,16 @@ pub enum ClockDomain {
 }
 
 impl ClockDomain {
-    /// Returns the frequency of this domain under the given core/CG/FG
-    /// frequencies.
-    #[must_use]
-    pub fn frequency(self, core: Frequency, cg: Frequency, fg: Frequency) -> Frequency {
-        match self {
-            ClockDomain::Core => core,
-            ClockDomain::CoarseGrained => cg,
-            ClockDomain::FineGrained => fg,
-        }
-    }
-
     /// Converts `domain_cycles` counted in this domain into core cycles,
     /// rounding up (an operation spanning a fraction of a core cycle still
     /// occupies it fully).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use mrts_arch::{ClockDomain, Cycles, Frequency};
-    ///
-    /// let core = Frequency::from_mhz(400);
-    /// let fg = Frequency::from_mhz(100);
-    /// // 10 FPGA cycles at 100 MHz == 40 core cycles at 400 MHz.
-    /// let c = ClockDomain::FineGrained.to_core_cycles(10, core, fg);
-    /// assert_eq!(c, Cycles::new(40));
-    /// ```
     #[must_use]
-    pub fn to_core_cycles(self, domain_cycles: u64, core: Frequency, own: Frequency) -> Cycles {
+    pub(crate) fn to_core_cycles(
+        self,
+        domain_cycles: u64,
+        core: Frequency,
+        own: Frequency,
+    ) -> Cycles {
         if core == own {
             return Cycles::new(domain_cycles);
         }
@@ -332,6 +305,8 @@ mod tests {
     fn frequency_constructors_agree() {
         assert_eq!(Frequency::from_mhz(400), Frequency::from_hz(400_000_000));
         assert_eq!(Frequency::from_mhz(100).as_mhz(), 100);
+        let f = Frequency::from_mhz(400);
+        assert_eq!(f.as_mhz(), 400);
     }
 
     #[test]
@@ -383,6 +358,9 @@ mod tests {
             ClockDomain::FineGrained.to_core_cycles(1, core, fg),
             Cycles::new(4)
         );
+        // 10 FPGA cycles at 100 MHz == 40 core cycles at 400 MHz.
+        let c = ClockDomain::FineGrained.to_core_cycles(10, core, fg);
+        assert_eq!(c, Cycles::new(40));
         // Same-frequency conversion is the identity.
         assert_eq!(
             ClockDomain::CoarseGrained.to_core_cycles(7, core, core),

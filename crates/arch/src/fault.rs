@@ -90,10 +90,6 @@ impl fmt::Display for LoadFault {
 ///
 /// // The default model never faults and performs no draws.
 /// assert!(FaultModel::none().is_none());
-///
-/// // A seeded model with a 100% load-fault rate always faults.
-/// let mut fm = FaultModel::with_rates(1.0, 0.0, 0.0, 42);
-/// assert!(fm.next_load_fault().is_some());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultModel {
@@ -111,7 +107,7 @@ pub struct FaultModel {
 
 /// Fraction of the base rate used for permanent faults by
 /// [`FaultModel::new`]: container kills are far rarer than CRC glitches.
-pub const PERMANENT_FRACTION: f64 = 0.02;
+pub(crate) const PERMANENT_FRACTION: f64 = 0.02;
 
 impl FaultModel {
     /// The fault-free model (all rates zero; no draws are ever made).
@@ -121,7 +117,7 @@ impl FaultModel {
     }
 
     /// A model with one base `rate` applied per load and per execution, and
-    /// `rate ×` [`PERMANENT_FRACTION`] for permanent container faults — the
+    /// `rate ×` `PERMANENT_FRACTION` (2 %) for permanent container faults — the
     /// single-knob form used by the `--fault-rate` sweeps.
     #[must_use]
     pub fn new(rate: f64, seed: u64) -> Self {
@@ -173,7 +169,7 @@ impl FaultModel {
     /// Decides the fate of one load attempt. Exactly one draw per call
     /// (none if the model is fault-free): the permanent band is checked
     /// first, then the CRC band.
-    pub fn next_load_fault(&mut self) -> Option<FaultKind> {
+    pub(crate) fn next_load_fault(&mut self) -> Option<FaultKind> {
         if self.load_fault_rate == 0.0 && self.permanent_fault_rate == 0.0 {
             return None;
         }
@@ -192,7 +188,7 @@ impl FaultModel {
     /// the geometric distribution, so bulk fast-forwarding stays O(1) per
     /// epoch: `P(no fault in n) = (1-p)^n`, and conditional on a fault the
     /// index is `⌊ln(1-u′)/ln(1-p)⌋`.
-    pub fn first_exec_fault(&mut self, n: u64) -> Option<u64> {
+    pub(crate) fn first_exec_fault(&mut self, n: u64) -> Option<u64> {
         let p = self.exec_fault_rate;
         if p == 0.0 || n == 0 {
             return None;
@@ -313,6 +309,9 @@ mod tests {
         assert_eq!(fm.first_exec_fault(10), Some(0));
         let mut always = FaultModel::with_rates(1.0, 0.0, 0.0, 5);
         assert_eq!(always.next_load_fault(), Some(FaultKind::BitstreamCrc));
+        // A seeded model with a 100% load-fault rate always faults.
+        let mut fm = FaultModel::with_rates(1.0, 0.0, 0.0, 42);
+        assert!(fm.next_load_fault().is_some());
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! evaluation can sweep fabric combinations exactly like the paper's Fig. 8.
 //!
 //! All simulation time is expressed in **core clock cycles** via the
-//! [`clock::Cycles`] newtype; cross-domain conversion helpers live in
-//! [`clock`].
+//! [`clock::Cycles`] newtype; [`ArchParams`] converts CG/FG-domain cycles
+//! and bitstream sizes into it ([`ArchParams::cg_to_core`],
+//! [`ArchParams::fg_to_core`], [`ArchParams::fg_reconfig_time`]).
 //!
 //! ## Example
 //!
@@ -58,7 +59,7 @@ pub mod resources;
 pub mod scratchpad;
 
 pub use cg::OpClass;
-pub use clock::{ClockDomain, Cycles, Frequency};
+pub use clock::{Cycles, Frequency};
 pub use error::ArchError;
 pub use fabric::{Fabric, LoadedId};
 pub use fault::{FaultKind, FaultModel, LoadFault};

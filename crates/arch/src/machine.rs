@@ -98,7 +98,7 @@ impl Machine {
 
     /// Samples the index of the first transiently-faulted execution in a
     /// batch of `n` accelerated executions (see
-    /// [`FaultModel::first_exec_fault`]).
+    /// `FaultModel::first_exec_fault`).
     pub fn exec_fault_in_batch(&mut self, n: u64) -> Option<u64> {
         self.fault_model.first_exec_fault(n)
     }

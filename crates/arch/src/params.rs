@@ -50,7 +50,6 @@ impl Default for CgOpTiming {
 ///
 /// # fn main() -> Result<(), mrts_arch::ArchError> {
 /// let paper = ArchParams::default();
-/// assert_eq!(paper.core_clock.as_mhz(), 400);
 ///
 /// let slow_config = ArchParams {
 ///     fg_config_bandwidth_kb_s: 33_792, // half the paper's port speed

@@ -10,14 +10,14 @@ use std::fmt;
 
 /// Parsed command line: subcommand plus `--flag value` pairs.
 #[derive(Debug, Default, Clone)]
-pub struct Args {
+pub(crate) struct Args {
     command: Option<String>,
     flags: BTreeMap<String, String>,
 }
 
 /// Argument-parsing errors with user-facing messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
+pub(crate) struct ArgError(pub(crate) String);
 
 impl fmt::Display for ArgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -34,7 +34,7 @@ impl Args {
     ///
     /// Returns [`ArgError`] for a flag without a value or a stray
     /// positional argument after flags started.
-    pub fn parse(raw: impl Iterator<Item = String>) -> Result<Self, ArgError> {
+    pub(crate) fn parse(raw: impl Iterator<Item = String>) -> Result<Self, ArgError> {
         let is_help = |token: &str| token == "--help" || token == "-h";
         let help = || Args {
             command: Some("help".to_owned()),
@@ -66,19 +66,19 @@ impl Args {
 
     /// The subcommand, if any.
     #[must_use]
-    pub fn command(&self) -> Option<&str> {
+    pub(crate) fn command(&self) -> Option<&str> {
         self.command.as_deref()
     }
 
     /// A string flag.
     #[must_use]
-    pub fn get(&self, name: &str) -> Option<&str> {
+    pub(crate) fn get(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(String::as_str)
     }
 
     /// A string flag with a default.
     #[must_use]
-    pub fn get_or<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
+    pub(crate) fn get_or<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
         self.get(name).unwrap_or(default)
     }
 
@@ -87,7 +87,11 @@ impl Args {
     /// # Errors
     ///
     /// Returns [`ArgError`] if the value does not parse.
-    pub fn get_num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
+    pub(crate) fn get_num<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, ArgError> {
         match self.get(name) {
             None => Ok(default),
             Some(v) => v
@@ -103,7 +107,7 @@ impl Args {
     /// # Errors
     ///
     /// Returns [`ArgError`] if the value (or the default) does not parse.
-    pub fn get_parsed<T>(&self, name: &str, default: &str) -> Result<T, ArgError>
+    pub(crate) fn get_parsed<T>(&self, name: &str, default: &str) -> Result<T, ArgError>
     where
         T: std::str::FromStr,
         T::Err: fmt::Display,
@@ -118,7 +122,7 @@ impl Args {
     /// # Errors
     ///
     /// Returns [`ArgError`] naming the first unknown flag.
-    pub fn expect_only(&self, allowed: &[&str]) -> Result<(), ArgError> {
+    pub(crate) fn expect_only(&self, allowed: &[&str]) -> Result<(), ArgError> {
         for k in self.flags.keys() {
             if !allowed.contains(&k.as_str()) {
                 return Err(ArgError(format!(

@@ -32,7 +32,7 @@ fn testbed(args: &Args) -> Result<Testbed, Error> {
 }
 
 /// `mrts-cli catalog` — inspect the compile-time ISE catalogue.
-pub fn catalog(args: &Args, out: &mut dyn Write) -> CliResult {
+pub(crate) fn catalog(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&["app", "seed"])?;
     let tb = testbed(args)?;
     let (app, catalog) = (tb.model.application(), &tb.catalog);
@@ -186,7 +186,7 @@ fn replay<T: Send>(
 }
 
 /// `mrts-cli simulate` — one app, one machine, one policy.
-pub fn simulate(args: &Args, out: &mut dyn Write) -> CliResult {
+pub(crate) fn simulate(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&[
         "app",
         "seed",
@@ -293,7 +293,7 @@ pub fn simulate(args: &Args, out: &mut dyn Write) -> CliResult {
 }
 
 /// `mrts-cli sweep` — the Fig. 8 grid for one policy, vs RISC-mode.
-pub fn sweep(args: &Args, out: &mut dyn Write) -> CliResult {
+pub(crate) fn sweep(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&["app", "seed", "policy", "format"])?;
     let tb = testbed(args)?;
     let name = args.get_or("policy", "mrts");
@@ -339,7 +339,7 @@ pub fn sweep(args: &Args, out: &mut dyn Write) -> CliResult {
 }
 
 /// `mrts-cli multitask` — several applications time-sharing one machine.
-pub fn multitask(args: &Args, out: &mut dyn Write) -> CliResult {
+pub(crate) fn multitask(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&[
         "apps",
         "weights",
@@ -490,7 +490,7 @@ pub fn multitask(args: &Args, out: &mut dyn Write) -> CliResult {
 /// `mrts-cli fleet` — a long-lived open-loop service over several fabric
 /// shards: seeded Poisson (or replayed JSONL) session arrivals, placement,
 /// streaming admission, churn, and fleet-level service statistics.
-pub fn fleet(args: &Args, out: &mut dyn Write) -> CliResult {
+pub(crate) fn fleet(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&[
         "apps",
         "weights",
@@ -650,7 +650,7 @@ pub fn fleet(args: &Args, out: &mut dyn Write) -> CliResult {
 }
 
 /// `mrts-cli trace` — generate and export a workload trace as JSON.
-pub fn trace(args: &Args, out: &mut dyn Write) -> CliResult {
+pub(crate) fn trace(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&["app", "seed", "out"])?;
     let trace = testbed(args)?.trace;
     let json = serde_json::to_string_pretty(&trace)?;
@@ -670,7 +670,7 @@ pub fn trace(args: &Args, out: &mut dyn Write) -> CliResult {
 }
 
 /// `mrts-cli pif` — Eq. 1 table for one kernel's grain-representative ISEs.
-pub fn pif(args: &Args, out: &mut dyn Write) -> CliResult {
+pub(crate) fn pif(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&["app", "seed", "kernel", "max-exec"])?;
     let tb = testbed(args)?;
     let catalog = &tb.catalog;
@@ -750,7 +750,7 @@ pub fn pif(args: &Args, out: &mut dyn Write) -> CliResult {
 ///
 /// `SPEC` is a builtin app name or a manifest file path, exactly as
 /// accepted by `--app` elsewhere.
-pub fn ingest(args: &Args, out: &mut dyn Write) -> CliResult {
+pub(crate) fn ingest(args: &Args, out: &mut dyn Write) -> CliResult {
     args.expect_only(&["check", "dump", "lower", "out", "replay"])?;
     let modes = [args.get("check"), args.get("dump"), args.get("lower")]
         .iter()

@@ -10,7 +10,7 @@
 //! fine- and coarse-grained reconfigurable fabric. Its three components
 //! (Fig. 4 of the paper):
 //!
-//! * [`mpu`] — the **Monitoring & Prediction Unit**: corrects the
+//! * `mpu` — the **Monitoring & Prediction Unit**: corrects the
 //!   compile-time execution forecasts with a lightweight error
 //!   back-propagation filter and tracks fabric availability,
 //! * [`selector`] (with the profit function in [`profit`]) — the **ISE
@@ -63,7 +63,7 @@
 
 pub mod ecu;
 pub mod memo;
-pub mod mpu;
+mod mpu;
 pub mod optimal;
 pub mod profit;
 pub mod runtime;
@@ -71,7 +71,6 @@ pub mod selector;
 
 pub use ecu::EcuConfig;
 pub use memo::SelectionMemo;
-pub use mpu::Mpu;
 pub use optimal::dp_optimal_selection;
 pub use profit::{expected_profit, ProfitBreakdown, StageProfit};
 pub use runtime::{Mrts, MrtsConfig, Profit, Search};

@@ -30,40 +30,8 @@ struct Predictor {
 }
 
 /// The Monitoring & Prediction Unit.
-///
-/// # Example
-///
-/// ```
-/// use mrts_core::mpu::Mpu;
-/// use mrts_ise::{BlockId, KernelId, TriggerBlock, TriggerInstruction};
-/// use mrts_workload::KernelActivity;
-/// use mrts_arch::Cycles;
-///
-/// let mut mpu = Mpu::new(0.5);
-/// let forecast = TriggerBlock::new(BlockId(0), vec![
-///     TriggerInstruction::new(KernelId(0), 1_000, Cycles::new(500), Cycles::new(300)),
-/// ]);
-/// let mut corrected = TriggerBlock::new(BlockId(0), Vec::new());
-/// // First block: no observations yet, the compile-time forecast passes through.
-/// mpu.correct_into(&forecast, &mut corrected);
-/// assert_eq!(corrected.triggers[0].expected_executions, 1_000);
-///
-/// // The kernel actually ran 3 000 times: the first observation seeds the
-/// // predictor, further ones are blended with rate alpha.
-/// let seen = |e| KernelActivity {
-///     kernel: KernelId(0), executions: e,
-///     first_delay: Cycles::new(500), gap: Cycles::new(300),
-/// };
-/// mpu.observe(&[seen(3_000)]);
-/// mpu.correct_into(&forecast, &mut corrected);
-/// assert_eq!(corrected.triggers[0].expected_executions, 3_000);
-/// mpu.observe(&[seen(1_000)]);
-/// // 3000 + 0.5 * (1000 - 3000) = 2000.
-/// mpu.correct_into(&forecast, &mut corrected);
-/// assert_eq!(corrected.triggers[0].expected_executions, 2_000);
-/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Mpu {
+pub(crate) struct Mpu {
     alpha: f64,
     predictors: HashMap<KernelId, Predictor>,
 }
@@ -74,7 +42,7 @@ impl Mpu {
     /// forecast is always used); `alpha = 1` trusts only the last
     /// observation.
     #[must_use]
-    pub fn new(alpha: f64) -> Self {
+    pub(crate) fn new(alpha: f64) -> Self {
         Mpu {
             alpha: alpha.clamp(0.0, 1.0),
             predictors: HashMap::new(),
@@ -82,14 +50,14 @@ impl Mpu {
     }
 
     /// The learning rate.
-    #[must_use]
-    pub fn alpha(&self) -> f64 {
+    #[cfg(test)]
+    fn alpha(&self) -> f64 {
         self.alpha
     }
 
     /// Number of kernels with at least one observation.
-    #[must_use]
-    pub fn tracked_kernels(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn tracked_kernels(&self) -> usize {
         self.predictors.len()
     }
 
@@ -97,7 +65,7 @@ impl Mpu {
     /// the MPU's learned estimates where observations exist; kernels never
     /// observed pass through unchanged. Reuses `out`'s trigger buffer (the
     /// per-block hot path's allocation hygiene).
-    pub fn correct_into(&self, forecast: &TriggerBlock, out: &mut TriggerBlock) {
+    pub(crate) fn correct_into(&self, forecast: &TriggerBlock, out: &mut TriggerBlock) {
         out.block = forecast.block;
         out.triggers.clear();
         out.triggers.extend(forecast.iter().map(|t| {
@@ -112,7 +80,7 @@ impl Mpu {
 
     /// Feeds back the actually observed behaviour of one functional-block
     /// activation (error back-propagation update).
-    pub fn observe(&mut self, observed: &[KernelActivity]) {
+    pub(crate) fn observe(&mut self, observed: &[KernelActivity]) {
         for a in observed {
             let p = self.predictors.entry(a.kernel).or_insert(Predictor {
                 executions: a.executions as f64,
@@ -128,8 +96,8 @@ impl Mpu {
     }
 
     /// The current execution estimate for a kernel (if observed).
-    #[must_use]
-    pub fn estimate(&self, kernel: KernelId) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn estimate(&self, kernel: KernelId) -> Option<f64> {
         self.predictors.get(&kernel).map(|p| p.executions)
     }
 }
@@ -235,6 +203,40 @@ mod tests {
         assert_eq!(mpu.estimate(KernelId(0)), Some(4_000.0));
         let c = correct(&mpu, &forecast(123));
         assert_eq!(c.triggers[0].expected_executions, 4_000);
+    }
+
+    #[test]
+    fn observations_seed_then_blend_into_the_forecast() {
+        let mut mpu = Mpu::new(0.5);
+        let forecast = TriggerBlock::new(
+            BlockId(0),
+            vec![TriggerInstruction::new(
+                KernelId(0),
+                1_000,
+                Cycles::new(500),
+                Cycles::new(300),
+            )],
+        );
+        let mut corrected = TriggerBlock::new(BlockId(0), Vec::new());
+        // First block: no observations yet, the compile-time forecast passes through.
+        mpu.correct_into(&forecast, &mut corrected);
+        assert_eq!(corrected.triggers[0].expected_executions, 1_000);
+
+        // The kernel actually ran 3 000 times: the first observation seeds the
+        // predictor, further ones are blended with rate alpha.
+        let seen = |e| KernelActivity {
+            kernel: KernelId(0),
+            executions: e,
+            first_delay: Cycles::new(500),
+            gap: Cycles::new(300),
+        };
+        mpu.observe(&[seen(3_000)]);
+        mpu.correct_into(&forecast, &mut corrected);
+        assert_eq!(corrected.triggers[0].expected_executions, 3_000);
+        mpu.observe(&[seen(1_000)]);
+        // 3000 + 0.5 * (1000 - 3000) = 2000.
+        mpu.correct_into(&forecast, &mut corrected);
+        assert_eq!(corrected.triggers[0].expected_executions, 2_000);
     }
 
     #[test]

@@ -274,7 +274,7 @@ fn with_stage_buffers<T>(
 }
 
 /// The complete buffer set of an [`ExpectedProfitEval`], extractable via
-/// [`ExpectedProfitEval::recycle`] so a policy that creates one evaluator
+/// `ExpectedProfitEval::recycle` so a policy that creates one evaluator
 /// per block (the evaluator borrows that block's residency closure and
 /// cannot outlive it) still reuses the allocations underneath across
 /// blocks.
@@ -538,10 +538,8 @@ impl<'a> ExpectedProfitEval<'a> {
 }
 
 impl<'a, R: Fn(UnitId) -> bool + ?Sized> ExpectedProfitEval<'a, R> {
-    /// An evaluator reusing previously [`recycled`] buffers, so creating
+    /// An evaluator reusing previously recycled buffers, so creating
     /// one per block allocates nothing in the steady state.
-    ///
-    /// [`recycled`]: ExpectedProfitEval::recycle
     #[must_use]
     pub fn with_buffers(now: Cycles, resident: &'a R, bufs: ProfitEvalBuffers) -> Self {
         ExpectedProfitEval {
@@ -555,7 +553,7 @@ impl<'a, R: Fn(UnitId) -> bool + ?Sized> ExpectedProfitEval<'a, R> {
 
     /// Consumes the evaluator, handing its buffers back for the next one.
     #[must_use]
-    pub fn recycle(self) -> ProfitEvalBuffers {
+    pub(crate) fn recycle(self) -> ProfitEvalBuffers {
         self.bufs
     }
 

@@ -473,9 +473,9 @@ impl Mrts {
         &self.config
     }
 
-    /// Read access to the MPU (tests and diagnostics).
-    #[must_use]
-    pub fn mpu(&self) -> &Mpu {
+    /// Read access to the MPU.
+    #[cfg(test)]
+    fn mpu(&self) -> &Mpu {
         &self.mpu
     }
 

@@ -86,13 +86,13 @@ use mrts_ise::{Ise, IseCatalog, IseId, KernelId, TriggerBlock, TriggerInstructio
 
 /// Section 5.4 cost model of the selector itself: fixed decision cycles per
 /// forecast kernel (candidate-list management, hardware-status updates).
-/// With [`CYCLES_PER_CANDIDATE`] it is calibrated so a typical functional
+/// With `CYCLES_PER_CANDIDATE` it is calibrated so a typical functional
 /// block lands near the paper's "less than 3000 cycles to select an ISE
 /// for each kernel".
 pub const BASE_CYCLES_PER_KERNEL: u64 = 300;
 /// Section 5.4 cost model of the selector itself: cycles per
 /// profit-function evaluation.
-pub const CYCLES_PER_CANDIDATE: u64 = 75;
+pub(crate) const CYCLES_PER_CANDIDATE: u64 = 75;
 
 /// Selector configuration: which of two implementations with identical
 /// output runs.

@@ -35,5 +35,5 @@ pub use arrivals::{
     poisson_arrivals, records_from_jsonl, records_to_jsonl, PoissonConfig, SessionRecord,
 };
 pub use fleet::{run_fleet, FleetConfig, FleetError, FleetOutcome};
-pub use placement::{Placement, ShardLoad};
+pub use placement::Placement;
 pub use registry::{AppRegistry, RegistryError};

@@ -12,17 +12,17 @@ use mrts_multitask::Criticality;
 
 /// The load snapshot of one shard at placement time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardLoad {
+pub(crate) struct ShardLoad {
     /// Live (admitted, unfinished) sessions on the shard.
-    pub live: usize,
+    pub(crate) live: usize,
     /// Sessions waiting in the shard's admission queue.
-    pub queued: usize,
+    pub(crate) queued: usize,
     /// Sum of admitted-but-unfinished sessions' projected utilization, in
     /// parts-per-million (the admission controller's live load).
-    pub util_ppm: u64,
+    pub(crate) util_ppm: u64,
     /// The SLO-constrained share of `util_ppm` — what a criticality-aware
     /// placer avoids piling hard-deadline sessions onto.
-    pub slo_util_ppm: u64,
+    pub(crate) slo_util_ppm: u64,
 }
 
 /// Which shard a new session lands on.
@@ -60,7 +60,7 @@ impl Placement {
     ///
     /// If `loads` is empty.
     #[must_use]
-    pub fn place(
+    pub(crate) fn place(
         self,
         loads: &[ShardLoad],
         crit: Criticality,

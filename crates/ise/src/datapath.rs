@@ -19,8 +19,8 @@ use std::fmt;
 ///
 /// Word-level operations favour the CG fabric; bit-level operations favour
 /// the FG fabric. The relative costs per backend are defined in
-/// [`OpKind::sw_cycles`], [`OpKind::cg_class`] / [`OpKind::cg_emulation_ops`]
-/// and [`OpKind::fg_levels`] / [`OpKind::fg_luts`].
+/// `OpKind::sw_cycles`, [`OpKind::cg_class`] / [`OpKind::cg_emulation_ops`]
+/// and `OpKind::fg_levels` / `OpKind::fg_luts`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum OpKind {
     // ---- word-level (CG-friendly) -------------------------------------
@@ -167,7 +167,7 @@ impl OpKind {
     /// (RISC-mode execution). Bit-level operations are expensive on a plain
     /// SPARC V8 pipeline (shift/mask/merge sequences).
     #[must_use]
-    pub fn sw_cycles(self) -> u64 {
+    pub(crate) fn sw_cycles(self) -> u64 {
         match self {
             OpKind::Add
             | OpKind::Sub
@@ -225,7 +225,7 @@ impl OpKind {
     /// arithmetic is comparatively costly on LUT fabric; bit-level
     /// operations are nearly free routing.
     #[must_use]
-    pub fn fg_levels(self) -> u64 {
+    pub(crate) fn fg_levels(self) -> u64 {
         match self {
             OpKind::BitShuffle | OpKind::Mask | OpKind::Pack | OpKind::Unpack => 1,
             OpKind::BitExtract | OpKind::BitInsert | OpKind::Parity => 1,
@@ -248,7 +248,7 @@ impl OpKind {
     /// multiply/divide-heavy word processing, which is the CG fabric's
     /// home turf.
     #[must_use]
-    pub fn fg_initiation_interval(self) -> u64 {
+    pub(crate) fn fg_initiation_interval(self) -> u64 {
         match self {
             OpKind::Mul | OpKind::Mac => 4,
             OpKind::Div => 16,
@@ -258,7 +258,7 @@ impl OpKind {
 
     /// LUT area this operation occupies on the FG fabric.
     #[must_use]
-    pub fn fg_luts(self) -> u64 {
+    pub(crate) fn fg_luts(self) -> u64 {
         match self {
             OpKind::And | OpKind::Or | OpKind::Xor | OpKind::Mask => 16,
             OpKind::BitShuffle | OpKind::Pack | OpKind::Unpack => 8,
@@ -435,7 +435,7 @@ impl DataPathGraph {
     /// Weighted critical-path depth, where each node contributes
     /// `weight(kind)` levels. Used by the FG mapping estimator.
     #[must_use]
-    pub fn weighted_depth(&self, weight: impl Fn(OpKind) -> u64) -> u64 {
+    pub(crate) fn weighted_depth(&self, weight: impl Fn(OpKind) -> u64) -> u64 {
         let mut depth = vec![0u64; self.nodes.len()];
         for (i, n) in self.nodes.iter().enumerate() {
             if let Node::Op { kind, operands } = n {

@@ -121,7 +121,7 @@ impl Ise {
     ///
     /// Panics under the same conditions as [`Ise::new`].
     #[must_use]
-    pub fn new_mono_extension(
+    pub(crate) fn new_mono_extension(
         id: IseId,
         kernel: KernelId,
         label: impl Into<String>,
@@ -268,7 +268,7 @@ impl Ise {
     /// dominated variant can never be the best choice, whatever the
     /// execution forecast, so selectors may prune it.
     #[must_use]
-    pub fn dominates(&self, other: &Ise) -> bool {
+    pub(crate) fn dominates(&self, other: &Ise) -> bool {
         if self.kernel != other.kernel {
             return false;
         }

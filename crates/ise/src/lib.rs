@@ -9,7 +9,9 @@
 //!   and word-level operations,
 //! * **mapping estimators** ([`mapping`]) that derive, for each data path,
 //!   its software cost on the RISC core, its latency/area on the CG fabric
-//!   and its latency/area/bitstream size on the FG fabric,
+//!   and its latency/area/bitstream size on the FG fabric (the catalogue
+//!   builder applies them; only the CG estimator is public, for the
+//!   simulator's EDPE cross-validation),
 //! * **load units** ([`mod@unit`]) — the atomic reconfigurable artefacts (one
 //!   PRC bitstream or one EDPE context program) that the reconfiguration
 //!   controller streams in,

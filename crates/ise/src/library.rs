@@ -28,7 +28,7 @@ use std::collections::HashMap;
 
 /// Maximum ISE variants generated per kernel (the paper observed up to ~60
 /// for a single H.264 kernel).
-pub const MAX_VARIANTS_PER_KERNEL: usize = 64;
+pub(crate) const MAX_VARIANTS_PER_KERNEL: usize = 64;
 
 /// Compile-time builder producing an [`IseCatalog`].
 #[derive(Debug)]
@@ -523,7 +523,7 @@ impl IseCatalog {
     }
 
     /// The Pareto-efficient ISE variants of `kernel`: those not
-    /// [dominated](Ise::dominates) by any sibling in the
+    /// dominated by any sibling in the
     /// (resources, execution latency, load time) space. Whatever the
     /// run-time forecast, the best choice is always among these — a
     /// selector may restrict its candidate list accordingly.

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 /// LUT capacity of one PRC in this model. A data path whose area estimate
 /// exceeds this cannot be mapped onto a single container.
-pub const PRC_LUT_CAPACITY: u64 = 6_000;
+pub(crate) const PRC_LUT_CAPACITY: u64 = 6_000;
 
 /// Software (RISC-mode) cost of one invocation of the data path.
 fn sw_cycles_per_call(graph: &DataPathGraph) -> u64 {
@@ -119,23 +119,23 @@ pub fn map_to_cg(graph: &DataPathGraph, params: &ArchParams) -> Result<CgImpl, I
 
 /// Characteristics of a data path implemented on the FG fabric (one PRC).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FgImpl {
+pub(crate) struct FgImpl {
     /// Pipeline depth in FG cycles (latency of the first result).
-    pub pipeline_depth_fg: u64,
+    pub(crate) pipeline_depth_fg: u64,
     /// Initiation interval in FG cycles: how often a new invocation batch
     /// can enter the pipeline. 1 for fully pipelined logic; larger when the
     /// data path contains iterative multipliers/dividers.
-    pub initiation_interval: u64,
+    pub(crate) initiation_interval: u64,
     /// Spatial vector lanes: how many invocations are processed per
     /// initiation. Small data paths are replicated until the container is
     /// full — the source of the FG fabric's large asymptotic speedup
     /// (the paper's Fig. 1, where the all-FG ISE-1 reaches the highest
     /// performance improvement factor).
-    pub lanes: u64,
+    pub(crate) lanes: u64,
     /// LUT area estimate of one lane.
-    pub luts: u64,
+    pub(crate) luts: u64,
     /// Partial-bitstream size in bytes (drives reconfiguration time).
-    pub bitstream_bytes: u64,
+    pub(crate) bitstream_bytes: u64,
 }
 
 /// Estimates the FG implementation of a graph.
@@ -150,7 +150,7 @@ pub struct FgImpl {
 ///
 /// Returns [`IseError::Unmappable`] if the area exceeds
 /// [`PRC_LUT_CAPACITY`].
-pub fn map_to_fg(graph: &DataPathGraph, params: &ArchParams) -> Result<FgImpl, IseError> {
+pub(crate) fn map_to_fg(graph: &DataPathGraph, params: &ArchParams) -> Result<FgImpl, IseError> {
     let luts: u64 = graph.ops().map(|(k, _)| k.fg_luts()).sum();
     if luts > PRC_LUT_CAPACITY {
         return Err(IseError::Unmappable {
@@ -185,7 +185,7 @@ pub fn map_to_fg(graph: &DataPathGraph, params: &ArchParams) -> Result<FgImpl, I
 /// back-to-back invocations on the CG fabric, including the EDPE context
 /// switch to activate the data path.
 #[must_use]
-pub fn cg_cycles_per_exec(imp: &CgImpl, calls: u32, params: &ArchParams) -> Cycles {
+pub(crate) fn cg_cycles_per_exec(imp: &CgImpl, calls: u32, params: &ArchParams) -> Cycles {
     let switch = u64::from(params.cg_context_switch_cycles);
     let cg = switch + u64::from(calls) * imp.cg_cycles_per_call;
     params.cg_to_core(cg)
@@ -196,7 +196,7 @@ pub fn cg_cycles_per_exec(imp: &CgImpl, calls: u32, params: &ArchParams) -> Cycl
 /// initiation interval per further invocation *batch* (the spatial lanes
 /// process [`FgImpl::lanes`] invocations at once).
 #[must_use]
-pub fn fg_cycles_per_exec(imp: &FgImpl, calls: u32, params: &ArchParams) -> Cycles {
+pub(crate) fn fg_cycles_per_exec(imp: &FgImpl, calls: u32, params: &ArchParams) -> Cycles {
     if calls == 0 {
         return Cycles::ZERO;
     }
@@ -207,27 +207,8 @@ pub fn fg_cycles_per_exec(imp: &FgImpl, calls: u32, params: &ArchParams) -> Cycl
 
 /// Per-kernel-execution software cycles (core cycles) of `calls`
 /// invocations in RISC mode.
-///
-/// # Example
-///
-/// ```
-/// use mrts_arch::Cycles;
-/// use mrts_ise::datapath::{DataPathGraph, OpKind};
-/// use mrts_ise::mapping::sw_cycles_per_exec;
-///
-/// # fn main() -> Result<(), mrts_ise::IseError> {
-/// let mut b = DataPathGraph::builder("g");
-/// let a = b.input();
-/// let x = b.op(OpKind::Mul, &[a, a]);
-/// let _ = b.op(OpKind::Add, &[x, a]);
-/// let g = b.finish()?;
-/// // mul(4) + add(1) plus the per-call loop overhead of 2, three calls.
-/// assert_eq!(sw_cycles_per_exec(&g, 3), Cycles::new(3 * (4 + 1 + 2)));
-/// # Ok(())
-/// # }
-/// ```
 #[must_use]
-pub fn sw_cycles_per_exec(graph: &DataPathGraph, calls: u32) -> Cycles {
+pub(crate) fn sw_cycles_per_exec(graph: &DataPathGraph, calls: u32) -> Cycles {
     Cycles::new(u64::from(calls) * sw_cycles_per_call(graph))
 }
 
@@ -258,6 +239,17 @@ mod tests {
         let p = b.op(OpKind::PopCount, &[e]);
         let _ = b.op(OpKind::Cmp, &[p, a]);
         b.finish().unwrap()
+    }
+
+    #[test]
+    fn sw_cost_is_ops_plus_call_overhead_per_call() {
+        let mut b = DataPathGraph::builder("g");
+        let a = b.input();
+        let x = b.op(OpKind::Mul, &[a, a]);
+        let _ = b.op(OpKind::Add, &[x, a]);
+        let g = b.finish().unwrap();
+        // mul(4) + add(1) plus the per-call loop overhead of 2, three calls.
+        assert_eq!(sw_cycles_per_exec(&g, 3), Cycles::new(3 * (4 + 1 + 2)));
     }
 
     #[test]

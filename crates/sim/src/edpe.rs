@@ -5,7 +5,7 @@
 //! ALU/multiply/divide, a zero-overhead loop instruction, and a 32-bit
 //! load/store unit. This module provides
 //!
-//! * an 80-bit instruction **encoding** ([`Instr`] ⇄ `u128`),
+//! * an 80-bit instruction **encoding** (`Instr` ⇄ `u128`),
 //! * a **compiler** from data-path operator graphs to context programs
 //!   ([`compile_graph`]), emitting the same instruction counts the
 //!   [`mapping`](mrts_ise::mapping) estimator charges (emulated bit-level
@@ -23,17 +23,17 @@ use std::error::Error;
 use std::fmt;
 
 /// Number of addressable registers (two 32×32-bit register files).
-pub const REG_COUNT: usize = 64;
+pub(crate) const REG_COUNT: usize = 64;
 
 /// Words of scratch-pad memory visible to load/store.
-pub const SCRATCHPAD_WORDS: usize = 256;
+pub(crate) const SCRATCHPAD_WORDS: usize = 256;
 
 /// Banks of the EDPE's scratch-pad.
-pub const SCRATCHPAD_BANKS: u32 = 4;
+pub(crate) const SCRATCHPAD_BANKS: u32 = 4;
 
 /// One CG-EDPE instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Instr {
+pub(crate) enum Instr {
     /// Apply an operator to up to three source registers.
     Op {
         /// The operation.
@@ -86,7 +86,7 @@ impl Instr {
     /// Layout: `opcode[79:72] dst[71:64] s1[63:56] s2[55:48] s3[47:40]
     /// imm[39:8] rsvd[7:0]`.
     #[must_use]
-    pub fn encode(self) -> u128 {
+    pub(crate) fn encode(self) -> u128 {
         let (opcode, dst, s1, s2, s3, imm) = match self {
             Instr::Op { kind, dst, srcs } => {
                 (opkind_code(kind), dst, srcs[0], srcs[1], srcs[2], 0u32)
@@ -109,7 +109,7 @@ impl Instr {
     /// # Errors
     ///
     /// Returns [`EdpeError::IllegalInstruction`] for unknown opcodes.
-    pub fn decode(word: u128) -> Result<Instr, EdpeError> {
+    pub(crate) fn decode(word: u128) -> Result<Instr, EdpeError> {
         let opcode = (word >> 72) as u8;
         let dst = (word >> 64) as u8;
         let s1 = (word >> 56) as u8;
@@ -175,7 +175,7 @@ impl ContextProgram {
 pub enum EdpeError {
     /// Unknown opcode.
     IllegalInstruction(u8),
-    /// A register index exceeded [`REG_COUNT`].
+    /// A register index exceeded `REG_COUNT` (64).
     BadRegister(u8),
     /// Loop body extended past the end of the program.
     MalformedLoop,
@@ -327,7 +327,7 @@ pub fn evaluate_graph(graph: &DataPathGraph, inputs: &[u32]) -> u32 {
 /// # Errors
 ///
 /// Returns [`EdpeError::BadRegister`] if the graph needs more than
-/// [`REG_COUNT`] registers.
+/// `REG_COUNT` (64) registers.
 pub fn compile_graph(graph: &DataPathGraph) -> Result<(ContextProgram, u8), EdpeError> {
     if graph.nodes().len() > REG_COUNT {
         return Err(EdpeError::BadRegister(graph.nodes().len() as u8));

@@ -47,7 +47,7 @@ pub use policy::{
     RuntimePolicy, SelectionContext,
 };
 pub use stats::{
-    jain_index, nearest_rank_percentile, BlockStats, ExecClass, FabricStats, FleetStats,
-    KernelStats, MultitaskStats, RunStats, SessionStats, TenantStats,
+    nearest_rank_percentile, BlockStats, ExecClass, FabricStats, FleetStats, KernelStats,
+    MultitaskStats, RunStats, SessionStats, TenantStats,
 };
 pub use timeline::{events_to_jsonl, EventSink, RejectReason, SimEvent, Timeline, VecSink};

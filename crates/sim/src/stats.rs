@@ -84,7 +84,7 @@ impl KernelStats {
     ///
     /// Debug-asserts that the three slices have equal length; mismatched
     /// rows beyond the shortest slice are otherwise ignored.
-    pub fn record_batch(
+    pub(crate) fn record_batch(
         &mut self,
         classes: &[ExecClass],
         counts: &[u64],
@@ -333,7 +333,7 @@ pub fn nearest_rank_percentile(nonzero: &[u64], zeros: u64, q_num: u64, q_den: u
 /// allocations. 1.0 = perfectly fair; `1/n` = one tenant gets everything.
 /// Empty or all-zero inputs return 1.0 (nothing is being shared unfairly).
 #[must_use]
-pub fn jain_index(xs: &[f64]) -> f64 {
+pub(crate) fn jain_index(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 1.0;
     }

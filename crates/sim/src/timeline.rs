@@ -20,7 +20,7 @@
 //!   multi-tenant dispatch/repartition events.
 //! * [`EventSink`] — a zero-cost observer: the default detached state makes
 //!   every emission a single branch on [`Timeline::recording`], and events
-//!   are built lazily ([`Timeline::emit_with`] takes a closure), so runs
+//!   are built lazily (`Timeline::emit_with` takes a closure), so runs
 //!   without a sink pay nothing. [`VecSink`] collects in memory (cloneable,
 //!   so several per-tenant simulators can share one buffer) and
 //!   [`events_to_jsonl`] renders the deterministic, replayable JSONL format
@@ -634,7 +634,7 @@ impl Timeline {
 
     /// Attaches an event sink; subsequent emissions are recorded under the
     /// `tenant` tag. Replaces any previously attached sink.
-    pub fn attach_sink(&mut self, tenant: u32, sink: Box<dyn EventSink>) {
+    pub(crate) fn attach_sink(&mut self, tenant: u32, sink: Box<dyn EventSink>) {
         self.tenant = tenant;
         self.sink = Some(sink);
     }
@@ -650,7 +650,7 @@ impl Timeline {
     /// The event is queued and flushed once the clock passes `at`, so the
     /// delivered stream is monotone even though kernels of one block are
     /// simulated on parallel timelines.
-    pub fn emit_with(&mut self, at: Cycles, build: impl FnOnce() -> SimEvent) {
+    pub(crate) fn emit_with(&mut self, at: Cycles, build: impl FnOnce() -> SimEvent) {
         if self.sink.is_none() {
             return;
         }
@@ -714,7 +714,7 @@ impl Timeline {
     /// then feeds the boundaries visible to this block
     /// ([`Timeline::push_boundary`]) — completions of loads already in
     /// flight plus the ones issued for the block's plan.
-    pub fn begin_block(&mut self) {
+    pub(crate) fn begin_block(&mut self) {
         self.boundaries.clear();
     }
 
@@ -723,7 +723,7 @@ impl Timeline {
     /// cannot change the epoch structure — the epoch scan is a strict
     /// `> t` search — so they are dropped at the door instead of
     /// re-planning a no-op epoch).
-    pub fn push_boundary(&mut self, t: Cycles) -> bool {
+    pub(crate) fn push_boundary(&mut self, t: Cycles) -> bool {
         match self.boundaries.binary_search(&t) {
             Ok(_) => false,
             Err(pos) => {
@@ -735,7 +735,7 @@ impl Timeline {
 
     /// The earliest boundary strictly after `t`.
     #[must_use]
-    pub fn next_boundary_after(&self, t: Cycles) -> Option<Cycles> {
+    pub(crate) fn next_boundary_after(&self, t: Cycles) -> Option<Cycles> {
         let i = self.boundaries.partition_point(|b| *b <= t);
         self.boundaries.get(i).copied()
     }

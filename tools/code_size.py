@@ -13,11 +13,18 @@ the `pub` declarations: `fn` (also `const fn`, `unsafe fn`, `async fn`,
 not count, and neither do `pub use` re-exports or `pub` struct fields.
 
 It prints one row per crate and a total row. Below the table it lists,
-per crate, the public declarations whose name no other crate names: no
-`.rs` file outside `crates/<crate>/` (under `crates/`, `tests/`,
-`examples/`, `src/` or `perfbench/src/`) holds the name as a word. A
-name shared with another item counts as named, so the list is a floor.
-The numbers inform; nothing fails on them.
+per crate, the public declarations whose name no file outside the
+crate's library target holds as a word. Outside means any other crate,
+the crate's own binaries (`src/bin/**`, `src/main.rs`) and tests
+(`tests/`), and `tests/`, `examples/`, `src/` and `perfbench/src/` at the
+top: each compiles as a separate crate that sees only `pub` items. A
+binary's own `pub` declarations have no outside user and are all listed.
+A name shared with another item counts as named, so the list is a floor.
+
+The list is a gate. `ALLOWED` names, per crate, each declaration that
+stays `pub` only because a public signature an outside user needs
+exposes it. The tool exits 1 when the list holds a name `ALLOWED` does
+not, or when an `ALLOWED` name has left the list (a stale entry).
 """
 
 import os
@@ -25,6 +32,71 @@ import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Each `pub` declaration no outside user names, kept `pub` because a
+# public signature that one does use exposes it: name -> that signature.
+ALLOWED = {
+    "arch": {
+        "CgOpTiming": "type of the pub field `ArchParams::cg_op_timing`",
+        "Frequency": "type of the pub fields `ArchParams::{core,cg,fg}_clock`",
+        "LoadTicket": "returned by `Machine::load_fg`/`load_cg` (the sim engine "
+        "reads `ready_at`) and `ReconfigurationController::inflight_tickets` "
+        "(core's memo key)",
+    },
+    "bench": {
+        "Figure": "returned by `figures::Opts::parse`; `src/bin/figure.rs` "
+        "calls its `run`",
+    },
+    "core": {
+        "Profit": "type of the pub field `MrtsConfig::profit` (the figures "
+        "build `MrtsConfig` with struct-update syntax)",
+        "ProfitBreakdown": "returned by `expected_profit` "
+        "(`tests/paper_properties.rs`, `tests/selector_equivalence.rs`)",
+        "Search": "type of the pub field `MrtsConfig::search`",
+        "SelectedIse": "element of the pub field `Selection::selected` "
+        "(`tests/selector_*.rs`)",
+        "StageProfit": "element of the pub field `ProfitBreakdown::stages`",
+    },
+    "fleet": {
+        "RegistryError": "returned by `AppRegistry::new` (`mrts-cli fleet`)",
+    },
+    "ingest": {
+        "ClusterInfo": "element of the pub field `Lowered::clusters` "
+        "(`mrts-cli ingest --lower`)",
+        "DceStats": "type of the pub field `Lowered::dce` (`mrts-cli ingest`, "
+        "`tests/ingest_properties.rs`)",
+        "EventProfile": "returned by `events::profile_jsonl` "
+        "(`mrts-cli ingest --replay`, `tests/ingest_properties.rs`)",
+        "Lowered": "returned by `lower` (`mrts-cli ingest`, "
+        "`tests/ingest_properties.rs`)",
+        "TradeoffPoint": "returned by `passes::tradeoff_points` "
+        "(`mrts-cli ingest --lower`)",
+    },
+    "ise": {
+        "CgImpl": "returned by `mapping::map_to_cg` (mrts-sim's EDPE tests, "
+        "`tests/edpe_validation.rs`)",
+        "DataPathGraphBuilder": "returned by `DataPathGraph::builder` "
+        "(ingest, perfbench, tests)",
+        "DataPathSpec": "element of `KernelSpec::data_paths` (ingest, "
+        "`tests/edpe_validation.rs`)",
+        "LoadUnit": "returned by `IseCatalog::unit`/`units` (sim, core, cli)",
+    },
+    "sim": {
+        "ContextProgram": "returned by `edpe::compile_graph` "
+        "(`tests/edpe_validation.rs`)",
+        "EdpeError": "error of `edpe::compile_graph` and "
+        "`EdpeInterpreter::execute` (`tests/edpe_validation.rs`)",
+        "ExecOutcome": "returned by `EdpeInterpreter::execute` "
+        "(`tests/edpe_validation.rs`)",
+        "RejectReason": "field of `SimEvent::LoadRejected`",
+    },
+    "workload": {
+        "MacroblockFeatures": "element of the pub field "
+        "`FrameStats::macroblocks` (ingest's rate rules)",
+        "VideoModelBuilder": "returned by `VideoModel::builder` (perfbench, "
+        "tests)",
+    },
+}
 
 TEST_MODULE = re.compile(r"#\[cfg\(test\)\]")
 PUB_ITEM = re.compile(
@@ -97,35 +169,47 @@ def crate_dirs(root):
             yield crate, src
 
 
+def lib_files(root, crate):
+    """The `.rs` files of `crate`'s library target: `src/**` but not
+    `src/bin/**` or `src/main.rs`, which compile as separate binary
+    crates. A crate without `src/lib.rs` has no library: empty."""
+    src = os.path.join(root, "crates", crate, "src")
+    if not os.path.isfile(os.path.join(src, "lib.rs")):
+        return []
+    binaries = (os.path.join(src, "bin") + os.sep, os.path.join(src, "main.rs"))
+    return [p for p in rust_files(src) if not p.startswith(binaries)]
+
+
 def unnamed_elsewhere(root):
     """{crate: sorted names of its public declarations that no file
-    outside `crates/<crate>/` names as a word}."""
-    words = {}
-    crates_dir = os.path.join(root, "crates")
-    for crate in sorted(os.listdir(crates_dir)):
-        words[crate] = set()
-        for path in rust_files(os.path.join(crates_dir, crate)):
-            words[crate].update(WORD.findall(read(path)))
-    outside = set()
-    for top in OUTSIDE:
+    outside the crate's library target names as a word}.
+
+    A crate's binaries (`src/bin/**`, `src/main.rs`) and its `tests/`
+    see only its library's `pub` items, like any other crate, so they
+    count as outside users. Nothing outside a binary can name its items:
+    each `pub` declaration in a binary is listed."""
+    files = {}
+    for top in ("crates",) + OUTSIDE:
         for path in rust_files(os.path.join(root, top)):
-            outside.update(WORD.findall(read(path)))
+            files[path] = set(WORD.findall(read(path)))
     unnamed = {}
     for crate, src in crate_dirs(root):
-        named = outside.union(*(w for c, w in words.items() if c != crate))
-        declared = set()
+        lib = set(lib_files(root, crate))
+        named = set().union(*(w for p, w in files.items() if p not in lib))
+        listed = set()
         for path in rust_files(src):
-            declared.update(pub_names(non_test_lines(read(path))))
+            names = set(pub_names(non_test_lines(read(path))))
+            listed.update(names - named if path in lib else names)
         # A macro's declaration has no literal name to look for.
-        declared.discard("")
-        unnamed[crate] = sorted(declared - named)
+        listed.discard("")
+        unnamed[crate] = sorted(listed)
     return unnamed
 
 
 def unnamed_table(unnamed):
     """The printed list: per crate, the count and the names."""
     width = max([len("total")] + [len(c) for c in unnamed])
-    rows = ["pub items no other crate names:"]
+    rows = ["pub items no outside user names:"]
     for crate, names in unnamed.items():
         rows.append(f"{crate:<{width}}  {len(names):>5}  {' '.join(names)}".rstrip())
     total = sum(len(names) for names in unnamed.values())
@@ -145,6 +229,24 @@ def table(sizes):
     return "\n".join(rows)
 
 
+def gate(unnamed, allowed):
+    """The gate's complaints, one line each: listed names `allowed` does
+    not hold, then `allowed` names no longer listed."""
+    problems = []
+    for crate, names in unnamed.items():
+        for name in names:
+            if name not in allowed.get(crate, {}):
+                problems.append(f"{crate}: `{name}` is pub but no outside user "
+                                "names it: make it pub(crate), delete it, or "
+                                "allowlist the signature that needs it")
+    for crate, names in allowed.items():
+        for name in names:
+            if name not in unnamed.get(crate, []):
+                problems.append(f"{crate}: allowlisted `{name}` is no longer "
+                                "listed: drop its ALLOWED entry")
+    return problems
+
+
 def main(argv):
     if len(argv) > 2:
         print("usage: code_size.py [ROOT]", file=sys.stderr)
@@ -152,8 +254,12 @@ def main(argv):
     root = argv[1] if len(argv) == 2 else ROOT
     print(table(crate_sizes(root)))
     print()
-    print(unnamed_table(unnamed_elsewhere(root)))
-    return 0
+    unnamed = unnamed_elsewhere(root)
+    print(unnamed_table(unnamed))
+    problems = gate(unnamed, ALLOWED)
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
-"""Unit tests of the code-size table: where a file's test code starts and
-which lines are public declarations.
+"""Unit tests of the code-size table: where a file's test code starts,
+which lines are public declarations, which files count as outside users
+and when the allowlist gate fails.
 
     python3 -m unittest discover -s tools
 """
@@ -8,7 +9,7 @@ import os
 import tempfile
 import unittest
 
-from code_size import count_file, crate_sizes, table, unnamed_elsewhere, unnamed_table
+from code_size import count_file, crate_sizes, gate, table, unnamed_elsewhere, unnamed_table
 
 LIB = """\
 //! A crate.
@@ -104,8 +105,6 @@ class UnnamedElsewhere(unittest.TestCase):
                  "pub fn used_by_b() {}\npub fn used_by_tests() {}\n"
                  "pub fn used_by_perfbench() {}\npub struct $name;\n"
                  "#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n"),
-                # The crate's own tests do not count as another crate.
-                ("crates/a/tests/own.rs", "fn t() { a::shown(); }\n"),
                 ("crates/b/src/lib.rs", "pub fn b_only() { a::used_by_b(); }\n"),
                 ("tests/it.rs", "fn t() { a::used_by_tests(); a::Thing::new(); }\n"),
                 ("perfbench/src/main.rs", "fn main() { a::used_by_perfbench(); }\n"),
@@ -117,6 +116,37 @@ class UnnamedElsewhere(unittest.TestCase):
             rows = unnamed_table(unnamed).splitlines()
             self.assertEqual(rows[1].split(), ["a", "2", "inner", "shown"])
             self.assertEqual(rows[-1].split(), ["total", "3"])
+
+    def test_the_crates_own_binaries_and_tests_are_outside_users(self):
+        with tempfile.TemporaryDirectory() as root:
+            write_tree(root, [
+                ("crates/a/src/lib.rs",
+                 "pub fn by_bin() {}\npub fn by_main() {}\n"
+                 "pub fn by_tests() {}\npub fn by_lib() {}\n"
+                 "pub fn unused() {}\nfn f() { by_lib(); }\n"),
+                # A binary's own `pub` items have no outside user.
+                ("crates/a/src/bin/tool.rs",
+                 "pub fn in_bin() {}\nfn main() { a::by_bin(); in_bin(); }\n"),
+                ("crates/a/src/main.rs", "fn main() { a::by_main(); }\n"),
+                ("crates/a/tests/own.rs", "fn t() { a::by_tests(); }\n"),
+                # A binary-only crate: no other crate can name its items,
+                # whatever its own tests say.
+                ("crates/b/src/main.rs", "pub fn run() {}\nfn main() { run(); }\n"),
+                ("crates/b/tests/cli.rs", "fn t() { let run = 1; }\n"),
+            ])
+            self.assertEqual(unnamed_elsewhere(root),
+                             {"a": ["by_lib", "in_bin", "unused"], "b": ["run"]})
+
+
+class Gate(unittest.TestCase):
+    def test_listed_names_must_match_the_allowlist_exactly(self):
+        unnamed = {"a": ["Kept", "Leaked"], "b": []}
+        allowed = {"a": {"Kept": "returned by a::f"}, "b": {"Gone": "x"}}
+        problems = gate(unnamed, allowed)
+        self.assertEqual(len(problems), 2)
+        self.assertIn("a: `Leaked` is pub but no outside user", problems[0])
+        self.assertIn("b: allowlisted `Gone` is no longer listed", problems[1])
+        self.assertEqual(gate({"a": ["Kept"]}, {"a": {"Kept": "y"}}), [])
 
 
 if __name__ == "__main__":
